@@ -20,7 +20,6 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from ._parallel import pmap
 from .groups import FolnerDescriptor, GroupSpec, WindowCapExceeded, box
 from .metrics import WeightScheme
 from .subshifts import PatternCapExceeded, spec_from_json
@@ -253,8 +252,8 @@ def _cmd_kg_mass_demo(system: KSpaceSpec, args) -> dict:
     folner = FolnerDescriptor(args.folner, (1,))
     ks = [int(k) for k in (args.k_list or "2,4,6").split(",")]
     eps = Fraction(args.eps) if args.eps else Fraction(1, 10)
-    reports = pmap(lambda k: kg_mass_distribution_demo(
-        system, k, folner, 1, eps, seed=args.seed), ks)
+    reports = [kg_mass_distribution_demo(system, k, folner, 1, eps,
+                                         seed=args.seed) for k in ks]
     return {"reports": [{"k": r.k, "bound": _num(r.bound, "certified-bound"),
                          "points_checked": r.points_checked,
                          "worst_margin": r.worst_margin} for r in reports],

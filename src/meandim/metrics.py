@@ -352,10 +352,12 @@ def covering_number(cloud: PointCloud, metric, eps, mode: str = "bounds",
 
 def line_cover_count(values: Sequence, eps, tol=0) -> int:
     """Exact minimum number of diameter < eps sets covering points on a line."""
+    limit = eps - tol
+    if limit <= 0:
+        raise ValueError("cover budget eps - tol must be positive")
     vals = sorted(set(values))
     if not vals:
         return 0
-    limit = eps - tol
     count = 0
     i = 0
     while i < len(vals):
@@ -385,13 +387,15 @@ def circle_cover_count(values: Sequence, eps, tol=0) -> int:
 
     Tries every point as the sweep start; exact for finite sets.
     """
+    limit = Fraction(eps) - Fraction(tol)
+    if limit <= 0:
+        raise ValueError("cover budget eps - tol must be positive")
     vals = sorted(set(Fraction(v) % 1 for v in values))
     n = len(vals)
     if n == 0:
         return 0
     if n == 1:
         return 1
-    limit = Fraction(eps) - Fraction(tol)
     best = n
     for start in range(n):
         count = 0

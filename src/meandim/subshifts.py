@@ -1,9 +1,8 @@
 """Finite-alphabet subshifts over Z^d given by local rules.
 
 Exact pattern enumeration (backtracking with forward checking), exact big
-integer counting (transfer matrices on 1-d interval windows, row-profile
-dynamic programming on 2-d boxes, backtracking elsewhere), projections of
-paired alphabets and fiber statistics.
+integer counting (one frontier, or broken-profile, transfer DP for every rule
+on every window), projections of paired alphabets and fiber statistics.
 
 Pattern legality on a window checks the rules that fit entirely inside the
 window (free boundary).  For the shipped rule classes this either matches the
@@ -256,7 +255,7 @@ def projected_spec(spec: SubshiftSpec) -> SubshiftSpec | None:
 
 
 # ---------------------------------------------------------------------------
-# backtracking enumeration / counting
+# constraints, backtracking enumeration, frontier counting
 
 def _neighbor_constraints(spec: SubshiftSpec, window: GroupWindow):
     """Per cell: adjacency checks against earlier cells, and forbidden-pattern
@@ -295,7 +294,11 @@ def _neighbor_constraints(spec: SubshiftSpec, window: GroupWindow):
 
 
 def _iter_patterns(spec: SubshiftSpec, window: GroupWindow):
-    """Depth-first over cells in window order; deterministic symbol order."""
+    """Depth-first over cells in window order; deterministic symbol order.
+
+    An explicit stack of per-depth symbol indices replaces recursion, so the
+    depth is bounded by the cell cap rather than by the interpreter.
+    """
     rule = spec.rule
     n = len(window)
     if n == 0:
@@ -323,16 +326,21 @@ def _iter_patterns(spec: SubshiftSpec, window: GroupWindow):
                 return False
         return True
 
-    def rec(i: int):
-        if i == n:
-            yield bytes(assign)
-            return
-        for s in symbols:
-            if ok(i, s):
-                assign[i] = s
-                yield from rec(i + 1)
-
-    yield from rec(0)
+    tried = [0] * n  # per depth: index of the next symbol to try
+    i = 0
+    while i >= 0:
+        if tried[i] == len(symbols):
+            tried[i] = 0
+            i -= 1
+            continue
+        s = symbols[tried[i]]
+        tried[i] += 1
+        if ok(i, s):
+            assign[i] = s
+            if i == n - 1:
+                yield bytes(assign)
+            else:
+                i += 1
 
 
 def enumerate_patterns(spec: SubshiftSpec, window: GroupWindow,
@@ -345,94 +353,98 @@ def enumerate_patterns(spec: SubshiftSpec, window: GroupWindow,
     return PatternSet(spec=spec, window=window, patterns=tuple(out))
 
 
-def _interval_axis(window: GroupWindow, rank: int):
-    """Axis along which the window is a contiguous line, or None."""
+def _sweep_window(window: GroupWindow) -> GroupWindow:
+    """The window's cells in lexicographic order, longest extent outermost,
+    so that the frontier spans the shortest extents."""
     cells = window.elements
-    if len(cells) == 1:
-        return 0, [0]
-    for axis in range(rank):
-        others = {tuple(c[:axis] + c[axis + 1:]) for c in cells}
-        if len(others) != 1:
-            continue
-        vals = sorted(c[axis] for c in cells)
-        if vals == list(range(vals[0], vals[0] + len(vals))):
-            order = sorted(range(len(cells)), key=lambda i: cells[i][axis])
-            return axis, order
-    return None
+    dims = range(len(cells[0]))
+    extent = [max(c[a] for c in cells) - min(c[a] for c in cells) for a in dims]
+    axes = sorted(dims, key=lambda a: -extent[a])
+    return GroupWindow(spec=window.spec, elements=tuple(
+        sorted(cells, key=lambda c: [c[a] for a in axes])))
 
 
-def _transfer_count(rule: Rule, axis: int, length: int) -> int:
-    symbols = rule.symbols
-    mat = rule.matrix_for_axis(axis)
-    if mat is None:
-        return len(symbols) ** length
-    vec = {s: 1 for s in symbols}
-    for _ in range(length - 1):
-        nxt = {t: 0 for t in symbols}
-        for s, cnt in vec.items():
-            if not cnt:
-                continue
-            row = mat[s]
-            for t in symbols:
-                if row[t]:
-                    nxt[t] += cnt
-        vec = nxt
-    return sum(vec.values())
+def _frontier_count(spec: SubshiftSpec, window: GroupWindow,
+                    cap: int = DEFAULT_PATTERN_CAP) -> int:
+    """Broken-profile transfer DP over the sweep order of the window.
 
-
-def _box_profile_count(spec: SubshiftSpec, n: int, cap: int = 4096) -> int | None:
-    """Exact count on the 2-d box [0,n)^2 by row-profile DP; None if gated off."""
-    if spec.rank != 2 or spec.rule.forbidden:
-        return None
-    if spec.alphabet.size ** n > cap:
-        return None
-    row_spec = SubshiftSpec(1, Alphabet(spec.alphabet.size),
-                            Rule(size=spec.rule.size,
-                                 allowed_symbols=spec.rule.allowed_symbols,
-                                 axis_allowed=((0, spec.rule.matrix_for_axis(0)),)
-                                 if spec.rule.matrix_for_axis(0) else ()))
-    rows = [tuple(p) for p in _iter_patterns(row_spec, _line_window(n))]
-    vmat = spec.rule.matrix_for_axis(1)
-    counts = {r: 1 for r in rows}
-    for _ in range(n - 1):
-        nxt = {r: 0 for r in rows}
-        for r, cnt in counts.items():
-            if not cnt:
-                continue
-            for t in rows:
-                if vmat is None or all(vmat[a][b] for a, b in zip(r, t)):
-                    nxt[t] += cnt
-        counts = nxt
-    return sum(counts.values())
-
-
-def _line_window(n: int) -> GroupWindow:
-    return GroupWindow(spec=GroupSpec(1), elements=tuple((x,) for x in range(n)),
-                       kind="explicit")
+    Every constraint fires at its last cell.  A state packs the symbols of
+    the frontier (assigned cells that a later constraint still reads) into
+    an int, `width` bits per slot, and maps to an exact count; a cell's slot
+    is cleared after the last constraint reading it, so states that agree
+    on the remaining frontier merge.
+    """
+    swept = _sweep_window(window)
+    adj, trig = _neighbor_constraints(spec, swept)
+    n = len(swept)
+    last = list(range(n))  # the step after which each cell leaves
+    for i in range(n):
+        for j in [j for j, _, _ in adj[i]] + [p for ps, _ in trig[i] for p in ps]:
+            last[j] = i
+    symbols = spec.rule.symbols
+    width = max(1, (spec.rule.size - 1).bit_length())
+    full = (1 << width) - 1
+    slot, free, top, live = {}, [], 0, 0
+    states = {0: 1}
+    for i in range(n):
+        # bans[s]: (mask, values); s is illegal when key & mask is in values
+        bans = {s: [] for s in symbols}
+        for j, mat, src in adj[i]:
+            at = slot[j]
+            for s in symbols:
+                bad = {t << at for t in symbols
+                       if not (mat[t][s] if src else mat[s][t])}
+                if bad:
+                    bans[s].append((full << at, bad))
+        for positions, syms in trig[i]:
+            need = dict(zip(positions, syms))
+            if len(need) < len(set(zip(positions, syms))):
+                continue  # a cell forced to two symbols: never matches
+            s = need.pop(i)
+            if s in bans:
+                bans[s].append((sum(full << slot[p] for p in need),
+                                {sum(t << slot[p] for p, t in need.items())}))
+        for j in [j for j in slot if last[j] == i]:
+            live &= ~(full << slot[j])
+            free.append(slot.pop(j))
+        keep = live
+        if last[i] > i:  # seat cell i for the constraints still to come
+            if not free:
+                free.append(top)
+                top += width
+            slot[i] = free.pop()
+            live |= full << slot[i]
+        moves = [(s << slot[i] if i in slot else 0, bans[s]) for s in symbols]
+        nxt: dict = {}
+        for key, cnt in states.items():
+            base = key & keep
+            for add, ban in moves:
+                for mask, bad in ban:
+                    if (key & mask) in bad:
+                        break
+                else:
+                    k = base | add
+                    nxt[k] = nxt.get(k, 0) + cnt
+            if len(nxt) > cap:
+                raise PatternCapExceeded(cap)
+        states = nxt
+    return sum(states.values())
 
 
 def count_patterns(spec: SubshiftSpec, window: GroupWindow) -> int:
-    """Exact number of free-boundary legal patterns on the window."""
+    """Exact number of free-boundary legal patterns on the window.
+
+    Rules with no adjacency and no forbidden patterns have the closed form
+    |symbols|^n.  Every other rule, on every window of any rank, is counted
+    by one frontier (broken-profile) transfer DP in exact integers; more
+    than DEFAULT_PATTERN_CAP live frontier states raises PatternCapExceeded.
+    """
     rule = spec.rule
-    n = len(window)
-    if n == 0:
-        return 1
     if not rule.axis_allowed and not rule.forbidden:
-        return len(rule.symbols) ** n
-    if not rule.forbidden:
-        hit = _interval_axis(window, spec.rank)
-        if hit is not None:
-            axis, _ = hit
-            # a line only sees the adjacency along its own axis
-            return _transfer_count(rule, axis, n)
-        if window.kind == "box" and spec.rank == 2:
-            c = _box_profile_count(spec, window.index)
-            if c is not None:
-                return c
-    total = 0
-    for _ in _iter_patterns(spec, window):
-        total += 1
-    return total
+        return len(rule.symbols) ** len(window)
+    if len(window) == 0:
+        return 1
+    return _frontier_count(spec, window)
 
 
 def extensible_symbols(rule: Rule, axis: int) -> tuple:
@@ -465,8 +477,8 @@ def projection_count_interval(spec: SubshiftSpec, window: GroupWindow) -> int:
     """
     if spec.rank != 1 or spec.rule.forbidden:
         raise ValueError("projection counts implemented for 1-d NN rules")
-    hit = _interval_axis(window, 1)
-    if hit is None:
+    xs = sorted(c[0] for c in window.elements)
+    if not xs or xs != list(range(xs[0], xs[0] + len(xs))):
         raise ValueError("window is not an interval")
     n = len(window)
     rule = spec.rule

@@ -201,15 +201,6 @@ def test_parse_system_unknown():
     assert validate({"system": "mystery"})
 
 
-def test_thread_budget_env(monkeypatch):
-    from meandim._parallel import pmap, thread_budget
-    monkeypatch.setenv("MEANDIM_THREADS", "3")
-    assert thread_budget() == 3
-    assert pmap(lambda x: x * x, range(6)) == [0, 1, 4, 9, 16, 25]
-    monkeypatch.setenv("MEANDIM_THREADS", "bogus")
-    assert thread_budget() == 1
-
-
 def test_out_directory_series_jsonl_for_row_reports(tmp_path, capsys):
     spec = write_spec(tmp_path, KSPACE)
     out_dir = tmp_path / "kg"

@@ -279,6 +279,22 @@ def test_circle_cover_wraps():
     assert circle_cover_count(vals, Fraction(1, 8)) == 3
 
 
+def test_line_cover_rejects_zero_budget():
+    vals = [Fraction(0), Fraction(1, 2)]
+    with pytest.raises(ValueError):
+        line_cover_count(vals, Fraction(1, 10), tol=Fraction(1, 10))
+    with pytest.raises(ValueError):
+        line_cover_count(vals, 0)
+
+
+def test_circle_cover_rejects_zero_budget():
+    vals = [Fraction(0), Fraction(1, 2)]
+    with pytest.raises(ValueError):
+        circle_cover_count(vals, Fraction(1, 10), tol=Fraction(1, 10))
+    with pytest.raises(ValueError):
+        circle_cover_count(vals, Fraction(-1, 8))
+
+
 def test_cover_report_validation():
     with pytest.raises(ValueError):
         CoverReport(eps=0.1, lower=5, upper=3, exact=False)

@@ -3,9 +3,10 @@ import json
 
 import pytest
 
-from meandim.groups import GroupSpec, ball, box, interval, product_window
+from meandim.groups import (GroupSpec, GroupWindow, ball, box, interval,
+                            product_window)
 from meandim.subshifts import (Alphabet, PatternCapExceeded, Rule,
-                               SubshiftSpec, cellwise_pair_shift,
+                               SubshiftSpec, _frontier_count, cellwise_pair_shift,
                                count_patterns, counts_to_csv,
                                enumerate_patterns, fiber_counts, fiber_table,
                                full_shift, golden_mean, hard_square,
@@ -210,6 +211,80 @@ def test_gxn_window_counts():
     for depth in range(1, 12):
         pw = product_window(f, depth)
         assert count_patterns(spec, pw) == fib(depth + 2)
+
+
+GOLDEN_DOMINO = SubshiftSpec(
+    1, Alphabet(2), Rule.forbidden_patterns(2, [(((0,), (1,)), (1, 1))]),
+    "golden-domino")
+
+FORBIDDEN_2D = SubshiftSpec(
+    2, Alphabet(3),
+    Rule.forbidden_patterns(3, [(((0, 0), (1, 1)), (1, 1)),
+                                (((0, 0), (0, 1), (1, 0)), (2, 0, 2)),
+                                (((0, 0), (0, 0)), (1, 2))]),  # never matches
+    "forbidden-2d")
+
+
+def _core_cases():
+    g1, g2, g3 = GroupSpec(1), GroupSpec(2), GroupSpec(3)
+    for spec in (full_shift(3), golden_mean(), mcmullen_shift(),
+                 cellwise_pair_shift(2, 2, [(0, 0), (1, 1)]),
+                 pair_shift_with_b_rule(2, golden_mean()), GOLDEN_DOMINO):
+        for w in (interval(-2, 4), ball(2, g1), box(3, g1)):
+            yield spec, w
+    for spec in (hard_square(), full_shift(2, rank=2), FORBIDDEN_2D,
+                 pair_shift_with_b_rule(2, hard_square())):
+        for w in (ball(1, g2), box(2, g2), box(3, g2),
+                  product_window(ball(1, g1), 3)):
+            yield spec, w
+    yield hard_square(), ball(2, g2)
+    for w in (ball(1, g3), box(2, g3), product_window(box(2, g2), 2)):
+        yield golden_mean(3), w
+
+
+def test_frontier_dp_matches_enumeration():
+    for spec, w in _core_cases():
+        assert count_patterns(spec, w) == enumerate_patterns(spec, w).count, \
+            (spec.name, w.kind, w.index)
+
+
+def test_frontier_dp_is_independent_of_window_order():
+    hs = hard_square()
+    w = box(5, GroupSpec(2))
+    shuffled = GroupWindow(spec=w.spec, elements=tuple(reversed(w.elements)))
+    wide = GroupWindow(spec=w.spec, elements=tuple(
+        (x, y) for x in range(2) for y in range(9)))
+    tall = GroupWindow(spec=w.spec, elements=tuple(
+        (y, x) for x, y in wide.elements))
+    assert count_patterns(hs, shuffled) == count_patterns(hs, w) == 55447
+    assert count_patterns(hs, wide) == count_patterns(hs, tall)
+
+
+def test_hard_square_boxes_13_to_16_match_oeis():
+    # OEIS A006506
+    want = {13: 4935961285224791538367780371090,
+            14: 338752110195939290445247645371206783,
+            15: 52521741712869136440040654451875316861275,
+            16: 18396766424410124752958806046933947217821482942}
+    hs = hard_square()
+    for n, count in want.items():
+        assert count_patterns(hs, box(n, GroupSpec(2))) == count
+
+
+def test_long_interval_counts_and_enumerates():
+    w = interval(0, 4999)
+    assert count_patterns(GOLDEN_DOMINO, w) == fib(5002)
+    alternating = SubshiftSpec(
+        1, Alphabet(2), Rule.nearest_neighbor(2, {0: [(0, 0), (1, 1)]}),
+        "alternating")
+    ps = enumerate_patterns(alternating, w)
+    assert ps.count == 2
+    assert ps.patterns[0] == bytes([0, 1]) * 2500
+
+
+def test_frontier_state_cap():
+    with pytest.raises(PatternCapExceeded):
+        _frontier_count(hard_square(), box(10, GroupSpec(2)), cap=50)
 
 
 def test_pattern_cap():
