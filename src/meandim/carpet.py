@@ -110,31 +110,33 @@ class PsiCell:
         return (self.x_prefix, self.y_prefix)
 
 
+def _split(p: bytes, b: int) -> tuple:
+    """(u, v): the base-a and base-b digit patterns of a pair pattern."""
+    return bytes(s // b for s in p), bytes(s % b for s in p)
+
+
 def _pattern_set_tools(spec: CarpetSpec, window: GroupWindow, cap: int):
-    """Enumerated pair patterns plus section and least-pattern choices."""
-    ps = enumerate_patterns(spec.omega, window, cap)
-    b = spec.b
-    legal = set(ps.patterns)
-    section: dict = {}
-    for p in ps.patterns:
-        v = bytes(s % b for s in p)
-        u = bytes(s // b for s in p)
-        if v not in section or u < section[v]:
-            section[v] = u
-    if not ps.patterns:
-        return ps, legal, section, None, None
-    least = ps.patterns[0]  # enumeration is lexicographic, so this is minimal
-    xi = bytes(s // b for s in least)
-    eta = bytes(s % b for s in least)
-    return ps, legal, section, xi, eta
+    """Enumerated pair patterns plus the fibers: each projected pattern v
+    mapped to its u patterns.
+
+    Enumeration is lexicographic, so the patterns come sorted, and so do the
+    u patterns over each v: the first pattern is the least, and fibers[v][0]
+    is the least section over v.
+    """
+    patterns = enumerate_patterns(spec.omega, window, cap).patterns
+    fibers: dict = {}
+    for p in patterns:
+        u, v = _split(p, spec.b)
+        fibers.setdefault(v, []).append(u)
+    return patterns, fibers
 
 
-def enumerate_psi_cells(spec: CarpetSpec, m: int, l: int, limit: int,
-                        cap: int = DEFAULT_CLOUD_CAP) -> list[PsiCell]:
-    """First `limit` cells in deterministic prefix order."""
-    window = ball(m, spec.omega.group)
-    ps, _, _, _, _ = _pattern_set_tools(spec, window, cap)
-    proj = sorted({bytes(s % spec.b for s in p) for p in ps.patterns})
+def _psi_cells(spec: CarpetSpec, patterns, fibers, m: int, l: int,
+               limit: int) -> list[PsiCell]:
+    """First `limit` cells in prefix order: pair patterns to depth floor(wl),
+    projected patterns below."""
+    pairs = [_split(p, spec.b) for p in patterns]
+    proj = sorted(fibers)
     k = floor_wl(spec.a, spec.b, l)
     cells = []
 
@@ -145,9 +147,8 @@ def enumerate_psi_cells(spec: CarpetSpec, m: int, l: int, limit: int,
             cells.append(PsiCell(m=m, l=l, x_prefix=tuple(xs), y_prefix=tuple(ys)))
             return
         if depth < k:
-            for p in ps.patterns:
-                rec(depth + 1, xs + [bytes(s // spec.b for s in p)],
-                    ys + [bytes(s % spec.b for s in p)])
+            for u, v in pairs:
+                rec(depth + 1, xs + [u], ys + [v])
                 if len(cells) >= limit:
                     return
         else:
@@ -160,12 +161,53 @@ def enumerate_psi_cells(spec: CarpetSpec, m: int, l: int, limit: int,
     return cells
 
 
+def enumerate_psi_cells(spec: CarpetSpec, m: int, l: int, limit: int,
+                        cap: int = DEFAULT_CLOUD_CAP) -> list[PsiCell]:
+    """First `limit` cells in deterministic prefix order."""
+    patterns, fibers = _pattern_set_tools(spec, ball(m, spec.omega.group), cap)
+    return _psi_cells(spec, patterns, fibers, m, l, limit)
+
+
 # ---------------------------------------------------------------------------
 # representatives and the covering sandwich
 
 def _geom_tail(digit: int, base: int, l: int) -> Fraction:
     """sum_{n > l} digit / base^n."""
     return Fraction(digit, base ** l * (base - 1))
+
+
+def _carpet_point(spec: CarpetSpec, digits, tail: bytes) -> tuple:
+    """The exact point with digit patterns (u, v) at depths 1..L, L =
+    len(digits), and the pair pattern `tail` at every depth past L, as one
+    (X_g, Y_g) pair of Fractions per window cell."""
+    a, b = spec.a, spec.b
+    depth = len(digits)
+    a_l, b_l = a ** depth, b ** depth
+    point = []
+    for g, t in enumerate(tail):
+        x = y = 0
+        for u, v in digits:
+            x = x * a + u[g]
+            y = y * b + v[g]
+        point.append((Fraction(x, a_l) + _geom_tail(t // b, a, depth),
+                      Fraction(y, b_l) + _geom_tail(t % b, b, depth)))
+    return tuple(point)
+
+
+def _representatives(spec: CarpetSpec, patterns, fibers, m: int, l: int,
+                     cap: int) -> list:
+    """One point per depth-l cell: its prefixes, the least section under
+    the projected digits past floor(wl), then the least pattern as tail."""
+    if not patterns:
+        return []
+    k = floor_wl(spec.a, spec.b, l)
+    total = len(patterns) ** k * len(fibers) ** (l - k)
+    if total > cap:
+        raise RuntimeError(f"representative cloud of {total} points exceeds cap {cap}")
+    return [_carpet_point(spec, list(zip(cell.x_prefix, cell.y_prefix))
+                          + [(fibers[v][0], v) for v in cell.y_prefix[k:]],
+                          patterns[0])
+            for cell in _psi_cells(spec, patterns, fibers, m, l, total)]
 
 
 def carpet_representatives(spec: CarpetSpec, m: int, l: int,
@@ -176,49 +218,8 @@ def carpet_representatives(spec: CarpetSpec, m: int, l: int,
     Returns (points, window) with points as tuples of (X_g, Y_g) Fractions.
     """
     window = ball(m, spec.omega.group)
-    ps, _, section, xi, eta = _pattern_set_tools(spec, window, cap)
-    if not ps.patterns:
-        return [], window
-    a, b = spec.a, spec.b
-    k = floor_wl(a, b, l)
-    proj = sorted(section)
-    n_cells = len(window)
-    total = len(ps.patterns) ** k * len(proj) ** (l - k)
-    if total > cap:
-        raise RuntimeError(f"representative cloud of {total} points exceeds cap {cap}")
-
-    points = []
-
-    def build(pair_prefix, y_suffix):
-        xs = [Fraction(0)] * n_cells
-        ys = [Fraction(0)] * n_cells
-        for n, p in enumerate(pair_prefix, start=1):
-            for g in range(n_cells):
-                xs[g] += Fraction(p[g] // b, a ** n)
-                ys[g] += Fraction(p[g] % b, b ** n)
-        for n, v in enumerate(y_suffix, start=k + 1):
-            u = section[v]
-            for g in range(n_cells):
-                xs[g] += Fraction(u[g], a ** n)
-                ys[g] += Fraction(v[g], b ** n)
-        for g in range(n_cells):
-            xs[g] += _geom_tail(xi[g], a, l)
-            ys[g] += _geom_tail(eta[g], b, l)
-        return tuple((x, y) for x, y in zip(xs, ys))
-
-    def rec(depth, pair_prefix, y_suffix):
-        if depth == l:
-            points.append(build(pair_prefix, y_suffix))
-            return
-        if depth < k:
-            for p in ps.patterns:
-                rec(depth + 1, pair_prefix + [p], y_suffix)
-        else:
-            for v in proj:
-                rec(depth + 1, pair_prefix, y_suffix + [v])
-
-    rec(0, [], [])
-    return points, window
+    patterns, fibers = _pattern_set_tools(spec, window, cap)
+    return _representatives(spec, patterns, fibers, m, l, cap), window
 
 
 def linf_pair_distance(p, q) -> Fraction:
@@ -255,54 +256,25 @@ def _is_product_rule(spec: SubshiftSpec) -> bool:
     return not spec.rule.axis_allowed and not spec.rule.forbidden
 
 
-def _cell_sample_points(spec: CarpetSpec, window: GroupWindow, cell_prefixes,
-                        section, legal, xi, eta, l: int, k: int,
-                        per_cell: int) -> list:
+def _cell_sample_points(spec: CarpetSpec, patterns, fibers, cell: PsiCell,
+                        k: int, per_cell: int) -> list:
     """Points inside one cylinder cell: free digits between k and l vary over
     fibers, one extra depth varies over all pair patterns, then the least tail."""
-    a, b = spec.a, spec.b
-    n_cells = len(window)
-    pair_prefix, y_full = cell_prefixes
-    pats = sorted(legal)
-    variants = []
-    base_mid = []
-    for n in range(k + 1, l + 1):
-        v = y_full[n - 1]
-        fiber_us = sorted({bytes(s // b for s in p) for p in pats
-                           if bytes(s % b for s in p) == v})
-        base_mid.append((v, fiber_us))
-    combos = [[]]
-    for v, fiber_us in base_mid:
-        combos = [c + [(u, v)] for c in combos for u in fiber_us]
+    combos = [list(zip(cell.x_prefix, cell.y_prefix))]
+    for v in cell.y_prefix[k:]:
+        combos = [c + [(u, v)] for c in combos for u in fibers[v]]
         if len(combos) > per_cell:
             combos = combos[:per_cell]
-    for tail_pat in pats[:max(1, per_cell // max(1, len(combos)))]:
-        for mid in combos:
-            variants.append((mid, tail_pat))
+    variants = []
+    for tail_pat in patterns[:max(1, per_cell // len(combos))]:
+        extra = _split(tail_pat, spec.b)
+        for digits in combos:
+            variants.append(digits + [extra])
             if len(variants) >= per_cell:
                 break
         if len(variants) >= per_cell:
             break
-
-    points = []
-    for mid, tail_pat in variants:
-        xs = [Fraction(0)] * n_cells
-        ys = [Fraction(0)] * n_cells
-        for n, p in enumerate(pair_prefix, start=1):
-            for g in range(n_cells):
-                xs[g] += Fraction(p[g] // b, a ** n)
-                ys[g] += Fraction(p[g] % b, b ** n)
-        for n, (u, v) in enumerate(mid, start=k + 1):
-            for g in range(n_cells):
-                xs[g] += Fraction(u[g], a ** n)
-                ys[g] += Fraction(v[g], b ** n)
-        for g in range(n_cells):
-            xs[g] += Fraction(tail_pat[g] // b, a ** (l + 1))
-            ys[g] += Fraction(tail_pat[g] % b, b ** (l + 1))
-            xs[g] += _geom_tail(xi[g], a, l + 1)
-            ys[g] += _geom_tail(eta[g], b, l + 1)
-        points.append(tuple((x, y) for x, y in zip(xs, ys)))
-    return points
+    return [_carpet_point(spec, digits, patterns[0]) for digits in variants]
 
 
 def sandwich_check(spec: CarpetSpec, m: int, l: int,
@@ -316,10 +288,12 @@ def sandwich_check(spec: CarpetSpec, m: int, l: int,
     (ii) sampled within-cell distances are < a b^-l strictly, and the cells
     cover, so the covering number at a b^-l is at most the same product.
 
-    Cellwise rules factor over window cells, so both checks reduce exactly to
-    the single-cell system: a differing pair must differ in some cell, and the
-    sup distance is the max of per-cell distances.  Other rules run explicitly
-    under the cloud cap.  Zero tolerance, exact rationals.
+    One path checks both on a window it picks from the rule.  Cellwise rules
+    factor over window cells, so the single cell ball(0) decides both exactly
+    (mode "product"): a differing pair must differ in some cell, and the sup
+    distance is the max of per-cell distances.  Other rules are checked on
+    ball(m) itself (mode "explicit") under the cloud cap.  The checked window
+    is enumerated once.  Zero tolerance, exact rationals.
     """
     a, b = spec.a, spec.b
     k = floor_wl(a, b, l)
@@ -331,78 +305,42 @@ def sandwich_check(spec: CarpetSpec, m: int, l: int,
     else:
         n_proj = project(enumerate_patterns(spec.omega, window, cloud_cap)).count
     product_count = n_omega ** k * n_proj ** (l - k)
+    sep_scale = Fraction(1, b ** l)
+    cov_scale = Fraction(a, b ** l)
     if product_count == 0:
         return SandwichReport(m=m, l=l, floor_wl=k, lower_product=0,
                               upper_product=0, separated_count=0, cover_count=0,
-                              separation_scale=Fraction(1, b ** l),
-                              cover_scale=Fraction(a, b ** l), mode="empty",
-                              pairs_checked=0)
+                              separation_scale=sep_scale, cover_scale=cov_scale,
+                              mode="empty", pairs_checked=0)
 
-    sep_scale = Fraction(1, b ** l)
-    cov_scale = Fraction(a, b ** l)
+    mode, checked_m = (("product", 0) if _is_product_rule(spec.omega)
+                       else ("explicit", m))
+    patterns, fibers = _pattern_set_tools(
+        spec, ball(checked_m, spec.omega.group), cloud_cap)
     pairs_checked = 0
-
-    if _is_product_rule(spec.omega):
-        cell0 = ball(0, spec.omega.group)
-        pts, _ = carpet_representatives(spec, 0, l, cloud_cap)
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
+    pts = _representatives(spec, patterns, fibers, checked_m, l, cloud_cap)
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            pairs_checked += 1
+            d = linf_pair_distance(pts[i], pts[j])
+            if d < sep_scale:
+                raise SandwichViolation(
+                    f"representatives {i},{j} at distance {d} < {sep_scale}")
+    for cell in _psi_cells(spec, patterns, fibers, checked_m, l, cell_limit):
+        sample = _cell_sample_points(spec, patterns, fibers, cell, k,
+                                     cell_samples)
+        for i in range(len(sample)):
+            for j in range(i + 1, len(sample)):
                 pairs_checked += 1
-                d = linf_pair_distance(pts[i], pts[j])
-                if d < sep_scale:
+                d = linf_pair_distance(sample[i], sample[j])
+                if d >= cov_scale:
                     raise SandwichViolation(
-                        f"cell representatives {i},{j} at distance {d} < {sep_scale}")
-        ps, legal, section, xi, eta = _pattern_set_tools(spec, cell0, cloud_cap)
-        cells = enumerate_psi_cells(spec, 0, l, limit=cell_limit)
-        for cell in cells:
-            pair_prefix = [bytes([spec.omega.alphabet.pair_index(x[0], y[0])])
-                           for x, y in zip(cell.x_prefix, cell.y_prefix)]
-            sample = _cell_sample_points(spec, cell0, (pair_prefix, cell.y_prefix),
-                                         section, legal, xi, eta, l, k,
-                                         cell_samples)
-            for i in range(len(sample)):
-                for j in range(i + 1, len(sample)):
-                    pairs_checked += 1
-                    d = linf_pair_distance(sample[i], sample[j])
-                    if d >= cov_scale:
-                        raise SandwichViolation(
-                            f"within-cell distance {d} >= {cov_scale} in cell {cell.key}")
-        mode = "product"
-        separated_count = product_count
-        cover_count = product_count
-    else:
-        pts, win = carpet_representatives(spec, m, l, cloud_cap)
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                pairs_checked += 1
-                d = linf_pair_distance(pts[i], pts[j])
-                if d < sep_scale:
-                    raise SandwichViolation(
-                        f"representatives {i},{j} at distance {d} < {sep_scale}")
-        ps, legal, section, xi, eta = _pattern_set_tools(spec, win, cloud_cap)
-        cells = enumerate_psi_cells(spec, m, l, limit=cell_limit)
-        for cell in cells:
-            pair_prefix = [bytes(spec.omega.alphabet.pair_index(u, v)
-                                 for u, v in zip(x, y))
-                           for x, y in zip(cell.x_prefix, cell.y_prefix)]
-            sample = _cell_sample_points(spec, win, (pair_prefix, cell.y_prefix),
-                                         section, legal, xi, eta, l, k,
-                                         cell_samples)
-            for i in range(len(sample)):
-                for j in range(i + 1, len(sample)):
-                    pairs_checked += 1
-                    d = linf_pair_distance(sample[i], sample[j])
-                    if d >= cov_scale:
-                        raise SandwichViolation(
-                            f"within-cell distance {d} >= {cov_scale} in cell {cell.key}")
-        mode = "explicit"
-        separated_count = product_count
-        cover_count = product_count
+                        f"within-cell distance {d} >= {cov_scale} in cell {cell.key}")
 
     return SandwichReport(m=m, l=l, floor_wl=k, lower_product=product_count,
                           upper_product=product_count,
-                          separated_count=separated_count,
-                          cover_count=cover_count, separation_scale=sep_scale,
+                          separated_count=product_count,
+                          cover_count=product_count, separation_scale=sep_scale,
                           cover_scale=cov_scale, mode=mode,
                           pairs_checked=pairs_checked)
 

@@ -4,7 +4,10 @@ Systems are specified by digit subshifts on Z^d x N (rank d+1 specs whose
 last axis is the digit depth), which makes invariance under both actions
 automatic.  The probe checks the covering comparison between the plain
 dynamical metric at scale eps and the product-action metric at scale
-1/(2 c b), exactly, on truncated digit clouds.
+1/(2 c b), exactly, on truncated digit clouds.  Both distances come from
+`metrics.ProductMetric` on torus coordinates: the plain one with the shifts
+F_n, the product-action one with the shifts SF_n applied to each point's
+scaled copies x b^j mod 1, j < N.
 """
 from __future__ import annotations
 
@@ -13,15 +16,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .groups import (FolnerDescriptor, GroupSpec, GroupWindow, ball,
-                     minkowski_sum, product_window)
-from .metrics import WeightScheme, circle_cover_count, tail_support
+from .groups import (FolnerDescriptor, GroupSpec, GroupWindow, minkowski_sum,
+                     product_window)
+from .metrics import (ProbeViolation, ProductMetric, WeightScheme,
+                      circle_cover_count, separated_set, tail_support)
 from .entropy import gxn_entropy_series
 from .subshifts import SubshiftSpec, enumerate_patterns
-
-
-class ProbeViolation(AssertionError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -95,64 +95,54 @@ def digit_cloud(spec: HomogeneousSpec, window: GroupWindow, depth: int,
                       points=tuple(pts))
 
 
-def _torus_dist(x: Fraction, y: Fraction) -> Fraction:
-    d = abs(x - y) % 1
-    return min(d, 1 - d)
+def _digit_depth(base: int, eps: Fraction) -> int:
+    """N >= 1 minimal with b^-N <= eps."""
+    depth_n = 1
+    while Fraction(1, base ** depth_n) > eps:
+        depth_n += 1
+    return depth_n
 
 
-def _left_distance(cloud: DigitCloud, weights: WeightScheme, orbit, x, y) -> Fraction:
-    """d^sigma_F within the cloud: pinned coordinates contribute zero."""
-    best = Fraction(0)
-    cells = cloud.window.elements
-    for h in orbit:
-        s = Fraction(0)
-        for g, xv, yv in zip(cells, x, y):
-            if xv != yv:
-                s += weights.weight(tuple(c - hc for c, hc in zip(g, h))) \
-                     * _torus_dist(xv, yv)
-        if s > best:
-            best = s
-    return best
+@dataclass(frozen=True)
+class _ScaledOrbit:
+    """d^{sigma,T} over orbit x {0..N-1}: the orbit metric maximized over
+    the scaled copies x b^j mod 1, j < N, of each point.
+
+    Its points are the per-point stacks of N scaled copies, built once, so it
+    serves as its own cloud for `separated_set`.
+    """
+
+    metric: ProductMetric
+    points: tuple
+
+    @staticmethod
+    def build(metric: ProductMetric, cloud: DigitCloud,
+              depth_n: int) -> "_ScaledOrbit":
+        mults = [cloud.base ** j for j in range(depth_n)]
+        return _ScaledOrbit(metric, tuple(
+            tuple(tuple((v * mult) % 1 for v in p) for mult in mults)
+            for p in cloud.points))
+
+    def interval(self, xs, ys) -> tuple:
+        lo = hi = Fraction(0)
+        for x, y in zip(xs, ys):
+            x_lo, x_hi = self.metric.interval(x, y)
+            lo, hi = max(lo, x_lo), max(hi, x_hi)
+        return lo, hi
 
 
-def _right_distance(cloud: DigitCloud, weights: WeightScheme, orbit, depth_n,
-                    x, y) -> Fraction:
-    """d^{sigma,T}_{orbit x {0..N-1}} within the cloud, exact rationals."""
-    b = cloud.base
-    best = Fraction(0)
-    cells = cloud.window.elements
-    for h in orbit:
-        for j in range(depth_n):
-            s = Fraction(0)
-            mult = b ** j
-            for g, xv, yv in zip(cells, x, y):
-                if xv != yv:
-                    s += weights.weight(tuple(c - hc for c, hc in zip(g, h))) \
-                         * _torus_dist((xv * mult) % 1, (yv * mult) % 1)
-            if s > best:
-                best = s
-    return best
-
-
-def _greedy_cover_count(points, dist, scale) -> int:
-    n = len(points)
-    remaining = set(range(n))
+# Min-index greedy on the exact distance: metrics._greedy_cover is max-gain
+# over hi-radius balls, a different count, and the report prints this one.
+def _greedy_cover_count(points, metric, scale) -> int:
+    remaining = set(range(len(points)))
     count = 0
     half = scale / 2
     while remaining:
         count += 1
-        center = min(remaining)
-        covered = {j for j in remaining if dist(points[center], points[j]) <= half}
-        remaining -= covered
+        center = points[min(remaining)]
+        remaining -= {j for j in remaining
+                      if metric.interval(center, points[j])[0] <= half}
     return count
-
-
-def _greedy_sep_count(points, dist, scale) -> int:
-    chosen = []
-    for i in range(len(points)):
-        if all(dist(points[i], points[j]) >= scale for j in chosen):
-            chosen.append(i)
-    return len(chosen)
 
 
 @dataclass(frozen=True)
@@ -190,37 +180,35 @@ def homogeneous_covering_probe(spec: HomogeneousSpec,
         fwin = folner.window(n, group)
         for eps in eps_list:
             eps = Fraction(eps)
-            depth_n = 1
-            while Fraction(1, spec.base ** depth_n) > eps:
-                depth_n += 1
+            depth_n = _digit_depth(spec.base, eps)
             support = tail_support(weights, eps, group)
             orbit_right = minkowski_sum(support, fwin)
             threshold = Fraction(1, 2 * c_total * spec.base)
-            cloud = digit_cloud(spec, minkowski_sum(orbit_right, ball(0, group)),
-                                depth_n + extra_depth, cap)
+            cloud = digit_cloud(spec, orbit_right, depth_n + extra_depth, cap)
             pts = cloud.points
+            # pinned coordinates agree across the cloud and contribute zero
+            left = ProductMetric(weights, cloud.window, "torus",
+                                 shifts=fwin.elements)
+            right = _ScaledOrbit.build(
+                ProductMetric(weights, cloud.window, "torus",
+                              shifts=orbit_right.elements), cloud, depth_n)
+            stacks = right.points
             pairs = 0
             for i in range(len(pts)):
                 for j in range(i + 1, len(pts)):
                     pairs += 1
-                    d_right = _right_distance(cloud, weights,
-                                              orbit_right.elements, depth_n,
-                                              pts[i], pts[j])
+                    d_right = right.interval(stacks[i], stacks[j])[0]
                     if d_right < threshold:
-                        d_left = _left_distance(cloud, weights, fwin.elements,
-                                                pts[i], pts[j])
+                        d_left = left.interval(pts[i], pts[j])[0]
                         if not d_left < eps:
                             raise ProbeViolation(
                                 f"pair {i},{j}: right distance {float(d_right):.6g} "
                                 f"< {float(threshold):.6g} but left distance "
                                 f"{float(d_left):.6g} >= eps {float(eps):.6g}")
-            dl = lambda x, y: _left_distance(cloud, weights, fwin.elements, x, y)
-            dr = lambda x, y: _right_distance(cloud, weights,
-                                              orbit_right.elements, depth_n, x, y)
-            left_low = _greedy_sep_count(pts, dl, eps)
-            left_up = _greedy_cover_count(pts, dl, eps)
-            right_low = _greedy_sep_count(pts, dr, threshold)
-            right_up = _greedy_cover_count(pts, dr, threshold)
+            left_low = len(separated_set(cloud, left, eps))
+            left_up = _greedy_cover_count(pts, left, eps)
+            right_low = len(separated_set(right, right, threshold))
+            right_up = _greedy_cover_count(stacks, right, threshold)
             if left_low > right_up:
                 raise ProbeViolation(
                     f"certified counts crossed: left lower {left_low} > "
@@ -249,19 +237,15 @@ def homogeneous_slope_series(spec: HomogeneousSpec, eps_list: Sequence,
     rows = []
     for eps in eps_list:
         eps = Fraction(eps)
-        depth_n = 1
-        while Fraction(1, spec.base ** depth_n) > eps:
-            depth_n += 1
-        depth = depth_n + 1
-        pw = product_window(fwin, depth)
-        ps = enumerate_patterns(spec.digit_spec, pw, 200_000)
-        b = spec.base
+        budget = eps / spec.weights.total_upper() - tail_slack
+        if budget <= 0:
+            raise ValueError("weights decay too slowly for this eps")
+        depth_n = _digit_depth(spec.base, eps)
+        cloud = digit_cloud(spec, fwin, depth_n + 1, 200_000)
         count = 1
         for g in range(len(fwin)):
-            values = {sum(Fraction(p[g * depth + k], b ** (k + 1))
-                          for k in range(depth)) for p in ps.patterns}
-            budget = eps / spec.weights.total_upper() - tail_slack
-            count *= circle_cover_count(sorted(values), budget)
+            count *= circle_cover_count(sorted({p[g] for p in cloud.points}),
+                                        budget)
         slope = math.log(count) / (len(fwin) * math.log(1 / float(eps)))
         rows.append({"eps": float(eps), "depth": depth_n, "count": count,
                      "slope": slope})

@@ -34,6 +34,11 @@ class HypothesisUnsatisfiable(RuntimeError):
     """The mass-distribution family cannot witness the principle hypothesis."""
 
 
+class ProbeViolation(AssertionError):
+    """A probe's exact check failed or a covering estimate exceeded its
+    certified bound."""
+
+
 # ---------------------------------------------------------------------------
 # weights
 

@@ -4,8 +4,8 @@ Points are attractor values x = sum_k c^{k-1} H(omega^{(k)}), with H reading
 a real value off each symbol.  The module builds exact spanning clouds by
 iterating the affine contractions, certifies covering upper bounds through
 net counts (the delta-net of the driving shift is the set of legal patterns
-on an enlarged window, counted by transfer matrix), and checks the contraction
-embedding exactly in rational arithmetic.
+on an enlarged window, counted by the frontier DP of `count_patterns`), and
+checks the contraction embedding exactly in rational arithmetic.
 """
 from __future__ import annotations
 
@@ -18,14 +18,10 @@ from typing import Sequence
 import numpy as np
 
 from .groups import FolnerDescriptor, GroupWindow, ball, minkowski_sum
-from .metrics import (PointCloud, ProductMetric, WeightScheme,
-                      separated_set)
+from .metrics import (PointCloud, ProbeViolation, ProductMetric,
+                      WeightScheme, separated_set)
 from .entropy import entropy_estimate, entropy_series
 from .subshifts import SubshiftSpec, count_patterns, enumerate_patterns
-
-
-class ProbeViolation(AssertionError):
-    """A covering estimate exceeded its certified theoretical bound."""
 
 
 class NetTooCoarse(RuntimeError):
@@ -234,10 +230,9 @@ def _geometric_lower(spec: SelfSimilarSpec, orbit: GroupWindow, eps: Fraction,
     if not _constant_zero_legal(spec):
         return None
     net_win = _net_window(orbit, 1)
-    try:
-        net = enumerate_patterns(spec.omega, net_win, cap=512)
-    except Exception:
+    if count_patterns(spec.omega, net_win) > 512:
         return None
+    net = enumerate_patterns(spec.omega, net_win, cap=512)
     n = len(net.patterns)
     if n < 1:
         return None

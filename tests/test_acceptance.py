@@ -21,7 +21,8 @@ from meandim.carpet import (CarpetMeasure, CarpetSpec, carpet_dimension_report,
                             shannon_mcmillan_probe)
 from meandim.selfsimilar import SelfSimilarSpec, selfsimilar_cover_probe
 from meandim.homogeneous import (HomogeneousSpec, homogeneous_covering_probe,
-                                 homogeneous_gxn_entropy)
+                                 homogeneous_gxn_entropy,
+                                 homogeneous_slope_series)
 from meandim.kspace import (KSpaceSpec, kg_covering_experiment,
                             kg_mass_distribution_demo, trend_slopes)
 from meandim.subshifts import Alphabet, Rule, SubshiftSpec
@@ -161,10 +162,12 @@ def test_criterion_08_inequality_chain():
         rows.append((spec.omega.name, rep["mdim_H"], rep["mdim_M"]))
     # homogeneous systems: both estimates equal the prediction
     digits = SubshiftSpec(2, Alphabet(2), Rule.full(2), "digits-full")
-    pred = homogeneous_gxn_entropy(HomogeneousSpec(base=2, digit_spec=digits),
-                                   FolnerDescriptor("boxes", (1,)),
+    homog = HomogeneousSpec(base=2, digit_spec=digits)
+    pred = homogeneous_gxn_entropy(homog, FolnerDescriptor("boxes", (1,)),
                                    depths=(4,))["prediction"]
-    assert pred <= pred + 0.02
+    assert abs(pred - 1.0) <= 1e-9
+    slope = homogeneous_slope_series(homog, [Fraction(1, 2 ** 8)])[-1]["slope"]
+    assert slope <= pred + 0.02
     # K power: singleton covers drive the scale Hausdorff estimate to zero
     h_est = hausdorff_dim_upper([[0.0] * 16], eps=1e-3)
     kg = kg_covering_experiment(KSpaceSpec(rank=1),

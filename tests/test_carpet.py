@@ -16,6 +16,7 @@ from meandim.carpet import (CarpetMeasure, CarpetSpec, IllegalPrefix, PsiCell,
 MCMULLEN = CarpetSpec(a=4, b=2, omega=mcmullen_shift())
 FULL22 = CarpetSpec(a=2, b=2, omega=full_shift((2, 2)))
 FULL32 = CarpetSpec(a=3, b=2, omega=full_shift((3, 2)))
+GOLDEN_B = CarpetSpec(a=2, b=2, omega=pair_shift_with_b_rule(2, golden_mean()))
 
 
 def test_spec_validation():
@@ -101,6 +102,17 @@ def test_sandwich_explicit_mode_agrees_with_product_mode():
     rep = sandwich_check(lifted, 0, 2)
     assert rep.mode == "explicit"
     assert rep.ok
+
+
+@pytest.mark.parametrize("spec, m, l, mode, pairs, product", [
+    (GOLDEN_B, 0, 3, "explicit", 2400, 64),
+    (MCMULLEN, 1, 3, "product", 363, 1728)])
+def test_sandwich_work_is_pinned(spec, m, l, mode, pairs, product):
+    # the window choice and the pairs compared on it, per mode
+    rep = sandwich_check(spec, m, l)
+    assert rep.ok
+    assert (rep.mode, rep.pairs_checked, rep.lower_product) == (mode, pairs,
+                                                                product)
 
 
 def test_sandwich_empty_system():

@@ -20,6 +20,12 @@ GOLDEN = {"system": "subshift", "rank": 1, "alphabet": {"k": 2},
           "name": "golden-mean"}
 SELFSIM = {"system": "selfsimilar", "c": "1/2", "values": [0, 1],
            "omega": GOLDEN}
+GOLDEN_B = {"system": "carpet", "a": 2, "b": 2,
+            "omega": {"rank": 1, "alphabet": {"a": 2, "b": 2},
+                      "rule": {"type": "nearest_neighbor",
+                               "axis_forbidden": {"0": [[1, 1], [1, 3],
+                                                        [3, 1], [3, 3]]}},
+                      "name": "golden-mean-on-B"}}
 HOMOG = {"system": "homogeneous", "base": 2,
          "digits": {"rank": 2, "alphabet": {"k": 2}, "rule": {"type": "full"}}}
 KSPACE = {"system": "kspace", "rank": 1, "kind": "kset"}
@@ -164,15 +170,20 @@ def test_command_spec_mismatch(tmp_path, capsys):
 
 
 def test_determinism_modulo_timing(tmp_path, capsys):
-    spec = write_spec(tmp_path, MCMULLEN)
-    argv = ["carpet-dims", "--spec", spec, "--m-max", "1", "--l-max", "2",
-            "--seed", "9"]
-    _, first = run(capsys, argv)
-    _, second = run(capsys, argv)
-    first.pop("timing")
-    second.pop("timing")
-    assert json.dumps(first, sort_keys=True) == json.dumps(second,
-                                                           sort_keys=True)
+    # product and explicit sandwich paths, then the homogeneous probe
+    for doc, args in (
+            (MCMULLEN, ["carpet-dims", "--m-max", "1", "--l-max", "2",
+                        "--seed", "9"]),
+            (GOLDEN_B, ["carpet-dims", "--m-max", "1", "--l-max", "2"]),
+            (HOMOG, ["homog-probe", "--eps-grid", "1/8", "--folner", "boxes"])):
+        argv = args[:1] + ["--spec", write_spec(tmp_path, doc)] + args[1:]
+        code, first = run(capsys, argv)
+        _, second = run(capsys, argv)
+        assert code == 0
+        first.pop("timing")
+        second.pop("timing")
+        assert json.dumps(first, sort_keys=True) == json.dumps(second,
+                                                               sort_keys=True)
 
 
 def test_out_directory_written_atomically(tmp_path, capsys):

@@ -10,6 +10,7 @@ from meandim.homogeneous import (HomogeneousSpec,
                                  homogeneous_gxn_entropy,
                                  homogeneous_slope_series)
 from meandim.groups import GroupSpec, ball
+from meandim.metrics import WeightScheme
 
 LOG_PHI = math.log((1 + math.sqrt(5)) / 2)
 
@@ -80,6 +81,23 @@ def test_probe_inequality_vertical_golden():
         assert row.left_lower <= row.right_upper
 
 
+def test_probe_rows_are_pinned():
+    rows = homogeneous_covering_probe(FULL2, FolnerDescriptor("boxes", (1,)),
+                                      [Fraction(1, 8), Fraction(1, 16),
+                                       Fraction(1, 32)])
+    got = [(r.pairs_checked, r.left_lower, r.left_upper, r.right_lower,
+            r.right_upper) for r in rows]
+    assert got == [(120, 8, 8, 16, 16), (496, 16, 16, 32, 32),
+                   (2016, 32, 32, 64, 64)]
+
+
+def test_one_probe_violation_class():
+    import meandim.homogeneous
+    import meandim.selfsimilar
+    assert meandim.selfsimilar.ProbeViolation is \
+        meandim.homogeneous.ProbeViolation
+
+
 def test_probe_singleton_cloud():
     rows = homogeneous_covering_probe(FROZEN, FolnerDescriptor("boxes", (1,)),
                                       [Fraction(1, 8)])
@@ -92,3 +110,10 @@ def test_slope_series_tracks_prediction():
     assert abs(rows[-1]["slope"] - 1.0) <= 0.1
     rows2 = homogeneous_slope_series(VGOLD, [Fraction(1, 2 ** 8)])
     assert abs(rows2[-1]["slope"] - LOG_PHI / math.log(2)) <= 0.1
+
+
+def test_slope_series_rejects_slowly_decaying_weights():
+    slow = HomogeneousSpec(base=2, digit_spec=FULL2.digit_spec,
+                           weights=WeightScheme(1, Fraction(1, 2)))
+    with pytest.raises(ValueError, match="weights decay too slowly for this eps"):
+        homogeneous_slope_series(slow, [Fraction(1, 4)])

@@ -111,6 +111,18 @@ def test_cover_probe_geometric_lower_consistency():
         assert math.log(max(row["geometric_lower"], 1)) <= row["log_upper"] + 1e-9
 
 
+def test_cover_probe_geometric_lower_propagates_errors(monkeypatch):
+    import meandim.selfsimilar
+
+    def broken(*args, **kwargs):
+        raise KeyError("enumeration failed")
+
+    monkeypatch.setattr(meandim.selfsimilar, "enumerate_patterns", broken)
+    with pytest.raises(KeyError):
+        selfsimilar_cover_probe(GOLDEN3, [Fraction(1, 4)],
+                                [box(2, GroupSpec(1))], enforce_slope=False)
+
+
 def test_cover_probe_rejects_increasing_grid():
     with pytest.raises(ValueError):
         selfsimilar_cover_probe(FULL, [Fraction(1, 8), Fraction(1, 4)],
