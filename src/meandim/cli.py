@@ -234,6 +234,8 @@ def _cmd_kg_experiment(system: KSpaceSpec, args) -> dict:
     grid = (_parse_eps_grid(args.eps_grid) if args.eps_grid
             else [Fraction(1, 10), Fraction(1, 100), Fraction(1, 1000),
                   Fraction(1, 10000)])
+    if system.kind == "kset" and any(e >= Fraction(1, 4) for e in grid):
+        raise SpecError("kset eps grid values must lie in (0, 1/4)")
     folner = FolnerDescriptor(args.folner, tuple(
         range(1, args.m_max + 1)))
     rows = kg_covering_experiment(system, folner, grid)
@@ -251,7 +253,11 @@ def _cmd_kg_experiment(system: KSpaceSpec, args) -> dict:
 def _cmd_kg_mass_demo(system: KSpaceSpec, args) -> dict:
     folner = FolnerDescriptor(args.folner, (1,))
     ks = [int(k) for k in (args.k_list or "2,4,6").split(",")]
+    if any(k < 1 for k in ks):
+        raise SpecError("k-list values must be >= 1")
     eps = Fraction(args.eps) if args.eps else Fraction(1, 10)
+    if not 0 < eps < Fraction(1, 6):
+        raise SpecError("mass demo eps must lie in (0, 1/6)")
     reports = [kg_mass_distribution_demo(system, k, folner, 1, eps,
                                          seed=args.seed) for k in ks]
     return {"reports": [{"k": r.k, "bound": _num(r.bound, "certified-bound"),

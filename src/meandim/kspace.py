@@ -1,26 +1,27 @@
 """The appendix systems: full shifts on K = {0} u {1/n} and on [0,1].
 
 K-power covering numbers are computed per coordinate with exact 1-d sweeps
-over rational truncations and combined by product.  Two closed-form brackets
-accompany every count: the packing lower bound (gamma+1)^{|F_n|} from the
-explicit grid of separated configurations and the covering upper bound
-(2 zeta)^{|S F_n|} from interval covers of K, and the computed counts must
-land between them exactly.  The mass distribution demo evaluates the
-square-law measure on digit boxes and verifies the collapse hypothesis point
-by point.
+on the integer codes of the truncated point families (n for 1/n, j for
+j/steps) and combined by product.  Two closed-form brackets accompany every
+count: the packing lower bound (gamma+1)^{|F_n|} from the explicit grid of
+separated configurations and the covering upper bound (2 zeta)^{|S F_n|}
+from interval covers of K, and the computed counts must land between them
+exactly.  The mass distribution demo evaluates the square-law measure on
+digit boxes and verifies the collapse hypothesis point by point.
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
 
 from .groups import FolnerDescriptor, GroupSpec, minkowski_sum
-from .metrics import (WeightScheme, line_cover_count, line_separated_count,
-                      tail_support)
+from .metrics import WeightScheme, tail_support
 
 NU_ZERO_MASS = 0.5
 NU_SQUARE_COEFF = 3.0 / math.pi ** 2  # normalizes a sum 1/n^2 to 1/2
@@ -52,32 +53,70 @@ def gamma_bracket(eps: Fraction) -> int:
     eps = Fraction(eps)
     if not (0 < eps < Fraction(1, 4)):
         raise ValueError("gamma bracket needs 0 < eps < 1/4")
-    g = 1
-    # gamma < 1/(2 sqrt(eps)) <= gamma+1, compared via squares
-    while (g + 1) * (g + 1) * 4 * eps < 1:
-        g += 1
-    return g
+    # least gamma with (gamma+1)^2 >= 1/(4 eps), i.e. >= t = ceil(1/(4 eps))
+    t = -(-eps.denominator // (4 * eps.numerator))
+    return math.isqrt(t - 1)
 
 
 def zeta_bracket(eps: Fraction, c: Fraction) -> int:
     """Integer zeta with 1/(zeta(zeta+1)) <= eps/(4c) < 1/(zeta(zeta-1))."""
     ratio = 4 * Fraction(c) / Fraction(eps)  # zeta(zeta-1) < ratio <= zeta(zeta+1)
-    z = 1
-    while z * (z + 1) < ratio:
+    # least zeta >= 1 with zeta(zeta+1) >= t = ceil(ratio)
+    t = max(-(-ratio.numerator // ratio.denominator), 0)
+    z = (math.isqrt(4 * t + 1) - 1) // 2
+    if z * (z + 1) < t:
         z += 1
-    return z
+    return max(z, 1)
+
+
+def _k_size(delta) -> int:
+    """Largest code n_tr of the K truncation: 1/n_tr lies below delta/2."""
+    return int(2 / delta) + 2
+
+
+def _unit_steps(delta) -> int:
+    """Denominator of the unit grid, slightly coarser than delta/3."""
+    return int(3 / delta) + 1
 
 
 def k_truncation(delta: Fraction) -> list[Fraction]:
     """K down to points below delta/2, so a sweep group can absorb the rest."""
-    n_tr = int(2 / delta) + 2
+    n_tr = _k_size(delta)
     return [Fraction(0)] + [Fraction(1, n) for n in range(n_tr, 0, -1)]
 
 
 def unit_grid(delta: Fraction) -> list[Fraction]:
     """Grid on [0,1] slightly coarser than delta/3 for exact sweep covers."""
-    steps = int(3 / delta) + 1
+    steps = _unit_steps(delta)
     return [Fraction(j, steps) for j in range(steps + 1)]
+
+
+# On a sorted line both greedy sweeps take the same walk: the next cover group
+# starts, and the next separated point is picked, at the first point at least
+# `bound` past the current one.  So line_cover_count at limit `bound` and
+# line_separated_count at `bound` are both the length of that walk, which the
+# two functions below take on integer codes in O(walk length).
+
+def _k_sweep_count(n_tr: int, bound: Fraction) -> int:
+    """Greedy walk length on k_truncation with codes up to n_tr, bound > 0.
+
+    With bound = p/q the walk steps from 0 to code min(n_tr, q // p) and from
+    1/n to code nq // (q + pn), because 1/m - 1/n >= p/q iff m(q + pn) <= nq.
+    """
+    p, q = bound.numerator, bound.denominator
+    count = 1
+    n = min(n_tr, q // p)
+    while n >= 1:
+        count += 1
+        n = n * q // (q + p * n)
+    return count
+
+
+def _unit_sweep_count(steps: int, bound: Fraction) -> int:
+    """Greedy walk length on the grid j/steps, bound > 0: strides of
+    ceil(p steps / q) grid points for bound = p/q."""
+    stride = -(-bound.numerator * steps // bound.denominator)
+    return steps // stride + 1
 
 
 @dataclass(frozen=True)
@@ -108,8 +147,10 @@ def kg_covering_experiment(spec: KSpaceSpec, folner: FolnerDescriptor,
     window (a differing coordinate already forces the dynamical distance past
     eps).  Upper: per-coordinate minimal covers at budget eps/(2c) minus the
     tail allowance multiply into a product cover whose sets stay under eps in
-    diameter.  Both per-coordinate counts are exact 1-d sweeps in rationals,
-    and both must land inside the closed-form bracket.
+    diameter.  Both per-coordinate counts are exact 1-d sweeps on the integer
+    codes of k_truncation(budget) or unit_grid(budget), equal to
+    line_separated_count and line_cover_count over those lists, and both must
+    land inside the closed-form bracket.
     """
     group = GroupSpec(spec.rank)
     weights = spec.weights
@@ -128,19 +169,21 @@ def kg_covering_experiment(spec: KSpaceSpec, folner: FolnerDescriptor,
             if budget <= 0:
                 raise ValueError("weights decay too slowly for this eps")
             if spec.kind == "kset":
-                values = k_truncation(budget)
+                n_tr = _k_size(budget)
+                sep = _k_sweep_count(n_tr, eps)
+                cov = _k_sweep_count(n_tr, budget)
                 gamma = gamma_bracket(eps)
                 zeta = zeta_bracket(eps, c_total)
                 formula_lower = (gamma + 1) ** len(fwin)
                 formula_upper = (2 * zeta) ** len(swin)
             else:
-                values = unit_grid(budget)
+                steps = _unit_steps(budget)
+                sep = _unit_sweep_count(steps, eps)
+                cov = _unit_sweep_count(steps, budget)
                 gamma = 0
                 zeta = 0
                 formula_lower = 1
                 formula_upper = (1 + int(6 * c_total / eps)) ** len(swin)
-            sep = line_separated_count(values, eps)
-            cov = line_cover_count(values, budget)
             lower = sep ** len(fwin)
             upper = cov ** len(swin)
             slope_lo = math.log(lower) / (len(fwin) * math.log(1 / float(eps)))
@@ -232,25 +275,21 @@ class MassDemoReport:
     worst_margin: float
 
 
-def _sample_k_codes(rng, size: int, max_n: int) -> list[int]:
+def _sample_k_codes(rng, size: int, cumulative: list[float],
+                    total: float) -> list[int]:
     """nu-distributed K codes: 0 with mass 1/2, 1/n with a/n^2 (renormalized
-    truncation for sampling only; masses in checks are the true nu)."""
+    truncation for sampling only; masses in checks are the true nu).
+
+    `cumulative` holds the running sums of the truncated weights a/n^2 and
+    `total` their sum; a draw past the last running sum picks the last code.
+    """
     codes = []
-    weights = [NU_SQUARE_COEFF / n ** 2 for n in range(1, max_n + 1)]
-    total = sum(weights)
     for _ in range(size):
         if rng.random() < NU_ZERO_MASS:
             codes.append(0)
             continue
         t = rng.random() * total
-        acc = 0.0
-        pick = max_n
-        for n, w in enumerate(weights, start=1):
-            acc += w
-            if t <= acc:
-                pick = n
-                break
-        codes.append(pick)
+        codes.append(min(bisect_left(cumulative, t) + 1, len(cumulative)))
     return codes
 
 
@@ -284,13 +323,16 @@ def kg_mass_distribution_demo(spec: KSpaceSpec, k: int,
     log_delta = math.log(delta)
 
     rng = np.random.default_rng(seed)
+    weights = [NU_SQUARE_COEFF / n ** 2 for n in range(1, max_code + 1)]
+    cumulative = list(accumulate(weights))
+    total = sum(weights)  # not cumulative[-1]: sum() may round differently
     pts = []
     size = len(swin)
     pts.append([0] * size)                      # all coordinates at 0
     pts.append([1] * size)                      # all coordinates at 1
     pts.append([(i % 3) + 1 for i in range(size)])
     for _ in range(sample_count):
-        pts.append(_sample_k_codes(rng, size, max_code))
+        pts.append(_sample_k_codes(rng, size, cumulative, total))
 
     exponent = (6.0 / k) * size
     worst = math.inf

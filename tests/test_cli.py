@@ -170,12 +170,14 @@ def test_command_spec_mismatch(tmp_path, capsys):
 
 
 def test_determinism_modulo_timing(tmp_path, capsys):
-    # product and explicit sandwich paths, then the homogeneous probe
+    # product and explicit sandwich paths, the homogeneous probe, K sweeps
     for doc, args in (
             (MCMULLEN, ["carpet-dims", "--m-max", "1", "--l-max", "2",
                         "--seed", "9"]),
             (GOLDEN_B, ["carpet-dims", "--m-max", "1", "--l-max", "2"]),
-            (HOMOG, ["homog-probe", "--eps-grid", "1/8", "--folner", "boxes"])):
+            (HOMOG, ["homog-probe", "--eps-grid", "1/8", "--folner", "boxes"]),
+            (KSPACE, ["kg-experiment", "--m-max", "1", "--eps-grid",
+                      "1/10,1/100,1/1000,1/10000,1/100000"])):
         argv = args[:1] + ["--spec", write_spec(tmp_path, doc)] + args[1:]
         code, first = run(capsys, argv)
         _, second = run(capsys, argv)
@@ -233,3 +235,18 @@ def test_eps_grid_validation(tmp_path, capsys):
     code = main(["kg-experiment", "--spec", spec, "--eps-grid", "2,1/10"])
     capsys.readouterr()
     assert code == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["kg-experiment", "--eps-grid", "1/3,1/10"],
+    ["kg-experiment", "--eps-grid", "1/4"],
+    ["kg-mass-demo", "--eps", "1/5"],
+    ["kg-mass-demo", "--k-list", "0"],
+])
+def test_kspace_input_errors_are_spec_errors(tmp_path, capsys, args):
+    spec = write_spec(tmp_path, KSPACE)
+    code = main(args[:1] + ["--spec", spec] + args[1:])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("spec error:")

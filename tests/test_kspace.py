@@ -3,12 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from meandim.groups import FolnerDescriptor
-from meandim.kspace import (KSpaceSpec, gamma_bracket,
+from meandim.groups import FolnerDescriptor, GroupSpec
+from meandim.kspace import (KSpaceSpec, _k_size, _k_sweep_count,
+                            _unit_steps, _unit_sweep_count, gamma_bracket,
                             k_truncation, kg_covering_experiment,
                             kg_mass_distribution_demo, nu_interval_mass_log,
                             nu_normalization_error, nu_point_mass,
-                            trend_slopes, zeta_bracket)
+                            trend_slopes, unit_grid, zeta_bracket)
+from meandim.metrics import (WeightScheme, line_cover_count,
+                             line_separated_count, tail_support)
 
 KSET = KSpaceSpec(rank=1)
 CUBE = KSpaceSpec(rank=1, kind="unit")
@@ -30,6 +33,95 @@ def test_zeta_bracket_defining_inequalities():
         z = zeta_bracket(eps, c)
         ratio = 4 * c / eps
         assert z * (z - 1) < ratio <= z * (z + 1)
+
+
+def _gamma_loop(eps):
+    g = 1
+    while (g + 1) * (g + 1) * 4 * eps < 1:
+        g += 1
+    return g
+
+
+def _zeta_loop(eps, c):
+    ratio = 4 * Fraction(c) / Fraction(eps)
+    z = 1
+    while z * (z + 1) < ratio:
+        z += 1
+    return z
+
+
+def test_brackets_match_their_defining_loops():
+    eps_grid = ([Fraction(1, n) for n in range(5, 400)]
+                + [Fraction(p, 1000) for p in range(1, 250)]
+                + [Fraction(1, 4) - Fraction(1, 10**9), Fraction(3, 10**7)])
+    c_grid = (Fraction(1), Fraction(1, 3), Fraction(5, 3), Fraction(7, 2),
+              Fraction(0), Fraction(-1, 2))
+    for eps in eps_grid:
+        assert gamma_bracket(eps) == _gamma_loop(eps)
+        for c in c_grid:
+            assert zeta_bracket(eps, c) == _zeta_loop(eps, c)
+    for eps in (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(-1, 9)):
+        with pytest.raises(ValueError):
+            gamma_bracket(eps)
+
+
+def _real_budgets(spec, eps_grid):
+    """(eps, budget) pairs as kg_covering_experiment forms them."""
+    group = GroupSpec(spec.rank)
+    weights = spec.weights
+    for eps in eps_grid:
+        support = tail_support(weights, eps, group)
+        tail = weights.tail_upper(support.index + 1)
+        yield eps, (eps - 2 * tail) / weights.total_upper()
+
+
+def test_integer_sweeps_match_line_sweeps():
+    slow = KSpaceSpec(rank=1, weights=WeightScheme(1, Fraction(1, 5)))
+    cases = list(_real_budgets(KSET, EPS_GRID))
+    cases += list(_real_budgets(slow, [Fraction(1, 10), Fraction(1, 99),
+                                       Fraction(2, 301)]))
+    cases = [(delta, [eps]) for eps, delta in cases]
+    budgets = ([Fraction(1, n) for n in range(1, 60)]
+               + [Fraction(p, 97) for p in range(1, 120, 3)]
+               + [Fraction(5), Fraction(3), Fraction(2), Fraction(7, 2),
+                  Fraction(1, 1234)])  # n_tr 2 and 3 from the large ones
+    cases += [(delta, [delta, delta / 3, 2 * delta, Fraction(1, 7),
+                       Fraction(1), Fraction(5, 4)]) for delta in budgets]
+    for delta, eps_list in cases:
+        kvals = k_truncation(delta)
+        assert _k_size(delta) == len(kvals) - 1
+        assert _k_sweep_count(_k_size(delta), delta) == \
+            line_cover_count(kvals, delta)
+        for eps in eps_list:
+            assert _k_sweep_count(_k_size(delta), eps) == \
+                line_separated_count(kvals, eps)
+        if delta < Fraction(1, 2000):
+            continue
+        uvals = unit_grid(delta)
+        assert _unit_steps(delta) == len(uvals) - 1
+        assert _unit_sweep_count(_unit_steps(delta), delta) == \
+            line_cover_count(uvals, delta)
+        for eps in eps_list:
+            assert _unit_sweep_count(_unit_steps(delta), eps) == \
+                line_separated_count(uvals, eps)
+
+
+def test_kset_pinned_counts():
+    # KSET_BOUNDS of perfbench/workloads.py: ball(1) windows of 3 sites
+    eps_grid = [Fraction(1, 10 ** j) for j in range(1, 6)]
+    rows = kg_covering_experiment(KSET, FolnerDescriptor("balls", (1,)),
+                                  eps_grid)
+    assert [(r.lower, r.upper) for r in rows] == [
+        (216, 216), (5832, 5832), (195112, 195112), (6331625, 6331625),
+        (202262003, 202262003)]
+    assert all(r.bracket_ok for r in rows)
+
+
+def test_kset_row_at_tiny_eps():
+    rows = kg_covering_experiment(KSET, FolnerDescriptor("boxes", (1,)),
+                                  [Fraction(1, 10 ** 8)])
+    assert rows[0].bracket_ok
+    assert 0.5 < rows[0].slope_lower <= rows[0].slope_upper < 0.55
 
 
 def test_k_truncation_reaches_below_half_delta():
