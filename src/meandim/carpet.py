@@ -2,10 +2,13 @@
 the fiber-weighted measure and its finite-scale concentration checks.
 
 A carpet couples base-a and base-b digit arrays through a paired subshift.
-Geometry here is exact: representative points carry Fraction coordinates with
-denominators a^l b^l, the windowed sup-distance is evaluated in rationals and
-all sandwich inequalities are checked with zero tolerance.  Floats appear only
-in logarithmic reports.
+Geometry here is exact: every coordinate of a depth-L point is a multiple of
+1/D, D = lcm(a^L (a-1), b^L (b-1)), so the sandwich builds each cloud once as
+integer codes over D and checks every inequality with zero tolerance on
+integer numerators of the windowed sup-distance (numpy int64 when 2 D < 2^63,
+Python ints otherwise).  `carpet_representatives` returns the Fractions
+codes / D and `linf_pair_distance` is the Fraction reference.  Floats appear
+only in logarithmic reports.
 """
 from __future__ import annotations
 
@@ -17,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .groups import FolnerDescriptor, GroupWindow, ball
-from .metrics import WeightScheme
+from .metrics import WeightScheme, exact_int_dtype
 from .entropy import (entropy_estimate, entropy_series, log_big,
                       log_z_from_fibers, weighted_entropy_series)
 from .subshifts import (FiberTable, SubshiftSpec, count_patterns,
@@ -171,33 +174,41 @@ def enumerate_psi_cells(spec: CarpetSpec, m: int, l: int, limit: int,
 # ---------------------------------------------------------------------------
 # representatives and the covering sandwich
 
-def _geom_tail(digit: int, base: int, l: int) -> Fraction:
-    """sum_{n > l} digit / base^n."""
-    return Fraction(digit, base ** l * (base - 1))
+def _carpet_denominator(a: int, b: int, depth: int) -> int:
+    """D = lcm(a^L (a-1), b^L (b-1)): every coordinate of a depth-L point is
+    a multiple of 1/D, and D for depth L divides D for depth L + 1."""
+    return math.lcm(a ** depth * (a - 1), b ** depth * (b - 1))
 
 
-def _carpet_point(spec: CarpetSpec, digits, tail: bytes) -> tuple:
+def _carpet_point(spec: CarpetSpec, digits, tail: bytes, denom: int) -> list:
     """The exact point with digit patterns (u, v) at depths 1..L, L =
-    len(digits), and the pair pattern `tail` at every depth past L, as one
-    (X_g, Y_g) pair of Fractions per window cell."""
+    len(digits), and the pair pattern `tail` at every depth past L, as
+    integer codes over `denom` (a multiple of the depth-L denominator),
+    flattened X_0, Y_0, X_1, Y_1, ... in window order.
+
+    X_g = x/a^L + (t // b)/(a^L (a-1)) = (x (a-1) + t // b)/(a^L (a-1)),
+    and Y_g likewise in base b.
+    """
     a, b = spec.a, spec.b
     depth = len(digits)
-    a_l, b_l = a ** depth, b ** depth
+    x_unit = denom // (a ** depth * (a - 1))
+    y_unit = denom // (b ** depth * (b - 1))
     point = []
     for g, t in enumerate(tail):
         x = y = 0
         for u, v in digits:
             x = x * a + u[g]
             y = y * b + v[g]
-        point.append((Fraction(x, a_l) + _geom_tail(t // b, a, depth),
-                      Fraction(y, b_l) + _geom_tail(t % b, b, depth)))
-    return tuple(point)
+        point += ((x * (a - 1) + t // b) * x_unit,
+                  (y * (b - 1) + t % b) * y_unit)
+    return point
 
 
 def _representatives(spec: CarpetSpec, patterns, fibers, m: int, l: int,
-                     cap: int) -> list:
-    """One point per depth-l cell: its prefixes, the least section under
-    the projected digits past floor(wl), then the least pattern as tail."""
+                     cap: int, denom: int) -> list:
+    """One point per depth-l cell, as integer codes over `denom`: its
+    prefixes, the least section under the projected digits past floor(wl),
+    then the least pattern as tail."""
     if not patterns:
         return []
     k = floor_wl(spec.a, spec.b, l)
@@ -206,7 +217,7 @@ def _representatives(spec: CarpetSpec, patterns, fibers, m: int, l: int,
         raise RuntimeError(f"representative cloud of {total} points exceeds cap {cap}")
     return [_carpet_point(spec, list(zip(cell.x_prefix, cell.y_prefix))
                           + [(fibers[v][0], v) for v in cell.y_prefix[k:]],
-                          patterns[0])
+                          patterns[0], denom)
             for cell in _psi_cells(spec, patterns, fibers, m, l, total)]
 
 
@@ -219,7 +230,10 @@ def carpet_representatives(spec: CarpetSpec, m: int, l: int,
     """
     window = ball(m, spec.omega.group)
     patterns, fibers = _pattern_set_tools(spec, window, cap)
-    return _representatives(spec, patterns, fibers, m, l, cap), window
+    denom = _carpet_denominator(spec.a, spec.b, l)
+    codes = _representatives(spec, patterns, fibers, m, l, cap, denom)
+    return [tuple((Fraction(p[i], denom), Fraction(p[i + 1], denom))
+                  for i in range(0, len(p), 2)) for p in codes], window
 
 
 def linf_pair_distance(p, q) -> Fraction:
@@ -257,9 +271,10 @@ def _is_product_rule(spec: SubshiftSpec) -> bool:
 
 
 def _cell_sample_points(spec: CarpetSpec, patterns, fibers, cell: PsiCell,
-                        k: int, per_cell: int) -> list:
-    """Points inside one cylinder cell: free digits between k and l vary over
-    fibers, one extra depth varies over all pair patterns, then the least tail."""
+                        k: int, per_cell: int, denom: int) -> list:
+    """Points inside one cylinder cell, as integer codes over `denom`: free
+    digits between k and l vary over fibers, one extra depth varies over all
+    pair patterns, then the least tail."""
     combos = [list(zip(cell.x_prefix, cell.y_prefix))]
     for v in cell.y_prefix[k:]:
         combos = [c + [(u, v)] for c in combos for u in fibers[v]]
@@ -274,7 +289,15 @@ def _cell_sample_points(spec: CarpetSpec, patterns, fibers, cell: PsiCell,
                 break
         if len(variants) >= per_cell:
             break
-    return [_carpet_point(spec, digits, patterns[0]) for digits in variants]
+    return [_carpet_point(spec, digits, patterns[0], denom)
+            for digits in variants]
+
+
+def _sup_rows(codes):
+    """(i, row): the windowed sup distances from point i to points i+1..,
+    as integer numerators, for each row of an integer code array."""
+    for i in range(len(codes) - 1):
+        yield i, np.abs(codes[i + 1:] - codes[i]).max(axis=1)
 
 
 def sandwich_check(spec: CarpetSpec, m: int, l: int,
@@ -293,7 +316,8 @@ def sandwich_check(spec: CarpetSpec, m: int, l: int,
     (mode "product"): a differing pair must differ in some cell, and the sup
     distance is the max of per-cell distances.  Other rules are checked on
     ball(m) itself (mode "explicit") under the cloud cap.  The checked window
-    is enumerated once.  Zero tolerance, exact rationals.
+    is enumerated once.  Zero tolerance: both scales and all distances are
+    integer numerators over one denominator, compared row by row.
     """
     a, b = spec.a, spec.b
     k = floor_wl(a, b, l)
@@ -317,25 +341,33 @@ def sandwich_check(spec: CarpetSpec, m: int, l: int,
                        else ("explicit", m))
     patterns, fibers = _pattern_set_tools(
         spec, ball(checked_m, spec.omega.group), cloud_cap)
+    # representatives reach depth l and cell samples depth l + 1; the depth-l
+    # denominator divides the depth-(l + 1) one, so one D serves both
+    denom = _carpet_denominator(a, b, l + 1)
+    sep_bound = denom // b ** l  # sep_scale and cov_scale as numerators
+    cov_bound = a * denom // b ** l
+    dtype = exact_int_dtype(max(2 * denom, cov_bound))
     pairs_checked = 0
-    pts = _representatives(spec, patterns, fibers, checked_m, l, cloud_cap)
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            pairs_checked += 1
-            d = linf_pair_distance(pts[i], pts[j])
-            if d < sep_scale:
-                raise SandwichViolation(
-                    f"representatives {i},{j} at distance {d} < {sep_scale}")
+    reps = np.array(_representatives(spec, patterns, fibers, checked_m, l,
+                                     cloud_cap, denom), dtype=dtype)
+    for i, dist in _sup_rows(reps):
+        pairs_checked += len(dist)
+        if dist.min() < sep_bound:
+            j = int(np.argmax(dist < sep_bound))
+            raise SandwichViolation(
+                f"representatives {i},{i + 1 + j} at distance "
+                f"{Fraction(int(dist[j]), denom)} < {sep_scale}")
     for cell in _psi_cells(spec, patterns, fibers, checked_m, l, cell_limit):
-        sample = _cell_sample_points(spec, patterns, fibers, cell, k,
-                                     cell_samples)
-        for i in range(len(sample)):
-            for j in range(i + 1, len(sample)):
-                pairs_checked += 1
-                d = linf_pair_distance(sample[i], sample[j])
-                if d >= cov_scale:
-                    raise SandwichViolation(
-                        f"within-cell distance {d} >= {cov_scale} in cell {cell.key}")
+        sample = np.array(_cell_sample_points(spec, patterns, fibers, cell, k,
+                                              cell_samples, denom),
+                          dtype=dtype)
+        for _, dist in _sup_rows(sample):
+            pairs_checked += len(dist)
+            if dist.max() >= cov_bound:
+                d = dist[np.argmax(dist >= cov_bound)]
+                raise SandwichViolation(
+                    f"within-cell distance {Fraction(int(d), denom)} >= "
+                    f"{cov_scale} in cell {cell.key}")
 
     return SandwichReport(m=m, l=l, floor_wl=k, lower_product=product_count,
                           upper_product=product_count,

@@ -131,6 +131,19 @@ def validate(doc: dict) -> list[str]:
 # ---------------------------------------------------------------------------
 # command implementations
 
+def _parse_value(convert, text: str, option: str):
+    """convert(text), with a value it cannot read reported as a SpecError."""
+    try:
+        return convert(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise SpecError(f"{option}: cannot read {text!r} ({exc})") from None
+
+
+def _parse_w(text):
+    """The weighted-entropy exponent, or None when absent or 'auto'."""
+    return None if text in (None, "auto") else _parse_value(float, text, "--w")
+
+
 def _num(value, provenance: str) -> dict:
     return {"value": value, "provenance": provenance}
 
@@ -150,12 +163,12 @@ def _cmd_entropy(system, args) -> dict:
     caps = parse_caps(args.caps)
     folner = FolnerDescriptor(args.folner, tuple(
         range(1 if args.folner == "boxes" else 0, args.m_max + 1)))
-    if args.w is not None and args.w != "auto":
-        series = weighted_entropy_series(system, folner, float(args.w),
-                                         caps["patterns"])
+    w = _parse_w(args.w)
+    if w is not None:
+        series = weighted_entropy_series(system, folner, w, caps["patterns"])
         rows = [(r.index, r.size, r.log_z, r.per_site) for r in series.rows]
         return {"series": rows, "csv": series.to_csv(),
-                "per_site": _num(series.value, "estimate"), "w": float(args.w)}
+                "per_site": _num(series.value, "estimate"), "w": w}
     series = entropy_series(system, folner, caps["cells"])
     est = entropy_estimate(series)
     rows = [(r.index, r.size, r.log_count, r.per_site) for r in series.rows]
@@ -167,7 +180,7 @@ def _cmd_entropy(system, args) -> dict:
 
 
 def _cmd_carpet_dims(system: CarpetSpec, args) -> dict:
-    w = None if args.w in (None, "auto") else float(args.w)
+    w = _parse_w(args.w)
     caps = parse_caps(args.caps)
     report = carpet_dimension_report(system, m_max=args.m_max,
                                      l_max=args.l_max,
@@ -186,7 +199,8 @@ def _cmd_selfsimilar_bound(system: SelfSimilarSpec, args) -> dict:
 
 
 def _parse_eps_grid(text: str):
-    grid = [Fraction(part) for part in text.split(",")]
+    grid = [_parse_value(Fraction, part, "--eps-grid")
+            for part in text.split(",")]
     if any(not 0 < e < 1 for e in grid):
         raise SpecError("eps grid values must lie in (0, 1)")
     if any(a <= b for a, b in zip(grid, grid[1:])):
@@ -252,10 +266,12 @@ def _cmd_kg_experiment(system: KSpaceSpec, args) -> dict:
 
 def _cmd_kg_mass_demo(system: KSpaceSpec, args) -> dict:
     folner = FolnerDescriptor(args.folner, (1,))
-    ks = [int(k) for k in (args.k_list or "2,4,6").split(",")]
+    ks = [_parse_value(int, k, "--k-list")
+          for k in (args.k_list or "2,4,6").split(",")]
     if any(k < 1 for k in ks):
         raise SpecError("k-list values must be >= 1")
-    eps = Fraction(args.eps) if args.eps else Fraction(1, 10)
+    eps = (_parse_value(Fraction, args.eps, "--eps") if args.eps
+           else Fraction(1, 10))
     if not 0 < eps < Fraction(1, 6):
         raise SpecError("mass demo eps must lie in (0, 1/6)")
     reports = [kg_mass_distribution_demo(system, k, folner, 1, eps,

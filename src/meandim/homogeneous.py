@@ -4,10 +4,14 @@ Systems are specified by digit subshifts on Z^d x N (rank d+1 specs whose
 last axis is the digit depth), which makes invariance under both actions
 automatic.  The probe checks the covering comparison between the plain
 dynamical metric at scale eps and the product-action metric at scale
-1/(2 c b), exactly, on truncated digit clouds.  Both distances come from
-`metrics.ProductMetric` on torus coordinates: the plain one with the shifts
-F_n, the product-action one with the shifts SF_n applied to each point's
-scaled copies x b^j mod 1, j < N.
+1/(2 c b), exactly, on truncated digit clouds.  A cloud point of depth L is a
+code over B = b^L and the weights rho^n share a denominator Q, so both
+distances are exact integer numerators over B Q, computed once per cloud as
+pair tables: the plain one with the shifts F_n, the product-action one with
+the shifts SF_n over each point's scaled copies x b^j mod 1, j < N (codes
+c b^j mod B).  Torus distances are min(d mod B, B - d mod B); eps, the
+threshold and the cover radii are integer bounds.  `metrics.ProductMetric`
+and `_ScaledOrbit` are the Fraction reference for the two distances.
 """
 from __future__ import annotations
 
@@ -16,10 +20,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 from .groups import (FolnerDescriptor, GroupSpec, GroupWindow, minkowski_sum,
                      product_window)
 from .metrics import (ProbeViolation, ProductMetric, WeightScheme,
-                      circle_cover_count, separated_set, tail_support)
+                      circle_cover_count, exact_int_dtype, separated_set,
+                      tail_support)
 from .entropy import gxn_entropy_series
 from .subshifts import SubshiftSpec, enumerate_patterns
 
@@ -76,23 +83,31 @@ class DigitCloud:
     points: tuple  # tuple of per-cell Fraction tuples
 
 
-def digit_cloud(spec: HomogeneousSpec, window: GroupWindow, depth: int,
-                cap: int = 100_000) -> DigitCloud:
-    pw = product_window(window, depth)
-    ps = enumerate_patterns(spec.digit_spec, pw, cap)
+def _digit_codes(spec: HomogeneousSpec, window: GroupWindow, depth: int,
+                 cap: int) -> list:
+    """The cloud's points as integer codes over b^depth: per window cell, the
+    cell's digits read as one base-b numeral, first digit most significant."""
+    ps = enumerate_patterns(spec.digit_spec, product_window(window, depth), cap)
     b = spec.base
-    ncells = len(window)
     pts = []
     for p in ps.patterns:
         vals = []
-        for g in range(ncells):
-            acc = Fraction(0)
+        for g in range(len(window)):
+            acc = 0
             for k in range(depth):
-                acc += Fraction(p[g * depth + k], b ** (k + 1))
+                acc = acc * b + p[g * depth + k]
             vals.append(acc)
-        pts.append(tuple(vals))
+        pts.append(vals)
+    return pts
+
+
+def digit_cloud(spec: HomogeneousSpec, window: GroupWindow, depth: int,
+                cap: int = 100_000) -> DigitCloud:
+    denom = spec.base ** depth
     return DigitCloud(window=window, depth=depth, base=spec.base,
-                      points=tuple(pts))
+                      points=tuple(tuple(Fraction(c, denom) for c in p)
+                                   for p in _digit_codes(spec, window, depth,
+                                                         cap)))
 
 
 def _digit_depth(base: int, eps: Fraction) -> int:
@@ -105,11 +120,11 @@ def _digit_depth(base: int, eps: Fraction) -> int:
 
 @dataclass(frozen=True)
 class _ScaledOrbit:
-    """d^{sigma,T} over orbit x {0..N-1}: the orbit metric maximized over
-    the scaled copies x b^j mod 1, j < N, of each point.
+    """d^{sigma,T} over orbit x {0..N-1} in Fractions: the orbit metric
+    maximized over the scaled copies x b^j mod 1, j < N, of each point.
 
-    Its points are the per-point stacks of N scaled copies, built once, so it
-    serves as its own cloud for `separated_set`.
+    The exact reference for the probe's right distance, which the probe
+    itself evaluates on integer codes (`_PairTable.build`).
     """
 
     metric: ProductMetric
@@ -131,17 +146,82 @@ class _ScaledOrbit:
         return lo, hi
 
 
+def _shift_weights(scheme: WeightScheme, window: GroupWindow,
+                   shifts) -> list:
+    """alpha_{c - g} per shift g (rows) and window cell c (columns), as
+    `ProductMetric` weighs the torus coordinates."""
+    return [[scheme.weight(tuple(c - s for c, s in zip(cell, g)))
+             for cell in window.elements] for g in shifts]
+
+
+@dataclass(frozen=True)
+class _PairTable:
+    """One side's pair distances as integer numerators, in a shape
+    `separated_set` reads: the points are the indices and `interval` gives
+    the exact distance as its lower end (the only end it reads)."""
+
+    dist: np.ndarray
+
+    @staticmethod
+    def build(copies, modulus: int, weights, dtype) -> "_PairTable":
+        """dist[i, j]: the max over copies k and shifts g of sum_c
+        weights[g][c] times the torus distance of copies[i][k][c] and
+        copies[j][k][c], for integer codes over `modulus` and integer
+        weights, computed row by row."""
+        copies = np.array(copies, dtype=dtype)
+        weights_t = np.array(weights, dtype=dtype).T
+        dist = np.empty((len(copies), len(copies)), dtype=dtype)
+        for i in range(len(copies)):
+            d = (copies - copies[i]) % modulus
+            dist[i] = (np.minimum(d, modulus - d) @ weights_t).max(axis=(1, 2))
+        return _PairTable(dist)
+
+    @property
+    def points(self) -> range:
+        return range(len(self.dist))
+
+    def interval(self, i, j) -> tuple:
+        return (self.dist[i, j],)
+
+
+def _distance_tables(spec: HomogeneousSpec, fwin: GroupWindow,
+                     orbit: GroupWindow, depth: int, depth_n: int,
+                     cap: int) -> tuple:
+    """(left, right, den): both sides' pair distances over the depth-`depth`
+    digit cloud on `orbit`, as integer numerators over one denominator den.
+
+    Left is the plain metric with the shifts F_n; right is the product-action
+    metric with the shifts `orbit`, maximized over each point's N = depth_n
+    scaled copies x b^j mod 1.  Codes lie over B = b^depth and the weights
+    over Q, their common denominator, so den = B Q; pinned coordinates agree
+    across the cloud and contribute zero.
+    """
+    modulus = spec.base ** depth
+    codes = _digit_codes(spec, orbit, depth, cap)
+    left_w = _shift_weights(spec.weights, orbit, fwin.elements)
+    right_w = _shift_weights(spec.weights, orbit, orbit.elements)
+    q = math.lcm(*(w.denominator for row in left_w + right_w for w in row))
+    dtype = exact_int_dtype(len(orbit) * modulus * q)
+    left = _PairTable.build([[p] for p in codes], modulus,
+                            [[int(w * q) for w in row] for row in left_w],
+                            dtype)
+    mults = [spec.base ** j for j in range(depth_n)]
+    right = _PairTable.build([[[c * mult % modulus for c in p]
+                               for mult in mults] for p in codes], modulus,
+                             [[int(w * q) for w in row] for row in right_w],
+                             dtype)
+    return left, right, modulus * q
+
+
 # Min-index greedy on the exact distance: metrics._greedy_cover is max-gain
 # over hi-radius balls, a different count, and the report prints this one.
-def _greedy_cover_count(points, metric, scale) -> int:
-    remaining = set(range(len(points)))
+def _greedy_cover_count(dist, half) -> int:
+    """Centres at the least uncovered index; each covers distance <= half."""
+    remaining = np.ones(len(dist), dtype=bool)
     count = 0
-    half = scale / 2
-    while remaining:
+    while remaining.any():
         count += 1
-        center = points[min(remaining)]
-        remaining -= {j for j in remaining
-                      if metric.interval(center, points[j])[0] <= half}
+        remaining &= dist[int(np.argmax(remaining))] > half
     return count
 
 
@@ -184,38 +264,35 @@ def homogeneous_covering_probe(spec: HomogeneousSpec,
             support = tail_support(weights, eps, group)
             orbit_right = minkowski_sum(support, fwin)
             threshold = Fraction(1, 2 * c_total * spec.base)
-            cloud = digit_cloud(spec, orbit_right, depth_n + extra_depth, cap)
-            pts = cloud.points
-            # pinned coordinates agree across the cloud and contribute zero
-            left = ProductMetric(weights, cloud.window, "torus",
-                                 shifts=fwin.elements)
-            right = _ScaledOrbit.build(
-                ProductMetric(weights, cloud.window, "torus",
-                              shifts=orbit_right.elements), cloud, depth_n)
-            stacks = right.points
-            pairs = 0
-            for i in range(len(pts)):
-                for j in range(i + 1, len(pts)):
-                    pairs += 1
-                    d_right = right.interval(stacks[i], stacks[j])[0]
-                    if d_right < threshold:
-                        d_left = left.interval(pts[i], pts[j])[0]
-                        if not d_left < eps:
-                            raise ProbeViolation(
-                                f"pair {i},{j}: right distance {float(d_right):.6g} "
-                                f"< {float(threshold):.6g} but left distance "
-                                f"{float(d_left):.6g} >= eps {float(eps):.6g}")
-            left_low = len(separated_set(cloud, left, eps))
-            left_up = _greedy_cover_count(pts, left, eps)
-            right_low = len(separated_set(right, right, threshold))
-            right_up = _greedy_cover_count(stacks, right, threshold)
+            left, right, den = _distance_tables(
+                spec, fwin, orbit_right, depth_n + extra_depth, depth_n, cap)
+            # eps, threshold and the cover radii as integer bounds
+            eps_num = math.ceil(eps * den)  # d < eps iff num < eps_num
+            threshold_num = math.ceil(threshold * den)
+            bad = np.triu((right.dist < threshold_num)
+                          & (left.dist >= eps_num), 1)
+            if bad.any():
+                i, j = (int(v) for v in np.argwhere(bad)[0])
+                d_right = Fraction(int(right.dist[i, j]), den)
+                d_left = Fraction(int(left.dist[i, j]), den)
+                raise ProbeViolation(
+                    f"pair {i},{j}: right distance {float(d_right):.6g} "
+                    f"< {float(threshold):.6g} but left distance "
+                    f"{float(d_left):.6g} >= eps {float(eps):.6g}")
+            n_pts = len(left.dist)
+            left_low = len(separated_set(left, left, eps_num))
+            left_up = _greedy_cover_count(left.dist, math.floor(eps * den / 2))
+            right_low = len(separated_set(right, right, threshold_num))
+            right_up = _greedy_cover_count(right.dist,
+                                           math.floor(threshold * den / 2))
             if left_low > right_up:
                 raise ProbeViolation(
                     f"certified counts crossed: left lower {left_low} > "
                     f"right upper {right_up}")
             rows.append(HomogeneousProbeRow(
                 n_index=n, eps=float(eps), depth_n=depth_n,
-                cloud_size=len(pts), implication_ok=True, pairs_checked=pairs,
+                cloud_size=n_pts, implication_ok=True,
+                pairs_checked=n_pts * (n_pts - 1) // 2,
                 left_lower=left_low, left_upper=left_up,
                 right_lower=right_low, right_upper=right_up))
     return rows

@@ -16,11 +16,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .groups import GroupSpec, GroupWindow, WindowCapExceeded, ball, word_length
 
 STRICT_TOL = 1e-12
 EXACT_COVER_LIMIT = 24
 HAUSDORFF_S_CAP = 64.0
+
+# int64 holds an exact integer numerator below this magnitude
+_INT64_LIMIT = 2 ** 63
 
 COORD_DIAMETERS = {"unit": Fraction(1), "torus": Fraction(1, 2),
                    "kset": Fraction(1), "pair": Fraction(1)}
@@ -37,6 +42,13 @@ class HypothesisUnsatisfiable(RuntimeError):
 class ProbeViolation(AssertionError):
     """A probe's exact check failed or a covering estimate exceeded its
     certified bound."""
+
+
+def exact_int_dtype(bound: int):
+    """numpy dtype for exact integer numerators whose values and
+    intermediates stay below `bound` in magnitude: int64 when it fits,
+    object (Python ints) otherwise.  Both run the same array code."""
+    return np.int64 if bound < _INT64_LIMIT else object
 
 
 # ---------------------------------------------------------------------------

@@ -315,3 +315,212 @@ def test_sandwich_product_reduction_matches_explicit_enumeration():
         assert global_min >= scale
         rep = sandwich_check(spec, 1, l)
         assert rep.separated_count == len(pts)
+
+
+# ---------------------------------------------------------------------------
+# integer codes against the Fraction reference
+
+def _reference_point(spec, digits, tail):
+    """The point as the sum of its digits over powers of the base plus the
+    geometric tail, in Fractions, independently of the integer builder."""
+    a, b, depth = spec.a, spec.b, len(digits)
+    point = []
+    for g, t in enumerate(tail):
+        x = sum(Fraction(u[g], a ** (n + 1)) for n, (u, _) in enumerate(digits))
+        y = sum(Fraction(v[g], b ** (n + 1)) for n, (_, v) in enumerate(digits))
+        point.append((x + Fraction(t // b, a ** depth * (a - 1)),
+                      y + Fraction(t % b, b ** depth * (b - 1))))
+    return tuple(point)
+
+
+def _recording_builder(monkeypatch, limit=60):
+    """Patch the integer point builder to log (codes, denom, reference) for
+    up to `limit` points after each clear()."""
+    import meandim.carpet as carpet
+    built = []
+    original = carpet._carpet_point
+
+    def record(spec, digits, tail, denom):
+        codes = original(spec, digits, tail, denom)
+        if len(built) < limit:
+            built.append((codes, denom, _reference_point(spec, digits, tail)))
+        return codes
+
+    monkeypatch.setattr(carpet, "_carpet_point", record)
+    return built
+
+
+def _check_codes_against_reference(built):
+    import numpy as np
+    from meandim.carpet import _sup_rows
+    for codes, denom, ref in built:
+        assert [Fraction(c, denom) for c in codes] == [
+            coord for pair in ref for coord in pair]
+    codes = np.array([c for c, _, _ in built], dtype=np.int64)
+    denom = built[0][1]
+    for i, dist in _sup_rows(codes):
+        for j, d in enumerate(dist, start=i + 1):
+            assert Fraction(int(d), denom) == linf_pair_distance(built[i][2],
+                                                                 built[j][2])
+
+
+@pytest.mark.parametrize("spec", [MCMULLEN, GOLDEN_B, FULL32],
+                         ids=["mcmullen", "golden_b", "full32"])
+@pytest.mark.parametrize("m", [0, 1])
+@pytest.mark.parametrize("l", [0, 1, 2, 3])
+def test_integer_distances_match_fraction_reference(monkeypatch, spec, m, l):
+    # codes / D and the integer sup distances / D equal the Fraction points
+    # and linf_pair_distance, on representatives and on cell samples
+    import meandim.carpet as carpet
+    built = _recording_builder(monkeypatch)
+    window = ball(m, spec.omega.group)
+    patterns, fibers = carpet._pattern_set_tools(spec, window, 10 ** 6)
+    k = floor_wl(spec.a, spec.b, l)
+    cells = carpet._psi_cells(spec, patterns, fibers, m, l, 3)
+    denom = carpet._carpet_denominator(spec.a, spec.b, l + 1)
+    for cell in cells:
+        built.clear()
+        carpet._cell_sample_points(spec, patterns, fibers, cell, k, 48, denom)
+        _check_codes_against_reference(built)
+    built.clear()
+    carpet._representatives(spec, patterns, fibers, m, l, 10 ** 6, denom)
+    _check_codes_against_reference(built)  # a prefix of large clouds
+    # the public representatives are the codes over the depth-l denominator
+    built.clear()
+    pts, _ = carpet_representatives(spec, m, l)
+    assert pts[:len(built)] == [ref for _, _, ref in built]
+
+
+# (spec, m, l) -> (mode, floor_wl, product, pairs_checked, sep, cov), as the
+# Fraction implementation reported them
+SANDWICH_PINS = {
+    ("mcmullen", 0, 0): ("product", 0, 1, 3, "1", "4"),
+    ("mcmullen", 0, 1): ("product", 0, 2, 19, "1/2", "2"),
+    ("mcmullen", 0, 2): ("product", 1, 6, 69, "1/4", "1"),
+    ("mcmullen", 0, 3): ("product", 1, 12, 363, "1/8", "1/2"),
+    ("mcmullen", 1, 0): ("product", 0, 1, 3, "1", "4"),
+    ("mcmullen", 1, 1): ("product", 0, 8, 19, "1/2", "2"),
+    ("mcmullen", 1, 2): ("product", 1, 216, 69, "1/4", "1"),
+    ("mcmullen", 1, 3): ("product", 1, 1728, 363, "1/8", "1/2"),
+    ("golden_b", 0, 0): ("explicit", 0, 1, 6, "1", "2"),
+    ("golden_b", 0, 1): ("explicit", 1, 4, 30, "1/2", "1"),
+    ("golden_b", 0, 2): ("explicit", 2, 16, 216, "1/4", "1/2"),
+    ("golden_b", 0, 3): ("explicit", 3, 64, 2400, "1/8", "1/4"),
+    ("golden_b", 1, 0): ("explicit", 0, 1, 780, "1", "2"),
+    ("golden_b", 1, 1): ("explicit", 1, 40, 31980, "1/2", "1"),
+    ("golden_b", 1, 2): ("explicit", 2, 1600, 1678560, "1/4", "1/2"),
+    ("full32", 0, 0): ("product", 0, 1, 15, "1", "3"),
+    ("full32", 0, 1): ("product", 0, 2, 307, "1/2", "3/2"),
+    ("full32", 0, 2): ("product", 1, 12, 1902, "1/4", "3/4"),
+    ("full32", 0, 3): ("product", 1, 24, 24036, "1/8", "3/8"),
+    ("full32", 1, 0): ("product", 0, 1, 15, "1", "3"),
+    ("full32", 1, 1): ("product", 0, 8, 307, "1/2", "3/2"),
+    ("full32", 1, 2): ("product", 1, 1728, 1902, "1/4", "3/4"),
+    ("full32", 1, 3): ("product", 1, 13824, 24036, "1/8", "3/8"),
+}
+PIN_SPECS = {"mcmullen": MCMULLEN, "golden_b": GOLDEN_B, "full32": FULL32}
+
+
+def _pinned_report(key):
+    from meandim.carpet import SandwichReport
+    name, m, l = key
+    mode, k, product, pairs, sep, cov = SANDWICH_PINS[key]
+    return SandwichReport(m=m, l=l, floor_wl=k, lower_product=product,
+                          upper_product=product, separated_count=product,
+                          cover_count=product,
+                          separation_scale=Fraction(sep),
+                          cover_scale=Fraction(cov), mode=mode,
+                          pairs_checked=pairs)
+
+
+@pytest.mark.parametrize("key", sorted(SANDWICH_PINS))
+def test_sandwich_reports_are_pinned(key):
+    name, m, l = key
+    assert sandwich_check(PIN_SPECS[name], m, l) == _pinned_report(key)
+
+
+def test_python_int_path_gives_the_same_reports(monkeypatch):
+    # with the int64 bound at 0 every array holds Python ints
+    import meandim.carpet as carpet
+    import meandim.metrics as metrics
+    monkeypatch.setattr(metrics, "_INT64_LIMIT", 0)
+    assert carpet.exact_int_dtype(2) is object
+    for key in sorted(SANDWICH_PINS):
+        name, m, l = key
+        if SANDWICH_PINS[key][3] > 10 ** 5:
+            continue  # the 1.7M-pair case is covered by the int64 pins
+        assert sandwich_check(PIN_SPECS[name], m, l) == _pinned_report(key)
+
+
+def _fraction_witness_reps(pts, scale):
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            d = linf_pair_distance(pts[i], pts[j])
+            if d < scale:
+                return f"representatives {i},{j} at distance {d} < {scale}"
+
+
+@pytest.mark.parametrize("python_ints", [False, True])
+def test_representative_violation_names_the_reference_pair(monkeypatch,
+                                                           python_ints):
+    # the fourth point built repeats the third: the first close pair in row
+    # order is (2, 3) at distance 0, as the Fraction loop finds it
+    import meandim.carpet as carpet
+    import meandim.metrics as metrics
+    from meandim.carpet import SandwichViolation
+    if python_ints:
+        monkeypatch.setattr(metrics, "_INT64_LIMIT", 0)
+    original = carpet._carpet_point
+    calls = []
+
+    def repeat_third(spec, digits, tail, denom):
+        calls.append(digits if len(calls) != 3 else calls[2])
+        return original(spec, calls[-1], tail, denom)
+
+    monkeypatch.setattr(carpet, "_carpet_point", repeat_third)
+    pts, _ = carpet_representatives(MCMULLEN, 0, 3)
+    expected = _fraction_witness_reps(pts, Fraction(1, 8))
+    assert expected == "representatives 2,3 at distance 0 < 1/8"
+    calls.clear()
+    with pytest.raises(SandwichViolation) as info:
+        sandwich_check(MCMULLEN, 0, 3)
+    assert str(info.value) == expected
+
+
+@pytest.mark.parametrize("python_ints", [False, True])
+def test_within_cell_violation_names_the_reference_distance(monkeypatch,
+                                                            python_ints):
+    # the second cell's samples gain the first cell's first sample; the
+    # message must carry the first far pair's Fraction distance
+    import meandim.carpet as carpet
+    import meandim.metrics as metrics
+    from meandim.carpet import SandwichViolation
+    if python_ints:
+        monkeypatch.setattr(metrics, "_INT64_LIMIT", 0)
+    original = carpet._cell_sample_points
+    samples = []
+
+    def leak(spec, patterns, fibers, cell, k, per_cell, denom):
+        pts = original(spec, patterns, fibers, cell, k, per_cell, denom)
+        if samples:
+            pts = pts + [samples[0][1][0]]
+        samples.append((cell, pts, denom))
+        return pts
+
+    monkeypatch.setattr(carpet, "_cell_sample_points", leak)
+    with pytest.raises(SandwichViolation) as info:
+        sandwich_check(GOLDEN_B, 0, 3)
+    cov = Fraction(2, 8)
+    expected = None
+    for cell, pts, denom in samples:
+        ref = [tuple((Fraction(p[i], denom), Fraction(p[i + 1], denom))
+                     for i in range(0, len(p), 2)) for p in pts]
+        far = [linf_pair_distance(ref[i], ref[j])
+               for i in range(len(ref)) for j in range(i + 1, len(ref))]
+        far = [d for d in far if d >= cov]
+        if far:
+            expected = (f"within-cell distance {far[0]} >= {cov} "
+                        f"in cell {cell.key}")
+            break
+    assert expected is not None
+    assert str(info.value) == expected

@@ -250,3 +250,26 @@ def test_kspace_input_errors_are_spec_errors(tmp_path, capsys, args):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("spec error:")
+
+
+@pytest.mark.parametrize("doc, args", [
+    (KSPACE, ["kg-mass-demo", "--eps", "abc"]),
+    (KSPACE, ["kg-mass-demo", "--eps", "1/0"]),
+    (KSPACE, ["kg-mass-demo", "--k-list", "2,x"]),
+    (GOLDEN, ["entropy", "--w", "abc"]),
+    (MCMULLEN, ["carpet-dims", "--w", "abc"]),
+    (KSPACE, ["kg-experiment", "--eps-grid", "1/0"]),
+    (KSPACE, ["kg-experiment", "--eps-grid", "1/10,x"]),
+    (HOMOG, ["homog-probe", "--eps-grid", "1/0"]),
+    (SELFSIM, ["selfsimilar-probe", "--eps-grid", "1/4,1/0"]),
+], ids=["mass-eps-text", "mass-eps-zero-den", "mass-k-list", "entropy-w",
+        "carpet-w", "kg-grid-zero-den", "kg-grid-text", "homog-grid",
+        "selfsim-grid"])
+def test_unreadable_option_values_are_spec_errors(tmp_path, capsys, doc,
+                                                  args):
+    spec = write_spec(tmp_path, doc)
+    code = main(args[:1] + ["--spec", spec] + args[1:])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("spec error:")

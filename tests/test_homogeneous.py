@@ -117,3 +117,134 @@ def test_slope_series_rejects_slowly_decaying_weights():
                            weights=WeightScheme(1, Fraction(1, 2)))
     with pytest.raises(ValueError, match="weights decay too slowly for this eps"):
         homogeneous_slope_series(slow, [Fraction(1, 4)])
+
+
+# ---------------------------------------------------------------------------
+# integer pair tables against the Fraction reference
+
+def _spec(base, rule, rho=None):
+    return HomogeneousSpec(
+        base=base, digit_spec=SubshiftSpec(2, Alphabet(base), rule, "digits"),
+        weights=None if rho is None else WeightScheme(1, Fraction(rho)))
+
+
+FULL2_RHO3 = _spec(2, Rule.full(2), "1/3")
+FULL3_RHO3 = _spec(3, Rule.full(3), "1/3")
+VGOLD_RHO3 = _spec(2, Rule.nearest_neighbor(2, {1: [(1, 1)]}), "1/3")
+
+# (spec, boxes, eps grid, extra depth) -> rows as the Fraction
+# implementation reported them: (n, eps, N, cloud size, implication,
+# pairs, left lower, left upper, right lower, right upper)
+PROBE_PINS = [
+    (FULL2, (1, 2), ("1/4", "1/8"), 1,
+     [(1, 0.25, 2, 8, True, 28, 4, 4, 8, 8),
+      (1, 0.125, 3, 16, True, 120, 8, 8, 16, 16),
+      (2, 0.25, 2, 64, True, 2016, 16, 32, 64, 64),
+      (2, 0.125, 3, 256, True, 32640, 64, 128, 256, 256)]),
+    (FULL3_RHO3, (1,), ("1/2", "1/3"), 0,
+     [(1, 0.5, 1, 243, True, 29403, 3, 9, 243, 243),
+      (1, 1 / 3, 1, 243, True, 29403, 3, 21, 243, 243)]),
+    (FULL2_RHO3, (1,), ("1/2",), 0,
+     [(1, 0.5, 1, 32, True, 496, 2, 8, 32, 32)]),
+    (VGOLD_RHO3, (1,), ("1/2",), 1,
+     [(1, 0.5, 1, 243, True, 29403, 3, 11, 243, 243)]),
+]
+PIN_IDS = ["full2", "full3-rho3", "full2-rho3", "vgold-rho3"]
+
+
+def _run_pin(spec, boxes, grid, extra):
+    rows = homogeneous_covering_probe(spec, FolnerDescriptor("boxes", boxes),
+                                      [Fraction(e) for e in grid],
+                                      extra_depth=extra)
+    return [tuple(r.__dict__.values()) for r in rows]
+
+
+@pytest.mark.parametrize("spec, boxes, grid, extra, expected", PROBE_PINS,
+                         ids=PIN_IDS)
+def test_probe_rows_match_the_fraction_implementation(spec, boxes, grid,
+                                                      extra, expected):
+    assert _run_pin(spec, boxes, grid, extra) == expected
+
+
+@pytest.mark.parametrize("spec, boxes, grid, extra, expected", PROBE_PINS,
+                         ids=PIN_IDS)
+def test_python_int_path_gives_the_same_rows(monkeypatch, spec, boxes, grid,
+                                             extra, expected):
+    import meandim.homogeneous as homogeneous
+    import meandim.metrics as metrics
+    monkeypatch.setattr(metrics, "_INT64_LIMIT", 0)
+    assert homogeneous.exact_int_dtype(2) is object
+    assert _run_pin(spec, boxes, grid, extra) == expected
+
+
+@pytest.mark.parametrize("spec, n, eps, extra", [
+    (FULL2, 2, Fraction(1, 8), 1),
+    (FULL2_RHO3, 1, Fraction(1, 2), 1),
+    (FULL3_RHO3, 1, Fraction(1, 3), 0),
+    (VGOLD_RHO3, 1, Fraction(1, 2), 1)])
+def test_pair_tables_match_fraction_metrics(spec, n, eps, extra):
+    # numerators / den equal ProductMetric (left) and _ScaledOrbit (right)
+    from meandim.groups import box, minkowski_sum
+    from meandim.homogeneous import (_ScaledOrbit, _digit_depth,
+                                     _distance_tables)
+    from meandim.metrics import ProductMetric, tail_support
+    group = GroupSpec(1)
+    fwin = box(n, group)
+    depth_n = _digit_depth(spec.base, eps)
+    orbit = minkowski_sum(tail_support(spec.weights, eps, group), fwin)
+    left, right, den = _distance_tables(spec, fwin, orbit,
+                                        depth_n + extra, depth_n, 4000)
+    cloud = digit_cloud(spec, orbit, depth_n + extra, 4000)
+    left_ref = ProductMetric(spec.weights, orbit, "torus",
+                             shifts=fwin.elements)
+    right_ref = _ScaledOrbit.build(
+        ProductMetric(spec.weights, orbit, "torus", shifts=orbit.elements),
+        cloud, depth_n)
+    pts, stacks = cloud.points, right_ref.points
+    size = len(pts)
+    assert left.dist.shape == right.dist.shape == (size, size)
+    step = max(1, size // 12)
+    for i in range(0, size, step):
+        for j in list(range(0, size, step)) + [size - 1]:
+            assert Fraction(int(left.dist[i, j]), den) == \
+                left_ref.interval(pts[i], pts[j])[0]
+            assert Fraction(int(right.dist[i, j]), den) == \
+                right_ref.interval(stacks[i], stacks[j])[0]
+
+
+def test_probe_violation_names_the_reference_pair(monkeypatch):
+    # with N forced to 1 the right metric sees only x itself, so the pair
+    # (0, 1) of a depth-5 cloud at distance 1/32 breaks the implication at
+    # eps = 1/32; the message matches the first pair the Fraction loop finds
+    import meandim.homogeneous as homogeneous
+    from meandim.groups import box
+    from meandim.homogeneous import _ScaledOrbit
+    from meandim.metrics import ProbeViolation, ProductMetric
+    monkeypatch.setattr(homogeneous, "_digit_depth", lambda base, eps: 1)
+    eps = Fraction(1, 32)
+    fwin = box(1, GroupSpec(1))
+    cloud = digit_cloud(FULL2, fwin, 5)
+    threshold = Fraction(1, 2 * FULL2.weights.total_upper() * 2)
+    left = ProductMetric(FULL2.weights, fwin, "torus", shifts=fwin.elements)
+    right = _ScaledOrbit.build(
+        ProductMetric(FULL2.weights, fwin, "torus", shifts=fwin.elements),
+        cloud, 1)
+    expected = None
+    pts = cloud.points
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            d_right = right.interval(right.points[i], right.points[j])[0]
+            d_left = left.interval(pts[i], pts[j])[0]
+            if d_right < threshold and not d_left < eps:
+                expected = (f"pair {i},{j}: right distance "
+                            f"{float(d_right):.6g} < {float(threshold):.6g} "
+                            f"but left distance {float(d_left):.6g} >= eps "
+                            f"{float(eps):.6g}")
+                break
+        if expected:
+            break
+    assert expected is not None and expected.startswith("pair 0,1:")
+    with pytest.raises(ProbeViolation) as info:
+        homogeneous_covering_probe(FULL2, FolnerDescriptor("boxes", (1,)),
+                                   [eps], extra_depth=4)
+    assert str(info.value) == expected
