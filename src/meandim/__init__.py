@@ -10,10 +10,8 @@ from .subshifts import (Alphabet, FiberTable, PatternCapExceeded, PatternSet,
                         full_shift, golden_mean, hard_square, mcmullen_shift,
                         pair_shift_with_b_rule, project, projected_spec,
                         spec_from_json)
-from .metrics import (CoverReport, MassDistributionInput, PointCloud,
-                      ProductMetric, WeightScheme, covering_number,
-                      dynamical_metric, hausdorff_dim_upper, hausdorff_sum,
-                      mass_distribution_bound, product_distance, separated_set,
+from .metrics import (PointCloud, ProductMetric, WeightScheme,
+                      hausdorff_dim_upper, hausdorff_sum, separated_set,
                       tail_support)
 from .entropy import (EntropyEstimate, EntropySeries, WeightedEntropySeries,
                       entropy_estimate, entropy_series, gxn_entropy_series,

@@ -141,7 +141,19 @@ def _parse_value(convert, text: str, option: str):
 
 def _parse_w(text):
     """The weighted-entropy exponent, or None when absent or 'auto'."""
-    return None if text in (None, "auto") else _parse_value(float, text, "--w")
+    if text in (None, "auto"):
+        return None
+    w = _parse_value(float, text, "--w")
+    if not 0 <= w <= 1:
+        raise SpecError(f"--w: {text!r} is not in [0, 1]")
+    return w
+
+
+def _folner_indices(args, first: int) -> tuple:
+    """Folner indices first..--m-max; an empty range is a SpecError."""
+    if args.m_max < first:
+        raise SpecError(f"--m-max must be at least {first} for this family")
+    return tuple(range(first, args.m_max + 1))
 
 
 def _num(value, provenance: str) -> dict:
@@ -161,10 +173,12 @@ def parse_caps(text: str) -> dict:
 
 def _cmd_entropy(system, args) -> dict:
     caps = parse_caps(args.caps)
-    folner = FolnerDescriptor(args.folner, tuple(
-        range(1 if args.folner == "boxes" else 0, args.m_max + 1)))
+    folner = FolnerDescriptor(args.folner, _folner_indices(
+        args, 1 if args.folner == "boxes" else 0))
     w = _parse_w(args.w)
     if w is not None:
+        if not system.alphabet.is_paired:
+            raise SpecError("--w: weighted entropy needs a paired alphabet")
         series = weighted_entropy_series(system, folner, w, caps["patterns"])
         rows = [(r.index, r.size, r.log_z, r.per_site) for r in series.rows]
         return {"series": rows, "csv": series.to_csv(),
@@ -182,6 +196,7 @@ def _cmd_entropy(system, args) -> dict:
 def _cmd_carpet_dims(system: CarpetSpec, args) -> dict:
     w = _parse_w(args.w)
     caps = parse_caps(args.caps)
+    _folner_indices(args, 1 if args.folner == "boxes" else 0)
     report = carpet_dimension_report(system, m_max=args.m_max,
                                      l_max=args.l_max,
                                      folner_family=args.folner,
@@ -222,8 +237,7 @@ def _cmd_selfsimilar_probe(system: SelfSimilarSpec, args) -> dict:
 
 
 def _cmd_homog_entropy(system: HomogeneousSpec, args) -> dict:
-    folner = FolnerDescriptor(args.folner, tuple(
-        range(1, args.m_max + 1)))
+    folner = FolnerDescriptor(args.folner, _folner_indices(args, 1))
     depths = args.depths or [4, 8, 12]
     out = homogeneous_gxn_entropy(system, folner, depths)
     rows = [(r.n, r.depth, r.size, r.log_count, r.per_site)
@@ -250,8 +264,7 @@ def _cmd_kg_experiment(system: KSpaceSpec, args) -> dict:
                   Fraction(1, 10000)])
     if system.kind == "kset" and any(e >= Fraction(1, 4) for e in grid):
         raise SpecError("kset eps grid values must lie in (0, 1/4)")
-    folner = FolnerDescriptor(args.folner, tuple(
-        range(1, args.m_max + 1)))
+    folner = FolnerDescriptor(args.folner, _folner_indices(args, 1))
     rows = kg_covering_experiment(system, folner, grid)
     return {"rows": [{"n": r.n_index, "eps": r.eps, "window": r.window,
                       "gamma": r.gamma, "zeta": r.zeta,

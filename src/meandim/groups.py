@@ -57,10 +57,6 @@ def add(g: GroupElement, h: GroupElement) -> GroupElement:
     return tuple(a + b for a, b in zip(g, h))
 
 
-def neg(g: GroupElement) -> GroupElement:
-    return tuple(-a for a in g)
-
-
 def word_length(g: GroupElement, spec: GroupSpec | None = None) -> int:
     """Minimal generator word length; the l1 norm for standard generators."""
     return sum(abs(c) for c in g)

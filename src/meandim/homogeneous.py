@@ -213,8 +213,7 @@ def _distance_tables(spec: HomogeneousSpec, fwin: GroupWindow,
     return left, right, modulus * q
 
 
-# Min-index greedy on the exact distance: metrics._greedy_cover is max-gain
-# over hi-radius balls, a different count, and the report prints this one.
+# Min-index greedy on the exact distance: the report prints this count.
 def _greedy_cover_count(dist, half) -> int:
     """Centres at the least uncovered index; each covers distance <= half."""
     remaining = np.ones(len(dist), dtype=bool)

@@ -222,13 +222,6 @@ def _inverse_square_tail(n: int) -> float:
     return 1.0 / n + 1.0 / (2 * n ** 2) + 1.0 / (6 * n ** 3) - 1.0 / (30 * n ** 5)
 
 
-def nu_point_mass(n_code: int) -> float:
-    """nu({0}) = 1/2 and nu({1/n}) = a / n^2 with a = 3/pi^2."""
-    if n_code == 0:
-        return NU_ZERO_MASS
-    return NU_SQUARE_COEFF / n_code ** 2
-
-
 def nu_normalization_error(terms: int = 10**6) -> float:
     """|nu(K) - 1| evaluated at a finite truncation plus integral tail."""
     partial = NU_ZERO_MASS + NU_SQUARE_COEFF * (

@@ -1,27 +1,23 @@
-"""Weighted product metrics, dynamical sup-metrics and covering engines.
+"""Weighted product metrics, dynamical sup-metrics, exact 1-d cover and
+separation sweeps and Hausdorff sums.
 
 Distances on configuration spaces are reported as certified intervals
 [lo, hi]: lo sums the weighted coordinate distances that the stored window
 actually determines, hi adds the worst-case tail of the summable weight
-family.  Covering, separation and Hausdorff-sum estimators consume those
-intervals so every reported count is a certified bound.
-
-Strict "diam < eps" is handled with tolerance 1e-12 on float inputs; exact
-Fraction inputs may pass tol=0 for zero-tolerance verification.
+family.  Separation counts consume lo, so every reported count is a
+certified bound.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .groups import GroupSpec, GroupWindow, WindowCapExceeded, ball, word_length
 
-STRICT_TOL = 1e-12
-EXACT_COVER_LIMIT = 24
 HAUSDORFF_S_CAP = 64.0
 
 # int64 holds an exact integer numerator below this magnitude
@@ -29,14 +25,6 @@ _INT64_LIMIT = 2 ** 63
 
 COORD_DIAMETERS = {"unit": Fraction(1), "torus": Fraction(1, 2),
                    "kset": Fraction(1), "pair": Fraction(1)}
-
-
-class CoverCapExceeded(RuntimeError):
-    pass
-
-
-class HypothesisUnsatisfiable(RuntimeError):
-    """The mass-distribution family cannot witness the principle hypothesis."""
 
 
 class ProbeViolation(AssertionError):
@@ -113,11 +101,6 @@ class WeightScheme:
 
     def total_upper(self) -> Fraction:
         return 1 + self.tail_upper(1)
-
-    def window_weight_sum(self, window: GroupWindow, shift=None) -> Fraction:
-        shift = shift or (0,) * self.rank
-        return sum(self.weight(tuple(c - s for c, s in zip(g, shift)))
-                   for g in window.elements)
 
 
 def tail_support(scheme: WeightScheme, eps, spec: GroupSpec | None = None,
@@ -217,56 +200,8 @@ class ProductMetric:
         return lo, hi
 
 
-def product_distance(x, y, scheme: WeightScheme, window: GroupWindow,
-                     kind: str = "unit") -> tuple:
-    """Certified interval for the infinite weighted sum distance."""
-    return ProductMetric(scheme, window, kind).interval(x, y)
-
-
-def dynamical_metric(scheme: WeightScheme, window: GroupWindow, kind: str,
-                     orbit: GroupWindow) -> ProductMetric:
-    """Sup over the orbit window of shifted base distances."""
-    return ProductMetric(scheme, window, kind, shifts=tuple(orbit.elements))
-
-
 # ---------------------------------------------------------------------------
-# covering machinery
-
-@dataclass(frozen=True)
-class CoverReport:
-    eps: object
-    lower: int
-    upper: int
-    exact: bool
-    window_size: int = 0
-    seconds: float = 0.0
-
-    def __post_init__(self):
-        if self.lower > self.upper:
-            raise ValueError("certified lower bound exceeds upper bound")
-
-    def to_json_line(self) -> str:
-        import json
-        return json.dumps({"eps": float(self.eps), "lower": str(self.lower),
-                           "upper": str(self.upper), "exact": self.exact,
-                           "window_size": self.window_size,
-                           "seconds": round(self.seconds, 6)},
-                          sort_keys=True)
-
-
-def _pair_cache(metric, points):
-    cache = {}
-
-    def dist(i, j):
-        if i > j:
-            i, j = j, i
-        key = (i, j)
-        if key not in cache:
-            cache[key] = metric.interval(points[i], points[j])
-        return cache[key]
-
-    return dist
-
+# separation
 
 def separated_set(cloud: PointCloud, metric, eps, indices=None) -> list[int]:
     """Greedy maximal subset with certified pairwise distance >= eps.
@@ -282,96 +217,13 @@ def separated_set(cloud: PointCloud, metric, eps, indices=None) -> list[int]:
     return chosen
 
 
-def _candidate_balls(points, metric, eps, tol):
-    """One tolerance-shrunk ball of radius eps/2 per point; diameters < eps
-    by the triangle inequality on the hi values."""
-    radius = eps / 2 - tol / 2 if tol else eps / 2
-    n = len(points)
-    balls = []
-    for i in range(n):
-        members = frozenset(j for j in range(n)
-                            if metric.interval(points[i], points[j])[1] <= radius)
-        balls.append(members)
-    return balls
-
-
-def _greedy_cover(balls, n) -> list[int]:
-    uncovered = set(range(n))
-    picked = []
-    while uncovered:
-        best, best_gain = None, -1
-        for idx, b in enumerate(balls):
-            gain = len(b & uncovered)
-            if gain > best_gain:
-                best, best_gain = idx, gain
-        if best_gain <= 0:
-            raise CoverCapExceeded("cover family cannot cover the cloud")
-        picked.append(best)
-        uncovered -= balls[best]
-    return picked
-
-
-def _exact_min_cover(balls, n) -> int:
-    """Branch and bound minimum set cover over the candidate family."""
-    best = [len(_greedy_cover(balls, n))]
-
-    def rec(uncovered: frozenset, used: int):
-        if not uncovered:
-            best[0] = min(best[0], used)
-            return
-        if used + 1 >= best[0]:
-            return
-        pivot = min(uncovered)
-        for b in balls:
-            if pivot in b:
-                rec(uncovered - b, used + 1)
-
-    rec(frozenset(range(n)), 0)
-    return best[0]
-
-
-def covering_number(cloud: PointCloud, metric, eps, mode: str = "bounds",
-                    tol=STRICT_TOL, exact_limit: int = EXACT_COVER_LIMIT,
-                    window_size: int | None = None) -> CoverReport:
-    """Certified covering bounds at scale eps for sets of diameter < eps.
-
-    Bounds mode: greedy maximal eps-separated size (lower) and greedy cover
-    by tolerance-shrunk eps/2 balls (upper).  Exact mode additionally runs
-    branch-and-bound minimum cover over the same ball family, so "exact" is
-    exact relative to ball covers; it refuses clouds above exact_limit.
-    """
-    import time
-    t0 = time.monotonic()
-    pts = cloud.points
-    if not pts:
-        raise ValueError("cloud must be nonempty")
-    n = len(pts)
-    lower = len(separated_set(cloud, metric, eps))
-    balls = _candidate_balls(pts, metric, eps, tol)
-    upper = len(_greedy_cover(balls, n))
-    exact = False
-    if mode == "exact":
-        if n > exact_limit:
-            raise CoverCapExceeded(
-                f"exact mode limited to {exact_limit} candidates, got {n}")
-        upper = _exact_min_cover(balls, n)
-        exact = upper == lower
-    if lower > upper:
-        # greedy separation used lo, cover used hi; bounds must still nest
-        raise AssertionError("certified bounds crossed; interval logic broken")
-    return CoverReport(eps=eps, lower=lower, upper=upper, exact=exact,
-                       window_size=window_size or len(cloud.window),
-                       seconds=time.monotonic() - t0)
-
-
 # ---------------------------------------------------------------------------
 # 1-d exact covering and separation (line and circle)
 
-def line_cover_count(values: Sequence, eps, tol=0) -> int:
+def line_cover_count(values: Sequence, eps) -> int:
     """Exact minimum number of diameter < eps sets covering points on a line."""
-    limit = eps - tol
-    if limit <= 0:
-        raise ValueError("cover budget eps - tol must be positive")
+    if eps <= 0:
+        raise ValueError("cover budget eps must be positive")
     vals = sorted(set(values))
     if not vals:
         return 0
@@ -380,7 +232,7 @@ def line_cover_count(values: Sequence, eps, tol=0) -> int:
     while i < len(vals):
         count += 1
         start = vals[i]
-        while i < len(vals) and vals[i] - start < limit:
+        while i < len(vals) and vals[i] - start < eps:
             i += 1
     return count
 
@@ -399,14 +251,14 @@ def line_separated_count(values: Sequence, eps) -> int:
     return count
 
 
-def circle_cover_count(values: Sequence, eps, tol=0) -> int:
+def circle_cover_count(values: Sequence, eps) -> int:
     """Exact minimum cover of points on the unit circle by arcs of diam < eps.
 
     Tries every point as the sweep start; exact for finite sets.
     """
-    limit = Fraction(eps) - Fraction(tol)
-    if limit <= 0:
-        raise ValueError("cover budget eps - tol must be positive")
+    eps = Fraction(eps)
+    if eps <= 0:
+        raise ValueError("cover budget eps must be positive")
     vals = sorted(set(Fraction(v) % 1 for v in values))
     n = len(vals)
     if n == 0:
@@ -424,7 +276,7 @@ def circle_cover_count(values: Sequence, eps, tol=0) -> int:
             while j < n:
                 cur = vals[(start + j) % n]
                 span = (cur - first) % 1
-                if span < limit:
+                if span < eps:
                     j += 1
                 else:
                     break
@@ -477,56 +329,3 @@ def hausdorff_dim_upper(covers: Sequence[Sequence], eps,
         else:
             hi = mid
     return lo
-
-
-@dataclass(frozen=True)
-class MassDistributionInput:
-    """Finitely supported measure plus candidate sets with known diameters.
-
-    measure maps point ids to masses summing to 1; each family entry is a
-    (member ids, diameter) pair.
-    """
-
-    measure: Mapping
-    family: tuple  # tuple of (frozenset of ids, diameter)
-
-    def __post_init__(self):
-        total = sum(self.measure.values())
-        if abs(float(total) - 1.0) > 1e-9:
-            raise ValueError("measure must sum to 1")
-
-
-def mass_distribution_bound(inp: MassDistributionInput, eps,
-                            s_cap: float = HAUSDORFF_S_CAP) -> float:
-    """Upper bound 2s on dim_H at scale eps by the mass distribution principle.
-
-    Hypothesis: eps < 1/6 and every support point sits in a family set A with
-    0 < diam A < eps/6 and mu(A) >= (diam A)^s.  Per point the least feasible
-    s is log mu(A) / log diam(A) minimized over its sets; the returned s is
-    the exact least value satisfying the hypothesis everywhere.
-    """
-    eps = float(eps)
-    if not eps < 1 / 6:
-        raise ValueError("the principle needs eps < 1/6")
-    mass = {}
-    for members, diam in inp.family:
-        d = float(diam)
-        if not (0 < d < eps / 6):
-            continue
-        mu = float(sum(inp.measure.get(p, 0) for p in members))
-        if mu <= 0:
-            continue
-        need = 0.0 if mu >= 1 else math.log(mu) / math.log(d)
-        for p in members:
-            if p in inp.measure and inp.measure[p] > 0:
-                cur = mass.get(p)
-                if cur is None or need < cur:
-                    mass[p] = need
-    missing = [p for p, m in inp.measure.items() if m > 0 and p not in mass]
-    if missing:
-        raise HypothesisUnsatisfiable(
-            f"no admissible set contains point(s) {missing[:3]}")
-    s_star = max(mass.values())
-    if s_star > s_cap:
-        return 2.0 * s_cap
-    return 2.0 * s_star

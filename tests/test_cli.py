@@ -262,9 +262,21 @@ def test_kspace_input_errors_are_spec_errors(tmp_path, capsys, args):
     (KSPACE, ["kg-experiment", "--eps-grid", "1/10,x"]),
     (HOMOG, ["homog-probe", "--eps-grid", "1/0"]),
     (SELFSIM, ["selfsimilar-probe", "--eps-grid", "1/4,1/0"]),
+    (GOLDEN, ["entropy", "--w", "0.5"]),
+    (MCMULLEN["omega"], ["entropy", "--w", "1.5"]),
+    (MCMULLEN["omega"], ["entropy", "--w", "nan"]),
+    (MCMULLEN, ["carpet-dims", "--w", "1.5"]),
+    (MCMULLEN, ["carpet-dims", "--w", "nan"]),
+    (GOLDEN, ["entropy", "--m-max", "0", "--folner", "boxes"]),
+    (MCMULLEN, ["carpet-dims", "--m-max", "0", "--folner", "boxes"]),
+    (HOMOG, ["homog-entropy", "--m-max", "0"]),
+    (KSPACE, ["kg-experiment", "--m-max", "0"]),
 ], ids=["mass-eps-text", "mass-eps-zero-den", "mass-k-list", "entropy-w",
         "carpet-w", "kg-grid-zero-den", "kg-grid-text", "homog-grid",
-        "selfsim-grid"])
+        "selfsim-grid", "entropy-w-unpaired", "entropy-w-above-one",
+        "entropy-w-nan", "carpet-w-above-one", "carpet-w-nan",
+        "entropy-boxes-m-max", "carpet-boxes-m-max", "homog-entropy-m-max",
+        "kg-m-max"])
 def test_unreadable_option_values_are_spec_errors(tmp_path, capsys, doc,
                                                   args):
     spec = write_spec(tmp_path, doc)

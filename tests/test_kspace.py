@@ -8,8 +8,8 @@ from meandim.kspace import (KSpaceSpec, _k_size, _k_sweep_count,
                             _unit_steps, _unit_sweep_count, gamma_bracket,
                             k_truncation, kg_covering_experiment,
                             kg_mass_distribution_demo, nu_interval_mass_log,
-                            nu_normalization_error, nu_point_mass,
-                            trend_slopes, unit_grid, zeta_bracket)
+                            nu_normalization_error, trend_slopes, unit_grid,
+                            zeta_bracket)
 from meandim.metrics import (WeightScheme, line_cover_count,
                              line_separated_count, tail_support)
 
@@ -173,15 +173,18 @@ def test_cube_experiment():
 
 
 def test_nu_measure_values():
-    assert nu_point_mass(0) == 0.5
-    assert nu_point_mass(1) == pytest.approx(3 / math.pi ** 2)
+    # below the gap to the next K point the interval mass is the atom
+    tiny = math.log(1e-9)
+    assert nu_interval_mass_log(0, tiny) == pytest.approx(math.log(0.5))
+    assert nu_interval_mass_log(1, tiny) == pytest.approx(
+        math.log(3 / math.pi ** 2))
     assert nu_normalization_error() < 1e-9
 
 
 def test_nu_interval_masses():
     # radius below the gap keeps only the atom
     assert nu_interval_mass_log(3, math.log(1e-9)) == pytest.approx(
-        math.log(nu_point_mass(3)))
+        math.log(3 / (math.pi ** 2 * 9)))
     # radius past the point 0 collects the zero atom and the whole tail
     got = nu_interval_mass_log(2, math.log(1.0))
     expect = math.log(0.5 + (3 / math.pi ** 2) * sum(1 / j ** 2

@@ -4,13 +4,10 @@ import pytest
 from fractions import Fraction
 
 from meandim.groups import GroupSpec, GroupWindow, ball, interval
-from meandim.metrics import (CoverReport, HypothesisUnsatisfiable,
-                             MassDistributionInput, PointCloud, ProductMetric,
-                             WeightScheme, circle_cover_count, covering_number,
-                             dynamical_metric, hausdorff_dim_upper,
+from meandim.metrics import (PointCloud, ProductMetric, WeightScheme,
+                             circle_cover_count, hausdorff_dim_upper,
                              hausdorff_sum, kset_value, line_cover_count,
-                             line_separated_count, mass_distribution_bound,
-                             product_distance, separated_set, sphere_size,
+                             line_separated_count, separated_set, sphere_size,
                              tail_support)
 
 SPEC1 = GroupSpec(1)
@@ -50,18 +47,19 @@ def test_product_distance_interval():
     w0 = GroupWindow(spec=SPEC1, elements=((0,),))
     ws = WeightScheme(1, Fraction(1, 5))  # tail over g != 0 is exactly 1/2
     assert ws.tail_upper(1) == Fraction(1, 2)
-    lo, hi = product_distance((Fraction(3, 10),), (Fraction(0),), ws, w0)
+    metric = ProductMetric(ws, w0, "unit")
+    lo, hi = metric.interval((Fraction(3, 10),), (Fraction(0),))
     assert lo == Fraction(3, 10)
     assert hi == Fraction(8, 10)
-    lo, hi = product_distance((Fraction(1, 2),), (Fraction(1, 2),), ws, w0)
+    lo, hi = metric.interval((Fraction(1, 2),), (Fraction(1, 2),))
     assert lo == 0 and hi == Fraction(1, 2)
 
 
 def test_torus_coordinate_distance():
     w0 = GroupWindow(spec=SPEC1, elements=((0,),))
     ws = WeightScheme(1, Fraction(1, 4))
-    lo, _ = product_distance((Fraction(1, 10),), (Fraction(9, 10),), ws, w0,
-                             kind="torus")
+    lo, _ = ProductMetric(ws, w0, "torus").interval((Fraction(1, 10),),
+                                                    (Fraction(9, 10),))
     assert lo == Fraction(1, 5)
 
 
@@ -69,7 +67,7 @@ def test_dynamical_metric_identity_orbit_is_base():
     ws = WeightScheme(1, Fraction(1, 4))
     win = interval(-1, 1)
     base = ProductMetric(ws, win, "unit")
-    dyn = dynamical_metric(ws, win, "unit", ball(0, SPEC1))
+    dyn = ProductMetric(ws, win, "unit", shifts=tuple(ball(0, SPEC1).elements))
     x = (Fraction(1, 3), Fraction(0), Fraction(1, 2))
     y = (Fraction(0), Fraction(0), Fraction(0))
     assert base.interval(x, y) == dyn.interval(x, y)
@@ -78,7 +76,7 @@ def test_dynamical_metric_identity_orbit_is_base():
 def test_dynamical_metric_constant_configurations():
     ws = WeightScheme(1, Fraction(1, 4))
     win = interval(-2, 2)
-    dyn = dynamical_metric(ws, win, "unit", ball(1, SPEC1))
+    dyn = ProductMetric(ws, win, "unit", shifts=tuple(ball(1, SPEC1).elements))
     x = (Fraction(1, 2),) * 5
     assert dyn.interval(x, x)[0] == 0
 
@@ -89,7 +87,7 @@ def test_dynamical_metric_against_shift_oracle():
     win = interval(-2, 2)
     x = tuple(Fraction(0) for _ in range(5))
     y = tuple(Fraction(1) if c == (1,) else Fraction(0) for c in win.elements)
-    dyn = dynamical_metric(ws, win, "unit", ball(1, SPEC1))
+    dyn = ProductMetric(ws, win, "unit", shifts=tuple(ball(1, SPEC1).elements))
     lo, hi = dyn.interval(x, y)
     expected = max(ws.weight((1 - s,)) for s in (-1, 0, 1))
     assert lo == expected
@@ -133,60 +131,6 @@ def brute_force_min_cover(values, eps):
     return solve((1 << n) - 1)
 
 
-def test_covering_singleton_and_separated_pair():
-    cloud = kset_cloud([1])
-    rep = covering_number(cloud, tiny_metric(cloud), Fraction(1, 4),
-                          mode="exact", tol=0)
-    assert (rep.lower, rep.upper, rep.exact) == (1, 1, True)
-    # two points at triple the scale force two sets
-    cloud2 = kset_cloud([1, 0])  # distance 1, eps 1/3
-    rep2 = covering_number(cloud2, tiny_metric(cloud2), Fraction(1, 3),
-                           mode="exact", tol=0)
-    assert (rep2.lower, rep2.upper) == (2, 2)
-
-
-def test_covering_k_cloud_exact_vs_bruteforce():
-    # exact mode against the unrestricted brute-force optimum: the reported
-    # pair must bracket it, and ball covers are an upper bound by design
-    eps = Fraction(3, 10)
-    for codes in ([0] + list(range(1, 8)), [0] + list(range(1, 7))):
-        cloud = kset_cloud(codes)
-        values = [kset_value(c) for c in codes]
-        oracle = brute_force_min_cover(values, eps)
-        rep = covering_number(cloud, tiny_metric(cloud), eps, mode="exact",
-                              tol=0)
-        assert oracle == 3
-        assert rep.lower <= oracle <= rep.upper
-
-
-def test_covering_exact_achieves_optimum_on_grid():
-    w0 = GroupWindow(spec=SPEC1, elements=((0,),))
-    vals = [Fraction(0), Fraction(1, 10), Fraction(2, 10), Fraction(5, 10),
-            Fraction(6, 10)]
-    cloud = PointCloud(window=w0, kind="unit",
-                       points=tuple((v,) for v in vals))
-    eps = Fraction(1, 4)
-    oracle = brute_force_min_cover(vals, eps)
-    rep = covering_number(cloud, tiny_metric(cloud), eps, mode="exact", tol=0)
-    assert rep.upper == oracle == 2
-    assert rep.lower == 2
-    assert rep.exact
-
-
-def test_covering_monotone_in_eps():
-    codes = [0] + list(range(1, 10))
-    cloud = kset_cloud(codes)
-    metric = tiny_metric(cloud)
-    uppers, lowers = [], []
-    for eps in (Fraction(1, 2), Fraction(1, 4), Fraction(1, 8), Fraction(1, 16)):
-        rep = covering_number(cloud, metric, eps, tol=0)
-        uppers.append(rep.upper)
-        lowers.append(rep.lower)
-        assert rep.lower <= rep.upper
-    assert uppers == sorted(uppers)
-    assert lowers == sorted(lowers)
-
-
 def test_separated_set_basics():
     cloud = kset_cloud([3, 3, 3])
     assert len(separated_set(cloud, tiny_metric(cloud), Fraction(1, 10))) == 1
@@ -201,10 +145,11 @@ def test_separated_vs_cover_double_scale():
     codes = [0] + list(range(1, 12))
     cloud = kset_cloud(codes)
     metric = tiny_metric(cloud)
+    values = [kset_value(c) for c in codes]
     for eps in (Fraction(1, 5), Fraction(1, 9), Fraction(1, 17)):
-        rep = covering_number(cloud, metric, eps, tol=0)
+        cover = line_cover_count(values, eps)
         sep2 = len(separated_set(cloud, metric, 2 * eps))
-        assert sep2 <= rep.upper
+        assert sep2 <= cover
 
 
 def test_hausdorff_sum():
@@ -228,38 +173,10 @@ def test_hausdorff_dim_upper_closed_forms():
 def test_hausdorff_below_minkowski_at_scale():
     eps = Fraction(1, 8)
     codes = [0] + list(range(1, 10))
-    cloud = kset_cloud(codes)
-    rep = covering_number(cloud, tiny_metric(cloud), eps, tol=0)
-    cover = [float(eps) * 0.99] * rep.upper
+    upper = line_cover_count([kset_value(c) for c in codes], eps)
+    cover = [float(eps) * 0.99] * upper
     got = hausdorff_dim_upper([cover], eps=float(eps))
-    assert got <= math.log(rep.upper) / math.log(1 / float(eps)) + 1e-6
-
-
-def test_mass_distribution_bound_uniform_oracle():
-    n, q = 16, 1e-3
-    measure = {i: Fraction(1, n) for i in range(n)}
-    family = tuple((frozenset([i]), q) for i in range(n))
-    inp = MassDistributionInput(measure=measure, family=family)
-    got = mass_distribution_bound(inp, eps=0.1)
-    assert abs(got - 2 * math.log(n) / math.log(1 / q)) < 1e-9
-
-
-def test_mass_distribution_bound_monotone_under_removal():
-    measure = {i: Fraction(1, 4) for i in range(4)}
-    fine = tuple((frozenset([i]), 1e-3) for i in range(4))
-    coarse = (frozenset([0, 1]), 5e-3)
-    both = MassDistributionInput(measure=measure, family=fine + (coarse,))
-    fewer = MassDistributionInput(measure=measure, family=fine)
-    assert mass_distribution_bound(both, 0.1) <= mass_distribution_bound(
-        fewer, 0.1)
-
-
-def test_mass_distribution_unsatisfiable():
-    measure = {0: Fraction(1, 2), 1: Fraction(1, 2)}
-    family = ((frozenset([0]), 1e-3),)
-    with pytest.raises(HypothesisUnsatisfiable):
-        mass_distribution_bound(MassDistributionInput(measure=measure,
-                                                      family=family), 0.1)
+    assert got <= math.log(upper) / math.log(1 / float(eps)) + 1e-6
 
 
 def test_line_sweeps_are_exact():
@@ -282,40 +199,17 @@ def test_circle_cover_wraps():
 def test_line_cover_rejects_zero_budget():
     vals = [Fraction(0), Fraction(1, 2)]
     with pytest.raises(ValueError):
-        line_cover_count(vals, Fraction(1, 10), tol=Fraction(1, 10))
-    with pytest.raises(ValueError):
         line_cover_count(vals, 0)
+    with pytest.raises(ValueError):
+        line_cover_count(vals, Fraction(-1, 8))
 
 
 def test_circle_cover_rejects_zero_budget():
     vals = [Fraction(0), Fraction(1, 2)]
     with pytest.raises(ValueError):
-        circle_cover_count(vals, Fraction(1, 10), tol=Fraction(1, 10))
+        circle_cover_count(vals, 0)
     with pytest.raises(ValueError):
         circle_cover_count(vals, Fraction(-1, 8))
-
-
-def test_cover_report_validation():
-    with pytest.raises(ValueError):
-        CoverReport(eps=0.1, lower=5, upper=3, exact=False)
-
-
-def test_cover_report_json_line_stream_shape():
-    rep = CoverReport(eps=Fraction(1, 8), lower=3, upper=5, exact=False,
-                      window_size=7, seconds=0.25)
-    import json as _json
-    doc = _json.loads(rep.to_json_line())
-    assert set(doc) == {"eps", "lower", "upper", "exact", "window_size",
-                        "seconds"}
-    assert doc["lower"] == "3" and doc["upper"] == "5"
-
-
-def test_exact_mode_refused_above_limit():
-    from meandim.metrics import CoverCapExceeded
-    cloud = kset_cloud([0] + list(range(1, 30)))
-    with pytest.raises(CoverCapExceeded):
-        covering_number(cloud, tiny_metric(cloud), Fraction(1, 100),
-                        mode="exact", tol=0)
 
 
 def test_tail_support_radius_cap():
