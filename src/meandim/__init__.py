@@ -6,10 +6,9 @@ from .groups import (FolnerDescriptor, GroupSpec, GroupWindow,
                      folner_defect, interval, product_window, word_length)
 from .subshifts import (Alphabet, FiberTable, PatternCapExceeded, PatternSet,
                         Rule, SubshiftSpec, cellwise_pair_shift, count_patterns,
-                        enumerate_patterns, fiber_counts, fiber_table,
-                        full_shift, golden_mean, hard_square, mcmullen_shift,
-                        pair_shift_with_b_rule, project, projected_spec,
-                        spec_from_json)
+                        enumerate_patterns, fiber_table, full_shift,
+                        golden_mean, hard_square, mcmullen_shift,
+                        pair_shift_with_b_rule, projected_spec, spec_from_json)
 from .metrics import (PointCloud, ProductMetric, WeightScheme,
                       hausdorff_dim_upper, hausdorff_sum, separated_set,
                       tail_support)

@@ -24,8 +24,7 @@ from .metrics import WeightScheme, exact_int_dtype
 from .entropy import (entropy_estimate, entropy_series, log_big,
                       log_z_from_fibers, weighted_entropy_series)
 from .subshifts import (FiberTable, SubshiftSpec, count_patterns,
-                        enumerate_patterns, fiber_counts, project,
-                        projected_spec)
+                        enumerate_patterns, projected_spec)
 
 DEFAULT_CLOUD_CAP = 200_000
 DEFAULT_CELL_SAMPLES = 48
@@ -316,19 +315,20 @@ def sandwich_check(spec: CarpetSpec, m: int, l: int,
     (mode "product"): a differing pair must differ in some cell, and the sup
     distance is the max of per-cell distances.  Other rules are checked on
     ball(m) itself (mode "explicit") under the cloud cap.  The checked window
-    is enumerated once.  Zero tolerance: both scales and all distances are
-    integer numerators over one denominator, compared row by row.
+    is enumerated once, and the product count comes from it: |patterns|^k
+    |projected patterns|^(l-k), raised to |ball(m)| in product mode.  Zero
+    tolerance: both scales and all distances are integer numerators over one
+    denominator, compared row by row.
     """
     a, b = spec.a, spec.b
     k = floor_wl(a, b, l)
-    window = ball(m, spec.omega.group)
-    n_omega = count_patterns(spec.omega, window)
-    pspec = projected_spec(spec.omega)
-    if pspec is not None:
-        n_proj = count_patterns(pspec, window)
-    else:
-        n_proj = project(enumerate_patterns(spec.omega, window, cloud_cap)).count
-    product_count = n_omega ** k * n_proj ** (l - k)
+    mode, checked_m = (("product", 0) if _is_product_rule(spec.omega)
+                       else ("explicit", m))
+    patterns, fibers = _pattern_set_tools(
+        spec, ball(checked_m, spec.omega.group), cloud_cap)
+    product_count = len(patterns) ** k * len(fibers) ** (l - k)
+    if mode == "product":
+        product_count **= len(ball(m, spec.omega.group))
     sep_scale = Fraction(1, b ** l)
     cov_scale = Fraction(a, b ** l)
     if product_count == 0:
@@ -337,10 +337,6 @@ def sandwich_check(spec: CarpetSpec, m: int, l: int,
                               separation_scale=sep_scale, cover_scale=cov_scale,
                               mode="empty", pairs_checked=0)
 
-    mode, checked_m = (("product", 0) if _is_product_rule(spec.omega)
-                       else ("explicit", m))
-    patterns, fibers = _pattern_set_tools(
-        spec, ball(checked_m, spec.omega.group), cloud_cap)
     # representatives reach depth l and cell samples depth l + 1; the depth-l
     # denominator divides the depth-(l + 1) one, so one D serves both
     denom = _carpet_denominator(a, b, l + 1)
@@ -395,12 +391,13 @@ class CarpetMeasure:
     @staticmethod
     def build(spec: CarpetSpec, m: int, cap: int = DEFAULT_CLOUD_CAP) -> "CarpetMeasure":
         window = ball(m, spec.omega.group)
-        ps = enumerate_patterns(spec.omega, window, cap)
-        table = fiber_counts(ps)
+        patterns, fibers = _pattern_set_tools(spec, window, cap)
+        table = FiberTable(spec=spec.omega, window=window,
+                           entries={v: len(us) for v, us in fibers.items()})
         w = spec.w
         return CarpetMeasure(spec=spec, window=window, table=table, w=w,
                              log_z=log_z_from_fibers(table, w),
-                             legal=frozenset(ps.patterns))
+                             legal=frozenset(patterns))
 
     def log_f_pair(self, v: bytes) -> float:
         t = self.table.entries[v]
@@ -587,13 +584,15 @@ def carpet_dimension_report(spec: CarpetSpec, m_max: int, l_max: int,
     skipped = []
     pair_budget = 10**5
     for m in range(0, min(m_max, 1) + 1):
+        bases = None
+        if not _is_product_rule(spec.omega):
+            window = ball(m, spec.omega.group)
+            bases = (count_patterns(spec.omega, window),
+                     count_patterns(pspec, window))
         for l in range(1, l_max + 1):
-            if not _is_product_rule(spec.omega):
-                window = ball(m, spec.omega.group)
+            if bases is not None:
                 k = floor_wl(spec.a, spec.b, l)
-                n_omega = count_patterns(spec.omega, window)
-                n_proj = count_patterns(pspec, window)
-                reps = n_omega ** k * n_proj ** (l - k)
+                reps = bases[0] ** k * bases[1] ** (l - k)
                 if reps * reps > pair_budget:
                     skipped.append({"m": m, "l": l, "reps": str(reps),
                                     "reason": "pairwise budget"})

@@ -156,6 +156,13 @@ def _folner_indices(args, first: int) -> tuple:
     return tuple(range(first, args.m_max + 1))
 
 
+def _at_least_one(option: str, values) -> list:
+    """The values given for `option`; any value below 1 is a SpecError."""
+    if any(v < 1 for v in values):
+        raise SpecError(f"{option} values must be at least 1")
+    return values
+
+
 def _num(value, provenance: str) -> dict:
     return {"value": value, "provenance": provenance}
 
@@ -197,6 +204,7 @@ def _cmd_carpet_dims(system: CarpetSpec, args) -> dict:
     w = _parse_w(args.w)
     caps = parse_caps(args.caps)
     _folner_indices(args, 1 if args.folner == "boxes" else 0)
+    _at_least_one("--l-max", [args.l_max])
     report = carpet_dimension_report(system, m_max=args.m_max,
                                      l_max=args.l_max,
                                      folner_family=args.folner,
@@ -227,7 +235,7 @@ def _cmd_selfsimilar_probe(system: SelfSimilarSpec, args) -> dict:
     grid = (_parse_eps_grid(args.eps_grid) if args.eps_grid
             else [system.c ** j for j in range(2, 9)])
     windows = [box(n, GroupSpec(1)) for n in
-               (args.window_sizes or (512,))]
+               _at_least_one("--window-sizes", args.window_sizes or [512])]
     report = selfsimilar_cover_probe(system, grid, windows)
     report["slopes"] = {str(k): _num(v, "certified-bound")
                         for k, v in report["slopes"].items()}
@@ -238,7 +246,7 @@ def _cmd_selfsimilar_probe(system: SelfSimilarSpec, args) -> dict:
 
 def _cmd_homog_entropy(system: HomogeneousSpec, args) -> dict:
     folner = FolnerDescriptor(args.folner, _folner_indices(args, 1))
-    depths = args.depths or [4, 8, 12]
+    depths = _at_least_one("--depths", args.depths or [4, 8, 12])
     out = homogeneous_gxn_entropy(system, folner, depths)
     rows = [(r.n, r.depth, r.size, r.log_count, r.per_site)
             for r in out["series"].rows]

@@ -40,7 +40,6 @@ class EntropySeries:
     family: str
     rows: tuple
     name: str = ""
-    boundary: str = "free"
 
     @property
     def empty_system(self) -> bool:
@@ -119,7 +118,7 @@ def entropy_estimate(series: EntropySeries) -> EntropyEstimate:
                                empty_system=True)
     value = series.rows[-1].per_site
     certified = None
-    if series.family == "boxes" and series.boundary == "free":
+    if series.family == "boxes":
         certified = min(r.per_site for r in series.rows)
     return EntropyEstimate(value=value, certified_upper=certified)
 

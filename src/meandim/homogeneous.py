@@ -10,8 +10,10 @@ distances are exact integer numerators over B Q, computed once per cloud as
 pair tables: the plain one with the shifts F_n, the product-action one with
 the shifts SF_n over each point's scaled copies x b^j mod 1, j < N (codes
 c b^j mod B).  Torus distances are min(d mod B, B - d mod B); eps, the
-threshold and the cover radii are integer bounds.  `metrics.ProductMetric`
-and `_ScaledOrbit` are the Fraction reference for the two distances.
+threshold and the cover radii are integer bounds, and one greedy walk on a
+table gives both its separated-set and its cover count.
+`metrics.ProductMetric` and `_ScaledOrbit` are the Fraction reference for
+the two distances.
 """
 from __future__ import annotations
 
@@ -25,8 +27,7 @@ import numpy as np
 from .groups import (FolnerDescriptor, GroupSpec, GroupWindow, minkowski_sum,
                      product_window)
 from .metrics import (ProbeViolation, ProductMetric, WeightScheme,
-                      circle_cover_count, exact_int_dtype, separated_set,
-                      tail_support)
+                      circle_cover_count, exact_int_dtype, tail_support)
 from .entropy import gxn_entropy_series
 from .subshifts import SubshiftSpec, enumerate_patterns
 
@@ -124,7 +125,7 @@ class _ScaledOrbit:
     maximized over the scaled copies x b^j mod 1, j < N, of each point.
 
     The exact reference for the probe's right distance, which the probe
-    itself evaluates on integer codes (`_PairTable.build`).
+    itself evaluates on integer codes (`_pair_distances`).
     """
 
     metric: ProductMetric
@@ -154,34 +155,17 @@ def _shift_weights(scheme: WeightScheme, window: GroupWindow,
              for cell in window.elements] for g in shifts]
 
 
-@dataclass(frozen=True)
-class _PairTable:
-    """One side's pair distances as integer numerators, in a shape
-    `separated_set` reads: the points are the indices and `interval` gives
-    the exact distance as its lower end (the only end it reads)."""
-
-    dist: np.ndarray
-
-    @staticmethod
-    def build(copies, modulus: int, weights, dtype) -> "_PairTable":
-        """dist[i, j]: the max over copies k and shifts g of sum_c
-        weights[g][c] times the torus distance of copies[i][k][c] and
-        copies[j][k][c], for integer codes over `modulus` and integer
-        weights, computed row by row."""
-        copies = np.array(copies, dtype=dtype)
-        weights_t = np.array(weights, dtype=dtype).T
-        dist = np.empty((len(copies), len(copies)), dtype=dtype)
-        for i in range(len(copies)):
-            d = (copies - copies[i]) % modulus
-            dist[i] = (np.minimum(d, modulus - d) @ weights_t).max(axis=(1, 2))
-        return _PairTable(dist)
-
-    @property
-    def points(self) -> range:
-        return range(len(self.dist))
-
-    def interval(self, i, j) -> tuple:
-        return (self.dist[i, j],)
+def _pair_distances(copies, modulus: int, weights, dtype) -> np.ndarray:
+    """dist[i, j]: the max over copies k and shifts g of sum_c weights[g][c]
+    times the torus distance of copies[i][k][c] and copies[j][k][c], for
+    integer codes over `modulus` and integer weights, computed row by row."""
+    copies = np.array(copies, dtype=dtype)
+    weights_t = np.array(weights, dtype=dtype).T
+    dist = np.empty((len(copies), len(copies)), dtype=dtype)
+    for i in range(len(copies)):
+        d = (copies - copies[i]) % modulus
+        dist[i] = (np.minimum(d, modulus - d) @ weights_t).max(axis=(1, 2))
+    return dist
 
 
 def _distance_tables(spec: HomogeneousSpec, fwin: GroupWindow,
@@ -202,25 +186,30 @@ def _distance_tables(spec: HomogeneousSpec, fwin: GroupWindow,
     right_w = _shift_weights(spec.weights, orbit, orbit.elements)
     q = math.lcm(*(w.denominator for row in left_w + right_w for w in row))
     dtype = exact_int_dtype(len(orbit) * modulus * q)
-    left = _PairTable.build([[p] for p in codes], modulus,
-                            [[int(w * q) for w in row] for row in left_w],
-                            dtype)
+    left = _pair_distances([[p] for p in codes], modulus,
+                           [[int(w * q) for w in row] for row in left_w],
+                           dtype)
     mults = [spec.base ** j for j in range(depth_n)]
-    right = _PairTable.build([[[c * mult % modulus for c in p]
-                               for mult in mults] for p in codes], modulus,
-                             [[int(w * q) for w in row] for row in right_w],
-                             dtype)
+    right = _pair_distances([[[c * mult % modulus for c in p]
+                              for mult in mults] for p in codes], modulus,
+                            [[int(w * q) for w in row] for row in right_w],
+                            dtype)
     return left, right, modulus * q
 
 
-# Min-index greedy on the exact distance: the report prints this count.
-def _greedy_cover_count(dist, half) -> int:
-    """Centres at the least uncovered index; each covers distance <= half."""
+def _greedy_count(dist, bound: int) -> int:
+    """Greedy walk on a symmetric table with zero diagonal: pick the least
+    remaining index, drop every point within distance <= bound of it.
+
+    With bound a cover's radius this counts the min-index greedy cover; with
+    bound e - 1 it counts the greedy e-separated set in index order, since
+    d >= e iff d > e - 1 for integer numerators.
+    """
     remaining = np.ones(len(dist), dtype=bool)
     count = 0
     while remaining.any():
         count += 1
-        remaining &= dist[int(np.argmax(remaining))] > half
+        remaining &= dist[int(np.argmax(remaining))] > bound
     return count
 
 
@@ -248,8 +237,9 @@ def homogeneous_covering_probe(spec: HomogeneousSpec,
     With N chosen by b^-N <= eps < b^-N+1 and S the eps/2 tail support, every
     pair at product-metric distance below 1/(2 c b) over SF_n x {0..N-1} must
     sit within eps in the plain dynamical metric over F_n.  Any violating pair
-    aborts with a witness; greedy covering counts on both sides are reported
-    and their certified bounds must nest.
+    aborts with a witness.  Each side reports a greedy separated-set count
+    (lower) and a greedy cover count (upper), both from `_greedy_count`, and
+    the left lower count must not exceed the right upper one.
     """
     group = GroupSpec(spec.group_rank)
     weights = spec.weights
@@ -268,22 +258,20 @@ def homogeneous_covering_probe(spec: HomogeneousSpec,
             # eps, threshold and the cover radii as integer bounds
             eps_num = math.ceil(eps * den)  # d < eps iff num < eps_num
             threshold_num = math.ceil(threshold * den)
-            bad = np.triu((right.dist < threshold_num)
-                          & (left.dist >= eps_num), 1)
+            bad = np.triu((right < threshold_num) & (left >= eps_num), 1)
             if bad.any():
                 i, j = (int(v) for v in np.argwhere(bad)[0])
-                d_right = Fraction(int(right.dist[i, j]), den)
-                d_left = Fraction(int(left.dist[i, j]), den)
+                d_right = Fraction(int(right[i, j]), den)
+                d_left = Fraction(int(left[i, j]), den)
                 raise ProbeViolation(
                     f"pair {i},{j}: right distance {float(d_right):.6g} "
                     f"< {float(threshold):.6g} but left distance "
                     f"{float(d_left):.6g} >= eps {float(eps):.6g}")
-            n_pts = len(left.dist)
-            left_low = len(separated_set(left, left, eps_num))
-            left_up = _greedy_cover_count(left.dist, math.floor(eps * den / 2))
-            right_low = len(separated_set(right, right, threshold_num))
-            right_up = _greedy_cover_count(right.dist,
-                                           math.floor(threshold * den / 2))
+            n_pts = len(left)
+            left_low = _greedy_count(left, eps_num - 1)
+            left_up = _greedy_count(left, math.floor(eps * den / 2))
+            right_low = _greedy_count(right, threshold_num - 1)
+            right_up = _greedy_count(right, math.floor(threshold * den / 2))
             if left_low > right_up:
                 raise ProbeViolation(
                     f"certified counts crossed: left lower {left_low} > "

@@ -2,7 +2,7 @@
 
 Exact pattern enumeration (backtracking with forward checking), exact big
 integer counting (one frontier, or broken-profile, transfer DP for every rule
-on every window), projections of paired alphabets and fiber statistics.
+on every window), the projected rule of a paired alphabet and fiber counts.
 
 Pattern legality on a window checks the rules that fit entirely inside the
 window (free boundary).  For the shipped rule classes this either matches the
@@ -471,66 +471,25 @@ def extensible_symbols(rule: Rule, axis: int) -> tuple:
 def projection_count_interval(spec: SubshiftSpec, window: GroupWindow) -> int:
     """Exact count of globally extendable patterns on a 1-d interval window.
 
-    Valid for rank-1 nearest-neighbor rules: a legal word extends to a
-    bi-infinite configuration iff its first symbol extends backward forever
-    and its last forward forever.
+    Valid for rank-1 nearest-neighbor rules.  The backward-extensible
+    symbols are closed under successors and the forward-extensible ones
+    under predecessors, so a legal word extends to a bi-infinite
+    configuration iff every symbol in it is both: the count is
+    `count_patterns` with the rule's symbols trimmed to that set.
     """
     if spec.rank != 1 or spec.rule.forbidden:
         raise ValueError("projection counts implemented for 1-d NN rules")
     xs = sorted(c[0] for c in window.elements)
     if not xs or xs != list(range(xs[0], xs[0] + len(xs))):
         raise ValueError("window is not an interval")
-    n = len(window)
-    rule = spec.rule
-    bwd, fwd = extensible_symbols(rule, 0)
-    mat = rule.matrix_for_axis(0)
-    if mat is None:
-        return len(set(rule.symbols) & bwd & fwd) ** n
-    vec = {s: 1 if s in bwd else 0 for s in rule.symbols}
-    for _ in range(n - 1):
-        nxt = {t: 0 for t in rule.symbols}
-        for s, cnt in vec.items():
-            if not cnt:
-                continue
-            for t in rule.symbols:
-                if mat[s][t]:
-                    nxt[t] += cnt
-        vec = nxt
-    return sum(cnt for s, cnt in vec.items() if s in fwd)
+    bwd, fwd = extensible_symbols(spec.rule, 0)
+    trimmed = Rule(size=spec.rule.size, allowed_symbols=bwd & fwd,
+                   axis_allowed=spec.rule.axis_allowed)
+    return count_patterns(SubshiftSpec(1, spec.alphabet, trimmed), window)
 
 
 # ---------------------------------------------------------------------------
-# projections and fibers
-
-def project(ps: PatternSet) -> PatternSet:
-    """Image of the patterns under the B-component projection, deduplicated."""
-    alpha = ps.spec.alphabet
-    if not alpha.is_paired:
-        raise ValueError("projection needs a paired alphabet")
-    b = alpha.b
-    seen = {}
-    for p in ps.patterns:
-        v = bytes(s % b for s in p)
-        seen.setdefault(v, None)
-    pspec = projected_spec(ps.spec)
-    if pspec is None:
-        pspec = SubshiftSpec(ps.spec.rank, Alphabet(b), Rule.full(b),
-                             ps.spec.name + "-proj")
-    return PatternSet(spec=pspec, window=ps.window, patterns=tuple(seen))
-
-
-def fiber_counts(ps: PatternSet) -> FiberTable:
-    """Group patterns by their B projection; sums back to the total count."""
-    alpha = ps.spec.alphabet
-    if not alpha.is_paired:
-        raise ValueError("fiber counts need a paired alphabet")
-    b = alpha.b
-    entries: dict = {}
-    for p in ps.patterns:
-        v = bytes(s % b for s in p)
-        entries[v] = entries.get(v, 0) + 1
-    return FiberTable(spec=ps.spec, window=ps.window, entries=entries)
-
+# fibers
 
 def fiber_table(spec: SubshiftSpec, window: GroupWindow,
                 cap: int = DEFAULT_PATTERN_CAP) -> FiberTable:

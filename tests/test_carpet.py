@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from meandim.groups import GroupSpec, ball
-from meandim.subshifts import (cellwise_pair_shift, full_shift, golden_mean,
+from meandim.subshifts import (Alphabet, Rule, SubshiftSpec,
+                               cellwise_pair_shift, full_shift, golden_mean,
                                mcmullen_shift, pair_shift_with_b_rule)
 from meandim.carpet import (CarpetMeasure, CarpetSpec, IllegalPrefix, PsiCell,
                             carpet_dimension_report, carpet_representatives,
@@ -17,6 +18,11 @@ MCMULLEN = CarpetSpec(a=4, b=2, omega=mcmullen_shift())
 FULL22 = CarpetSpec(a=2, b=2, omega=full_shift((2, 2)))
 FULL32 = CarpetSpec(a=3, b=2, omega=full_shift((3, 2)))
 GOLDEN_B = CarpetSpec(a=2, b=2, omega=pair_shift_with_b_rule(2, golden_mean()))
+# no two adjacent cells both carry A digit 1: a rule on A across cells, for
+# which `projected_spec` returns None
+PAIRED_A = CarpetSpec(a=2, b=2, omega=SubshiftSpec(
+    1, Alphabet(4, pair=(2, 2)),
+    Rule.nearest_neighbor(4, {0: [(2, 2), (2, 3), (3, 2), (3, 3)]})))
 
 
 def test_spec_validation():
@@ -417,8 +423,13 @@ SANDWICH_PINS = {
     ("full32", 1, 1): ("product", 0, 8, 307, "1/2", "3/2"),
     ("full32", 1, 2): ("product", 1, 1728, 1902, "1/4", "3/4"),
     ("full32", 1, 3): ("product", 1, 13824, 24036, "1/8", "3/8"),
+    ("paired_a", 0, 1): ("explicit", 1, 4, 30, "1/2", "1"),
+    ("paired_a", 0, 2): ("explicit", 2, 16, 216, "1/4", "1/2"),
+    ("paired_a", 0, 3): ("explicit", 3, 64, 2400, "1/8", "1/4"),
+    ("paired_a", 1, 1): ("explicit", 1, 40, 31980, "1/2", "1"),
 }
-PIN_SPECS = {"mcmullen": MCMULLEN, "golden_b": GOLDEN_B, "full32": FULL32}
+PIN_SPECS = {"mcmullen": MCMULLEN, "golden_b": GOLDEN_B, "full32": FULL32,
+             "paired_a": PAIRED_A}
 
 
 def _pinned_report(key):

@@ -271,12 +271,20 @@ def test_kspace_input_errors_are_spec_errors(tmp_path, capsys, args):
     (MCMULLEN, ["carpet-dims", "--m-max", "0", "--folner", "boxes"]),
     (HOMOG, ["homog-entropy", "--m-max", "0"]),
     (KSPACE, ["kg-experiment", "--m-max", "0"]),
+    (SELFSIM, ["selfsimilar-probe", "--window-sizes", "0"]),
+    (SELFSIM, ["selfsimilar-probe", "--window-sizes", "4", "-1"]),
+    (HOMOG, ["homog-entropy", "--depths", "0"]),
+    (HOMOG, ["homog-entropy", "--depths", "4", "-2"]),
+    (MCMULLEN, ["carpet-dims", "--l-max", "0"]),
+    (GOLDEN_B, ["carpet-dims", "--l-max", "-1"]),
 ], ids=["mass-eps-text", "mass-eps-zero-den", "mass-k-list", "entropy-w",
         "carpet-w", "kg-grid-zero-den", "kg-grid-text", "homog-grid",
         "selfsim-grid", "entropy-w-unpaired", "entropy-w-above-one",
         "entropy-w-nan", "carpet-w-above-one", "carpet-w-nan",
         "entropy-boxes-m-max", "carpet-boxes-m-max", "homog-entropy-m-max",
-        "kg-m-max"])
+        "kg-m-max", "selfsim-window-zero", "selfsim-window-negative",
+        "homog-depth-zero", "homog-depth-negative", "carpet-l-max-zero",
+        "carpet-l-max-negative"])
 def test_unreadable_option_values_are_spec_errors(tmp_path, capsys, doc,
                                                   args):
     spec = write_spec(tmp_path, doc)

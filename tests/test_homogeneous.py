@@ -177,11 +177,15 @@ def test_python_int_path_gives_the_same_rows(monkeypatch, spec, boxes, grid,
     assert _run_pin(spec, boxes, grid, extra) == expected
 
 
-@pytest.mark.parametrize("spec, n, eps, extra", [
+# (spec, n, eps, extra depth): clouds checked against the Fraction metrics
+PAIR_TABLE_CLOUDS = [
     (FULL2, 2, Fraction(1, 8), 1),
     (FULL2_RHO3, 1, Fraction(1, 2), 1),
     (FULL3_RHO3, 1, Fraction(1, 3), 0),
-    (VGOLD_RHO3, 1, Fraction(1, 2), 1)])
+    (VGOLD_RHO3, 1, Fraction(1, 2), 1)]
+
+
+@pytest.mark.parametrize("spec, n, eps, extra", PAIR_TABLE_CLOUDS)
 def test_pair_tables_match_fraction_metrics(spec, n, eps, extra):
     # numerators / den equal ProductMetric (left) and _ScaledOrbit (right)
     from meandim.groups import box, minkowski_sum
@@ -202,14 +206,46 @@ def test_pair_tables_match_fraction_metrics(spec, n, eps, extra):
         cloud, depth_n)
     pts, stacks = cloud.points, right_ref.points
     size = len(pts)
-    assert left.dist.shape == right.dist.shape == (size, size)
+    assert left.shape == right.shape == (size, size)
     step = max(1, size // 12)
     for i in range(0, size, step):
         for j in list(range(0, size, step)) + [size - 1]:
-            assert Fraction(int(left.dist[i, j]), den) == \
+            assert Fraction(int(left[i, j]), den) == \
                 left_ref.interval(pts[i], pts[j])[0]
-            assert Fraction(int(right.dist[i, j]), den) == \
+            assert Fraction(int(right[i, j]), den) == \
                 right_ref.interval(stacks[i], stacks[j])[0]
+
+
+@pytest.mark.parametrize("spec, n, eps, extra", PAIR_TABLE_CLOUDS)
+def test_probe_lower_counts_match_fraction_separated_sets(spec, n, eps, extra):
+    # the greedy walk with bound e - 1 keeps what separated_set keeps
+    from meandim.groups import box, minkowski_sum
+    from meandim.homogeneous import (_ScaledOrbit, _digit_depth,
+                                     _distance_tables, _greedy_count)
+    from meandim.metrics import ProductMetric, separated_set, tail_support
+    group = GroupSpec(1)
+    fwin = box(n, group)
+    depth_n = _digit_depth(spec.base, eps)
+    orbit = minkowski_sum(tail_support(spec.weights, eps, group), fwin)
+    cloud = digit_cloud(spec, orbit, depth_n + extra, 4000)
+    left_ref = ProductMetric(spec.weights, orbit, "torus",
+                             shifts=fwin.elements)
+    [row] = homogeneous_covering_probe(spec, FolnerDescriptor("boxes", (n,)),
+                                       [eps], extra_depth=extra)
+    assert row.cloud_size == len(cloud.points)
+    assert row.left_lower == len(separated_set(cloud, left_ref, eps))
+    # the Fraction right metric over a whole cloud takes minutes, so the
+    # right walk is compared on the first 64 points: a greedy set in index
+    # order restricted to a prefix is the greedy set of that prefix
+    right_ref = _ScaledOrbit.build(
+        ProductMetric(spec.weights, orbit, "torus", shifts=orbit.elements),
+        cloud, depth_n)
+    threshold = Fraction(1, 2 * spec.weights.total_upper() * spec.base)
+    _, right, den = _distance_tables(spec, fwin, orbit, depth_n + extra,
+                                     depth_n, 4000)
+    k = 64
+    assert _greedy_count(right[:k, :k], math.ceil(threshold * den) - 1) == \
+        len(separated_set(right_ref, right_ref, threshold, indices=range(k)))
 
 
 def test_probe_violation_names_the_reference_pair(monkeypatch):

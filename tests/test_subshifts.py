@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 
 import pytest
 
@@ -8,11 +9,11 @@ from meandim.groups import (GroupSpec, GroupWindow, ball, box, interval,
 from meandim.subshifts import (Alphabet, PatternCapExceeded, Rule,
                                SubshiftSpec, _frontier_count, cellwise_pair_shift,
                                count_patterns, counts_to_csv,
-                               enumerate_patterns, fiber_counts, fiber_table,
-                               full_shift, golden_mean, hard_square,
-                               mcmullen_shift, pair_shift_with_b_rule, project,
-                               projected_spec, projection_count_interval,
-                               spec_from_json)
+                               enumerate_patterns, extensible_symbols,
+                               fiber_table, full_shift, golden_mean,
+                               hard_square, mcmullen_shift,
+                               pair_shift_with_b_rule, projected_spec,
+                               projection_count_interval, spec_from_json)
 
 
 def fib(n):
@@ -101,33 +102,32 @@ def test_contradictory_rule_counts_zero():
 
 
 def test_projection_examples():
+    # the projected patterns are the keys of the fiber table
     mc = mcmullen_shift()
     w = ball(0, GroupSpec(1))
-    ps = enumerate_patterns(mc, w)
-    proj = project(ps)
-    assert proj.count == 2
+    assert len(fiber_table(mc, w).entries) == 2
     # full paired shift projects onto b^{|w|}
     fs = full_shift((3, 2))
     w2 = interval(0, 2)
-    assert project(enumerate_patterns(fs, w2)).count == 2 ** 3
+    assert len(fiber_table(fs, w2).entries) == 2 ** 3
     # a fiber-trivial pairing projects bijectively
     bij = cellwise_pair_shift(2, 2, [(0, 0), (1, 1)])
-    ps3 = enumerate_patterns(bij, w2)
-    assert project(ps3).count == ps3.count
+    assert len(fiber_table(bij, w2).entries) == \
+        enumerate_patterns(bij, w2).count
 
 
 def test_project_requires_pairs():
     fs = full_shift(4)
     with pytest.raises(ValueError):
-        project(enumerate_patterns(fs, interval(0, 1)))
+        fiber_table(fs, interval(0, 1))
 
 
 def test_fiber_counts_examples():
     mc = mcmullen_shift()
-    table = fiber_counts(enumerate_patterns(mc, ball(0, GroupSpec(1))))
+    table = fiber_table(mc, ball(0, GroupSpec(1)))
     assert table.entries == {bytes([0]): 2, bytes([1]): 1}
     fs = full_shift((3, 2))
-    t2 = fiber_counts(enumerate_patterns(fs, interval(0, 1)))
+    t2 = fiber_table(fs, interval(0, 1))
     assert set(t2.entries.values()) == {3 ** 2}
     assert t2.total == 6 ** 2
 
@@ -147,8 +147,9 @@ def test_fiber_totals_match_counts():
         w = interval(0, 3)
         table = fiber_table(spec, w)
         assert table.total == count_patterns(spec, w)
-        assert len(table.entries) == project(
-            enumerate_patterns(spec, w)).count
+        b = spec.alphabet.b
+        assert set(table.entries) == {bytes(s % b for s in p) for p in
+                                      enumerate_patterns(spec, w).patterns}
 
 
 def test_count_equals_enumeration_cross_check():
@@ -190,6 +191,56 @@ def test_projection_count_interval_detects_boundary_gap():
     w = interval(0, 1)
     assert count_patterns(oneway, w) == 2
     assert projection_count_interval(oneway, w) == 1
+
+
+def transfer_projection_count(spec, n):
+    """The transfer loop projection_count_interval used to run: start on the
+    backward-extensible symbols, step along the matrix, end on the
+    forward-extensible ones."""
+    rule = spec.rule
+    bwd, fwd = extensible_symbols(rule, 0)
+    mat = rule.matrix_for_axis(0)
+    if mat is None:
+        return len(set(rule.symbols) & bwd & fwd) ** n
+    vec = {s: 1 if s in bwd else 0 for s in rule.symbols}
+    for _ in range(n - 1):
+        nxt = {t: 0 for t in rule.symbols}
+        for s, cnt in vec.items():
+            for t in rule.symbols:
+                if mat[s][t]:
+                    nxt[t] += cnt
+        vec = nxt
+    return sum(cnt for s, cnt in vec.items() if s in fwd)
+
+
+def random_rank1_rule(rng, reducible):
+    """A random 1-d NN rule on 1..4 symbols, sometimes with a cellwise
+    symbol set; reducible rules only step from a symbol to itself or a
+    later one, so some symbols never extend one way."""
+    size = rng.randint(1, 4)
+    mat = [[rng.random() < 0.6 and (t >= s or not reducible)
+            for t in range(size)] for s in range(size)]
+    allowed = None
+    if rng.random() < 0.4:
+        allowed = frozenset(s for s in range(size) if rng.random() < 0.7)
+    return SubshiftSpec(1, Alphabet(size), Rule(
+        size=size, allowed_symbols=allowed,
+        axis_allowed=((0, tuple(tuple(row) for row in mat)),)))
+
+
+@pytest.mark.parametrize("reducible", [False, True])
+def test_projection_count_interval_matches_the_transfer_loop(reducible):
+    rng = random.Random(7 + reducible)
+    for _ in range(60):
+        spec = random_rank1_rule(rng, reducible)
+        for n in range(1, 16):
+            w = interval(3, n + 2)
+            assert projection_count_interval(spec, w) == \
+                transfer_projection_count(spec, n)
+    # a rule without adjacency: the trimmed symbols, freely
+    free = SubshiftSpec(1, Alphabet(3), Rule.cellwise(3, [0, 2]))
+    assert projection_count_interval(free, interval(0, 4)) == \
+        transfer_projection_count(free, 5) == 2 ** 5
 
 
 def test_forbidden_pattern_rule_matches_nn():
