@@ -27,7 +27,7 @@ import numpy as np
 from .groups import (FolnerDescriptor, GroupSpec, GroupWindow, minkowski_sum,
                      product_window)
 from .metrics import (ProbeViolation, ProductMetric, WeightScheme,
-                      circle_cover_count, exact_int_dtype, tail_support)
+                      exact_int_dtype, tail_support)
 from .entropy import gxn_entropy_series
 from .subshifts import SubshiftSpec, enumerate_patterns
 
@@ -285,6 +285,41 @@ def homogeneous_covering_probe(spec: HomogeneousSpec,
     return rows
 
 
+def _circle_cover_codes(codes, modulus: int, budget: Fraction) -> int:
+    """Minimum number of arcs of diameter < budget covering the points
+    codes / modulus of the unit circle: `metrics.circle_cover_count` on
+    integer codes.
+
+    With budget = p/q an arc from code c reaches every later code c' with
+    (c' - c) q < p modulus, that is c' - c < L = ceil(p modulus / q).  On
+    the sorted distinct codes, doubled as c + modulus, nxt[i] is the first
+    index past the arc that starts at i; the greedy cover from start s
+    jumps nxt until it passes s + n, and the jump counts for all n starts
+    come from nxt composed with itself (doubling), O(n log n).
+    """
+    codes = sorted({c % modulus for c in codes})
+    n = len(codes)
+    if n <= 1:
+        return n
+    # an arc as long as the circle covers every point; capping keeps the
+    # codes below 3 modulus
+    reach = min(-(-budget.numerator * modulus // budget.denominator), modulus)
+    doubled = np.array(codes + [c + modulus for c in codes],
+                       dtype=exact_int_dtype(3 * modulus))
+    nxt = np.append(np.searchsorted(doubled, doubled + reach), 2 * n)
+    starts = np.arange(n)
+    pos, jumps = starts, np.zeros(n, dtype=np.int64)
+    tables = [nxt]
+    while 1 << len(tables) <= n:
+        tables.append(tables[-1][tables[-1]])
+    for level in reversed(range(len(tables))):
+        ahead = tables[level][pos]
+        short = ahead < starts + n
+        pos = np.where(short, ahead, pos)
+        jumps += short.astype(np.int64) << level
+    return int(jumps.min()) + 1
+
+
 def homogeneous_slope_series(spec: HomogeneousSpec, eps_list: Sequence,
                              n_index: int = 1,
                              folner_family: str = "boxes") -> list[dict]:
@@ -292,7 +327,9 @@ def homogeneous_slope_series(spec: HomogeneousSpec, eps_list: Sequence,
 
     For each coordinate of F_n the achievable values at depth N form a finite
     subset of the circle; the product of exact arc-cover counts bounds the
-    covering number, and its slope tracks the G x N entropy prediction.
+    covering number, and its slope tracks the G x N entropy prediction.  The
+    values are the digit codes over b^(N+1), covered by `_circle_cover_codes`
+    in integers; `metrics.circle_cover_count` is the Fraction reference.
     """
     group = GroupSpec(spec.group_rank)
     folner = FolnerDescriptor(folner_family, (n_index,))
@@ -305,11 +342,11 @@ def homogeneous_slope_series(spec: HomogeneousSpec, eps_list: Sequence,
         if budget <= 0:
             raise ValueError("weights decay too slowly for this eps")
         depth_n = _digit_depth(spec.base, eps)
-        cloud = digit_cloud(spec, fwin, depth_n + 1, 200_000)
+        codes = _digit_codes(spec, fwin, depth_n + 1, 200_000)
         count = 1
         for g in range(len(fwin)):
-            count *= circle_cover_count(sorted({p[g] for p in cloud.points}),
-                                        budget)
+            count *= _circle_cover_codes([p[g] for p in codes],
+                                         spec.base ** (depth_n + 1), budget)
         slope = math.log(count) / (len(fwin) * math.log(1 / float(eps)))
         rows.append({"eps": float(eps), "depth": depth_n, "count": count,
                      "slope": slope})

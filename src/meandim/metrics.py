@@ -254,7 +254,9 @@ def line_separated_count(values: Sequence, eps) -> int:
 def circle_cover_count(values: Sequence, eps) -> int:
     """Exact minimum cover of points on the unit circle by arcs of diam < eps.
 
-    Tries every point as the sweep start; exact for finite sets.
+    Tries every point as the sweep start; exact for finite sets, O(n^2) in
+    Fractions.  The reference for `homogeneous._circle_cover_codes`, which
+    the slope series runs on integer codes.
     """
     eps = Fraction(eps)
     if eps <= 0:

@@ -146,8 +146,14 @@ def selfsimilar_spanning_cloud(spec: SelfSimilarSpec, m: int,
 # ---------------------------------------------------------------------------
 # covering probe
 
-def _net_window(orbit: GroupWindow, r: int) -> GroupWindow:
-    return minkowski_sum(orbit, ball(r, orbit.spec))
+_GEOMETRIC_NET_CAP = 512  # largest net the geometric lower bound composes
+
+
+def _net(spec: SelfSimilarSpec, orbit: GroupWindow, r: int) -> tuple:
+    """(window, count): the radius-r net window F + ball(r) of an orbit and
+    the number of legal patterns on it."""
+    window = minkowski_sum(orbit, ball(r, orbit.spec))
+    return window, count_patterns(spec.omega, window)
 
 
 def selfsimilar_cover_probe(spec: SelfSimilarSpec, eps_grid: Sequence,
@@ -163,7 +169,9 @@ def selfsimilar_cover_probe(spec: SelfSimilarSpec, eps_grid: Sequence,
     number at eps is at most |net|^m.  The per-site slope regresses the upper
     log-counts on log(1/eps) and must stay below the entropy bound plus slack.
     Small instances also get geometric separated-set lower bounds from an
-    explicit spanning cloud, which must stay below the upper counts.
+    explicit spanning cloud, which must stay below the upper counts; rows
+    without one carry `geometric_lower_skipped` with the reason.  Each net
+    is built and counted once per orbit, whatever the grid length.
     """
     bound = selfsimilar_upper_bound(spec)["bound"]
     eps_grid = [Fraction(e) for e in eps_grid]
@@ -177,8 +185,9 @@ def selfsimilar_cover_probe(spec: SelfSimilarSpec, eps_grid: Sequence,
     r = net_radius(spec, min(eps_grid))
     for orbit in orbit_windows:
         xs, ys = [], []
-        net_win = _net_window(orbit, r)
-        net_count = count_patterns(spec.omega, net_win)
+        net_win, net_count = _net(spec, orbit, r)
+        geometric = _geometric_net(spec, orbit,
+                                   (net_win, net_count) if r == 1 else None)
         for eps in eps_grid:
             m = composition_depth(spec, eps)
             log_upper = m * math.log(net_count) if net_count else float("-inf")
@@ -187,8 +196,10 @@ def selfsimilar_cover_probe(spec: SelfSimilarSpec, eps_grid: Sequence,
                    "depth": m, "net_count": net_count, "log_upper": log_upper,
                    "per_site_upper": per_site,
                    "normalized": per_site / math.log(1 / float(eps))}
-            lower = _geometric_lower(spec, orbit, eps, geometric_cap)
-            if lower is not None:
+            if isinstance(geometric, str):
+                row["geometric_lower_skipped"] = geometric
+            else:
+                lower = _geometric_lower(spec, geometric, eps, geometric_cap)
                 row["geometric_lower"] = lower
                 if net_count and math.log(max(lower, 1)) > log_upper + 1e-9:
                     raise ProbeViolation(
@@ -218,31 +229,39 @@ def _constant_zero_legal(spec: SelfSimilarSpec) -> bool:
     return mat is None or mat[0][0]
 
 
-def _geometric_lower(spec: SelfSimilarSpec, orbit: GroupWindow, eps: Fraction,
-                     cap: int) -> int | None:
+def _geometric_net(spec: SelfSimilarSpec, orbit: GroupWindow,
+                   net1: tuple | None) -> tuple | str:
+    """(patterns, window, metric): the orbit's radius-1 net, enumerated, with
+    its dynamical metric, which is all of `_geometric_lower` that does not
+    depend on eps; or the reason the geometric lower bound is skipped.
+    `net1` is the (window, count) of that net when the caller has it."""
+    if not _constant_zero_legal(spec):
+        return "constant zero not legal"
+    window, count = net1 or _net(spec, orbit, 1)
+    if count > _GEOMETRIC_NET_CAP:
+        return f"net above {_GEOMETRIC_NET_CAP} patterns"
+    patterns = enumerate_patterns(spec.omega, window,
+                                  cap=_GEOMETRIC_NET_CAP).patterns
+    return patterns, window, ProductMetric(spec.weights, window, "unit",
+                                           shifts=tuple(orbit.elements))
+
+
+def _geometric_lower(spec: SelfSimilarSpec, net: tuple, eps: Fraction,
+                     cap: int) -> int:
     """Separated-set size of a small exact point subset of the attractor.
 
-    The cloud anchors at the all-zero fixed point and composes legal window
-    patterns, so its points lie in the attractor (shipped rule classes have
-    every window pattern globally extendable); any eps-separated subset then
+    The cloud anchors at the all-zero fixed point and composes legal net
+    patterns (the all-zero pattern among them, so the net is never empty),
+    so its points lie in the attractor (shipped rule classes have every
+    window pattern globally extendable); any eps-separated subset then
     lower-bounds the true covering number.  Depth adapts to the cap.
     """
-    if not _constant_zero_legal(spec):
-        return None
-    net_win = _net_window(orbit, 1)
-    if count_patterns(spec.omega, net_win) > 512:
-        return None
-    net = enumerate_patterns(spec.omega, net_win, cap=512)
-    n = len(net.patterns)
-    if n < 1:
-        return None
+    patterns, window, metric = net
     depth = composition_depth(spec, eps)
-    while n ** depth > cap and depth > 1:
+    while len(patterns) ** depth > cap and depth > 1:
         depth -= 1
-    addressed = selfsimilar_spanning_cloud(spec, depth, net.patterns, net_win,
+    addressed = selfsimilar_spanning_cloud(spec, depth, patterns, window,
                                            cap=cap)
-    metric = ProductMetric(spec.weights, net_win, "unit",
-                           shifts=tuple(orbit.elements))
     return len(separated_set(addressed.cloud, metric, eps))
 
 

@@ -358,16 +358,20 @@ def _recording_builder(monkeypatch, limit=60):
 
 def _check_codes_against_reference(built):
     import numpy as np
-    from meandim.carpet import _sup_rows
+    from meandim.carpet import _pair_blocks
     for codes, denom, ref in built:
         assert [Fraction(c, denom) for c in codes] == [
             coord for pair in ref for coord in pair]
     codes = np.array([c for c, _, _ in built], dtype=np.int64)
     denom = built[0][1]
-    for i, dist in _sup_rows(codes):
-        for j, d in enumerate(dist, start=i + 1):
+    pairs = 0
+    for i0, dist, later in _pair_blocks(codes):
+        for r, c in np.argwhere(later):
+            i, j, d = i0 + r, i0 + c, dist[r, c]
             assert Fraction(int(d), denom) == linf_pair_distance(built[i][2],
                                                                  built[j][2])
+            pairs += 1
+    assert pairs == len(built) * (len(built) - 1) // 2
 
 
 @pytest.mark.parametrize("spec", [MCMULLEN, GOLDEN_B, FULL32],
@@ -534,4 +538,32 @@ def test_within_cell_violation_names_the_reference_distance(monkeypatch,
                         f"in cell {cell.key}")
             break
     assert expected is not None
+    assert str(info.value) == expected
+
+
+@pytest.mark.parametrize("block", [1, 100, 1000])
+def test_pair_blocks_of_any_size_give_the_same_reports(monkeypatch, block):
+    # rows per block range from one to the whole cloud; the pairs counted,
+    # the reports and a witness past the first block do not change
+    import meandim.carpet as carpet
+    from meandim.carpet import SandwichViolation
+    monkeypatch.setattr(carpet, "_PAIR_BLOCK", block)
+    for key in sorted(SANDWICH_PINS):
+        name, m, l = key
+        if SANDWICH_PINS[key][3] <= 10 ** 4:
+            assert sandwich_check(PIN_SPECS[name], m, l) == _pinned_report(key)
+    original = carpet._carpet_point
+    calls = []
+
+    def repeat_tenth(spec, digits, tail, denom):
+        calls.append(digits if len(calls) != 10 else calls[9])
+        return original(spec, calls[-1], tail, denom)
+
+    monkeypatch.setattr(carpet, "_carpet_point", repeat_tenth)
+    pts, _ = carpet_representatives(MCMULLEN, 0, 3)
+    expected = _fraction_witness_reps(pts, Fraction(1, 8))
+    assert expected == "representatives 9,10 at distance 0 < 1/8"
+    calls.clear()
+    with pytest.raises(SandwichViolation) as info:
+        sandwich_check(MCMULLEN, 0, 3)
     assert str(info.value) == expected

@@ -62,6 +62,22 @@ def test_carpet_dims_mcmullen(tmp_path, capsys):
     res = report["results"]
     assert abs(res["mdim_H"]["value"] - math.log2(1 + math.sqrt(2))) <= 1e-9
     assert all(s["ok"] for s in res["sandwich"])
+    assert res["sandwich_skipped"] == []  # product rules are never skipped
+
+
+def test_carpet_dims_lists_the_sandwich_checks_it_skips(tmp_path, capsys):
+    # the spec of perfbench/specs/golden_b.json: at m = 1 the checks from
+    # l = 2 on would compare more than 1e5 pairs of representatives
+    spec = write_spec(tmp_path, GOLDEN_B)
+    code, report = run(capsys, ["carpet-dims", "--spec", spec,
+                                "--m-max", "2", "--l-max", "4"])
+    assert code == 0
+    res = report["results"]
+    assert [(s["m"], s["l"]) for s in res["sandwich"]] == [
+        (0, 1), (0, 2), (0, 3), (0, 4), (1, 1)]
+    assert res["sandwich_skipped"] == [
+        {"m": 1, "l": l, "reps": str(reps), "reason": "pairwise budget"}
+        for l, reps in ((2, 1600), (3, 64000), (4, 2560000))]
 
 
 def test_entropy_golden(tmp_path, capsys):

@@ -284,3 +284,68 @@ def test_probe_violation_names_the_reference_pair(monkeypatch):
         homogeneous_covering_probe(FULL2, FolnerDescriptor("boxes", (1,)),
                                    [eps], extra_depth=4)
     assert str(info.value) == expected
+
+
+# ---------------------------------------------------------------------------
+# integer circle covers against the Fraction reference
+
+def _reference_cover(codes, modulus, budget):
+    from meandim.metrics import circle_cover_count
+    return circle_cover_count([Fraction(c, modulus) for c in codes], budget)
+
+
+@pytest.mark.parametrize("python_ints", [False, True])
+def test_integer_circle_cover_matches_fraction_reference(monkeypatch,
+                                                         python_ints):
+    import random
+    import meandim.metrics as metrics
+    from meandim.homogeneous import _circle_cover_codes
+    if python_ints:
+        monkeypatch.setattr(metrics, "_INT64_LIMIT", 0)
+    rng = random.Random(20240)
+    for _ in range(1500):
+        modulus = rng.choice([2, 3, 8, 27, 64, 100, 2 ** 10])
+        # repeats are likely: up to 40 draws from as few as 2 codes
+        codes = [rng.randrange(modulus) for _ in range(rng.randint(1, 40))]
+        budget = Fraction(rng.randint(1, 3 * modulus),
+                          rng.randint(1, 2 * modulus))
+        assert _circle_cover_codes(codes, modulus, budget) == \
+            _reference_cover(codes, modulus, budget), (codes, modulus, budget)
+
+
+@pytest.mark.parametrize("codes, modulus, budget, count", [
+    ([], 8, Fraction(1, 4), 0),
+    ([5], 8, Fraction(1, 100), 1),                  # a single point
+    ([3, 3, 3], 8, Fraction(1, 100), 1),            # one point, repeated
+    ([0, 7], 8, Fraction(1, 4), 1),                 # one arc wraps past 0
+    ([0, 1, 6, 7], 8, Fraction(1, 2), 1),           # wraps, reaches 6 to 1
+    ([0, 1, 6, 7], 8, Fraction(3, 8), 2),           # span 3/8 is not < 3/8
+    ([0, 1, 6, 7], 8, Fraction(1, 4), 2),
+    ([0, 1, 2, 3, 4, 5, 6, 7], 8, Fraction(1, 8), 8),  # arcs of one code
+    ([0, 2, 4, 6], 8, Fraction(1), 1),              # budget 1 covers all
+    ([0, 2, 4, 6], 8, Fraction(7, 2), 1),           # and so does more
+    ([0, 2 ** 70 + 1, 2 ** 71], 2 ** 72, Fraction(1, 4), 2)])  # Python ints
+def test_integer_circle_cover_edge_cases(codes, modulus, budget, count):
+    from meandim.homogeneous import _circle_cover_codes
+    assert _circle_cover_codes(codes, modulus, budget) == count
+    assert _reference_cover(codes, modulus, budget) == count
+
+
+@pytest.mark.parametrize("spec, eps_list", [
+    (FULL2, [Fraction(1, 2 ** 4), Fraction(1, 2 ** 8)]),
+    (VGOLD, [Fraction(1, 8), Fraction(1, 2 ** 8)]),
+    (FROZEN, [Fraction(1, 8)])], ids=["full", "vertical-golden", "frozen"])
+def test_slope_series_counts_match_the_fraction_reference(spec, eps_list):
+    # the product over window cells of circle_cover_count on the Fraction
+    # digit cloud, as the series counted before it moved to integer codes
+    from meandim.metrics import circle_cover_count
+    from meandim.homogeneous import _digit_depth
+    fwin = FolnerDescriptor("boxes", (1,)).window(1, GroupSpec(1))
+    for eps, row in zip(eps_list, homogeneous_slope_series(spec, eps_list)):
+        budget = eps / spec.weights.total_upper() - spec.weights.tail_upper(1)
+        cloud = digit_cloud(spec, fwin, _digit_depth(2, eps) + 1)
+        count = 1
+        for g in range(len(fwin)):
+            count *= circle_cover_count(sorted({p[g] for p in cloud.points}),
+                                        budget)
+        assert row["count"] == count

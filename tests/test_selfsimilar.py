@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from meandim.groups import GroupSpec, box, interval
+from meandim.metrics import WeightScheme
 from meandim.subshifts import (Alphabet, Rule, SubshiftSpec, full_shift,
                                golden_mean)
 from meandim.selfsimilar import (NetTooCoarse, ProbeViolation,
@@ -107,6 +108,9 @@ def test_cover_probe_geometric_lower_consistency():
                                      enforce_slope=False)
     rows = [r for r in report["rows"] if "geometric_lower" in r]
     assert rows, "expected geometric cross-checks on small windows"
+    # a row has a geometric lower bound or the reason it has none
+    assert all(("geometric_lower" in r) != ("geometric_lower_skipped" in r)
+               for r in report["rows"])
     for row in rows:
         assert math.log(max(row["geometric_lower"], 1)) <= row["log_upper"] + 1e-9
 
@@ -173,3 +177,63 @@ def test_cover_probe_enforcement_raises_on_tiny_window():
     grid = [Fraction(1, 2) ** j for j in range(2, 7)]
     with pytest.raises(ProbeViolation):
         selfsimilar_cover_probe(FULL, grid, [box(4, GroupSpec(1))])
+
+
+def test_benchmark_window_says_why_it_has_no_geometric_lower():
+    # the 512-cell window of the benchmark: the radius-1 net has far more
+    # than 512 patterns, and every row says so
+    spec = SelfSimilarSpec(omega=golden_mean(), values=(0, 1),
+                           c=Fraction(1, 2))
+    grid = [spec.c ** j for j in range(2, 9)]
+    report = selfsimilar_cover_probe(spec, grid, [box(512, GroupSpec(1))])
+    assert len(report["rows"]) == len(grid)
+    for row in report["rows"]:
+        assert "geometric_lower" not in row
+        assert row["geometric_lower_skipped"] == "net above 512 patterns"
+
+
+def test_rows_say_when_constant_zero_is_not_legal():
+    no_zero_pair = SubshiftSpec(1, Alphabet(2),
+                                Rule.nearest_neighbor(2, {0: [(0, 0)]}))
+    spec = SelfSimilarSpec(omega=no_zero_pair, values=(0, 1),
+                           c=Fraction(1, 2))
+    report = selfsimilar_cover_probe(spec, [Fraction(1, 4), Fraction(1, 8)],
+                                     [box(4, GroupSpec(1))],
+                                     enforce_slope=False)
+    for row in report["rows"]:
+        assert "geometric_lower" not in row
+        assert row["geometric_lower_skipped"] == "constant zero not legal"
+
+
+FAST = SelfSimilarSpec(omega=full_shift(2), values=(0, 1), c=Fraction(1, 2),
+                       weights=WeightScheme(1, Fraction(1, 1000)))
+
+
+@pytest.mark.parametrize("spec, finest, nets", [
+    (FULL, 7, 2),    # net radius 5: the radius-1 net is a second net
+    (FAST, 7, 1),    # net radius 1: one net serves both bounds
+    (GOLDEN3, 7, 2)], ids=["full", "fast-weights", "golden3"])
+@pytest.mark.parametrize("grid_length", [2, 3, 6])
+def test_probe_builds_and_counts_each_net_once_per_orbit(
+        monkeypatch, spec, finest, nets, grid_length):
+    import meandim.selfsimilar as selfsimilar
+    calls = {"count_patterns": 0, "minkowski_sum": 0,
+             "enumerate_patterns": 0}
+    for name in calls:
+        original = getattr(selfsimilar, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(selfsimilar, name, counted)
+    grid = [Fraction(1, 2) ** j for j in range(finest - grid_length + 1,
+                                               finest + 1)]
+    assert (net_radius(spec, grid[-1]) == 1) == (nets == 1)
+    orbits = [box(2, GroupSpec(1)), box(3, GroupSpec(1))]
+    report = selfsimilar_cover_probe(spec, grid, orbits, geometric_cap=64,
+                                     enforce_slope=False)
+    assert len(report["rows"]) == len(orbits) * grid_length
+    assert calls["count_patterns"] == len(orbits) * nets
+    assert calls["minkowski_sum"] == len(orbits) * nets
+    assert calls["enumerate_patterns"] == len(orbits)
