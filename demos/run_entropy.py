@@ -1,8 +1,8 @@
 """Exact pattern counting and entropy series for Z^d subshifts.
 
-Counts the golden-mean shift on growing interval windows (transfer matrix,
-exact big integers), compares ball against box Folner families, and shows the
-weighted-entropy degenerations on a paired shift.
+Counts the golden-mean shift on growing interval windows (one frontier
+dynamic program, exact big integers), compares ball against box Folner
+families, and shows the weighted-entropy degenerations on a paired shift.
 """
 import math
 

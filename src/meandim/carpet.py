@@ -6,15 +6,19 @@ Geometry here is exact: every coordinate of a depth-L point is a multiple of
 1/D, D = lcm(a^L (a-1), b^L (b-1)), so the sandwich builds each cloud once as
 integer codes over D and checks every inequality with zero tolerance on
 integer numerators of the windowed sup-distance (numpy int64 when 2 D < 2^63,
-Python ints otherwise).  `carpet_representatives` returns the Fractions
-codes / D and `linf_pair_distance` is the Fraction reference.  Floats appear
-only in logarithmic reports.
+Python ints otherwise).  A code is a sum over depths, so one builder makes
+every cloud as an outer sum of per-depth digit codes; a cell's pairwise
+distances depend only on its free projected digits, so the within-cell check
+runs once per distinct set of them.  `carpet_representatives` returns the
+Fractions codes / D and `linf_pair_distance` is the Fraction reference.
+Floats appear only in logarithmic reports.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice, product
 from typing import Sequence
 
 import numpy as np
@@ -134,34 +138,23 @@ def _pattern_set_tools(spec: CarpetSpec, window: GroupWindow, cap: int):
     return patterns, fibers
 
 
+def _cell_choices(spec: CarpetSpec, patterns, fibers, l: int) -> list:
+    """Digit pairs per depth 1..l of the depth-l cells: pair patterns to
+    depth floor(wl), then the least section under each projected pattern."""
+    k = floor_wl(spec.a, spec.b, l)
+    pairs = [_split(p, spec.b) for p in patterns]
+    sections = [(fibers[v][0], v) for v in sorted(fibers)]
+    return [pairs] * k + [sections] * (l - k)
+
+
 def _psi_cells(spec: CarpetSpec, patterns, fibers, m: int, l: int,
                limit: int) -> list[PsiCell]:
-    """First `limit` cells in prefix order: pair patterns to depth floor(wl),
-    projected patterns below."""
-    pairs = [_split(p, spec.b) for p in patterns]
-    proj = sorted(fibers)
+    """First `limit` cells in prefix order, the first depth outermost."""
     k = floor_wl(spec.a, spec.b, l)
-    cells = []
-
-    def rec(depth, xs, ys):
-        if len(cells) >= limit:
-            return
-        if depth == l:
-            cells.append(PsiCell(m=m, l=l, x_prefix=tuple(xs), y_prefix=tuple(ys)))
-            return
-        if depth < k:
-            for u, v in pairs:
-                rec(depth + 1, xs + [u], ys + [v])
-                if len(cells) >= limit:
-                    return
-        else:
-            for v in proj:
-                rec(depth + 1, xs, ys + [v])
-                if len(cells) >= limit:
-                    return
-
-    rec(0, [], [])
-    return cells
+    return [PsiCell(m=m, l=l, x_prefix=tuple(u for u, _ in digits[:k]),
+                    y_prefix=tuple(v for _, v in digits))
+            for digits in islice(product(*_cell_choices(spec, patterns,
+                                                        fibers, l)), limit)]
 
 
 def enumerate_psi_cells(spec: CarpetSpec, m: int, l: int, limit: int,
@@ -180,45 +173,42 @@ def _carpet_denominator(a: int, b: int, depth: int) -> int:
     return math.lcm(a ** depth * (a - 1), b ** depth * (b - 1))
 
 
-def _carpet_point(spec: CarpetSpec, digits, tail: bytes, denom: int) -> list:
-    """The exact point with digit patterns (u, v) at depths 1..L, L =
-    len(digits), and the pair pattern `tail` at every depth past L, as
-    integer codes over `denom` (a multiple of the depth-L denominator),
-    flattened X_0, Y_0, X_1, Y_1, ... in window order.
+def _digit_codes(spec: CarpetSpec, levels, tail: bytes, denom: int, dtype,
+                 limit: int | None = None) -> np.ndarray:
+    """Integer codes over `denom` of the points whose digit pair (u, v) at
+    depth n ranges over `pairs`, one (n, pairs) level per depth 1..L, with
+    the pair pattern `tail` at every depth past L.  Rows come in product
+    order, first level outermost, cut to `limit` after each level; columns
+    are X_0, Y_0, X_1, Y_1, ... in window order.
 
-    X_g = x/a^L + (t // b)/(a^L (a-1)) = (x (a-1) + t // b)/(a^L (a-1)),
-    and Y_g likewise in base b.
+    X_g = sum_n u_n[g] / a^n + (t // b) / (a^L (a-1)), and Y_g likewise in
+    base b: each level adds its codes to every row so far, one outer sum.
     """
     a, b = spec.a, spec.b
-    depth = len(digits)
-    x_unit = denom // (a ** depth * (a - 1))
-    y_unit = denom // (b ** depth * (b - 1))
-    point = []
-    for g, t in enumerate(tail):
-        x = y = 0
-        for u, v in digits:
-            x = x * a + u[g]
-            y = y * b + v[g]
-        point += ((x * (a - 1) + t // b) * x_unit,
-                  (y * (b - 1) + t % b) * y_unit)
-    return point
+    depth = len(levels)
+
+    def rows(pairs, x_den, y_den):
+        sx, sy = denom // x_den, denom // y_den
+        return np.array([[c for ug, vg in zip(u, v) for c in (ug * sx, vg * sy)]
+                         for u, v in pairs], dtype=dtype)
+
+    codes = rows([_split(tail, b)], a ** depth * (a - 1), b ** depth * (b - 1))
+    for n, pairs in levels:
+        level = rows(pairs, a ** n, b ** n)
+        codes = (codes[:, None, :] + level[None, :, :]).reshape(
+            -1, codes.shape[1])[:limit]
+    return codes
 
 
-def _representatives(spec: CarpetSpec, patterns, fibers, m: int, l: int,
-                     cap: int, denom: int) -> list:
-    """One point per depth-l cell, as integer codes over `denom`: its
-    prefixes, the least section under the projected digits past floor(wl),
-    then the least pattern as tail."""
-    if not patterns:
-        return []
-    k = floor_wl(spec.a, spec.b, l)
-    total = len(patterns) ** k * len(fibers) ** (l - k)
+def _representative_levels(spec: CarpetSpec, patterns, fibers, l: int,
+                           cap: int) -> list:
+    """Levels of the cloud with one point per depth-l cell, in `_psi_cells`
+    order; the least pattern serves as tail."""
+    choices = _cell_choices(spec, patterns, fibers, l)
+    total = math.prod(len(c) for c in choices)
     if total > cap:
         raise RuntimeError(f"representative cloud of {total} points exceeds cap {cap}")
-    return [_carpet_point(spec, list(zip(cell.x_prefix, cell.y_prefix))
-                          + [(fibers[v][0], v) for v in cell.y_prefix[k:]],
-                          patterns[0], denom)
-            for cell in _psi_cells(spec, patterns, fibers, m, l, total)]
+    return list(enumerate(choices, 1))
 
 
 def carpet_representatives(spec: CarpetSpec, m: int, l: int,
@@ -230,8 +220,11 @@ def carpet_representatives(spec: CarpetSpec, m: int, l: int,
     """
     window = ball(m, spec.omega.group)
     patterns, fibers = _pattern_set_tools(spec, window, cap)
+    if not patterns:
+        return [], window
     denom = _carpet_denominator(spec.a, spec.b, l)
-    codes = _representatives(spec, patterns, fibers, m, l, cap, denom)
+    levels = _representative_levels(spec, patterns, fibers, l, cap)
+    codes = _digit_codes(spec, levels, patterns[0], denom, object)
     return [tuple((Fraction(p[i], denom), Fraction(p[i + 1], denom))
                   for i in range(0, len(p), 2)) for p in codes], window
 
@@ -270,27 +263,21 @@ def _is_product_rule(spec: SubshiftSpec) -> bool:
     return not spec.rule.axis_allowed and not spec.rule.forbidden
 
 
-def _cell_sample_points(spec: CarpetSpec, patterns, fibers, cell: PsiCell,
-                        k: int, per_cell: int, denom: int) -> list:
-    """Points inside one cylinder cell, as integer codes over `denom`: free
-    digits between k and l vary over fibers, one extra depth varies over all
-    pair patterns, then the least tail."""
-    combos = [list(zip(cell.x_prefix, cell.y_prefix))]
-    for v in cell.y_prefix[k:]:
-        combos = [c + [(u, v)] for c in combos for u in fibers[v]]
-        if len(combos) > per_cell:
-            combos = combos[:per_cell]
-    variants = []
-    for tail_pat in patterns[:max(1, per_cell // len(combos))]:
-        extra = _split(tail_pat, spec.b)
-        for digits in combos:
-            variants.append(digits + [extra])
-            if len(variants) >= per_cell:
-                break
-        if len(variants) >= per_cell:
-            break
-    return [_carpet_point(spec, digits, patterns[0], denom)
-            for digits in variants]
+def _cell_offsets(spec: CarpetSpec, patterns, fibers, cell: PsiCell,
+                  per_cell: int, denom: int, dtype) -> np.ndarray:
+    """Codes of the samples of `cell` less its pair digits to depth k =
+    len(x_prefix): every section over the free projected digits y_prefix[k:],
+    under one extra depth of pair patterns (outermost), cut to `per_cell`
+    points, then the least tail.  They depend on y_prefix[k:] alone."""
+    k = len(cell.x_prefix)
+    zero = bytes(len(patterns[0]))
+    free = [(n, [(u, v) for u in fibers[v]])
+            for n, v in enumerate(cell.y_prefix[k:], k + 1)]
+    combos = min(per_cell, math.prod(len(us) for _, us in free))
+    extra = [_split(p, spec.b) for p in patterns[:max(1, per_cell // combos)]]
+    levels = ([(cell.l + 1, extra)]
+              + [(n, [(zero, zero)]) for n in range(1, k + 1)] + free)
+    return _digit_codes(spec, levels, patterns[0], denom, dtype, per_cell)
 
 
 def _pair_blocks(codes):
@@ -342,6 +329,14 @@ def sandwich_check(spec: CarpetSpec, m: int, l: int,
     denominator.  Every pair i < j of a cloud is checked, a block of rows per
     numpy broadcast (`_pair_blocks`), and a violation names the first failing
     pair in row-major order with its exact distance.
+
+    Both clouds are outer sums of per-depth digit codes (`_digit_codes`).
+    A cell's samples take the sections over its free projected digits
+    y_prefix[k:] under one extra depth of pair patterns, cut to
+    `cell_samples`; differences cancel their shared prefix, so the offsets
+    of each distinct y_prefix[k:] are built and checked once, while each of
+    the first `cell_limit` cells adds its pairs and the first failing cell
+    is named.
     """
     a, b = spec.a, spec.b
     k = floor_wl(a, b, l)
@@ -366,8 +361,8 @@ def sandwich_check(spec: CarpetSpec, m: int, l: int,
     sep_bound = denom // b ** l  # sep_scale and cov_scale as numerators
     cov_bound = a * denom // b ** l
     dtype = exact_int_dtype(max(2 * denom, cov_bound))
-    reps = np.array(_representatives(spec, patterns, fibers, checked_m, l,
-                                     cloud_cap, denom), dtype=dtype)
+    levels = _representative_levels(spec, patterns, fibers, l, cloud_cap)
+    reps = _digit_codes(spec, levels, patterns[0], denom, dtype)
     pairs_checked = len(reps) * (len(reps) - 1) // 2
     bad = _first_pair(reps, lambda dist: dist < sep_bound)
     if bad is not None:
@@ -375,12 +370,16 @@ def sandwich_check(spec: CarpetSpec, m: int, l: int,
         raise SandwichViolation(
             f"representatives {i},{j} at distance "
             f"{Fraction(int(d), denom)} < {sep_scale}")
+    checked = {}  # y_prefix[k:] -> (samples per cell, first far pair)
     for cell in _psi_cells(spec, patterns, fibers, checked_m, l, cell_limit):
-        sample = np.array(_cell_sample_points(spec, patterns, fibers, cell, k,
-                                              cell_samples, denom),
-                          dtype=dtype)
-        pairs_checked += len(sample) * (len(sample) - 1) // 2
-        bad = _first_pair(sample, lambda dist: dist >= cov_bound)
+        free_v = cell.y_prefix[k:]
+        if free_v not in checked:
+            offsets = _cell_offsets(spec, patterns, fibers, cell, cell_samples,
+                                    denom, dtype)
+            checked[free_v] = (len(offsets), _first_pair(
+                offsets, lambda dist: dist >= cov_bound))
+        samples, bad = checked[free_v]
+        pairs_checked += samples * (samples - 1) // 2
         if bad is not None:
             raise SandwichViolation(
                 f"within-cell distance {Fraction(int(bad[2]), denom)} >= "

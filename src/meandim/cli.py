@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .groups import FolnerDescriptor, GroupSpec, WindowCapExceeded, box
 from .metrics import WeightScheme
-from .subshifts import PatternCapExceeded, spec_from_json
+from .subshifts import PatternCapExceeded, projected_spec, spec_from_json
 from .entropy import entropy_series, entropy_estimate, weighted_entropy_series
 from .carpet import CarpetSpec, SandwichViolation, carpet_dimension_report
 from .selfsimilar import (NetTooCoarse, ProbeViolation, SelfSimilarSpec,
@@ -201,6 +201,9 @@ def _cmd_entropy(system, args) -> dict:
 
 
 def _cmd_carpet_dims(system: CarpetSpec, args) -> dict:
+    if projected_spec(system.omega) is None:
+        raise SpecError("carpet-dims needs a rule whose projection to the "
+                        "base-b digits is a derivable subshift")
     w = _parse_w(args.w)
     caps = parse_caps(args.caps)
     _folner_indices(args, 1 if args.folner == "boxes" else 0)
@@ -234,6 +237,9 @@ def _parse_eps_grid(text: str):
 def _cmd_selfsimilar_probe(system: SelfSimilarSpec, args) -> dict:
     grid = (_parse_eps_grid(args.eps_grid) if args.eps_grid
             else [system.c ** j for j in range(2, 9)])
+    if len(grid) < 2:
+        raise SpecError("selfsimilar-probe needs at least two eps values to "
+                        "fit a slope")
     windows = [box(n, GroupSpec(1)) for n in
                _at_least_one("--window-sizes", args.window_sizes or [512])]
     report = selfsimilar_cover_probe(system, grid, windows)

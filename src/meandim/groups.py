@@ -57,7 +57,7 @@ def add(g: GroupElement, h: GroupElement) -> GroupElement:
     return tuple(a + b for a, b in zip(g, h))
 
 
-def word_length(g: GroupElement, spec: GroupSpec | None = None) -> int:
+def word_length(g: GroupElement) -> int:
     """Minimal generator word length; the l1 norm for standard generators."""
     return sum(abs(c) for c in g)
 
@@ -80,8 +80,7 @@ def canonical_key(g: GroupElement):
     return (word_length(g), minimal_word(g))
 
 
-def canonical_order(elements: Iterable[GroupElement],
-                    spec: GroupSpec | None = None) -> list[GroupElement]:
+def canonical_order(elements: Iterable[GroupElement]) -> list[GroupElement]:
     """Total order: word length first, minimal-word lexicographic tie break."""
     return sorted(elements, key=canonical_key)
 
@@ -111,9 +110,6 @@ class GroupWindow:
     @cached_property
     def position_map(self) -> dict:
         return {g: i for i, g in enumerate(self.elements)}
-
-    def position(self, g: GroupElement) -> int:
-        return self.position_map[g]
 
     def to_json(self) -> str:
         """Serialize as a JSON array of coordinate vectors; order is part of the form."""

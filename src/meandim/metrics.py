@@ -73,9 +73,6 @@ class WeightScheme:
     def weight(self, g) -> Fraction:
         return self.rho ** word_length(g)
 
-    def weight_at(self, n: int) -> Fraction:
-        return self.rho ** n
-
     def tail_upper(self, r: int) -> Fraction:
         """Certified upper bound for sum of alpha_g over word length >= r."""
         rho = self.rho

@@ -175,8 +175,9 @@ def selfsimilar_cover_probe(spec: SelfSimilarSpec, eps_grid: Sequence,
     """
     bound = selfsimilar_upper_bound(spec)["bound"]
     eps_grid = [Fraction(e) for e in eps_grid]
-    if sorted(eps_grid, reverse=True) != list(eps_grid):
-        raise ValueError("eps grid must be strictly decreasing")
+    if len(eps_grid) < 2 or any(e <= f for e, f in zip(eps_grid, eps_grid[1:])):
+        raise ValueError("eps grid needs at least two strictly decreasing "
+                         "values to fit a slope")
     report_rows = []
     slopes = {}
     # one net for the whole grid, built at the finest scale: a finer net

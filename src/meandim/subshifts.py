@@ -57,9 +57,6 @@ class Alphabet:
     def pair_index(self, u: int, v: int) -> int:
         return u * self.b + v
 
-    def components(self, s: int) -> tuple:
-        return divmod(s, self.b)
-
 
 @dataclass(frozen=True)
 class Rule:

@@ -1,6 +1,8 @@
 import math
 from fractions import Fraction
+from itertools import islice, product
 
+import numpy as np
 import pytest
 
 from meandim.groups import GroupSpec, ball
@@ -339,39 +341,48 @@ def _reference_point(spec, digits, tail):
     return tuple(point)
 
 
+def _level_digits(levels, rows):
+    """Digit pairs by depth of the first `rows` points of the product of
+    `levels`, first level outermost, as the builder is meant to list them."""
+    depths = [n for n, _ in levels]
+    for combo in islice(product(*[pairs for _, pairs in levels]), rows):
+        yield [d for _, d in sorted(zip(depths, combo), key=lambda t: t[0])]
+
+
 def _recording_builder(monkeypatch, limit=60):
-    """Patch the integer point builder to log (codes, denom, reference) for
-    up to `limit` points after each clear()."""
+    """Wrap the cloud builder to log (codes, denom, references) per cloud,
+    with the `_reference_point` Fractions of up to `limit` of its rows."""
     import meandim.carpet as carpet
     built = []
-    original = carpet._carpet_point
+    original = carpet._digit_codes
 
-    def record(spec, digits, tail, denom):
-        codes = original(spec, digits, tail, denom)
-        if len(built) < limit:
-            built.append((codes, denom, _reference_point(spec, digits, tail)))
+    def record(spec, levels, tail, denom, dtype, cut=None):
+        codes = original(spec, levels, tail, denom, dtype, cut)
+        size = math.prod(len(pairs) for _, pairs in levels)
+        assert len(codes) == (size if cut is None else min(cut, size))
+        built.append((codes, denom, [
+            _reference_point(spec, digits, tail)
+            for digits in _level_digits(levels, min(len(codes), limit))]))
         return codes
 
-    monkeypatch.setattr(carpet, "_carpet_point", record)
+    monkeypatch.setattr(carpet, "_digit_codes", record)
     return built
 
 
 def _check_codes_against_reference(built):
-    import numpy as np
     from meandim.carpet import _pair_blocks
     for codes, denom, ref in built:
-        assert [Fraction(c, denom) for c in codes] == [
-            coord for pair in ref for coord in pair]
-    codes = np.array([c for c, _, _ in built], dtype=np.int64)
-    denom = built[0][1]
-    pairs = 0
-    for i0, dist, later in _pair_blocks(codes):
-        for r, c in np.argwhere(later):
-            i, j, d = i0 + r, i0 + c, dist[r, c]
-            assert Fraction(int(d), denom) == linf_pair_distance(built[i][2],
-                                                                 built[j][2])
-            pairs += 1
-    assert pairs == len(built) * (len(built) - 1) // 2
+        for row, point in zip(codes, ref):
+            assert [Fraction(int(c), denom) for c in row] == [
+                coord for pair in point for coord in pair]
+        pairs = 0
+        for i0, dist, later in _pair_blocks(codes[:len(ref)]):
+            for r, c in np.argwhere(later):
+                i, j, d = i0 + r, i0 + c, dist[r, c]
+                assert Fraction(int(d), denom) == linf_pair_distance(ref[i],
+                                                                     ref[j])
+                pairs += 1
+        assert pairs == len(ref) * (len(ref) - 1) // 2
 
 
 @pytest.mark.parametrize("spec", [MCMULLEN, GOLDEN_B, FULL32],
@@ -380,25 +391,22 @@ def _check_codes_against_reference(built):
 @pytest.mark.parametrize("l", [0, 1, 2, 3])
 def test_integer_distances_match_fraction_reference(monkeypatch, spec, m, l):
     # codes / D and the integer sup distances / D equal the Fraction points
-    # and linf_pair_distance, on representatives and on cell samples
+    # and linf_pair_distance, on representatives and on cell offsets
     import meandim.carpet as carpet
     built = _recording_builder(monkeypatch)
     window = ball(m, spec.omega.group)
     patterns, fibers = carpet._pattern_set_tools(spec, window, 10 ** 6)
-    k = floor_wl(spec.a, spec.b, l)
-    cells = carpet._psi_cells(spec, patterns, fibers, m, l, 3)
     denom = carpet._carpet_denominator(spec.a, spec.b, l + 1)
-    for cell in cells:
-        built.clear()
-        carpet._cell_sample_points(spec, patterns, fibers, cell, k, 48, denom)
-        _check_codes_against_reference(built)
-    built.clear()
-    carpet._representatives(spec, patterns, fibers, m, l, 10 ** 6, denom)
+    dtype = carpet.exact_int_dtype(2 * denom)
+    for cell in carpet._psi_cells(spec, patterns, fibers, m, l, 3):
+        carpet._cell_offsets(spec, patterns, fibers, cell, 48, denom, dtype)
+    levels = carpet._representative_levels(spec, patterns, fibers, l, 10 ** 6)
+    carpet._digit_codes(spec, levels, patterns[0], denom, dtype)
     _check_codes_against_reference(built)  # a prefix of large clouds
     # the public representatives are the codes over the depth-l denominator
     built.clear()
     pts, _ = carpet_representatives(spec, m, l)
-    assert pts[:len(built)] == [ref for _, _, ref in built]
+    assert pts[:len(built[0][2])] == built[0][2]
 
 
 # (spec, m, l) -> (mode, floor_wl, product, pairs_checked, sep, cov), as the
@@ -475,70 +483,97 @@ def _fraction_witness_reps(pts, scale):
                 return f"representatives {i},{j} at distance {d} < {scale}"
 
 
-@pytest.mark.parametrize("python_ints", [False, True])
-def test_representative_violation_names_the_reference_pair(monkeypatch,
-                                                           python_ints):
-    # the fourth point built repeats the third: the first close pair in row
-    # order is (2, 3) at distance 0, as the Fraction loop finds it
+def _reference_representatives(spec, m, l):
+    """The representatives as `_reference_point` Fractions: each cell's
+    prefixes, the least section under its projected digits past floor(wl),
+    the least pattern as tail."""
     import meandim.carpet as carpet
-    import meandim.metrics as metrics
+    patterns, fibers = carpet._pattern_set_tools(
+        spec, ball(m, spec.omega.group), 10 ** 6)
+    k = floor_wl(spec.a, spec.b, l)
+    return [_reference_point(spec, list(zip(cell.x_prefix, cell.y_prefix))
+                             + [(fibers[v][0], v) for v in cell.y_prefix[k:]],
+                             patterns[0])
+            for cell in enumerate_psi_cells(spec, m, l, 10 ** 6)]
+
+
+def _repeating_builder(monkeypatch, i):
+    """Make row i of every cloud the builder returns repeat row i - 1."""
+    import meandim.carpet as carpet
+    original = carpet._digit_codes
+
+    def repeat(*args):
+        codes = original(*args)
+        if len(codes) > i:
+            codes[i] = codes[i - 1]
+        return codes
+
+    monkeypatch.setattr(carpet, "_digit_codes", repeat)
+
+
+def _check_repeat_witness(monkeypatch, i, expected):
     from meandim.carpet import SandwichViolation
-    if python_ints:
-        monkeypatch.setattr(metrics, "_INT64_LIMIT", 0)
-    original = carpet._carpet_point
-    calls = []
-
-    def repeat_third(spec, digits, tail, denom):
-        calls.append(digits if len(calls) != 3 else calls[2])
-        return original(spec, calls[-1], tail, denom)
-
-    monkeypatch.setattr(carpet, "_carpet_point", repeat_third)
-    pts, _ = carpet_representatives(MCMULLEN, 0, 3)
-    expected = _fraction_witness_reps(pts, Fraction(1, 8))
-    assert expected == "representatives 2,3 at distance 0 < 1/8"
-    calls.clear()
+    ref = _reference_representatives(MCMULLEN, 0, 3)
+    ref[i] = ref[i - 1]
+    assert _fraction_witness_reps(ref, Fraction(1, 8)) == expected
+    _repeating_builder(monkeypatch, i)
+    assert carpet_representatives(MCMULLEN, 0, 3)[0] == ref
     with pytest.raises(SandwichViolation) as info:
         sandwich_check(MCMULLEN, 0, 3)
     assert str(info.value) == expected
 
 
 @pytest.mark.parametrize("python_ints", [False, True])
+def test_representative_violation_names_the_reference_pair(monkeypatch,
+                                                           python_ints):
+    # the fourth point built repeats the third: the first close pair in row
+    # order is (2, 3) at distance 0, as the Fraction loop finds it
+    import meandim.metrics as metrics
+    if python_ints:
+        monkeypatch.setattr(metrics, "_INT64_LIMIT", 0)
+    _check_repeat_witness(monkeypatch, 3,
+                          "representatives 2,3 at distance 0 < 1/8")
+
+
+@pytest.mark.parametrize("python_ints", [False, True])
 def test_within_cell_violation_names_the_reference_distance(monkeypatch,
                                                             python_ints):
-    # the second cell's samples gain the first cell's first sample; the
-    # message must carry the first far pair's Fraction distance
+    # the second distinct offset cloud also takes the digit pair (3, 1) at
+    # depth 1, a point of another cell; the message must name the first cell
+    # with those free digits and the first far pair's Fraction distance
     import meandim.carpet as carpet
     import meandim.metrics as metrics
     from meandim.carpet import SandwichViolation
     if python_ints:
         monkeypatch.setattr(metrics, "_INT64_LIMIT", 0)
-    original = carpet._cell_sample_points
-    samples = []
+    original = carpet._digit_codes
+    clouds = []
 
-    def leak(spec, patterns, fibers, cell, k, per_cell, denom):
-        pts = original(spec, patterns, fibers, cell, k, per_cell, denom)
-        if samples:
-            pts = pts + [samples[0][1][0]]
-        samples.append((cell, pts, denom))
-        return pts
+    def leak(spec, levels, tail, denom, dtype, cut=None):
+        if cut is not None:  # the samples of a cell
+            clouds.append(levels)
+            if len(clouds) == 2:
+                levels = [(n, pairs + [(bytes([3]), bytes([1]))] if n == 1
+                           else pairs) for n, pairs in levels]
+                clouds[-1] = levels
+        return original(spec, levels, tail, denom, dtype, cut)
 
-    monkeypatch.setattr(carpet, "_cell_sample_points", leak)
+    monkeypatch.setattr(carpet, "_digit_codes", leak)
     with pytest.raises(SandwichViolation) as info:
-        sandwich_check(GOLDEN_B, 0, 3)
-    cov = Fraction(2, 8)
-    expected = None
-    for cell, pts, denom in samples:
-        ref = [tuple((Fraction(p[i], denom), Fraction(p[i + 1], denom))
-                     for i in range(0, len(p), 2)) for p in pts]
-        far = [linf_pair_distance(ref[i], ref[j])
-               for i in range(len(ref)) for j in range(i + 1, len(ref))]
-        far = [d for d in far if d >= cov]
-        if far:
-            expected = (f"within-cell distance {far[0]} >= {cov} "
-                        f"in cell {cell.key}")
-            break
-    assert expected is not None
-    assert str(info.value) == expected
+        sandwich_check(MCMULLEN, 0, 3)
+    assert len(clouds) == 2
+    ref = [_reference_point(MCMULLEN, digits, bytes([0]))
+           for digits in _level_digits(clouds[1], 48)]
+    cov = Fraction(4, 8)
+    far = [d for d in (linf_pair_distance(ref[i], ref[j])
+                       for i in range(len(ref)) for j in range(i + 1, len(ref)))
+           if d >= cov]
+    k = floor_wl(4, 2, 3)
+    cells = enumerate_psi_cells(MCMULLEN, 0, 3, 512)
+    second = next(c for c in cells if c.y_prefix[k:] != cells[0].y_prefix[k:])
+    assert far
+    assert str(info.value) == (f"within-cell distance {far[0]} >= {cov} "
+                               f"in cell {second.key}")
 
 
 @pytest.mark.parametrize("block", [1, 100, 1000])
@@ -546,24 +581,70 @@ def test_pair_blocks_of_any_size_give_the_same_reports(monkeypatch, block):
     # rows per block range from one to the whole cloud; the pairs counted,
     # the reports and a witness past the first block do not change
     import meandim.carpet as carpet
-    from meandim.carpet import SandwichViolation
     monkeypatch.setattr(carpet, "_PAIR_BLOCK", block)
     for key in sorted(SANDWICH_PINS):
         name, m, l = key
         if SANDWICH_PINS[key][3] <= 10 ** 4:
             assert sandwich_check(PIN_SPECS[name], m, l) == _pinned_report(key)
-    original = carpet._carpet_point
-    calls = []
+    _check_repeat_witness(monkeypatch, 10,
+                          "representatives 9,10 at distance 0 < 1/8")
 
-    def repeat_tenth(spec, digits, tail, denom):
-        calls.append(digits if len(calls) != 10 else calls[9])
-        return original(spec, calls[-1], tail, denom)
 
-    monkeypatch.setattr(carpet, "_carpet_point", repeat_tenth)
-    pts, _ = carpet_representatives(MCMULLEN, 0, 3)
-    expected = _fraction_witness_reps(pts, Fraction(1, 8))
-    assert expected == "representatives 9,10 at distance 0 < 1/8"
-    calls.clear()
-    with pytest.raises(SandwichViolation) as info:
-        sandwich_check(MCMULLEN, 0, 3)
-    assert str(info.value) == expected
+def _reference_cell_samples(spec, patterns, fibers, cell, per_cell):
+    """A cell's samples as `_reference_point` Fractions, listed one by one:
+    sections over the free digits (first depth outermost, cut to per_cell
+    after each depth), under one extra depth of the first max(1, per_cell //
+    sections) pair patterns (outermost), cut to per_cell; least tail."""
+    b, k = spec.b, len(cell.x_prefix)
+    combos = [list(zip(cell.x_prefix, cell.y_prefix))]
+    for v in cell.y_prefix[k:]:
+        combos = [c + [(u, v)] for c in combos for u in fibers[v]][:per_cell]
+    extras = [(bytes(s // b for s in p), bytes(s % b for s in p))
+              for p in patterns[:max(1, per_cell // len(combos))]]
+    return [_reference_point(spec, digits + [extra], patterns[0])
+            for extra in extras for digits in combos][:per_cell]
+
+
+@pytest.mark.parametrize("key", sorted(k for k, pin in SANDWICH_PINS.items()
+                                       if pin[3] <= 10 ** 4))
+def test_signature_offsets_match_every_walked_cell(monkeypatch, key):
+    # each walked cell, as its prefix plus the offsets of its free projected
+    # digits, is its own sample cloud; the pairs and the largest within-cell
+    # distance per cell are the ones the signature check counts and sees
+    import meandim.carpet as carpet
+    name, m, l = key
+    spec = PIN_SPECS[name]
+    built = _recording_builder(monkeypatch, limit=0)
+    rep = sandwich_check(spec, m, l)
+    checked_m = 0 if rep.mode == "product" else m
+    patterns, fibers = carpet._pattern_set_tools(
+        spec, ball(checked_m, spec.omega.group), 10 ** 6)
+    k, denom = rep.floor_wl, built[0][1]
+    signatures = {}
+    reps = len(built[0][0])
+    offsets = iter(built[1:])
+    pairs = reps * (reps - 1) // 2
+    for cell in enumerate_psi_cells(spec, checked_m, l, 512):
+        free_v = cell.y_prefix[k:]
+        if free_v not in signatures:
+            codes, _, _ = next(offsets)
+            signatures[free_v] = (
+                [[Fraction(int(c), denom) for c in row] for row in codes],
+                max((Fraction(int(d[later].max()), denom)
+                     for _, d, later in carpet._pair_blocks(codes)
+                     if later.any()), default=Fraction(0)))
+        rows, most = signatures[free_v]
+        prefix = _reference_point(spec, list(zip(cell.x_prefix,
+                                                 cell.y_prefix[:k])),
+                                  bytes(len(patterns[0])))
+        points = [tuple((x + px, y + py) for (px, py), x, y
+                        in zip(prefix, row[::2], row[1::2])) for row in rows]
+        assert points == _reference_cell_samples(spec, patterns, fibers, cell,
+                                                 48)
+        dists = [linf_pair_distance(points[i], points[j])
+                 for i in range(len(points))
+                 for j in range(i + 1, len(points))]
+        assert max(dists, default=Fraction(0)) == most
+        pairs += len(dists)
+    assert next(offsets, None) is None
+    assert pairs == rep.pairs_checked

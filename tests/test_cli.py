@@ -309,3 +309,36 @@ def test_unreadable_option_values_are_spec_errors(tmp_path, capsys, doc,
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("spec error:")
+
+
+# a = b = 2 with the pair symbol 1 never right of 0: `validate` accepts it,
+# but its projection to the base-b digits is no derivable subshift
+PAIRED_RULE = {"system": "carpet", "a": 2, "b": 2,
+               "omega": {"rank": 1, "alphabet": {"a": 2, "b": 2},
+                         "rule": {"type": "nearest_neighbor",
+                                  "axis_forbidden": {"0": [[0, 1]]}},
+                         "name": "paired-rule"}}
+
+
+def test_carpet_dims_without_a_projected_subshift_is_a_spec_error(tmp_path,
+                                                                 capsys):
+    spec = write_spec(tmp_path, PAIRED_RULE)
+    code, report = run(capsys, ["validate", "--spec", spec])
+    assert code == 0 and report["ok"]
+    code = main(["carpet-dims", "--spec", spec])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("spec error:")
+
+
+@pytest.mark.parametrize("grid", ["1/4", "1/4,1/4"],
+                         ids=["one-value", "repeated-value"])
+def test_selfsimilar_probe_needs_two_eps_values(tmp_path, capsys, grid):
+    spec = write_spec(tmp_path, SELFSIM)
+    code = main(["selfsimilar-probe", "--spec", spec, "--eps-grid", grid,
+                 "--window-sizes", "8"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("spec error:")

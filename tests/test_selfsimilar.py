@@ -123,7 +123,7 @@ def test_cover_probe_geometric_lower_propagates_errors(monkeypatch):
 
     monkeypatch.setattr(meandim.selfsimilar, "enumerate_patterns", broken)
     with pytest.raises(KeyError):
-        selfsimilar_cover_probe(GOLDEN3, [Fraction(1, 4)],
+        selfsimilar_cover_probe(GOLDEN3, [Fraction(1, 4), Fraction(1, 8)],
                                 [box(2, GroupSpec(1))], enforce_slope=False)
 
 
@@ -131,6 +131,15 @@ def test_cover_probe_rejects_increasing_grid():
     with pytest.raises(ValueError):
         selfsimilar_cover_probe(FULL, [Fraction(1, 8), Fraction(1, 4)],
                                 [box(4, GroupSpec(1))])
+
+
+@pytest.mark.parametrize("grid", [[Fraction(1, 4)],
+                                  [Fraction(1, 4), Fraction(1, 4)]],
+                         ids=["one-value", "repeated-value"])
+def test_cover_probe_rejects_grids_without_a_slope(grid):
+    # one distinct scale fits no slope; the probe must not report one
+    with pytest.raises(ValueError, match="at least two strictly decreasing"):
+        selfsimilar_cover_probe(FULL, grid, [box(4, GroupSpec(1))])
 
 
 def test_embedding_depth_examples():
