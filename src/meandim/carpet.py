@@ -32,6 +32,7 @@ from .subshifts import (FiberTable, SubshiftSpec, count_patterns,
 
 DEFAULT_CLOUD_CAP = 200_000
 DEFAULT_CELL_SAMPLES = 48
+_CELL_LIMIT = 512  # cells of the sandwich's within-cell check
 _PAIR_BLOCK = 1 << 16  # code differences per broadcast of the pair check
 
 
@@ -308,9 +309,7 @@ def _first_pair(codes, is_bad):
 
 
 def sandwich_check(spec: CarpetSpec, m: int, l: int,
-                   cloud_cap: int = DEFAULT_CLOUD_CAP,
-                   cell_samples: int = DEFAULT_CELL_SAMPLES,
-                   cell_limit: int = 512) -> SandwichReport:
+                   cloud_cap: int = DEFAULT_CLOUD_CAP) -> SandwichReport:
     """Exact two-sided covering sandwich at scales b^-l and a b^-l.
 
     (i) representative points are pairwise >= b^-l apart in the windowed sup
@@ -333,10 +332,10 @@ def sandwich_check(spec: CarpetSpec, m: int, l: int,
     Both clouds are outer sums of per-depth digit codes (`_digit_codes`).
     A cell's samples take the sections over its free projected digits
     y_prefix[k:] under one extra depth of pair patterns, cut to
-    `cell_samples`; differences cancel their shared prefix, so the offsets
-    of each distinct y_prefix[k:] are built and checked once, while each of
-    the first `cell_limit` cells adds its pairs and the first failing cell
-    is named.
+    DEFAULT_CELL_SAMPLES; differences cancel their shared prefix, so the
+    offsets of each distinct y_prefix[k:] are built and checked once, while
+    each of the first _CELL_LIMIT cells adds its pairs and the first failing
+    cell is named.
     """
     a, b = spec.a, spec.b
     k = floor_wl(a, b, l)
@@ -371,11 +370,11 @@ def sandwich_check(spec: CarpetSpec, m: int, l: int,
             f"representatives {i},{j} at distance "
             f"{Fraction(int(d), denom)} < {sep_scale}")
     checked = {}  # y_prefix[k:] -> (samples per cell, first far pair)
-    for cell in _psi_cells(spec, patterns, fibers, checked_m, l, cell_limit):
+    for cell in _psi_cells(spec, patterns, fibers, checked_m, l, _CELL_LIMIT):
         free_v = cell.y_prefix[k:]
         if free_v not in checked:
-            offsets = _cell_offsets(spec, patterns, fibers, cell, cell_samples,
-                                    denom, dtype)
+            offsets = _cell_offsets(spec, patterns, fibers, cell,
+                                    DEFAULT_CELL_SAMPLES, denom, dtype)
             checked[free_v] = (len(offsets), _first_pair(
                 offsets, lambda dist: dist >= cov_bound))
         samples, bad = checked[free_v]

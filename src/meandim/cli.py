@@ -1,10 +1,17 @@
 """Experiment runner: parse a JSON system spec, dispatch the requested
 computation, enforce caps and seeds, emit a machine-readable report.
 
-Exit status: 0 on success, 1 when an assertion failed or a cap aborted the
-run, 2 on spec parse or validation errors.  Outputs are written atomically;
-identical config and seed give byte-identical reports apart from the timing
-block.
+A spec is checked on one path: `parse_system` builds the system, and each
+input is checked where it is read (the strict integer reader `json_int`,
+the spec constructors and the option readers below).  `validate` runs
+`parse_system` and nothing else, so it reports the first spec error that
+any command would report for the spec.
+
+Exit status: 0 on success; 1 with a full report whose results hold
+`assertion_failed`, `cap_abort` or `internal_error`; 2 with a `spec error:`
+line on stderr and nothing on stdout when the spec or an option value is
+unreadable or out of range.  Outputs are written atomically; identical
+config and seed give byte-identical reports apart from the timing block.
 """
 from __future__ import annotations
 
@@ -20,18 +27,17 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .groups import FolnerDescriptor, GroupSpec, WindowCapExceeded, box
+from .groups import FolnerDescriptor, GroupSpec, box
 from .metrics import WeightScheme
-from .subshifts import PatternCapExceeded, projected_spec, spec_from_json
+from .subshifts import json_int, projected_spec, spec_from_json
 from .entropy import entropy_series, entropy_estimate, weighted_entropy_series
-from .carpet import CarpetSpec, SandwichViolation, carpet_dimension_report
-from .selfsimilar import (NetTooCoarse, ProbeViolation, SelfSimilarSpec,
-                          selfsimilar_cover_probe, selfsimilar_upper_bound)
+from .carpet import CarpetSpec, carpet_dimension_report
+from .selfsimilar import (SelfSimilarSpec, selfsimilar_cover_probe,
+                          selfsimilar_upper_bound)
 from .homogeneous import (HomogeneousSpec, homogeneous_covering_probe,
                           homogeneous_gxn_entropy, homogeneous_slope_series)
-from .kspace import (DemoHypothesisFailure, KSpaceSpec,
-                     kg_covering_experiment, kg_mass_distribution_demo,
-                     trend_slopes)
+from .kspace import (KSpaceSpec, kg_covering_experiment,
+                     kg_mass_distribution_demo, trend_slopes)
 
 
 class SpecError(ValueError):
@@ -47,14 +53,12 @@ def _fraction(value) -> Fraction:
 
 
 def _weights(doc, rank: int, default_rho: Fraction) -> WeightScheme:
-    rho = default_rho
-    if doc and "rho" in doc:
-        rho = _fraction(doc["rho"])
-    return WeightScheme(rank, rho)
+    return WeightScheme(rank, _fraction((doc or {}).get("rho", default_rho)))
 
 
 def parse_system(doc: dict):
-    """Build the concrete system object named by the spec document."""
+    """Build the concrete system object named by the spec document; any
+    input it cannot read or that breaks an invariant is a SpecError."""
     if not isinstance(doc, dict):
         raise SpecError("spec document must be a JSON object")
     system = doc.get("system", "subshift")
@@ -64,7 +68,8 @@ def parse_system(doc: dict):
         if system == "carpet":
             omega = spec_from_json(doc["omega"])
             weights = _weights(doc.get("weights"), omega.rank, Fraction(1, 4))
-            return CarpetSpec(a=int(doc["a"]), b=int(doc["b"]), omega=omega,
+            return CarpetSpec(a=json_int(doc["a"], "a"),
+                              b=json_int(doc["b"], "b"), omega=omega,
                               weights=weights)
         if system == "selfsimilar":
             omega = spec_from_json(doc["omega"])
@@ -77,55 +82,27 @@ def parse_system(doc: dict):
             digits = spec_from_json(doc["digits"])
             weights = _weights(doc.get("weights"), digits.rank - 1,
                                Fraction(1, 2**20))
-            return HomogeneousSpec(base=int(doc["base"]), digit_spec=digits,
-                                   weights=weights)
+            return HomogeneousSpec(base=json_int(doc["base"], "base"),
+                                   digit_spec=digits, weights=weights)
         if system == "kspace":
-            rank = int(doc.get("rank", 1))
+            rank = json_int(doc.get("rank", 1), "rank")
             weights = _weights(doc.get("weights"), rank, Fraction(1, 10**9))
             return KSpaceSpec(rank=rank, kind=doc.get("kind", "kset"),
                               weights=weights)
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
+        raise SpecError(f"missing spec field {exc}") from exc
+    except (AttributeError, TypeError, ValueError, ArithmeticError) as exc:
         raise SpecError(str(exc)) from exc
     raise SpecError(f"unknown system type {system!r}")
 
 
 def validate(doc: dict) -> list[str]:
-    """Schema and invariant pre-checks, no computation."""
-    diagnostics = []
-    if not isinstance(doc, dict):
-        return ["spec document must be a JSON object"]
-    system = doc.get("system", "subshift")
-    if system == "carpet":
-        a, b = doc.get("a"), doc.get("b")
-        if not (isinstance(a, int) and isinstance(b, int) and a >= b >= 2):
-            diagnostics.append("carpet bases need integers a >= b >= 2")
-    if system == "selfsimilar":
-        try:
-            c = _fraction(doc.get("c", 1))
-        except (TypeError, ValueError):
-            c = Fraction(1)
-        if not (0 < c < 1):
-            diagnostics.append("contraction requires 0 < c < 1")
-        if "values" not in doc or "omega" not in doc:
-            diagnostics.append("selfsimilar specs need 'values' and 'omega'")
-    if system == "homogeneous":
-        if not (isinstance(doc.get("base"), int) and doc["base"] >= 2):
-            diagnostics.append("homogeneous base must be an integer >= 2")
-    if system == "kspace" and doc.get("kind", "kset") not in ("kset", "unit"):
-        diagnostics.append("kspace kind must be 'kset' or 'unit'")
-    if "weights" in doc and doc["weights"]:
-        try:
-            rho = _fraction(doc["weights"].get("rho", "1/4"))
-            if not (0 < rho < 1):
-                diagnostics.append("weight decay rho must be in (0, 1)")
-        except (TypeError, ValueError, AttributeError):
-            diagnostics.append("weights.rho is not a number")
-    if not diagnostics:
-        try:
-            parse_system(doc)
-        except SpecError as exc:
-            diagnostics.append(str(exc))
-    return diagnostics
+    """[] when `parse_system` accepts the spec, else its error message."""
+    try:
+        parse_system(doc)
+    except SpecError as exc:
+        return [str(exc)]
+    return []
 
 
 # ---------------------------------------------------------------------------
@@ -379,37 +356,30 @@ def main(argv=None) -> int:
         return 0 if not diagnostics else 2
 
     handler, expected = COMMANDS[args.command]
-    if doc.get("system", "subshift") != expected:
-        print(f"spec error: {args.command} expects a {expected!r} spec",
-              file=sys.stderr)
-        return 2
+    status = 1
     try:
         system = parse_system(doc)
-    except SpecError as exc:
-        print(f"spec error: {exc}", file=sys.stderr)
-        return 2
-
-    status = 0
-    try:
+        if doc.get("system", "subshift") != expected:
+            raise SpecError(f"{args.command} expects a {expected!r} spec")
         results = handler(system, args)
+        status = 0
     except SpecError as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return 2
-    except (ProbeViolation, SandwichViolation, DemoHypothesisFailure,
-            AssertionError) as exc:
+    except AssertionError as exc:
         results = {"assertion_failed": str(exc)}
-        status = 1
-    except (WindowCapExceeded, PatternCapExceeded, NetTooCoarse,
-            RuntimeError) as exc:
+    except RuntimeError as exc:
         results = {"cap_abort": str(exc)}
-        status = 1
+    except Exception as exc:
+        results = {"internal_error": f"{type(exc).__name__}: {exc}"}
 
     report = {
         "command": args.command,
         "config": {"spec": doc, "m_max": args.m_max, "l_max": args.l_max,
                    "folner": args.folner, "w": args.w, "seed": args.seed,
                    "eps_grid": args.eps_grid, "depths": args.depths,
-                   "window_sizes": args.window_sizes},
+                   "window_sizes": args.window_sizes, "k_list": args.k_list,
+                   "eps": args.eps, "caps": args.caps},
         "results": results,
         "status": "ok" if status == 0 else "failed",
         "versions": {"meandim": __version__,

@@ -41,6 +41,8 @@ class KSpaceSpec:
     weights: WeightScheme | None = None
 
     def __post_init__(self):
+        if self.rank < 1:
+            raise ValueError("rank must be >= 1")
         if self.kind not in ("kset", "unit"):
             raise ValueError("kind must be 'kset' or 'unit'")
         if self.weights is None:

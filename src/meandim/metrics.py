@@ -56,9 +56,8 @@ def sphere_size(rank: int, n: int) -> int:
 class WeightScheme:
     """Geometric weights alpha_g = rho^{l1(g)} with alpha_identity = 1.
 
-    Tail sums are exact closed forms for rank <= 2 and certified upper bounds
-    (dominated geometric remainder) above that; summability needs
-    rho * (sphere growth) < 1, which geometric decay gives for every rank.
+    Tail sums are exact for every rank: the sum over all of Z^rank is
+    ((1 + rho) / (1 - rho))^rank, one geometric series per coordinate.
     """
 
     rank: int
@@ -74,30 +73,18 @@ class WeightScheme:
         return self.rho ** word_length(g)
 
     def tail_upper(self, r: int) -> Fraction:
-        """Certified upper bound for sum of alpha_g over word length >= r."""
+        """The exact sum of alpha_g over word length >= r."""
         rho = self.rho
-        if r == 0:
-            return self.tail_upper(1) + 1
-        if self.rank == 1:
+        if r >= 1 and self.rank == 1:
             return 2 * rho ** r / (1 - rho)
-        if self.rank == 2:
+        if r >= 1 and self.rank == 2:
             # 4 * sum_{n>=r} n rho^n, arithmetico-geometric closed form
             return 4 * rho ** r * (r - (r - 1) * rho) / (1 - rho) ** 2
-        # partial sum plus dominated geometric remainder:
-        # c(n+j) <= c(n) ((n+j)/n)^{rank-1} and ((N+j)/N)^{rank-1} <= q0^j
-        # for q0 = ((N+1)/N)^{rank-1} once j steps one at a time.
-        n0 = max(r, 4 * self.rank)
-        partial = sum(sphere_size(self.rank, n) * rho ** n for n in range(r, n0 + 1))
-        q = rho * Fraction(n0 + 1, n0) ** (self.rank - 1)
-        while q >= 1:
-            n0 *= 2
-            partial = sum(sphere_size(self.rank, n) * rho ** n for n in range(r, n0 + 1))
-            q = rho * Fraction(n0 + 1, n0) ** (self.rank - 1)
-        remainder = sphere_size(self.rank, n0) * rho ** n0 * q / (1 - q)
-        return partial + remainder
+        return (((1 + rho) / (1 - rho)) ** self.rank
+                - sum(sphere_size(self.rank, n) * rho ** n for n in range(r)))
 
     def total_upper(self) -> Fraction:
-        return 1 + self.tail_upper(1)
+        return self.tail_upper(0)
 
 
 def tail_support(scheme: WeightScheme, eps, spec: GroupSpec | None = None,

@@ -46,7 +46,7 @@ class SelfSimilarSpec:
         if len(self.values) != self.omega.alphabet.size:
             raise ValueError("one value per symbol")
         if not (0 < self.c < 1):
-            raise ValueError("contraction ratio must be in (0, 1)")
+            raise ValueError("contraction ratio needs 0 < c < 1")
         if self.weights is None:
             object.__setattr__(self, "weights",
                                WeightScheme(1, Fraction(1, 4)))
@@ -185,37 +185,41 @@ def selfsimilar_cover_probe(spec: SelfSimilarSpec, eps_grid: Sequence,
     # boundary growth
     r = net_radius(spec, min(eps_grid))
     for orbit in orbit_windows:
-        xs, ys = [], []
         net_win, net_count = _net(spec, orbit, r)
-        geometric = _geometric_net(spec, orbit,
-                                   (net_win, net_count) if r == 1 else None)
+        rows = []
         for eps in eps_grid:
             m = composition_depth(spec, eps)
             log_upper = m * math.log(net_count) if net_count else float("-inf")
             per_site = log_upper / len(orbit)
-            row = {"window": len(orbit), "eps": float(eps), "net_radius": r,
-                   "depth": m, "net_count": net_count, "log_upper": log_upper,
-                   "per_site_upper": per_site,
-                   "normalized": per_site / math.log(1 / float(eps))}
+            rows.append({"window": len(orbit), "eps": float(eps),
+                         "net_radius": r, "depth": m, "net_count": net_count,
+                         "log_upper": log_upper, "per_site_upper": per_site,
+                         "normalized": per_site / math.log(1 / float(eps))})
+        xs = [math.log(1 / float(eps)) for eps in eps_grid]
+        ys = [row["log_upper"] for row in rows]
+        slope = float(np.polyfit(xs, ys, 1)[0]) / len(orbit)
+        slopes[len(orbit)] = slope
+        # the slope reads only the upper counts, so it is enforced before
+        # any geometric lower bound is paid for.  Tiny diagnostic windows
+        # carry a boundary term 2r/|F| that swamps the per-site
+        # normalization; enforcement is for production windows
+        if enforce_slope and slope > bound + slack:
+            raise ProbeViolation(
+                f"slope {slope:.4f} exceeds bound {bound:.4f} + {slack} "
+                f"on window of size {len(orbit)}")
+        geometric = _geometric_net(spec, orbit,
+                                   (net_win, net_count) if r == 1 else None)
+        for eps, row in zip(eps_grid, rows):
             if isinstance(geometric, str):
                 row["geometric_lower_skipped"] = geometric
             else:
                 lower = _geometric_lower(spec, geometric, eps, geometric_cap)
                 row["geometric_lower"] = lower
-                if net_count and math.log(max(lower, 1)) > log_upper + 1e-9:
+                if (net_count and
+                        math.log(max(lower, 1)) > row["log_upper"] + 1e-9):
                     raise ProbeViolation(
                         f"geometric lower {lower} exceeds net upper at eps={eps}")
-            report_rows.append(row)
-            xs.append(math.log(1 / float(eps)))
-            ys.append(log_upper)
-        slope = float(np.polyfit(xs, ys, 1)[0]) / len(orbit)
-        slopes[len(orbit)] = slope
-        # tiny diagnostic windows carry a boundary term 2r/|F| that swamps
-        # the per-site normalization; enforcement is for production windows
-        if enforce_slope and slope > bound + slack:
-            raise ProbeViolation(
-                f"slope {slope:.4f} exceeds bound {bound:.4f} + {slack} "
-                f"on window of size {len(orbit)}")
+        report_rows += rows
     return {"bound": bound, "slack": slack, "rows": report_rows,
             "slopes": slopes}
 

@@ -39,8 +39,9 @@ class Alphabet:
             raise ValueError("alphabet must have at least one symbol")
         if self.pair is not None:
             a, b = self.pair
-            if a * b != self.size:
-                raise ValueError("paired alphabet needs size = a*b")
+            if min(a, b) < 1 or a * b != self.size:
+                raise ValueError("paired alphabet needs a, b >= 1 and "
+                                 "size = a*b")
 
     @property
     def is_paired(self) -> bool:
@@ -55,6 +56,9 @@ class Alphabet:
         return self.pair[1]
 
     def pair_index(self, u: int, v: int) -> int:
+        if not (0 <= u < self.a and 0 <= v < self.b):
+            raise ValueError(f"pair ({u}, {v}) is outside [0, {self.a}) x "
+                             f"[0, {self.b})")
         return u * self.b + v
 
 
@@ -85,6 +89,10 @@ class Rule:
         mats = []
         for axis, pairs in sorted(forbidden_pairs.items()):
             banned = set(tuple(p) for p in pairs)
+            if any(len(p) != 2 or not all(0 <= s < size for s in p)
+                   for p in banned):
+                raise ValueError(f"axis {axis}: a forbidden pair is not two "
+                                 f"symbols in [0, {size})")
             mat = tuple(tuple((s, t) not in banned for t in range(size))
                         for s in range(size))
             mats.append((axis, mat))
@@ -124,6 +132,21 @@ class SubshiftSpec:
             raise ValueError("rule and alphabet sizes disagree")
         if self.alphabet.size > 256:
             raise ValueError("patterns store one byte per cell; 256 symbols max")
+        if self.rank < 1:
+            raise ValueError("rank must be >= 1")
+        rule = self.rule
+        symbols = set(rule.allowed_symbols or ())
+        symbols.update(s for _, syms in rule.forbidden for s in syms)
+        if not symbols <= set(range(rule.size)):
+            raise ValueError(f"rule symbols must lie in [0, {rule.size})")
+        if any(not 0 <= axis < self.rank for axis, _ in rule.axis_allowed):
+            raise ValueError(f"rule axes must lie in [0, {self.rank})")
+        for offs, syms in rule.forbidden:
+            if (not offs or len(offs) != len(syms)
+                    or any(len(o) != self.rank for o in offs)):
+                raise ValueError("a forbidden pattern needs one symbol per "
+                                 f"offset and {self.rank} coordinates per "
+                                 "offset")
 
     @property
     def group(self) -> GroupSpec:
@@ -509,33 +532,44 @@ def fiber_table(spec: SubshiftSpec, window: GroupWindow,
 # ---------------------------------------------------------------------------
 # JSON interface
 
+def json_int(value, what: str) -> int:
+    """A JSON integer as is; bools, floats and strings raise ValueError."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be a JSON integer, got {value!r}")
+    return value
+
+
 def spec_from_json(doc) -> SubshiftSpec:
     """Parse {"rank", "alphabet": {"k"}|{"a","b"}, "rule": {"type", ...}}."""
     if isinstance(doc, str):
         doc = json.loads(doc)
-    rank = int(doc.get("rank", 1))
+    rank = json_int(doc.get("rank", 1), "rank")
     alpha_doc = doc["alphabet"]
     if "k" in alpha_doc:
-        alpha = Alphabet(int(alpha_doc["k"]))
+        alpha = Alphabet(json_int(alpha_doc["k"], "k"))
     else:
-        a, b = int(alpha_doc["a"]), int(alpha_doc["b"])
+        a, b = json_int(alpha_doc["a"], "a"), json_int(alpha_doc["b"], "b")
         alpha = Alphabet(a * b, pair=(a, b))
+
+    def ints(items, what="rule symbol"):
+        return [json_int(v, what) for v in items]
+
     rdoc = doc["rule"]
     rtype = rdoc["type"]
     if rtype == "full":
         rule = Rule.full(alpha.size)
     elif rtype == "cellwise":
         if alpha.is_paired:
-            allowed = [alpha.pair_index(u, v) for u, v in rdoc["allowed"]]
+            allowed = [alpha.pair_index(*ints(p)) for p in rdoc["allowed"]]
         else:
-            allowed = [int(s) for s in rdoc["allowed"]]
+            allowed = ints(rdoc["allowed"])
         rule = Rule.cellwise(alpha.size, allowed)
     elif rtype == "nearest_neighbor":
-        forb = {int(ax): [tuple(p) for p in pairs]
+        forb = {int(ax): [ints(p) for p in pairs]
                 for ax, pairs in rdoc["axis_forbidden"].items()}
         rule = Rule.nearest_neighbor(alpha.size, forb)
     elif rtype == "forbidden_patterns":
-        pats = [(tuple(tuple(o) for o in p["offsets"]), tuple(p["symbols"]))
+        pats = [([ints(o, "offset") for o in p["offsets"]], ints(p["symbols"]))
                 for p in rdoc["patterns"]]
         rule = Rule.forbidden_patterns(alpha.size, pats)
     else:

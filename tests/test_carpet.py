@@ -100,6 +100,14 @@ def test_sandwich_full_and_mcmullen():
                 assert rep.cover_count <= rep.upper_product
 
 
+def test_sandwich_sample_counts_are_not_parameters():
+    # a zero sample count once divided by zero; the counts are now fixed
+    with pytest.raises(TypeError):
+        sandwich_check(MCMULLEN, 0, 3, cell_samples=0)
+    with pytest.raises(TypeError):
+        sandwich_check(MCMULLEN, 0, 3, cell_limit=0)
+
+
 def test_sandwich_equality_on_full_shift():
     rep = sandwich_check(FULL22, 0, 3)
     assert rep.separated_count == rep.lower_product == 4 ** 3

@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from meandim import cli
 from meandim.cli import main, parse_caps, parse_system, validate
 
 CARPET_FULL = {"system": "carpet", "a": 3, "b": 2,
@@ -342,3 +343,84 @@ def test_selfsimilar_probe_needs_two_eps_values(tmp_path, capsys, grid):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("spec error:")
+
+
+def _subshift(rank, alphabet, rule):
+    return {"system": "subshift", "rank": rank, "alphabet": alphabet,
+            "rule": rule}
+
+
+# each spec once passed `validate` and then crashed or ran as another spec,
+# or failed `validate` and ran anyway
+MALFORMED = [
+    ({**GOLDEN, "rank": 0}, "entropy"),
+    ({**KSPACE, "rank": 0}, "kg-experiment"),
+    ({**MCMULLEN, "a": 4.7}, "carpet-dims"),
+    ({**HOMOG, "base": 2.9}, "homog-entropy"),
+    ({**GOLDEN, "rank": 1.5}, "entropy"),
+    (_subshift(1, {"k": 2}, {"type": "cellwise", "allowed": [5]}), "entropy"),
+    (_subshift(1, {"a": 3, "b": 2},
+               {"type": "cellwise", "allowed": [[0, 3]]}), "entropy"),
+    (_subshift(1, {"k": 2}, {"type": "nearest_neighbor",
+                             "axis_forbidden": {"3": [[1, 1]]}}), "entropy"),
+    (_subshift(1, {"k": 2}, {"type": "nearest_neighbor",
+                             "axis_forbidden": {"0": [[1, 7]]}}), "entropy"),
+    (_subshift(1, {"k": 2}, {"type": "forbidden_patterns", "patterns": [
+        {"offsets": [[0], [1, 2]], "symbols": [1, 1]}]}), "entropy"),
+    (_subshift(1, {"k": 2}, {"type": "forbidden_patterns", "patterns": [
+        {"offsets": [[0], [1]], "symbols": [1]}]}), "entropy"),
+    ([GOLDEN], "entropy"),
+    ({**SELFSIM, "c": "1/0"}, "selfsimilar-bound"),
+    ({**MCMULLEN, "omega": [MCMULLEN["omega"]]}, "carpet-dims"),
+    (_subshift(1, {"k": True}, {"type": "full"}), "entropy"),
+    (_subshift(1, {"a": -1, "b": -1}, {"type": "full"}), "entropy"),
+    ({**KSPACE, "weights": ["1/2"]}, "kg-experiment"),
+]
+MALFORMED_IDS = ["subshift-rank-0", "kspace-rank-0", "carpet-a-float",
+                 "homog-base-float", "subshift-rank-float",
+                 "cellwise-symbol-outside", "cellwise-pair-outside",
+                 "axis-beyond-rank", "axis-pair-outside",
+                 "pattern-offset-length", "pattern-symbol-count",
+                 "document-list", "contraction-zero-denominator",
+                 "omega-list", "k-bool", "pair-negative", "weights-list"]
+
+
+@pytest.mark.parametrize("doc, command", MALFORMED, ids=MALFORMED_IDS)
+def test_malformed_specs_fail_validate_and_every_command(tmp_path, capsys,
+                                                         doc, command):
+    spec = write_spec(tmp_path, doc)
+    code, report = run(capsys, ["validate", "--spec", spec])
+    assert code == 2 and report["ok"] is False
+    assert len(report["diagnostics"]) == 1
+    code = main([command, "--spec", spec])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"spec error: {report['diagnostics'][0]}\n"
+
+
+def test_unexpected_exceptions_are_internal_errors(tmp_path, capsys,
+                                                   monkeypatch):
+    def broken(system, args):
+        raise KeyError("lost")
+
+    monkeypatch.setitem(cli.COMMANDS, "entropy", (broken, "subshift"))
+    code, report = run(capsys, ["entropy", "--spec",
+                                write_spec(tmp_path, GOLDEN)])
+    assert code == 1
+    assert report["status"] == "failed"
+    assert report["results"] == {"internal_error": "KeyError: 'lost'"}
+
+
+def test_config_records_every_option_that_changes_results(tmp_path, capsys):
+    spec = write_spec(tmp_path, KSPACE)
+    configs = []
+    for k in ("2", "4"):
+        code, report = run(capsys, ["kg-mass-demo", "--spec", spec,
+                                    "--k-list", k, "--eps", "1/20",
+                                    "--caps", "cells=500"])
+        assert code == 0
+        configs.append(report["config"])
+    assert [c["k_list"] for c in configs] == ["2", "4"]
+    assert all(c["eps"] == "1/20" and c["caps"] == "cells=500"
+               for c in configs)

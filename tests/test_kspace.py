@@ -219,3 +219,8 @@ def test_mass_demo_input_validation():
     with pytest.raises(ValueError):
         kg_mass_distribution_demo(KSET, 2, FolnerDescriptor("boxes", (1,)), 1,
                                   Fraction(1, 2))
+
+
+def test_kspace_spec_needs_rank_at_least_one():
+    with pytest.raises(ValueError, match="rank must be >= 1"):
+        KSpaceSpec(rank=0)

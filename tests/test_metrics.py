@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -29,6 +30,18 @@ def test_tail_upper_brackets_true_tail():
             up = ws.tail_upper(r)
             assert partial <= up
             assert float(up) <= float(partial) * 1.25 + 1e-12
+    # ranks 3 and 4 are exact: the whole-lattice sum ((1 + rho)/(1 - rho))^d
+    # less the weights of the ball of radius r - 1, summed point by point
+    for rank in (3, 4):
+        for rho in (Fraction(1, 4), Fraction(2, 3)):
+            ws = WeightScheme(rank, rho)
+            for r in (0, 1, 2, 4):
+                inner = sum(rho ** sum(map(abs, g))
+                            for g in itertools.product(range(1 - r, r),
+                                                       repeat=rank)
+                            if sum(map(abs, g)) < r)
+                assert ws.tail_upper(r) == ((1 + rho) / (1 - rho)) ** rank \
+                    - inner
 
 
 def test_tail_support_examples():

@@ -188,6 +188,23 @@ def test_cover_probe_enforcement_raises_on_tiny_window():
         selfsimilar_cover_probe(FULL, grid, [box(4, GroupSpec(1))])
 
 
+def test_cover_probe_enforces_the_slope_before_any_geometric_lower(
+        monkeypatch):
+    # the golden-mean net on a 4-cell window is small enough for the
+    # geometric lower bound, but the slope fails first and needs none
+    import meandim.selfsimilar
+
+    def never(*args, **kwargs):
+        raise AssertionError("geometric lower bound computed")
+
+    monkeypatch.setattr(meandim.selfsimilar, "_geometric_lower", never)
+    spec = SelfSimilarSpec(omega=golden_mean(), values=(0, 1),
+                           c=Fraction(1, 2))
+    grid = [spec.c ** j for j in range(2, 9)]
+    with pytest.raises(ProbeViolation, match="slope .* on window of size 4"):
+        selfsimilar_cover_probe(spec, grid, [box(4, GroupSpec(1))])
+
+
 def test_benchmark_window_says_why_it_has_no_geometric_lower():
     # the 512-cell window of the benchmark: the radius-1 net has far more
     # than 512 patterns, and every row says so

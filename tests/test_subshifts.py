@@ -11,7 +11,7 @@ from meandim.subshifts import (Alphabet, PatternCapExceeded, Rule,
                                count_patterns, counts_to_csv,
                                enumerate_patterns, extensible_symbols,
                                fiber_table, full_shift, golden_mean,
-                               hard_square, mcmullen_shift,
+                               hard_square, json_int, mcmullen_shift,
                                pair_shift_with_b_rule, projected_spec,
                                projection_count_interval, spec_from_json)
 
@@ -367,3 +367,27 @@ def test_csv_export():
 def test_alphabet_byte_width_guard():
     with pytest.raises(ValueError):
         SubshiftSpec(1, Alphabet(300), Rule.full(300))
+
+
+def test_rules_outside_the_alphabet_or_rank_are_rejected():
+    with pytest.raises(ValueError, match="outside"):
+        Alphabet(6, pair=(3, 2)).pair_index(0, 2)
+    with pytest.raises(ValueError, match="forbidden pair"):
+        Rule.nearest_neighbor(2, {0: [(1, 2)]})
+    bad = [(0, Alphabet(2), Rule.full(2)),
+           (1, Alphabet(2), Rule.cellwise(2, [2])),
+           (1, Alphabet(2), Rule.nearest_neighbor(2, {1: [(1, 1)]})),
+           (1, Alphabet(2), Rule.forbidden_patterns(2, [([(0,)], (1, 1))])),
+           (1, Alphabet(2), Rule.forbidden_patterns(2, [([(0, 0)], (1,))])),
+           (1, Alphabet(2), Rule.forbidden_patterns(2, [([], ())]))]
+    for rank, alphabet, rule in bad:
+        with pytest.raises(ValueError):
+            SubshiftSpec(rank, alphabet, rule)
+
+
+@pytest.mark.parametrize("value", [True, 2.0, "2", None])
+def test_spec_integers_are_json_integers(value):
+    with pytest.raises(ValueError, match="must be a JSON integer"):
+        json_int(value, "k")
+    with pytest.raises(ValueError, match="k must be a JSON integer"):
+        spec_from_json({"alphabet": {"k": value}, "rule": {"type": "full"}})
