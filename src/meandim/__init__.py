@@ -2,8 +2,8 @@
 self-similar systems and homogeneous torus systems."""
 
 from .groups import (FolnerDescriptor, GroupSpec, GroupWindow,
-                     WindowCapExceeded, ball, box, canonical_order,
-                     folner_defect, interval, product_window, word_length)
+                     WindowCapExceeded, ball, box, canonical_order, interval,
+                     product_window, word_length)
 from .subshifts import (Alphabet, FiberTable, PatternCapExceeded, PatternSet,
                         Rule, SubshiftSpec, cellwise_pair_shift, count_patterns,
                         enumerate_patterns, fiber_table, full_shift,
@@ -18,7 +18,7 @@ from .entropy import (EntropyEstimate, EntropySeries, WeightedEntropySeries,
 from .carpet import (CarpetMeasure, CarpetSpec, PsiCell, SandwichViolation,
                      carpet_dimension_report, carpet_representatives,
                      enumerate_psi_cells, mdim_h_carpet, mdim_m_carpet,
-                     mu_psi, sandwich_check, separation_pigeonhole_check,
+                     sandwich_check, separation_pigeonhole_check,
                      shannon_mcmillan_probe)
 from .selfsimilar import (SelfSimilarSpec, contraction_embedding_check,
                           selfsimilar_cover_probe, selfsimilar_spanning_cloud,

@@ -40,10 +40,6 @@ class SandwichViolation(AssertionError):
     """An exact sandwich inequality failed; carries the witnessing pair."""
 
 
-class IllegalPrefix(ValueError):
-    """A cylinder prefix has probability zero under the fiber measure."""
-
-
 @dataclass(frozen=True)
 class CarpetSpec:
     """Bases a >= b >= 2, the driving paired subshift, the ambient weights."""
@@ -433,28 +429,6 @@ class CarpetMeasure:
         sum_fp = math.fsum(math.exp(self.w * log_big(t) - self.log_z)
                            for t in self.table.entries.values())
         return abs(sum_f - 1.0), abs(sum_fp - 1.0)
-
-
-def mu_psi(measure: CarpetMeasure, cell: PsiCell) -> float:
-    """Exact log probability of a cylinder as a sum of per-depth factor logs."""
-    b = measure.spec.b
-    alpha = measure.spec.omega.alphabet
-    k = len(cell.x_prefix)
-    total = 0.0
-    for n in range(cell.l):
-        v = cell.y_prefix[n]
-        if v not in measure.table.entries:
-            raise IllegalPrefix(f"depth {n + 1}: projected pattern not legal")
-        if n < k:
-            u = cell.x_prefix[n]
-            combined = bytes(alpha.pair_index(a_sym, b_sym)
-                             for a_sym, b_sym in zip(u, v))
-            if combined not in measure.legal:
-                raise IllegalPrefix(f"depth {n + 1}: pair pattern not legal")
-            total += measure.log_f_pair(v)
-        else:
-            total += measure.log_f_marginal(v)
-    return total
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,9 @@
 computation, enforce caps and seeds, emit a machine-readable report.
 
 A spec is checked on one path: `parse_system` builds the system, and each
-input is checked where it is read (the strict integer reader `json_int`,
-the spec constructors and the option readers below).  `validate` runs
+input is checked where it is read (the strict readers `json_int`,
+`json_object` and `_fraction`, the spec constructors and the option readers
+below), with a message that names the field.  `validate` runs
 `parse_system` and nothing else, so it reports the first spec error that
 any command would report for the spec.
 
@@ -29,7 +30,7 @@ import numpy as np
 from . import __version__
 from .groups import FolnerDescriptor, GroupSpec, box
 from .metrics import WeightScheme
-from .subshifts import json_int, projected_spec, spec_from_json
+from .subshifts import json_int, json_object, projected_spec, spec_from_json
 from .entropy import entropy_series, entropy_estimate, weighted_entropy_series
 from .carpet import CarpetSpec, carpet_dimension_report
 from .selfsimilar import (SelfSimilarSpec, selfsimilar_cover_probe,
@@ -44,16 +45,30 @@ class SpecError(ValueError):
     pass
 
 
-def _fraction(value) -> Fraction:
-    if isinstance(value, str):
-        return Fraction(value)
-    if isinstance(value, int):
-        return Fraction(value)
-    return Fraction(value).limit_denominator(10**15)
+def _fraction(value, field: str) -> Fraction:
+    """A JSON integer or a rational string such as "1/4", read exactly;
+    anything else, bools and floats included, is a SpecError naming the
+    field."""
+    if type(value) is not int and not isinstance(value, str):
+        raise SpecError(f"{field} must be a JSON integer or a rational "
+                        f"string, got {value!r}")
+    return _parse_value(Fraction, value, field)
 
 
 def _weights(doc, rank: int, default_rho: Fraction) -> WeightScheme:
-    return WeightScheme(rank, _fraction((doc or {}).get("rho", default_rho)))
+    """The spec's `weights` object; without one, or without `rho` in it,
+    the decay ratio is `default_rho`."""
+    doc = {} if doc is None else json_object(doc, "weights")
+    rho = _fraction(doc["rho"], "weights.rho") if "rho" in doc else default_rho
+    return WeightScheme(rank, rho)
+
+
+def _parse_value(convert, text: str, name: str):
+    """convert(text), with a value it cannot read reported as a SpecError."""
+    try:
+        return convert(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise SpecError(f"{name}: cannot read {text!r} ({exc})") from None
 
 
 def parse_system(doc: dict):
@@ -66,20 +81,22 @@ def parse_system(doc: dict):
         if system == "subshift":
             return spec_from_json(doc)
         if system == "carpet":
-            omega = spec_from_json(doc["omega"])
+            omega = spec_from_json(json_object(doc["omega"], "omega"))
             weights = _weights(doc.get("weights"), omega.rank, Fraction(1, 4))
             return CarpetSpec(a=json_int(doc["a"], "a"),
                               b=json_int(doc["b"], "b"), omega=omega,
                               weights=weights)
         if system == "selfsimilar":
-            omega = spec_from_json(doc["omega"])
+            omega = spec_from_json(json_object(doc["omega"], "omega"))
             weights = _weights(doc.get("weights"), 1, Fraction(1, 4))
+            if not isinstance(doc["values"], list):
+                raise SpecError("values must be a JSON list")
             return SelfSimilarSpec(omega=omega,
-                                   values=tuple(_fraction(v)
+                                   values=tuple(_fraction(v, "values")
                                                 for v in doc["values"]),
-                                   c=_fraction(doc["c"]), weights=weights)
+                                   c=_fraction(doc["c"], "c"), weights=weights)
         if system == "homogeneous":
-            digits = spec_from_json(doc["digits"])
+            digits = spec_from_json(json_object(doc["digits"], "digits"))
             weights = _weights(doc.get("weights"), digits.rank - 1,
                                Fraction(1, 2**20))
             return HomogeneousSpec(base=json_int(doc["base"], "base"),
@@ -107,14 +124,6 @@ def validate(doc: dict) -> list[str]:
 
 # ---------------------------------------------------------------------------
 # command implementations
-
-def _parse_value(convert, text: str, option: str):
-    """convert(text), with a value it cannot read reported as a SpecError."""
-    try:
-        return convert(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise SpecError(f"{option}: cannot read {text!r} ({exc})") from None
-
 
 def _parse_w(text):
     """The weighted-entropy exponent, or None when absent or 'auto'."""

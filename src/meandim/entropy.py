@@ -226,15 +226,6 @@ def gxn_entropy_series(digit_spec: SubshiftSpec, folner: FolnerDescriptor,
                             name=digit_spec.name)
 
 
-def family_independence_gap(spec: SubshiftSpec, ball_index: int, box_index: int,
-                            cap: int = 10**6) -> float:
-    """|ball per-site - box per-site| at the given indices; Ornstein-Weiss
-    predicts this shrinks, and a large gap flags a boundary-semantics bug."""
-    sb = entropy_series(spec, FolnerDescriptor("balls", (ball_index,)), cap)
-    sx = entropy_series(spec, FolnerDescriptor("boxes", (box_index,)), cap)
-    return abs(sb.value - sx.value)
-
-
 def projection_gap_report(spec: SubshiftSpec, folner: FolnerDescriptor,
                           cap: int = 10**6) -> list[dict]:
     """Free-boundary versus exact projection counts for 1-d NN rules."""

@@ -9,10 +9,8 @@ lexicographically least minimal generator word.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Iterable
-import json
 
 GroupElement = tuple  # integer coordinate tuple of length rank
 
@@ -59,25 +57,21 @@ def add(g: GroupElement, h: GroupElement) -> GroupElement:
 
 def word_length(g: GroupElement) -> int:
     """Minimal generator word length; the l1 norm for standard generators."""
-    return sum(abs(c) for c in g)
+    return sum(map(abs, g))
 
 
-def minimal_word(g: GroupElement) -> tuple:
-    """Lexicographically least minimal word, as a tuple of generator indices.
+def canonical_key(g: GroupElement) -> tuple:
+    """(word length, negated generator counts in generator order).
 
-    Minimal words for g are exactly the arrangements of |c_i| copies of the
-    axis-i generator (positive index 2i, inverse 2i+1); the least arrangement
-    is the sorted multiset, which axis-ascending emission produces directly.
+    Minimal words of g are the arrangements of |c_i| copies of the axis-i
+    generator, so the least one is the sorted multiset; of two such words of
+    equal length, the lexicographically smaller holds more copies of the
+    first generator on which their counts differ.
     """
-    word = []
-    for axis, c in enumerate(g):
-        if c:
-            word.extend([2 * axis if c > 0 else 2 * axis + 1] * abs(c))
-    return tuple(word)
-
-
-def canonical_key(g: GroupElement):
-    return (word_length(g), minimal_word(g))
+    counts = []
+    for c in g:
+        counts += (-c, 0) if c > 0 else (0, c)
+    return word_length(g), tuple(counts)
 
 
 def canonical_order(elements: Iterable[GroupElement]) -> list[GroupElement]:
@@ -110,15 +104,6 @@ class GroupWindow:
     @cached_property
     def position_map(self) -> dict:
         return {g: i for i, g in enumerate(self.elements)}
-
-    def to_json(self) -> str:
-        """Serialize as a JSON array of coordinate vectors; order is part of the form."""
-        return json.dumps([list(g) for g in self.elements])
-
-    @staticmethod
-    def from_json(text: str, spec: GroupSpec) -> "GroupWindow":
-        elems = tuple(tuple(v) for v in json.loads(text))
-        return GroupWindow(spec=spec, elements=elems, kind="explicit")
 
 
 def _ball_coords(rank: int, m: int):
@@ -170,15 +155,6 @@ def interval(lo: int, hi: int, spec: GroupSpec | None = None,
                        kind="explicit")
 
 
-def folner_defect(window: GroupWindow, g: GroupElement) -> Fraction:
-    """Exact |F \\ gF| / |F| for the left translate gF."""
-    if len(window) == 0:
-        raise ValueError("window must be nonempty")
-    translated = {add(g, f) for f in window.elements}
-    missing = sum(1 for f in window.elements if f not in translated)
-    return Fraction(missing, len(window))
-
-
 def product_window(window: GroupWindow, n: int,
                    cap: int = DEFAULT_CELL_CAP) -> GroupWindow:
     """F x {0..n-1} over Z^rank x N, ordered window-major."""
@@ -219,24 +195,3 @@ class FolnerDescriptor:
 
     def windows(self, spec: GroupSpec, cap: int = DEFAULT_CELL_CAP) -> list[GroupWindow]:
         return [self.window(m, spec, cap) for m in self.indices]
-
-    def check_nested(self, spec: GroupSpec, cap: int = DEFAULT_CELL_CAP) -> bool:
-        """Nestedness on the requested indices.
-
-        Balls also exhaust Z^rank; boxes [0,m)^rank exhaust only up to
-        translation, which is all the Folner property needs.
-        """
-        wins = self.windows(spec, cap)
-        for small, big in zip(wins, wins[1:]):
-            big_set = set(big.elements)
-            if not all(g in big_set for g in small.elements):
-                return False
-        return True
-
-    def defect_table(self, spec: GroupSpec, cap: int = DEFAULT_CELL_CAP) -> dict:
-        """folner_defect per generator per index; the Folner diagnostic."""
-        table = {}
-        for m in self.indices:
-            w = self.window(m, spec, cap)
-            table[m] = {g: folner_defect(w, g) for g in spec.generators()}
-        return table

@@ -13,7 +13,7 @@ projection count for 1-d nearest-neighbor rules so the gap can be reported.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 import json
 
 from .groups import GroupSpec, GroupWindow
@@ -539,12 +539,20 @@ def json_int(value, what: str) -> int:
     return value
 
 
+def json_object(value, what: str) -> dict:
+    """A JSON object as is; anything else raises ValueError."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, got "
+                         f"{type(value).__name__}")
+    return value
+
+
 def spec_from_json(doc) -> SubshiftSpec:
     """Parse {"rank", "alphabet": {"k"}|{"a","b"}, "rule": {"type", ...}}."""
     if isinstance(doc, str):
         doc = json.loads(doc)
     rank = json_int(doc.get("rank", 1), "rank")
-    alpha_doc = doc["alphabet"]
+    alpha_doc = json_object(doc["alphabet"], "alphabet")
     if "k" in alpha_doc:
         alpha = Alphabet(json_int(alpha_doc["k"], "k"))
     else:
@@ -554,19 +562,24 @@ def spec_from_json(doc) -> SubshiftSpec:
     def ints(items, what="rule symbol"):
         return [json_int(v, what) for v in items]
 
-    rdoc = doc["rule"]
+    rdoc = json_object(doc["rule"], "rule")
     rtype = rdoc["type"]
     if rtype == "full":
         rule = Rule.full(alpha.size)
     elif rtype == "cellwise":
         if alpha.is_paired:
-            allowed = [alpha.pair_index(*ints(p)) for p in rdoc["allowed"]]
+            pairs = [ints(p) for p in rdoc["allowed"]]
+            if any(len(p) != 2 for p in pairs):
+                raise ValueError("allowed entries of a paired alphabet must "
+                                 "be [a, b] pairs")
+            allowed = [alpha.pair_index(*p) for p in pairs]
         else:
             allowed = ints(rdoc["allowed"])
         rule = Rule.cellwise(alpha.size, allowed)
     elif rtype == "nearest_neighbor":
         forb = {int(ax): [ints(p) for p in pairs]
-                for ax, pairs in rdoc["axis_forbidden"].items()}
+                for ax, pairs in json_object(rdoc["axis_forbidden"],
+                                             "axis_forbidden").items()}
         rule = Rule.nearest_neighbor(alpha.size, forb)
     elif rtype == "forbidden_patterns":
         pats = [([ints(o, "offset") for o in p["offsets"]], ints(p["symbols"]))
@@ -575,11 +588,3 @@ def spec_from_json(doc) -> SubshiftSpec:
     else:
         raise ValueError(f"unknown rule type {rtype!r}")
     return SubshiftSpec(rank, alpha, rule, doc.get("name", rtype))
-
-
-def counts_to_csv(rows: Sequence[tuple]) -> str:
-    """CSV export (window_index, count) with exact integers."""
-    lines = ["window_index,count"]
-    for idx, cnt in rows:
-        lines.append(f"{idx},{cnt}")
-    return "\n".join(lines) + "\n"

@@ -9,11 +9,11 @@ from meandim.groups import GroupSpec, ball
 from meandim.subshifts import (Alphabet, Rule, SubshiftSpec,
                                cellwise_pair_shift, full_shift, golden_mean,
                                mcmullen_shift, pair_shift_with_b_rule)
-from meandim.carpet import (CarpetMeasure, CarpetSpec, IllegalPrefix, PsiCell,
+from meandim.carpet import (CarpetMeasure, CarpetSpec,
                             carpet_dimension_report, carpet_representatives,
                             enumerate_psi_cells, floor_wl, linf_pair_distance,
-                            mdim_h_carpet, mdim_m_carpet, mu_psi,
-                            sandwich_check, separation_pigeonhole_check,
+                            mdim_h_carpet, mdim_m_carpet, sandwich_check,
+                            separation_pigeonhole_check,
                             shannon_mcmillan_probe)
 
 MCMULLEN = CarpetSpec(a=4, b=2, omega=mcmullen_shift())
@@ -148,47 +148,22 @@ def test_measure_normalization():
 
 
 def test_mu_psi_examples():
+    # a one-digit cylinder past floor(w l) = 0 is one marginal factor
     measure = CarpetMeasure.build(MCMULLEN, 0)
-    cell = PsiCell(m=0, l=1, x_prefix=(), y_prefix=(bytes([0]),))
     expect = math.log(math.sqrt(2) / (1 + math.sqrt(2)))
-    assert mu_psi(measure, cell) == pytest.approx(expect, abs=1e-12)
-    whole = PsiCell(m=0, l=0, x_prefix=(), y_prefix=())
-    assert mu_psi(measure, whole) == 0.0
+    assert measure.log_f_marginal(bytes([0])) == pytest.approx(expect,
+                                                               abs=1e-12)
 
 
 def test_mu_psi_uniform_at_w_one():
+    # w = 1 makes every depth a pair factor, each -log 4 on the full shift
     measure = CarpetMeasure.build(FULL22, 0)
     for l in (1, 2, 3):
         cells = enumerate_psi_cells(FULL22, 0, l, limit=6)
         for cell in cells:
-            assert mu_psi(measure, cell) == pytest.approx(-l * math.log(4))
-
-
-def test_mu_psi_additivity():
-    # at a depth step where floor(w l) stays put, exactly one marginal factor
-    # joins; at a jump step the last y factor upgrades to a pair factor too
-    measure = CarpetMeasure.build(MCMULLEN, 0)
-    for cell in enumerate_psi_cells(MCMULLEN, 0, 3, limit=4):
-        parent = PsiCell(m=0, l=2, x_prefix=cell.x_prefix[:floor_wl(4, 2, 2)],
-                         y_prefix=cell.y_prefix[:2])
-        last = measure.log_f_marginal(cell.y_prefix[2])
-        assert mu_psi(measure, cell) == pytest.approx(
-            mu_psi(measure, parent) + last, abs=1e-12)
-    for cell in enumerate_psi_cells(MCMULLEN, 0, 4, limit=4):
-        parent = PsiCell(m=0, l=3, x_prefix=cell.x_prefix[:floor_wl(4, 2, 3)],
-                         y_prefix=cell.y_prefix[:3])
-        jump = (measure.log_f_pair(cell.y_prefix[1])
-                - measure.log_f_marginal(cell.y_prefix[1]))
-        last = measure.log_f_marginal(cell.y_prefix[3])
-        assert mu_psi(measure, cell) == pytest.approx(
-            mu_psi(measure, parent) + last + jump, abs=1e-12)
-
-
-def test_mu_psi_illegal_prefix():
-    measure = CarpetMeasure.build(MCMULLEN, 0)
-    bad = PsiCell(m=0, l=1, x_prefix=(bytes([3]),), y_prefix=(bytes([1]),))
-    with pytest.raises(IllegalPrefix):
-        mu_psi(measure, bad)
+            assert len(cell.x_prefix) == l
+            total = math.fsum(measure.log_f_pair(v) for v in cell.y_prefix)
+            assert total == pytest.approx(-l * math.log(4))
 
 
 def test_shannon_mcmillan_uniform_case_is_exact():

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 
 import pytest
 
@@ -194,7 +195,9 @@ def test_determinism_modulo_timing(tmp_path, capsys):
             (GOLDEN_B, ["carpet-dims", "--m-max", "1", "--l-max", "2"]),
             (HOMOG, ["homog-probe", "--eps-grid", "1/8", "--folner", "boxes"]),
             (KSPACE, ["kg-experiment", "--m-max", "1", "--eps-grid",
-                      "1/10,1/100,1/1000,1/10000,1/100000"])):
+                      "1/10,1/100,1/1000,1/10000,1/100000"]),
+            (SELFSIM, ["selfsimilar-probe", "--window-sizes", "512"]),
+            (GOLDEN, ["entropy", "--folner", "boxes", "--m-max", "8"])):
         argv = args[:1] + ["--spec", write_spec(tmp_path, doc)] + args[1:]
         code, first = run(capsys, argv)
         _, second = run(capsys, argv)
@@ -350,31 +353,53 @@ def _subshift(rank, alphabet, rule):
             "rule": rule}
 
 
-# each spec once passed `validate` and then crashed or ran as another spec,
-# or failed `validate` and ran anyway
+# (spec, command, field its message names): each spec once passed `validate`
+# and then crashed or ran as another spec, failed `validate` and ran anyway,
+# or failed with a message that did not name its field
 MALFORMED = [
-    ({**GOLDEN, "rank": 0}, "entropy"),
-    ({**KSPACE, "rank": 0}, "kg-experiment"),
-    ({**MCMULLEN, "a": 4.7}, "carpet-dims"),
-    ({**HOMOG, "base": 2.9}, "homog-entropy"),
-    ({**GOLDEN, "rank": 1.5}, "entropy"),
-    (_subshift(1, {"k": 2}, {"type": "cellwise", "allowed": [5]}), "entropy"),
+    ({**GOLDEN, "rank": 0}, "entropy", "rank"),
+    ({**KSPACE, "rank": 0}, "kg-experiment", "rank"),
+    ({**MCMULLEN, "a": 4.7}, "carpet-dims", "a"),
+    ({**HOMOG, "base": 2.9}, "homog-entropy", "base"),
+    ({**GOLDEN, "rank": 1.5}, "entropy", "rank"),
+    (_subshift(1, {"k": 2}, {"type": "cellwise", "allowed": [5]}), "entropy",
+     "rule"),
     (_subshift(1, {"a": 3, "b": 2},
-               {"type": "cellwise", "allowed": [[0, 3]]}), "entropy"),
+               {"type": "cellwise", "allowed": [[0, 3]]}), "entropy", "pair"),
     (_subshift(1, {"k": 2}, {"type": "nearest_neighbor",
-                             "axis_forbidden": {"3": [[1, 1]]}}), "entropy"),
+                             "axis_forbidden": {"3": [[1, 1]]}}), "entropy",
+     "rule"),
     (_subshift(1, {"k": 2}, {"type": "nearest_neighbor",
-                             "axis_forbidden": {"0": [[1, 7]]}}), "entropy"),
+                             "axis_forbidden": {"0": [[1, 7]]}}), "entropy",
+     "axis"),
     (_subshift(1, {"k": 2}, {"type": "forbidden_patterns", "patterns": [
-        {"offsets": [[0], [1, 2]], "symbols": [1, 1]}]}), "entropy"),
+        {"offsets": [[0], [1, 2]], "symbols": [1, 1]}]}), "entropy",
+     "forbidden pattern"),
     (_subshift(1, {"k": 2}, {"type": "forbidden_patterns", "patterns": [
-        {"offsets": [[0], [1]], "symbols": [1]}]}), "entropy"),
-    ([GOLDEN], "entropy"),
-    ({**SELFSIM, "c": "1/0"}, "selfsimilar-bound"),
-    ({**MCMULLEN, "omega": [MCMULLEN["omega"]]}, "carpet-dims"),
-    (_subshift(1, {"k": True}, {"type": "full"}), "entropy"),
-    (_subshift(1, {"a": -1, "b": -1}, {"type": "full"}), "entropy"),
-    ({**KSPACE, "weights": ["1/2"]}, "kg-experiment"),
+        {"offsets": [[0], [1]], "symbols": [1]}]}), "entropy",
+     "forbidden pattern"),
+    ([GOLDEN], "entropy", "spec document"),
+    ({**SELFSIM, "c": "1/0"}, "selfsimilar-bound", "c"),
+    ({**MCMULLEN, "omega": [MCMULLEN["omega"]]}, "carpet-dims", "omega"),
+    (_subshift(1, {"k": True}, {"type": "full"}), "entropy", "k"),
+    (_subshift(1, {"a": -1, "b": -1}, {"type": "full"}), "entropy",
+     "alphabet"),
+    ({**KSPACE, "weights": ["1/2"]}, "kg-experiment", "weights"),
+    (_subshift(1, {"a": 2, "b": 2},
+               {"type": "cellwise", "allowed": [[0, 1, 1]]}), "entropy",
+     "allowed"),
+    ({**SELFSIM, "weights": {"rho": "1/0"}}, "selfsimilar-bound",
+     "weights.rho"),
+    (_subshift(1, {"k": 2}, {"type": "nearest_neighbor",
+                             "axis_forbidden": [[1, 1]]}), "entropy",
+     "axis_forbidden"),
+    ({**SELFSIM, "c": 0.5}, "selfsimilar-bound", "c"),
+    ({**SELFSIM, "values": [True, False]}, "selfsimilar-bound", "values"),
+    ({**SELFSIM, "weights": {"rho": 0.25}}, "selfsimilar-bound",
+     "weights.rho"),
+    ({**SELFSIM, "values": "01"}, "selfsimilar-bound", "values"),
+    ({**GOLDEN, "alphabet": [2]}, "entropy", "alphabet"),
+    ({**GOLDEN, "rule": "full"}, "entropy", "rule"),
 ]
 MALFORMED_IDS = ["subshift-rank-0", "kspace-rank-0", "carpet-a-float",
                  "homog-base-float", "subshift-rank-float",
@@ -382,16 +407,21 @@ MALFORMED_IDS = ["subshift-rank-0", "kspace-rank-0", "carpet-a-float",
                  "axis-beyond-rank", "axis-pair-outside",
                  "pattern-offset-length", "pattern-symbol-count",
                  "document-list", "contraction-zero-denominator",
-                 "omega-list", "k-bool", "pair-negative", "weights-list"]
+                 "omega-list", "k-bool", "pair-negative", "weights-list",
+                 "cellwise-pair-triple", "rho-zero-denominator",
+                 "axis-forbidden-list", "contraction-float", "values-bool",
+                 "rho-float", "values-string", "alphabet-list", "rule-string"]
 
 
-@pytest.mark.parametrize("doc, command", MALFORMED, ids=MALFORMED_IDS)
+@pytest.mark.parametrize("doc, command, field", MALFORMED,
+                         ids=MALFORMED_IDS)
 def test_malformed_specs_fail_validate_and_every_command(tmp_path, capsys,
-                                                         doc, command):
+                                                         doc, command, field):
     spec = write_spec(tmp_path, doc)
     code, report = run(capsys, ["validate", "--spec", spec])
     assert code == 2 and report["ok"] is False
     assert len(report["diagnostics"]) == 1
+    assert re.search(rf"\b{re.escape(field)}\b", report["diagnostics"][0])
     code = main([command, "--spec", spec])
     captured = capsys.readouterr()
     assert code == 2

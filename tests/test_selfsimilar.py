@@ -1,12 +1,13 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
 
-from meandim.groups import GroupSpec, box, interval
-from meandim.metrics import WeightScheme
-from meandim.subshifts import (Alphabet, Rule, SubshiftSpec, full_shift,
-                               golden_mean)
+from meandim.groups import GroupSpec, ball, box, interval, minkowski_sum
+from meandim.metrics import ProductMetric, WeightScheme, separated_set
+from meandim.subshifts import (Alphabet, Rule, SubshiftSpec, count_patterns,
+                               enumerate_patterns, full_shift, golden_mean)
 from meandim.selfsimilar import (NetTooCoarse, ProbeViolation,
                                  SelfSimilarSpec, composition_depth,
                                  contraction_embedding_check, embedding_depth,
@@ -102,29 +103,28 @@ def test_cover_probe_singleton_driving_system():
 
 
 def test_cover_probe_geometric_lower_consistency():
-    # diagnostic window: slope enforcement off, certified bounds still nest
+    # an eps-separated subset of an exact attractor cloud never outnumbers
+    # the net-count upper bound m log|net| on the same window.  The cloud
+    # anchors at the all-zero fixed point and applies one map per pattern of
+    # the orbit's radius-1 net: 64 points, all separated at these scales
+    orbit = box(4, GroupSpec(1))
+    window = minkowski_sum(orbit, ball(1, orbit.spec))
+    net = enumerate_patterns(FULL.omega, window).patterns
+    assert len(net) == 64
+    cloud = selfsimilar_spanning_cloud(FULL, 1, net, window).cloud
+    metric = ProductMetric(FULL.weights, window, "unit",
+                           shifts=tuple(orbit.elements))
     grid = [Fraction(1, 2) ** j for j in range(2, 7)]
-    report = selfsimilar_cover_probe(FULL, grid, [box(4, GroupSpec(1))],
-                                     enforce_slope=False)
-    rows = [r for r in report["rows"] if "geometric_lower" in r]
-    assert rows, "expected geometric cross-checks on small windows"
-    # a row has a geometric lower bound or the reason it has none
-    assert all(("geometric_lower" in r) != ("geometric_lower_skipped" in r)
-               for r in report["rows"])
-    for row in rows:
-        assert math.log(max(row["geometric_lower"], 1)) <= row["log_upper"] + 1e-9
-
-
-def test_cover_probe_geometric_lower_propagates_errors(monkeypatch):
-    import meandim.selfsimilar
-
-    def broken(*args, **kwargs):
-        raise KeyError("enumeration failed")
-
-    monkeypatch.setattr(meandim.selfsimilar, "enumerate_patterns", broken)
-    with pytest.raises(KeyError):
-        selfsimilar_cover_probe(GOLDEN3, [Fraction(1, 4), Fraction(1, 8)],
-                                [box(2, GroupSpec(1))], enforce_slope=False)
+    r = net_radius(FULL, grid[-1])
+    net_count = count_patterns(FULL.omega,
+                               minkowski_sum(orbit, ball(r, orbit.spec)))
+    lowers = []
+    for eps in grid:
+        lower = len(separated_set(cloud, metric, eps))
+        log_upper = composition_depth(FULL, eps) * math.log(net_count)
+        assert math.log(lower) <= log_upper + 1e-9
+        lowers.append(lower)
+    assert lowers == [64] * len(grid)
 
 
 def test_cover_probe_rejects_increasing_grid():
@@ -186,65 +186,38 @@ def test_cover_probe_enforcement_raises_on_tiny_window():
     grid = [Fraction(1, 2) ** j for j in range(2, 7)]
     with pytest.raises(ProbeViolation):
         selfsimilar_cover_probe(FULL, grid, [box(4, GroupSpec(1))])
-
-
-def test_cover_probe_enforces_the_slope_before_any_geometric_lower(
-        monkeypatch):
-    # the golden-mean net on a 4-cell window is small enough for the
-    # geometric lower bound, but the slope fails first and needs none
-    import meandim.selfsimilar
-
-    def never(*args, **kwargs):
-        raise AssertionError("geometric lower bound computed")
-
-    monkeypatch.setattr(meandim.selfsimilar, "_geometric_lower", never)
-    spec = SelfSimilarSpec(omega=golden_mean(), values=(0, 1),
-                           c=Fraction(1, 2))
-    grid = [spec.c ** j for j in range(2, 9)]
+    golden = SelfSimilarSpec(omega=golden_mean(), values=(0, 1),
+                             c=Fraction(1, 2))
+    grid = [golden.c ** j for j in range(2, 9)]
     with pytest.raises(ProbeViolation, match="slope .* on window of size 4"):
-        selfsimilar_cover_probe(spec, grid, [box(4, GroupSpec(1))])
+        selfsimilar_cover_probe(golden, grid, [box(4, GroupSpec(1))])
 
 
-def test_benchmark_window_says_why_it_has_no_geometric_lower():
-    # the 512-cell window of the benchmark: the radius-1 net has far more
-    # than 512 patterns, and every row says so
+def test_probe_row_keys_are_pinned():
+    # the 512-cell window of the benchmark
     spec = SelfSimilarSpec(omega=golden_mean(), values=(0, 1),
                            c=Fraction(1, 2))
     grid = [spec.c ** j for j in range(2, 9)]
     report = selfsimilar_cover_probe(spec, grid, [box(512, GroupSpec(1))])
+    assert set(report) == {"bound", "slack", "rows", "slopes"}
     assert len(report["rows"]) == len(grid)
     for row in report["rows"]:
-        assert "geometric_lower" not in row
-        assert row["geometric_lower_skipped"] == "net above 512 patterns"
-
-
-def test_rows_say_when_constant_zero_is_not_legal():
-    no_zero_pair = SubshiftSpec(1, Alphabet(2),
-                                Rule.nearest_neighbor(2, {0: [(0, 0)]}))
-    spec = SelfSimilarSpec(omega=no_zero_pair, values=(0, 1),
-                           c=Fraction(1, 2))
-    report = selfsimilar_cover_probe(spec, [Fraction(1, 4), Fraction(1, 8)],
-                                     [box(4, GroupSpec(1))],
-                                     enforce_slope=False)
-    for row in report["rows"]:
-        assert "geometric_lower" not in row
-        assert row["geometric_lower_skipped"] == "constant zero not legal"
+        assert set(row) == {"window", "eps", "net_radius", "depth",
+                            "net_count", "log_upper", "per_site_upper",
+                            "normalized"}
 
 
 FAST = SelfSimilarSpec(omega=full_shift(2), values=(0, 1), c=Fraction(1, 2),
                        weights=WeightScheme(1, Fraction(1, 1000)))
 
 
-@pytest.mark.parametrize("spec, finest, nets", [
-    (FULL, 7, 2),    # net radius 5: the radius-1 net is a second net
-    (FAST, 7, 1),    # net radius 1: one net serves both bounds
-    (GOLDEN3, 7, 2)], ids=["full", "fast-weights", "golden3"])
+@pytest.mark.parametrize("spec", [FULL, FAST, GOLDEN3],
+                         ids=["full", "fast-weights", "golden3"])
 @pytest.mark.parametrize("grid_length", [2, 3, 6])
 def test_probe_builds_and_counts_each_net_once_per_orbit(
-        monkeypatch, spec, finest, nets, grid_length):
+        monkeypatch, spec, grid_length):
     import meandim.selfsimilar as selfsimilar
-    calls = {"count_patterns": 0, "minkowski_sum": 0,
-             "enumerate_patterns": 0}
+    calls = {"count_patterns": 0, "minkowski_sum": 0}
     for name in calls:
         original = getattr(selfsimilar, name)
 
@@ -253,13 +226,22 @@ def test_probe_builds_and_counts_each_net_once_per_orbit(
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(selfsimilar, name, counted)
-    grid = [Fraction(1, 2) ** j for j in range(finest - grid_length + 1,
-                                               finest + 1)]
-    assert (net_radius(spec, grid[-1]) == 1) == (nets == 1)
-    orbits = [box(2, GroupSpec(1)), box(3, GroupSpec(1))]
-    report = selfsimilar_cover_probe(spec, grid, orbits, geometric_cap=64,
-                                     enforce_slope=False)
+    enumerated = 0
+
+    def profile(frame, event, arg):
+        nonlocal enumerated
+        if event == "call" and frame.f_code is enumerate_patterns.__code__:
+            enumerated += 1
+
+    grid = [Fraction(1, 2) ** j for j in range(8 - grid_length, 8)]
+    # windows wide enough for the slope to pass on every spec and grid
+    orbits = [box(256, GroupSpec(1)), box(320, GroupSpec(1))]
+    sys.setprofile(profile)
+    try:
+        report = selfsimilar_cover_probe(spec, grid, orbits)
+    finally:
+        sys.setprofile(None)
     assert len(report["rows"]) == len(orbits) * grid_length
-    assert calls["count_patterns"] == len(orbits) * nets
-    assert calls["minkowski_sum"] == len(orbits) * nets
-    assert calls["enumerate_patterns"] == len(orbits)
+    assert calls["count_patterns"] == len(orbits)
+    assert calls["minkowski_sum"] == len(orbits)
+    assert enumerated == 0

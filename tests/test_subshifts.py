@@ -8,7 +8,7 @@ from meandim.groups import (GroupSpec, GroupWindow, ball, box, interval,
                             product_window)
 from meandim.subshifts import (Alphabet, PatternCapExceeded, Rule,
                                SubshiftSpec, _frontier_count, cellwise_pair_shift,
-                               count_patterns, counts_to_csv,
+                               count_patterns,
                                enumerate_patterns, extensible_symbols,
                                fiber_table, full_shift, golden_mean,
                                hard_square, json_int, mcmullen_shift,
@@ -356,12 +356,6 @@ def test_json_round_trip():
                          "rule": {"type": "nearest_neighbor",
                                   "axis_forbidden": {"0": [[1, 1]]}}})
     assert count_patterns(nn, interval(0, 4)) == fib(7)
-
-
-def test_csv_export():
-    text = counts_to_csv([(1, 3), (2, 2 ** 70)])
-    assert text.splitlines()[0] == "window_index,count"
-    assert str(2 ** 70) in text
 
 
 def test_alphabet_byte_width_guard():
