@@ -186,11 +186,16 @@ def test_cover_probe_enforcement_raises_on_tiny_window():
     grid = [Fraction(1, 2) ** j for j in range(2, 7)]
     with pytest.raises(ProbeViolation):
         selfsimilar_cover_probe(FULL, grid, [box(4, GroupSpec(1))])
-    golden = SelfSimilarSpec(omega=golden_mean(), values=(0, 1),
-                             c=Fraction(1, 2))
-    grid = [golden.c ** j for j in range(2, 9)]
+
+
+def test_cover_probe_enforces_the_slope_before_any_geometric_lower():
+    # the golden-mean net on a 4-cell window is small, but no geometric
+    # lower bound is computed for it: the slope fails and the probe raises
+    spec = SelfSimilarSpec(omega=golden_mean(), values=(0, 1),
+                           c=Fraction(1, 2))
+    grid = [spec.c ** j for j in range(2, 9)]
     with pytest.raises(ProbeViolation, match="slope .* on window of size 4"):
-        selfsimilar_cover_probe(golden, grid, [box(4, GroupSpec(1))])
+        selfsimilar_cover_probe(spec, grid, [box(4, GroupSpec(1))])
 
 
 def test_probe_row_keys_are_pinned():
