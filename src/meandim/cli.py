@@ -176,7 +176,7 @@ def _cmd_entropy(system, args) -> dict:
         rows = [(r.index, r.size, r.log_z, r.per_site) for r in series.rows]
         return {"series": rows, "csv": series.to_csv(),
                 "per_site": _num(series.value, "estimate"), "w": w}
-    series = entropy_series(system, folner, caps["cells"])
+    series = entropy_series(system, folner, caps["cells"], caps["patterns"])
     est = entropy_estimate(series)
     rows = [(r.index, r.size, r.log_count, r.per_site) for r in series.rows]
     out = {"series": rows, "csv": series.to_csv(),

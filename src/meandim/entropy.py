@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .groups import FolnerDescriptor, GroupSpec, product_window
-from .subshifts import (FiberTable, SubshiftSpec, count_patterns,
-                        fiber_table)
+from .subshifts import (DEFAULT_PATTERN_CAP, FiberTable, SubshiftSpec,
+                        count_patterns, fiber_table)
 
 NEG_INF = float("-inf")
 
@@ -83,13 +83,16 @@ class WeightedEntropySeries:
 
 
 def entropy_series(spec: SubshiftSpec, folner: FolnerDescriptor,
-                   cap: int = 10**6) -> EntropySeries:
-    """Per-site log pattern counts over the requested Folner windows."""
+                   cap: int = 10**6,
+                   pattern_cap: int = DEFAULT_PATTERN_CAP) -> EntropySeries:
+    """Per-site log pattern counts over the requested Folner windows; `cap`
+    bounds the cells of a window, `pattern_cap` the live frontier states
+    of its count."""
     group = spec.group
     rows = []
     for m in folner.indices:
         window = folner.window(m, group, cap)
-        count = count_patterns(spec, window)
+        count = count_patterns(spec, window, pattern_cap)
         lc = log_big(count)
         rows.append(EntropyRow(index=m, size=len(window), log_count=lc,
                                per_site=lc / len(window)))

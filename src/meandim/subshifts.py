@@ -4,6 +4,13 @@ Exact pattern enumeration (backtracking with forward checking), exact big
 integer counting (one frontier, or broken-profile, transfer DP for every rule
 on every window), the projected rule of a paired alphabet and fiber counts.
 
+The DP step reads each cell's bans as `(mask, value)` pairs.  It walks a
+dict of frontier states while fewer than `_ARRAY_STATES` (64) are live and
+runs on arrays from then on: int64 keys while the frontier fits in 63 bits,
+object keys past that, and object counts of Python ints, so every count
+stays exact.  A rank-1 nearest-neighbour window holds at most one state
+per symbol, so with fewer than 64 symbols it never leaves the dict step.
+
 Pattern legality on a window checks the rules that fit entirely inside the
 window (free boundary).  For the shipped rule classes this either matches the
 projection of globally legal configurations or over-counts by a boundary
@@ -16,7 +23,10 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 import json
 
+import numpy as np
+
 from .groups import GroupSpec, GroupWindow
+from .metrics import exact_int_dtype
 
 DEFAULT_PATTERN_CAP = 10**6
 
@@ -384,6 +394,13 @@ def _sweep_window(window: GroupWindow) -> GroupWindow:
         sorted(cells, key=lambda c: [c[a] for a in axes])))
 
 
+# Live frontier states from which the DP step runs on arrays; below it the
+# per-call overhead of numpy outweighs the vector step.  Hard-square boxes
+# 1..12, box 16 and balls 0..3 ran equally fast at 32, 64 and 128; balls ran
+# slower at 16 and 8.
+_ARRAY_STATES = 64
+
+
 def _frontier_count(spec: SubshiftSpec, window: GroupWindow,
                     cap: int = DEFAULT_PATTERN_CAP) -> int:
     """Broken-profile transfer DP over the sweep order of the window.
@@ -393,6 +410,16 @@ def _frontier_count(spec: SubshiftSpec, window: GroupWindow,
     an int, `width` bits per slot, and maps to an exact count; a cell's slot
     is cleared after the last constraint reading it, so states that agree
     on the remaining frontier merge.
+
+    Each cell's bans are compiled once into `(mask, value)` pairs that both
+    forms of the step read.  While fewer than `_ARRAY_STATES` states are live the step walks a dict
+    of states.  From then on it runs on arrays: keys of dtype
+    `exact_int_dtype(1 << top)` (int64 while the frontier fits in 63 bits,
+    promoted to object on the step it stops fitting) and counts as an
+    object array of Python ints, so they stay exact.  Each move keeps the
+    states whose masks pass, the targets are sorted and equal keys merge
+    with `np.add.reduceat`.  More than `cap` states raises
+    PatternCapExceeded.
     """
     swept = _sweep_window(window)
     adj, trig = _neighbor_constraints(spec, swept)
@@ -404,18 +431,20 @@ def _frontier_count(spec: SubshiftSpec, window: GroupWindow,
     symbols = spec.rule.symbols
     width = max(1, (spec.rule.size - 1).bit_length())
     full = (1 << width) - 1
+    # (s, t) pairs each matrix bans, with t on the earlier cell
+    bad_pairs = {(id(mat), src): [(s, t) for s in symbols for t in symbols
+                                  if not (mat[t][s] if src else mat[s][t])]
+                 for _, mat in spec.rule.axis_allowed for src in (False, True)}
     slot, free, top, live = {}, [], 0, 0
     states = {0: 1}
+    keys = counts = None  # the states once the step runs on arrays
     for i in range(n):
-        # bans[s]: (mask, values); s is illegal when key & mask is in values
+        # bans[s]: (mask, value) pairs; s is illegal when key & mask == value
         bans = {s: [] for s in symbols}
         for j, mat, src in adj[i]:
             at = slot[j]
-            for s in symbols:
-                bad = {t << at for t in symbols
-                       if not (mat[t][s] if src else mat[s][t])}
-                if bad:
-                    bans[s].append((full << at, bad))
+            for s, t in bad_pairs[id(mat), src]:
+                bans[s].append((full << at, t << at))
         for positions, syms in trig[i]:
             need = dict(zip(positions, syms))
             if len(need) < len(set(zip(positions, syms))):
@@ -423,7 +452,7 @@ def _frontier_count(spec: SubshiftSpec, window: GroupWindow,
             s = need.pop(i)
             if s in bans:
                 bans[s].append((sum(full << slot[p] for p in need),
-                                {sum(t << slot[p] for p, t in need.items())}))
+                                sum(t << slot[p] for p, t in need.items())))
         for j in [j for j in slot if last[j] == i]:
             live &= ~(full << slot[j])
             free.append(slot.pop(j))
@@ -435,36 +464,73 @@ def _frontier_count(spec: SubshiftSpec, window: GroupWindow,
             slot[i] = free.pop()
             live |= full << slot[i]
         moves = [(s << slot[i] if i in slot else 0, bans[s]) for s in symbols]
-        nxt: dict = {}
-        for key, cnt in states.items():
-            base = key & keep
-            for add, ban in moves:
-                for mask, bad in ban:
-                    if (key & mask) in bad:
-                        break
-                else:
-                    k = base | add
-                    nxt[k] = nxt.get(k, 0) + cnt
-            if len(nxt) > cap:
-                raise PatternCapExceeded(cap)
-        states = nxt
-    return sum(states.values())
+        if keys is None and len(states) >= _ARRAY_STATES:
+            keys = np.array(list(states), dtype=exact_int_dtype(1 << top))
+            counts = np.array(list(states.values()), dtype=object)
+        if keys is None:
+            states = _dict_step(states, keep, moves, cap)
+        else:
+            keys, counts = _array_step(
+                keys.astype(exact_int_dtype(1 << top), copy=False), counts,
+                keep, moves, cap)
+    return sum(states.values()) if keys is None else sum(counts)
 
 
-def count_patterns(spec: SubshiftSpec, window: GroupWindow) -> int:
+def _dict_step(states: dict, keep: int, moves, cap: int) -> dict:
+    nxt: dict = {}
+    for key, cnt in states.items():
+        base = key & keep
+        for add, ban in moves:
+            for mask, value in ban:
+                if (key & mask) == value:
+                    break
+            else:
+                k = base | add
+                nxt[k] = nxt.get(k, 0) + cnt
+        if len(nxt) > cap:
+            raise PatternCapExceeded(cap)
+    return nxt
+
+
+def _array_step(keys, counts, keep: int, moves, cap: int):
+    base = keys & keep
+    targets, weights = [], []
+    for add, ban in moves:
+        kept, weight = base, counts
+        if ban:
+            ok = np.logical_and.reduce([(keys & mask) != value
+                                        for mask, value in ban])
+            kept, weight = base[ok], counts[ok]
+        targets.append(kept | add)
+        weights.append(weight)
+    keys = np.concatenate(targets)
+    order = np.argsort(keys)
+    keys, counts = keys[order], np.concatenate(weights)[order]
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    starts = np.flatnonzero(first)
+    if len(starts) > cap:
+        raise PatternCapExceeded(cap)
+    return keys[starts], np.add.reduceat(counts, starts)
+
+
+def count_patterns(spec: SubshiftSpec, window: GroupWindow,
+                   cap: int = DEFAULT_PATTERN_CAP) -> int:
     """Exact number of free-boundary legal patterns on the window.
 
     Rules with no adjacency and no forbidden patterns have the closed form
     |symbols|^n.  Every other rule, on every window of any rank, is counted
-    by one frontier (broken-profile) transfer DP in exact integers; more
-    than DEFAULT_PATTERN_CAP live frontier states raises PatternCapExceeded.
+    by one frontier (broken-profile) transfer DP in exact integers: a dict
+    of states while fewer than `_ARRAY_STATES` are live, then int64 (or,
+    past 63 frontier bits, object) key arrays with object counts.  More
+    than `cap` live frontier states raises PatternCapExceeded.
     """
     rule = spec.rule
     if not rule.axis_allowed and not rule.forbidden:
         return len(rule.symbols) ** len(window)
     if len(window) == 0:
         return 1
-    return _frontier_count(spec, window)
+    return _frontier_count(spec, window, cap)
 
 
 def extensible_symbols(rule: Rule, axis: int) -> tuple:

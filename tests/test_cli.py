@@ -20,6 +20,10 @@ MCMULLEN = {"system": "carpet", "a": 4, "b": 2,
 GOLDEN = {"system": "subshift", "rank": 1, "alphabet": {"k": 2},
           "rule": {"type": "nearest_neighbor", "axis_forbidden": {"0": [[1, 1]]}},
           "name": "golden-mean"}
+HARD_SQUARE = {"system": "subshift", "rank": 2, "alphabet": {"k": 2},
+               "rule": {"type": "nearest_neighbor",
+                        "axis_forbidden": {"0": [[1, 1]], "1": [[1, 1]]}},
+               "name": "hard-square"}
 SELFSIM = {"system": "selfsimilar", "c": "1/2", "values": [0, 1],
            "omega": GOLDEN}
 GOLDEN_B = {"system": "carpet", "a": 2, "b": 2,
@@ -89,6 +93,20 @@ def test_entropy_golden(tmp_path, capsys):
     assert code == 0
     assert abs(report["results"]["per_site"]["value"] - 0.4909) < 2e-3
     assert report["results"]["certified_upper"]["provenance"] == "certified-bound"
+
+
+def test_entropy_obeys_the_pattern_cap(tmp_path, capsys):
+    # the hard square's 12 x 12 box peaks at 466 live frontier states
+    spec = write_spec(tmp_path, HARD_SQUARE)
+    argv = ["entropy", "--spec", spec, "--m-max", "12", "--folner", "boxes"]
+    code, report = run(capsys, argv + ["--caps", "patterns=10"])
+    assert code == 1 and report["status"] == "failed"
+    assert report["results"] == {
+        "cap_abort": "pattern enumeration exceeds cap 10"}
+    code, report = run(capsys, argv + ["--caps", "patterns=465"])
+    assert "cap_abort" in report["results"]
+    code, report = run(capsys, argv + ["--caps", "patterns=466"])
+    assert code == 0 and len(report["results"]["series"]) == 12
 
 
 def test_entropy_weighted_flag(tmp_path, capsys):

@@ -2,8 +2,10 @@ import itertools
 import json
 import random
 
+import numpy as np
 import pytest
 
+from meandim import metrics, subshifts
 from meandim.groups import (GroupSpec, GroupWindow, ball, box, interval,
                             product_window)
 from meandim.subshifts import (Alphabet, PatternCapExceeded, Rule,
@@ -311,6 +313,21 @@ def test_frontier_dp_is_independent_of_window_order():
     assert count_patterns(hs, wide) == count_patterns(hs, tall)
 
 
+# OEIS A006506: independent sets in the n x n grid graph, n = 1..16.
+A006506 = (2, 7, 63, 1234, 55447, 5598861, 1280128950, 660647962955,
+           770548397261707, 2030049051145980050, 12083401651433651945979,
+           162481813349792588536582997, 4935961285224791538367780371090,
+           338752110195939290445247645371206783,
+           52521741712869136440040654451875316861275,
+           18396766424410124752958806046933947217821482942)
+
+
+def test_hard_square_boxes_1_to_16_match_oeis():
+    hs = hard_square()
+    got = [count_patterns(hs, box(n, GroupSpec(2))) for n in range(1, 17)]
+    assert tuple(got) == A006506
+
+
 def test_hard_square_boxes_13_to_16_match_oeis():
     # OEIS A006506
     want = {13: 4935961285224791538367780371090,
@@ -336,6 +353,55 @@ def test_long_interval_counts_and_enumerates():
 def test_frontier_state_cap():
     with pytest.raises(PatternCapExceeded):
         _frontier_count(hard_square(), box(10, GroupSpec(2)), cap=50)
+
+
+@pytest.fixture
+def array_step(monkeypatch):
+    """Every frontier DP step runs on arrays, from the first cell on."""
+    monkeypatch.setattr(subshifts, "_ARRAY_STATES", 0)
+
+
+def test_array_step_matches_enumeration(array_step):
+    for spec, w in _core_cases():
+        assert count_patterns(spec, w) == enumerate_patterns(spec, w).count, \
+            (spec.name, w.kind, w.index)
+
+
+def test_array_step_counts_fibonacci_and_full_shifts(array_step):
+    gm = golden_mean()
+    for n in range(1, 21):
+        assert count_patterns(gm, interval(0, n - 1)) == fib(n + 2)
+    g2 = GroupSpec(2)
+    for k in (2, 3):
+        # an adjacency rule that bans nothing: counted by the DP, not the
+        # closed form
+        free = SubshiftSpec(2, Alphabet(k),
+                            Rule.nearest_neighbor(k, {0: [], 1: []}), "free")
+        for w in (ball(2, g2), box(3, g2), box(4, g2)):
+            assert count_patterns(free, w) == k ** len(w)
+
+
+def test_array_step_frontier_state_cap(array_step):
+    with pytest.raises(PatternCapExceeded):
+        _frontier_count(hard_square(), box(10, GroupSpec(2)), cap=50)
+
+
+def test_array_step_promotes_wide_frontiers_to_object_keys(array_step,
+                                                           monkeypatch):
+    dtypes = []
+
+    def recorded(bound):
+        dtypes.append(np.dtype(metrics.exact_int_dtype(bound)))
+        return dtypes[-1]
+
+    monkeypatch.setattr(subshifts, "exact_int_dtype", recorded)
+    equal = Rule.nearest_neighbor(4, {axis: [(s, t) for s in range(4)
+                                             for t in range(4) if s != t]
+                                      for axis in (0, 1)})
+    spec = SubshiftSpec(2, Alphabet(4), equal, "equal-neighbours")
+    # 33 frontier cells of 2 bits: 66 bits, past int64
+    assert count_patterns(spec, box(33, GroupSpec(2))) == 4
+    assert dtypes[0] == np.int64 and dtypes[-1] == object
 
 
 def test_pattern_cap():
