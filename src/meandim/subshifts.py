@@ -412,8 +412,9 @@ def _frontier_count(spec: SubshiftSpec, window: GroupWindow,
     on the remaining frontier merge.
 
     Each cell's bans are compiled once into `(mask, value)` pairs that both
-    forms of the step read.  While fewer than `_ARRAY_STATES` states are live the step walks a dict
-    of states.  From then on it runs on arrays: keys of dtype
+    forms of the step read.  While fewer than `_ARRAY_STATES` states are
+    live the step walks a dict of states.  From then on it runs on arrays:
+    keys of dtype
     `exact_int_dtype(1 << top)` (int64 while the frontier fits in 63 bits,
     promoted to object on the step it stops fitting) and counts as an
     object array of Python ints, so they stay exact.  Each move keeps the
