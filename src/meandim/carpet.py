@@ -23,12 +23,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .groups import FolnerDescriptor, GroupWindow, ball
+from .groups import DEFAULT_CELL_CAP, FolnerDescriptor, GroupWindow, ball
 from .metrics import WeightScheme, exact_int_dtype
 from .entropy import (entropy_estimate, entropy_series, log_big,
                       log_z_from_fibers, weighted_entropy_series)
-from .subshifts import (FiberTable, SubshiftSpec, count_patterns,
-                        enumerate_patterns, projected_spec)
+from .subshifts import (DEFAULT_PATTERN_CAP, FiberTable, SubshiftSpec,
+                        count_patterns, enumerate_patterns, projected_spec)
 
 DEFAULT_CLOUD_CAP = 200_000
 DEFAULT_CELL_SAMPLES = 48
@@ -548,21 +548,26 @@ def carpet_dimension_report(spec: CarpetSpec, m_max: int, l_max: int,
                             folner_family: str = "balls",
                             w_override: float | None = None,
                             sample_count: int = 2000, seed: int = 1,
-                            cap: int = DEFAULT_CLOUD_CAP) -> dict:
+                            cap: int = DEFAULT_CLOUD_CAP,
+                            cell_cap: int = DEFAULT_CELL_CAP,
+                            pattern_cap: int = DEFAULT_PATTERN_CAP) -> dict:
     """Entropy series, weighted series, both dimension formulas and the
     sandwich checks, with provenance notes on every headline number.  A
     sandwich check whose representatives would exceed the 1e5 pairwise
-    budget is listed under `sandwich_skipped` instead of run."""
+    budget is listed under `sandwich_skipped` instead of run.  `cell_cap`
+    bounds the cells of the entropy windows, `pattern_cap` their frontier
+    states and fiber tables, and `cap` the clouds."""
     folner = FolnerDescriptor(folner_family,
                               tuple(range(0 if folner_family == "balls" else 1,
                                           m_max + 1)))
-    h_series = entropy_series(spec.omega, folner, cap)
+    h_series = entropy_series(spec.omega, folner, cell_cap, pattern_cap)
     pspec = projected_spec(spec.omega)
     if pspec is None:
         raise ValueError("carpet reports need a derivable projected subshift")
-    hp_series = entropy_series(pspec, folner, cap)
+    hp_series = entropy_series(pspec, folner, cell_cap, pattern_cap)
     w = spec.w if w_override is None else w_override
-    hw_series = weighted_entropy_series(spec.omega, folner, w, cap)
+    hw_series = weighted_entropy_series(spec.omega, folner, w, cell_cap,
+                                        pattern_cap)
 
     h_est = entropy_estimate(h_series)
     hp_est = entropy_estimate(hp_series)
@@ -582,8 +587,8 @@ def carpet_dimension_report(spec: CarpetSpec, m_max: int, l_max: int,
         bases = None
         if not _is_product_rule(spec.omega):
             window = ball(m, spec.omega.group)
-            bases = (count_patterns(spec.omega, window),
-                     count_patterns(pspec, window))
+            bases = (count_patterns(spec.omega, window, pattern_cap),
+                     count_patterns(pspec, window, pattern_cap))
         for l in range(1, l_max + 1):
             if bases is not None:
                 k = floor_wl(spec.a, spec.b, l)

@@ -172,7 +172,8 @@ def _cmd_entropy(system, args) -> dict:
     if w is not None:
         if not system.alphabet.is_paired:
             raise SpecError("--w: weighted entropy needs a paired alphabet")
-        series = weighted_entropy_series(system, folner, w, caps["patterns"])
+        series = weighted_entropy_series(system, folner, w, caps["cells"],
+                                         caps["patterns"])
         rows = [(r.index, r.size, r.log_z, r.per_site) for r in series.rows]
         return {"series": rows, "csv": series.to_csv(),
                 "per_site": _num(series.value, "estimate"), "w": w}
@@ -198,7 +199,9 @@ def _cmd_carpet_dims(system: CarpetSpec, args) -> dict:
                                      l_max=args.l_max,
                                      folner_family=args.folner,
                                      w_override=w, seed=args.seed,
-                                     cap=caps["cloud"])
+                                     cap=caps["cloud"],
+                                     cell_cap=caps["cells"],
+                                     pattern_cap=caps["patterns"])
     report["mdim_M"] = _num(report["mdim_M"], "estimate")
     report["mdim_H"] = _num(report["mdim_H"], "estimate")
     return report

@@ -13,7 +13,10 @@ from typing import Sequence
 
 from .groups import FolnerDescriptor, GroupSpec, product_window
 from .subshifts import (DEFAULT_PATTERN_CAP, FiberTable, SubshiftSpec,
-                        count_patterns, fiber_table)
+                        count_windows, fiber_table)
+# still reachable as entropy.count_patterns, the import site that the
+# per-layer tracer of perfbench rebinds and checks
+from .subshifts import count_patterns  # noqa: F401
 
 NEG_INF = float("-inf")
 
@@ -87,12 +90,19 @@ def entropy_series(spec: SubshiftSpec, folner: FolnerDescriptor,
                    pattern_cap: int = DEFAULT_PATTERN_CAP) -> EntropySeries:
     """Per-site log pattern counts over the requested Folner windows; `cap`
     bounds the cells of a window, `pattern_cap` the live frontier states
-    of its count."""
+    of its count.
+
+    The windows are counted by `count_windows`: the largest is swept once
+    with a stop per window whose cells are a translate of a prefix of that
+    sweep (every rank-1 ball or box), and any other window (rank-2 boxes
+    and balls) is counted alone.  Cell caps are checked in index order, and
+    a pattern-cap error of an earlier window wins over a cell-cap error of
+    a later one, as in a loop over the windows."""
     group = spec.group
     rows = []
-    for m in folner.indices:
-        window = folner.window(m, group, cap)
-        count = count_patterns(spec, window, pattern_cap)
+    windows = (folner.window(m, group, cap) for m in folner.indices)
+    for m, (window, count) in zip(folner.indices,
+                                  count_windows(spec, windows, pattern_cap)):
         lc = log_big(count)
         rows.append(EntropyRow(index=m, size=len(window), log_count=lc,
                                per_site=lc / len(window)))
@@ -145,8 +155,12 @@ def log_z_from_fibers(table: FiberTable, w: float) -> float:
 
 
 def weighted_entropy_series(spec: SubshiftSpec, folner: FolnerDescriptor,
-                            w: float, cap: int = 10**6) -> WeightedEntropySeries:
-    """Per-site log Z_m where Z_m sums fiber counts t(v)^w over a window."""
+                            w: float, cap: int = 10**6,
+                            pattern_cap: int = DEFAULT_PATTERN_CAP
+                            ) -> WeightedEntropySeries:
+    """Per-site log Z_m where Z_m sums fiber counts t(v)^w over a window;
+    `cap` bounds the cells of a window, `pattern_cap` the patterns its
+    fiber table enumerates."""
     if not 0 <= w <= 1:
         raise ValueError("exponent w must lie in [0, 1]")
     if not spec.alphabet.is_paired:
@@ -155,7 +169,7 @@ def weighted_entropy_series(spec: SubshiftSpec, folner: FolnerDescriptor,
     rows = []
     for m in folner.indices:
         window = folner.window(m, group, cap)
-        table = fiber_table(spec, window, cap)
+        table = fiber_table(spec, window, pattern_cap)
         lz = log_z_from_fibers(table, w)
         rows.append(WeightedEntropyRow(index=m, size=len(window), log_z=lz,
                                        per_site=lz / len(window)))
@@ -166,15 +180,16 @@ def weighted_entropy_series(spec: SubshiftSpec, folner: FolnerDescriptor,
 def weighted_degeneration_check(spec: SubshiftSpec, folner: FolnerDescriptor,
                                 cap: int = 10**6, digits: int = 12) -> dict:
     """w=1 rows must equal log|Omega| and w=0 rows log|Omega'|, bit for bit
-    after rounding to the given digits."""
+    after rounding to the given digits; `cap` bounds the cells of each
+    window and the patterns of its fiber tables."""
     group = spec.group
-    s1 = weighted_entropy_series(spec, folner, 1.0, cap)
-    s0 = weighted_entropy_series(spec, folner, 0.0, cap)
+    s1 = weighted_entropy_series(spec, folner, 1.0, cap, cap)
+    s0 = weighted_entropy_series(spec, folner, 0.0, cap, cap)
     ok = True
     detail = []
-    for m, r1, r0 in zip(folner.indices, s1.rows, s0.rows):
-        window = folner.window(m, group, cap)
-        total = count_patterns(spec, window)
+    windows = (folner.window(m, group, cap) for m in folner.indices)
+    for m, r1, r0, (window, total) in zip(folner.indices, s1.rows, s0.rows,
+                                          count_windows(spec, windows)):
         table = fiber_table(spec, window, cap)
         want1 = round(log_big(total), digits)
         want0 = round(log_big(len(table.entries)), digits)
@@ -218,9 +233,9 @@ def gxn_entropy_series(digit_spec: SubshiftSpec, folner: FolnerDescriptor,
     rows = []
     for n in folner.indices:
         fwin = folner.window(n, base_group, cap)
-        for depth in depths:
-            window = product_window(fwin, depth, cap)
-            count = count_patterns(digit_spec, window)
+        windows = (product_window(fwin, depth, cap) for depth in depths)
+        for depth, (window, count) in zip(depths,
+                                          count_windows(digit_spec, windows)):
             lc = log_big(count)
             rows.append(GxnEntropyRow(n=n, depth=depth, size=len(window),
                                       log_count=lc,
@@ -235,9 +250,8 @@ def projection_gap_report(spec: SubshiftSpec, folner: FolnerDescriptor,
     from .subshifts import projection_count_interval
     group = spec.group
     out = []
-    for m in folner.indices:
-        window = folner.window(m, group, cap)
-        free = count_patterns(spec, window)
+    windows = (folner.window(m, group, cap) for m in folner.indices)
+    for m, (window, free) in zip(folner.indices, count_windows(spec, windows)):
         try:
             proj = projection_count_interval(spec, window)
         except ValueError:

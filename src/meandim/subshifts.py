@@ -3,6 +3,9 @@
 Exact pattern enumeration (backtracking with forward checking), exact big
 integer counting (one frontier, or broken-profile, transfer DP for every rule
 on every window), the projected rule of a paired alphabet and fiber counts.
+A series of windows shares one sweep: the DP records its running total at
+a list of stops, and each window that is a translate of a prefix of the
+largest window's sweep reads its count off its stop (`count_windows`).
 
 The DP step reads each cell's bans as `(mask, value)` pairs.  It walks a
 dict of frontier states while fewer than `_ARRAY_STATES` (64) are live and
@@ -20,12 +23,13 @@ projection count for 1-d nearest-neighbor rules so the gap can be reported.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from operator import add
+from typing import Iterable, Mapping, Sequence
 import json
 
 import numpy as np
 
-from .groups import GroupSpec, GroupWindow
+from .groups import GroupSpec, GroupWindow, WindowCapExceeded
 from .metrics import exact_int_dtype
 
 DEFAULT_PATTERN_CAP = 10**6
@@ -402,14 +406,20 @@ _ARRAY_STATES = 64
 
 
 def _frontier_count(spec: SubshiftSpec, window: GroupWindow,
-                    cap: int = DEFAULT_PATTERN_CAP) -> int:
-    """Broken-profile transfer DP over the sweep order of the window.
+                    stops: Sequence[int] | None = None,
+                    cap: int = DEFAULT_PATTERN_CAP) -> list[int]:
+    """Broken-profile transfer DP over the window's cells in their order.
 
-    Every constraint fires at its last cell.  A state packs the symbols of
-    the frontier (assigned cells that a later constraint still reads) into
-    an int, `width` bits per slot, and maps to an exact count; a cell's slot
-    is cleared after the last constraint reading it, so states that agree
-    on the remaining frontier merge.
+    Returns the running total, the sum of the state counts, after each of
+    the increasing cell counts in `stops` (default: the whole window).
+    Every constraint fires at its last cell, so after k steps every
+    constraint among the first k cells has fired and no other has: the
+    total is the exact free-boundary count of those k cells.
+
+    A state packs the symbols of the frontier (assigned cells that a later
+    constraint still reads) into an int, `width` bits per slot, and maps to
+    an exact count; a cell's slot is cleared after the last constraint
+    reading it, so states that agree on the remaining frontier merge.
 
     Each cell's bans are compiled once into `(mask, value)` pairs that both
     forms of the step read.  While fewer than `_ARRAY_STATES` states are
@@ -422,9 +432,10 @@ def _frontier_count(spec: SubshiftSpec, window: GroupWindow,
     with `np.add.reduceat`.  More than `cap` states raises
     PatternCapExceeded.
     """
-    swept = _sweep_window(window)
-    adj, trig = _neighbor_constraints(spec, swept)
-    n = len(swept)
+    adj, trig = _neighbor_constraints(spec, window)
+    n = len(window)
+    marks = set([n] if stops is None else stops)
+    totals = []
     last = list(range(n))  # the step after which each cell leaves
     for i in range(n):
         for j in [j for j, _, _ in adj[i]] + [p for ps, _ in trig[i] for p in ps]:
@@ -474,7 +485,10 @@ def _frontier_count(spec: SubshiftSpec, window: GroupWindow,
             keys, counts = _array_step(
                 keys.astype(exact_int_dtype(1 << top), copy=False), counts,
                 keep, moves, cap)
-    return sum(states.values()) if keys is None else sum(counts)
+        if i + 1 in marks:
+            totals.append(sum(states.values()) if keys is None
+                          else sum(counts))
+    return totals
 
 
 def _dict_step(states: dict, keep: int, moves, cap: int) -> dict:
@@ -523,17 +537,81 @@ def count_patterns(spec: SubshiftSpec, window: GroupWindow,
 
     Rules with no adjacency and no forbidden patterns have the closed form
     |symbols|^n.  Every other rule, on every window of any rank, is counted
-    by one frontier (broken-profile) transfer DP in exact integers: a dict
+    by one frontier (broken-profile) transfer DP in exact integers over
+    the window's sweep order, with a single stop at the last cell: a dict
     of states while fewer than `_ARRAY_STATES` are live, then int64 (or,
     past 63 frontier bits, object) key arrays with object counts.  More
-    than `cap` live frontier states raises PatternCapExceeded.
+    than `cap` live frontier states raises PatternCapExceeded.  A series
+    of windows is counted by `count_windows`, which reads every window
+    that is a translated prefix of the largest one's sweep off a stop of
+    that one sweep.
     """
     rule = spec.rule
     if not rule.axis_allowed and not rule.forbidden:
         return len(rule.symbols) ** len(window)
     if len(window) == 0:
         return 1
-    return _frontier_count(spec, window, cap)
+    return _frontier_count(spec, _sweep_window(window), cap=cap)[0]
+
+
+def _is_translated_prefix(window: GroupWindow, swept: GroupWindow) -> bool:
+    """Whether the window's cells are a translate of the first len(window)
+    cells of `swept`.  The translate is fixed by the per-axis minima of the
+    two cell sets; each cell then takes one lookup in the position map,
+    and the first miss ends the test."""
+    k = len(window)
+    if k == 0:
+        return False  # no stop records the empty prefix
+    shift = [a - b for a, b in zip(map(min, zip(*swept.elements[:k])),
+                                   map(min, zip(*window.elements)))]
+    cells = window.elements
+    if any(shift):
+        cells = (tuple(map(add, c, shift)) for c in cells)
+    for j in map(swept.position_map.get, cells):
+        if j is None or j >= k:
+            return False
+    return True
+
+
+def count_windows(spec: SubshiftSpec, windows: Iterable[GroupWindow],
+                  cap: int = DEFAULT_PATTERN_CAP) -> list[tuple]:
+    """(window, count_patterns(spec, window, cap)) for each window in order,
+    from one frontier sweep where the windows allow it.
+
+    The largest window is swept once, with a stop at the size of every
+    window whose cell set is a translate of a prefix of that sweep (every
+    rank-1 interval, ball or box); such a window reads its count off its
+    stop, since a count depends on the cell set only.  Every other window
+    (rank-2 boxes and balls, say) is counted alone by `count_patterns`.
+    The sweep is the largest window's own count, so it hits `cap` exactly
+    where that window alone would, and a prefix's live states are a
+    projection of the sweep's states at the same step, so no prefix would
+    hit it first in that order.
+
+    `windows` may be a generator.  A WindowCapExceeded it raises is raised
+    again after the windows built before it are counted, so, as in a loop
+    that builds and counts one window at a time, a PatternCapExceeded of
+    an earlier window wins.
+    """
+    built, too_big = [], None
+    try:
+        for window in windows:
+            built.append(window)
+    except WindowCapExceeded as exc:
+        too_big = exc
+    rule = spec.rule
+    big = max(built, key=len, default=None)
+    prefix = [False] * len(built)
+    if len(built) > 1 and len(big) and (rule.axis_allowed or rule.forbidden):
+        swept = _sweep_window(big)
+        prefix = [w is big or _is_translated_prefix(w, swept) for w in built]
+        sizes = sorted({len(w) for w, p in zip(built, prefix) if p})
+        at_stop = dict(zip(sizes, _frontier_count(spec, swept, sizes, cap)))
+    counts = [(w, at_stop[len(w)] if p else count_patterns(spec, w, cap))
+              for w, p in zip(built, prefix)]
+    if too_big is not None:
+        raise too_big
+    return counts
 
 
 def extensible_symbols(rule: Rule, axis: int) -> tuple:

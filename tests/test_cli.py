@@ -118,6 +118,38 @@ def test_entropy_weighted_flag(tmp_path, capsys):
                - math.log(1 + math.sqrt(2))) < 1e-9
 
 
+def test_weighted_entropy_obeys_the_cell_cap(tmp_path, capsys):
+    spec = write_spec(tmp_path, {**MCMULLEN["omega"], "system": "subshift"})
+    argv = ["entropy", "--spec", spec, "--m-max", "3", "--caps", "cells=5"]
+    for extra in ([], ["--w", "0.5"]):
+        code, report = run(capsys, argv + extra)
+        assert code == 1 and report["results"] == {
+            "cap_abort": "window needs >= 6 cells, cap is 5"}
+    code, report = run(capsys, argv[:-1] + ["cells=7", "--w", "0.5"])
+    assert code == 0 and len(report["results"]["series"]) == 4
+
+
+def test_carpet_dims_obeys_the_cell_and_pattern_caps(tmp_path, capsys):
+    spec = write_spec(tmp_path, MCMULLEN)
+    argv = ["carpet-dims", "--spec", spec, "--m-max", "2", "--l-max", "2"]
+    code, report = run(capsys, argv + ["--caps", "cells=2,patterns=1"])
+    assert code == 1 and report["results"] == {
+        "cap_abort": "window needs >= 3 cells, cap is 2"}
+    # ball(0) has 3 McMullen patterns in its fiber table
+    code, report = run(capsys, argv + ["--caps", "patterns=2"])
+    assert code == 1 and report["results"] == {
+        "cap_abort": "pattern enumeration exceeds cap 2"}
+    # golden mean on B is counted by the frontier DP, whose windows peak at
+    # 2 live states; the fiber table of ball(1) holds 40 patterns
+    spec = write_spec(tmp_path, GOLDEN_B, "golden_b.json")
+    argv = ["carpet-dims", "--spec", spec, "--m-max", "1", "--l-max", "1"]
+    code, report = run(capsys, argv + ["--caps", "patterns=1"])
+    assert code == 1 and report["results"] == {
+        "cap_abort": "pattern enumeration exceeds cap 1"}
+    code, report = run(capsys, argv + ["--caps", "cells=3,patterns=40"])
+    assert code == 0 and report["status"] == "ok"
+
+
 def test_selfsimilar_commands(tmp_path, capsys):
     spec = write_spec(tmp_path, SELFSIM)
     code, report = run(capsys, ["selfsimilar-bound", "--spec", spec])

@@ -7,12 +7,12 @@ from meandim.subshifts import (Alphabet, Rule, SubshiftSpec, full_shift,
                                golden_mean, hard_square, mcmullen_shift,
                                pair_shift_with_b_rule)
 from meandim.entropy import (NEG_INF, entropy_estimate, entropy_series,
-                             gxn_entropy_series, log_z_from_fibers,
+                             gxn_entropy_series, log_big, log_z_from_fibers,
                              projection_gap_report,
                              weighted_degeneration_check,
                              weighted_entropy_series)
-from meandim.subshifts import fiber_table
-from meandim.groups import interval
+from meandim.subshifts import PatternCapExceeded, count_patterns, fiber_table
+from meandim.groups import WindowCapExceeded, interval
 
 LOG_PHI = math.log((1 + math.sqrt(5)) / 2)
 BOXES16 = FolnerDescriptor("boxes", (2, 4, 8, 16))
@@ -170,3 +170,46 @@ def test_csv_output():
     lines = series.to_csv().splitlines()
     assert lines[0] == "m,window_size,log_count,per_site"
     assert len(lines) == 3
+
+
+# a 1-d rule banning 1 ... 1 five cells apart: a window of n >= 6 cells
+# peaks at 2^min(5, n - 5) live frontier states
+GAP_FIVE = SubshiftSpec(1, Alphabet(2),
+                        Rule.forbidden_patterns(2, [(((0,), (5,)), (1, 1))]),
+                        "gap-five")
+
+
+def _outcome(run):
+    try:
+        return run()
+    except (PatternCapExceeded, WindowCapExceeded) as exc:
+        return type(exc), str(exc)
+
+
+def _loop(spec, folner, cap, pattern_cap):
+    """Log counts from building and counting one window at a time."""
+    return [log_big(count_patterns(spec, folner.window(m, spec.group, cap),
+                                   pattern_cap))
+            for m in folner.indices]
+
+
+@pytest.mark.parametrize("spec, family, top, cap, pattern_cap, error", [
+    # the pattern cap fires first on window 9 of 12
+    (GAP_FIVE, "boxes", 12, 10**6, 8, PatternCapExceeded),
+    # ... and still wins over the cell cap of window 11
+    (GAP_FIVE, "boxes", 12, 10, 8, PatternCapExceeded),
+    (GAP_FIVE, "balls", 6, 10, 8, PatternCapExceeded),
+    (GAP_FIVE, "boxes", 12, 10, 32, WindowCapExceeded),
+    (GAP_FIVE, "boxes", 12, 10**6, 32, None),
+    # rank 2: boxes 6 and 7 peak at 26 and 42 states, box 8 needs 64 cells
+    (hard_square(), "boxes", 9, 63, 25, PatternCapExceeded),
+    (hard_square(), "boxes", 9, 63, 42, WindowCapExceeded),
+])
+def test_entropy_series_fails_like_a_per_window_loop(spec, family, top, cap,
+                                                      pattern_cap, error):
+    folner = FolnerDescriptor(family, tuple(range(family == "boxes", top)))
+    want = _outcome(lambda: _loop(spec, folner, cap, pattern_cap))
+    got = _outcome(lambda: [r.log_count for r in entropy_series(
+        spec, folner, cap, pattern_cap).rows])
+    assert got == want
+    assert (want[0] if error else None) is error

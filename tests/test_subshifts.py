@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from meandim import metrics, subshifts
-from meandim.groups import (GroupSpec, GroupWindow, ball, box, interval,
-                            product_window)
+from meandim.groups import (GroupSpec, GroupWindow, WindowCapExceeded, ball,
+                            box, interval, product_window)
 from meandim.subshifts import (Alphabet, PatternCapExceeded, Rule,
-                               SubshiftSpec, _frontier_count, cellwise_pair_shift,
-                               count_patterns,
+                               SubshiftSpec, _frontier_count, _sweep_window,
+                               cellwise_pair_shift, count_patterns,
+                               count_windows,
                                enumerate_patterns, extensible_symbols,
                                fiber_table, full_shift, golden_mean,
                                hard_square, json_int, mcmullen_shift,
@@ -402,6 +403,83 @@ def test_array_step_promotes_wide_frontiers_to_object_keys(array_step,
     # 33 frontier cells of 2 bits: 66 bits, past int64
     assert count_patterns(spec, box(33, GroupSpec(2))) == 4
     assert dtypes[0] == np.int64 and dtypes[-1] == object
+
+
+FREE_NN = SubshiftSpec(1, Alphabet(2), Rule.nearest_neighbor(2, {0: []}),
+                      "free-nn")
+FREE_NN_2D = SubshiftSpec(2, Alphabet(2),
+                          Rule.nearest_neighbor(2, {0: [], 1: []}), "free-nn")
+
+
+def _window_series():
+    """(spec, windows) series over golden mean, hard square, forbidden
+    pattern and free rules, both families, ranks 1 and 2, with nested and
+    non-nested index lists."""
+    g1, g2 = GroupSpec(1), GroupSpec(2)
+    build = {"balls": ball, "boxes": box}
+    rank1 = (golden_mean(), GOLDEN_DOMINO, full_shift(2), FREE_NN)
+    rank2 = (hard_square(), FORBIDDEN_2D, full_shift(2, rank=2), FREE_NN_2D)
+    for specs, group, top in ((rank1, g1, 7), (rank2, g2, 4)):
+        lists = {"balls": [tuple(range(top + 1)), (top, 1, 3, 0, 3), (2,)],
+                 "boxes": [tuple(range(1, 8)), (6, 2, 7, 4, 4, 1), (3,)]}
+        for spec in specs:
+            for family, indices in lists.items():
+                for index_list in indices:
+                    yield spec, [build[family](m, group) for m in index_list]
+    # translated and non-prefix windows in one rank-1 series
+    holes = GroupWindow(spec=g1, elements=((0,), (2,), (3,)))
+    for spec in rank1:
+        yield spec, [interval(3, 9), interval(-4, -1), holes, ball(2, g1),
+                     interval(-20, -11), box(1, g1)]
+    for depths in ((1, 2, 3, 4), (4, 2, 3)):
+        yield hard_square(), [product_window(ball(1, g1), d) for d in depths]
+
+
+@pytest.mark.parametrize("states", [64, 0], ids=["dict", "array"])
+def test_count_windows_matches_count_patterns(monkeypatch, states):
+    monkeypatch.setattr(subshifts, "_ARRAY_STATES", states)
+    for spec, windows in _window_series():
+        got = count_windows(spec, iter(windows))
+        assert [w for w, _ in got] == windows
+        assert [c for _, c in got] == [count_patterns(spec, w)
+                                       for w in windows], spec.name
+
+
+def test_count_windows_sweeps_rank_1_series_once(monkeypatch):
+    alone = []
+    monkeypatch.setattr(subshifts, "count_patterns",
+                        lambda spec, w, cap: alone.append(w) or 0)
+    g1, g2 = GroupSpec(1), GroupSpec(2)
+    count_windows(golden_mean(), [box(n, g1) for n in range(1, 65)])
+    count_windows(golden_mean(), [ball(m, g1) for m in (9, 2, 0, 5)])
+    assert alone == []
+    boxes = [box(n, g2) for n in (1, 2, 3)]
+    count_windows(hard_square(), boxes)
+    assert alone == boxes[1:2]  # box(1) is one cell, box(3) the sweep
+
+
+def test_frontier_count_records_the_running_total_at_each_stop():
+    swept = _sweep_window(interval(0, 29))
+    stops = [1, 2, 7, 8, 29, 30]
+    assert _frontier_count(golden_mean(), swept, stops) == [
+        fib(k + 2) for k in stops]
+
+
+def test_golden_mean_balls_0_to_200_are_fibonacci():
+    g1 = GroupSpec(1)
+    got = count_windows(golden_mean(), (ball(m, g1) for m in range(201)))
+    assert [c for _, c in got] == [fib(2 * m + 3) for m in range(201)]
+
+
+def test_count_windows_raises_a_cell_cap_after_counting_earlier_windows():
+    def windows(cap):
+        for n in range(1, 13):
+            yield box(n, GroupSpec(2), cap)
+
+    with pytest.raises(PatternCapExceeded, match="exceeds cap 20$"):
+        count_windows(hard_square(), windows(100), cap=20)
+    with pytest.raises(WindowCapExceeded, match="cap is 100$"):
+        count_windows(hard_square(), windows(100))
 
 
 def test_pattern_cap():
