@@ -16,7 +16,7 @@ Floats appear only in logarithmic reports.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import islice, product
 from typing import Sequence
@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .groups import DEFAULT_CELL_CAP, FolnerDescriptor, GroupWindow, ball
-from .metrics import WeightScheme, exact_int_dtype
+from .metrics import CloudCapExceeded, WeightScheme, exact_int_dtype
 from .entropy import (entropy_estimate, entropy_series, log_big,
                       log_z_from_fibers, weighted_entropy_series)
 from .subshifts import (DEFAULT_PATTERN_CAP, FiberTable, SubshiftSpec,
@@ -144,14 +144,24 @@ def _cell_choices(spec: CarpetSpec, patterns, fibers, l: int) -> list:
     return [pairs] * k + [sections] * (l - k)
 
 
+def _cell_digits(spec: CarpetSpec, patterns, fibers, l: int, limit: int):
+    """First `limit` depth-l cells as digit tuples, one (u, v) pair per
+    depth 1..l, in prefix order, the first depth outermost."""
+    return islice(product(*_cell_choices(spec, patterns, fibers, l)), limit)
+
+
+def _psi_cell(m: int, l: int, k: int, digits: tuple) -> PsiCell:
+    """The cell of a digit tuple: its u digits to depth k, all its v digits."""
+    return PsiCell(m=m, l=l, x_prefix=tuple(u for u, _ in digits[:k]),
+                   y_prefix=tuple(v for _, v in digits))
+
+
 def _psi_cells(spec: CarpetSpec, patterns, fibers, m: int, l: int,
                limit: int) -> list[PsiCell]:
     """First `limit` cells in prefix order, the first depth outermost."""
     k = floor_wl(spec.a, spec.b, l)
-    return [PsiCell(m=m, l=l, x_prefix=tuple(u for u, _ in digits[:k]),
-                    y_prefix=tuple(v for _, v in digits))
-            for digits in islice(product(*_cell_choices(spec, patterns,
-                                                        fibers, l)), limit)]
+    return [_psi_cell(m, l, k, digits)
+            for digits in _cell_digits(spec, patterns, fibers, l, limit)]
 
 
 def enumerate_psi_cells(spec: CarpetSpec, m: int, l: int, limit: int,
@@ -204,7 +214,8 @@ def _representative_levels(spec: CarpetSpec, patterns, fibers, l: int,
     choices = _cell_choices(spec, patterns, fibers, l)
     total = math.prod(len(c) for c in choices)
     if total > cap:
-        raise RuntimeError(f"representative cloud of {total} points exceeds cap {cap}")
+        raise CloudCapExceeded(
+            f"representative cloud of {total} points exceeds cap {cap}")
     return list(enumerate(choices, 1))
 
 
@@ -304,44 +315,15 @@ def _first_pair(codes, is_bad):
     return None
 
 
-def sandwich_check(spec: CarpetSpec, m: int, l: int,
-                   cloud_cap: int = DEFAULT_CLOUD_CAP) -> SandwichReport:
-    """Exact two-sided covering sandwich at scales b^-l and a b^-l.
-
-    (i) representative points are pairwise >= b^-l apart in the windowed sup
-    distance, so the covering number at b^-l is at least the product count;
-    (ii) sampled within-cell distances are < a b^-l strictly, and the cells
-    cover, so the covering number at a b^-l is at most the same product.
-
-    One path checks both on a window it picks from the rule.  Cellwise rules
-    factor over window cells, so the single cell ball(0) decides both exactly
-    (mode "product"): a differing pair must differ in some cell, and the sup
-    distance is the max of per-cell distances.  Other rules are checked on
-    ball(m) itself (mode "explicit") under the cloud cap.  The checked window
-    is enumerated once, and the product count comes from it: |patterns|^k
-    |projected patterns|^(l-k), raised to |ball(m)| in product mode.  Zero
-    tolerance: both scales and all distances are integer numerators over one
-    denominator.  Every pair i < j of a cloud is checked, a block of rows per
-    numpy broadcast (`_pair_blocks`), and a violation names the first failing
-    pair in row-major order with its exact distance.
-
-    Both clouds are outer sums of per-depth digit codes (`_digit_codes`).
-    A cell's samples take the sections over its free projected digits
-    y_prefix[k:] under one extra depth of pair patterns, cut to
-    DEFAULT_CELL_SAMPLES; differences cancel their shared prefix, so the
-    offsets of each distinct y_prefix[k:] are built and checked once, while
-    each of the first _CELL_LIMIT cells adds its pairs and the first failing
-    cell is named.
-    """
+def _window_check(spec: CarpetSpec, m: int, l: int, cloud_cap: int,
+                  mode: str) -> SandwichReport:
+    """The sandwich checked on ball(m) itself, reported under `mode`, with
+    the product count |patterns|^k |projected patterns|^(l-k) of ball(m)."""
     a, b = spec.a, spec.b
     k = floor_wl(a, b, l)
-    mode, checked_m = (("product", 0) if _is_product_rule(spec.omega)
-                       else ("explicit", m))
-    patterns, fibers = _pattern_set_tools(
-        spec, ball(checked_m, spec.omega.group), cloud_cap)
+    patterns, fibers = _pattern_set_tools(spec, ball(m, spec.omega.group),
+                                          cloud_cap)
     product_count = len(patterns) ** k * len(fibers) ** (l - k)
-    if mode == "product":
-        product_count **= len(ball(m, spec.omega.group))
     sep_scale = Fraction(1, b ** l)
     cov_scale = Fraction(a, b ** l)
     if product_count == 0:
@@ -365,20 +347,22 @@ def sandwich_check(spec: CarpetSpec, m: int, l: int,
         raise SandwichViolation(
             f"representatives {i},{j} at distance "
             f"{Fraction(int(d), denom)} < {sep_scale}")
-    checked = {}  # y_prefix[k:] -> (samples per cell, first far pair)
-    for cell in _psi_cells(spec, patterns, fibers, checked_m, l, _CELL_LIMIT):
-        free_v = cell.y_prefix[k:]
-        if free_v not in checked:
-            offsets = _cell_offsets(spec, patterns, fibers, cell,
+    checked = {}  # free digit pairs -> (pairs per cell, first far pair)
+    for digits in _cell_digits(spec, patterns, fibers, l, _CELL_LIMIT):
+        free = digits[k:]  # one least section per free projected digit
+        if free not in checked:
+            offsets = _cell_offsets(spec, patterns, fibers,
+                                    _psi_cell(m, l, k, digits),
                                     DEFAULT_CELL_SAMPLES, denom, dtype)
-            checked[free_v] = (len(offsets), _first_pair(
-                offsets, lambda dist: dist >= cov_bound))
-        samples, bad = checked[free_v]
-        pairs_checked += samples * (samples - 1) // 2
+            checked[free] = (len(offsets) * (len(offsets) - 1) // 2,
+                             _first_pair(offsets,
+                                         lambda dist: dist >= cov_bound))
+        pairs, bad = checked[free]
+        pairs_checked += pairs
         if bad is not None:
             raise SandwichViolation(
                 f"within-cell distance {Fraction(int(bad[2]), denom)} >= "
-                f"{cov_scale} in cell {cell.key}")
+                f"{cov_scale} in cell {_psi_cell(m, l, k, digits).key}")
 
     return SandwichReport(m=m, l=l, floor_wl=k, lower_product=product_count,
                           upper_product=product_count,
@@ -386,6 +370,51 @@ def sandwich_check(spec: CarpetSpec, m: int, l: int,
                           cover_count=product_count, separation_scale=sep_scale,
                           cover_scale=cov_scale, mode=mode,
                           pairs_checked=pairs_checked)
+
+
+def _product_row(spec: CarpetSpec, checked: SandwichReport,
+                 m: int) -> SandwichReport:
+    """The product-mode row at m from the check of ball(0): the same check,
+    its count raised to |ball(m)|."""
+    count = checked.lower_product ** len(ball(m, spec.omega.group))
+    return replace(checked, m=m, lower_product=count, upper_product=count,
+                   separated_count=count, cover_count=count)
+
+
+def sandwich_check(spec: CarpetSpec, m: int, l: int,
+                   cloud_cap: int = DEFAULT_CLOUD_CAP) -> SandwichReport:
+    """Exact two-sided covering sandwich at scales b^-l and a b^-l.
+
+    (i) representative points are pairwise >= b^-l apart in the windowed sup
+    distance, so the covering number at b^-l is at least the product count;
+    (ii) sampled within-cell distances are < a b^-l strictly, and the cells
+    cover, so the covering number at a b^-l is at most the same product.
+
+    One path checks both on a window it picks from the rule.  Cellwise rules
+    factor over window cells, so the single cell ball(0) decides both exactly
+    (mode "product"): a differing pair must differ in some cell, and the sup
+    distance is the max of per-cell distances.  Other rules are checked on
+    ball(m) itself (mode "explicit") under the cloud cap.  The checked window
+    is enumerated once, and the product count comes from it: |patterns|^k
+    |projected patterns|^(l-k), raised to |ball(m)| in product mode, where
+    the check does not depend on m (`_product_row`).  Zero tolerance: both
+    scales and all distances are integer numerators over one denominator.
+    Every pair i < j of a cloud is checked, a block of rows per numpy
+    broadcast (`_pair_blocks`), and a violation names the first failing pair
+    in row-major order with its exact distance.
+
+    Both clouds are outer sums of per-depth digit codes (`_digit_codes`).
+    A cell's samples take the sections over its free projected digits
+    y_prefix[k:] under one extra depth of pair patterns, cut to
+    DEFAULT_CELL_SAMPLES; differences cancel their shared prefix, so the
+    offsets of each distinct y_prefix[k:] are built and checked once, while
+    each of the first _CELL_LIMIT cells, walked as digit tuples
+    (`_cell_digits`), adds its pairs and the first failing cell is named.
+    """
+    if _is_product_rule(spec.omega):
+        return _product_row(spec, _window_check(spec, 0, l, cloud_cap,
+                                                "product"), m)
+    return _window_check(spec, m, l, cloud_cap, "explicit")
 
 
 # ---------------------------------------------------------------------------
@@ -552,8 +581,9 @@ def carpet_dimension_report(spec: CarpetSpec, m_max: int, l_max: int,
                             cell_cap: int = DEFAULT_CELL_CAP,
                             pattern_cap: int = DEFAULT_PATTERN_CAP) -> dict:
     """Entropy series, weighted series, both dimension formulas and the
-    sandwich checks, with provenance notes on every headline number.  A
-    sandwich check whose representatives would exceed the 1e5 pairwise
+    sandwich checks, with provenance notes on every headline number.  In
+    product mode the rows of every m share one check per depth l.  An
+    explicit check whose representatives would exceed the 1e5 pairwise
     budget is listed under `sandwich_skipped` instead of run.  `cell_cap`
     bounds the cells of the entropy windows, `pattern_cap` their frontier
     states and fiber tables, and `cap` the clouds."""
@@ -583,20 +613,25 @@ def carpet_dimension_report(spec: CarpetSpec, m_max: int, l_max: int,
     sandwich = []
     skipped = []
     pair_budget = 10**5
+    product_rule = _is_product_rule(spec.omega)
+    checks = {}  # l -> the product-mode row at m = 0, shared by every m
     for m in range(0, min(m_max, 1) + 1):
-        bases = None
-        if not _is_product_rule(spec.omega):
-            window = ball(m, spec.omega.group)
-            bases = (count_patterns(spec.omega, window, pattern_cap),
-                     count_patterns(pspec, window, pattern_cap))
+        if product_rule:
+            for l in range(1, l_max + 1):
+                if m == 0:
+                    checks[l] = sandwich_check(spec, 0, l, cap)
+                sandwich.append(_product_row(spec, checks[l], m))
+            continue
+        window = ball(m, spec.omega.group)
+        bases = (count_patterns(spec.omega, window, pattern_cap),
+                 count_patterns(pspec, window, pattern_cap))
         for l in range(1, l_max + 1):
-            if bases is not None:
-                k = floor_wl(spec.a, spec.b, l)
-                reps = bases[0] ** k * bases[1] ** (l - k)
-                if reps * reps > pair_budget:
-                    skipped.append({"m": m, "l": l, "reps": str(reps),
-                                    "reason": "pairwise budget"})
-                    continue
+            k = floor_wl(spec.a, spec.b, l)
+            reps = bases[0] ** k * bases[1] ** (l - k)
+            if reps * reps > pair_budget:
+                skipped.append({"m": m, "l": l, "reps": str(reps),
+                                "reason": "pairwise budget"})
+                continue
             sandwich.append(sandwich_check(spec, m, l, cap))
 
     measure = CarpetMeasure.build(spec, 0, cap)

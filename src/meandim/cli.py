@@ -28,13 +28,14 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .groups import FolnerDescriptor, GroupSpec, box
-from .metrics import WeightScheme
-from .subshifts import json_int, json_object, projected_spec, spec_from_json
+from .groups import FolnerDescriptor, GroupSpec, WindowCapExceeded, box
+from .metrics import CloudCapExceeded, WeightScheme
+from .subshifts import (PatternCapExceeded, json_int, json_object,
+                        projected_spec, spec_from_json)
 from .entropy import entropy_series, entropy_estimate, weighted_entropy_series
 from .carpet import CarpetSpec, carpet_dimension_report
-from .selfsimilar import (SelfSimilarSpec, selfsimilar_cover_probe,
-                          selfsimilar_upper_bound)
+from .selfsimilar import (NetTooCoarse, SelfSimilarSpec,
+                          selfsimilar_cover_probe, selfsimilar_upper_bound)
 from .homogeneous import (HomogeneousSpec, homogeneous_covering_probe,
                           homogeneous_gxn_entropy, homogeneous_slope_series)
 from .kspace import (KSpaceSpec, kg_covering_experiment,
@@ -43,6 +44,12 @@ from .kspace import (KSpaceSpec, kg_covering_experiment,
 
 class SpecError(ValueError):
     pass
+
+
+# the failures reported as `cap_abort`: a cap or a too coarse net stopped
+# the computation; any other exception is an `internal_error`
+CAP_ABORTS = (PatternCapExceeded, WindowCapExceeded, CloudCapExceeded,
+              NetTooCoarse)
 
 
 def _fraction(value, field: str) -> Fraction:
@@ -380,7 +387,7 @@ def main(argv=None) -> int:
         return 2
     except AssertionError as exc:
         results = {"assertion_failed": str(exc)}
-    except RuntimeError as exc:
+    except CAP_ABORTS as exc:
         results = {"cap_abort": str(exc)}
     except Exception as exc:
         results = {"internal_error": f"{type(exc).__name__}: {exc}"}

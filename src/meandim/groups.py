@@ -8,6 +8,7 @@ lexicographically least minimal generator word.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -170,7 +171,10 @@ def product_window(window: GroupWindow, n: int,
 def minkowski_sum(a: GroupWindow, b: GroupWindow,
                   cap: int = DEFAULT_CELL_CAP) -> GroupWindow:
     """The set {g + h : g in a, h in b}, canonical order."""
-    elems = {add(g, h) for g in a.elements for h in b.elements}
+    # add() inlined over map: a call and a generator per pair were most of
+    # the build
+    elems = {tuple(map(operator.add, g, h))
+             for g in a.elements for h in b.elements}
     if len(elems) > cap:
         raise WindowCapExceeded(len(elems), cap)
     return GroupWindow(spec=a.spec, elements=tuple(canonical_order(elems)),

@@ -32,6 +32,10 @@ class ProbeViolation(AssertionError):
     certified bound."""
 
 
+class CloudCapExceeded(RuntimeError):
+    """A point cloud would exceed the configured cloud cap."""
+
+
 def exact_int_dtype(bound: int):
     """numpy dtype for exact integer numerators whose values and
     intermediates stay below `bound` in magnitude: int64 when it fits,

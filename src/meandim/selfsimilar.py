@@ -18,7 +18,8 @@ from typing import Sequence
 import numpy as np
 
 from .groups import FolnerDescriptor, GroupWindow, ball, minkowski_sum
-from .metrics import PointCloud, ProbeViolation, WeightScheme
+from .metrics import (CloudCapExceeded, PointCloud, ProbeViolation,
+                      WeightScheme)
 from .entropy import entropy_estimate, entropy_series
 from .subshifts import SubshiftSpec, count_patterns
 
@@ -123,7 +124,8 @@ def selfsimilar_spanning_cloud(spec: SelfSimilarSpec, m: int,
         base_point = tuple(Fraction(0) for _ in window.elements)
     total = len(net_patterns) ** m
     if total > cap:
-        raise RuntimeError(f"spanning cloud of {total} points exceeds cap {cap}")
+        raise CloudCapExceeded(
+            f"spanning cloud of {total} points exceeds cap {cap}")
     vals = spec.values
     h_vectors = [tuple(vals[p[i]] for i in range(len(window)))
                  for p in net_patterns]

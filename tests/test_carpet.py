@@ -631,3 +631,84 @@ def test_signature_offsets_match_every_walked_cell(monkeypatch, key):
         pairs += len(dists)
     assert next(offsets, None) is None
     assert pairs == rep.pairs_checked
+
+
+def _report_row(rep):
+    """A SandwichReport as `carpet_dimension_report` lists it."""
+    return {"m": rep.m, "l": rep.l, "floor_wl": rep.floor_wl,
+            "lower_product": str(rep.lower_product),
+            "upper_product": str(rep.upper_product),
+            "separated_count": str(rep.separated_count),
+            "cover_count": str(rep.cover_count), "mode": rep.mode,
+            "ok": rep.ok}
+
+
+@pytest.mark.parametrize("spec", [MCMULLEN, FULL22, GOLDEN_B],
+                         ids=["mcmullen", "full22", "golden_b"])
+def test_report_rows_are_the_sandwich_checks(spec):
+    # product rows share one check per depth; each must still equal the
+    # check the public function runs at its own m
+    report = carpet_dimension_report(spec, m_max=2, l_max=3)
+    skipped = {(s["m"], s["l"]) for s in report["sandwich_skipped"]}
+    rows = report["sandwich"]
+    assert [(r["m"], r["l"]) for r in rows] == [
+        (m, l) for m in (0, 1) for l in (1, 2, 3) if (m, l) not in skipped]
+    assert bool(skipped) == (spec is GOLDEN_B)
+    for row in rows:
+        assert row == _report_row(sandwich_check(spec, row["m"], row["l"]))
+
+
+@pytest.mark.parametrize("spec, rows, checks", [
+    (MCMULLEN, 12, [1, 2, 3, 4, 5, 6]),
+    (FULL22, 12, [1, 2, 3, 4, 5, 6]),
+    (GOLDEN_B, 5, [1, 2, 3, 4, 1])])  # explicit: once per row it runs
+def test_product_report_checks_each_depth_once(monkeypatch, spec, rows,
+                                               checks):
+    # the representatives are built and pair-checked once per check
+    import meandim.carpet as carpet
+    calls = []
+    original = carpet._representative_levels
+
+    def counted(spec, patterns, fibers, l, cap):
+        calls.append(l)
+        return original(spec, patterns, fibers, l, cap)
+
+    monkeypatch.setattr(carpet, "_representative_levels", counted)
+    report = carpet_dimension_report(spec, m_max=2, l_max=6)
+    assert len(report["sandwich"]) == rows
+    assert calls == checks
+
+
+@pytest.mark.parametrize("spec, m, l, nth", [
+    (MCMULLEN, 0, 3, 1), (MCMULLEN, 0, 3, 4), (MCMULLEN, 1, 3, 3),
+    (FULL32, 1, 2, 2), (GOLDEN_B, 1, 1, 1)])
+def test_within_cell_violation_names_the_failing_cell(monkeypatch, spec, m,
+                                                      l, nth):
+    # with the cover bound of the nth distinct free-digit signature lowered
+    # to zero, its first pair fails; the message names the first cell, in
+    # prefix order, that carries that signature
+    import meandim.carpet as carpet
+    from meandim.carpet import SandwichViolation
+    original = carpet._first_pair
+    calls = []
+
+    def lowered(codes, is_bad):
+        calls.append(len(codes))
+        if len(calls) == nth + 1:  # call 1 checks the representatives
+            return original(codes, lambda dist: dist >= 0)
+        return original(codes, is_bad)
+
+    monkeypatch.setattr(carpet, "_first_pair", lowered)
+    with pytest.raises(SandwichViolation) as info:
+        sandwich_check(spec, m, l)
+    k = floor_wl(spec.a, spec.b, l)
+    checked_m = 0 if carpet._is_product_rule(spec.omega) else m
+    signatures = []
+    for cell in enumerate_psi_cells(spec, checked_m, l, 512):
+        if cell.y_prefix[k:] not in [c.y_prefix[k:] for c in signatures]:
+            signatures.append(cell)
+    named = signatures[nth - 1]
+    message = str(info.value)
+    assert message.startswith("within-cell distance ")
+    assert message.endswith(f" >= {Fraction(spec.a, spec.b ** l)} in cell "
+                            f"{named.key}")

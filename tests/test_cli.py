@@ -7,6 +7,10 @@ import pytest
 
 from meandim import cli
 from meandim.cli import main, parse_caps, parse_system, validate
+from meandim.groups import WindowCapExceeded
+from meandim.metrics import CloudCapExceeded
+from meandim.selfsimilar import NetTooCoarse
+from meandim.subshifts import PatternCapExceeded
 
 CARPET_FULL = {"system": "carpet", "a": 3, "b": 2,
                "omega": {"rank": 1, "alphabet": {"a": 3, "b": 2},
@@ -490,6 +494,43 @@ def test_unexpected_exceptions_are_internal_errors(tmp_path, capsys,
     assert code == 1
     assert report["status"] == "failed"
     assert report["results"] == {"internal_error": "KeyError: 'lost'"}
+
+
+@pytest.mark.parametrize("exc, kind", [
+    (PatternCapExceeded(10), "cap_abort"),
+    (WindowCapExceeded(6, 5), "cap_abort"),
+    (CloudCapExceeded("representative cloud of 6 points exceeds cap 5"),
+     "cap_abort"),
+    (NetTooCoarse("need an address word of length 3, cloud depth is 2"),
+     "cap_abort"),
+    (RuntimeError("net radius diverged; weights decay too slowly"),
+     "internal_error"),
+    (RecursionError("maximum recursion depth exceeded"), "internal_error")],
+    ids=["pattern-cap", "window-cap", "cloud-cap", "net-too-coarse",
+         "runtime-error", "recursion-error"])
+def test_only_caps_are_cap_aborts(tmp_path, capsys, monkeypatch, exc, kind):
+    def failing(system, args):
+        raise exc
+
+    monkeypatch.setitem(cli.COMMANDS, "entropy", (failing, "subshift"))
+    code, report = run(capsys, ["entropy", "--spec",
+                                write_spec(tmp_path, GOLDEN)])
+    assert code == 1 and report["status"] == "failed"
+    message = (str(exc) if kind == "cap_abort"
+               else f"{type(exc).__name__}: {exc}")
+    assert report["results"] == {kind: message}
+
+
+def test_carpet_dims_obeys_the_cloud_cap(tmp_path, capsys):
+    # McMullen's ball(0) has 3 patterns and 2 projected ones: the depth-2
+    # representatives number 3 * 2
+    spec = write_spec(tmp_path, MCMULLEN)
+    argv = ["carpet-dims", "--spec", spec, "--m-max", "1", "--l-max", "2"]
+    code, report = run(capsys, argv + ["--caps", "cloud=5"])
+    assert code == 1 and report["results"] == {
+        "cap_abort": "representative cloud of 6 points exceeds cap 5"}
+    code, report = run(capsys, argv + ["--caps", "cloud=6"])
+    assert code == 0 and report["status"] == "ok"
 
 
 def test_config_records_every_option_that_changes_results(tmp_path, capsys):

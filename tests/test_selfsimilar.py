@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from meandim.groups import GroupSpec, ball, box, interval, minkowski_sum
-from meandim.metrics import ProductMetric, WeightScheme, separated_set
+from meandim.metrics import (CloudCapExceeded, ProductMetric, WeightScheme,
+                             separated_set)
 from meandim.subshifts import (Alphabet, Rule, SubshiftSpec, count_patterns,
                                enumerate_patterns, full_shift, golden_mean)
 from meandim.selfsimilar import (NetTooCoarse, ProbeViolation,
@@ -58,6 +59,16 @@ def test_spanning_cloud_dyadic_example():
     values = sorted(p[0] for p in cloud.cloud.points)
     assert values == [Fraction(k, 4) for k in range(8)]
     assert len(cloud.addresses) == 8
+
+
+def test_spanning_cloud_obeys_the_cloud_cap():
+    w = interval(0, 0)
+    net = [bytes([0]), bytes([1])]
+    assert len(selfsimilar_spanning_cloud(FULL, 3, net, w, cap=8)
+               .cloud.points) == 8
+    with pytest.raises(CloudCapExceeded,
+                       match="^spanning cloud of 8 points exceeds cap 7$"):
+        selfsimilar_spanning_cloud(FULL, 3, net, w, cap=7)
 
 
 def test_spanning_cloud_trivial_cases():
