@@ -24,13 +24,13 @@ from typing import Sequence
 import numpy as np
 
 from .groups import DEFAULT_CELL_CAP, FolnerDescriptor, GroupWindow, ball
-from .metrics import CloudCapExceeded, WeightScheme, exact_int_dtype
+from .metrics import (DEFAULT_CLOUD_CAP, CloudCapExceeded, WeightScheme,
+                      exact_int_dtype)
 from .entropy import (entropy_estimate, entropy_series, log_big,
                       log_z_from_fibers, weighted_entropy_series)
 from .subshifts import (DEFAULT_PATTERN_CAP, FiberTable, SubshiftSpec,
                         count_patterns, enumerate_patterns, projected_spec)
 
-DEFAULT_CLOUD_CAP = 200_000
 DEFAULT_CELL_SAMPLES = 48
 _CELL_LIMIT = 512  # cells of the sandwich's within-cell check
 _PAIR_BLOCK = 1 << 16  # code differences per broadcast of the pair check
@@ -316,13 +316,13 @@ def _first_pair(codes, is_bad):
 
 
 def _window_check(spec: CarpetSpec, m: int, l: int, cloud_cap: int,
-                  mode: str) -> SandwichReport:
+                  pattern_cap: int, mode: str) -> SandwichReport:
     """The sandwich checked on ball(m) itself, reported under `mode`, with
     the product count |patterns|^k |projected patterns|^(l-k) of ball(m)."""
     a, b = spec.a, spec.b
     k = floor_wl(a, b, l)
     patterns, fibers = _pattern_set_tools(spec, ball(m, spec.omega.group),
-                                          cloud_cap)
+                                          pattern_cap)
     product_count = len(patterns) ** k * len(fibers) ** (l - k)
     sep_scale = Fraction(1, b ** l)
     cov_scale = Fraction(a, b ** l)
@@ -382,7 +382,8 @@ def _product_row(spec: CarpetSpec, checked: SandwichReport,
 
 
 def sandwich_check(spec: CarpetSpec, m: int, l: int,
-                   cloud_cap: int = DEFAULT_CLOUD_CAP) -> SandwichReport:
+                   cloud_cap: int = DEFAULT_CLOUD_CAP,
+                   pattern_cap: int = DEFAULT_PATTERN_CAP) -> SandwichReport:
     """Exact two-sided covering sandwich at scales b^-l and a b^-l.
 
     (i) representative points are pairwise >= b^-l apart in the windowed sup
@@ -394,8 +395,8 @@ def sandwich_check(spec: CarpetSpec, m: int, l: int,
     factor over window cells, so the single cell ball(0) decides both exactly
     (mode "product"): a differing pair must differ in some cell, and the sup
     distance is the max of per-cell distances.  Other rules are checked on
-    ball(m) itself (mode "explicit") under the cloud cap.  The checked window
-    is enumerated once, and the product count comes from it: |patterns|^k
+    ball(m) itself (mode "explicit").  The checked window is enumerated once,
+    under the pattern cap, and the product count comes from it: |patterns|^k
     |projected patterns|^(l-k), raised to |ball(m)| in product mode, where
     the check does not depend on m (`_product_row`).  Zero tolerance: both
     scales and all distances are integer numerators over one denominator.
@@ -413,8 +414,8 @@ def sandwich_check(spec: CarpetSpec, m: int, l: int,
     """
     if _is_product_rule(spec.omega):
         return _product_row(spec, _window_check(spec, 0, l, cloud_cap,
-                                                "product"), m)
-    return _window_check(spec, m, l, cloud_cap, "explicit")
+                                                pattern_cap, "product"), m)
+    return _window_check(spec, m, l, cloud_cap, pattern_cap, "explicit")
 
 
 # ---------------------------------------------------------------------------
@@ -430,18 +431,18 @@ class CarpetMeasure:
     table: FiberTable
     w: float
     log_z: float
-    legal: frozenset  # combined pair patterns
 
     @staticmethod
-    def build(spec: CarpetSpec, m: int, cap: int = DEFAULT_CLOUD_CAP) -> "CarpetMeasure":
+    def build(spec: CarpetSpec, m: int,
+              cap: int = DEFAULT_PATTERN_CAP) -> "CarpetMeasure":
+        """The measure on ball(m), its patterns enumerated under `cap`."""
         window = ball(m, spec.omega.group)
-        patterns, fibers = _pattern_set_tools(spec, window, cap)
+        _, fibers = _pattern_set_tools(spec, window, cap)
         table = FiberTable(spec=spec.omega, window=window,
                            entries={v: len(us) for v, us in fibers.items()})
         w = spec.w
         return CarpetMeasure(spec=spec, window=window, table=table, w=w,
-                             log_z=log_z_from_fibers(table, w),
-                             legal=frozenset(patterns))
+                             log_z=log_z_from_fibers(table, w))
 
     def log_f_pair(self, v: bytes) -> float:
         t = self.table.entries[v]
@@ -586,7 +587,8 @@ def carpet_dimension_report(spec: CarpetSpec, m_max: int, l_max: int,
     explicit check whose representatives would exceed the 1e5 pairwise
     budget is listed under `sandwich_skipped` instead of run.  `cell_cap`
     bounds the cells of the entropy windows, `pattern_cap` their frontier
-    states and fiber tables, and `cap` the clouds."""
+    states, fiber tables and the patterns the sandwich and the measure
+    enumerate, and `cap` the representative clouds."""
     folner = FolnerDescriptor(folner_family,
                               tuple(range(0 if folner_family == "balls" else 1,
                                           m_max + 1)))
@@ -619,7 +621,7 @@ def carpet_dimension_report(spec: CarpetSpec, m_max: int, l_max: int,
         if product_rule:
             for l in range(1, l_max + 1):
                 if m == 0:
-                    checks[l] = sandwich_check(spec, 0, l, cap)
+                    checks[l] = sandwich_check(spec, 0, l, cap, pattern_cap)
                 sandwich.append(_product_row(spec, checks[l], m))
             continue
         window = ball(m, spec.omega.group)
@@ -632,9 +634,9 @@ def carpet_dimension_report(spec: CarpetSpec, m_max: int, l_max: int,
                 skipped.append({"m": m, "l": l, "reps": str(reps),
                                 "reason": "pairwise budget"})
                 continue
-            sandwich.append(sandwich_check(spec, m, l, cap))
+            sandwich.append(sandwich_check(spec, m, l, cap, pattern_cap))
 
-    measure = CarpetMeasure.build(spec, 0, cap)
+    measure = CarpetMeasure.build(spec, 0, pattern_cap)
     probe = shannon_mcmillan_probe(measure, max(16, l_max * 4), sample_count, seed)
 
     mdim_m = mdim_m_carpet(h, h_prime, spec.a, spec.b)

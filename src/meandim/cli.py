@@ -28,10 +28,11 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .groups import FolnerDescriptor, GroupSpec, WindowCapExceeded, box
-from .metrics import CloudCapExceeded, WeightScheme
-from .subshifts import (PatternCapExceeded, json_int, json_object,
-                        projected_spec, spec_from_json)
+from .groups import (DEFAULT_CELL_CAP, FolnerDescriptor, GroupSpec,
+                     WindowCapExceeded, box)
+from .metrics import DEFAULT_CLOUD_CAP, CloudCapExceeded, WeightScheme
+from .subshifts import (DEFAULT_PATTERN_CAP, PatternCapExceeded, json_int,
+                        json_object, projected_spec, spec_from_json)
 from .entropy import entropy_series, entropy_estimate, weighted_entropy_series
 from .carpet import CarpetSpec, carpet_dimension_report
 from .selfsimilar import (NetTooCoarse, SelfSimilarSpec,
@@ -161,7 +162,8 @@ def _num(value, provenance: str) -> dict:
 
 
 def parse_caps(text: str) -> dict:
-    caps = {"cells": 10**6, "patterns": 10**6, "cloud": 200_000}
+    caps = {"cells": DEFAULT_CELL_CAP, "patterns": DEFAULT_PATTERN_CAP,
+            "cloud": DEFAULT_CLOUD_CAP}
     if text:
         for part in text.split(","):
             key, _, val = part.partition("=")

@@ -11,7 +11,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .groups import FolnerDescriptor, GroupSpec, product_window
+from .groups import (DEFAULT_CELL_CAP, FolnerDescriptor, GroupSpec,
+                     product_window)
 from .subshifts import (DEFAULT_PATTERN_CAP, FiberTable, SubshiftSpec,
                         count_windows, fiber_table)
 # still reachable as entropy.count_patterns, the import site that the
@@ -86,7 +87,7 @@ class WeightedEntropySeries:
 
 
 def entropy_series(spec: SubshiftSpec, folner: FolnerDescriptor,
-                   cap: int = 10**6,
+                   cap: int = DEFAULT_CELL_CAP,
                    pattern_cap: int = DEFAULT_PATTERN_CAP) -> EntropySeries:
     """Per-site log pattern counts over the requested Folner windows; `cap`
     bounds the cells of a window, `pattern_cap` the live frontier states
@@ -155,7 +156,7 @@ def log_z_from_fibers(table: FiberTable, w: float) -> float:
 
 
 def weighted_entropy_series(spec: SubshiftSpec, folner: FolnerDescriptor,
-                            w: float, cap: int = 10**6,
+                            w: float, cap: int = DEFAULT_CELL_CAP,
                             pattern_cap: int = DEFAULT_PATTERN_CAP
                             ) -> WeightedEntropySeries:
     """Per-site log Z_m where Z_m sums fiber counts t(v)^w over a window;
@@ -178,7 +179,8 @@ def weighted_entropy_series(spec: SubshiftSpec, folner: FolnerDescriptor,
 
 
 def weighted_degeneration_check(spec: SubshiftSpec, folner: FolnerDescriptor,
-                                cap: int = 10**6, digits: int = 12) -> dict:
+                                cap: int = DEFAULT_CELL_CAP,
+                                digits: int = 12) -> dict:
     """w=1 rows must equal log|Omega| and w=0 rows log|Omega'|, bit for bit
     after rounding to the given digits; `cap` bounds the cells of each
     window and the patterns of its fiber tables."""
@@ -221,7 +223,8 @@ class GxnEntropySeries:
 
 
 def gxn_entropy_series(digit_spec: SubshiftSpec, folner: FolnerDescriptor,
-                       depths: Sequence[int], cap: int = 10**6) -> GxnEntropySeries:
+                       depths: Sequence[int],
+                       cap: int = DEFAULT_CELL_CAP) -> GxnEntropySeries:
     """Counts on product windows F_n x {0..N-1} normalized by N * |F_n|.
 
     The digit subshift lives on Z^d x N, encoded as a rank d+1 spec whose last
@@ -245,7 +248,7 @@ def gxn_entropy_series(digit_spec: SubshiftSpec, folner: FolnerDescriptor,
 
 
 def projection_gap_report(spec: SubshiftSpec, folner: FolnerDescriptor,
-                          cap: int = 10**6) -> list[dict]:
+                          cap: int = DEFAULT_CELL_CAP) -> list[dict]:
     """Free-boundary versus exact projection counts for 1-d NN rules."""
     from .subshifts import projection_count_interval
     group = spec.group

@@ -170,13 +170,18 @@ def product_window(window: GroupWindow, n: int,
 
 def minkowski_sum(a: GroupWindow, b: GroupWindow,
                   cap: int = DEFAULT_CELL_CAP) -> GroupWindow:
-    """The set {g + h : g in a, h in b}, canonical order."""
-    # add() inlined over map: a call and a generator per pair were most of
-    # the build
-    elems = {tuple(map(operator.add, g, h))
-             for g in a.elements for h in b.elements}
-    if len(elems) > cap:
-        raise WindowCapExceeded(len(elems), cap)
+    """The set {g + h : g in a, h in b}, canonical order.  The set grows by
+    the sums of one element of the smaller window at a time, and the cap is
+    checked after each, so a sum past the cap stops within max(|a|, |b|)
+    cells of it."""
+    outer, inner = sorted((a.elements, b.elements), key=len)
+    elems = set()
+    for h in outer:
+        # add() inlined over map: a call and a generator per pair were most
+        # of the build
+        elems.update([tuple(map(operator.add, g, h)) for g in inner])
+        if len(elems) > cap:
+            raise WindowCapExceeded(len(elems), cap)
     return GroupWindow(spec=a.spec, elements=tuple(canonical_order(elems)),
                        kind="explicit")
 

@@ -6,14 +6,13 @@ automatic.  The probe checks the covering comparison between the plain
 dynamical metric at scale eps and the product-action metric at scale
 1/(2 c b), exactly, on truncated digit clouds.  A cloud point of depth L is a
 code over B = b^L and the weights rho^n share a denominator Q, so both
-distances are exact integer numerators over B Q, computed once per cloud as
-pair tables: the plain one with the shifts F_n, the product-action one with
-the shifts SF_n over each point's scaled copies x b^j mod 1, j < N (codes
-c b^j mod B).  Torus distances are min(d mod B, B - d mod B); eps, the
-threshold and the cover radii are integer bounds, and one greedy walk on a
-table gives both its separated-set and its cover count.
-`metrics.ProductMetric` and `_ScaledOrbit` are the Fraction reference for
-the two distances.
+distances are exact integer numerators over B Q: the plain one with the
+shifts F_n, the product-action one with the shifts SF_n over each point's
+scaled copies x b^j mod 1, j < N (codes c b^j mod B).  Torus distances are
+min(d mod B, B - d mod B); eps, the threshold and the cover radii are
+integer bounds.  Each pair row is computed once, checks the implication and
+advances the greedy walks that count both sides' separated sets and covers.
+`metrics.ProductMetric` and `_ScaledOrbit` are the Fraction reference.
 """
 from __future__ import annotations
 
@@ -26,8 +25,8 @@ import numpy as np
 
 from .groups import (FolnerDescriptor, GroupSpec, GroupWindow, minkowski_sum,
                      product_window)
-from .metrics import (ProbeViolation, ProductMetric, WeightScheme,
-                      exact_int_dtype, tail_support)
+from .metrics import (DEFAULT_CLOUD_CAP, ProbeViolation, ProductMetric,
+                      WeightScheme, exact_int_dtype, tail_support)
 from .entropy import gxn_entropy_series
 from .subshifts import SubshiftSpec, enumerate_patterns
 
@@ -125,7 +124,7 @@ class _ScaledOrbit:
     maximized over the scaled copies x b^j mod 1, j < N, of each point.
 
     The exact reference for the probe's right distance, which the probe
-    itself evaluates on integer codes (`_pair_distances`).
+    itself evaluates on integer codes (`_pair_rows`).
     """
 
     metric: ProductMetric
@@ -155,62 +154,72 @@ def _shift_weights(scheme: WeightScheme, window: GroupWindow,
              for cell in window.elements] for g in shifts]
 
 
-def _pair_distances(copies, modulus: int, weights, dtype) -> np.ndarray:
-    """dist[i, j]: the max over copies k and shifts g of sum_c weights[g][c]
-    times the torus distance of copies[i][k][c] and copies[j][k][c], for
-    integer codes over `modulus` and integer weights, computed row by row."""
-    copies = np.array(copies, dtype=dtype)
-    weights_t = np.array(weights, dtype=dtype).T
-    dist = np.empty((len(copies), len(copies)), dtype=dtype)
-    for i in range(len(copies)):
-        d = (copies - copies[i]) % modulus
-        dist[i] = (np.minimum(d, modulus - d) @ weights_t).max(axis=(1, 2))
-    return dist
-
-
-def _distance_tables(spec: HomogeneousSpec, fwin: GroupWindow,
-                     orbit: GroupWindow, depth: int, depth_n: int,
-                     cap: int) -> tuple:
-    """(left, right, den): both sides' pair distances over the depth-`depth`
-    digit cloud on `orbit`, as integer numerators over one denominator den.
-
-    Left is the plain metric with the shifts F_n; right is the product-action
-    metric with the shifts `orbit`, maximized over each point's N = depth_n
-    scaled copies x b^j mod 1.  Codes lie over B = b^depth and the weights
-    over Q, their common denominator, so den = B Q; pinned coordinates agree
-    across the cloud and contribute zero.
-    """
+def _pair_rows(spec: HomogeneousSpec, fwin: GroupWindow, orbit: GroupWindow,
+               depth: int, depth_n: int, cap: int) -> tuple:
+    """(size, den, rows): rows yields [left[i], right[i]] for i = 0, 1, ...,
+    the distances from point i of the depth-`depth` digit cloud on `orbit` as
+    integer numerators over den = B Q, for codes over B = b^depth and weights
+    over their common denominator Q.  Left is the plain metric with the
+    shifts F_n; right is the product-action metric with the shifts `orbit`,
+    maximized over each point's N = depth_n scaled copies x b^j mod 1."""
     modulus = spec.base ** depth
     codes = _digit_codes(spec, orbit, depth, cap)
     left_w = _shift_weights(spec.weights, orbit, fwin.elements)
     right_w = _shift_weights(spec.weights, orbit, orbit.elements)
     q = math.lcm(*(w.denominator for row in left_w + right_w for w in row))
     dtype = exact_int_dtype(len(orbit) * modulus * q)
-    left = _pair_distances([[p] for p in codes], modulus,
-                           [[int(w * q) for w in row] for row in left_w],
-                           dtype)
-    mults = [spec.base ** j for j in range(depth_n)]
-    right = _pair_distances([[[c * mult % modulus for c in p]
-                              for mult in mults] for p in codes], modulus,
-                            [[int(w * q) for w in row] for row in right_w],
-                            dtype)
-    return left, right, modulus * q
+    # copy j of a point: its codes times b^j mod B; copy 0 is the point
+    scaled = np.array([[[c * spec.base ** j % modulus for c in p]
+                        for j in range(depth_n)] for p in codes], dtype=dtype)
+    left_t, right_t = (np.array([[int(w * q) for w in row] for row in ws],
+                                dtype=dtype).T for ws in (left_w, right_w))
+
+    def rows():
+        # buffers reused row by row: temporaries freed every row page-fault
+        d, e = np.empty_like(scaled), np.empty_like(scaled)
+        for i in range(len(codes)):
+            np.remainder(np.subtract(scaled, scaled[i], out=d), modulus, out=d)
+            np.minimum(d, np.subtract(modulus, d, out=e), out=d)
+            yield [(d[:, :1] @ left_t).max(axis=(1, 2)),
+                   (d @ right_t).max(axis=(1, 2))]
+
+    return len(codes), modulus * q, rows()
 
 
-def _greedy_count(dist, bound: int) -> int:
-    """Greedy walk on a symmetric table with zero diagonal: pick the least
-    remaining index, drop every point within distance <= bound of it.
+def _greedy_counts(rows, size: int, walks) -> list:
+    """One count per walk (side, bound) over rows that arrive in index order:
+    pick the least remaining index, drop every point within distance <= bound
+    of it on that side.  Walks only drop indices, so a walk that still holds
+    i when row i arrives picks it, as a walk on the whole table would.  With
+    bound a cover's radius this counts the min-index greedy cover; with bound
+    e - 1 the greedy e-separated set in index order (d >= e iff d > e - 1)."""
+    remaining = np.ones((len(walks), size), dtype=bool)
+    counts = [0] * len(walks)
+    for i, row in enumerate(rows):
+        for w, (side, bound) in enumerate(walks):
+            if remaining[w, i]:
+                counts[w] += 1
+                remaining[w] &= row[side] > bound
+    return counts
 
-    With bound a cover's radius this counts the min-index greedy cover; with
-    bound e - 1 it counts the greedy e-separated set in index order, since
-    d >= e iff d > e - 1 for integer numerators.
-    """
-    remaining = np.ones(len(dist), dtype=bool)
-    count = 0
-    while remaining.any():
-        count += 1
-        remaining &= dist[int(np.argmax(remaining))] > bound
-    return count
+
+def _implication_checked(rows, eps: Fraction, threshold: Fraction, den):
+    """The (left, right) rows passed on, each checked first: every pair
+    i < j at right distance < threshold must sit at left distance < eps.
+    The first violating pair in row-major order aborts with a witness."""
+    eps_num = math.ceil(eps * den)  # d < eps iff num < eps_num
+    threshold_num = math.ceil(threshold * den)
+    for i, (left, right) in enumerate(rows):
+        bad = (right[i + 1:] < threshold_num) & (left[i + 1:] >= eps_num)
+        if bad.any():
+            j = i + 1 + int(np.argmax(bad))
+            d_left, d_right = (Fraction(int(side[j]), den)
+                               for side in (left, right))
+            raise ProbeViolation(
+                f"pair {i},{j}: right distance {float(d_right):.6g} "
+                f"< {float(threshold):.6g} but left distance "
+                f"{float(d_left):.6g} >= eps {float(eps):.6g}")
+        yield left, right
 
 
 @dataclass(frozen=True)
@@ -238,48 +247,37 @@ def homogeneous_covering_probe(spec: HomogeneousSpec,
     pair at product-metric distance below 1/(2 c b) over SF_n x {0..N-1} must
     sit within eps in the plain dynamical metric over F_n.  Any violating pair
     aborts with a witness.  Each side reports a greedy separated-set count
-    (lower) and a greedy cover count (upper), both from `_greedy_count`, and
-    the left lower count must not exceed the right upper one.
+    (lower) and a greedy cover count (upper), and the left lower count must
+    not exceed the right upper one.  One pass over the pair rows checks the
+    implication and advances all four greedy walks, never an n x n table.
     """
     group = GroupSpec(spec.group_rank)
-    weights = spec.weights
-    c_total = weights.total_upper()
+    threshold = Fraction(1, 2 * spec.weights.total_upper() * spec.base)
     rows = []
     for n in folner.indices:
         fwin = folner.window(n, group)
         for eps in eps_list:
             eps = Fraction(eps)
             depth_n = _digit_depth(spec.base, eps)
-            support = tail_support(weights, eps, group)
-            orbit_right = minkowski_sum(support, fwin)
-            threshold = Fraction(1, 2 * c_total * spec.base)
-            left, right, den = _distance_tables(
-                spec, fwin, orbit_right, depth_n + extra_depth, depth_n, cap)
-            # eps, threshold and the cover radii as integer bounds
-            eps_num = math.ceil(eps * den)  # d < eps iff num < eps_num
-            threshold_num = math.ceil(threshold * den)
-            bad = np.triu((right < threshold_num) & (left >= eps_num), 1)
-            if bad.any():
-                i, j = (int(v) for v in np.argwhere(bad)[0])
-                d_right = Fraction(int(right[i, j]), den)
-                d_left = Fraction(int(left[i, j]), den)
-                raise ProbeViolation(
-                    f"pair {i},{j}: right distance {float(d_right):.6g} "
-                    f"< {float(threshold):.6g} but left distance "
-                    f"{float(d_left):.6g} >= eps {float(eps):.6g}")
-            n_pts = len(left)
-            left_low = _greedy_count(left, eps_num - 1)
-            left_up = _greedy_count(left, math.floor(eps * den / 2))
-            right_low = _greedy_count(right, threshold_num - 1)
-            right_up = _greedy_count(right, math.floor(threshold * den / 2))
+            orbit = minkowski_sum(tail_support(spec.weights, eps, group), fwin)
+            size, den, pair_rows = _pair_rows(
+                spec, fwin, orbit, depth_n + extra_depth, depth_n, cap)
+            # per side its separation, then its cover radius, as integer bounds
+            walks = [(side, bound)
+                     for side, scale in enumerate((eps, threshold))
+                     for bound in (math.ceil(scale * den) - 1,
+                                   math.floor(scale * den / 2))]
+            left_low, left_up, right_low, right_up = _greedy_counts(
+                _implication_checked(pair_rows, eps, threshold, den), size,
+                walks)
             if left_low > right_up:
                 raise ProbeViolation(
                     f"certified counts crossed: left lower {left_low} > "
                     f"right upper {right_up}")
             rows.append(HomogeneousProbeRow(
                 n_index=n, eps=float(eps), depth_n=depth_n,
-                cloud_size=n_pts, implication_ok=True,
-                pairs_checked=n_pts * (n_pts - 1) // 2,
+                cloud_size=size, implication_ok=True,
+                pairs_checked=size * (size - 1) // 2,
                 left_lower=left_low, left_upper=left_up,
                 right_lower=right_low, right_upper=right_up))
     return rows
@@ -342,7 +340,7 @@ def homogeneous_slope_series(spec: HomogeneousSpec, eps_list: Sequence,
         if budget <= 0:
             raise ValueError("weights decay too slowly for this eps")
         depth_n = _digit_depth(spec.base, eps)
-        codes = _digit_codes(spec, fwin, depth_n + 1, 200_000)
+        codes = _digit_codes(spec, fwin, depth_n + 1, DEFAULT_CLOUD_CAP)
         count = 1
         for g in range(len(fwin)):
             count *= _circle_cover_codes([p[g] for p in codes],

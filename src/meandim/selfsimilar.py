@@ -18,8 +18,8 @@ from typing import Sequence
 import numpy as np
 
 from .groups import FolnerDescriptor, GroupWindow, ball, minkowski_sum
-from .metrics import (CloudCapExceeded, PointCloud, ProbeViolation,
-                      WeightScheme)
+from .metrics import (DEFAULT_CLOUD_CAP, CloudCapExceeded, PointCloud,
+                      ProbeViolation, WeightScheme)
 from .entropy import entropy_estimate, entropy_series
 from .subshifts import SubshiftSpec, count_patterns
 
@@ -117,7 +117,8 @@ def selfsimilar_spanning_cloud(spec: SelfSimilarSpec, m: int,
                                net_patterns: Sequence[bytes],
                                window: GroupWindow,
                                base_point: tuple | None = None,
-                               cap: int = 200_000) -> AddressedCloud:
+                               cap: int = DEFAULT_CLOUD_CAP
+                               ) -> AddressedCloud:
     """All compositions S_{w_1} o ... o S_{w_m}(p) over the net, evaluated
     exactly: the point is c^m p + sum_i c^{i-1} H(w_i) coordinatewise."""
     if base_point is None:

@@ -124,9 +124,6 @@ class Rule:
                 return mat
         return None
 
-    def symbol_ok(self, s: int) -> bool:
-        return self.allowed_symbols is None or s in self.allowed_symbols
-
     @property
     def symbols(self) -> list[int]:
         if self.allowed_symbols is None:
@@ -191,9 +188,6 @@ class FiberTable:
     @property
     def total(self) -> int:
         return sum(self.entries.values())
-
-    def counts(self) -> list[int]:
-        return [self.entries[v] for v in sorted(self.entries)]
 
 
 # ---------------------------------------------------------------------------

@@ -248,6 +248,8 @@ def test_determinism_modulo_timing(tmp_path, capsys):
                         "--seed", "9"]),
             (GOLDEN_B, ["carpet-dims", "--m-max", "1", "--l-max", "2"]),
             (HOMOG, ["homog-probe", "--eps-grid", "1/8", "--folner", "boxes"]),
+            (HOMOG, ["homog-probe", "--eps-grid", "1/256,1/512", "--folner",
+                     "boxes"]),
             (KSPACE, ["kg-experiment", "--m-max", "1", "--eps-grid",
                       "1/10,1/100,1/1000,1/10000,1/100000"]),
             (SELFSIM, ["selfsimilar-probe", "--window-sizes", "512"]),
@@ -531,6 +533,16 @@ def test_carpet_dims_obeys_the_cloud_cap(tmp_path, capsys):
         "cap_abort": "representative cloud of 6 points exceeds cap 5"}
     code, report = run(capsys, argv + ["--caps", "cloud=6"])
     assert code == 0 and report["status"] == "ok"
+
+
+def test_carpet_dims_cloud_cap_bounds_only_the_cloud(tmp_path, capsys):
+    # the 3 patterns of ball(0) are enumerated under the pattern cap, so a
+    # cloud cap below them still reaches the representative cloud
+    spec = write_spec(tmp_path, MCMULLEN)
+    argv = ["carpet-dims", "--spec", spec, "--m-max", "1", "--l-max", "2"]
+    code, report = run(capsys, argv + ["--caps", "cloud=2"])
+    assert code == 1 and report["results"] == {
+        "cap_abort": "representative cloud of 6 points exceeds cap 2"}
 
 
 def test_config_records_every_option_that_changes_results(tmp_path, capsys):

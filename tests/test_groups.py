@@ -163,6 +163,22 @@ def test_minkowski_sum_matches_triangle():
     assert set(s.elements) == set(ball(5, spec).elements)
 
 
+def test_minkowski_sum_checks_its_cap_while_it_grows():
+    spec = GroupSpec(1)
+    a, b = interval(0, 99999, spec), ball(6, spec)
+    with pytest.raises(WindowCapExceeded) as info:
+        minkowski_sum(a, b, cap=10)
+    assert info.value.requested <= 10 + max(len(a), len(b))
+    # a sum aborts exactly when its full set exceeds the cap
+    for a, b in [(ball(2, spec), ball(3, spec)),
+                 (box(3, GroupSpec(2)), ball(2, GroupSpec(2))),
+                 (ball(1, GroupSpec(2)), box(4, GroupSpec(2)))]:
+        size = len(minkowski_sum(a, b))
+        assert len(minkowski_sum(a, b, cap=size)) == size
+        with pytest.raises(WindowCapExceeded):
+            minkowski_sum(a, b, cap=size - 1)
+
+
 def test_window_cap():
     with pytest.raises(WindowCapExceeded):
         ball(2000, GroupSpec(2), cap=1000)

@@ -120,7 +120,7 @@ def test_slope_series_rejects_slowly_decaying_weights():
 
 
 # ---------------------------------------------------------------------------
-# integer pair tables against the Fraction reference
+# integer pair rows against the Fraction reference
 
 def _spec(base, rule, rho=None):
     return HomogeneousSpec(
@@ -187,17 +187,19 @@ PAIR_TABLE_CLOUDS = [
 
 @pytest.mark.parametrize("spec, n, eps, extra", PAIR_TABLE_CLOUDS)
 def test_pair_tables_match_fraction_metrics(spec, n, eps, extra):
-    # numerators / den equal ProductMetric (left) and _ScaledOrbit (right)
+    # numerators / den equal ProductMetric (left) and _ScaledOrbit (right);
+    # the streamed rows are stacked into the tables they stand for
+    import numpy as np
     from meandim.groups import box, minkowski_sum
-    from meandim.homogeneous import (_ScaledOrbit, _digit_depth,
-                                     _distance_tables)
+    from meandim.homogeneous import _ScaledOrbit, _digit_depth, _pair_rows
     from meandim.metrics import ProductMetric, tail_support
     group = GroupSpec(1)
     fwin = box(n, group)
     depth_n = _digit_depth(spec.base, eps)
     orbit = minkowski_sum(tail_support(spec.weights, eps, group), fwin)
-    left, right, den = _distance_tables(spec, fwin, orbit,
-                                        depth_n + extra, depth_n, 4000)
+    streamed, den, rows = _pair_rows(spec, fwin, orbit, depth_n + extra,
+                                     depth_n, 4000)
+    left, right = (np.array(side) for side in zip(*rows))
     cloud = digit_cloud(spec, orbit, depth_n + extra, 4000)
     left_ref = ProductMetric(spec.weights, orbit, "torus",
                              shifts=fwin.elements)
@@ -206,6 +208,7 @@ def test_pair_tables_match_fraction_metrics(spec, n, eps, extra):
         cloud, depth_n)
     pts, stacks = cloud.points, right_ref.points
     size = len(pts)
+    assert streamed == size
     assert left.shape == right.shape == (size, size)
     step = max(1, size // 12)
     for i in range(0, size, step):
@@ -219,9 +222,10 @@ def test_pair_tables_match_fraction_metrics(spec, n, eps, extra):
 @pytest.mark.parametrize("spec, n, eps, extra", PAIR_TABLE_CLOUDS)
 def test_probe_lower_counts_match_fraction_separated_sets(spec, n, eps, extra):
     # the greedy walk with bound e - 1 keeps what separated_set keeps
+    from itertools import islice
     from meandim.groups import box, minkowski_sum
     from meandim.homogeneous import (_ScaledOrbit, _digit_depth,
-                                     _distance_tables, _greedy_count)
+                                     _greedy_counts, _pair_rows)
     from meandim.metrics import ProductMetric, separated_set, tail_support
     group = GroupSpec(1)
     fwin = box(n, group)
@@ -235,17 +239,35 @@ def test_probe_lower_counts_match_fraction_separated_sets(spec, n, eps, extra):
     assert row.cloud_size == len(cloud.points)
     assert row.left_lower == len(separated_set(cloud, left_ref, eps))
     # the Fraction right metric over a whole cloud takes minutes, so the
-    # right walk is compared on the first 64 points: a greedy set in index
-    # order restricted to a prefix is the greedy set of that prefix
+    # right walk is compared on the first 64 points, their rows cut to 64
+    # columns: a greedy set in index order restricted to a prefix is the
+    # greedy set of that prefix
     right_ref = _ScaledOrbit.build(
         ProductMetric(spec.weights, orbit, "torus", shifts=orbit.elements),
         cloud, depth_n)
     threshold = Fraction(1, 2 * spec.weights.total_upper() * spec.base)
-    _, right, den = _distance_tables(spec, fwin, orbit, depth_n + extra,
-                                     depth_n, 4000)
+    _, den, rows = _pair_rows(spec, fwin, orbit, depth_n + extra, depth_n,
+                              4000)
     k = 64
-    assert _greedy_count(right[:k, :k], math.ceil(threshold * den) - 1) == \
-        len(separated_set(right_ref, right_ref, threshold, indices=range(k)))
+    prefix = ((right[:k],) for _, right in islice(rows, k))
+    assert _greedy_counts(prefix, k, [(0, math.ceil(threshold * den) - 1)]) \
+        == [len(separated_set(right_ref, right_ref, threshold,
+                              indices=range(k)))]
+
+
+def test_probe_builds_no_pair_table():
+    # the probe streams its pair rows: on a 1024-point cloud its traced peak
+    # stays below a single n x n int64 table (8 MiB)
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        [row] = homogeneous_covering_probe(
+            FULL2, FolnerDescriptor("boxes", (1,)), [Fraction(1, 512)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert row.cloud_size == 1024
+    assert peak < 1024 * 1024 * 8
 
 
 def test_probe_violation_names_the_reference_pair(monkeypatch):
