@@ -9,17 +9,13 @@ from .subshifts import (Alphabet, FiberTable, PatternCapExceeded, PatternSet,
                         enumerate_patterns, fiber_table, full_shift,
                         golden_mean, hard_square, mcmullen_shift,
                         pair_shift_with_b_rule, projected_spec, spec_from_json)
-from .metrics import (PointCloud, ProductMetric, WeightScheme,
-                      hausdorff_dim_upper, hausdorff_sum, separated_set,
-                      tail_support)
+from .metrics import PointCloud, ProductMetric, WeightScheme, tail_support
 from .entropy import (EntropyEstimate, EntropySeries, WeightedEntropySeries,
                       entropy_estimate, entropy_series, gxn_entropy_series,
                       weighted_entropy_series)
 from .carpet import (CarpetMeasure, CarpetSpec, PsiCell, SandwichViolation,
-                     carpet_dimension_report, carpet_representatives,
-                     enumerate_psi_cells, mdim_h_carpet, mdim_m_carpet,
-                     sandwich_check, separation_pigeonhole_check,
-                     shannon_mcmillan_probe)
+                     carpet_dimension_report, mdim_h_carpet, mdim_m_carpet,
+                     sandwich_check, shannon_mcmillan_probe)
 from .selfsimilar import (SelfSimilarSpec, contraction_embedding_check,
                           selfsimilar_cover_probe, selfsimilar_spanning_cloud,
                           selfsimilar_upper_bound)

@@ -9,9 +9,9 @@ integer numerators of the windowed sup-distance (numpy int64 when 2 D < 2^63,
 Python ints otherwise).  A code is a sum over depths, so one builder makes
 every cloud as an outer sum of per-depth digit codes; a cell's pairwise
 distances depend only on its free projected digits, so the within-cell check
-runs once per distinct set of them.  `carpet_representatives` returns the
-Fractions codes / D and `linf_pair_distance` is the Fraction reference.
-Floats appear only in logarithmic reports.
+runs once per distinct set of them.  The Fraction references of the points,
+the cells and the distances are in `tests/oracles.py`.  Floats appear only
+in logarithmic reports.
 """
 from __future__ import annotations
 
@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import islice, product
-from typing import Sequence
 
 import numpy as np
 
@@ -156,21 +155,6 @@ def _psi_cell(m: int, l: int, k: int, digits: tuple) -> PsiCell:
                    y_prefix=tuple(v for _, v in digits))
 
 
-def _psi_cells(spec: CarpetSpec, patterns, fibers, m: int, l: int,
-               limit: int) -> list[PsiCell]:
-    """First `limit` cells in prefix order, the first depth outermost."""
-    k = floor_wl(spec.a, spec.b, l)
-    return [_psi_cell(m, l, k, digits)
-            for digits in _cell_digits(spec, patterns, fibers, l, limit)]
-
-
-def enumerate_psi_cells(spec: CarpetSpec, m: int, l: int, limit: int,
-                        cap: int = DEFAULT_CLOUD_CAP) -> list[PsiCell]:
-    """First `limit` cells in deterministic prefix order."""
-    patterns, fibers = _pattern_set_tools(spec, ball(m, spec.omega.group), cap)
-    return _psi_cells(spec, patterns, fibers, m, l, limit)
-
-
 # ---------------------------------------------------------------------------
 # representatives and the covering sandwich
 
@@ -209,7 +193,7 @@ def _digit_codes(spec: CarpetSpec, levels, tail: bytes, denom: int, dtype,
 
 def _representative_levels(spec: CarpetSpec, patterns, fibers, l: int,
                            cap: int) -> list:
-    """Levels of the cloud with one point per depth-l cell, in `_psi_cells`
+    """Levels of the cloud with one point per depth-l cell, in `_cell_digits`
     order; the least pattern serves as tail."""
     choices = _cell_choices(spec, patterns, fibers, l)
     total = math.prod(len(c) for c in choices)
@@ -217,34 +201,6 @@ def _representative_levels(spec: CarpetSpec, patterns, fibers, l: int,
         raise CloudCapExceeded(
             f"representative cloud of {total} points exceeds cap {cap}")
     return list(enumerate(choices, 1))
-
-
-def carpet_representatives(spec: CarpetSpec, m: int, l: int,
-                           cap: int = DEFAULT_CLOUD_CAP):
-    """One exact point per prefix tuple: pair patterns to depth floor(wl),
-    projected patterns to depth l, section digits between, fixed least tail.
-
-    Returns (points, window) with points as tuples of (X_g, Y_g) Fractions.
-    """
-    window = ball(m, spec.omega.group)
-    patterns, fibers = _pattern_set_tools(spec, window, cap)
-    if not patterns:
-        return [], window
-    denom = _carpet_denominator(spec.a, spec.b, l)
-    levels = _representative_levels(spec, patterns, fibers, l, cap)
-    codes = _digit_codes(spec, levels, patterns[0], denom, object)
-    return [tuple((Fraction(p[i], denom), Fraction(p[i + 1], denom))
-                  for i in range(0, len(p), 2)) for p in codes], window
-
-
-def linf_pair_distance(p, q) -> Fraction:
-    """Windowed sup distance on (R^2)^window points, exact."""
-    best = Fraction(0)
-    for (x1, y1), (x2, y2) in zip(p, q):
-        d = max(abs(x1 - x2), abs(y1 - y2))
-        if d > best:
-            best = d
-    return best
 
 
 @dataclass(frozen=True)
@@ -507,68 +463,6 @@ def shannon_mcmillan_probe(measure: CarpetMeasure, l: int, sample_count: int,
                        within_delta=float(np.mean(np.abs(dev) <= delta)),
                        delta=delta,
                        log_z_per_site=measure.log_z / site)
-
-
-# ---------------------------------------------------------------------------
-# pigeonhole separation of cylinder cells
-
-def _cell_boxes(spec: CarpetSpec, cell: PsiCell, window_size: int):
-    """Exact bounding boxes: corner plus widths a^-floor(wl), b^-l per axis."""
-    a, b = spec.a, spec.b
-    k = len(cell.x_prefix)
-    x_corner = [Fraction(0)] * window_size
-    y_corner = [Fraction(0)] * window_size
-    for n in range(k):
-        for g in range(window_size):
-            x_corner[g] += Fraction(cell.x_prefix[n][g], a ** (n + 1))
-    for n in range(cell.l):
-        for g in range(window_size):
-            y_corner[g] += Fraction(cell.y_prefix[n][g], b ** (n + 1))
-    return x_corner, y_corner, Fraction(1, a ** k), Fraction(1, b ** cell.l)
-
-
-def _box_gap(c1, c2, width) -> Fraction:
-    lo = max(c1, c2)
-    hi = min(c1 + width, c2 + width)
-    return max(Fraction(0), lo - hi)
-
-
-def separation_pigeonhole_check(spec: CarpetSpec, m: int, l: int,
-                                cells: Sequence[PsiCell]) -> tuple:
-    """Find cells i, j whose bounding boxes sit >= b^-l apart in sup distance.
-
-    With at least 4^{|B_S(m)|} + 1 distinct cells a witness must exist; not
-    finding one falsifies the pigeonhole separation guarantee, so the failure
-    dumps every pair distance.
-    """
-    window = ball(m, spec.omega.group)
-    size = len(window)
-    need = 4 ** size + 1
-    keys = {c.key for c in cells}
-    if len(keys) != len(cells):
-        raise ValueError("cells must be pairwise distinct as prefix tuples")
-    if len(cells) < need:
-        raise ValueError(f"need at least {need} cells for |window| = {size}")
-    threshold = Fraction(1, spec.b ** l)
-    boxes = [_cell_boxes(spec, c, size) for c in cells]
-    for i in range(len(cells)):
-        xi_c, yi_c, wxi, wyi = boxes[i]
-        for j in range(i + 1, len(cells)):
-            xj_c, yj_c, wxj, wyj = boxes[j]
-            gap = Fraction(0)
-            for g in range(size):
-                gap = max(gap, _box_gap(xi_c[g], xj_c[g], wxi),
-                          _box_gap(yi_c[g], yj_c[g], wyi))
-            if gap >= threshold:
-                return i, j, gap
-    dump = [(i, j, float(max(
-        max(_box_gap(boxes[i][0][g], boxes[j][0][g], boxes[i][2]) for g in range(size)),
-        max(_box_gap(boxes[i][1][g], boxes[j][1][g], boxes[i][3]) for g in range(size)))))
-        for i in range(len(cells)) for j in range(i + 1, len(cells))]
-    raise AssertionError(
-        f"no pair of {len(cells)} cells is {threshold} separated; "
-        f"this would falsify the pigeonhole separation guarantee. "
-        f"distances: {dump}")
 
 
 # ---------------------------------------------------------------------------

@@ -178,30 +178,6 @@ def weighted_entropy_series(spec: SubshiftSpec, folner: FolnerDescriptor,
                                  name=spec.name)
 
 
-def weighted_degeneration_check(spec: SubshiftSpec, folner: FolnerDescriptor,
-                                cap: int = DEFAULT_CELL_CAP,
-                                digits: int = 12) -> dict:
-    """w=1 rows must equal log|Omega| and w=0 rows log|Omega'|, bit for bit
-    after rounding to the given digits; `cap` bounds the cells of each
-    window and the patterns of its fiber tables."""
-    group = spec.group
-    s1 = weighted_entropy_series(spec, folner, 1.0, cap, cap)
-    s0 = weighted_entropy_series(spec, folner, 0.0, cap, cap)
-    ok = True
-    detail = []
-    windows = (folner.window(m, group, cap) for m in folner.indices)
-    for m, r1, r0, (window, total) in zip(folner.indices, s1.rows, s0.rows,
-                                          count_windows(spec, windows)):
-        table = fiber_table(spec, window, cap)
-        want1 = round(log_big(total), digits)
-        want0 = round(log_big(len(table.entries)), digits)
-        got1 = round(r1.log_z, digits)
-        got0 = round(r0.log_z, digits)
-        detail.append({"m": m, "w1": (got1, want1), "w0": (got0, want0)})
-        ok = ok and got1 == want1 and got0 == want0
-    return {"ok": ok, "rows": detail}
-
-
 @dataclass(frozen=True)
 class GxnEntropyRow:
     n: int

@@ -37,24 +37,6 @@ class GroupSpec:
         if self.rank < 1:
             raise ValueError("rank must be >= 1")
 
-    @property
-    def identity(self) -> GroupElement:
-        return (0,) * self.rank
-
-    def generators(self) -> list[GroupElement]:
-        """Generators in canonical order: +e_1, -e_1, +e_2, -e_2, ..."""
-        gens = []
-        for axis in range(self.rank):
-            e = [0] * self.rank
-            e[axis] = 1
-            gens.append(tuple(e))
-            gens.append(tuple(-v for v in e))
-        return gens
-
-
-def add(g: GroupElement, h: GroupElement) -> GroupElement:
-    return tuple(a + b for a, b in zip(g, h))
-
 
 def word_length(g: GroupElement) -> int:
     """Minimal generator word length; the l1 norm for standard generators."""
@@ -177,7 +159,7 @@ def minkowski_sum(a: GroupWindow, b: GroupWindow,
     outer, inner = sorted((a.elements, b.elements), key=len)
     elems = set()
     for h in outer:
-        # add() inlined over map: a call and a generator per pair were most
+        # map over operator.add: a call and a generator per pair were most
         # of the build
         elems.update([tuple(map(operator.add, g, h)) for g in inner])
         if len(elems) > cap:
@@ -201,6 +183,3 @@ class FolnerDescriptor:
 
     def window(self, m: int, spec: GroupSpec, cap: int = DEFAULT_CELL_CAP) -> GroupWindow:
         return ball(m, spec, cap) if self.family == "balls" else box(m, spec, cap)
-
-    def windows(self, spec: GroupSpec, cap: int = DEFAULT_CELL_CAP) -> list[GroupWindow]:
-        return [self.window(m, spec, cap) for m in self.indices]

@@ -12,7 +12,7 @@ scaled copies x b^j mod 1, j < N (codes c b^j mod B).  Torus distances are
 min(d mod B, B - d mod B); eps, the threshold and the cover radii are
 integer bounds.  Each pair row is computed once, checks the implication and
 advances the greedy walks that count both sides' separated sets and covers.
-`metrics.ProductMetric` and `_ScaledOrbit` are the Fraction reference.
+The Fraction references of both distances are in `tests/oracles.py`.
 """
 from __future__ import annotations
 
@@ -25,10 +25,10 @@ import numpy as np
 
 from .groups import (FolnerDescriptor, GroupSpec, GroupWindow, minkowski_sum,
                      product_window)
-from .metrics import (DEFAULT_CLOUD_CAP, ProbeViolation, ProductMetric,
+from .metrics import (DEFAULT_CLOUD_CAP, CloudCapExceeded, ProbeViolation,
                       WeightScheme, exact_int_dtype, tail_support)
 from .entropy import gxn_entropy_series
-from .subshifts import SubshiftSpec, enumerate_patterns
+from .subshifts import PatternCapExceeded, SubshiftSpec, enumerate_patterns
 
 
 @dataclass(frozen=True)
@@ -68,26 +68,18 @@ def homogeneous_gxn_entropy(spec: HomogeneousSpec, folner: FolnerDescriptor,
 # ---------------------------------------------------------------------------
 # truncated digit clouds
 
-@dataclass(frozen=True)
-class DigitCloud:
-    """Torus configurations from digit patterns, depth-truncated, tails pinned.
-
-    Coordinates are exact rationals digits / b^depth; within the cloud every
-    unstored coordinate agrees across points, so pairwise metric evaluations
-    over the stored window are exact full-sum distances.
-    """
-
-    window: GroupWindow  # rank d window carrying the varying coordinates
-    depth: int
-    base: int
-    points: tuple  # tuple of per-cell Fraction tuples
-
-
 def _digit_codes(spec: HomogeneousSpec, window: GroupWindow, depth: int,
                  cap: int) -> list:
     """The cloud's points as integer codes over b^depth: per window cell, the
-    cell's digits read as one base-b numeral, first digit most significant."""
-    ps = enumerate_patterns(spec.digit_spec, product_window(window, depth), cap)
+    cell's digits read as one base-b numeral, first digit most significant.
+    One point per digit pattern, so a cloud over `cap` points stops the
+    enumeration."""
+    try:
+        ps = enumerate_patterns(spec.digit_spec,
+                                product_window(window, depth), cap)
+    except PatternCapExceeded:
+        raise CloudCapExceeded(
+            f"digit cloud of depth {depth} exceeds cap {cap}") from None
     b = spec.base
     pts = []
     for p in ps.patterns:
@@ -101,49 +93,12 @@ def _digit_codes(spec: HomogeneousSpec, window: GroupWindow, depth: int,
     return pts
 
 
-def digit_cloud(spec: HomogeneousSpec, window: GroupWindow, depth: int,
-                cap: int = 100_000) -> DigitCloud:
-    denom = spec.base ** depth
-    return DigitCloud(window=window, depth=depth, base=spec.base,
-                      points=tuple(tuple(Fraction(c, denom) for c in p)
-                                   for p in _digit_codes(spec, window, depth,
-                                                         cap)))
-
-
 def _digit_depth(base: int, eps: Fraction) -> int:
     """N >= 1 minimal with b^-N <= eps."""
     depth_n = 1
     while Fraction(1, base ** depth_n) > eps:
         depth_n += 1
     return depth_n
-
-
-@dataclass(frozen=True)
-class _ScaledOrbit:
-    """d^{sigma,T} over orbit x {0..N-1} in Fractions: the orbit metric
-    maximized over the scaled copies x b^j mod 1, j < N, of each point.
-
-    The exact reference for the probe's right distance, which the probe
-    itself evaluates on integer codes (`_pair_rows`).
-    """
-
-    metric: ProductMetric
-    points: tuple
-
-    @staticmethod
-    def build(metric: ProductMetric, cloud: DigitCloud,
-              depth_n: int) -> "_ScaledOrbit":
-        mults = [cloud.base ** j for j in range(depth_n)]
-        return _ScaledOrbit(metric, tuple(
-            tuple(tuple((v * mult) % 1 for v in p) for mult in mults)
-            for p in cloud.points))
-
-    def interval(self, xs, ys) -> tuple:
-        lo = hi = Fraction(0)
-        for x, y in zip(xs, ys):
-            x_lo, x_hi = self.metric.interval(x, y)
-            lo, hi = max(lo, x_lo), max(hi, x_hi)
-        return lo, hi
 
 
 def _shift_weights(scheme: WeightScheme, window: GroupWindow,
@@ -285,8 +240,8 @@ def homogeneous_covering_probe(spec: HomogeneousSpec,
 
 def _circle_cover_codes(codes, modulus: int, budget: Fraction) -> int:
     """Minimum number of arcs of diameter < budget covering the points
-    codes / modulus of the unit circle: `metrics.circle_cover_count` on
-    integer codes.
+    codes / modulus of the unit circle: `circle_cover_count` of
+    `tests/oracles.py` on integer codes.
 
     With budget = p/q an arc from code c reaches every later code c' with
     (c' - c) q < p modulus, that is c' - c < L = ceil(p modulus / q).  On
@@ -327,7 +282,7 @@ def homogeneous_slope_series(spec: HomogeneousSpec, eps_list: Sequence,
     subset of the circle; the product of exact arc-cover counts bounds the
     covering number, and its slope tracks the G x N entropy prediction.  The
     values are the digit codes over b^(N+1), covered by `_circle_cover_codes`
-    in integers; `metrics.circle_cover_count` is the Fraction reference.
+    in integers; `tests/oracles.py` holds the Fraction reference.
     """
     group = GroupSpec(spec.group_rank)
     folner = FolnerDescriptor(folner_family, (n_index,))

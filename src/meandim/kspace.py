@@ -81,26 +81,16 @@ def _unit_steps(delta) -> int:
     return int(3 / delta) + 1
 
 
-def k_truncation(delta: Fraction) -> list[Fraction]:
-    """K down to points below delta/2, so a sweep group can absorb the rest."""
-    n_tr = _k_size(delta)
-    return [Fraction(0)] + [Fraction(1, n) for n in range(n_tr, 0, -1)]
-
-
-def unit_grid(delta: Fraction) -> list[Fraction]:
-    """Grid on [0,1] slightly coarser than delta/3 for exact sweep covers."""
-    steps = _unit_steps(delta)
-    return [Fraction(j, steps) for j in range(steps + 1)]
-
-
 # On a sorted line both greedy sweeps take the same walk: the next cover group
 # starts, and the next separated point is picked, at the first point at least
-# `bound` past the current one.  So line_cover_count at limit `bound` and
-# line_separated_count at `bound` are both the length of that walk, which the
-# two functions below take on integer codes in O(walk length).
+# `bound` past the current one.  So the minimum cover at limit `bound` and the
+# maximum separated set at `bound` both have the length of that walk, which
+# the two functions below take on integer codes in O(walk length); the
+# Fraction sweeps they are checked against are in `tests/oracles.py`.
 
 def _k_sweep_count(n_tr: int, bound: Fraction) -> int:
-    """Greedy walk length on k_truncation with codes up to n_tr, bound > 0.
+    """Greedy walk length on the K truncation {0} u {1/n : n <= n_tr},
+    bound > 0.
 
     With bound = p/q the walk steps from 0 to code min(n_tr, q // p) and from
     1/n to code nq // (q + pn), because 1/m - 1/n >= p/q iff m(q + pn) <= nq.
@@ -150,9 +140,9 @@ def kg_covering_experiment(spec: KSpaceSpec, folner: FolnerDescriptor,
     eps).  Upper: per-coordinate minimal covers at budget eps/(2c) minus the
     tail allowance multiply into a product cover whose sets stay under eps in
     diameter.  Both per-coordinate counts are exact 1-d sweeps on the integer
-    codes of k_truncation(budget) or unit_grid(budget), equal to
-    line_separated_count and line_cover_count over those lists, and both must
-    land inside the closed-form bracket.
+    codes of the K truncation or the unit grid at the budget, equal to the
+    Fraction sweeps of `tests/oracles.py` over those point lists, and both
+    must land inside the closed-form bracket.
     """
     group = GroupSpec(spec.rank)
     weights = spec.weights

@@ -1,5 +1,4 @@
-"""Weighted product metrics, dynamical sup-metrics, exact 1-d cover and
-separation sweeps and Hausdorff sums.
+"""Weighted product metrics and dynamical sup-metrics.
 
 Distances on configuration spaces are reported as certified intervals
 [lo, hi]: lo sums the weighted coordinate distances that the stored window
@@ -12,13 +11,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
 from .groups import GroupSpec, GroupWindow, WindowCapExceeded, ball, word_length
-
-HAUSDORFF_S_CAP = 64.0
 
 # int64 holds an exact integer numerator below this magnitude
 _INT64_LIMIT = 2 ** 63
@@ -148,6 +144,7 @@ class PointCloud:
         return len(self.points)
 
 
+# no CLI path uses it; kept while perfbench/layers.py traces its interval
 @dataclass(frozen=True)
 class ProductMetric:
     """d(x,y) = max over shifts g of sum_c alpha_{c-g} delta(x_c, y_c) plus tail.
@@ -189,136 +186,3 @@ class ProductMetric:
             lo = max(lo, s)
             hi = max(hi, s + slack)
         return lo, hi
-
-
-# ---------------------------------------------------------------------------
-# separation
-
-def separated_set(cloud: PointCloud, metric, eps, indices=None) -> list[int]:
-    """Greedy maximal subset with certified pairwise distance >= eps.
-
-    Seeded at the first point in cloud order; certified via the distance lo.
-    """
-    pts = cloud.points
-    order = range(len(pts)) if indices is None else indices
-    chosen: list[int] = []
-    for i in order:
-        if all(metric.interval(pts[i], pts[j])[0] >= eps for j in chosen):
-            chosen.append(i)
-    return chosen
-
-
-# ---------------------------------------------------------------------------
-# 1-d exact covering and separation (line and circle)
-
-def line_cover_count(values: Sequence, eps) -> int:
-    """Exact minimum number of diameter < eps sets covering points on a line."""
-    if eps <= 0:
-        raise ValueError("cover budget eps must be positive")
-    vals = sorted(set(values))
-    if not vals:
-        return 0
-    count = 0
-    i = 0
-    while i < len(vals):
-        count += 1
-        start = vals[i]
-        while i < len(vals) and vals[i] - start < eps:
-            i += 1
-    return count
-
-
-def line_separated_count(values: Sequence, eps) -> int:
-    """Exact maximum eps-separated subset of points on a line."""
-    vals = sorted(set(values))
-    if not vals:
-        return 0
-    count = 0
-    last = None
-    for v in vals:
-        if last is None or v - last >= eps:
-            count += 1
-            last = v
-    return count
-
-
-def circle_cover_count(values: Sequence, eps) -> int:
-    """Exact minimum cover of points on the unit circle by arcs of diam < eps.
-
-    Tries every point as the sweep start; exact for finite sets, O(n^2) in
-    Fractions.  The reference for `homogeneous._circle_cover_codes`, which
-    the slope series runs on integer codes.
-    """
-    eps = Fraction(eps)
-    if eps <= 0:
-        raise ValueError("cover budget eps must be positive")
-    vals = sorted(set(Fraction(v) % 1 for v in values))
-    n = len(vals)
-    if n == 0:
-        return 0
-    if n == 1:
-        return 1
-    best = n
-    for start in range(n):
-        count = 0
-        i = 0
-        while i < n:
-            count += 1
-            first = vals[(start + i) % n]
-            j = i
-            while j < n:
-                cur = vals[(start + j) % n]
-                span = (cur - first) % 1
-                if span < eps:
-                    j += 1
-                else:
-                    break
-            i = j
-        best = min(best, count)
-    return best
-
-
-# ---------------------------------------------------------------------------
-# Hausdorff machinery
-
-def hausdorff_sum(diameters: Sequence, s: float, eps=None) -> float:
-    """Sum of diam^s over a cover; rejects any set with diameter >= eps."""
-    total = 0.0
-    for d in diameters:
-        d = float(d)
-        if d < 0:
-            raise ValueError("diameters must be nonnegative")
-        if eps is not None and d >= float(eps):
-            raise ValueError(f"cover set diameter {d} is not < eps={eps}")
-        if d == 0.0:
-            total += 1.0 if s == 0 else 0.0
-        else:
-            total += d ** s
-    return total
-
-
-def hausdorff_dim_upper(covers: Sequence[Sequence], eps,
-                        s_cap: float = HAUSDORFF_S_CAP,
-                        tol: float = 1e-6) -> float:
-    """sup{s : min over candidate covers of sum diam^s >= 1}, by bisection.
-
-    Only candidate covers are inspected, so the result is an upper bound on
-    the scale-eps Hausdorff dimension.  When even s = s_cap keeps the minimal
-    sum >= 1 (possible only with diameters >= 1) the cap itself is reported.
-    """
-    if not covers:
-        raise ValueError("need at least one candidate cover")
-
-    def h(s: float) -> float:
-        return min(hausdorff_sum(c, s, eps=eps) for c in covers)
-
-    if h(s_cap) >= 1.0:
-        return s_cap
-    lo, hi = 0.0, s_cap
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        if h(mid) >= 1.0:
-            lo = mid
-        else:
-            hi = mid
-    return lo

@@ -185,6 +185,7 @@ class FiberTable:
     window: GroupWindow
     entries: Mapping  # bytes -> int
 
+    # no CLI path uses it; kept while perfbench/layers.py counts with it
     @property
     def total(self) -> int:
         return sum(self.entries.values())

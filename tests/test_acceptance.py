@@ -13,12 +13,9 @@ from meandim.groups import FolnerDescriptor, GroupSpec, ball, box, interval
 from meandim.subshifts import (count_patterns, enumerate_patterns,
                                full_shift, golden_mean, mcmullen_shift,
                                pair_shift_with_b_rule)
-from meandim.entropy import (entropy_estimate, entropy_series,
-                             weighted_degeneration_check)
+from meandim.entropy import entropy_estimate, entropy_series
 from meandim.carpet import (CarpetMeasure, CarpetSpec, carpet_dimension_report,
-                            enumerate_psi_cells, sandwich_check,
-                            separation_pigeonhole_check,
-                            shannon_mcmillan_probe)
+                            sandwich_check, shannon_mcmillan_probe)
 from meandim.selfsimilar import SelfSimilarSpec, selfsimilar_cover_probe
 from meandim.homogeneous import (HomogeneousSpec, homogeneous_covering_probe,
                                  homogeneous_gxn_entropy,
@@ -26,7 +23,8 @@ from meandim.homogeneous import (HomogeneousSpec, homogeneous_covering_probe,
 from meandim.kspace import (KSpaceSpec, kg_covering_experiment,
                             kg_mass_distribution_demo, trend_slopes)
 from meandim.subshifts import Alphabet, Rule, SubshiftSpec
-from meandim.metrics import hausdorff_dim_upper
+from oracles import (enumerate_psi_cells, hausdorff_dim_upper,
+                     separation_pigeonhole_check, weighted_degeneration_check)
 
 LOG_PHI = math.log((1 + math.sqrt(5)) / 2)
 

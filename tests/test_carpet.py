@@ -10,11 +10,12 @@ from meandim.subshifts import (Alphabet, Rule, SubshiftSpec,
                                cellwise_pair_shift, full_shift, golden_mean,
                                mcmullen_shift, pair_shift_with_b_rule)
 from meandim.carpet import (CarpetMeasure, CarpetSpec,
-                            carpet_dimension_report, carpet_representatives,
-                            enumerate_psi_cells, floor_wl, linf_pair_distance,
-                            mdim_h_carpet, mdim_m_carpet, sandwich_check,
-                            separation_pigeonhole_check,
+                            carpet_dimension_report, floor_wl, mdim_h_carpet,
+                            mdim_m_carpet, sandwich_check,
                             shannon_mcmillan_probe)
+from oracles import (box_gap, carpet_representatives, cell_boxes,
+                     enumerate_psi_cells, linf_pair_distance, psi_cells,
+                     separation_pigeonhole_check)
 
 MCMULLEN = CarpetSpec(a=4, b=2, omega=mcmullen_shift())
 FULL22 = CarpetSpec(a=2, b=2, omega=full_shift((2, 2)))
@@ -78,6 +79,21 @@ def test_representatives_counts():
     assert len(pts2) == 6
     pts3, _ = carpet_representatives(MCMULLEN, 0, 0)
     assert len(pts3) == 1
+
+
+def test_oracle_cloud_cap_bounds_only_the_cloud():
+    # McMullen at l = 1 has 3 patterns and 2 cells: the patterns are input,
+    # so a cap of 2 admits the 2-point cloud and the 2 cells, and a cap of 1
+    # stops both
+    from meandim.metrics import CloudCapExceeded
+    pts, _ = carpet_representatives(MCMULLEN, 0, 1, cap=2)
+    assert len(pts) == 2
+    assert len(enumerate_psi_cells(MCMULLEN, 0, 1, limit=10, cap=2)) == 2
+    with pytest.raises(CloudCapExceeded):
+        carpet_representatives(MCMULLEN, 0, 1, cap=1)
+    with pytest.raises(CloudCapExceeded):
+        enumerate_psi_cells(MCMULLEN, 0, 1, limit=10, cap=1)
+    assert len(enumerate_psi_cells(MCMULLEN, 0, 1, limit=1, cap=1)) == 1
 
 
 def test_representatives_pairwise_separation_explicit():
@@ -206,11 +222,10 @@ def test_pigeonhole_grid_spacing_case():
     assert len(same_y) >= 2
     a, b = 4, 2
     spec = MCMULLEN
-    from meandim.carpet import _cell_boxes, _box_gap
-    x1, y1, wx, wy = _cell_boxes(spec, same_y[0], 1)
-    x2, y2, _, _ = _cell_boxes(spec, same_y[1], 1)
-    assert _box_gap(x1[0], x2[0], wx) >= Fraction(1, b ** 2) or \
-        _box_gap(x1[0], x2[0], wx) == 0
+    x1, y1, wx, wy = cell_boxes(spec, same_y[0], 1)
+    x2, y2, _, _ = cell_boxes(spec, same_y[1], 1)
+    assert box_gap(x1[0], x2[0], wx) >= Fraction(1, b ** 2) or \
+        box_gap(x1[0], x2[0], wx) == 0
 
 
 def test_pigeonhole_requirements():
@@ -381,7 +396,7 @@ def test_integer_distances_match_fraction_reference(monkeypatch, spec, m, l):
     patterns, fibers = carpet._pattern_set_tools(spec, window, 10 ** 6)
     denom = carpet._carpet_denominator(spec.a, spec.b, l + 1)
     dtype = carpet.exact_int_dtype(2 * denom)
-    for cell in carpet._psi_cells(spec, patterns, fibers, m, l, 3):
+    for cell in psi_cells(spec, patterns, fibers, m, l, 3):
         carpet._cell_offsets(spec, patterns, fibers, cell, 48, denom, dtype)
     levels = carpet._representative_levels(spec, patterns, fibers, l, 10 ** 6)
     carpet._digit_codes(spec, levels, patterns[0], denom, dtype)

@@ -188,6 +188,17 @@ def test_homog_probe_cap_abort_is_loud(tmp_path, capsys):
     assert "cap_abort" in report["results"]
 
 
+def test_homog_probe_cap_abort_names_the_digit_cloud(tmp_path, capsys):
+    # the default eps 1/8 on ball(1) windows: the 4000-point cap stops the
+    # digit cloud, one point per digit pattern, and the message says so
+    spec = write_spec(tmp_path, HOMOG)
+    code, report = run(capsys, ["homog-probe", "--spec", spec])
+    assert code == 1
+    assert report["status"] == "failed"
+    assert report["results"] == {
+        "cap_abort": "digit cloud of depth 4 exceeds cap 4000"}
+
+
 def test_kg_commands(tmp_path, capsys):
     spec = write_spec(tmp_path, KSPACE)
     code, report = run(capsys, ["kg-experiment", "--spec", spec,

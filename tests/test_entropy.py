@@ -8,11 +8,10 @@ from meandim.subshifts import (Alphabet, Rule, SubshiftSpec, full_shift,
                                pair_shift_with_b_rule)
 from meandim.entropy import (NEG_INF, entropy_estimate, entropy_series,
                              gxn_entropy_series, log_big, log_z_from_fibers,
-                             projection_gap_report,
-                             weighted_degeneration_check,
-                             weighted_entropy_series)
+                             projection_gap_report, weighted_entropy_series)
 from meandim.subshifts import PatternCapExceeded, count_patterns, fiber_table
 from meandim.groups import WindowCapExceeded, interval
+from oracles import weighted_degeneration_check
 
 LOG_PHI = math.log((1 + math.sqrt(5)) / 2)
 BOXES16 = FolnerDescriptor("boxes", (2, 4, 8, 16))

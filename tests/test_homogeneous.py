@@ -5,12 +5,13 @@ import pytest
 
 from meandim.groups import FolnerDescriptor
 from meandim.subshifts import Alphabet, Rule, SubshiftSpec
-from meandim.homogeneous import (HomogeneousSpec,
-                                 digit_cloud, homogeneous_covering_probe,
+from meandim.homogeneous import (HomogeneousSpec, homogeneous_covering_probe,
                                  homogeneous_gxn_entropy,
                                  homogeneous_slope_series)
 from meandim.groups import GroupSpec, ball
 from meandim.metrics import WeightScheme
+from oracles import (ScaledOrbit, circle_cover_count, digit_cloud,
+                     separated_set)
 
 LOG_PHI = math.log((1 + math.sqrt(5)) / 2)
 
@@ -187,11 +188,11 @@ PAIR_TABLE_CLOUDS = [
 
 @pytest.mark.parametrize("spec, n, eps, extra", PAIR_TABLE_CLOUDS)
 def test_pair_tables_match_fraction_metrics(spec, n, eps, extra):
-    # numerators / den equal ProductMetric (left) and _ScaledOrbit (right);
+    # numerators / den equal ProductMetric (left) and ScaledOrbit (right);
     # the streamed rows are stacked into the tables they stand for
     import numpy as np
     from meandim.groups import box, minkowski_sum
-    from meandim.homogeneous import _ScaledOrbit, _digit_depth, _pair_rows
+    from meandim.homogeneous import _digit_depth, _pair_rows
     from meandim.metrics import ProductMetric, tail_support
     group = GroupSpec(1)
     fwin = box(n, group)
@@ -203,7 +204,7 @@ def test_pair_tables_match_fraction_metrics(spec, n, eps, extra):
     cloud = digit_cloud(spec, orbit, depth_n + extra, 4000)
     left_ref = ProductMetric(spec.weights, orbit, "torus",
                              shifts=fwin.elements)
-    right_ref = _ScaledOrbit.build(
+    right_ref = ScaledOrbit.build(
         ProductMetric(spec.weights, orbit, "torus", shifts=orbit.elements),
         cloud, depth_n)
     pts, stacks = cloud.points, right_ref.points
@@ -224,9 +225,8 @@ def test_probe_lower_counts_match_fraction_separated_sets(spec, n, eps, extra):
     # the greedy walk with bound e - 1 keeps what separated_set keeps
     from itertools import islice
     from meandim.groups import box, minkowski_sum
-    from meandim.homogeneous import (_ScaledOrbit, _digit_depth,
-                                     _greedy_counts, _pair_rows)
-    from meandim.metrics import ProductMetric, separated_set, tail_support
+    from meandim.homogeneous import _digit_depth, _greedy_counts, _pair_rows
+    from meandim.metrics import ProductMetric, tail_support
     group = GroupSpec(1)
     fwin = box(n, group)
     depth_n = _digit_depth(spec.base, eps)
@@ -242,7 +242,7 @@ def test_probe_lower_counts_match_fraction_separated_sets(spec, n, eps, extra):
     # right walk is compared on the first 64 points, their rows cut to 64
     # columns: a greedy set in index order restricted to a prefix is the
     # greedy set of that prefix
-    right_ref = _ScaledOrbit.build(
+    right_ref = ScaledOrbit.build(
         ProductMetric(spec.weights, orbit, "torus", shifts=orbit.elements),
         cloud, depth_n)
     threshold = Fraction(1, 2 * spec.weights.total_upper() * spec.base)
@@ -276,7 +276,6 @@ def test_probe_violation_names_the_reference_pair(monkeypatch):
     # eps = 1/32; the message matches the first pair the Fraction loop finds
     import meandim.homogeneous as homogeneous
     from meandim.groups import box
-    from meandim.homogeneous import _ScaledOrbit
     from meandim.metrics import ProbeViolation, ProductMetric
     monkeypatch.setattr(homogeneous, "_digit_depth", lambda base, eps: 1)
     eps = Fraction(1, 32)
@@ -284,7 +283,7 @@ def test_probe_violation_names_the_reference_pair(monkeypatch):
     cloud = digit_cloud(FULL2, fwin, 5)
     threshold = Fraction(1, 2 * FULL2.weights.total_upper() * 2)
     left = ProductMetric(FULL2.weights, fwin, "torus", shifts=fwin.elements)
-    right = _ScaledOrbit.build(
+    right = ScaledOrbit.build(
         ProductMetric(FULL2.weights, fwin, "torus", shifts=fwin.elements),
         cloud, 1)
     expected = None
@@ -312,7 +311,6 @@ def test_probe_violation_names_the_reference_pair(monkeypatch):
 # integer circle covers against the Fraction reference
 
 def _reference_cover(codes, modulus, budget):
-    from meandim.metrics import circle_cover_count
     return circle_cover_count([Fraction(c, modulus) for c in codes], budget)
 
 
@@ -360,7 +358,6 @@ def test_integer_circle_cover_edge_cases(codes, modulus, budget, count):
 def test_slope_series_counts_match_the_fraction_reference(spec, eps_list):
     # the product over window cells of circle_cover_count on the Fraction
     # digit cloud, as the series counted before it moved to integer codes
-    from meandim.metrics import circle_cover_count
     from meandim.homogeneous import _digit_depth
     fwin = FolnerDescriptor("boxes", (1,)).window(1, GroupSpec(1))
     for eps, row in zip(eps_list, homogeneous_slope_series(spec, eps_list)):

@@ -6,12 +6,12 @@ import pytest
 from meandim.groups import FolnerDescriptor, GroupSpec
 from meandim.kspace import (KSpaceSpec, _k_size, _k_sweep_count,
                             _unit_steps, _unit_sweep_count, gamma_bracket,
-                            k_truncation, kg_covering_experiment,
-                            kg_mass_distribution_demo, nu_interval_mass_log,
-                            nu_normalization_error, trend_slopes, unit_grid,
-                            zeta_bracket)
-from meandim.metrics import (WeightScheme, line_cover_count,
-                             line_separated_count, tail_support)
+                            kg_covering_experiment, kg_mass_distribution_demo,
+                            nu_interval_mass_log, nu_normalization_error,
+                            trend_slopes, zeta_bracket)
+from meandim.metrics import WeightScheme, tail_support
+from oracles import (k_truncation, line_cover_count, line_separated_count,
+                     unit_grid)
 
 KSET = KSpaceSpec(rank=1)
 CUBE = KSpaceSpec(rank=1, kind="unit")

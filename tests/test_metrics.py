@@ -6,10 +6,9 @@ from fractions import Fraction
 
 from meandim.groups import GroupSpec, GroupWindow, ball, interval
 from meandim.metrics import (PointCloud, ProductMetric, WeightScheme,
-                             circle_cover_count, hausdorff_dim_upper,
-                             hausdorff_sum, kset_value, line_cover_count,
-                             line_separated_count, separated_set, sphere_size,
-                             tail_support)
+                             kset_value, sphere_size, tail_support)
+from oracles import (circle_cover_count, hausdorff_dim_upper, hausdorff_sum,
+                     line_cover_count, line_separated_count, separated_set)
 
 SPEC1 = GroupSpec(1)
 

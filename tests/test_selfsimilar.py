@@ -5,8 +5,7 @@ from fractions import Fraction
 import pytest
 
 from meandim.groups import GroupSpec, ball, box, interval, minkowski_sum
-from meandim.metrics import (CloudCapExceeded, ProductMetric, WeightScheme,
-                             separated_set)
+from meandim.metrics import CloudCapExceeded, ProductMetric, WeightScheme
 from meandim.subshifts import (Alphabet, Rule, SubshiftSpec, count_patterns,
                                enumerate_patterns, full_shift, golden_mean)
 from meandim.selfsimilar import (NetTooCoarse, ProbeViolation,
@@ -15,6 +14,7 @@ from meandim.selfsimilar import (NetTooCoarse, ProbeViolation,
                                  net_radius, selfsimilar_cover_probe,
                                  selfsimilar_spanning_cloud,
                                  selfsimilar_upper_bound)
+from oracles import separated_set
 
 LOG_PHI = math.log((1 + math.sqrt(5)) / 2)
 
