@@ -28,7 +28,8 @@ from .metrics import (DEFAULT_CLOUD_CAP, CloudCapExceeded, WeightScheme,
 from .entropy import (entropy_estimate, entropy_series, log_big,
                       log_z_from_fibers, weighted_entropy_series)
 from .subshifts import (DEFAULT_PATTERN_CAP, FiberTable, SubshiftSpec,
-                        count_patterns, enumerate_patterns, projected_spec)
+                        count_patterns, enumerate_patterns, fiber_table,
+                        projected_spec)
 
 DEFAULT_CELL_SAMPLES = 48
 _CELL_LIMIT = 512  # cells of the sandwich's within-cell check
@@ -393,9 +394,7 @@ class CarpetMeasure:
               cap: int = DEFAULT_PATTERN_CAP) -> "CarpetMeasure":
         """The measure on ball(m), its patterns enumerated under `cap`."""
         window = ball(m, spec.omega.group)
-        _, fibers = _pattern_set_tools(spec, window, cap)
-        table = FiberTable(spec=spec.omega, window=window,
-                           entries={v: len(us) for v, us in fibers.items()})
+        table = fiber_table(spec.omega, window, cap)
         w = spec.w
         return CarpetMeasure(spec=spec, window=window, table=table, w=w,
                              log_z=log_z_from_fibers(table, w))

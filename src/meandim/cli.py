@@ -238,9 +238,12 @@ def _cmd_selfsimilar_probe(system: SelfSimilarSpec, args) -> dict:
     if len(grid) < 2:
         raise SpecError("selfsimilar-probe needs at least two eps values to "
                         "fit a slope")
-    windows = [box(n, GroupSpec(1)) for n in
+    caps = parse_caps(args.caps)
+    windows = [box(n, GroupSpec(1), caps["cells"]) for n in
                _at_least_one("--window-sizes", args.window_sizes or [512])]
-    report = selfsimilar_cover_probe(system, grid, windows)
+    report = selfsimilar_cover_probe(system, grid, windows,
+                                     cell_cap=caps["cells"],
+                                     pattern_cap=caps["patterns"])
     report["slopes"] = {str(k): _num(v, "certified-bound")
                         for k, v in report["slopes"].items()}
     for row in report["rows"]:
@@ -251,7 +254,9 @@ def _cmd_selfsimilar_probe(system: SelfSimilarSpec, args) -> dict:
 def _cmd_homog_entropy(system: HomogeneousSpec, args) -> dict:
     folner = FolnerDescriptor(args.folner, _folner_indices(args, 1))
     depths = _at_least_one("--depths", args.depths or [4, 8, 12])
-    out = homogeneous_gxn_entropy(system, folner, depths)
+    caps = parse_caps(args.caps)
+    out = homogeneous_gxn_entropy(system, folner, depths, caps["cells"],
+                                  caps["patterns"])
     rows = [(r.n, r.depth, r.size, r.log_count, r.per_site)
             for r in out["series"].rows]
     return {"series": rows,
@@ -277,7 +282,8 @@ def _cmd_kg_experiment(system: KSpaceSpec, args) -> dict:
     if system.kind == "kset" and any(e >= Fraction(1, 4) for e in grid):
         raise SpecError("kset eps grid values must lie in (0, 1/4)")
     folner = FolnerDescriptor(args.folner, _folner_indices(args, 1))
-    rows = kg_covering_experiment(system, folner, grid)
+    rows = kg_covering_experiment(system, folner, grid,
+                                  parse_caps(args.caps)["cells"])
     return {"rows": [{"n": r.n_index, "eps": r.eps, "window": r.window,
                       "gamma": r.gamma, "zeta": r.zeta,
                       "lower": str(r.lower), "upper": str(r.upper),

@@ -200,8 +200,12 @@ class GxnEntropySeries:
 
 def gxn_entropy_series(digit_spec: SubshiftSpec, folner: FolnerDescriptor,
                        depths: Sequence[int],
-                       cap: int = DEFAULT_CELL_CAP) -> GxnEntropySeries:
-    """Counts on product windows F_n x {0..N-1} normalized by N * |F_n|.
+                       cap: int = DEFAULT_CELL_CAP,
+                       pattern_cap: int = DEFAULT_PATTERN_CAP
+                       ) -> GxnEntropySeries:
+    """Counts on product windows F_n x {0..N-1} normalized by N * |F_n|;
+    `cap` bounds the cells of a window, `pattern_cap` its live frontier
+    states.
 
     The digit subshift lives on Z^d x N, encoded as a rank d+1 spec whose last
     axis is the depth direction.
@@ -213,8 +217,8 @@ def gxn_entropy_series(digit_spec: SubshiftSpec, folner: FolnerDescriptor,
     for n in folner.indices:
         fwin = folner.window(n, base_group, cap)
         windows = (product_window(fwin, depth, cap) for depth in depths)
-        for depth, (window, count) in zip(depths,
-                                          count_windows(digit_spec, windows)):
+        for depth, (window, count) in zip(
+                depths, count_windows(digit_spec, windows, pattern_cap)):
             lc = log_big(count)
             rows.append(GxnEntropyRow(n=n, depth=depth, size=len(window),
                                       log_count=lc,

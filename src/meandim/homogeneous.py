@@ -23,12 +23,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .groups import (FolnerDescriptor, GroupSpec, GroupWindow, minkowski_sum,
-                     product_window)
+from .groups import (DEFAULT_CELL_CAP, FolnerDescriptor, GroupSpec,
+                     GroupWindow, minkowski_sum, product_window)
 from .metrics import (DEFAULT_CLOUD_CAP, CloudCapExceeded, ProbeViolation,
                       WeightScheme, exact_int_dtype, tail_support)
 from .entropy import gxn_entropy_series
-from .subshifts import PatternCapExceeded, SubshiftSpec, enumerate_patterns
+from .subshifts import (DEFAULT_PATTERN_CAP, PatternCapExceeded, SubshiftSpec,
+                        enumerate_patterns)
 
 
 @dataclass(frozen=True)
@@ -57,9 +58,14 @@ class HomogeneousSpec:
 
 
 def homogeneous_gxn_entropy(spec: HomogeneousSpec, folner: FolnerDescriptor,
-                            depths: Sequence[int]) -> dict:
-    """Digit-window entropy series; the dimension prediction divides by log b."""
-    series = gxn_entropy_series(spec.digit_spec, folner, depths)
+                            depths: Sequence[int],
+                            cell_cap: int = DEFAULT_CELL_CAP,
+                            pattern_cap: int = DEFAULT_PATTERN_CAP) -> dict:
+    """Digit-window entropy series; the dimension prediction divides by log b.
+    `cell_cap` bounds the cells of a window, `pattern_cap` its live
+    frontier states."""
+    series = gxn_entropy_series(spec.digit_spec, folner, depths, cell_cap,
+                                pattern_cap)
     value = series.value
     return {"series": series, "entropy": value,
             "prediction": value / math.log(spec.base)}

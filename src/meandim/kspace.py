@@ -20,7 +20,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .groups import FolnerDescriptor, GroupSpec, minkowski_sum
+from .groups import (DEFAULT_CELL_CAP, FolnerDescriptor, GroupSpec,
+                     minkowski_sum)
 from .metrics import WeightScheme, tail_support
 
 NU_ZERO_MASS = 0.5
@@ -132,7 +133,9 @@ class KExperimentRow:
 
 
 def kg_covering_experiment(spec: KSpaceSpec, folner: FolnerDescriptor,
-                           eps_grid: Sequence) -> list[KExperimentRow]:
+                           eps_grid: Sequence,
+                           cell_cap: int = DEFAULT_CELL_CAP
+                           ) -> list[KExperimentRow]:
     """Certified covering bounds of truncated K-power (or cube) clouds.
 
     Lower: per-coordinate maximal eps-separated sets multiply across the
@@ -142,18 +145,19 @@ def kg_covering_experiment(spec: KSpaceSpec, folner: FolnerDescriptor,
     diameter.  Both per-coordinate counts are exact 1-d sweeps on the integer
     codes of the K truncation or the unit grid at the budget, equal to the
     Fraction sweeps of `tests/oracles.py` over those point lists, and both
-    must land inside the closed-form bracket.
+    must land inside the closed-form bracket.  `cell_cap` bounds the cells
+    of each Folner window and of its sum with the tail support.
     """
     group = GroupSpec(spec.rank)
     weights = spec.weights
     c_total = weights.total_upper()
     rows = []
     for n in folner.indices:
-        fwin = folner.window(n, group)
+        fwin = folner.window(n, group, cell_cap)
         for eps in eps_grid:
             eps = Fraction(eps)
             support = tail_support(weights, eps, group)
-            swin = minkowski_sum(support, fwin)
+            swin = minkowski_sum(support, fwin, cell_cap)
             tail_allow = weights.tail_upper(support.index + 1)
             # product sets of per-coordinate span < budget have dynamical
             # diameter under c * budget + tail < eps

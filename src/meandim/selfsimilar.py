@@ -17,11 +17,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .groups import FolnerDescriptor, GroupWindow, ball, minkowski_sum
+from .groups import (DEFAULT_CELL_CAP, FolnerDescriptor, GroupWindow, ball,
+                     minkowski_sum)
 from .metrics import (DEFAULT_CLOUD_CAP, CloudCapExceeded, PointCloud,
                       ProbeViolation, WeightScheme)
 from .entropy import entropy_estimate, entropy_series
-from .subshifts import SubshiftSpec, count_patterns
+from .subshifts import DEFAULT_PATTERN_CAP, SubshiftSpec, count_patterns
 
 
 class NetTooCoarse(RuntimeError):
@@ -150,7 +151,9 @@ def selfsimilar_spanning_cloud(spec: SelfSimilarSpec, m: int,
 
 def selfsimilar_cover_probe(spec: SelfSimilarSpec, eps_grid: Sequence,
                             orbit_windows: Sequence[GroupWindow],
-                            slack: float = 0.05) -> dict:
+                            slack: float = 0.05,
+                            cell_cap: int = DEFAULT_CELL_CAP,
+                            pattern_cap: int = DEFAULT_PATTERN_CAP) -> dict:
     """Covering estimates against the entropy bound.
 
     Per (window, eps) the certified upper bound is the net count to the power
@@ -159,7 +162,8 @@ def selfsimilar_cover_probe(spec: SelfSimilarSpec, eps_grid: Sequence,
     number at eps is at most |net|^m.  The per-site slope regresses the upper
     log-counts on log(1/eps); a window whose slope exceeds the entropy bound
     plus slack raises ProbeViolation.  Each net is built and counted once per
-    orbit, whatever the grid length.
+    orbit, whatever the grid length, under `cell_cap` cells and
+    `pattern_cap` live frontier states.
     """
     bound = selfsimilar_upper_bound(spec)["bound"]
     eps_grid = [Fraction(e) for e in eps_grid]
@@ -173,8 +177,8 @@ def selfsimilar_cover_probe(spec: SelfSimilarSpec, eps_grid: Sequence,
     # boundary growth
     r = net_radius(spec, min(eps_grid))
     for orbit in orbit_windows:
-        net_count = count_patterns(spec.omega,
-                                   minkowski_sum(orbit, ball(r, orbit.spec)))
+        net = minkowski_sum(orbit, ball(r, orbit.spec, cell_cap), cell_cap)
+        net_count = count_patterns(spec.omega, net, pattern_cap)
         rows = []
         for eps in eps_grid:
             m = composition_depth(spec, eps)

@@ -1,18 +1,22 @@
 """Finite-alphabet subshifts over Z^d given by local rules.
 
-Exact pattern enumeration (backtracking with forward checking), exact big
-integer counting (one frontier, or broken-profile, transfer DP for every rule
-on every window), the projected rule of a paired alphabet and fiber counts.
-A series of windows shares one sweep: the DP records its running total at
-a list of stops, and each window that is a translate of a prefix of the
-largest window's sweep reads its count off its stop (`count_windows`).
+Exact pattern enumeration (backtracking over the cells in window order),
+exact big integer counting (one frontier, or broken-profile, transfer DP
+for every rule on every window), the projected rule of a paired alphabet
+and fiber counts.  A series of windows shares one sweep: the DP records
+its running total at a list of stops, and each window that is a translate
+of a prefix of the largest window's sweep reads its count off its stop
+(`count_windows`).
 
-The DP step reads each cell's bans as `(mask, value)` pairs.  It walks a
-dict of frontier states while fewer than `_ARRAY_STATES` (64) are live and
-runs on arrays from then on: int64 keys while the frontier fits in 63 bits,
-object keys past that, and object counts of Python ints, so every count
-stays exact.  A rank-1 nearest-neighbour window holds at most one state
-per symbol, so with fewer than 64 symbols it never leaves the dict step.
+Both engines read the rule as compiled on a window by `_cell_bans`: per
+cell, clauses that ban a symbol there given symbols at earlier cells.  The
+enumerator matches them as they are, the DP step as `(mask, value)` pairs
+over the frontier slots.  The step walks a dict of frontier states while
+fewer than `_ARRAY_STATES` (64) are live and runs on arrays from then on:
+int64 keys while the frontier fits in 63 bits, object keys past that, and
+object counts of Python ints, so every count stays exact.  A rank-1
+nearest-neighbour window holds at most one state per symbol, so with fewer
+than 64 symbols it never leaves the dict step.
 
 Pattern legality on a window checks the rules that fit entirely inside the
 window (free boundary).  For the shipped rule classes this either matches the
@@ -23,7 +27,7 @@ projection count for 1-d nearest-neighbor rules so the gap can be reported.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add
+from operator import add, sub
 from typing import Iterable, Mapping, Sequence
 import json
 
@@ -286,77 +290,76 @@ def projected_spec(spec: SubshiftSpec) -> SubshiftSpec | None:
 # ---------------------------------------------------------------------------
 # constraints, backtracking enumeration, frontier counting
 
-def _neighbor_constraints(spec: SubshiftSpec, window: GroupWindow):
-    """Per cell: adjacency checks against earlier cells, and forbidden-pattern
-    instances triggered when the cell is the last of the instance assigned."""
+def _cell_bans(spec: SubshiftSpec, window: GroupWindow) -> list:
+    """Per cell i, the `(s, clause)` pairs that ban symbol s at i: s is
+    illegal when every `(p, t)` in `clause` has symbol t at an earlier
+    cell p.  An adjacency edge gives one clause per banned pair, at its
+    later cell, and a forbidden-pattern instance one, at its last cell; an
+    instance that forces a cell to two symbols gives none."""
     rule = spec.rule
+    symbols = rule.symbols
     pos = window.position_map
-    n = len(window)
-    adj = [[] for _ in range(n)]   # (earlier_pos, matrix, earlier_is_source)
+    bans = [[] for _ in range(len(window))]
     for axis, mat in rule.axis_allowed:
-        e = [0] * spec.rank
-        e[axis] = 1
-        e = tuple(e)
+        # (s, t) with s on the later cell and t on the earlier one, for an
+        # edge c -> c + e_axis that runs forward (c earlier) or backward
+        forward = [(s, t) for s in symbols for t in symbols if not mat[t][s]]
+        backward = [(s, t) for s in symbols for t in symbols if not mat[s][t]]
+        e = tuple(int(a == axis) for a in range(spec.rank))
         for i, c in enumerate(window.elements):
-            nb = tuple(x + y for x, y in zip(c, e))
-            j = pos.get(nb)
+            j = pos.get(tuple(map(add, c, e)))
             if j is None:
                 continue
-            # edge c -> c+e_axis with matrix[s_c][s_nb]
             if j < i:
-                adj[i].append((j, mat, False))   # check mat[s_i][s_j]
+                bans[i] += [(s, ((j, t),)) for s, t in backward]
             else:
-                adj[j].append((i, mat, True))    # check mat[s_i_earlier][s_j]
-    trig = [[] for _ in range(n)]  # (positions tuple, symbols tuple)
-    if rule.forbidden:
-        cells = window.elements
-        for offs, syms in rule.forbidden:
-            base = offs[0]
-            for c in cells:
-                try:
-                    inst = [pos[tuple(x - b0 + o for x, b0, o in zip(c, base, off))]
-                            for off in offs]
-                except KeyError:
-                    continue
-                trig[max(inst)].append((tuple(inst), tuple(syms)))
-    return adj, trig
+                bans[j] += [(s, ((i, t),)) for s, t in forward]
+    allowed = set(symbols)
+    for offs, syms in rule.forbidden:
+        shifts = [tuple(map(sub, off, offs[0])) for off in offs]
+        for c in window.elements:
+            inst = [pos.get(tuple(map(add, c, d))) for d in shifts]
+            need = {}
+            if None in inst or any(need.setdefault(p, t) != t
+                                   for p, t in zip(inst, syms)):
+                continue  # not inside the window, or it never matches
+            s = need.pop(max(inst))
+            if s in allowed:
+                bans[max(inst)].append((s, tuple(need.items())))
+    return bans
 
 
-def _iter_patterns(spec: SubshiftSpec, window: GroupWindow):
+def _iter_patterns(spec: SubshiftSpec, window: GroupWindow, cap: int):
     """Depth-first over cells in window order; deterministic symbol order.
-
     An explicit stack of per-depth symbol indices replaces recursion, so the
     depth is bounded by the cell cap rather than by the interpreter.
-    """
-    rule = spec.rule
+    Finding pattern number cap + 1 raises PatternCapExceeded."""
     n = len(window)
     if n == 0:
+        if cap < 1:
+            raise PatternCapExceeded(cap)
         yield b""
         return
-    adj, trig = _neighbor_constraints(spec, window)
-    symbols = rule.symbols
+    clauses = []  # per cell: symbol -> the clauses that ban it there
+    for cell in _cell_bans(spec, window):
+        by_symbol = {}
+        for s, clause in cell:
+            by_symbol.setdefault(s, []).append(clause)
+        clauses.append(by_symbol)
+    symbols = spec.rule.symbols
     assign = bytearray(n)
 
     def ok(i: int, s: int) -> bool:
-        for j, mat, earlier_is_source in adj[i]:
-            if earlier_is_source:
-                if not mat[assign[j]][s]:
-                    return False
-            elif not mat[s][assign[j]]:
-                return False
-        for positions, syms in trig[i]:
-            hit = True
-            for p, forced in zip(positions, syms):
-                got = s if p == i else assign[p]
-                if got != forced:
-                    hit = False
+        for clause in clauses[i].get(s, ()):
+            for p, t in clause:
+                if assign[p] != t:
                     break
-            if hit:
+            else:
                 return False
         return True
 
     tried = [0] * n  # per depth: index of the next symbol to try
-    i = 0
+    i = found = 0
     while i >= 0:
         if tried[i] == len(symbols):
             tried[i] = 0
@@ -367,6 +370,9 @@ def _iter_patterns(spec: SubshiftSpec, window: GroupWindow):
         if ok(i, s):
             assign[i] = s
             if i == n - 1:
+                found += 1
+                if found > cap:
+                    raise PatternCapExceeded(cap)
                 yield bytes(assign)
             else:
                 i += 1
@@ -374,12 +380,8 @@ def _iter_patterns(spec: SubshiftSpec, window: GroupWindow):
 
 def enumerate_patterns(spec: SubshiftSpec, window: GroupWindow,
                        cap: int = DEFAULT_PATTERN_CAP) -> PatternSet:
-    out = []
-    for p in _iter_patterns(spec, window):
-        out.append(p)
-        if len(out) > cap:
-            raise PatternCapExceeded(cap)
-    return PatternSet(spec=spec, window=window, patterns=tuple(out))
+    return PatternSet(spec=spec, window=window,
+                      patterns=tuple(_iter_patterns(spec, window, cap)))
 
 
 def _sweep_window(window: GroupWindow) -> GroupWindow:
@@ -407,59 +409,49 @@ def _frontier_count(spec: SubshiftSpec, window: GroupWindow,
 
     Returns the running total, the sum of the state counts, after each of
     the increasing cell counts in `stops` (default: the whole window).
-    Every constraint fires at its last cell, so after k steps every
-    constraint among the first k cells has fired and no other has: the
+    Every clause of `_cell_bans` fires at its last cell, so after k steps
+    every clause among the first k cells has fired and no other has: the
     total is the exact free-boundary count of those k cells.
 
     A state packs the symbols of the frontier (assigned cells that a later
-    constraint still reads) into an int, `width` bits per slot, and maps to
-    an exact count; a cell's slot is cleared after the last constraint
-    reading it, so states that agree on the remaining frontier merge.
+    clause still reads) into an int, `width` bits per slot, and maps to an
+    exact count; a cell's slot is cleared after the last clause reading it,
+    so states that agree on the remaining frontier merge.
 
-    Each cell's bans are compiled once into `(mask, value)` pairs that both
-    forms of the step read.  While fewer than `_ARRAY_STATES` states are
-    live the step walks a dict of states.  From then on it runs on arrays:
-    keys of dtype
-    `exact_int_dtype(1 << top)` (int64 while the frontier fits in 63 bits,
-    promoted to object on the step it stops fitting) and counts as an
-    object array of Python ints, so they stay exact.  Each move keeps the
-    states whose masks pass, the targets are sorted and equal keys merge
-    with `np.add.reduceat`.  More than `cap` states raises
-    PatternCapExceeded.
+    Each cell's clauses become `(mask, value)` pairs over the slots, which
+    both forms of the step read.  While fewer than `_ARRAY_STATES` states
+    are live the step walks a dict of states.  From then on it runs on
+    arrays: keys of dtype `exact_int_dtype(1 << top)` (int64 while the
+    frontier fits in 63 bits, promoted to object on the step it stops
+    fitting) and counts as an object array of Python ints, so they stay
+    exact.  Each move keeps the states whose masks pass, the targets are
+    sorted and equal keys merge with `np.add.reduceat`.  More than `cap`
+    states raises PatternCapExceeded.
     """
-    adj, trig = _neighbor_constraints(spec, window)
+    clauses = _cell_bans(spec, window)
     n = len(window)
     marks = set([n] if stops is None else stops)
     totals = []
     last = list(range(n))  # the step after which each cell leaves
-    for i in range(n):
-        for j in [j for j, _, _ in adj[i]] + [p for ps, _ in trig[i] for p in ps]:
-            last[j] = i
+    for i, cell in enumerate(clauses):
+        for _, clause in cell:
+            for p, _ in clause:
+                last[p] = i
     symbols = spec.rule.symbols
     width = max(1, (spec.rule.size - 1).bit_length())
     full = (1 << width) - 1
-    # (s, t) pairs each matrix bans, with t on the earlier cell
-    bad_pairs = {(id(mat), src): [(s, t) for s in symbols for t in symbols
-                                  if not (mat[t][s] if src else mat[s][t])]
-                 for _, mat in spec.rule.axis_allowed for src in (False, True)}
     slot, free, top, live = {}, [], 0, 0
     states = {0: 1}
     keys = counts = None  # the states once the step runs on arrays
     for i in range(n):
         # bans[s]: (mask, value) pairs; s is illegal when key & mask == value
         bans = {s: [] for s in symbols}
-        for j, mat, src in adj[i]:
-            at = slot[j]
-            for s, t in bad_pairs[id(mat), src]:
-                bans[s].append((full << at, t << at))
-        for positions, syms in trig[i]:
-            need = dict(zip(positions, syms))
-            if len(need) < len(set(zip(positions, syms))):
-                continue  # a cell forced to two symbols: never matches
-            s = need.pop(i)
-            if s in bans:
-                bans[s].append((sum(full << slot[p] for p in need),
-                                sum(t << slot[p] for p, t in need.items())))
+        for s, clause in clauses[i]:
+            mask = value = 0
+            for p, t in clause:
+                mask |= full << slot[p]
+                value |= t << slot[p]
+            bans[s].append((mask, value))
         for j in [j for j in slot if last[j] == i]:
             live &= ~(full << slot[j])
             free.append(slot.pop(j))
@@ -532,14 +524,13 @@ def count_patterns(spec: SubshiftSpec, window: GroupWindow,
 
     Rules with no adjacency and no forbidden patterns have the closed form
     |symbols|^n.  Every other rule, on every window of any rank, is counted
-    by one frontier (broken-profile) transfer DP in exact integers over
-    the window's sweep order, with a single stop at the last cell: a dict
-    of states while fewer than `_ARRAY_STATES` are live, then int64 (or,
-    past 63 frontier bits, object) key arrays with object counts.  More
-    than `cap` live frontier states raises PatternCapExceeded.  A series
-    of windows is counted by `count_windows`, which reads every window
-    that is a translated prefix of the largest one's sweep off a stop of
-    that one sweep.
+    by the frontier DP `_frontier_count` in exact integers over the
+    window's sweep order, with a single stop at the last cell.  Its frontier
+    holds only the cells that a clause of `_cell_bans` still reads, so a
+    matrix that bans nothing adds no state.  More than `cap` live frontier
+    states raises PatternCapExceeded.  A series of windows is counted by
+    `count_windows`, which reads every window that is a translated prefix
+    of the largest one's sweep off a stop of that one sweep.
     """
     rule = spec.rule
     if not rule.axis_allowed and not rule.forbidden:
@@ -661,13 +652,9 @@ def fiber_table(spec: SubshiftSpec, window: GroupWindow,
         raise ValueError("fiber counts need a paired alphabet")
     b = alpha.b
     entries: dict = {}
-    total = 0
-    for p in _iter_patterns(spec, window):
+    for p in _iter_patterns(spec, window, cap):
         v = bytes(s % b for s in p)
         entries[v] = entries.get(v, 0) + 1
-        total += 1
-        if total > cap:
-            raise PatternCapExceeded(cap)
     return FiberTable(spec=spec, window=window, entries=entries)
 
 

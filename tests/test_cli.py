@@ -179,6 +179,15 @@ def test_homog_commands(tmp_path, capsys):
     assert report["results"]["implication"]["value"] is True
 
 
+def test_homog_entropy_obeys_the_cell_cap(tmp_path, capsys):
+    # the balls of Z carry ball(1), 3 cells, at the first index
+    spec = write_spec(tmp_path, HOMOG)
+    code, report = run(capsys, ["homog-entropy", "--spec", spec,
+                                "--caps", "cells=2,patterns=1"])
+    assert code == 1 and report["results"] == {
+        "cap_abort": "window needs >= 3 cells, cap is 2"}
+
+
 def test_homog_probe_cap_abort_is_loud(tmp_path, capsys):
     # ball(1) windows push the exact pairwise cloud past the cap
     spec = write_spec(tmp_path, HOMOG)
@@ -211,6 +220,28 @@ def test_kg_commands(tmp_path, capsys):
                                 "--seed", "4"])
     assert code == 0
     assert report["results"]["monotone"] is True
+
+
+def test_kg_experiment_obeys_the_cell_cap(tmp_path, capsys):
+    # ball(1) has 3 cells and its sum with the tail support of eps 1/10 5
+    spec = write_spec(tmp_path, KSPACE)
+    for cap, cells in ((2, 3), (4, 5)):
+        code, report = run(capsys, ["kg-experiment", "--spec", spec,
+                                    "--caps", f"cells={cap}"])
+        assert code == 1 and report["results"] == {
+            "cap_abort": f"window needs >= {cells} cells, cap is {cap}"}
+
+
+def test_selfsimilar_probe_obeys_the_cell_and_pattern_caps(tmp_path, capsys):
+    spec = write_spec(tmp_path, SELFSIM)
+    argv = ["selfsimilar-probe", "--spec", spec, "--window-sizes", "512"]
+    code, report = run(capsys, argv + ["--caps", "cells=10,patterns=10"])
+    assert code == 1 and report["results"] == {
+        "cap_abort": "window needs >= 512 cells, cap is 10"}
+    # the golden-mean net is counted by the frontier DP with 2 live states
+    code, report = run(capsys, argv + ["--caps", "patterns=1"])
+    assert code == 1 and report["results"] == {
+        "cap_abort": "pattern enumeration exceeds cap 1"}
 
 
 def test_validate_rejects_bad_specs(tmp_path, capsys):

@@ -278,16 +278,29 @@ FORBIDDEN_2D = SubshiftSpec(
                                 (((0, 0), (0, 0)), (1, 2))]),  # never matches
     "forbidden-2d")
 
+# asymmetric rules: a 0 never directly precedes a 1, so the legal words
+# are 1^a 0^b; MIXED also bans a 1 directly before a 0
+NO_01 = SubshiftSpec(1, Alphabet(2), Rule.nearest_neighbor(2, {0: [(0, 1)]}),
+                     "no-01")
+MIXED = SubshiftSpec(1, Alphabet(2), Rule(
+    size=2, axis_allowed=NO_01.rule.axis_allowed,
+    forbidden=((((0,), (1,)), (1, 0)),)), "mixed")
+ASYMMETRIC_2D = SubshiftSpec(
+    2, Alphabet(3), Rule.nearest_neighbor(3, {0: [(0, 1), (2, 0)],
+                                              1: [(1, 2), (0, 0)]}),
+    "asymmetric-2d")
+
 
 def _core_cases():
     g1, g2, g3 = GroupSpec(1), GroupSpec(2), GroupSpec(3)
     for spec in (full_shift(3), golden_mean(), mcmullen_shift(),
                  cellwise_pair_shift(2, 2, [(0, 0), (1, 1)]),
-                 pair_shift_with_b_rule(2, golden_mean()), GOLDEN_DOMINO):
+                 pair_shift_with_b_rule(2, golden_mean()), GOLDEN_DOMINO,
+                 NO_01, MIXED):
         for w in (interval(-2, 4), ball(2, g1), box(3, g1)):
             yield spec, w
     for spec in (hard_square(), full_shift(2, rank=2), FORBIDDEN_2D,
-                 pair_shift_with_b_rule(2, hard_square())):
+                 pair_shift_with_b_rule(2, hard_square()), ASYMMETRIC_2D):
         for w in (ball(1, g2), box(2, g2), box(3, g2),
                   product_window(ball(1, g1), 3)):
             yield spec, w
@@ -300,6 +313,30 @@ def test_frontier_dp_matches_enumeration():
     for spec, w in _core_cases():
         assert count_patterns(spec, w) == enumerate_patterns(spec, w).count, \
             (spec.name, w.kind, w.index)
+
+
+def test_asymmetric_rules_keep_their_orientation():
+    for n in range(1, 9):
+        w = interval(0, n - 1)
+        words = {bytes([1] * a + [0] * (n - a)) for a in range(n + 1)}
+        assert set(enumerate_patterns(NO_01, w).patterns) == words
+        assert count_patterns(NO_01, w) == n + 1
+        assert enumerate_patterns(MIXED, w).patterns == (bytes(n),
+                                                         bytes([1] * n))
+        assert count_patterns(MIXED, w) == 2
+
+
+def test_matrices_that_ban_nothing_keep_no_frontier_cells():
+    # axis 0 is free and axis 1 golden mean: 16 independent golden columns
+    # of 16 cells, and no free edge keeps a cell in the frontier
+    rule = spec_from_json({"rank": 2, "alphabet": {"k": 2},
+                           "rule": {"type": "nearest_neighbor",
+                                    "axis_forbidden": {"0": [],
+                                                       "1": [[1, 1]]}}})
+    assert count_patterns(rule, box(16, GroupSpec(2)), cap=2000) == \
+        fib(18) ** 16
+    assert count_patterns(FREE_NN_2D, box(24, GroupSpec(2)), cap=2000) == \
+        2 ** 576
 
 
 def test_frontier_dp_is_independent_of_window_order():
@@ -486,6 +523,17 @@ def test_pattern_cap():
     fs = full_shift(2)
     with pytest.raises(PatternCapExceeded):
         enumerate_patterns(fs, interval(0, 19), cap=1000)
+    # fib(12) = 144 words of length 10; the cap is the last count allowed
+    gm, w = golden_mean(), interval(0, 9)
+    assert enumerate_patterns(gm, w, cap=144).count == 144
+    with pytest.raises(PatternCapExceeded, match="cap 143$"):
+        enumerate_patterns(gm, w, cap=143)
+    # 2^6 * fib(8) = 1344 pair patterns on six cells
+    pair = pair_shift_with_b_rule(2, gm)
+    w = interval(0, 5)
+    assert sum(fiber_table(pair, w, cap=1344).entries.values()) == 1344
+    with pytest.raises(PatternCapExceeded, match="cap 1343$"):
+        fiber_table(pair, w, cap=1343)
 
 
 def test_json_round_trip():
