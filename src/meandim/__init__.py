@@ -10,8 +10,8 @@ from .subshifts import (Alphabet, FiberTable, PatternCapExceeded, PatternSet,
                         golden_mean, hard_square, mcmullen_shift,
                         pair_shift_with_b_rule, projected_spec, spec_from_json)
 from .metrics import PointCloud, ProductMetric, WeightScheme, tail_support
-from .entropy import (EntropyEstimate, EntropySeries, WeightedEntropySeries,
-                      entropy_estimate, entropy_series, gxn_entropy_series,
+from .entropy import (EntropyEstimate, EntropySeries, entropy_estimate,
+                      entropy_series, gxn_entropy_series,
                       weighted_entropy_series)
 from .carpet import (CarpetMeasure, CarpetSpec, PsiCell, SandwichViolation,
                      carpet_dimension_report, mdim_h_carpet, mdim_m_carpet,

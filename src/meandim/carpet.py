@@ -34,6 +34,8 @@ from .subshifts import (DEFAULT_PATTERN_CAP, FiberTable, SubshiftSpec,
 DEFAULT_CELL_SAMPLES = 48
 _CELL_LIMIT = 512  # cells of the sandwich's within-cell check
 _PAIR_BLOCK = 1 << 16  # code differences per broadcast of the pair check
+PROBE_SAMPLES = 2000  # Shannon-McMillan samples of the dimension report
+PROBE_DELTA = 0.05  # the band |deviation| <= delta of `within_delta`
 
 
 class SandwichViolation(AssertionError):
@@ -224,10 +226,6 @@ class SandwichReport:
                 and self.cover_count <= self.upper_product)
 
 
-def _is_product_rule(spec: SubshiftSpec) -> bool:
-    return not spec.rule.axis_allowed and not spec.rule.forbidden
-
-
 def _cell_offsets(spec: CarpetSpec, patterns, fibers, cell: PsiCell,
                   per_cell: int, denom: int, dtype) -> np.ndarray:
     """Codes of the samples of `cell` less its pair digits to depth k =
@@ -369,7 +367,7 @@ def sandwich_check(spec: CarpetSpec, m: int, l: int,
     each of the first _CELL_LIMIT cells, walked as digit tuples
     (`_cell_digits`), adds its pairs and the first failing cell is named.
     """
-    if _is_product_rule(spec.omega):
+    if spec.omega.rule.factors_over_cells:
         return _product_row(spec, _window_check(spec, 0, l, cloud_cap,
                                                 pattern_cap, "product"), m)
     return _window_check(spec, m, l, cloud_cap, pattern_cap, "explicit")
@@ -428,9 +426,10 @@ class ProbeReport:
 
 
 def shannon_mcmillan_probe(measure: CarpetMeasure, l: int, sample_count: int,
-                           seed: int, delta: float = 0.05) -> ProbeReport:
+                           seed: int) -> ProbeReport:
     """Sample depth factors i.i.d. from the fiber measure and report how
-    (1/(l |B|)) log mu(Psi) concentrates at -log Z / |B|.
+    (1/(l |B|)) log mu(Psi) concentrates at -log Z / |B|, within
+    PROBE_DELTA.
 
     Factor logs depend only on the projected pattern, so each depth draws a
     v from the marginal; pair depths contribute (w-1) log t(v) - log Z and
@@ -438,7 +437,7 @@ def shannon_mcmillan_probe(measure: CarpetMeasure, l: int, sample_count: int,
     """
     if sample_count == 0:
         return ProbeReport(samples=0, l=l, mean=float("nan"), quantiles=(),
-                           within_delta=float("nan"), delta=delta,
+                           within_delta=float("nan"), delta=PROBE_DELTA,
                            log_z_per_site=measure.log_z / len(measure.window))
     if l < 1:
         raise ValueError("depth must be >= 1")
@@ -459,8 +458,8 @@ def shannon_mcmillan_probe(measure: CarpetMeasure, l: int, sample_count: int,
     qs = tuple(float(q) for q in np.quantile(dev, [0.05, 0.25, 0.5, 0.75, 0.95]))
     return ProbeReport(samples=sample_count, l=l, mean=float(dev.mean()),
                        quantiles=qs,
-                       within_delta=float(np.mean(np.abs(dev) <= delta)),
-                       delta=delta,
+                       within_delta=float(np.mean(np.abs(dev) <= PROBE_DELTA)),
+                       delta=PROBE_DELTA,
                        log_z_per_site=measure.log_z / site)
 
 
@@ -469,8 +468,7 @@ def shannon_mcmillan_probe(measure: CarpetMeasure, l: int, sample_count: int,
 
 def carpet_dimension_report(spec: CarpetSpec, m_max: int, l_max: int,
                             folner_family: str = "balls",
-                            w_override: float | None = None,
-                            sample_count: int = 2000, seed: int = 1,
+                            w_override: float | None = None, seed: int = 1,
                             cap: int = DEFAULT_CLOUD_CAP,
                             cell_cap: int = DEFAULT_CELL_CAP,
                             pattern_cap: int = DEFAULT_PATTERN_CAP) -> dict:
@@ -496,8 +494,6 @@ def carpet_dimension_report(spec: CarpetSpec, m_max: int, l_max: int,
 
     h_est = entropy_estimate(h_series)
     hp_est = entropy_estimate(hp_series)
-    provenance = ("certified-bound" if h_est.certified_upper is not None
-                  else "estimate")
     h = h_est.best
     h_prime = hp_est.best
     hw = hw_series.value
@@ -508,10 +504,9 @@ def carpet_dimension_report(spec: CarpetSpec, m_max: int, l_max: int,
     sandwich = []
     skipped = []
     pair_budget = 10**5
-    product_rule = _is_product_rule(spec.omega)
     checks = {}  # l -> the product-mode row at m = 0, shared by every m
     for m in range(0, min(m_max, 1) + 1):
-        if product_rule:
+        if spec.omega.rule.factors_over_cells:
             for l in range(1, l_max + 1):
                 if m == 0:
                     checks[l] = sandwich_check(spec, 0, l, cap, pattern_cap)
@@ -530,16 +525,16 @@ def carpet_dimension_report(spec: CarpetSpec, m_max: int, l_max: int,
             sandwich.append(sandwich_check(spec, m, l, cap, pattern_cap))
 
     measure = CarpetMeasure.build(spec, 0, pattern_cap)
-    probe = shannon_mcmillan_probe(measure, max(16, l_max * 4), sample_count, seed)
+    probe = shannon_mcmillan_probe(measure, max(16, l_max * 4), PROBE_SAMPLES, seed)
 
     mdim_m = mdim_m_carpet(h, h_prime, spec.a, spec.b)
     mdim_h = mdim_h_carpet(hw, spec.b)
     return {
         "a": spec.a, "b": spec.b, "w": w,
         "h": h, "h_prime": h_prime, "hw": hw,
-        "h_provenance": provenance,
+        "h_provenance": h_est.provenance,
         "h_series": [(r.index, r.size, r.log_count, r.per_site) for r in h_series.rows],
-        "hw_series": [(r.index, r.size, r.log_z, r.per_site) for r in hw_series.rows],
+        "hw_series": [(r.index, r.size, r.log_count, r.per_site) for r in hw_series.rows],
         "mdim_M": mdim_m,
         "mdim_H": mdim_h,
         "ordering_ok": mdim_h <= mdim_m + 0.02,

@@ -183,16 +183,16 @@ def _cmd_entropy(system, args) -> dict:
             raise SpecError("--w: weighted entropy needs a paired alphabet")
         series = weighted_entropy_series(system, folner, w, caps["cells"],
                                          caps["patterns"])
-        rows = [(r.index, r.size, r.log_z, r.per_site) for r in series.rows]
-        return {"series": rows, "csv": series.to_csv(),
-                "per_site": _num(series.value, "estimate"), "w": w}
-    series = entropy_series(system, folner, caps["cells"], caps["patterns"])
-    est = entropy_estimate(series)
-    rows = [(r.index, r.size, r.log_count, r.per_site) for r in series.rows]
-    out = {"series": rows, "csv": series.to_csv(),
-           "per_site": _num(est.value, "estimate")}
-    if est.certified_upper is not None:
-        out["certified_upper"] = _num(est.certified_upper, "certified-bound")
+        out = {"per_site": _num(series.value, "estimate"), "w": w}
+    else:
+        series = entropy_series(system, folner, caps["cells"], caps["patterns"])
+        est = entropy_estimate(series)
+        out = {"per_site": _num(est.value, "estimate")}
+        if est.certified_upper is not None:
+            out["certified_upper"] = _num(est.certified_upper, est.provenance)
+    out["series"] = [(r.index, r.size, r.log_count, r.per_site)
+                     for r in series.rows]
+    out["csv"] = series.to_csv("log_count" if w is None else "log_z")
     return out
 
 
@@ -217,7 +217,8 @@ def _cmd_carpet_dims(system: CarpetSpec, args) -> dict:
 
 
 def _cmd_selfsimilar_bound(system: SelfSimilarSpec, args) -> dict:
-    out = selfsimilar_upper_bound(system)
+    caps = parse_caps(args.caps)
+    out = selfsimilar_upper_bound(system, caps["cells"], caps["patterns"])
     return {"bound": _num(out["bound"], out["entropy_provenance"]),
             "entropy": _num(out["entropy"], out["entropy_provenance"])}
 
@@ -257,7 +258,7 @@ def _cmd_homog_entropy(system: HomogeneousSpec, args) -> dict:
     caps = parse_caps(args.caps)
     out = homogeneous_gxn_entropy(system, folner, depths, caps["cells"],
                                   caps["patterns"])
-    rows = [(r.n, r.depth, r.size, r.log_count, r.per_site)
+    rows = [(r.index, r.depth, r.size, r.log_count, r.per_site)
             for r in out["series"].rows]
     return {"series": rows,
             "entropy": _num(out["entropy"], "estimate"),
@@ -305,8 +306,10 @@ def _cmd_kg_mass_demo(system: KSpaceSpec, args) -> dict:
            else Fraction(1, 10))
     if not 0 < eps < Fraction(1, 6):
         raise SpecError("mass demo eps must lie in (0, 1/6)")
+    cell_cap = parse_caps(args.caps)["cells"]
     reports = [kg_mass_distribution_demo(system, k, folner, 1, eps,
-                                         seed=args.seed) for k in ks]
+                                         seed=args.seed, cell_cap=cell_cap)
+               for k in ks]
     return {"reports": [{"k": r.k, "bound": _num(r.bound, "certified-bound"),
                          "points_checked": r.points_checked,
                          "worst_margin": r.worst_margin} for r in reports],

@@ -33,17 +33,26 @@ def log_big(n: int) -> float:
 
 @dataclass(frozen=True)
 class EntropyRow:
+    """One window: Folner index (n of a G x N row, which sets `depth`), size
+    in cells, log count (log Z if weighted) and that log per cell."""
+
     index: int
     size: int
     log_count: float
     per_site: float
+    depth: int | None = None
+
+
+def _row(index: int, size: int, log_count: float,
+         depth: int | None = None) -> EntropyRow:
+    return EntropyRow(index=index, size=size, log_count=log_count,
+                      per_site=log_count / size, depth=depth)
 
 
 @dataclass(frozen=True)
 class EntropySeries:
     family: str
     rows: tuple
-    name: str = ""
 
     @property
     def empty_system(self) -> bool:
@@ -53,36 +62,10 @@ class EntropySeries:
     def value(self) -> float:
         return self.rows[-1].per_site
 
-    def to_csv(self) -> str:
-        lines = ["m,window_size,log_count,per_site"]
+    def to_csv(self, column: str = "log_count") -> str:
+        lines = [f"m,window_size,{column},per_site"]
         for r in self.rows:
             lines.append(f"{r.index},{r.size},{r.log_count:.12f},{r.per_site:.12f}")
-        return "\n".join(lines) + "\n"
-
-
-@dataclass(frozen=True)
-class WeightedEntropyRow:
-    index: int
-    size: int
-    log_z: float
-    per_site: float
-
-
-@dataclass(frozen=True)
-class WeightedEntropySeries:
-    family: str
-    w: float
-    rows: tuple
-    name: str = ""
-
-    @property
-    def value(self) -> float:
-        return self.rows[-1].per_site
-
-    def to_csv(self) -> str:
-        lines = ["m,window_size,log_z,per_site"]
-        for r in self.rows:
-            lines.append(f"{r.index},{r.size},{r.log_z:.12f},{r.per_site:.12f}")
         return "\n".join(lines) + "\n"
 
 
@@ -104,10 +87,8 @@ def entropy_series(spec: SubshiftSpec, folner: FolnerDescriptor,
     windows = (folner.window(m, group, cap) for m in folner.indices)
     for m, (window, count) in zip(folner.indices,
                                   count_windows(spec, windows, pattern_cap)):
-        lc = log_big(count)
-        rows.append(EntropyRow(index=m, size=len(window), log_count=lc,
-                               per_site=lc / len(window)))
-    return EntropySeries(family=folner.family, rows=tuple(rows), name=spec.name)
+        rows.append(_row(m, len(window), log_big(count)))
+    return EntropySeries(family=folner.family, rows=tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -120,6 +101,12 @@ class EntropyEstimate:
     def best(self) -> float:
         return self.certified_upper if self.certified_upper is not None else self.value
 
+    @property
+    def provenance(self) -> str:
+        """The tag of `best`."""
+        return ("certified-bound" if self.certified_upper is not None
+                else "estimate")
+
 
 def entropy_estimate(series: EntropySeries) -> EntropyEstimate:
     """Last per-site value; over boxes also the min per-site row, which the
@@ -130,11 +117,9 @@ def entropy_estimate(series: EntropySeries) -> EntropyEstimate:
     if series.empty_system:
         return EntropyEstimate(value=NEG_INF, certified_upper=None,
                                empty_system=True)
-    value = series.rows[-1].per_site
-    certified = None
-    if series.family == "boxes":
-        certified = min(r.per_site for r in series.rows)
-    return EntropyEstimate(value=value, certified_upper=certified)
+    certified = (min(r.per_site for r in series.rows)
+                 if series.family == "boxes" else None)
+    return EntropyEstimate(value=series.value, certified_upper=certified)
 
 
 def log_z_from_fibers(table: FiberTable, w: float) -> float:
@@ -158,7 +143,7 @@ def log_z_from_fibers(table: FiberTable, w: float) -> float:
 def weighted_entropy_series(spec: SubshiftSpec, folner: FolnerDescriptor,
                             w: float, cap: int = DEFAULT_CELL_CAP,
                             pattern_cap: int = DEFAULT_PATTERN_CAP
-                            ) -> WeightedEntropySeries:
+                            ) -> EntropySeries:
     """Per-site log Z_m where Z_m sums fiber counts t(v)^w over a window;
     `cap` bounds the cells of a window, `pattern_cap` the patterns its
     fiber table enumerates."""
@@ -171,41 +156,18 @@ def weighted_entropy_series(spec: SubshiftSpec, folner: FolnerDescriptor,
     for m in folner.indices:
         window = folner.window(m, group, cap)
         table = fiber_table(spec, window, pattern_cap)
-        lz = log_z_from_fibers(table, w)
-        rows.append(WeightedEntropyRow(index=m, size=len(window), log_z=lz,
-                                       per_site=lz / len(window)))
-    return WeightedEntropySeries(family=folner.family, w=w, rows=tuple(rows),
-                                 name=spec.name)
-
-
-@dataclass(frozen=True)
-class GxnEntropyRow:
-    n: int
-    depth: int
-    size: int
-    log_count: float
-    per_site: float
-
-
-@dataclass(frozen=True)
-class GxnEntropySeries:
-    family: str
-    rows: tuple
-    name: str = ""
-
-    @property
-    def value(self) -> float:
-        return self.rows[-1].per_site
+        rows.append(_row(m, len(window), log_z_from_fibers(table, w)))
+    return EntropySeries(family=folner.family, rows=tuple(rows))
 
 
 def gxn_entropy_series(digit_spec: SubshiftSpec, folner: FolnerDescriptor,
                        depths: Sequence[int],
                        cap: int = DEFAULT_CELL_CAP,
                        pattern_cap: int = DEFAULT_PATTERN_CAP
-                       ) -> GxnEntropySeries:
-    """Counts on product windows F_n x {0..N-1} normalized by N * |F_n|;
-    `cap` bounds the cells of a window, `pattern_cap` its live frontier
-    states.
+                       ) -> EntropySeries:
+    """Counts on product windows F_n x {0..N-1} normalized by their size
+    N * |F_n|, one row per (n, N); `cap` bounds the cells of a window,
+    `pattern_cap` its live frontier states.
 
     The digit subshift lives on Z^d x N, encoded as a rank d+1 spec whose last
     axis is the depth direction.
@@ -219,12 +181,8 @@ def gxn_entropy_series(digit_spec: SubshiftSpec, folner: FolnerDescriptor,
         windows = (product_window(fwin, depth, cap) for depth in depths)
         for depth, (window, count) in zip(
                 depths, count_windows(digit_spec, windows, pattern_cap)):
-            lc = log_big(count)
-            rows.append(GxnEntropyRow(n=n, depth=depth, size=len(window),
-                                      log_count=lc,
-                                      per_site=lc / (depth * len(fwin))))
-    return GxnEntropySeries(family=folner.family, rows=tuple(rows),
-                            name=digit_spec.name)
+            rows.append(_row(n, len(window), log_big(count), depth))
+    return EntropySeries(family=folner.family, rows=tuple(rows))
 
 
 def projection_gap_report(spec: SubshiftSpec, folner: FolnerDescriptor,

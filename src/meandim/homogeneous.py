@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .groups import (DEFAULT_CELL_CAP, FolnerDescriptor, GroupSpec,
-                     GroupWindow, minkowski_sum, product_window)
+                     GroupWindow, box, minkowski_sum, product_window)
 from .metrics import (DEFAULT_CLOUD_CAP, CloudCapExceeded, ProbeViolation,
                       WeightScheme, exact_int_dtype, tail_support)
 from .entropy import gxn_entropy_series
@@ -279,20 +279,18 @@ def _circle_cover_codes(codes, modulus: int, budget: Fraction) -> int:
     return int(jumps.min()) + 1
 
 
-def homogeneous_slope_series(spec: HomogeneousSpec, eps_list: Sequence,
-                             n_index: int = 1,
-                             folner_family: str = "boxes") -> list[dict]:
+def homogeneous_slope_series(spec: HomogeneousSpec,
+                             eps_list: Sequence) -> list[dict]:
     """Per-site slope of exact per-coordinate circle covers of the digit grid.
 
-    For each coordinate of F_n the achievable values at depth N form a finite
-    subset of the circle; the product of exact arc-cover counts bounds the
-    covering number, and its slope tracks the G x N entropy prediction.  The
-    values are the digit codes over b^(N+1), covered by `_circle_cover_codes`
-    in integers; `tests/oracles.py` holds the Fraction reference.
+    For each coordinate of the window box(1) the achievable values at depth
+    N form a finite subset of the circle; the product of exact arc-cover
+    counts bounds the covering number, and its slope tracks the G x N
+    entropy prediction.  The values are the digit codes over b^(N+1),
+    covered by `_circle_cover_codes` in integers; `tests/oracles.py` holds
+    the Fraction reference.
     """
-    group = GroupSpec(spec.group_rank)
-    folner = FolnerDescriptor(folner_family, (n_index,))
-    fwin = folner.window(n_index, group)
+    fwin = box(1, GroupSpec(spec.group_rank))
     tail_slack = spec.weights.tail_upper(1)  # pinned coords beyond the window
     rows = []
     for eps in eps_list:

@@ -27,6 +27,8 @@ from .metrics import WeightScheme, tail_support
 NU_ZERO_MASS = 0.5
 NU_SQUARE_COEFF = 3.0 / math.pi ** 2  # normalizes a sum 1/n^2 to 1/2
 _PARTIAL_LIMIT = 2_000_000
+_NU_CHECK_TERMS = 10**6  # terms summed before the integral tail
+_MAX_CODE = 4096  # the truncation of K that the mass demo samples from
 
 
 class DemoHypothesisFailure(AssertionError):
@@ -218,8 +220,9 @@ def _inverse_square_tail(n: int) -> float:
     return 1.0 / n + 1.0 / (2 * n ** 2) + 1.0 / (6 * n ** 3) - 1.0 / (30 * n ** 5)
 
 
-def nu_normalization_error(terms: int = 10**6) -> float:
+def nu_normalization_error() -> float:
     """|nu(K) - 1| evaluated at a finite truncation plus integral tail."""
+    terms = _NU_CHECK_TERMS
     partial = NU_ZERO_MASS + NU_SQUARE_COEFF * (
         sum(1.0 / j ** 2 for j in range(1, terms)) + _inverse_square_tail(terms))
     return abs(partial - 1.0)
@@ -286,7 +289,8 @@ def kg_mass_distribution_demo(spec: KSpaceSpec, k: int,
                               folner: FolnerDescriptor, n_index: int,
                               eps: Fraction, seed: int = 0,
                               sample_count: int = 64,
-                              max_code: int = 4096) -> MassDemoReport:
+                              cell_cap: int = DEFAULT_CELL_CAP
+                              ) -> MassDemoReport:
     """Verify the mass-distribution hypothesis on sampled K-power points.
 
     For each point the support window splits into magnitude bands by powers
@@ -294,6 +298,7 @@ def kg_mass_distribution_demo(spec: KSpaceSpec, k: int,
     the product square-law measure is evaluated exactly per coordinate, and
     mu(box) >= diam^{(6/k) |SF_n|} must hold with diam <= (1+c) r.  The
     returned dimension bound is (12/k) |SF_n|, shrinking to zero in k.
+    The windows F_n and SF_n obey `cell_cap` cells.
     """
     if k < 1:
         raise ValueError("sharpness parameter k must be >= 1")
@@ -301,9 +306,9 @@ def kg_mass_distribution_demo(spec: KSpaceSpec, k: int,
     if not eps < Fraction(1, 6):
         raise ValueError("demo needs eps < 1/6")
     group = GroupSpec(spec.rank)
-    fwin = folner.window(n_index, group)
+    fwin = folner.window(n_index, group, cell_cap)
     support = tail_support(spec.weights, eps, group)
-    swin = minkowski_sum(support, fwin)
+    swin = minkowski_sum(support, fwin, cell_cap)
     c_total = float(spec.weights.total_upper())
     a = NU_SQUARE_COEFF
     delta = 0.5 * min(float(eps) / 12.0,
@@ -312,7 +317,7 @@ def kg_mass_distribution_demo(spec: KSpaceSpec, k: int,
     log_delta = math.log(delta)
 
     rng = np.random.default_rng(seed)
-    weights = [NU_SQUARE_COEFF / n ** 2 for n in range(1, max_code + 1)]
+    weights = [NU_SQUARE_COEFF / n ** 2 for n in range(1, _MAX_CODE + 1)]
     cumulative = list(accumulate(weights))
     total = sum(weights)  # not cumulative[-1]: sum() may round differently
     pts = []

@@ -25,6 +25,11 @@ from .entropy import entropy_estimate, entropy_series
 from .subshifts import DEFAULT_PATTERN_CAP, SubshiftSpec, count_patterns
 
 
+# the windows of the entropy bound and the probe's allowance over it
+BOUND_FOLNER = FolnerDescriptor("boxes", (4, 8, 16))
+PROBE_SLACK = 0.05
+
+
 class NetTooCoarse(RuntimeError):
     """No address word over the net reaches the requested ball."""
 
@@ -63,20 +68,17 @@ class SelfSimilarSpec:
 
 
 def selfsimilar_upper_bound(spec: SelfSimilarSpec,
-                            folner: FolnerDescriptor | None = None) -> dict:
-    """h_top(driving shift) / log(1/c) with the entropy provenance attached."""
-    folner = folner or FolnerDescriptor("boxes", (4, 8, 16))
-    series = entropy_series(spec.omega, folner)
-    est = entropy_estimate(series)
-    h = est.best
-    if est.empty_system or h == float("-inf"):
-        h = 0.0
-        provenance = "exact"
-    else:
-        provenance = ("certified-bound" if est.certified_upper is not None
-                      else "estimate")
-    return {"bound": h / math.log(1 / float(spec.c)), "entropy": h,
-            "entropy_provenance": provenance}
+                            cell_cap: int = DEFAULT_CELL_CAP,
+                            pattern_cap: int = DEFAULT_PATTERN_CAP) -> dict:
+    """h_top(driving shift) / log(1/c) with the entropy provenance attached;
+    the entropy is counted on the BOUND_FOLNER boxes, under `cell_cap`
+    cells and `pattern_cap` live frontier states."""
+    est = entropy_estimate(entropy_series(spec.omega, BOUND_FOLNER, cell_cap,
+                                          pattern_cap))
+    if est.empty_system:
+        return {"bound": 0.0, "entropy": 0.0, "entropy_provenance": "exact"}
+    return {"bound": est.best / math.log(1 / float(spec.c)),
+            "entropy": est.best, "entropy_provenance": est.provenance}
 
 
 # ---------------------------------------------------------------------------
@@ -114,33 +116,35 @@ class AddressedCloud:
     base_point: tuple
 
 
+def _compose(spec: SelfSimilarSpec, word: Sequence[bytes], x: tuple) -> tuple:
+    """S_{w_1} o ... o S_{w_k}(x) for the word w_1 ... w_k of patterns,
+    outermost map first: S_w(x) = c x + H(w) cellwise, in exact Fractions."""
+    c, vals = spec.c, spec.values
+    out = list(x)
+    for pat in reversed(word):
+        for g in range(len(out)):
+            out[g] = c * out[g] + vals[pat[g]]
+    return tuple(out)
+
+
 def selfsimilar_spanning_cloud(spec: SelfSimilarSpec, m: int,
                                net_patterns: Sequence[bytes],
                                window: GroupWindow,
-                               base_point: tuple | None = None,
                                cap: int = DEFAULT_CLOUD_CAP
                                ) -> AddressedCloud:
-    """All compositions S_{w_1} o ... o S_{w_m}(p) over the net, evaluated
-    exactly: the point is c^m p + sum_i c^{i-1} H(w_i) coordinatewise."""
-    if base_point is None:
-        base_point = tuple(Fraction(0) for _ in window.elements)
+    """All compositions S_{w_1} o ... o S_{w_m}(0) over the net, evaluated
+    exactly: the point is sum_i c^{i-1} H(w_i) coordinatewise."""
+    base_point = tuple(Fraction(0) for _ in window.elements)
     total = len(net_patterns) ** m
     if total > cap:
         raise CloudCapExceeded(
             f"spanning cloud of {total} points exceeds cap {cap}")
-    vals = spec.values
-    h_vectors = [tuple(vals[p[i]] for i in range(len(window)))
-                 for p in net_patterns]
     points = []
     addresses = []
     for combo in iterproduct(range(len(net_patterns)), repeat=m):
-        x = list(base_point)
-        for idx in reversed(combo):
-            h = h_vectors[idx]
-            for g in range(len(x)):
-                x[g] = spec.c * x[g] + h[g]
-        points.append(tuple(x))
-        addresses.append(tuple(net_patterns[i] for i in combo))
+        word = tuple(net_patterns[i] for i in combo)
+        points.append(_compose(spec, word, base_point))
+        addresses.append(word)
     cloud = PointCloud(window=window, kind="unit", points=tuple(points))
     return AddressedCloud(cloud=cloud, addresses=tuple(addresses),
                           base_point=base_point)
@@ -151,7 +155,6 @@ def selfsimilar_spanning_cloud(spec: SelfSimilarSpec, m: int,
 
 def selfsimilar_cover_probe(spec: SelfSimilarSpec, eps_grid: Sequence,
                             orbit_windows: Sequence[GroupWindow],
-                            slack: float = 0.05,
                             cell_cap: int = DEFAULT_CELL_CAP,
                             pattern_cap: int = DEFAULT_PATTERN_CAP) -> dict:
     """Covering estimates against the entropy bound.
@@ -161,11 +164,12 @@ def selfsimilar_cover_probe(spec: SelfSimilarSpec, eps_grid: Sequence,
     that makes the composed images an eps/3 spanning set, so the covering
     number at eps is at most |net|^m.  The per-site slope regresses the upper
     log-counts on log(1/eps); a window whose slope exceeds the entropy bound
-    plus slack raises ProbeViolation.  Each net is built and counted once per
-    orbit, whatever the grid length, under `cell_cap` cells and
-    `pattern_cap` live frontier states.
+    plus PROBE_SLACK raises ProbeViolation.  Each net is built and counted
+    once per orbit, whatever the grid length.  The nets and the windows of
+    the entropy bound obey `cell_cap` cells and `pattern_cap` live frontier
+    states.
     """
-    bound = selfsimilar_upper_bound(spec)["bound"]
+    bound = selfsimilar_upper_bound(spec, cell_cap, pattern_cap)["bound"]
     eps_grid = [Fraction(e) for e in eps_grid]
     if len(eps_grid) < 2 or any(e <= f for e, f in zip(eps_grid, eps_grid[1:])):
         raise ValueError("eps grid needs at least two strictly decreasing "
@@ -194,12 +198,12 @@ def selfsimilar_cover_probe(spec: SelfSimilarSpec, eps_grid: Sequence,
         slopes[len(orbit)] = slope
         # small windows carry a boundary term of about 2r/|F| that swamps
         # the per-site normalization, so they fail here
-        if slope > bound + slack:
+        if slope > bound + PROBE_SLACK:
             raise ProbeViolation(
-                f"slope {slope:.4f} exceeds bound {bound:.4f} + {slack} "
+                f"slope {slope:.4f} exceeds bound {bound:.4f} + {PROBE_SLACK} "
                 f"on window of size {len(orbit)}")
         report_rows += rows
-    return {"bound": bound, "slack": slack, "rows": report_rows,
+    return {"bound": bound, "slack": PROBE_SLACK, "rows": report_rows,
             "slopes": slopes}
 
 
@@ -237,15 +241,7 @@ def contraction_embedding_check(spec: SelfSimilarSpec, cloud: AddressedCloud,
             f"need an address word of length {k}, cloud depth is {len(address)}")
     word = address[:k]
     window = cloud.cloud.window
-    vals = spec.values
     c = spec.c
-
-    def phi(x: tuple) -> tuple:
-        out = list(x)
-        for pat in reversed(word):
-            for g in range(len(out)):
-                out[g] = c * out[g] + vals[pat[g]]
-        return tuple(out)
 
     def windowed_distance(x, y) -> Fraction:
         return sum(spec.weights.weight(g) * abs(a - b)
@@ -254,7 +250,8 @@ def contraction_embedding_check(spec: SelfSimilarSpec, cloud: AddressedCloud,
     ck = c ** k
     checks = []
     for x, y in sample_pairs:
-        lhs = windowed_distance(phi(x), phi(y))
+        lhs = windowed_distance(_compose(spec, word, x),
+                                _compose(spec, word, y))
         rhs = ck * windowed_distance(x, y)
         if lhs != rhs:
             raise AssertionError(
@@ -264,7 +261,7 @@ def contraction_embedding_check(spec: SelfSimilarSpec, cloud: AddressedCloud,
     if not ratio_ok:
         raise AssertionError("contraction ratio bound c^k > c eps / D failed")
     target = cloud.cloud.points[target_index]
-    image = phi(cloud.base_point)
+    image = _compose(spec, word, cloud.base_point)
     dist_to_target = windowed_distance(image, target)
     ball_slack = ck * spec.diameter_upper()
     return {"k": k, "ratio": float(ck), "pairs_checked": len(checks),

@@ -134,6 +134,12 @@ class Rule:
             return list(range(self.size))
         return sorted(self.allowed_symbols)
 
+    @property
+    def factors_over_cells(self) -> bool:
+        """No adjacency matrix and no forbidden pattern: on any window, every
+        word over `symbols` is legal."""
+        return not self.axis_allowed and not self.forbidden
+
 
 @dataclass(frozen=True)
 class SubshiftSpec:
@@ -257,34 +263,27 @@ def projected_spec(spec: SubshiftSpec) -> SubshiftSpec | None:
         raise ValueError("projection needs a paired alphabet")
     a, b = alpha.pair
     rule = spec.rule
-    if not rule.forbidden and not rule.axis_allowed:
-        bset = sorted({s % b for s in rule.symbols})
-        if len(bset) == b:
-            return SubshiftSpec(spec.rank, Alphabet(b), Rule.full(b),
-                                spec.name + "-proj")
-        return SubshiftSpec(spec.rank, Alphabet(b),
-                            Rule.cellwise(b, bset), spec.name + "-proj")
-    if not rule.forbidden and rule.axis_allowed:
-        mats = []
-        for axis, mat in rule.axis_allowed:
-            bmat = [[False] * b for _ in range(b)]
-            for s in rule.symbols:
-                for t in rule.symbols:
-                    if mat[s][t]:
-                        bmat[s % b][t % b] = True
-            # factorization check: lifted matrix must reproduce mat
-            for s in rule.symbols:
-                for t in rule.symbols:
-                    if mat[s][t] != bmat[s % b][t % b]:
-                        return None
-            mats.append((axis, tuple(tuple(r) for r in bmat)))
-        bset = sorted({s % b for s in rule.symbols})
-        allowed = None if len(bset) == b else frozenset(bset)
-        return SubshiftSpec(spec.rank, Alphabet(b),
-                            Rule(size=b, allowed_symbols=allowed,
-                                 axis_allowed=tuple(mats)),
-                            spec.name + "-proj")
-    return None
+    if rule.forbidden:
+        return None
+    mats = []
+    for axis, mat in rule.axis_allowed:
+        bmat = [[False] * b for _ in range(b)]
+        for s in rule.symbols:
+            for t in rule.symbols:
+                if mat[s][t]:
+                    bmat[s % b][t % b] = True
+        # factorization check: lifted matrix must reproduce mat
+        for s in rule.symbols:
+            for t in rule.symbols:
+                if mat[s][t] != bmat[s % b][t % b]:
+                    return None
+        mats.append((axis, tuple(tuple(r) for r in bmat)))
+    bset = sorted({s % b for s in rule.symbols})
+    allowed = None if len(bset) == b else frozenset(bset)
+    return SubshiftSpec(spec.rank, Alphabet(b),
+                        Rule(size=b, allowed_symbols=allowed,
+                             axis_allowed=tuple(mats)),
+                        spec.name + "-proj")
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +532,7 @@ def count_patterns(spec: SubshiftSpec, window: GroupWindow,
     of the largest one's sweep off a stop of that one sweep.
     """
     rule = spec.rule
-    if not rule.axis_allowed and not rule.forbidden:
+    if rule.factors_over_cells:
         return len(rule.symbols) ** len(window)
     if len(window) == 0:
         return 1
@@ -585,10 +584,9 @@ def count_windows(spec: SubshiftSpec, windows: Iterable[GroupWindow],
             built.append(window)
     except WindowCapExceeded as exc:
         too_big = exc
-    rule = spec.rule
     big = max(built, key=len, default=None)
     prefix = [False] * len(built)
-    if len(built) > 1 and len(big) and (rule.axis_allowed or rule.forbidden):
+    if len(built) > 1 and len(big) and not spec.rule.factors_over_cells:
         swept = _sweep_window(big)
         prefix = [w is big or _is_translated_prefix(w, swept) for w in built]
         sizes = sorted({len(w) for w, p in zip(built, prefix) if p})

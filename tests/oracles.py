@@ -219,8 +219,8 @@ def weighted_degeneration_check(spec: SubshiftSpec, folner: FolnerDescriptor,
         table = fiber_table(spec, window, cap)
         want1 = round(log_big(total), digits)
         want0 = round(log_big(len(table.entries)), digits)
-        got1 = round(r1.log_z, digits)
-        got0 = round(r0.log_z, digits)
+        got1 = round(r1.log_count, digits)
+        got0 = round(r0.log_count, digits)
         detail.append({"m": m, "w1": (got1, want1), "w0": (got0, want0)})
         ok = ok and got1 == want1 and got0 == want0
     return {"ok": ok, "rows": detail}

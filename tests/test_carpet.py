@@ -717,7 +717,7 @@ def test_within_cell_violation_names_the_failing_cell(monkeypatch, spec, m,
     with pytest.raises(SandwichViolation) as info:
         sandwich_check(spec, m, l)
     k = floor_wl(spec.a, spec.b, l)
-    checked_m = 0 if carpet._is_product_rule(spec.omega) else m
+    checked_m = 0 if spec.omega.rule.factors_over_cells else m
     signatures = []
     for cell in enumerate_psi_cells(spec, checked_m, l, 512):
         if cell.y_prefix[k:] not in [c.y_prefix[k:] for c in signatures]:

@@ -38,6 +38,11 @@ GOLDEN_B = {"system": "carpet", "a": 2, "b": 2,
                       "name": "golden-mean-on-B"}}
 HOMOG = {"system": "homogeneous", "base": 2,
          "digits": {"rank": 2, "alphabet": {"k": 2}, "rule": {"type": "full"}}}
+HOMOG_VGOLD = {"system": "homogeneous", "base": 2,
+               "digits": {"rank": 2, "alphabet": {"k": 2},
+                          "rule": {"type": "nearest_neighbor",
+                                   "axis_forbidden": {"1": [[1, 1]]}},
+                          "name": "digits-vertical-golden"}}
 KSPACE = {"system": "kspace", "rank": 1, "kind": "kset"}
 
 
@@ -133,6 +138,36 @@ def test_weighted_entropy_obeys_the_cell_cap(tmp_path, capsys):
     assert code == 0 and len(report["results"]["series"]) == 4
 
 
+def test_weighted_entropy_csv_names_the_log_z_column(tmp_path, capsys):
+    spec = write_spec(tmp_path, {**GOLDEN_B["omega"], "system": "subshift"})
+    code, report = run(capsys, ["entropy", "--spec", spec, "--w", "0.5",
+                                "--folner", "boxes", "--m-max", "4"])
+    assert code == 0
+    lines = report["results"]["csv"].splitlines()
+    assert lines[0] == "m,window_size,log_z,per_site"
+    assert [line.split(",")[:2] for line in lines[1:]] == [
+        [str(m), str(m)] for m in range(1, 5)]
+
+
+def test_homog_entropy_rows_are_n_depth_size_log_count_per_site(tmp_path,
+                                                                 capsys):
+    # vertical golden digits: the columns of F_n x {0..N-1} are independent
+    # golden-mean words of length N, Fib(N + 2) each
+    spec = write_spec(tmp_path, HOMOG_VGOLD)
+    code, report = run(capsys, ["homog-entropy", "--spec", spec,
+                                "--m-max", "2", "--depths", "2", "4", "8"])
+    assert code == 0
+    fib = {2: 3, 4: 8, 8: 55}
+    want = [(n, depth, depth * (2 * n + 1),
+             math.log(fib[depth]) * (2 * n + 1)) for n in (1, 2)
+            for depth in (2, 4, 8)]
+    rows = report["results"]["series"]
+    assert [tuple(r[:3]) for r in rows] == [w[:3] for w in want]
+    for (n, depth, size, log_count, per_site), w in zip(rows, want):
+        assert log_count == pytest.approx(w[3], rel=1e-12)
+        assert per_site == log_count / size
+
+
 def test_carpet_dims_obeys_the_cell_and_pattern_caps(tmp_path, capsys):
     spec = write_spec(tmp_path, MCMULLEN)
     argv = ["carpet-dims", "--spec", spec, "--m-max", "2", "--l-max", "2"]
@@ -165,6 +200,29 @@ def test_selfsimilar_commands(tmp_path, capsys):
     assert code == 0
     assert report["results"]["slopes"]["512"]["value"] <= \
         report["results"]["bound"] + 0.05
+
+
+def test_selfsimilar_bound_obeys_the_cell_and_pattern_caps(tmp_path, capsys):
+    # the entropy bound counts the boxes 4, 8 and 16 of the driving shift
+    spec = write_spec(tmp_path, SELFSIM)
+    argv = ["selfsimilar-bound", "--spec", spec]
+    code, report = run(capsys, argv + ["--caps", "cells=15"])
+    assert code == 1 and report["results"] == {
+        "cap_abort": "window needs >= 16 cells, cap is 15"}
+    code, report = run(capsys, argv + ["--caps", "patterns=1"])
+    assert code == 1 and report["results"] == {
+        "cap_abort": "pattern enumeration exceeds cap 1"}
+    code, report = run(capsys, argv + ["--caps", "cells=16,patterns=2"])
+    assert code == 0 and report["status"] == "ok"
+
+
+def test_selfsimilar_probe_caps_reach_its_entropy_bound(tmp_path, capsys):
+    # a 1-cell orbit fits the cap; the bound's box(16) does not
+    spec = write_spec(tmp_path, SELFSIM)
+    code, report = run(capsys, ["selfsimilar-probe", "--spec", spec,
+                                "--window-sizes", "1", "--caps", "cells=15"])
+    assert code == 1 and report["results"] == {
+        "cap_abort": "window needs >= 16 cells, cap is 15"}
 
 
 def test_homog_commands(tmp_path, capsys):
@@ -220,6 +278,15 @@ def test_kg_commands(tmp_path, capsys):
                                 "--seed", "4"])
     assert code == 0
     assert report["results"]["monotone"] is True
+
+
+def test_kg_mass_demo_obeys_the_cell_cap(tmp_path, capsys):
+    # ball(1) has 3 cells; the default boxes give box(1), a single cell
+    spec = write_spec(tmp_path, KSPACE)
+    code, report = run(capsys, ["kg-mass-demo", "--spec", spec,
+                                "--folner", "balls", "--caps", "cells=2"])
+    assert code == 1 and report["results"] == {
+        "cap_abort": "window needs >= 3 cells, cap is 2"}
 
 
 def test_kg_experiment_obeys_the_cell_cap(tmp_path, capsys):
@@ -295,7 +362,12 @@ def test_determinism_modulo_timing(tmp_path, capsys):
             (KSPACE, ["kg-experiment", "--m-max", "1", "--eps-grid",
                       "1/10,1/100,1/1000,1/10000,1/100000"]),
             (SELFSIM, ["selfsimilar-probe", "--window-sizes", "512"]),
-            (GOLDEN, ["entropy", "--folner", "boxes", "--m-max", "8"])):
+            (SELFSIM, ["selfsimilar-bound"]),
+            (GOLDEN, ["entropy", "--folner", "boxes", "--m-max", "8"]),
+            ({**GOLDEN_B["omega"], "system": "subshift"},
+             ["entropy", "--w", "0.5", "--folner", "boxes", "--m-max", "4"]),
+            (HOMOG_VGOLD, ["homog-entropy", "--m-max", "2", "--depths", "2",
+                           "4", "8"])):
         argv = args[:1] + ["--spec", write_spec(tmp_path, doc)] + args[1:]
         code, first = run(capsys, argv)
         _, second = run(capsys, argv)

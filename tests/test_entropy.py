@@ -93,7 +93,7 @@ def test_weighted_per_cell_factorization_oracle():
 def test_weighted_monotone_in_w():
     spec = pair_shift_with_b_rule(2, golden_mean())
     folner = FolnerDescriptor("balls", (1,))
-    values = [weighted_entropy_series(spec, folner, w).rows[0].log_z
+    values = [weighted_entropy_series(spec, folner, w).rows[0].log_count
               for w in (0.0, 0.25, 0.5, 0.75, 1.0)]
     assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
 
