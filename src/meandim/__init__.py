@@ -1,7 +1,7 @@
 """Entropy and mean-dimension estimators for Z^d subshifts, carpet systems,
 self-similar systems and homogeneous torus systems."""
 
-from .groups import (FolnerDescriptor, GroupSpec, GroupWindow,
+from .groups import (Caps, FolnerDescriptor, GroupSpec, GroupWindow,
                      WindowCapExceeded, ball, box, canonical_order, interval,
                      product_window, word_length)
 from .subshifts import (Alphabet, FiberTable, PatternCapExceeded, PatternSet,

@@ -22,14 +22,12 @@ from itertools import islice, product
 
 import numpy as np
 
-from .groups import DEFAULT_CELL_CAP, FolnerDescriptor, GroupWindow, ball
-from .metrics import (DEFAULT_CLOUD_CAP, CloudCapExceeded, WeightScheme,
-                      exact_int_dtype)
+from .groups import Caps, FolnerDescriptor, GroupWindow, ball
+from .metrics import CloudCapExceeded, WeightScheme, exact_int_dtype
 from .entropy import (entropy_estimate, entropy_series, log_big,
                       log_z_from_fibers, weighted_entropy_series)
-from .subshifts import (DEFAULT_PATTERN_CAP, FiberTable, SubshiftSpec,
-                        count_patterns, enumerate_patterns, fiber_table,
-                        projected_spec)
+from .subshifts import (FiberTable, SubshiftSpec, count_patterns,
+                        enumerate_patterns, fiber_table, projected_spec)
 
 DEFAULT_CELL_SAMPLES = 48
 _CELL_LIMIT = 512  # cells of the sandwich's within-cell check
@@ -270,14 +268,14 @@ def _first_pair(codes, is_bad):
     return None
 
 
-def _window_check(spec: CarpetSpec, m: int, l: int, cloud_cap: int,
-                  pattern_cap: int, mode: str) -> SandwichReport:
+def _window_check(spec: CarpetSpec, m: int, l: int, caps: Caps,
+                  mode: str) -> SandwichReport:
     """The sandwich checked on ball(m) itself, reported under `mode`, with
     the product count |patterns|^k |projected patterns|^(l-k) of ball(m)."""
     a, b = spec.a, spec.b
     k = floor_wl(a, b, l)
     patterns, fibers = _pattern_set_tools(spec, ball(m, spec.omega.group),
-                                          pattern_cap)
+                                          caps.patterns)
     product_count = len(patterns) ** k * len(fibers) ** (l - k)
     sep_scale = Fraction(1, b ** l)
     cov_scale = Fraction(a, b ** l)
@@ -293,7 +291,7 @@ def _window_check(spec: CarpetSpec, m: int, l: int, cloud_cap: int,
     sep_bound = denom // b ** l  # sep_scale and cov_scale as numerators
     cov_bound = a * denom // b ** l
     dtype = exact_int_dtype(max(2 * denom, cov_bound))
-    levels = _representative_levels(spec, patterns, fibers, l, cloud_cap)
+    levels = _representative_levels(spec, patterns, fibers, l, caps.cloud)
     reps = _digit_codes(spec, levels, patterns[0], denom, dtype)
     pairs_checked = len(reps) * (len(reps) - 1) // 2
     bad = _first_pair(reps, lambda dist: dist < sep_bound)
@@ -337,8 +335,7 @@ def _product_row(spec: CarpetSpec, checked: SandwichReport,
 
 
 def sandwich_check(spec: CarpetSpec, m: int, l: int,
-                   cloud_cap: int = DEFAULT_CLOUD_CAP,
-                   pattern_cap: int = DEFAULT_PATTERN_CAP) -> SandwichReport:
+                   caps: Caps = Caps()) -> SandwichReport:
     """Exact two-sided covering sandwich at scales b^-l and a b^-l.
 
     (i) representative points are pairwise >= b^-l apart in the windowed sup
@@ -350,11 +347,11 @@ def sandwich_check(spec: CarpetSpec, m: int, l: int,
     factor over window cells, so the single cell ball(0) decides both exactly
     (mode "product"): a differing pair must differ in some cell, and the sup
     distance is the max of per-cell distances.  Other rules are checked on
-    ball(m) itself (mode "explicit").  The checked window is enumerated once,
-    under the pattern cap, and the product count comes from it: |patterns|^k
-    |projected patterns|^(l-k), raised to |ball(m)| in product mode, where
-    the check does not depend on m (`_product_row`).  Zero tolerance: both
-    scales and all distances are integer numerators over one denominator.
+    ball(m) itself (mode "explicit").  The checked window is enumerated once
+    and the product count comes from it: |patterns|^k |projected
+    patterns|^(l-k), raised to |ball(m)| in product mode, where the check
+    does not depend on m (`_product_row`).  Zero tolerance: both scales and
+    all distances are integer numerators over one denominator.
     Every pair i < j of a cloud is checked, a block of rows per numpy
     broadcast (`_pair_blocks`), and a violation names the first failing pair
     in row-major order with its exact distance.
@@ -368,9 +365,9 @@ def sandwich_check(spec: CarpetSpec, m: int, l: int,
     (`_cell_digits`), adds its pairs and the first failing cell is named.
     """
     if spec.omega.rule.factors_over_cells:
-        return _product_row(spec, _window_check(spec, 0, l, cloud_cap,
-                                                pattern_cap, "product"), m)
-    return _window_check(spec, m, l, cloud_cap, pattern_cap, "explicit")
+        checked = _window_check(spec, 0, l, caps, "product")
+        return _product_row(spec, checked, m)
+    return _window_check(spec, m, l, caps, "explicit")
 
 
 # ---------------------------------------------------------------------------
@@ -389,10 +386,10 @@ class CarpetMeasure:
 
     @staticmethod
     def build(spec: CarpetSpec, m: int,
-              cap: int = DEFAULT_PATTERN_CAP) -> "CarpetMeasure":
-        """The measure on ball(m), its patterns enumerated under `cap`."""
+              caps: Caps = Caps()) -> "CarpetMeasure":
+        """The measure on ball(m)."""
         window = ball(m, spec.omega.group)
-        table = fiber_table(spec.omega, window, cap)
+        table = fiber_table(spec.omega, window, caps.patterns)
         w = spec.w
         return CarpetMeasure(spec=spec, window=window, table=table, w=w,
                              log_z=log_z_from_fibers(table, w))
@@ -469,28 +466,22 @@ def shannon_mcmillan_probe(measure: CarpetMeasure, l: int, sample_count: int,
 def carpet_dimension_report(spec: CarpetSpec, m_max: int, l_max: int,
                             folner_family: str = "balls",
                             w_override: float | None = None, seed: int = 1,
-                            cap: int = DEFAULT_CLOUD_CAP,
-                            cell_cap: int = DEFAULT_CELL_CAP,
-                            pattern_cap: int = DEFAULT_PATTERN_CAP) -> dict:
+                            caps: Caps = Caps()) -> dict:
     """Entropy series, weighted series, both dimension formulas and the
     sandwich checks, with provenance notes on every headline number.  In
     product mode the rows of every m share one check per depth l.  An
     explicit check whose representatives would exceed the 1e5 pairwise
-    budget is listed under `sandwich_skipped` instead of run.  `cell_cap`
-    bounds the cells of the entropy windows, `pattern_cap` their frontier
-    states, fiber tables and the patterns the sandwich and the measure
-    enumerate, and `cap` the representative clouds."""
+    budget is listed under `sandwich_skipped` instead of run."""
     folner = FolnerDescriptor(folner_family,
                               tuple(range(0 if folner_family == "balls" else 1,
                                           m_max + 1)))
-    h_series = entropy_series(spec.omega, folner, cell_cap, pattern_cap)
+    h_series = entropy_series(spec.omega, folner, caps)
     pspec = projected_spec(spec.omega)
     if pspec is None:
         raise ValueError("carpet reports need a derivable projected subshift")
-    hp_series = entropy_series(pspec, folner, cell_cap, pattern_cap)
+    hp_series = entropy_series(pspec, folner, caps)
     w = spec.w if w_override is None else w_override
-    hw_series = weighted_entropy_series(spec.omega, folner, w, cell_cap,
-                                        pattern_cap)
+    hw_series = weighted_entropy_series(spec.omega, folner, w, caps)
 
     h_est = entropy_estimate(h_series)
     hp_est = entropy_estimate(hp_series)
@@ -509,12 +500,12 @@ def carpet_dimension_report(spec: CarpetSpec, m_max: int, l_max: int,
         if spec.omega.rule.factors_over_cells:
             for l in range(1, l_max + 1):
                 if m == 0:
-                    checks[l] = sandwich_check(spec, 0, l, cap, pattern_cap)
+                    checks[l] = sandwich_check(spec, 0, l, caps)
                 sandwich.append(_product_row(spec, checks[l], m))
             continue
         window = ball(m, spec.omega.group)
-        bases = (count_patterns(spec.omega, window, pattern_cap),
-                 count_patterns(pspec, window, pattern_cap))
+        bases = (count_patterns(spec.omega, window, caps.patterns),
+                 count_patterns(pspec, window, caps.patterns))
         for l in range(1, l_max + 1):
             k = floor_wl(spec.a, spec.b, l)
             reps = bases[0] ** k * bases[1] ** (l - k)
@@ -522,9 +513,9 @@ def carpet_dimension_report(spec: CarpetSpec, m_max: int, l_max: int,
                 skipped.append({"m": m, "l": l, "reps": str(reps),
                                 "reason": "pairwise budget"})
                 continue
-            sandwich.append(sandwich_check(spec, m, l, cap, pattern_cap))
+            sandwich.append(sandwich_check(spec, m, l, caps))
 
-    measure = CarpetMeasure.build(spec, 0, pattern_cap)
+    measure = CarpetMeasure.build(spec, 0, caps)
     probe = shannon_mcmillan_probe(measure, max(16, l_max * 4), PROBE_SAMPLES, seed)
 
     mdim_m = mdim_m_carpet(h, h_prime, spec.a, spec.b)
@@ -533,8 +524,8 @@ def carpet_dimension_report(spec: CarpetSpec, m_max: int, l_max: int,
         "a": spec.a, "b": spec.b, "w": w,
         "h": h, "h_prime": h_prime, "hw": hw,
         "h_provenance": h_est.provenance,
-        "h_series": [(r.index, r.size, r.log_count, r.per_site) for r in h_series.rows],
-        "hw_series": [(r.index, r.size, r.log_count, r.per_site) for r in hw_series.rows],
+        "h_series": h_series.table(),
+        "hw_series": hw_series.table(),
         "mdim_M": mdim_m,
         "mdim_H": mdim_h,
         "ordering_ok": mdim_h <= mdim_m + 0.02,

@@ -17,6 +17,7 @@ config and seed give byte-identical reports apart from the timing block.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import platform
@@ -28,11 +29,10 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .groups import (DEFAULT_CELL_CAP, FolnerDescriptor, GroupSpec,
-                     WindowCapExceeded, box)
-from .metrics import DEFAULT_CLOUD_CAP, CloudCapExceeded, WeightScheme
-from .subshifts import (DEFAULT_PATTERN_CAP, PatternCapExceeded, json_int,
-                        json_object, projected_spec, spec_from_json)
+from .groups import Caps, FolnerDescriptor, GroupSpec, WindowCapExceeded, box
+from .metrics import CloudCapExceeded, WeightScheme
+from .subshifts import (PatternCapExceeded, json_int, json_object,
+                        projected_spec, spec_from_json)
 from .entropy import entropy_series, entropy_estimate, weighted_entropy_series
 from .carpet import CarpetSpec, carpet_dimension_report
 from .selfsimilar import (NetTooCoarse, SelfSimilarSpec,
@@ -63,12 +63,13 @@ def _fraction(value, field: str) -> Fraction:
     return _parse_value(Fraction, value, field)
 
 
-def _weights(doc, rank: int, default_rho: Fraction) -> WeightScheme:
-    """The spec's `weights` object; without one, or without `rho` in it,
-    the decay ratio is `default_rho`."""
+def _weights(doc, rank: int) -> WeightScheme | None:
+    """The spec's `weights` object; None without one, or without `rho` in
+    it, so that the system's own default decay ratio applies."""
     doc = {} if doc is None else json_object(doc, "weights")
-    rho = _fraction(doc["rho"], "weights.rho") if "rho" in doc else default_rho
-    return WeightScheme(rank, rho)
+    if "rho" not in doc:
+        return None
+    return WeightScheme(rank, _fraction(doc["rho"], "weights.rho"))
 
 
 def _parse_value(convert, text: str, name: str):
@@ -90,13 +91,13 @@ def parse_system(doc: dict):
             return spec_from_json(doc)
         if system == "carpet":
             omega = spec_from_json(json_object(doc["omega"], "omega"))
-            weights = _weights(doc.get("weights"), omega.rank, Fraction(1, 4))
+            weights = _weights(doc.get("weights"), omega.rank)
             return CarpetSpec(a=json_int(doc["a"], "a"),
                               b=json_int(doc["b"], "b"), omega=omega,
                               weights=weights)
         if system == "selfsimilar":
             omega = spec_from_json(json_object(doc["omega"], "omega"))
-            weights = _weights(doc.get("weights"), 1, Fraction(1, 4))
+            weights = _weights(doc.get("weights"), 1)
             if not isinstance(doc["values"], list):
                 raise SpecError("values must be a JSON list")
             return SelfSimilarSpec(omega=omega,
@@ -105,13 +106,12 @@ def parse_system(doc: dict):
                                    c=_fraction(doc["c"], "c"), weights=weights)
         if system == "homogeneous":
             digits = spec_from_json(json_object(doc["digits"], "digits"))
-            weights = _weights(doc.get("weights"), digits.rank - 1,
-                               Fraction(1, 2**20))
+            weights = _weights(doc.get("weights"), digits.rank - 1)
             return HomogeneousSpec(base=json_int(doc["base"], "base"),
                                    digit_spec=digits, weights=weights)
         if system == "kspace":
             rank = json_int(doc.get("rank", 1), "rank")
-            weights = _weights(doc.get("weights"), rank, Fraction(1, 10**9))
+            weights = _weights(doc.get("weights"), rank)
             return KSpaceSpec(rank=rank, kind=doc.get("kind", "kset"),
                               weights=weights)
     except KeyError as exc:
@@ -161,64 +161,57 @@ def _num(value, provenance: str) -> dict:
     return {"value": value, "provenance": provenance}
 
 
-def parse_caps(text: str) -> dict:
-    caps = {"cells": DEFAULT_CELL_CAP, "patterns": DEFAULT_PATTERN_CAP,
-            "cloud": DEFAULT_CLOUD_CAP}
+def parse_caps(text: str) -> Caps:
+    """The `--caps` entries name=N, N >= 1, over the default caps."""
+    caps = dataclasses.asdict(Caps())
     if text:
         for part in text.split(","):
             key, _, val = part.partition("=")
             if key.strip() not in caps or not val.isdigit() or int(val) <= 0:
                 raise SpecError(f"bad caps entry {part!r}")
             caps[key.strip()] = int(val)
-    return caps
+    return Caps(**caps)
 
 
-def _cmd_entropy(system, args) -> dict:
-    caps = parse_caps(args.caps)
+def _cmd_entropy(system, args, caps: Caps) -> dict:
     folner = FolnerDescriptor(args.folner, _folner_indices(
         args, 1 if args.folner == "boxes" else 0))
     w = _parse_w(args.w)
     if w is not None:
         if not system.alphabet.is_paired:
             raise SpecError("--w: weighted entropy needs a paired alphabet")
-        series = weighted_entropy_series(system, folner, w, caps["cells"],
-                                         caps["patterns"])
+        series = weighted_entropy_series(system, folner, w, caps)
         out = {"per_site": _num(series.value, "estimate"), "w": w}
     else:
-        series = entropy_series(system, folner, caps["cells"], caps["patterns"])
+        series = entropy_series(system, folner, caps)
         est = entropy_estimate(series)
         out = {"per_site": _num(est.value, "estimate")}
         if est.certified_upper is not None:
             out["certified_upper"] = _num(est.certified_upper, est.provenance)
-    out["series"] = [(r.index, r.size, r.log_count, r.per_site)
-                     for r in series.rows]
+    out["series"] = series.table()
     out["csv"] = series.to_csv("log_count" if w is None else "log_z")
     return out
 
 
-def _cmd_carpet_dims(system: CarpetSpec, args) -> dict:
+def _cmd_carpet_dims(system: CarpetSpec, args, caps: Caps) -> dict:
     if projected_spec(system.omega) is None:
         raise SpecError("carpet-dims needs a rule whose projection to the "
                         "base-b digits is a derivable subshift")
     w = _parse_w(args.w)
-    caps = parse_caps(args.caps)
     _folner_indices(args, 1 if args.folner == "boxes" else 0)
     _at_least_one("--l-max", [args.l_max])
     report = carpet_dimension_report(system, m_max=args.m_max,
                                      l_max=args.l_max,
                                      folner_family=args.folner,
                                      w_override=w, seed=args.seed,
-                                     cap=caps["cloud"],
-                                     cell_cap=caps["cells"],
-                                     pattern_cap=caps["patterns"])
+                                     caps=caps)
     report["mdim_M"] = _num(report["mdim_M"], "estimate")
     report["mdim_H"] = _num(report["mdim_H"], "estimate")
     return report
 
 
-def _cmd_selfsimilar_bound(system: SelfSimilarSpec, args) -> dict:
-    caps = parse_caps(args.caps)
-    out = selfsimilar_upper_bound(system, caps["cells"], caps["patterns"])
+def _cmd_selfsimilar_bound(system: SelfSimilarSpec, args, caps: Caps) -> dict:
+    out = selfsimilar_upper_bound(system, caps)
     return {"bound": _num(out["bound"], out["entropy_provenance"]),
             "entropy": _num(out["entropy"], out["entropy_provenance"])}
 
@@ -233,18 +226,15 @@ def _parse_eps_grid(text: str):
     return grid
 
 
-def _cmd_selfsimilar_probe(system: SelfSimilarSpec, args) -> dict:
+def _cmd_selfsimilar_probe(system: SelfSimilarSpec, args, caps: Caps) -> dict:
     grid = (_parse_eps_grid(args.eps_grid) if args.eps_grid
             else [system.c ** j for j in range(2, 9)])
     if len(grid) < 2:
         raise SpecError("selfsimilar-probe needs at least two eps values to "
                         "fit a slope")
-    caps = parse_caps(args.caps)
-    windows = [box(n, GroupSpec(1), caps["cells"]) for n in
+    windows = [box(n, GroupSpec(1), caps.cells) for n in
                _at_least_one("--window-sizes", args.window_sizes or [512])]
-    report = selfsimilar_cover_probe(system, grid, windows,
-                                     cell_cap=caps["cells"],
-                                     pattern_cap=caps["patterns"])
+    report = selfsimilar_cover_probe(system, grid, windows, caps)
     report["slopes"] = {str(k): _num(v, "certified-bound")
                         for k, v in report["slopes"].items()}
     for row in report["rows"]:
@@ -252,39 +242,34 @@ def _cmd_selfsimilar_probe(system: SelfSimilarSpec, args) -> dict:
     return report
 
 
-def _cmd_homog_entropy(system: HomogeneousSpec, args) -> dict:
+def _cmd_homog_entropy(system: HomogeneousSpec, args, caps: Caps) -> dict:
     folner = FolnerDescriptor(args.folner, _folner_indices(args, 1))
     depths = _at_least_one("--depths", args.depths or [4, 8, 12])
-    caps = parse_caps(args.caps)
-    out = homogeneous_gxn_entropy(system, folner, depths, caps["cells"],
-                                  caps["patterns"])
-    rows = [(r.index, r.depth, r.size, r.log_count, r.per_site)
-            for r in out["series"].rows]
-    return {"series": rows,
+    out = homogeneous_gxn_entropy(system, folner, depths, caps)
+    return {"series": out["series"].table(),
             "entropy": _num(out["entropy"], "estimate"),
             "prediction": _num(out["prediction"], "estimate")}
 
 
-def _cmd_homog_probe(system: HomogeneousSpec, args) -> dict:
+def _cmd_homog_probe(system: HomogeneousSpec, args, caps: Caps) -> dict:
     grid = (_parse_eps_grid(args.eps_grid) if args.eps_grid
             else [Fraction(1, system.base ** 3)])
     folner = FolnerDescriptor(args.folner, (1,))
-    rows = homogeneous_covering_probe(system, folner, grid)
-    slopes = homogeneous_slope_series(system, grid)
+    rows = homogeneous_covering_probe(system, folner, grid, caps=caps)
+    slopes = homogeneous_slope_series(system, grid, caps)
     return {"rows": [row.__dict__ for row in rows],
             "slopes": slopes,
             "implication": _num(all(r.implication_ok for r in rows), "exact")}
 
 
-def _cmd_kg_experiment(system: KSpaceSpec, args) -> dict:
+def _cmd_kg_experiment(system: KSpaceSpec, args, caps: Caps) -> dict:
     grid = (_parse_eps_grid(args.eps_grid) if args.eps_grid
             else [Fraction(1, 10), Fraction(1, 100), Fraction(1, 1000),
                   Fraction(1, 10000)])
     if system.kind == "kset" and any(e >= Fraction(1, 4) for e in grid):
         raise SpecError("kset eps grid values must lie in (0, 1/4)")
     folner = FolnerDescriptor(args.folner, _folner_indices(args, 1))
-    rows = kg_covering_experiment(system, folner, grid,
-                                  parse_caps(args.caps)["cells"])
+    rows = kg_covering_experiment(system, folner, grid, caps)
     return {"rows": [{"n": r.n_index, "eps": r.eps, "window": r.window,
                       "gamma": r.gamma, "zeta": r.zeta,
                       "lower": str(r.lower), "upper": str(r.upper),
@@ -296,7 +281,7 @@ def _cmd_kg_experiment(system: KSpaceSpec, args) -> dict:
             "trend_slopes": trend_slopes(rows[:len(grid)])}
 
 
-def _cmd_kg_mass_demo(system: KSpaceSpec, args) -> dict:
+def _cmd_kg_mass_demo(system: KSpaceSpec, args, caps: Caps) -> dict:
     folner = FolnerDescriptor(args.folner, (1,))
     ks = [_parse_value(int, k, "--k-list")
           for k in (args.k_list or "2,4,6").split(",")]
@@ -306,9 +291,8 @@ def _cmd_kg_mass_demo(system: KSpaceSpec, args) -> dict:
            else Fraction(1, 10))
     if not 0 < eps < Fraction(1, 6):
         raise SpecError("mass demo eps must lie in (0, 1/6)")
-    cell_cap = parse_caps(args.caps)["cells"]
     reports = [kg_mass_distribution_demo(system, k, folner, 1, eps,
-                                         seed=args.seed, cell_cap=cell_cap)
+                                         seed=args.seed, caps=caps)
                for k in ks]
     return {"reports": [{"k": r.k, "bound": _num(r.bound, "certified-bound"),
                          "points_checked": r.points_checked,
@@ -391,7 +375,7 @@ def main(argv=None) -> int:
         system = parse_system(doc)
         if doc.get("system", "subshift") != expected:
             raise SpecError(f"{args.command} expects a {expected!r} spec")
-        results = handler(system, args)
+        results = handler(system, args, parse_caps(args.caps))
         status = 0
     except SpecError as exc:
         print(f"spec error: {exc}", file=sys.stderr)

@@ -11,10 +11,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .groups import (DEFAULT_CELL_CAP, FolnerDescriptor, GroupSpec,
-                     product_window)
-from .subshifts import (DEFAULT_PATTERN_CAP, FiberTable, SubshiftSpec,
-                        count_windows, fiber_table)
+from .groups import Caps, FolnerDescriptor, GroupSpec, product_window
+from .subshifts import FiberTable, SubshiftSpec, count_windows, fiber_table
 # still reachable as entropy.count_patterns, the import site that the
 # per-layer tracer of perfbench rebinds and checks
 from .subshifts import count_patterns  # noqa: F401
@@ -62,6 +60,13 @@ class EntropySeries:
     def value(self) -> float:
         return self.rows[-1].per_site
 
+    def table(self) -> list:
+        """(index, size, log_count, per_site) per row, with the depth after
+        the index on G x N rows."""
+        return [(r.index, r.size, r.log_count, r.per_site) if r.depth is None
+                else (r.index, r.depth, r.size, r.log_count, r.per_site)
+                for r in self.rows]
+
     def to_csv(self, column: str = "log_count") -> str:
         lines = [f"m,window_size,{column},per_site"]
         for r in self.rows:
@@ -70,11 +75,8 @@ class EntropySeries:
 
 
 def entropy_series(spec: SubshiftSpec, folner: FolnerDescriptor,
-                   cap: int = DEFAULT_CELL_CAP,
-                   pattern_cap: int = DEFAULT_PATTERN_CAP) -> EntropySeries:
-    """Per-site log pattern counts over the requested Folner windows; `cap`
-    bounds the cells of a window, `pattern_cap` the live frontier states
-    of its count.
+                   caps: Caps = Caps()) -> EntropySeries:
+    """Per-site log pattern counts over the requested Folner windows.
 
     The windows are counted by `count_windows`: the largest is swept once
     with a stop per window whose cells are a translate of a prefix of that
@@ -84,9 +86,9 @@ def entropy_series(spec: SubshiftSpec, folner: FolnerDescriptor,
     a later one, as in a loop over the windows."""
     group = spec.group
     rows = []
-    windows = (folner.window(m, group, cap) for m in folner.indices)
+    windows = (folner.window(m, group, caps.cells) for m in folner.indices)
     for m, (window, count) in zip(folner.indices,
-                                  count_windows(spec, windows, pattern_cap)):
+                                  count_windows(spec, windows, caps.patterns)):
         rows.append(_row(m, len(window), log_big(count)))
     return EntropySeries(family=folner.family, rows=tuple(rows))
 
@@ -141,12 +143,8 @@ def log_z_from_fibers(table: FiberTable, w: float) -> float:
 
 
 def weighted_entropy_series(spec: SubshiftSpec, folner: FolnerDescriptor,
-                            w: float, cap: int = DEFAULT_CELL_CAP,
-                            pattern_cap: int = DEFAULT_PATTERN_CAP
-                            ) -> EntropySeries:
-    """Per-site log Z_m where Z_m sums fiber counts t(v)^w over a window;
-    `cap` bounds the cells of a window, `pattern_cap` the patterns its
-    fiber table enumerates."""
+                            w: float, caps: Caps = Caps()) -> EntropySeries:
+    """Per-site log Z_m where Z_m sums fiber counts t(v)^w over a window."""
     if not 0 <= w <= 1:
         raise ValueError("exponent w must lie in [0, 1]")
     if not spec.alphabet.is_paired:
@@ -154,20 +152,17 @@ def weighted_entropy_series(spec: SubshiftSpec, folner: FolnerDescriptor,
     group = spec.group
     rows = []
     for m in folner.indices:
-        window = folner.window(m, group, cap)
-        table = fiber_table(spec, window, pattern_cap)
+        window = folner.window(m, group, caps.cells)
+        table = fiber_table(spec, window, caps.patterns)
         rows.append(_row(m, len(window), log_z_from_fibers(table, w)))
     return EntropySeries(family=folner.family, rows=tuple(rows))
 
 
 def gxn_entropy_series(digit_spec: SubshiftSpec, folner: FolnerDescriptor,
                        depths: Sequence[int],
-                       cap: int = DEFAULT_CELL_CAP,
-                       pattern_cap: int = DEFAULT_PATTERN_CAP
-                       ) -> EntropySeries:
+                       caps: Caps = Caps()) -> EntropySeries:
     """Counts on product windows F_n x {0..N-1} normalized by their size
-    N * |F_n|, one row per (n, N); `cap` bounds the cells of a window,
-    `pattern_cap` its live frontier states.
+    N * |F_n|, one row per (n, N).
 
     The digit subshift lives on Z^d x N, encoded as a rank d+1 spec whose last
     axis is the depth direction.
@@ -177,22 +172,23 @@ def gxn_entropy_series(digit_spec: SubshiftSpec, folner: FolnerDescriptor,
     base_group = GroupSpec(digit_spec.rank - 1)
     rows = []
     for n in folner.indices:
-        fwin = folner.window(n, base_group, cap)
-        windows = (product_window(fwin, depth, cap) for depth in depths)
+        fwin = folner.window(n, base_group, caps.cells)
+        windows = (product_window(fwin, depth, caps.cells) for depth in depths)
         for depth, (window, count) in zip(
-                depths, count_windows(digit_spec, windows, pattern_cap)):
+                depths, count_windows(digit_spec, windows, caps.patterns)):
             rows.append(_row(n, len(window), log_big(count), depth))
     return EntropySeries(family=folner.family, rows=tuple(rows))
 
 
 def projection_gap_report(spec: SubshiftSpec, folner: FolnerDescriptor,
-                          cap: int = DEFAULT_CELL_CAP) -> list[dict]:
+                          caps: Caps = Caps()) -> list[dict]:
     """Free-boundary versus exact projection counts for 1-d NN rules."""
     from .subshifts import projection_count_interval
     group = spec.group
     out = []
-    windows = (folner.window(m, group, cap) for m in folner.indices)
-    for m, (window, free) in zip(folner.indices, count_windows(spec, windows)):
+    windows = (folner.window(m, group, caps.cells) for m in folner.indices)
+    for m, (window, free) in zip(folner.indices,
+                                 count_windows(spec, windows, caps.patterns)):
         try:
             proj = projection_count_interval(spec, window)
         except ValueError:

@@ -16,6 +16,20 @@ from typing import Iterable
 GroupElement = tuple  # integer coordinate tuple of length rank
 
 DEFAULT_CELL_CAP = 10**6
+DEFAULT_PATTERN_CAP = 10**6
+DEFAULT_CLOUD_CAP = 200_000
+
+
+@dataclass(frozen=True)
+class Caps:
+    """The three run limits.  `cells` bounds the cells of a window
+    (WindowCapExceeded), `patterns` the patterns an enumeration finds and
+    the live frontier states of a count (PatternCapExceeded), `cloud` the
+    points of a cloud (CloudCapExceeded)."""
+
+    cells: int = DEFAULT_CELL_CAP
+    patterns: int = DEFAULT_PATTERN_CAP
+    cloud: int = DEFAULT_CLOUD_CAP
 
 
 class WindowCapExceeded(RuntimeError):

@@ -23,13 +23,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .groups import (DEFAULT_CELL_CAP, FolnerDescriptor, GroupSpec,
-                     GroupWindow, box, minkowski_sum, product_window)
-from .metrics import (DEFAULT_CLOUD_CAP, CloudCapExceeded, ProbeViolation,
-                      WeightScheme, exact_int_dtype, tail_support)
+from .groups import (Caps, FolnerDescriptor, GroupSpec, GroupWindow, box,
+                     minkowski_sum, product_window)
+from .metrics import (CloudCapExceeded, ProbeViolation, WeightScheme,
+                      exact_int_dtype, tail_support)
 from .entropy import gxn_entropy_series
-from .subshifts import (DEFAULT_PATTERN_CAP, PatternCapExceeded, SubshiftSpec,
-                        enumerate_patterns)
+from .subshifts import PatternCapExceeded, SubshiftSpec, enumerate_patterns
+
+PAIR_CLOUD_CAP = 4000  # points of a pairwise probe cloud; caps only lower it
 
 
 @dataclass(frozen=True)
@@ -58,14 +59,9 @@ class HomogeneousSpec:
 
 
 def homogeneous_gxn_entropy(spec: HomogeneousSpec, folner: FolnerDescriptor,
-                            depths: Sequence[int],
-                            cell_cap: int = DEFAULT_CELL_CAP,
-                            pattern_cap: int = DEFAULT_PATTERN_CAP) -> dict:
-    """Digit-window entropy series; the dimension prediction divides by log b.
-    `cell_cap` bounds the cells of a window, `pattern_cap` its live
-    frontier states."""
-    series = gxn_entropy_series(spec.digit_spec, folner, depths, cell_cap,
-                                pattern_cap)
+                            depths: Sequence[int], caps: Caps = Caps()) -> dict:
+    """Digit-window entropy series; the dimension prediction divides by log b."""
+    series = gxn_entropy_series(spec.digit_spec, folner, depths, caps)
     value = series.value
     return {"series": series, "entropy": value,
             "prediction": value / math.log(spec.base)}
@@ -201,7 +197,7 @@ def homogeneous_covering_probe(spec: HomogeneousSpec,
                                folner: FolnerDescriptor,
                                eps_list: Sequence,
                                extra_depth: int = 1,
-                               cap: int = 4000) -> list[HomogeneousProbeRow]:
+                               caps: Caps = Caps()) -> list[HomogeneousProbeRow]:
     """Exact pairwise verification of the covering comparison.
 
     With N chosen by b^-N <= eps < b^-N+1 and S the eps/2 tail support, every
@@ -214,15 +210,17 @@ def homogeneous_covering_probe(spec: HomogeneousSpec,
     """
     group = GroupSpec(spec.group_rank)
     threshold = Fraction(1, 2 * spec.weights.total_upper() * spec.base)
+    points = min(PAIR_CLOUD_CAP, caps.cloud, caps.patterns)
     rows = []
     for n in folner.indices:
-        fwin = folner.window(n, group)
+        fwin = folner.window(n, group, caps.cells)
         for eps in eps_list:
             eps = Fraction(eps)
             depth_n = _digit_depth(spec.base, eps)
-            orbit = minkowski_sum(tail_support(spec.weights, eps, group), fwin)
+            orbit = minkowski_sum(tail_support(spec.weights, eps, group), fwin,
+                                  caps.cells)
             size, den, pair_rows = _pair_rows(
-                spec, fwin, orbit, depth_n + extra_depth, depth_n, cap)
+                spec, fwin, orbit, depth_n + extra_depth, depth_n, points)
             # per side its separation, then its cover radius, as integer bounds
             walks = [(side, bound)
                      for side, scale in enumerate((eps, threshold))
@@ -279,8 +277,8 @@ def _circle_cover_codes(codes, modulus: int, budget: Fraction) -> int:
     return int(jumps.min()) + 1
 
 
-def homogeneous_slope_series(spec: HomogeneousSpec,
-                             eps_list: Sequence) -> list[dict]:
+def homogeneous_slope_series(spec: HomogeneousSpec, eps_list: Sequence,
+                             caps: Caps = Caps()) -> list[dict]:
     """Per-site slope of exact per-coordinate circle covers of the digit grid.
 
     For each coordinate of the window box(1) the achievable values at depth
@@ -290,7 +288,7 @@ def homogeneous_slope_series(spec: HomogeneousSpec,
     covered by `_circle_cover_codes` in integers; `tests/oracles.py` holds
     the Fraction reference.
     """
-    fwin = box(1, GroupSpec(spec.group_rank))
+    fwin = box(1, GroupSpec(spec.group_rank), caps.cells)
     tail_slack = spec.weights.tail_upper(1)  # pinned coords beyond the window
     rows = []
     for eps in eps_list:
@@ -299,7 +297,8 @@ def homogeneous_slope_series(spec: HomogeneousSpec,
         if budget <= 0:
             raise ValueError("weights decay too slowly for this eps")
         depth_n = _digit_depth(spec.base, eps)
-        codes = _digit_codes(spec, fwin, depth_n + 1, DEFAULT_CLOUD_CAP)
+        codes = _digit_codes(spec, fwin, depth_n + 1,
+                             min(caps.cloud, caps.patterns))
         count = 1
         for g in range(len(fwin)):
             count *= _circle_cover_codes([p[g] for p in codes],

@@ -20,8 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .groups import (DEFAULT_CELL_CAP, FolnerDescriptor, GroupSpec,
-                     minkowski_sum)
+from .groups import Caps, FolnerDescriptor, GroupSpec, minkowski_sum
 from .metrics import WeightScheme, tail_support
 
 NU_ZERO_MASS = 0.5
@@ -136,8 +135,7 @@ class KExperimentRow:
 
 def kg_covering_experiment(spec: KSpaceSpec, folner: FolnerDescriptor,
                            eps_grid: Sequence,
-                           cell_cap: int = DEFAULT_CELL_CAP
-                           ) -> list[KExperimentRow]:
+                           caps: Caps = Caps()) -> list[KExperimentRow]:
     """Certified covering bounds of truncated K-power (or cube) clouds.
 
     Lower: per-coordinate maximal eps-separated sets multiply across the
@@ -147,19 +145,18 @@ def kg_covering_experiment(spec: KSpaceSpec, folner: FolnerDescriptor,
     diameter.  Both per-coordinate counts are exact 1-d sweeps on the integer
     codes of the K truncation or the unit grid at the budget, equal to the
     Fraction sweeps of `tests/oracles.py` over those point lists, and both
-    must land inside the closed-form bracket.  `cell_cap` bounds the cells
-    of each Folner window and of its sum with the tail support.
+    must land inside the closed-form bracket.
     """
     group = GroupSpec(spec.rank)
     weights = spec.weights
     c_total = weights.total_upper()
     rows = []
     for n in folner.indices:
-        fwin = folner.window(n, group, cell_cap)
+        fwin = folner.window(n, group, caps.cells)
         for eps in eps_grid:
             eps = Fraction(eps)
             support = tail_support(weights, eps, group)
-            swin = minkowski_sum(support, fwin, cell_cap)
+            swin = minkowski_sum(support, fwin, caps.cells)
             tail_allow = weights.tail_upper(support.index + 1)
             # product sets of per-coordinate span < budget have dynamical
             # diameter under c * budget + tail < eps
@@ -289,8 +286,7 @@ def kg_mass_distribution_demo(spec: KSpaceSpec, k: int,
                               folner: FolnerDescriptor, n_index: int,
                               eps: Fraction, seed: int = 0,
                               sample_count: int = 64,
-                              cell_cap: int = DEFAULT_CELL_CAP
-                              ) -> MassDemoReport:
+                              caps: Caps = Caps()) -> MassDemoReport:
     """Verify the mass-distribution hypothesis on sampled K-power points.
 
     For each point the support window splits into magnitude bands by powers
@@ -298,7 +294,6 @@ def kg_mass_distribution_demo(spec: KSpaceSpec, k: int,
     the product square-law measure is evaluated exactly per coordinate, and
     mu(box) >= diam^{(6/k) |SF_n|} must hold with diam <= (1+c) r.  The
     returned dimension bound is (12/k) |SF_n|, shrinking to zero in k.
-    The windows F_n and SF_n obey `cell_cap` cells.
     """
     if k < 1:
         raise ValueError("sharpness parameter k must be >= 1")
@@ -306,9 +301,9 @@ def kg_mass_distribution_demo(spec: KSpaceSpec, k: int,
     if not eps < Fraction(1, 6):
         raise ValueError("demo needs eps < 1/6")
     group = GroupSpec(spec.rank)
-    fwin = folner.window(n_index, group, cell_cap)
+    fwin = folner.window(n_index, group, caps.cells)
     support = tail_support(spec.weights, eps, group)
-    swin = minkowski_sum(support, fwin, cell_cap)
+    swin = minkowski_sum(support, fwin, caps.cells)
     c_total = float(spec.weights.total_upper())
     a = NU_SQUARE_COEFF
     delta = 0.5 * min(float(eps) / 12.0,

@@ -28,9 +28,6 @@ class ProbeViolation(AssertionError):
     certified bound."""
 
 
-DEFAULT_CLOUD_CAP = 200_000
-
-
 class CloudCapExceeded(RuntimeError):
     """A point cloud would exceed the configured cloud cap."""
 

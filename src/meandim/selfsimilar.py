@@ -17,12 +17,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .groups import (DEFAULT_CELL_CAP, FolnerDescriptor, GroupWindow, ball,
-                     minkowski_sum)
-from .metrics import (DEFAULT_CLOUD_CAP, CloudCapExceeded, PointCloud,
-                      ProbeViolation, WeightScheme)
+from .groups import Caps, FolnerDescriptor, GroupWindow, ball, minkowski_sum
+from .metrics import CloudCapExceeded, PointCloud, ProbeViolation, WeightScheme
 from .entropy import entropy_estimate, entropy_series
-from .subshifts import DEFAULT_PATTERN_CAP, SubshiftSpec, count_patterns
+from .subshifts import SubshiftSpec, count_patterns
 
 
 # the windows of the entropy bound and the probe's allowance over it
@@ -68,13 +66,10 @@ class SelfSimilarSpec:
 
 
 def selfsimilar_upper_bound(spec: SelfSimilarSpec,
-                            cell_cap: int = DEFAULT_CELL_CAP,
-                            pattern_cap: int = DEFAULT_PATTERN_CAP) -> dict:
+                            caps: Caps = Caps()) -> dict:
     """h_top(driving shift) / log(1/c) with the entropy provenance attached;
-    the entropy is counted on the BOUND_FOLNER boxes, under `cell_cap`
-    cells and `pattern_cap` live frontier states."""
-    est = entropy_estimate(entropy_series(spec.omega, BOUND_FOLNER, cell_cap,
-                                          pattern_cap))
+    the entropy is counted on the BOUND_FOLNER boxes."""
+    est = entropy_estimate(entropy_series(spec.omega, BOUND_FOLNER, caps))
     if est.empty_system:
         return {"bound": 0.0, "entropy": 0.0, "entropy_provenance": "exact"}
     return {"bound": est.best / math.log(1 / float(spec.c)),
@@ -130,15 +125,14 @@ def _compose(spec: SelfSimilarSpec, word: Sequence[bytes], x: tuple) -> tuple:
 def selfsimilar_spanning_cloud(spec: SelfSimilarSpec, m: int,
                                net_patterns: Sequence[bytes],
                                window: GroupWindow,
-                               cap: int = DEFAULT_CLOUD_CAP
-                               ) -> AddressedCloud:
+                               caps: Caps = Caps()) -> AddressedCloud:
     """All compositions S_{w_1} o ... o S_{w_m}(0) over the net, evaluated
     exactly: the point is sum_i c^{i-1} H(w_i) coordinatewise."""
     base_point = tuple(Fraction(0) for _ in window.elements)
     total = len(net_patterns) ** m
-    if total > cap:
+    if total > caps.cloud:
         raise CloudCapExceeded(
-            f"spanning cloud of {total} points exceeds cap {cap}")
+            f"spanning cloud of {total} points exceeds cap {caps.cloud}")
     points = []
     addresses = []
     for combo in iterproduct(range(len(net_patterns)), repeat=m):
@@ -155,8 +149,7 @@ def selfsimilar_spanning_cloud(spec: SelfSimilarSpec, m: int,
 
 def selfsimilar_cover_probe(spec: SelfSimilarSpec, eps_grid: Sequence,
                             orbit_windows: Sequence[GroupWindow],
-                            cell_cap: int = DEFAULT_CELL_CAP,
-                            pattern_cap: int = DEFAULT_PATTERN_CAP) -> dict:
+                            caps: Caps = Caps()) -> dict:
     """Covering estimates against the entropy bound.
 
     Per (window, eps) the certified upper bound is the net count to the power
@@ -165,11 +158,9 @@ def selfsimilar_cover_probe(spec: SelfSimilarSpec, eps_grid: Sequence,
     number at eps is at most |net|^m.  The per-site slope regresses the upper
     log-counts on log(1/eps); a window whose slope exceeds the entropy bound
     plus PROBE_SLACK raises ProbeViolation.  Each net is built and counted
-    once per orbit, whatever the grid length.  The nets and the windows of
-    the entropy bound obey `cell_cap` cells and `pattern_cap` live frontier
-    states.
+    once per orbit, whatever the grid length.
     """
-    bound = selfsimilar_upper_bound(spec, cell_cap, pattern_cap)["bound"]
+    bound = selfsimilar_upper_bound(spec, caps)["bound"]
     eps_grid = [Fraction(e) for e in eps_grid]
     if len(eps_grid) < 2 or any(e <= f for e, f in zip(eps_grid, eps_grid[1:])):
         raise ValueError("eps grid needs at least two strictly decreasing "
@@ -181,8 +172,8 @@ def selfsimilar_cover_probe(spec: SelfSimilarSpec, eps_grid: Sequence,
     # boundary growth
     r = net_radius(spec, min(eps_grid))
     for orbit in orbit_windows:
-        net = minkowski_sum(orbit, ball(r, orbit.spec, cell_cap), cell_cap)
-        net_count = count_patterns(spec.omega, net, pattern_cap)
+        net = minkowski_sum(orbit, ball(r, orbit.spec, caps.cells), caps.cells)
+        net_count = count_patterns(spec.omega, net, caps.patterns)
         rows = []
         for eps in eps_grid:
             m = composition_depth(spec, eps)

@@ -33,10 +33,9 @@ import json
 
 import numpy as np
 
-from .groups import GroupSpec, GroupWindow, WindowCapExceeded
+from .groups import (DEFAULT_PATTERN_CAP, GroupSpec, GroupWindow,
+                     WindowCapExceeded)
 from .metrics import exact_int_dtype
-
-DEFAULT_PATTERN_CAP = 10**6
 
 
 class PatternCapExceeded(RuntimeError):

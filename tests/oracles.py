@@ -20,13 +20,12 @@ from typing import Sequence
 import meandim.carpet as carpet
 import meandim.homogeneous as homogeneous
 from meandim.entropy import log_big, weighted_entropy_series
-from meandim.groups import (DEFAULT_CELL_CAP, FolnerDescriptor, GroupSpec,
-                            GroupWindow, ball)
+from meandim.groups import (DEFAULT_CELL_CAP, DEFAULT_CLOUD_CAP,
+                            DEFAULT_PATTERN_CAP, Caps, FolnerDescriptor,
+                            GroupSpec, GroupWindow, ball)
 from meandim.kspace import _k_size, _unit_steps
-from meandim.metrics import (DEFAULT_CLOUD_CAP, CloudCapExceeded,
-                             PointCloud, ProductMetric)
-from meandim.subshifts import (DEFAULT_PATTERN_CAP, SubshiftSpec,
-                               count_windows, fiber_table)
+from meandim.metrics import CloudCapExceeded, PointCloud, ProductMetric
+from meandim.subshifts import SubshiftSpec, count_windows, fiber_table
 
 HAUSDORFF_S_CAP = 64.0
 
@@ -209,8 +208,8 @@ def weighted_degeneration_check(spec: SubshiftSpec, folner: FolnerDescriptor,
     after rounding to the given digits; `cap` bounds the cells of each
     window and the patterns of its fiber tables."""
     group = spec.group
-    s1 = weighted_entropy_series(spec, folner, 1.0, cap, cap)
-    s0 = weighted_entropy_series(spec, folner, 0.0, cap, cap)
+    s1 = weighted_entropy_series(spec, folner, 1.0, Caps(cap, cap))
+    s0 = weighted_entropy_series(spec, folner, 0.0, Caps(cap, cap))
     ok = True
     detail = []
     windows = (folner.window(m, group, cap) for m in folner.indices)

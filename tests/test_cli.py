@@ -266,6 +266,34 @@ def test_homog_probe_cap_abort_names_the_digit_cloud(tmp_path, capsys):
         "cap_abort": "digit cloud of depth 4 exceeds cap 4000"}
 
 
+@pytest.mark.parametrize("folner, caps, message", [
+    ("boxes", "cloud=5", "digit cloud of depth 4 exceeds cap 5"),
+    ("boxes", "patterns=5", "digit cloud of depth 4 exceeds cap 5"),
+    ("balls", "cells=2", "window needs >= 3 cells, cap is 2")])
+def test_homog_probe_obeys_the_caps(tmp_path, capsys, folner, caps, message):
+    # HOMOG is the spec of perfbench/specs/homog_full.json.  At eps 1/8 the
+    # digit clouds have depth 4, one point per digit pattern, so both the
+    # cloud and the pattern cap bound them; ball(1) of Z has 3 cells
+    spec = write_spec(tmp_path, HOMOG)
+    code, report = run(capsys, ["homog-probe", "--spec", spec, "--eps-grid",
+                                "1/8", "--folner", folner, "--caps", caps])
+    assert code == 1 and report["results"] == {"cap_abort": message}
+
+
+SPEC_OF_SYSTEM = {"subshift": GOLDEN, "carpet": MCMULLEN,
+                  "selfsimilar": SELFSIM, "homogeneous": HOMOG,
+                  "kspace": KSPACE}
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_every_command_reads_caps(tmp_path, capsys, command):
+    spec = write_spec(tmp_path, SPEC_OF_SYSTEM[cli.COMMANDS[command][1]])
+    code = main([command, "--spec", spec, "--caps", "bogus"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "spec error: bad caps entry 'bogus'\n"
+
+
 def test_kg_commands(tmp_path, capsys):
     spec = write_spec(tmp_path, KSPACE)
     code, report = run(capsys, ["kg-experiment", "--spec", spec,
@@ -393,7 +421,7 @@ def test_out_directory_written_atomically(tmp_path, capsys):
 
 def test_parse_caps():
     caps = parse_caps("cells=500,patterns=1000")
-    assert caps["cells"] == 500 and caps["patterns"] == 1000
+    assert caps.cells == 500 and caps.patterns == 1000
     with pytest.raises(Exception):
         parse_caps("cells=-3")
 
@@ -601,7 +629,7 @@ def test_malformed_specs_fail_validate_and_every_command(tmp_path, capsys,
 
 def test_unexpected_exceptions_are_internal_errors(tmp_path, capsys,
                                                    monkeypatch):
-    def broken(system, args):
+    def broken(system, args, caps):
         raise KeyError("lost")
 
     monkeypatch.setitem(cli.COMMANDS, "entropy", (broken, "subshift"))
@@ -625,7 +653,7 @@ def test_unexpected_exceptions_are_internal_errors(tmp_path, capsys,
     ids=["pattern-cap", "window-cap", "cloud-cap", "net-too-coarse",
          "runtime-error", "recursion-error"])
 def test_only_caps_are_cap_aborts(tmp_path, capsys, monkeypatch, exc, kind):
-    def failing(system, args):
+    def failing(system, args, caps):
         raise exc
 
     monkeypatch.setitem(cli.COMMANDS, "entropy", (failing, "subshift"))

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from meandim.groups import FolnerDescriptor
+from meandim.groups import Caps, FolnerDescriptor
 from meandim.subshifts import (Alphabet, Rule, SubshiftSpec, full_shift,
                                golden_mean, hard_square, mcmullen_shift,
                                pair_shift_with_b_rule)
@@ -209,6 +209,6 @@ def test_entropy_series_fails_like_a_per_window_loop(spec, family, top, cap,
     folner = FolnerDescriptor(family, tuple(range(family == "boxes", top)))
     want = _outcome(lambda: _loop(spec, folner, cap, pattern_cap))
     got = _outcome(lambda: [r.log_count for r in entropy_series(
-        spec, folner, cap, pattern_cap).rows])
+        spec, folner, Caps(cap, pattern_cap)).rows])
     assert got == want
     assert (want[0] if error else None) is error

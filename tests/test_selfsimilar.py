@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from meandim.groups import GroupSpec, ball, box, interval, minkowski_sum
+from meandim.groups import Caps, GroupSpec, ball, box, interval, minkowski_sum
 from meandim.metrics import CloudCapExceeded, ProductMetric, WeightScheme
 from meandim.subshifts import (Alphabet, Rule, SubshiftSpec, count_patterns,
                                enumerate_patterns, full_shift, golden_mean)
@@ -64,11 +64,11 @@ def test_spanning_cloud_dyadic_example():
 def test_spanning_cloud_obeys_the_cloud_cap():
     w = interval(0, 0)
     net = [bytes([0]), bytes([1])]
-    assert len(selfsimilar_spanning_cloud(FULL, 3, net, w, cap=8)
+    assert len(selfsimilar_spanning_cloud(FULL, 3, net, w, Caps(cloud=8))
                .cloud.points) == 8
     with pytest.raises(CloudCapExceeded,
                        match="^spanning cloud of 8 points exceeds cap 7$"):
-        selfsimilar_spanning_cloud(FULL, 3, net, w, cap=7)
+        selfsimilar_spanning_cloud(FULL, 3, net, w, Caps(cloud=7))
 
 
 def test_spanning_cloud_trivial_cases():
