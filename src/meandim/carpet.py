@@ -23,7 +23,8 @@ from itertools import islice, product
 import numpy as np
 
 from .groups import Caps, FolnerDescriptor, GroupWindow, ball
-from .metrics import CloudCapExceeded, WeightScheme, exact_int_dtype
+from .metrics import (CloudCapExceeded, WeightScheme, exact_int_dtype,
+                      seeded_random)
 from .entropy import (entropy_estimate, entropy_series, log_big,
                       log_z_from_fibers, weighted_entropy_series)
 from .subshifts import (FiberTable, SubshiftSpec, count_patterns,
@@ -34,6 +35,7 @@ _CELL_LIMIT = 512  # cells of the sandwich's within-cell check
 _PAIR_BLOCK = 1 << 16  # code differences per broadcast of the pair check
 PROBE_SAMPLES = 2000  # Shannon-McMillan samples of the dimension report
 PROBE_DELTA = 0.05  # the band |deviation| <= delta of `within_delta`
+PROBE_QUANTILES = (0.05, 0.25, 0.5, 0.75, 0.95)
 
 
 class SandwichViolation(AssertionError):
@@ -274,8 +276,8 @@ def _window_check(spec: CarpetSpec, m: int, l: int, caps: Caps,
     the product count |patterns|^k |projected patterns|^(l-k) of ball(m)."""
     a, b = spec.a, spec.b
     k = floor_wl(a, b, l)
-    patterns, fibers = _pattern_set_tools(spec, ball(m, spec.omega.group),
-                                          caps.patterns)
+    patterns, fibers = _pattern_set_tools(
+        spec, ball(m, spec.omega.group, caps.cells), caps.patterns)
     product_count = len(patterns) ** k * len(fibers) ** (l - k)
     sep_scale = Fraction(1, b ** l)
     cov_scale = Fraction(a, b ** l)
@@ -325,11 +327,11 @@ def _window_check(spec: CarpetSpec, m: int, l: int, caps: Caps,
                           pairs_checked=pairs_checked)
 
 
-def _product_row(spec: CarpetSpec, checked: SandwichReport,
-                 m: int) -> SandwichReport:
+def _product_row(spec: CarpetSpec, checked: SandwichReport, m: int,
+                 caps: Caps) -> SandwichReport:
     """The product-mode row at m from the check of ball(0): the same check,
     its count raised to |ball(m)|."""
-    count = checked.lower_product ** len(ball(m, spec.omega.group))
+    count = checked.lower_product ** len(ball(m, spec.omega.group, caps.cells))
     return replace(checked, m=m, lower_product=count, upper_product=count,
                    separated_count=count, cover_count=count)
 
@@ -366,7 +368,7 @@ def sandwich_check(spec: CarpetSpec, m: int, l: int,
     """
     if spec.omega.rule.factors_over_cells:
         checked = _window_check(spec, 0, l, caps, "product")
-        return _product_row(spec, checked, m)
+        return _product_row(spec, checked, m, caps)
     return _window_check(spec, m, l, caps, "explicit")
 
 
@@ -388,7 +390,7 @@ class CarpetMeasure:
     def build(spec: CarpetSpec, m: int,
               caps: Caps = Caps()) -> "CarpetMeasure":
         """The measure on ball(m)."""
-        window = ball(m, spec.omega.group)
+        window = ball(m, spec.omega.group, caps.cells)
         table = fiber_table(spec.omega, window, caps.patterns)
         w = spec.w
         return CarpetMeasure(spec=spec, window=window, table=table, w=w,
@@ -422,6 +424,27 @@ class ProbeReport:
     log_z_per_site: float
 
 
+def _uniforms(rng, n: int) -> np.ndarray:
+    """n uniform floats j 2^-53 in [0, 1), j the top 53 bits of 8 bytes
+    from one `randbytes` call."""
+    bits = np.frombuffer(rng.randbytes(8 * n), dtype="<u8")
+    return (bits >> 11) * 2.0 ** -53
+
+
+def _linear_quantiles(values: np.ndarray, qs) -> np.ndarray:
+    """`np.quantile(values, qs)` (its default "linear" method) from one sort:
+    the value at (n - 1) q, interpolated between its neighbours as numpy
+    does, from the upper neighbour when the fraction is >= 1/2."""
+    ordered = np.sort(values)
+    at = (len(ordered) - 1) * np.asarray(qs, dtype=float)
+    lo = np.floor(at).astype(np.intp)
+    hi = np.minimum(lo + 1, len(ordered) - 1)
+    t = at - lo
+    a, b = ordered[lo], ordered[hi]
+    diff = b - a
+    return np.where(t >= 0.5, b - diff * (1 - t), a + diff * t)
+
+
 def shannon_mcmillan_probe(measure: CarpetMeasure, l: int, sample_count: int,
                            seed: int) -> ProbeReport:
     """Sample depth factors i.i.d. from the fiber measure and report how
@@ -430,7 +453,9 @@ def shannon_mcmillan_probe(measure: CarpetMeasure, l: int, sample_count: int,
 
     Factor logs depend only on the projected pattern, so each depth draws a
     v from the marginal; pair depths contribute (w-1) log t(v) - log Z and
-    marginal depths w log t(v) - log Z.
+    marginal depths w log t(v) - log Z.  A draw is the inverse CDF of the
+    marginal at a uniform from `random.Random(seed)`; the quantiles come
+    from one sort.
     """
     if sample_count == 0:
         return ProbeReport(samples=0, l=l, mean=float("nan"), quantiles=(),
@@ -441,18 +466,18 @@ def shannon_mcmillan_probe(measure: CarpetMeasure, l: int, sample_count: int,
     spec = measure.spec
     k = floor_wl(spec.a, spec.b, l)
     vs = sorted(measure.table.entries)
-    probs = np.array([math.exp(measure.log_f_marginal(v)) for v in vs])
-    probs = probs / probs.sum()
     pair_logs = np.array([measure.log_f_pair(v) for v in vs])
     marg_logs = np.array([measure.log_f_marginal(v) for v in vs])
-    rng = np.random.default_rng(seed)
-    draws = rng.choice(len(vs), size=(sample_count, l), p=probs)
+    cdf = np.cumsum(np.exp(marg_logs))
+    cdf /= cdf[-1]
+    draws = cdf.searchsorted(_uniforms(seeded_random(seed), sample_count * l),
+                             side="right").reshape(sample_count, l)
     log_mu = pair_logs[draws[:, :k]].sum(axis=1)
     if l > k:
         log_mu = log_mu + marg_logs[draws[:, k:]].sum(axis=1)
     site = len(measure.window)
     dev = log_mu / (l * site) + measure.log_z / site
-    qs = tuple(float(q) for q in np.quantile(dev, [0.05, 0.25, 0.5, 0.75, 0.95]))
+    qs = tuple(float(q) for q in _linear_quantiles(dev, PROBE_QUANTILES))
     return ProbeReport(samples=sample_count, l=l, mean=float(dev.mean()),
                        quantiles=qs,
                        within_delta=float(np.mean(np.abs(dev) <= PROBE_DELTA)),
@@ -501,9 +526,9 @@ def carpet_dimension_report(spec: CarpetSpec, m_max: int, l_max: int,
             for l in range(1, l_max + 1):
                 if m == 0:
                     checks[l] = sandwich_check(spec, 0, l, caps)
-                sandwich.append(_product_row(spec, checks[l], m))
+                sandwich.append(_product_row(spec, checks[l], m, caps))
             continue
-        window = ball(m, spec.omega.group)
+        window = ball(m, spec.omega.group, caps.cells)
         bases = (count_patterns(spec.omega, window, caps.patterns),
                  count_patterns(pspec, window, caps.patterns))
         for l in range(1, l_max + 1):

@@ -71,14 +71,14 @@ def homogeneous_gxn_entropy(spec: HomogeneousSpec, folner: FolnerDescriptor,
 # truncated digit clouds
 
 def _digit_codes(spec: HomogeneousSpec, window: GroupWindow, depth: int,
-                 cap: int) -> list:
+                 cap: int, cells: int) -> list:
     """The cloud's points as integer codes over b^depth: per window cell, the
     cell's digits read as one base-b numeral, first digit most significant.
     One point per digit pattern, so a cloud over `cap` points stops the
-    enumeration."""
+    enumeration; `cells` bounds the product window |window| x depth."""
     try:
         ps = enumerate_patterns(spec.digit_spec,
-                                product_window(window, depth), cap)
+                                product_window(window, depth, cells), cap)
     except PatternCapExceeded:
         raise CloudCapExceeded(
             f"digit cloud of depth {depth} exceeds cap {cap}") from None
@@ -112,7 +112,7 @@ def _shift_weights(scheme: WeightScheme, window: GroupWindow,
 
 
 def _pair_rows(spec: HomogeneousSpec, fwin: GroupWindow, orbit: GroupWindow,
-               depth: int, depth_n: int, cap: int) -> tuple:
+               depth: int, depth_n: int, cap: int, cells: int) -> tuple:
     """(size, den, rows): rows yields [left[i], right[i]] for i = 0, 1, ...,
     the distances from point i of the depth-`depth` digit cloud on `orbit` as
     integer numerators over den = B Q, for codes over B = b^depth and weights
@@ -120,7 +120,7 @@ def _pair_rows(spec: HomogeneousSpec, fwin: GroupWindow, orbit: GroupWindow,
     shifts F_n; right is the product-action metric with the shifts `orbit`,
     maximized over each point's N = depth_n scaled copies x b^j mod 1."""
     modulus = spec.base ** depth
-    codes = _digit_codes(spec, orbit, depth, cap)
+    codes = _digit_codes(spec, orbit, depth, cap, cells)
     left_w = _shift_weights(spec.weights, orbit, fwin.elements)
     right_w = _shift_weights(spec.weights, orbit, orbit.elements)
     q = math.lcm(*(w.denominator for row in left_w + right_w for w in row))
@@ -217,10 +217,12 @@ def homogeneous_covering_probe(spec: HomogeneousSpec,
         for eps in eps_list:
             eps = Fraction(eps)
             depth_n = _digit_depth(spec.base, eps)
-            orbit = minkowski_sum(tail_support(spec.weights, eps, group), fwin,
-                                  caps.cells)
+            orbit = minkowski_sum(
+                tail_support(spec.weights, eps, group, cap=caps.cells), fwin,
+                caps.cells)
             size, den, pair_rows = _pair_rows(
-                spec, fwin, orbit, depth_n + extra_depth, depth_n, points)
+                spec, fwin, orbit, depth_n + extra_depth, depth_n, points,
+                caps.cells)
             # per side its separation, then its cover radius, as integer bounds
             walks = [(side, bound)
                      for side, scale in enumerate((eps, threshold))
@@ -298,7 +300,7 @@ def homogeneous_slope_series(spec: HomogeneousSpec, eps_list: Sequence,
             raise ValueError("weights decay too slowly for this eps")
         depth_n = _digit_depth(spec.base, eps)
         codes = _digit_codes(spec, fwin, depth_n + 1,
-                             min(caps.cloud, caps.patterns))
+                             min(caps.cloud, caps.patterns), caps.cells)
         count = 1
         for g in range(len(fwin)):
             count *= _circle_cover_codes([p[g] for p in codes],

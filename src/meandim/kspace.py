@@ -18,10 +18,8 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Sequence
 
-import numpy as np
-
 from .groups import Caps, FolnerDescriptor, GroupSpec, minkowski_sum
-from .metrics import WeightScheme, tail_support
+from .metrics import WeightScheme, seeded_random, tail_support
 
 NU_ZERO_MASS = 0.5
 NU_SQUARE_COEFF = 3.0 / math.pi ** 2  # normalizes a sum 1/n^2 to 1/2
@@ -155,7 +153,7 @@ def kg_covering_experiment(spec: KSpaceSpec, folner: FolnerDescriptor,
         fwin = folner.window(n, group, caps.cells)
         for eps in eps_grid:
             eps = Fraction(eps)
-            support = tail_support(weights, eps, group)
+            support = tail_support(weights, eps, group, cap=caps.cells)
             swin = minkowski_sum(support, fwin, caps.cells)
             tail_allow = weights.tail_upper(support.index + 1)
             # product sets of per-coordinate span < budget have dynamical
@@ -302,7 +300,7 @@ def kg_mass_distribution_demo(spec: KSpaceSpec, k: int,
         raise ValueError("demo needs eps < 1/6")
     group = GroupSpec(spec.rank)
     fwin = folner.window(n_index, group, caps.cells)
-    support = tail_support(spec.weights, eps, group)
+    support = tail_support(spec.weights, eps, group, cap=caps.cells)
     swin = minkowski_sum(support, fwin, caps.cells)
     c_total = float(spec.weights.total_upper())
     a = NU_SQUARE_COEFF
@@ -311,7 +309,7 @@ def kg_mass_distribution_demo(spec: KSpaceSpec, k: int,
                       (0.5 ** (k / 3.0 + 1.0)) / (1.0 + c_total))
     log_delta = math.log(delta)
 
-    rng = np.random.default_rng(seed)
+    rng = seeded_random(seed)
     weights = [NU_SQUARE_COEFF / n ** 2 for n in range(1, _MAX_CODE + 1)]
     cumulative = list(accumulate(weights))
     total = sum(weights)  # not cumulative[-1]: sum() may round differently

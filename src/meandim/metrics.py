@@ -9,12 +9,14 @@ certified bound.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .groups import GroupSpec, GroupWindow, WindowCapExceeded, ball, word_length
+from .groups import (DEFAULT_CELL_CAP, GroupSpec, GroupWindow,
+                     WindowCapExceeded, ball, word_length)
 
 # int64 holds an exact integer numerator below this magnitude
 _INT64_LIMIT = 2 ** 63
@@ -37,6 +39,15 @@ def exact_int_dtype(bound: int):
     intermediates stay below `bound` in magnitude: int64 when it fits,
     object (Python ints) otherwise.  Both run the same array code."""
     return np.int64 if bound < _INT64_LIMIT else object
+
+
+def seeded_random(seed: int) -> random.Random:
+    """The generator of a seeded sampler: the stdlib Mersenne Twister, which
+    `import meandim` has already loaded (numpy.random is a second import).
+    Seeds must be non-negative; `random.Random` would read -s as s."""
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    return random.Random(seed)
 
 
 # ---------------------------------------------------------------------------
@@ -88,8 +99,10 @@ class WeightScheme:
 
 
 def tail_support(scheme: WeightScheme, eps, spec: GroupSpec | None = None,
-                 cap_radius: int = 10**6) -> GroupWindow:
-    """Smallest ball S with certified tail sum over the complement < eps/2."""
+                 cap_radius: int = 10**6,
+                 cap: int = DEFAULT_CELL_CAP) -> GroupWindow:
+    """Smallest ball S with certified tail sum over the complement < eps/2;
+    `cap` bounds its cells."""
     if eps <= 0:
         raise ValueError("eps must be positive")
     spec = spec or GroupSpec(scheme.rank)
@@ -99,7 +112,7 @@ def tail_support(scheme: WeightScheme, eps, spec: GroupSpec | None = None,
         r += 1
         if r > cap_radius:
             raise WindowCapExceeded(r, cap_radius)
-    return ball(r, spec)
+    return ball(r, spec, cap)
 
 
 # ---------------------------------------------------------------------------

@@ -368,7 +368,8 @@ def digit_cloud(spec: homogeneous.HomogeneousSpec, window: GroupWindow, depth: i
     return DigitCloud(window=window, depth=depth, base=spec.base,
                       points=tuple(tuple(Fraction(c, denom) for c in p)
                                    for p in homogeneous._digit_codes(
-                                       spec, window, depth, cap)))
+                                       spec, window, depth, cap,
+                                       DEFAULT_CELL_CAP)))
 
 
 @dataclass(frozen=True)

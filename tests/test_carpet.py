@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 from itertools import islice, product
 
@@ -9,7 +10,8 @@ from meandim.groups import GroupSpec, ball
 from meandim.subshifts import (Alphabet, Rule, SubshiftSpec,
                                cellwise_pair_shift, full_shift, golden_mean,
                                mcmullen_shift, pair_shift_with_b_rule)
-from meandim.carpet import (CarpetMeasure, CarpetSpec,
+from meandim.carpet import (PROBE_QUANTILES, CarpetMeasure, CarpetSpec,
+                            _linear_quantiles, _uniforms,
                             carpet_dimension_report, floor_wl, mdim_h_carpet,
                             mdim_m_carpet, sandwich_check,
                             shannon_mcmillan_probe)
@@ -194,6 +196,39 @@ def test_shannon_mcmillan_mcmullen_concentrates():
     rep = shannon_mcmillan_probe(measure, l=256, sample_count=10_000, seed=11)
     assert abs(rep.mean) < 0.05
     assert rep.within_delta > 0.9
+
+
+def test_shannon_mcmillan_probe_repeats_for_a_seed():
+    measure = CarpetMeasure.build(MCMULLEN, 0)
+    first, second, other = (
+        shannon_mcmillan_probe(measure, l=16, sample_count=500, seed=seed)
+        for seed in (3, 3, 4))
+    assert first == second
+    assert other.mean != first.mean
+
+
+def test_shannon_mcmillan_probe_rejects_negative_seeds():
+    measure = CarpetMeasure.build(MCMULLEN, 0)
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        shannon_mcmillan_probe(measure, l=4, sample_count=10, seed=-1)
+
+
+def test_probe_uniforms_are_53_bit_floats_in_the_unit_interval():
+    u = _uniforms(random.Random(3), 20_000)
+    assert u.dtype == np.float64 and len(u) == 20_000
+    assert 0.0 <= u.min() and u.max() < 1.0
+    assert np.all(u * 2.0 ** 53 == np.floor(u * 2.0 ** 53))
+    assert abs(u.mean() - 0.5) < 0.01
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 2000])
+def test_linear_quantiles_equal_numpy_quantile(n):
+    # ties and unsorted input, at the probe's quantiles and at the ends
+    rng = random.Random(n)
+    values = np.array([rng.choice((rng.gauss(0, 1), 0.25)) for _ in range(n)])
+    qs = (0.0,) + PROBE_QUANTILES + (1.0,)
+    got = _linear_quantiles(values, qs)
+    assert got.tolist() == np.quantile(values, qs).tolist()
 
 
 def test_shannon_mcmillan_empty_report():

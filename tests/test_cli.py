@@ -2,6 +2,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -189,6 +191,17 @@ def test_carpet_dims_obeys_the_cell_and_pattern_caps(tmp_path, capsys):
     assert code == 0 and report["status"] == "ok"
 
 
+def test_carpet_dims_sandwich_windows_obey_the_cell_cap(tmp_path, capsys):
+    # the entropy boxes hold 1 cell; the product-mode sandwich row at m = 1
+    # raises the ball(0) count to |ball(1)| = 3 cells
+    spec = write_spec(tmp_path, MCMULLEN)
+    code, report = run(capsys, ["carpet-dims", "--spec", spec, "--folner",
+                                "boxes", "--m-max", "1", "--l-max", "2",
+                                "--caps", "cells=2"])
+    assert code == 1 and report["results"] == {
+        "cap_abort": "window needs >= 3 cells, cap is 2"}
+
+
 def test_selfsimilar_commands(tmp_path, capsys):
     spec = write_spec(tmp_path, SELFSIM)
     code, report = run(capsys, ["selfsimilar-bound", "--spec", spec])
@@ -269,7 +282,10 @@ def test_homog_probe_cap_abort_names_the_digit_cloud(tmp_path, capsys):
 @pytest.mark.parametrize("folner, caps, message", [
     ("boxes", "cloud=5", "digit cloud of depth 4 exceeds cap 5"),
     ("boxes", "patterns=5", "digit cloud of depth 4 exceeds cap 5"),
-    ("balls", "cells=2", "window needs >= 3 cells, cap is 2")])
+    ("balls", "cells=2", "window needs >= 3 cells, cap is 2"),
+    # box(1) and its tail support fit; the digit product window of depth 4
+    # has 4 cells
+    ("boxes", "cells=2", "window needs >= 4 cells, cap is 2")])
 def test_homog_probe_obeys_the_caps(tmp_path, capsys, folner, caps, message):
     # HOMOG is the spec of perfbench/specs/homog_full.json.  At eps 1/8 the
     # digit clouds have depth 4, one point per digit pattern, so both the
@@ -292,6 +308,34 @@ def test_every_command_reads_caps(tmp_path, capsys, command):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err == "spec error: bad caps entry 'bogus'\n"
+
+
+# numpy.random and numpy.ma are not loaded by `import meandim`, and each
+# costs a fresh process 15-20 ms to import
+GUARD_ARGS = {"homog-probe": ["--eps-grid", "1/8", "--folner", "boxes"]}
+GUARD_SCRIPT = """\
+import contextlib, io, json, sys
+from meandim import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(json.loads(sys.argv[1]))
+print(json.dumps([code, sorted(m for m in sys.modules
+                               if m.split(".")[:2] in (["numpy", "random"],
+                                                       ["numpy", "ma"]))]))
+"""
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_no_command_loads_numpy_random_or_ma(tmp_path, command):
+    spec = write_spec(tmp_path, SPEC_OF_SYSTEM[cli.COMMANDS[command][1]])
+    argv = [command, "--spec", spec] + GUARD_ARGS.get(command, [])
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-c", GUARD_SCRIPT,
+                           json.dumps(argv)], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [0, []]
 
 
 def test_kg_commands(tmp_path, capsys):

@@ -191,7 +191,7 @@ def test_pair_tables_match_fraction_metrics(spec, n, eps, extra):
     # numerators / den equal ProductMetric (left) and ScaledOrbit (right);
     # the streamed rows are stacked into the tables they stand for
     import numpy as np
-    from meandim.groups import box, minkowski_sum
+    from meandim.groups import DEFAULT_CELL_CAP, box, minkowski_sum
     from meandim.homogeneous import _digit_depth, _pair_rows
     from meandim.metrics import ProductMetric, tail_support
     group = GroupSpec(1)
@@ -199,7 +199,7 @@ def test_pair_tables_match_fraction_metrics(spec, n, eps, extra):
     depth_n = _digit_depth(spec.base, eps)
     orbit = minkowski_sum(tail_support(spec.weights, eps, group), fwin)
     streamed, den, rows = _pair_rows(spec, fwin, orbit, depth_n + extra,
-                                     depth_n, 4000)
+                                     depth_n, 4000, DEFAULT_CELL_CAP)
     left, right = (np.array(side) for side in zip(*rows))
     cloud = digit_cloud(spec, orbit, depth_n + extra, 4000)
     left_ref = ProductMetric(spec.weights, orbit, "torus",
@@ -224,7 +224,7 @@ def test_pair_tables_match_fraction_metrics(spec, n, eps, extra):
 def test_probe_lower_counts_match_fraction_separated_sets(spec, n, eps, extra):
     # the greedy walk with bound e - 1 keeps what separated_set keeps
     from itertools import islice
-    from meandim.groups import box, minkowski_sum
+    from meandim.groups import DEFAULT_CELL_CAP, box, minkowski_sum
     from meandim.homogeneous import _digit_depth, _greedy_counts, _pair_rows
     from meandim.metrics import ProductMetric, tail_support
     group = GroupSpec(1)
@@ -247,7 +247,7 @@ def test_probe_lower_counts_match_fraction_separated_sets(spec, n, eps, extra):
         cloud, depth_n)
     threshold = Fraction(1, 2 * spec.weights.total_upper() * spec.base)
     _, den, rows = _pair_rows(spec, fwin, orbit, depth_n + extra, depth_n,
-                              4000)
+                              4000, DEFAULT_CELL_CAP)
     k = 64
     prefix = ((right[:k],) for _, right in islice(rows, k))
     assert _greedy_counts(prefix, k, [(0, math.ceil(threshold * den) - 1)]) \

@@ -203,6 +203,16 @@ def test_mass_demo_bounds_and_monotonicity():
         assert r.worst_margin >= 0.0
 
 
+def test_mass_demo_repeats_for_a_seed():
+    def demo(seed):
+        return kg_mass_distribution_demo(KSET, 4, FolnerDescriptor("boxes", (1,)),
+                                         1, Fraction(1, 10), seed=seed)
+    assert demo(5) == demo(5)
+    assert demo(6).worst_margin != demo(5).worst_margin
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        demo(-5)
+
+
 def test_mass_demo_all_zero_point_uses_zero_atom():
     # nu({0}) = 1/2 per coordinate carries the all-zero point
     report = kg_mass_distribution_demo(KSET, 4, FolnerDescriptor("boxes", (1,)),
