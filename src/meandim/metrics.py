@@ -43,8 +43,9 @@ def exact_int_dtype(bound: int):
 
 def seeded_random(seed: int) -> random.Random:
     """The generator of a seeded sampler: the stdlib Mersenne Twister, which
-    `import meandim` has already loaded (numpy.random is a second import).
-    Seeds must be non-negative; `random.Random` would read -s as s."""
+    `import meandim` already loads, where numpy.random would be one more
+    import inside the run.  Seeds must be non-negative, as numpy's are;
+    `random.Random` would read -s as s."""
     if seed < 0:
         raise ValueError("expected non-negative integer")
     return random.Random(seed)
