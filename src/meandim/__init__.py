@@ -1,11 +1,11 @@
 """Entropy and mean-dimension estimators for Z^d subshifts, carpet systems,
 self-similar systems and homogeneous torus systems."""
 
-from .groups import (Caps, FolnerDescriptor, GroupSpec, GroupWindow,
-                     WindowCapExceeded, ball, box, canonical_order, interval,
+from .groups import (CapExceeded, Caps, FolnerDescriptor, GroupSpec,
+                     GroupWindow, ball, box, canonical_order, interval,
                      product_window, word_length)
-from .subshifts import (Alphabet, FiberTable, PatternCapExceeded, PatternSet,
-                        Rule, SubshiftSpec, cellwise_pair_shift, count_patterns,
+from .subshifts import (Alphabet, FiberTable, PatternSet, Rule, SubshiftSpec,
+                        cellwise_pair_shift, count_patterns,
                         enumerate_patterns, fiber_table, full_shift,
                         golden_mean, hard_square, mcmullen_shift,
                         pair_shift_with_b_rule, projected_spec, spec_from_json)

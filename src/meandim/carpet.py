@@ -22,9 +22,8 @@ from itertools import islice, product
 
 import numpy as np
 
-from .groups import Caps, FolnerDescriptor, GroupWindow, ball
-from .metrics import (CloudCapExceeded, WeightScheme, exact_int_dtype,
-                      seeded_random)
+from .groups import CapExceeded, Caps, FolnerDescriptor, GroupWindow, ball
+from .metrics import WeightScheme, exact_int_dtype, seeded_random
 from .entropy import (entropy_estimate, entropy_series, log_big,
                       log_z_from_fibers, weighted_entropy_series)
 from .subshifts import (FiberTable, SubshiftSpec, count_patterns,
@@ -201,8 +200,8 @@ def _representative_levels(spec: CarpetSpec, patterns, fibers, l: int,
     choices = _cell_choices(spec, patterns, fibers, l)
     total = math.prod(len(c) for c in choices)
     if total > cap:
-        raise CloudCapExceeded(
-            f"representative cloud of {total} points exceeds cap {cap}")
+        raise CapExceeded("cloud", cap, f"representative cloud of depth {l}",
+                          f"{total} points")
     return list(enumerate(choices, 1))
 
 

@@ -11,13 +11,16 @@ any command would report for the spec.
 Exit status: 0 on success; 1 with a full report whose results hold
 `assertion_failed`, `cap_abort` or `internal_error`; 2 with a `spec error:`
 line on stderr and nothing on stdout when the spec or an option value is
-unreadable or out of range.  Outputs are written atomically; identical
-config and seed give byte-identical reports apart from the timing block.
+unreadable or out of range, a negative `--seed` included.  A `cap_abort`
+holds the message of a `CapExceeded` or a `NetTooCoarse`.  Outputs are
+written atomically; identical config and seed give byte-identical reports
+apart from the timing block.
 """
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import platform
@@ -29,10 +32,9 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .groups import Caps, FolnerDescriptor, GroupSpec, WindowCapExceeded, box
-from .metrics import CloudCapExceeded, WeightScheme
-from .subshifts import (PatternCapExceeded, json_int, json_object,
-                        projected_spec, spec_from_json)
+from .groups import CapExceeded, Caps, FolnerDescriptor, GroupSpec, box
+from .metrics import WeightScheme
+from .subshifts import json_int, json_object, projected_spec, spec_from_json
 from .entropy import entropy_series, entropy_estimate, weighted_entropy_series
 from .carpet import CarpetSpec, carpet_dimension_report
 from .selfsimilar import (NetTooCoarse, SelfSimilarSpec,
@@ -49,8 +51,7 @@ class SpecError(ValueError):
 
 # the failures reported as `cap_abort`: a cap or a too coarse net stopped
 # the computation; any other exception is an `internal_error`
-CAP_ABORTS = (PatternCapExceeded, WindowCapExceeded, CloudCapExceeded,
-              NetTooCoarse)
+CAP_ABORTS = (CapExceeded, NetTooCoarse)
 
 
 def _fraction(value, field: str) -> Fraction:
@@ -313,6 +314,7 @@ COMMANDS = {
 }
 
 
+@functools.cache  # one parser per process
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="meandim",
@@ -353,6 +355,9 @@ def _report_text(report: dict) -> str:
 
 
 def main(argv=None) -> int:
+    # exact counts print in full, past the 4300 digits of Python >= 3.10.7
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     args = build_parser().parse_args(argv)
     started = time.monotonic()
     try:
@@ -375,6 +380,8 @@ def main(argv=None) -> int:
         system = parse_system(doc)
         if doc.get("system", "subshift") != expected:
             raise SpecError(f"{args.command} expects a {expected!r} spec")
+        if args.seed < 0:
+            raise SpecError(f"--seed must be non-negative, got {args.seed}")
         results = handler(system, args, parse_caps(args.caps))
         status = 0
     except SpecError as exc:

@@ -81,9 +81,8 @@ def entropy_series(spec: SubshiftSpec, folner: FolnerDescriptor,
     The windows are counted by `count_windows`: the largest is swept once
     with a stop per window whose cells are a translate of a prefix of that
     sweep (every rank-1 ball or box), and any other window (rank-2 boxes
-    and balls) is counted alone.  Cell caps are checked in index order, and
-    a pattern-cap error of an earlier window wins over a cell-cap error of
-    a later one, as in a loop over the windows."""
+    and balls) is counted alone.  A cap stops it as it would stop a loop
+    over the windows."""
     group = spec.group
     rows = []
     windows = (folner.window(m, group, caps.cells) for m in folner.indices)

@@ -8,6 +8,7 @@ lexicographically least minimal generator word.
 """
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -22,23 +23,23 @@ DEFAULT_CLOUD_CAP = 200_000
 
 @dataclass(frozen=True)
 class Caps:
-    """The three run limits.  `cells` bounds the cells of a window
-    (WindowCapExceeded), `patterns` the patterns an enumeration finds and
-    the live frontier states of a count (PatternCapExceeded), `cloud` the
-    points of a cloud (CloudCapExceeded)."""
+    """The three run limits.  `cells` bounds the cells of a window,
+    `patterns` the patterns an enumeration finds and the live frontier
+    states of a count, `cloud` the points of a cloud.  Each raises
+    CapExceeded under its own name."""
 
     cells: int = DEFAULT_CELL_CAP
     patterns: int = DEFAULT_PATTERN_CAP
     cloud: int = DEFAULT_CLOUD_CAP
 
 
-class WindowCapExceeded(RuntimeError):
-    """A window would exceed the configured cell cap; fail loudly, never swap."""
+class CapExceeded(RuntimeError):
+    """The `limit` (cells, patterns, cloud or radius) of value `cap` stopped
+    building `subject`, which `needs` a count, >= where the build stopped."""
 
-    def __init__(self, requested, cap):
-        super().__init__(f"window needs >= {requested} cells, cap is {cap}")
-        self.requested = requested
-        self.cap = cap
+    def __init__(self, limit: str, cap: int, subject: str, needs: str):
+        super().__init__(f"{limit} cap {cap} exceeded: {subject} needs {needs}")
+        self.limit = limit
 
 
 @dataclass(frozen=True)
@@ -102,6 +103,11 @@ class GroupWindow:
     def position_map(self) -> dict:
         return {g: i for i, g in enumerate(self.elements)}
 
+    @property
+    def name(self) -> str:  # box(3), ball(2), product(4) in cap messages
+        return (f"{self.kind}({self.index})" if self.index is not None
+                else f"{self.kind} window of {len(self)} cells")
+
 
 def _ball_coords(rank: int, m: int):
     if rank == 1:
@@ -113,25 +119,27 @@ def _ball_coords(rank: int, m: int):
                 yield (x,) + rest
 
 
+def _cell_cap(cells: int, cap: int, subject: str) -> None:
+    if cells > cap:
+        raise CapExceeded("cells", cap, subject, f"{cells} cells")
+
+
 def ball(m: int, spec: GroupSpec, cap: int = DEFAULT_CELL_CAP) -> GroupWindow:
-    """The word-metric ball of radius m, in canonical order."""
+    """The word-metric ball of radius m, in canonical order; its cells with
+    k nonzero coordinates number 2^k C(rank, k) C(m, k)."""
     if m < 0:
         raise ValueError("radius must be >= 0")
-    elems = []
-    for g in _ball_coords(spec.rank, m):
-        elems.append(g)
-        if len(elems) > cap:
-            raise WindowCapExceeded(len(elems), cap)
-    return GroupWindow(spec=spec, elements=tuple(canonical_order(elems)),
-                       kind="ball", index=m)
+    _cell_cap(sum(2 ** k * math.comb(spec.rank, k) * math.comb(m, k)
+                  for k in range(spec.rank + 1)), cap, f"ball({m})")
+    return GroupWindow(spec=spec, kind="ball", index=m, elements=tuple(
+        canonical_order(_ball_coords(spec.rank, m))))
 
 
 def box(n: int, spec: GroupSpec, cap: int = DEFAULT_CELL_CAP) -> GroupWindow:
     """The box [0, n)^rank, in canonical order."""
     if n < 1:
         raise ValueError("box side must be >= 1")
-    if n ** spec.rank > cap:
-        raise WindowCapExceeded(n ** spec.rank, cap)
+    _cell_cap(n ** spec.rank, cap, f"box({n})")
     coords = [()]
     for _ in range(spec.rank):
         coords = [c + (x,) for c in coords for x in range(n)]
@@ -145,8 +153,7 @@ def interval(lo: int, hi: int, spec: GroupSpec | None = None,
     spec = spec or GroupSpec(1)
     if spec.rank != 1:
         raise ValueError("interval windows are rank 1")
-    if hi - lo + 1 > cap:
-        raise WindowCapExceeded(hi - lo + 1, cap)
+    _cell_cap(hi - lo + 1, cap, f"interval {lo}..{hi}")
     elems = tuple((x,) for x in range(lo, hi + 1))
     return GroupWindow(spec=spec, elements=tuple(canonical_order(elems)),
                        kind="explicit")
@@ -157,8 +164,7 @@ def product_window(window: GroupWindow, n: int,
     """F x {0..n-1} over Z^rank x N, ordered window-major."""
     if n < 1:
         raise ValueError("depth must be >= 1")
-    if len(window) * n > cap:
-        raise WindowCapExceeded(len(window) * n, cap)
+    _cell_cap(len(window) * n, cap, f"product({n})")
     elems = tuple(f + (k,) for f in window.elements for k in range(n))
     return GroupWindow(spec=GroupSpec(window.spec.rank + 1), elements=elems,
                        kind="product", index=n)
@@ -177,7 +183,8 @@ def minkowski_sum(a: GroupWindow, b: GroupWindow,
         # of the build
         elems.update([tuple(map(operator.add, g, h)) for g in inner])
         if len(elems) > cap:
-            raise WindowCapExceeded(len(elems), cap)
+            raise CapExceeded("cells", cap, f"sum of {a.name} and {b.name}",
+                              f">= {len(elems)} cells")
     return GroupWindow(spec=a.spec, elements=tuple(canonical_order(elems)),
                        kind="explicit")
 

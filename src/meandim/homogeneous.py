@@ -19,16 +19,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 import numpy as np
 
-from .groups import (Caps, FolnerDescriptor, GroupSpec, GroupWindow, box,
-                     minkowski_sum, product_window)
-from .metrics import (CloudCapExceeded, ProbeViolation, WeightScheme,
-                      exact_int_dtype, tail_support)
+from .groups import (CapExceeded, Caps, FolnerDescriptor, GroupSpec,
+                     GroupWindow, box, minkowski_sum, product_window)
+from .metrics import ProbeViolation, WeightScheme, exact_int_dtype, tail_support
 from .entropy import gxn_entropy_series
-from .subshifts import PatternCapExceeded, SubshiftSpec, enumerate_patterns
+from .subshifts import SubshiftSpec, enumerate_patterns
 
 PAIR_CLOUD_CAP = 4000  # points of a pairwise probe cloud; caps only lower it
 
@@ -71,28 +71,23 @@ def homogeneous_gxn_entropy(spec: HomogeneousSpec, folner: FolnerDescriptor,
 # truncated digit clouds
 
 def _digit_codes(spec: HomogeneousSpec, window: GroupWindow, depth: int,
-                 cap: int, cells: int) -> list:
+                 points: int, caps: Caps) -> list:
     """The cloud's points as integer codes over b^depth: per window cell, the
     cell's digits read as one base-b numeral, first digit most significant.
-    One point per digit pattern, so a cloud over `cap` points stops the
-    enumeration; `cells` bounds the product window |window| x depth."""
+    One point per digit pattern, so the enumeration stops at the smaller of
+    `points` and the pattern cap, and the error names that one."""
+    digits = product_window(window, depth, caps.cells)
     try:
-        ps = enumerate_patterns(spec.digit_spec,
-                                product_window(window, depth, cells), cap)
-    except PatternCapExceeded:
-        raise CloudCapExceeded(
-            f"digit cloud of depth {depth} exceeds cap {cap}") from None
-    b = spec.base
-    pts = []
-    for p in ps.patterns:
-        vals = []
-        for g in range(len(window)):
-            acc = 0
-            for k in range(depth):
-                acc = acc * b + p[g * depth + k]
-            vals.append(acc)
-        pts.append(vals)
-    return pts
+        ps = enumerate_patterns(spec.digit_spec, digits,
+                                min(points, caps.patterns))
+    except CapExceeded:
+        if caps.patterns < points:
+            raise
+        raise CapExceeded("cloud", points, f"digit cloud of depth {depth}",
+                          f">= {points + 1} points") from None
+    powers = [spec.base ** k for k in reversed(range(depth))]
+    return [[sum(map(mul, p[g:g + depth], powers))
+             for g in range(0, len(p), depth)] for p in ps.patterns]
 
 
 def _digit_depth(base: int, eps: Fraction) -> int:
@@ -112,7 +107,7 @@ def _shift_weights(scheme: WeightScheme, window: GroupWindow,
 
 
 def _pair_rows(spec: HomogeneousSpec, fwin: GroupWindow, orbit: GroupWindow,
-               depth: int, depth_n: int, cap: int, cells: int) -> tuple:
+               depth: int, depth_n: int, points: int, caps: Caps) -> tuple:
     """(size, den, rows): rows yields [left[i], right[i]] for i = 0, 1, ...,
     the distances from point i of the depth-`depth` digit cloud on `orbit` as
     integer numerators over den = B Q, for codes over B = b^depth and weights
@@ -120,7 +115,7 @@ def _pair_rows(spec: HomogeneousSpec, fwin: GroupWindow, orbit: GroupWindow,
     shifts F_n; right is the product-action metric with the shifts `orbit`,
     maximized over each point's N = depth_n scaled copies x b^j mod 1."""
     modulus = spec.base ** depth
-    codes = _digit_codes(spec, orbit, depth, cap, cells)
+    codes = _digit_codes(spec, orbit, depth, points, caps)
     left_w = _shift_weights(spec.weights, orbit, fwin.elements)
     right_w = _shift_weights(spec.weights, orbit, orbit.elements)
     q = math.lcm(*(w.denominator for row in left_w + right_w for w in row))
@@ -210,7 +205,7 @@ def homogeneous_covering_probe(spec: HomogeneousSpec,
     """
     group = GroupSpec(spec.group_rank)
     threshold = Fraction(1, 2 * spec.weights.total_upper() * spec.base)
-    points = min(PAIR_CLOUD_CAP, caps.cloud, caps.patterns)
+    points = min(PAIR_CLOUD_CAP, caps.cloud)
     rows = []
     for n in folner.indices:
         fwin = folner.window(n, group, caps.cells)
@@ -222,7 +217,7 @@ def homogeneous_covering_probe(spec: HomogeneousSpec,
                 caps.cells)
             size, den, pair_rows = _pair_rows(
                 spec, fwin, orbit, depth_n + extra_depth, depth_n, points,
-                caps.cells)
+                caps)
             # per side its separation, then its cover radius, as integer bounds
             walks = [(side, bound)
                      for side, scale in enumerate((eps, threshold))
@@ -299,8 +294,7 @@ def homogeneous_slope_series(spec: HomogeneousSpec, eps_list: Sequence,
         if budget <= 0:
             raise ValueError("weights decay too slowly for this eps")
         depth_n = _digit_depth(spec.base, eps)
-        codes = _digit_codes(spec, fwin, depth_n + 1,
-                             min(caps.cloud, caps.patterns), caps.cells)
+        codes = _digit_codes(spec, fwin, depth_n + 1, caps.cloud, caps)
         count = 1
         for g in range(len(fwin)):
             count *= _circle_cover_codes([p[g] for p in codes],

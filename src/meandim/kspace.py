@@ -313,13 +313,11 @@ def kg_mass_distribution_demo(spec: KSpaceSpec, k: int,
     weights = [NU_SQUARE_COEFF / n ** 2 for n in range(1, _MAX_CODE + 1)]
     cumulative = list(accumulate(weights))
     total = sum(weights)  # not cumulative[-1]: sum() may round differently
-    pts = []
     size = len(swin)
-    pts.append([0] * size)                      # all coordinates at 0
-    pts.append([1] * size)                      # all coordinates at 1
-    pts.append([(i % 3) + 1 for i in range(size)])
-    for _ in range(sample_count):
-        pts.append(_sample_k_codes(rng, size, cumulative, total))
+    # all coordinates at 0, all at 1, a 1, 2, 3 cycle, then the samples
+    pts = [[0] * size, [1] * size, [(i % 3) + 1 for i in range(size)]]
+    pts += [_sample_k_codes(rng, size, cumulative, total)
+            for _ in range(sample_count)]
 
     exponent = (6.0 / k) * size
     worst = math.inf

@@ -15,11 +15,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .groups import (DEFAULT_CELL_CAP, GroupSpec, GroupWindow,
-                     WindowCapExceeded, ball, word_length)
+from .groups import (DEFAULT_CELL_CAP, CapExceeded, GroupSpec, GroupWindow,
+                     ball, word_length)
 
 # int64 holds an exact integer numerator below this magnitude
 _INT64_LIMIT = 2 ** 63
+# the radius guard of the tail supports and the self-similar nets
+RADIUS_CAP = 10**6
 
 COORD_DIAMETERS = {"unit": Fraction(1), "torus": Fraction(1, 2),
                    "kset": Fraction(1), "pair": Fraction(1)}
@@ -28,10 +30,6 @@ COORD_DIAMETERS = {"unit": Fraction(1), "torus": Fraction(1, 2),
 class ProbeViolation(AssertionError):
     """A probe's exact check failed or a covering estimate exceeded its
     certified bound."""
-
-
-class CloudCapExceeded(RuntimeError):
-    """A point cloud would exceed the configured cloud cap."""
 
 
 def exact_int_dtype(bound: int):
@@ -99,21 +97,32 @@ class WeightScheme:
         return self.tail_upper(0)
 
 
+def least_radius(reaches, subject: str, cap: int = RADIUS_CAP) -> int:
+    """The least r >= 0 with reaches(r), for a test that stays true once
+    true (a tail below a bound), by doubling r = 0, 1, 3, 7, ... and then
+    bisection; a least radius past `cap` raises the radius cap."""
+    lo, hi = -1, 0  # reaches(lo) is false; -1 stands below radius 0
+    while not reaches(hi):
+        if hi >= cap:
+            raise CapExceeded("radius", cap, subject, f"radius >= {cap + 1}")
+        lo, hi = hi, min(2 * hi + 1, cap)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if reaches(mid) else (mid, hi)
+    return hi
+
+
 def tail_support(scheme: WeightScheme, eps, spec: GroupSpec | None = None,
-                 cap_radius: int = 10**6,
+                 cap_radius: int = RADIUS_CAP,
                  cap: int = DEFAULT_CELL_CAP) -> GroupWindow:
     """Smallest ball S with certified tail sum over the complement < eps/2;
-    `cap` bounds its cells."""
+    `cap_radius` bounds its radius and `cap` its cells."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    spec = spec or GroupSpec(scheme.rank)
-    eps = Fraction(eps) if not isinstance(eps, Fraction) else eps
-    r = 0
-    while scheme.tail_upper(r + 1) >= eps / 2:
-        r += 1
-        if r > cap_radius:
-            raise WindowCapExceeded(r, cap_radius)
-    return ball(r, spec, cap)
+    half = Fraction(eps) / 2
+    r = least_radius(lambda r: scheme.tail_upper(r + 1) < half,
+                     f"tail support of rho {scheme.rho}", cap_radius)
+    return ball(r, spec or GroupSpec(scheme.rank), cap)
 
 
 # ---------------------------------------------------------------------------

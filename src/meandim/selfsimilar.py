@@ -17,8 +17,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .groups import Caps, FolnerDescriptor, GroupWindow, ball, minkowski_sum
-from .metrics import CloudCapExceeded, PointCloud, ProbeViolation, WeightScheme
+from .groups import (CapExceeded, Caps, FolnerDescriptor, GroupWindow, ball,
+                     minkowski_sum)
+from .metrics import PointCloud, ProbeViolation, WeightScheme, least_radius
 from .entropy import entropy_estimate, entropy_series
 from .subshifts import SubshiftSpec, count_patterns
 
@@ -83,12 +84,9 @@ def net_radius(spec: SelfSimilarSpec, eps: Fraction) -> int:
     """Smallest r so patterns agreeing on F + ball(r) keep the address images
     within (1-c) eps / 6 of each other in every shifted distance."""
     target = (1 - spec.c) * Fraction(eps) / 6
-    r = 0
-    while spec.value_range * spec.weights.tail_upper(r + 1) >= target:
-        r += 1
-        if r > 10**6:
-            raise RuntimeError("net radius diverged; weights decay too slowly")
-    return r
+    span = spec.value_range
+    return least_radius(lambda r: span * spec.weights.tail_upper(r + 1)
+                        < target, f"net of rho {spec.weights.rho}")
 
 
 def composition_depth(spec: SelfSimilarSpec, eps: Fraction) -> int:
@@ -131,17 +129,12 @@ def selfsimilar_spanning_cloud(spec: SelfSimilarSpec, m: int,
     base_point = tuple(Fraction(0) for _ in window.elements)
     total = len(net_patterns) ** m
     if total > caps.cloud:
-        raise CloudCapExceeded(
-            f"spanning cloud of {total} points exceeds cap {caps.cloud}")
-    points = []
-    addresses = []
-    for combo in iterproduct(range(len(net_patterns)), repeat=m):
-        word = tuple(net_patterns[i] for i in combo)
-        points.append(_compose(spec, word, base_point))
-        addresses.append(word)
-    cloud = PointCloud(window=window, kind="unit", points=tuple(points))
-    return AddressedCloud(cloud=cloud, addresses=tuple(addresses),
-                          base_point=base_point)
+        raise CapExceeded("cloud", caps.cloud, f"spanning cloud of depth {m}",
+                          f"{total} points")
+    addresses = tuple(iterproduct(net_patterns, repeat=m))
+    points = tuple(_compose(spec, word, base_point) for word in addresses)
+    return AddressedCloud(cloud=PointCloud(window, "unit", points),
+                          addresses=addresses, base_point=base_point)
 
 
 # ---------------------------------------------------------------------------

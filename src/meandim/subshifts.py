@@ -26,22 +26,15 @@ projection count for 1-d nearest-neighbor rules so the gap can be reported.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import add, sub
 from typing import Iterable, Mapping, Sequence
 import json
 
 import numpy as np
 
-from .groups import (DEFAULT_PATTERN_CAP, GroupSpec, GroupWindow,
-                     WindowCapExceeded)
+from .groups import CapExceeded, DEFAULT_PATTERN_CAP, GroupSpec, GroupWindow
 from .metrics import exact_int_dtype
-
-
-class PatternCapExceeded(RuntimeError):
-    def __init__(self, cap):
-        super().__init__(f"pattern enumeration exceeds cap {cap}")
-        self.cap = cap
 
 
 @dataclass(frozen=True)
@@ -122,10 +115,7 @@ class Rule:
         return Rule(size=size, forbidden=pats)
 
     def matrix_for_axis(self, axis: int):
-        for ax, mat in self.axis_allowed:
-            if ax == axis:
-                return mat
-        return None
+        return dict(self.axis_allowed).get(axis)
 
     @property
     def symbols(self) -> list[int]:
@@ -238,11 +228,9 @@ def pair_shift_with_b_rule(a: int, b_spec: SubshiftSpec, name: str = "") -> Subs
     """Paired shift: the B component follows b_spec's NN rule, A is free."""
     b = b_spec.alphabet.size
     alpha = Alphabet(a * b, pair=(a, b))
-    mats = []
-    for axis, bmat in b_spec.rule.axis_allowed:
-        mat = tuple(tuple(bmat[s % b][t % b] for t in range(alpha.size))
-                    for s in range(alpha.size))
-        mats.append((axis, mat))
+    mats = [(axis, tuple(tuple(bmat[s % b][t % b] for t in range(alpha.size))
+                         for s in range(alpha.size)))
+            for axis, bmat in b_spec.rule.axis_allowed]
     allowed = None
     if b_spec.rule.allowed_symbols is not None:
         allowed = frozenset(u * b + v for u in range(a)
@@ -331,11 +319,11 @@ def _iter_patterns(spec: SubshiftSpec, window: GroupWindow, cap: int):
     """Depth-first over cells in window order; deterministic symbol order.
     An explicit stack of per-depth symbol indices replaces recursion, so the
     depth is bounded by the cell cap rather than by the interpreter.
-    Finding pattern number cap + 1 raises PatternCapExceeded."""
+    Finding pattern number cap + 1 raises the patterns cap."""
     n = len(window)
     if n == 0:
         if cap < 1:
-            raise PatternCapExceeded(cap)
+            raise CapExceeded("patterns", cap, window.name, ">= 1 patterns")
         yield b""
         return
     clauses = []  # per cell: symbol -> the clauses that ban it there
@@ -370,7 +358,8 @@ def _iter_patterns(spec: SubshiftSpec, window: GroupWindow, cap: int):
             if i == n - 1:
                 found += 1
                 if found > cap:
-                    raise PatternCapExceeded(cap)
+                    raise CapExceeded("patterns", cap, window.name,
+                                      f">= {found} patterns")
                 yield bytes(assign)
             else:
                 i += 1
@@ -389,7 +378,7 @@ def _sweep_window(window: GroupWindow) -> GroupWindow:
     dims = range(len(cells[0]))
     extent = [max(c[a] for c in cells) - min(c[a] for c in cells) for a in dims]
     axes = sorted(dims, key=lambda a: -extent[a])
-    return GroupWindow(spec=window.spec, elements=tuple(
+    return replace(window, elements=tuple(
         sorted(cells, key=lambda c: [c[a] for a in axes])))
 
 
@@ -423,8 +412,9 @@ def _frontier_count(spec: SubshiftSpec, window: GroupWindow,
     frontier fits in 63 bits, promoted to object on the step it stops
     fitting) and counts as an object array of Python ints, so they stay
     exact.  Each move keeps the states whose masks pass, the targets are
-    sorted and equal keys merge with `np.add.reduceat`.  More than `cap`
-    states raises PatternCapExceeded.
+    sorted and equal keys merge with `np.add.reduceat`.  A step that
+    leaves more than `cap` states raises the patterns cap, naming the
+    window.
     """
     clauses = _cell_bans(spec, window)
     n = len(window)
@@ -465,18 +455,22 @@ def _frontier_count(spec: SubshiftSpec, window: GroupWindow,
             keys = np.array(list(states), dtype=exact_int_dtype(1 << top))
             counts = np.array(list(states.values()), dtype=object)
         if keys is None:
-            states = _dict_step(states, keep, moves, cap)
+            states = _dict_step(states, keep, moves)
         else:
             keys, counts = _array_step(
                 keys.astype(exact_int_dtype(1 << top), copy=False), counts,
-                keep, moves, cap)
+                keep, moves)
+        size = len(states) if keys is None else len(keys)
+        if size > cap:
+            raise CapExceeded("patterns", cap, window.name,
+                              f"{size} live frontier states")
         if i + 1 in marks:
             totals.append(sum(states.values()) if keys is None
                           else sum(counts))
     return totals
 
 
-def _dict_step(states: dict, keep: int, moves, cap: int) -> dict:
+def _dict_step(states: dict, keep: int, moves) -> dict:
     nxt: dict = {}
     for key, cnt in states.items():
         base = key & keep
@@ -487,12 +481,10 @@ def _dict_step(states: dict, keep: int, moves, cap: int) -> dict:
             else:
                 k = base | add
                 nxt[k] = nxt.get(k, 0) + cnt
-        if len(nxt) > cap:
-            raise PatternCapExceeded(cap)
     return nxt
 
 
-def _array_step(keys, counts, keep: int, moves, cap: int):
+def _array_step(keys, counts, keep: int, moves):
     base = keys & keep
     targets, weights = [], []
     for add, ban in moves:
@@ -511,8 +503,6 @@ def _array_step(keys, counts, keep: int, moves, cap: int):
     first = np.ones(len(keys), dtype=bool)
     first[1:] = keys[1:] != keys[:-1]
     starts = np.flatnonzero(first)
-    if len(starts) > cap:
-        raise PatternCapExceeded(cap)
     return keys[starts], np.add.reduceat(counts, starts)
 
 
@@ -526,7 +516,7 @@ def count_patterns(spec: SubshiftSpec, window: GroupWindow,
     window's sweep order, with a single stop at the last cell.  Its frontier
     holds only the cells that a clause of `_cell_bans` still reads, so a
     matrix that bans nothing adds no state.  More than `cap` live frontier
-    states raises PatternCapExceeded.  A series of windows is counted by
+    states raises the patterns cap.  A series of windows is counted by
     `count_windows`, which reads every window that is a translated prefix
     of the largest one's sweep off a stop of that one sweep.
     """
@@ -567,21 +557,17 @@ def count_windows(spec: SubshiftSpec, windows: Iterable[GroupWindow],
     rank-1 interval, ball or box); such a window reads its count off its
     stop, since a count depends on the cell set only.  Every other window
     (rank-2 boxes and balls, say) is counted alone by `count_patterns`.
-    The sweep is the largest window's own count, so it hits `cap` exactly
-    where that window alone would, and a prefix's live states are a
-    projection of the sweep's states at the same step, so no prefix would
-    hit it first in that order.
-
-    `windows` may be a generator.  A WindowCapExceeded it raises is raised
-    again after the windows built before it are counted, so, as in a loop
-    that builds and counts one window at a time, a PatternCapExceeded of
-    an earlier window wins.
+    The sweep is the largest window's own count; when it hits `cap`, the
+    windows are counted one at a time, so that the error names the window
+    and the states that a loop over the windows would.  `windows` may be a
+    generator; a cap error it raises waits until the windows built before
+    it are counted, so a patterns cap of an earlier window wins.
     """
     built, too_big = [], None
     try:
         for window in windows:
             built.append(window)
-    except WindowCapExceeded as exc:
+    except CapExceeded as exc:
         too_big = exc
     big = max(built, key=len, default=None)
     prefix = [False] * len(built)
@@ -589,7 +575,11 @@ def count_windows(spec: SubshiftSpec, windows: Iterable[GroupWindow],
         swept = _sweep_window(big)
         prefix = [w is big or _is_translated_prefix(w, swept) for w in built]
         sizes = sorted({len(w) for w, p in zip(built, prefix) if p})
-        at_stop = dict(zip(sizes, _frontier_count(spec, swept, sizes, cap)))
+        try:
+            at_stop = dict(zip(sizes, _frontier_count(spec, swept, sizes,
+                                                      cap)))
+        except CapExceeded:
+            prefix = [False] * len(built)
     counts = [(w, at_stop[len(w)] if p else count_patterns(spec, w, cap))
               for w, p in zip(built, prefix)]
     if too_big is not None:
@@ -603,19 +593,17 @@ def extensible_symbols(rule: Rule, axis: int) -> tuple:
     mat = rule.matrix_for_axis(axis)
     if mat is None:
         return frozenset(symbols), frozenset(symbols)
-    fwd = set(symbols)
-    while True:
-        keep = {s for s in fwd if any(mat[s][t] for t in fwd)}
-        if keep == fwd:
-            break
-        fwd = keep
-    bwd = set(symbols)
-    while True:
-        keep = {t for t in bwd if any(mat[s][t] for s in bwd)}
-        if keep == bwd:
-            break
-        bwd = keep
-    return frozenset(bwd), frozenset(fwd)
+
+    def extensible(edge):
+        """The largest set whose every symbol has an edge into the set."""
+        live, keep = None, set(symbols)
+        while keep != live:
+            live, keep = keep, {s for s in keep if any(edge(s, t)
+                                                       for t in keep)}
+        return frozenset(live)
+
+    return (extensible(lambda t, s: mat[s][t]),
+            extensible(lambda s, t: mat[s][t]))
 
 
 def projection_count_interval(spec: SubshiftSpec, window: GroupWindow) -> int:

@@ -21,10 +21,10 @@ import meandim.carpet as carpet
 import meandim.homogeneous as homogeneous
 from meandim.entropy import log_big, weighted_entropy_series
 from meandim.groups import (DEFAULT_CELL_CAP, DEFAULT_CLOUD_CAP,
-                            DEFAULT_PATTERN_CAP, Caps, FolnerDescriptor,
-                            GroupSpec, GroupWindow, ball)
+                            DEFAULT_PATTERN_CAP, CapExceeded, Caps,
+                            FolnerDescriptor, GroupSpec, GroupWindow, ball)
 from meandim.kspace import _k_size, _unit_steps
-from meandim.metrics import CloudCapExceeded, PointCloud, ProductMetric
+from meandim.metrics import PointCloud, ProductMetric, WeightScheme
 from meandim.subshifts import SubshiftSpec, count_windows, fiber_table
 
 HAUSDORFF_S_CAP = 64.0
@@ -184,6 +184,28 @@ def hausdorff_dim_upper(covers: Sequence[Sequence], eps,
 
 
 # ---------------------------------------------------------------------------
+# radii: one step at a time
+
+def stepped_tail_radius(scheme: WeightScheme, eps) -> int:
+    """The least r with tail_upper(r + 1) < eps/2, trying r = 0, 1, 2, ...:
+    the radius of `tail_support`."""
+    r = 0
+    while scheme.tail_upper(r + 1) >= Fraction(eps) / 2:
+        r += 1
+    return r
+
+
+def stepped_net_radius(spec, eps) -> int:
+    """The least r with value_range * tail_upper(r + 1) < (1 - c) eps / 6,
+    trying r = 0, 1, 2, ...: `selfsimilar.net_radius`."""
+    target = (1 - spec.c) * Fraction(eps) / 6
+    r = 0
+    while spec.value_range * spec.weights.tail_upper(r + 1) >= target:
+        r += 1
+    return r
+
+
+# ---------------------------------------------------------------------------
 # kspace: the point families the integer sweeps walk
 
 def k_truncation(delta: Fraction) -> list[Fraction]:
@@ -252,7 +274,7 @@ def carpet_representatives(spec: carpet.CarpetSpec, m: int, l: int,
     projected patterns to depth l, section digits between, fixed least tail.
 
     Returns (points, window) with points as tuples of (X_g, Y_g) Fractions;
-    a cloud of more than `cap` points raises `CloudCapExceeded`.
+    a cloud of more than `cap` points raises the cloud cap.
     """
     window, patterns, fibers = _carpet_patterns(spec, m)
     if not patterns:
@@ -276,12 +298,13 @@ def psi_cells(spec: carpet.CarpetSpec, patterns, fibers, m: int, l: int,
 def enumerate_psi_cells(spec: carpet.CarpetSpec, m: int, l: int, limit: int,
                         cap: int = DEFAULT_CLOUD_CAP) -> list:
     """First `limit` cells in deterministic prefix order; listing more than
-    `cap` cells raises `CloudCapExceeded`."""
+    `cap` cells raises the cloud cap."""
     _, patterns, fibers = _carpet_patterns(spec, m)
     choices = carpet._cell_choices(spec, patterns, fibers, l)
     count = min(limit, math.prod(len(c) for c in choices))
     if count > cap:
-        raise CloudCapExceeded(f"list of {count} cells exceeds cap {cap}")
+        raise CapExceeded("cloud", cap, f"list of depth-{l} cells",
+                          f"{count} cells")
     return psi_cells(spec, patterns, fibers, m, l, limit)
 
 
@@ -369,7 +392,7 @@ def digit_cloud(spec: homogeneous.HomogeneousSpec, window: GroupWindow, depth: i
                       points=tuple(tuple(Fraction(c, denom) for c in p)
                                    for p in homogeneous._digit_codes(
                                        spec, window, depth, cap,
-                                       DEFAULT_CELL_CAP)))
+                                       Caps())))
 
 
 @dataclass(frozen=True)

@@ -87,13 +87,14 @@ def test_oracle_cloud_cap_bounds_only_the_cloud():
     # McMullen at l = 1 has 3 patterns and 2 cells: the patterns are input,
     # so a cap of 2 admits the 2-point cloud and the 2 cells, and a cap of 1
     # stops both
-    from meandim.metrics import CloudCapExceeded
+    from meandim.groups import CapExceeded
     pts, _ = carpet_representatives(MCMULLEN, 0, 1, cap=2)
     assert len(pts) == 2
     assert len(enumerate_psi_cells(MCMULLEN, 0, 1, limit=10, cap=2)) == 2
-    with pytest.raises(CloudCapExceeded):
+    with pytest.raises(CapExceeded, match="^cloud cap 1 exceeded: "
+                       "representative cloud of depth 1 needs 2 points$"):
         carpet_representatives(MCMULLEN, 0, 1, cap=1)
-    with pytest.raises(CloudCapExceeded):
+    with pytest.raises(CapExceeded, match="^cloud cap 1 exceeded: "):
         enumerate_psi_cells(MCMULLEN, 0, 1, limit=10, cap=1)
     assert len(enumerate_psi_cells(MCMULLEN, 0, 1, limit=1, cap=1)) == 1
 

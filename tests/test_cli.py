@@ -9,10 +9,8 @@ import pytest
 
 from meandim import cli
 from meandim.cli import main, parse_caps, parse_system, validate
-from meandim.groups import WindowCapExceeded
-from meandim.metrics import CloudCapExceeded
+from meandim.groups import CapExceeded
 from meandim.selfsimilar import NetTooCoarse
-from meandim.subshifts import PatternCapExceeded
 
 CARPET_FULL = {"system": "carpet", "a": 3, "b": 2,
                "omega": {"rank": 1, "alphabet": {"a": 3, "b": 2},
@@ -112,10 +110,12 @@ def test_entropy_obeys_the_pattern_cap(tmp_path, capsys):
     argv = ["entropy", "--spec", spec, "--m-max", "12", "--folner", "boxes"]
     code, report = run(capsys, argv + ["--caps", "patterns=10"])
     assert code == 1 and report["status"] == "failed"
-    assert report["results"] == {
-        "cap_abort": "pattern enumeration exceeds cap 10"}
+    # the first box past 10 states is box(5)
+    assert report["results"] == {"cap_abort": "patterns cap 10 exceeded: "
+                                 "box(5) needs 13 live frontier states"}
     code, report = run(capsys, argv + ["--caps", "patterns=465"])
-    assert "cap_abort" in report["results"]
+    assert report["results"] == {"cap_abort": "patterns cap 465 exceeded: "
+                                 "box(12) needs 466 live frontier states"}
     code, report = run(capsys, argv + ["--caps", "patterns=466"])
     assert code == 0 and len(report["results"]["series"]) == 12
 
@@ -135,7 +135,7 @@ def test_weighted_entropy_obeys_the_cell_cap(tmp_path, capsys):
     for extra in ([], ["--w", "0.5"]):
         code, report = run(capsys, argv + extra)
         assert code == 1 and report["results"] == {
-            "cap_abort": "window needs >= 6 cells, cap is 5"}
+            "cap_abort": "cells cap 5 exceeded: ball(3) needs 7 cells"}
     code, report = run(capsys, argv[:-1] + ["cells=7", "--w", "0.5"])
     assert code == 0 and len(report["results"]["series"]) == 4
 
@@ -175,18 +175,21 @@ def test_carpet_dims_obeys_the_cell_and_pattern_caps(tmp_path, capsys):
     argv = ["carpet-dims", "--spec", spec, "--m-max", "2", "--l-max", "2"]
     code, report = run(capsys, argv + ["--caps", "cells=2,patterns=1"])
     assert code == 1 and report["results"] == {
-        "cap_abort": "window needs >= 3 cells, cap is 2"}
+        "cap_abort": "cells cap 2 exceeded: ball(1) needs 3 cells"}
     # ball(0) has 3 McMullen patterns in its fiber table
     code, report = run(capsys, argv + ["--caps", "patterns=2"])
     assert code == 1 and report["results"] == {
-        "cap_abort": "pattern enumeration exceeds cap 2"}
-    # golden mean on B is counted by the frontier DP, whose windows peak at
-    # 2 live states; the fiber table of ball(1) holds 40 patterns
+        "cap_abort": "patterns cap 2 exceeded: ball(0) needs >= 3 patterns"}
+    # golden mean on B: the frontier DP count of ball(1) peaks at 4 live
+    # states, its fiber table holds 40 patterns
     spec = write_spec(tmp_path, GOLDEN_B, "golden_b.json")
     argv = ["carpet-dims", "--spec", spec, "--m-max", "1", "--l-max", "1"]
-    code, report = run(capsys, argv + ["--caps", "patterns=1"])
+    code, report = run(capsys, argv + ["--caps", "patterns=3"])
+    assert code == 1 and report["results"] == {"cap_abort": "patterns cap 3 "
+                                 "exceeded: ball(1) needs 4 live frontier states"}
+    code, report = run(capsys, argv + ["--caps", "patterns=39"])
     assert code == 1 and report["results"] == {
-        "cap_abort": "pattern enumeration exceeds cap 1"}
+        "cap_abort": "patterns cap 39 exceeded: ball(1) needs >= 40 patterns"}
     code, report = run(capsys, argv + ["--caps", "cells=3,patterns=40"])
     assert code == 0 and report["status"] == "ok"
 
@@ -199,7 +202,7 @@ def test_carpet_dims_sandwich_windows_obey_the_cell_cap(tmp_path, capsys):
                                 "boxes", "--m-max", "1", "--l-max", "2",
                                 "--caps", "cells=2"])
     assert code == 1 and report["results"] == {
-        "cap_abort": "window needs >= 3 cells, cap is 2"}
+        "cap_abort": "cells cap 2 exceeded: ball(1) needs 3 cells"}
 
 
 def test_selfsimilar_commands(tmp_path, capsys):
@@ -221,10 +224,11 @@ def test_selfsimilar_bound_obeys_the_cell_and_pattern_caps(tmp_path, capsys):
     argv = ["selfsimilar-bound", "--spec", spec]
     code, report = run(capsys, argv + ["--caps", "cells=15"])
     assert code == 1 and report["results"] == {
-        "cap_abort": "window needs >= 16 cells, cap is 15"}
+        "cap_abort": "cells cap 15 exceeded: box(16) needs 16 cells"}
     code, report = run(capsys, argv + ["--caps", "patterns=1"])
     assert code == 1 and report["results"] == {
-        "cap_abort": "pattern enumeration exceeds cap 1"}
+        "cap_abort": "patterns cap 1 exceeded: box(4) needs 2 live frontier "
+                     "states"}
     code, report = run(capsys, argv + ["--caps", "cells=16,patterns=2"])
     assert code == 0 and report["status"] == "ok"
 
@@ -235,7 +239,7 @@ def test_selfsimilar_probe_caps_reach_its_entropy_bound(tmp_path, capsys):
     code, report = run(capsys, ["selfsimilar-probe", "--spec", spec,
                                 "--window-sizes", "1", "--caps", "cells=15"])
     assert code == 1 and report["results"] == {
-        "cap_abort": "window needs >= 16 cells, cap is 15"}
+        "cap_abort": "cells cap 15 exceeded: box(16) needs 16 cells"}
 
 
 def test_homog_commands(tmp_path, capsys):
@@ -256,7 +260,7 @@ def test_homog_entropy_obeys_the_cell_cap(tmp_path, capsys):
     code, report = run(capsys, ["homog-entropy", "--spec", spec,
                                 "--caps", "cells=2,patterns=1"])
     assert code == 1 and report["results"] == {
-        "cap_abort": "window needs >= 3 cells, cap is 2"}
+        "cap_abort": "cells cap 2 exceeded: ball(1) needs 3 cells"}
 
 
 def test_homog_probe_cap_abort_is_loud(tmp_path, capsys):
@@ -275,21 +279,24 @@ def test_homog_probe_cap_abort_names_the_digit_cloud(tmp_path, capsys):
     code, report = run(capsys, ["homog-probe", "--spec", spec])
     assert code == 1
     assert report["status"] == "failed"
-    assert report["results"] == {
-        "cap_abort": "digit cloud of depth 4 exceeds cap 4000"}
+    assert report["results"] == {"cap_abort": "cloud cap 4000 exceeded: "
+                                 "digit cloud of depth 4 needs >= 4001 points"}
 
 
 @pytest.mark.parametrize("folner, caps, message", [
-    ("boxes", "cloud=5", "digit cloud of depth 4 exceeds cap 5"),
-    ("boxes", "patterns=5", "digit cloud of depth 4 exceeds cap 5"),
-    ("balls", "cells=2", "window needs >= 3 cells, cap is 2"),
+    ("boxes", "cloud=5",
+     "cloud cap 5 exceeded: digit cloud of depth 4 needs >= 6 points"),
+    ("boxes", "patterns=5",
+     "patterns cap 5 exceeded: product(4) needs >= 6 patterns"),
+    ("balls", "cells=2", "cells cap 2 exceeded: ball(1) needs 3 cells"),
     # box(1) and its tail support fit; the digit product window of depth 4
     # has 4 cells
-    ("boxes", "cells=2", "window needs >= 4 cells, cap is 2")])
+    ("boxes", "cells=2", "cells cap 2 exceeded: product(4) needs 4 cells")])
 def test_homog_probe_obeys_the_caps(tmp_path, capsys, folner, caps, message):
     # HOMOG is the spec of perfbench/specs/homog_full.json.  At eps 1/8 the
-    # digit clouds have depth 4, one point per digit pattern, so both the
-    # cloud and the pattern cap bound them; ball(1) of Z has 3 cells
+    # digit clouds have depth 4, one point per digit pattern of the product
+    # window box(1) x 4, so both the cloud and the pattern cap bound them,
+    # and the error names the smaller; ball(1) of Z has 3 cells
     spec = write_spec(tmp_path, HOMOG)
     code, report = run(capsys, ["homog-probe", "--spec", spec, "--eps-grid",
                                 "1/8", "--folner", folner, "--caps", caps])
@@ -358,17 +365,27 @@ def test_kg_mass_demo_obeys_the_cell_cap(tmp_path, capsys):
     code, report = run(capsys, ["kg-mass-demo", "--spec", spec,
                                 "--folner", "balls", "--caps", "cells=2"])
     assert code == 1 and report["results"] == {
-        "cap_abort": "window needs >= 3 cells, cap is 2"}
+        "cap_abort": "cells cap 2 exceeded: ball(1) needs 3 cells"}
 
 
 def test_kg_experiment_obeys_the_cell_cap(tmp_path, capsys):
-    # ball(1) has 3 cells and its sum with the tail support of eps 1/10 5
+    # the default weights decay so fast that every tail support is ball(0):
+    # the Folner balls 1, 2, 3 of 3, 5, 7 cells meet the cap first
     spec = write_spec(tmp_path, KSPACE)
-    for cap, cells in ((2, 3), (4, 5)):
+    for cap, window in ((2, "ball(1) needs 3 cells"),
+                        (6, "ball(3) needs 7 cells")):
         code, report = run(capsys, ["kg-experiment", "--spec", spec,
                                     "--caps", f"cells={cap}"])
         assert code == 1 and report["results"] == {
-            "cap_abort": f"window needs >= {cells} cells, cap is {cap}"}
+            "cap_abort": f"cells cap {cap} exceeded: {window}"}
+    # under rho 1/2 the tail support of eps 1/10 is ball(6), 13 cells, and
+    # its sum with ball(1) ball(7), 15 cells
+    spec = write_spec(tmp_path, {**KSPACE, "weights": {"rho": "1/2"}})
+    code, report = run(capsys, ["kg-experiment", "--spec", spec,
+                                "--caps", "cells=14"])
+    assert code == 1 and report["results"] == {
+        "cap_abort": "cells cap 14 exceeded: sum of ball(6) and ball(1) "
+                     "needs >= 15 cells"}
 
 
 def test_selfsimilar_probe_obeys_the_cell_and_pattern_caps(tmp_path, capsys):
@@ -376,11 +393,55 @@ def test_selfsimilar_probe_obeys_the_cell_and_pattern_caps(tmp_path, capsys):
     argv = ["selfsimilar-probe", "--spec", spec, "--window-sizes", "512"]
     code, report = run(capsys, argv + ["--caps", "cells=10,patterns=10"])
     assert code == 1 and report["results"] == {
-        "cap_abort": "window needs >= 512 cells, cap is 10"}
-    # the golden-mean net is counted by the frontier DP with 2 live states
+        "cap_abort": "cells cap 10 exceeded: box(512) needs 512 cells"}
+    # the golden-mean boxes of the entropy bound are counted by the
+    # frontier DP with 2 live states
     code, report = run(capsys, argv + ["--caps", "patterns=1"])
     assert code == 1 and report["results"] == {
-        "cap_abort": "pattern enumeration exceeds cap 1"}
+        "cap_abort": "patterns cap 1 exceeded: box(4) needs 2 live frontier "
+                     "states"}
+
+
+def test_selfsimilar_probe_obeys_the_radius_cap(tmp_path, capsys):
+    # under rho 1/4 a net at eps 10^-700000 needs a radius past 10^6
+    spec = write_spec(tmp_path, SELFSIM)
+    code, report = run(capsys, ["selfsimilar-probe", "--spec", spec,
+                                "--window-sizes", "8",
+                                "--eps-grid", "1/10,1e-700000"])
+    assert code == 1 and report["results"] == {
+        "cap_abort": "radius cap 1000000 exceeded: net of rho 1/4 needs "
+                     "radius >= 1000001"}
+
+
+def test_net_counts_print_in_full(tmp_path, capsys):
+    # the net of box(21000) holds a count of 4392 digits, past Python's
+    # default limit of 4300 digits for int-to-str conversion
+    spec = write_spec(tmp_path, SELFSIM)
+    code, report = run(capsys, ["selfsimilar-probe", "--spec", spec,
+                                "--window-sizes", "21000"])
+    assert code == 0 and report["status"] == "ok"
+    assert {len(row["net_count"]) for row in report["results"]["rows"]} \
+        == {4392}
+    assert report["results"]["slopes"]["21000"]["value"] == \
+        pytest.approx(0.6946, abs=1e-4)
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_negative_seeds_are_spec_errors(tmp_path, capsys, command):
+    spec = write_spec(tmp_path, SPEC_OF_SYSTEM[cli.COMMANDS[command][1]])
+    code = main([command, "--spec", spec, "--seed", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "spec error: --seed must be non-negative, got -1\n"
+
+
+def test_main_builds_its_parser_once(tmp_path, capsys):
+    spec = write_spec(tmp_path, GOLDEN)
+    cli.build_parser.cache_clear()
+    for _ in range(2):
+        assert main(["entropy", "--spec", spec, "--m-max", "1"]) == 0
+    capsys.readouterr()
+    assert cli.build_parser.cache_info().misses == 1
 
 
 def test_validate_rejects_bad_specs(tmp_path, capsys):
@@ -685,17 +746,19 @@ def test_unexpected_exceptions_are_internal_errors(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("exc, kind", [
-    (PatternCapExceeded(10), "cap_abort"),
-    (WindowCapExceeded(6, 5), "cap_abort"),
-    (CloudCapExceeded("representative cloud of 6 points exceeds cap 5"),
+    (CapExceeded("patterns", 10, "box(3)", "11 live frontier states"),
+     "cap_abort"),
+    (CapExceeded("cells", 5, "ball(1)", "6 cells"), "cap_abort"),
+    (CapExceeded("cloud", 5, "representative cloud of depth 2", "6 points"),
+     "cap_abort"),
+    (CapExceeded("radius", 100, "tail support of rho 1/2", "radius >= 101"),
      "cap_abort"),
     (NetTooCoarse("need an address word of length 3, cloud depth is 2"),
      "cap_abort"),
-    (RuntimeError("net radius diverged; weights decay too slowly"),
-     "internal_error"),
+    (RuntimeError("a runtime error that no cap raised"), "internal_error"),
     (RecursionError("maximum recursion depth exceeded"), "internal_error")],
-    ids=["pattern-cap", "window-cap", "cloud-cap", "net-too-coarse",
-         "runtime-error", "recursion-error"])
+    ids=["pattern-cap", "window-cap", "cloud-cap", "radius-cap",
+         "net-too-coarse", "runtime-error", "recursion-error"])
 def test_only_caps_are_cap_aborts(tmp_path, capsys, monkeypatch, exc, kind):
     def failing(system, args, caps):
         raise exc
@@ -715,8 +778,9 @@ def test_carpet_dims_obeys_the_cloud_cap(tmp_path, capsys):
     spec = write_spec(tmp_path, MCMULLEN)
     argv = ["carpet-dims", "--spec", spec, "--m-max", "1", "--l-max", "2"]
     code, report = run(capsys, argv + ["--caps", "cloud=5"])
-    assert code == 1 and report["results"] == {
-        "cap_abort": "representative cloud of 6 points exceeds cap 5"}
+    assert code == 1 and report["results"] == {"cap_abort": "cloud cap 5 "
+                                 "exceeded: representative cloud of depth 2 "
+                                 "needs 6 points"}
     code, report = run(capsys, argv + ["--caps", "cloud=6"])
     assert code == 0 and report["status"] == "ok"
 
@@ -727,8 +791,9 @@ def test_carpet_dims_cloud_cap_bounds_only_the_cloud(tmp_path, capsys):
     spec = write_spec(tmp_path, MCMULLEN)
     argv = ["carpet-dims", "--spec", spec, "--m-max", "1", "--l-max", "2"]
     code, report = run(capsys, argv + ["--caps", "cloud=2"])
-    assert code == 1 and report["results"] == {
-        "cap_abort": "representative cloud of 6 points exceeds cap 2"}
+    assert code == 1 and report["results"] == {"cap_abort": "cloud cap 2 "
+                                 "exceeded: representative cloud of depth 2 "
+                                 "needs 6 points"}
 
 
 def test_config_records_every_option_that_changes_results(tmp_path, capsys):

@@ -4,10 +4,9 @@ import random
 import pytest
 from fractions import Fraction
 
-from meandim.groups import (FolnerDescriptor, GroupSpec, WindowCapExceeded,
-                            ball, box, canonical_key, canonical_order,
-                            interval, minkowski_sum, product_window,
-                            word_length)
+from meandim.groups import (CapExceeded, FolnerDescriptor, GroupSpec, ball,
+                            box, canonical_key, canonical_order, interval,
+                            minkowski_sum, product_window, word_length)
 from oracles import add, generators, identity, windows
 
 
@@ -167,24 +166,38 @@ def test_minkowski_sum_matches_triangle():
 def test_minkowski_sum_checks_its_cap_while_it_grows():
     spec = GroupSpec(1)
     a, b = interval(0, 99999, spec), ball(6, spec)
-    with pytest.raises(WindowCapExceeded) as info:
+    with pytest.raises(CapExceeded, match=r"^cells cap 10 exceeded: sum of "
+                       r"explicit window of 100000 cells and ball\(6\) needs "
+                       r">= \d+ cells$") as info:
         minkowski_sum(a, b, cap=10)
-    assert info.value.requested <= 10 + max(len(a), len(b))
+    assert int(str(info.value).split()[-2]) <= 10 + max(len(a), len(b))
     # a sum aborts exactly when its full set exceeds the cap
     for a, b in [(ball(2, spec), ball(3, spec)),
                  (box(3, GroupSpec(2)), ball(2, GroupSpec(2))),
                  (ball(1, GroupSpec(2)), box(4, GroupSpec(2)))]:
         size = len(minkowski_sum(a, b))
         assert len(minkowski_sum(a, b, cap=size)) == size
-        with pytest.raises(WindowCapExceeded):
+        with pytest.raises(CapExceeded, match="^cells cap"):
             minkowski_sum(a, b, cap=size - 1)
 
 
 def test_window_cap():
-    with pytest.raises(WindowCapExceeded):
+    # ball(m) of Z^2 has 2 m^2 + 2 m + 1 cells
+    with pytest.raises(CapExceeded, match=r"^cells cap 1000 exceeded: "
+                       r"ball\(2000\) needs 8004001 cells$"):
         ball(2000, GroupSpec(2), cap=1000)
-    with pytest.raises(WindowCapExceeded):
+    with pytest.raises(CapExceeded, match=r"^cells cap 1000 exceeded: "
+                       r"box\(40\) needs 1600 cells$"):
         box(40, GroupSpec(2), cap=1000)
+    with pytest.raises(CapExceeded, match=r"^cells cap 7 exceeded: "
+                       r"product\(4\) needs 8 cells$"):
+        product_window(box(2, GroupSpec(1)), 4, cap=7)
+    for rank in (1, 2, 3):
+        for m in range(5):
+            size = len(ball(m, GroupSpec(rank)))
+            assert len(ball(m, GroupSpec(rank), cap=size)) == size
+            with pytest.raises(CapExceeded, match=f"needs {size} cells$"):
+                ball(m, GroupSpec(rank), cap=size - 1)
 
 
 def test_folner_descriptor_nested_and_diagnostics():

@@ -1,14 +1,16 @@
 import itertools
 import math
+import time
 
 import pytest
 from fractions import Fraction
 
-from meandim.groups import GroupSpec, GroupWindow, ball, interval
+from meandim.groups import CapExceeded, GroupSpec, GroupWindow, ball, interval
 from meandim.metrics import (PointCloud, ProductMetric, WeightScheme,
                              kset_value, sphere_size, tail_support)
 from oracles import (circle_cover_count, hausdorff_dim_upper, hausdorff_sum,
-                     line_cover_count, line_separated_count, separated_set)
+                     line_cover_count, line_separated_count, separated_set,
+                     stepped_tail_radius)
 
 SPEC1 = GroupSpec(1)
 
@@ -225,7 +227,34 @@ def test_circle_cover_rejects_zero_budget():
 
 
 def test_tail_support_radius_cap():
-    from meandim.groups import WindowCapExceeded
     ws = WeightScheme(1, Fraction(999, 1000))  # slow decay, huge support
-    with pytest.raises(WindowCapExceeded):
+    with pytest.raises(CapExceeded, match="^radius cap 100 exceeded: tail "
+                       "support of rho 999/1000 needs radius >= 101$"):
         tail_support(ws, Fraction(1, 10**9), cap_radius=100)
+    # the least radius itself is allowed, one less is not
+    ws, eps = WeightScheme(2, Fraction(1, 3)), Fraction(1, 10**6)
+    r = stepped_tail_radius(ws, eps)
+    assert tail_support(ws, eps, cap_radius=r).index == r
+    with pytest.raises(CapExceeded, match=f"needs radius >= {r}$"):
+        tail_support(ws, eps, cap_radius=r - 1)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_tail_support_radius_matches_the_stepped_loop(rank):
+    for rho in (Fraction(1, 10**9), Fraction(1, 7), Fraction(1, 2)):
+        ws = WeightScheme(rank, rho)
+        for eps in (Fraction(1, 10), Fraction(1, 1000), Fraction(3, 10**7),
+                    2 * ws.total_upper(), 4 * ws.total_upper()):
+            assert tail_support(ws, eps).index \
+                == stepped_tail_radius(ws, eps), (rho, eps)
+
+
+def test_tail_support_of_slow_decay_is_fast():
+    # a search stepping r = 0, 1, 2, ... took 29 s to reach this radius of
+    # 15194 on 2 vCPU x86_64
+    ws, eps = WeightScheme(1, Fraction(999, 1000)), Fraction(1, 1000)
+    start = time.perf_counter()
+    r = tail_support(ws, eps).index
+    assert time.perf_counter() - start < 1
+    assert ws.tail_upper(r + 1) < eps / 2 <= ws.tail_upper(r)
+    assert r == 15194

@@ -88,8 +88,8 @@ UNREACHED = {
     "metrics.kset_value": "ProductMetric's coordinate distance",
     "subshifts.FiberTable.total": PERFBENCH_PIN,
     "metrics.sphere_size": "tail sums in rank >= 3",
-    "groups.WindowCapExceeded.__init__": "raised only when a cap is hit",
-    "subshifts.PatternCapExceeded.__init__": "raised only when a cap is hit",
+    "groups.CapExceeded.__init__": "raised only when a cap is hit",
+    "groups.GroupWindow.name": "names a window in a cap message",
     "carpet.PsiCell.key": "names the cell of a failed sandwich check",
     "subshifts.hard_square": "public spec builder; specs come from JSON",
     "subshifts.pair_shift_with_b_rule":
@@ -149,6 +149,8 @@ def test_every_library_function_is_reached(tmp_path):
         if event == "call":
             entered.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
 
+    # as in a fresh process, whose first command line builds the parser
+    cli.build_parser.cache_clear()
     sys.setprofile(profile)
     try:
         _run_everything(tmp_path)

@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from meandim.groups import Caps, GroupSpec, ball, box, interval, minkowski_sum
-from meandim.metrics import CloudCapExceeded, ProductMetric, WeightScheme
+from meandim.groups import (CapExceeded, Caps, GroupSpec, ball, box, interval,
+                            minkowski_sum)
+from meandim.metrics import ProductMetric, WeightScheme
 from meandim.subshifts import (Alphabet, Rule, SubshiftSpec, count_patterns,
                                enumerate_patterns, full_shift, golden_mean)
 from meandim.selfsimilar import (NetTooCoarse, ProbeViolation,
@@ -14,7 +15,7 @@ from meandim.selfsimilar import (NetTooCoarse, ProbeViolation,
                                  net_radius, selfsimilar_cover_probe,
                                  selfsimilar_spanning_cloud,
                                  selfsimilar_upper_bound)
-from oracles import separated_set
+from oracles import separated_set, stepped_net_radius
 
 LOG_PHI = math.log((1 + math.sqrt(5)) / 2)
 
@@ -66,8 +67,8 @@ def test_spanning_cloud_obeys_the_cloud_cap():
     net = [bytes([0]), bytes([1])]
     assert len(selfsimilar_spanning_cloud(FULL, 3, net, w, Caps(cloud=8))
                .cloud.points) == 8
-    with pytest.raises(CloudCapExceeded,
-                       match="^spanning cloud of 8 points exceeds cap 7$"):
+    with pytest.raises(CapExceeded, match="^cloud cap 7 exceeded: spanning "
+                       "cloud of depth 3 needs 8 points$"):
         selfsimilar_spanning_cloud(FULL, 3, net, w, Caps(cloud=7))
 
 
@@ -88,6 +89,23 @@ def test_net_radius_and_depth():
     m = composition_depth(FULL, eps)
     assert FULL.diameter_upper() * FULL.c ** m < eps / 6
     assert FULL.diameter_upper() * FULL.c ** (m - 1) >= eps / 6
+
+
+def test_net_radius_matches_the_stepped_loop():
+    for rho in (Fraction(1, 4), Fraction(1, 2), Fraction(19, 20)):
+        for values in ((0, 1), (0, 0), (0, 5)):
+            spec = SelfSimilarSpec(omega=full_shift(2), values=values,
+                                   c=Fraction(1, 3),
+                                   weights=WeightScheme(1, rho))
+            for eps in (Fraction(1, 2), Fraction(1, 64), Fraction(1, 10**6)):
+                assert net_radius(spec, eps) == stepped_net_radius(spec, eps)
+
+
+def test_net_radius_obeys_the_radius_cap():
+    # the tail of rho 1/4 at radius 10^6 + 1 still exceeds the target
+    with pytest.raises(CapExceeded, match="^radius cap 1000000 exceeded: net "
+                       "of rho 1/4 needs radius >= 1000001$"):
+        net_radius(FULL, Fraction(1, 10**700000))
 
 
 def test_cover_probe_all_shipped_configs():

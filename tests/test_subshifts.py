@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from meandim import metrics, subshifts
-from meandim.groups import (GroupSpec, GroupWindow, WindowCapExceeded, ball,
-                            box, interval, product_window)
-from meandim.subshifts import (Alphabet, PatternCapExceeded, Rule,
+from meandim.groups import (CapExceeded, GroupSpec, GroupWindow, ball, box,
+                            interval, product_window)
+from meandim.subshifts import (Alphabet, Rule,
                                SubshiftSpec, _frontier_count, _sweep_window,
                                cellwise_pair_shift, count_patterns,
                                count_windows,
@@ -389,7 +389,8 @@ def test_long_interval_counts_and_enumerates():
 
 
 def test_frontier_state_cap():
-    with pytest.raises(PatternCapExceeded):
+    with pytest.raises(CapExceeded, match=r"^patterns cap 50 exceeded: "
+                       r"box\(10\) needs \d+ live frontier states$"):
         _frontier_count(hard_square(), box(10, GroupSpec(2)), cap=50)
 
 
@@ -420,7 +421,7 @@ def test_array_step_counts_fibonacci_and_full_shifts(array_step):
 
 
 def test_array_step_frontier_state_cap(array_step):
-    with pytest.raises(PatternCapExceeded):
+    with pytest.raises(CapExceeded, match="^patterns cap 50 exceeded: "):
         _frontier_count(hard_square(), box(10, GroupSpec(2)), cap=50)
 
 
@@ -513,26 +514,28 @@ def test_count_windows_raises_a_cell_cap_after_counting_earlier_windows():
         for n in range(1, 13):
             yield box(n, GroupSpec(2), cap)
 
-    with pytest.raises(PatternCapExceeded, match="exceeds cap 20$"):
+    with pytest.raises(CapExceeded, match="^patterns cap 20 exceeded: "):
         count_windows(hard_square(), windows(100), cap=20)
-    with pytest.raises(WindowCapExceeded, match="cap is 100$"):
+    with pytest.raises(CapExceeded, match=r"^cells cap 100 exceeded: "
+                       r"box\(11\) needs 121 cells$"):
         count_windows(hard_square(), windows(100))
 
 
 def test_pattern_cap():
     fs = full_shift(2)
-    with pytest.raises(PatternCapExceeded):
+    with pytest.raises(CapExceeded, match="^patterns cap 1000 exceeded: "
+                       "explicit window of 20 cells needs >= 1001 patterns$"):
         enumerate_patterns(fs, interval(0, 19), cap=1000)
     # fib(12) = 144 words of length 10; the cap is the last count allowed
     gm, w = golden_mean(), interval(0, 9)
     assert enumerate_patterns(gm, w, cap=144).count == 144
-    with pytest.raises(PatternCapExceeded, match="cap 143$"):
+    with pytest.raises(CapExceeded, match="^patterns cap 143 exceeded: "):
         enumerate_patterns(gm, w, cap=143)
     # 2^6 * fib(8) = 1344 pair patterns on six cells
     pair = pair_shift_with_b_rule(2, gm)
     w = interval(0, 5)
     assert sum(fiber_table(pair, w, cap=1344).entries.values()) == 1344
-    with pytest.raises(PatternCapExceeded, match="cap 1343$"):
+    with pytest.raises(CapExceeded, match="^patterns cap 1343 exceeded: "):
         fiber_table(pair, w, cap=1343)
 
 
