@@ -23,7 +23,8 @@ from itertools import islice, product
 import numpy as np
 
 from .groups import CapExceeded, Caps, FolnerDescriptor, GroupWindow, ball
-from .metrics import WeightScheme, exact_int_dtype, seeded_random
+from .metrics import (WeightScheme, exact_int_dtype, least_radius,
+                      seeded_random)
 from .entropy import (entropy_estimate, entropy_series, log_big,
                       log_z_from_fibers, weighted_entropy_series)
 from .subshifts import (FiberTable, SubshiftSpec, count_patterns,
@@ -66,11 +67,10 @@ class CarpetSpec:
 
 
 def floor_wl(a: int, b: int, l: int) -> int:
-    """floor(l * log_a b) by exact integer power comparison."""
-    k = 0
-    while a ** (k + 1) <= b ** l:
-        k += 1
-    return k
+    """floor(l * log_a b): the least k with a^(k+1) > b^l, by exact
+    integer power comparison."""
+    return least_radius(lambda k: a ** (k + 1) > b ** l,
+                        f"floor({l} log_{a} {b})")
 
 
 def mdim_m_carpet(h: float, h_prime: float, a: int, b: int) -> float:

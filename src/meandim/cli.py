@@ -396,11 +396,8 @@ def main(argv=None) -> int:
 
     report = {
         "command": args.command,
-        "config": {"spec": doc, "m_max": args.m_max, "l_max": args.l_max,
-                   "folner": args.folner, "w": args.w, "seed": args.seed,
-                   "eps_grid": args.eps_grid, "depths": args.depths,
-                   "window_sizes": args.window_sizes, "k_list": args.k_list,
-                   "eps": args.eps, "caps": args.caps},
+        "config": {**{key: value for key, value in vars(args).items()
+                      if key not in ("command", "out")}, "spec": doc},
         "results": results,
         "status": "ok" if status == 0 else "failed",
         "versions": {"meandim": __version__,

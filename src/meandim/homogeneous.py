@@ -26,11 +26,13 @@ import numpy as np
 
 from .groups import (CapExceeded, Caps, FolnerDescriptor, GroupSpec,
                      GroupWindow, box, minkowski_sum, product_window)
-from .metrics import ProbeViolation, WeightScheme, exact_int_dtype, tail_support
+from .metrics import (ProbeViolation, WeightScheme, exact_int_dtype,
+                      least_radius, tail_support)
 from .entropy import gxn_entropy_series
 from .subshifts import SubshiftSpec, enumerate_patterns
 
 PAIR_CLOUD_CAP = 4000  # points of a pairwise probe cloud; caps only lower it
+EXTRA_DEPTH = 1  # digits the probe cloud carries past the depth N
 
 
 @dataclass(frozen=True)
@@ -92,10 +94,8 @@ def _digit_codes(spec: HomogeneousSpec, window: GroupWindow, depth: int,
 
 def _digit_depth(base: int, eps: Fraction) -> int:
     """N >= 1 minimal with b^-N <= eps."""
-    depth_n = 1
-    while Fraction(1, base ** depth_n) > eps:
-        depth_n += 1
-    return depth_n
+    return 1 + least_radius(lambda r: Fraction(1, base ** (r + 1)) <= eps,
+                            f"digit depth of base {base}")
 
 
 def _shift_weights(scheme: WeightScheme, window: GroupWindow,
@@ -191,7 +191,6 @@ class HomogeneousProbeRow:
 def homogeneous_covering_probe(spec: HomogeneousSpec,
                                folner: FolnerDescriptor,
                                eps_list: Sequence,
-                               extra_depth: int = 1,
                                caps: Caps = Caps()) -> list[HomogeneousProbeRow]:
     """Exact pairwise verification of the covering comparison.
 
@@ -216,7 +215,7 @@ def homogeneous_covering_probe(spec: HomogeneousSpec,
                 tail_support(spec.weights, eps, group, cap=caps.cells), fwin,
                 caps.cells)
             size, den, pair_rows = _pair_rows(
-                spec, fwin, orbit, depth_n + extra_depth, depth_n, points,
+                spec, fwin, orbit, depth_n + EXTRA_DEPTH, depth_n, points,
                 caps)
             # per side its separation, then its cover radius, as integer bounds
             walks = [(side, bound)

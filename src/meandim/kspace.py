@@ -26,6 +26,7 @@ NU_SQUARE_COEFF = 3.0 / math.pi ** 2  # normalizes a sum 1/n^2 to 1/2
 _PARTIAL_LIMIT = 2_000_000
 _NU_CHECK_TERMS = 10**6  # terms summed before the integral tail
 _MAX_CODE = 4096  # the truncation of K that the mass demo samples from
+MASS_DEMO_SAMPLES = 64  # points the mass demo samples after its 3 fixed ones
 
 
 class DemoHypothesisFailure(AssertionError):
@@ -138,12 +139,13 @@ def kg_covering_experiment(spec: KSpaceSpec, folner: FolnerDescriptor,
 
     Lower: per-coordinate maximal eps-separated sets multiply across the
     window (a differing coordinate already forces the dynamical distance past
-    eps).  Upper: per-coordinate minimal covers at budget eps/(2c) minus the
-    tail allowance multiply into a product cover whose sets stay under eps in
-    diameter.  Both per-coordinate counts are exact 1-d sweeps on the integer
-    codes of the K truncation or the unit grid at the budget, equal to the
-    Fraction sweeps of `tests/oracles.py` over those point lists, and both
-    must land inside the closed-form bracket.
+    eps).  Upper: per-coordinate minimal covers at budget (eps - 2 tail)/c,
+    with the tail beyond the support at 3 eps/4, multiply into a product
+    cover whose sets stay under eps in diameter.  Both per-coordinate counts
+    are exact 1-d sweeps on the integer codes of the K truncation or the unit
+    grid at the budget, equal to the Fraction sweeps of `tests/oracles.py`
+    over those point lists, and both must land inside the closed-form
+    bracket.
     """
     group = GroupSpec(spec.rank)
     weights = spec.weights
@@ -153,14 +155,14 @@ def kg_covering_experiment(spec: KSpaceSpec, folner: FolnerDescriptor,
         fwin = folner.window(n, group, caps.cells)
         for eps in eps_grid:
             eps = Fraction(eps)
-            support = tail_support(weights, eps, group, cap=caps.cells)
+            # the support at 3 eps/4 leaves a tail < 3 eps/8 and so a budget
+            # above the eps/(4c) that `zeta_bracket` assumes
+            support = tail_support(weights, 3 * eps / 4, group, cap=caps.cells)
             swin = minkowski_sum(support, fwin, caps.cells)
             tail_allow = weights.tail_upper(support.index + 1)
             # product sets of per-coordinate span < budget have dynamical
             # diameter under c * budget + tail < eps
             budget = (eps - 2 * tail_allow) / c_total
-            if budget <= 0:
-                raise ValueError("weights decay too slowly for this eps")
             if spec.kind == "kset":
                 n_tr = _k_size(budget)
                 sep = _k_sweep_count(n_tr, eps)
@@ -283,7 +285,6 @@ def _sample_k_codes(rng, size: int, cumulative: list[float],
 def kg_mass_distribution_demo(spec: KSpaceSpec, k: int,
                               folner: FolnerDescriptor, n_index: int,
                               eps: Fraction, seed: int = 0,
-                              sample_count: int = 64,
                               caps: Caps = Caps()) -> MassDemoReport:
     """Verify the mass-distribution hypothesis on sampled K-power points.
 
@@ -317,7 +318,7 @@ def kg_mass_distribution_demo(spec: KSpaceSpec, k: int,
     # all coordinates at 0, all at 1, a 1, 2, 3 cycle, then the samples
     pts = [[0] * size, [1] * size, [(i % 3) + 1 for i in range(size)]]
     pts += [_sample_k_codes(rng, size, cumulative, total)
-            for _ in range(sample_count)]
+            for _ in range(MASS_DEMO_SAMPLES)]
 
     exponent = (6.0 / k) * size
     worst = math.inf

@@ -20,7 +20,7 @@ from .groups import (DEFAULT_CELL_CAP, CapExceeded, GroupSpec, GroupWindow,
 
 # int64 holds an exact integer numerator below this magnitude
 _INT64_LIMIT = 2 ** 63
-# the radius guard of the tail supports and the self-similar nets
+# the radius guard of every least-index search (see `least_radius`)
 RADIUS_CAP = 10**6
 
 COORD_DIAMETERS = {"unit": Fraction(1), "torus": Fraction(1, 2),
@@ -100,7 +100,12 @@ class WeightScheme:
 def least_radius(reaches, subject: str, cap: int = RADIUS_CAP) -> int:
     """The least r >= 0 with reaches(r), for a test that stays true once
     true (a tail below a bound), by doubling r = 0, 1, 3, 7, ... and then
-    bisection; a least radius past `cap` raises the radius cap."""
+    bisection; a least radius past `cap` raises the radius cap.
+
+    It is the one least-index search of the library: the tail supports and
+    the self-similar net radii, the digit depth of homogeneous sets, the
+    composition and embedding depths of self-similar sets and the carpets'
+    floor(l log_a b) are each one call with an exact test."""
     lo, hi = -1, 0  # reaches(lo) is false; -1 stands below radius 0
     while not reaches(hi):
         if hi >= cap:
@@ -113,15 +118,15 @@ def least_radius(reaches, subject: str, cap: int = RADIUS_CAP) -> int:
 
 
 def tail_support(scheme: WeightScheme, eps, spec: GroupSpec | None = None,
-                 cap_radius: int = RADIUS_CAP,
                  cap: int = DEFAULT_CELL_CAP) -> GroupWindow:
     """Smallest ball S with certified tail sum over the complement < eps/2;
-    `cap_radius` bounds its radius and `cap` its cells."""
+    `RADIUS_CAP`, read at call time, bounds its radius and `cap` its
+    cells."""
     if eps <= 0:
         raise ValueError("eps must be positive")
     half = Fraction(eps) / 2
     r = least_radius(lambda r: scheme.tail_upper(r + 1) < half,
-                     f"tail support of rho {scheme.rho}", cap_radius)
+                     f"tail support of rho {scheme.rho}", RADIUS_CAP)
     return ball(r, spec or GroupSpec(scheme.rank), cap)
 
 

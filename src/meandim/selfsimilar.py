@@ -91,13 +91,9 @@ def net_radius(spec: SelfSimilarSpec, eps: Fraction) -> int:
 
 def composition_depth(spec: SelfSimilarSpec, eps: Fraction) -> int:
     """Smallest m with D c^m < eps/6, by exact rational comparison."""
-    d_up = spec.diameter_upper()
-    m = 0
-    power = Fraction(1)
-    while d_up * power >= Fraction(eps) / 6:
-        m += 1
-        power *= spec.c
-    return m
+    d_up, target = spec.diameter_upper(), Fraction(eps) / 6
+    return least_radius(lambda m: d_up * spec.c ** m < target,
+                        f"composition depth of c {spec.c}")
 
 
 @dataclass(frozen=True)
@@ -196,14 +192,9 @@ def selfsimilar_cover_probe(spec: SelfSimilarSpec, eps_grid: Sequence,
 
 def embedding_depth(spec: SelfSimilarSpec, eps: Fraction) -> int:
     """k >= 1 minimal with c^k D <= eps; eps >= D degenerates to k = 1."""
-    d_up = spec.diameter_upper()
-    eps = Fraction(eps)
-    k = 1
-    power = spec.c
-    while power * d_up > eps:
-        k += 1
-        power *= spec.c
-    return k
+    d_up, eps = spec.diameter_upper(), Fraction(eps)
+    return 1 + least_radius(lambda r: spec.c ** (r + 1) * d_up <= eps,
+                            f"embedding depth of c {spec.c}")
 
 
 def contraction_embedding_check(spec: SelfSimilarSpec, cloud: AddressedCloud,

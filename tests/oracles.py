@@ -206,6 +206,51 @@ def stepped_net_radius(spec, eps) -> int:
 
 
 # ---------------------------------------------------------------------------
+# depths: one step at a time
+
+def stepped_floor_wl(a: int, b: int, l: int) -> int:
+    """floor(l log_a b), trying k = 0, 1, 2, ...: `carpet.floor_wl`."""
+    k = 0
+    while a ** (k + 1) <= b ** l:
+        k += 1
+    return k
+
+
+def stepped_digit_depth(base: int, eps) -> int:
+    """The least N >= 1 with base^-N <= eps, trying N = 1, 2, ...:
+    `homogeneous._digit_depth`."""
+    depth_n = 1
+    while Fraction(1, base ** depth_n) > eps:
+        depth_n += 1
+    return depth_n
+
+
+def stepped_composition_depth(spec, eps) -> int:
+    """The least m with D c^m < eps/6, one factor c per step:
+    `selfsimilar.composition_depth`."""
+    d_up = spec.diameter_upper()
+    m = 0
+    power = Fraction(1)
+    while d_up * power >= Fraction(eps) / 6:
+        m += 1
+        power *= spec.c
+    return m
+
+
+def stepped_embedding_depth(spec, eps) -> int:
+    """The least k >= 1 with c^k D <= eps, one factor c per step:
+    `selfsimilar.embedding_depth`."""
+    d_up = spec.diameter_upper()
+    eps = Fraction(eps)
+    k = 1
+    power = spec.c
+    while power * d_up > eps:
+        k += 1
+        power *= spec.c
+    return k
+
+
+# ---------------------------------------------------------------------------
 # kspace: the point families the integer sweeps walk
 
 def k_truncation(delta: Fraction) -> list[Fraction]:

@@ -6,7 +6,7 @@ from itertools import islice, product
 import numpy as np
 import pytest
 
-from meandim.groups import GroupSpec, ball
+from meandim.groups import CapExceeded, GroupSpec, ball
 from meandim.subshifts import (Alphabet, Rule, SubshiftSpec,
                                cellwise_pair_shift, full_shift, golden_mean,
                                mcmullen_shift, pair_shift_with_b_rule)
@@ -17,7 +17,7 @@ from meandim.carpet import (PROBE_QUANTILES, CarpetMeasure, CarpetSpec,
                             shannon_mcmillan_probe)
 from oracles import (box_gap, carpet_representatives, cell_boxes,
                      enumerate_psi_cells, linf_pair_distance, psi_cells,
-                     separation_pigeonhole_check)
+                     separation_pigeonhole_check, stepped_floor_wl)
 
 MCMULLEN = CarpetSpec(a=4, b=2, omega=mcmullen_shift())
 FULL22 = CarpetSpec(a=2, b=2, omega=full_shift((2, 2)))
@@ -45,6 +45,19 @@ def test_floor_wl_exact():
     for a, b, l in [(5, 2, 9), (9, 3, 7), (8, 2, 11)]:
         k = floor_wl(a, b, l)
         assert a ** k <= b ** l < a ** (k + 1)
+
+
+def test_floor_wl_matches_the_stepped_loop():
+    for a, b, l in product(range(2, 8), range(2, 8), range(41)):
+        assert floor_wl(a, b, l) == stepped_floor_wl(a, b, l), (a, b, l)
+
+
+def test_floor_wl_obeys_the_radius_cap():
+    # floor(l log_2 2) = l, and the search may return the cap itself
+    assert floor_wl(2, 2, 10**6) == 10**6
+    with pytest.raises(CapExceeded, match=r"^radius cap 1000000 exceeded: "
+                       r"floor\(1000001 log_2 2\) needs radius >= 1000001$"):
+        floor_wl(2, 2, 10**6 + 1)
 
 
 def test_mdim_m_closed_forms():

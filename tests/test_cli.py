@@ -359,6 +359,20 @@ def test_kg_commands(tmp_path, capsys):
     assert report["results"]["monotone"] is True
 
 
+@pytest.mark.parametrize("rho, grid", [("1/2", "1/10,1/100,1/1000"),
+                                       ("99/100", "1/10")])
+def test_kg_experiment_brackets_slow_weights(tmp_path, capsys, rho, grid):
+    # a tail support at eps rather than 3 eps/4 left a cover budget below
+    # the eps/(4c) of the zeta bracket: both runs failed the bracket
+    spec = write_spec(tmp_path, {**KSPACE, "weights": {"rho": rho}})
+    code, report = run(capsys, ["kg-experiment", "--spec", spec,
+                                "--m-max", "1", "--eps-grid", grid])
+    assert code == 0 and report["status"] == "ok"
+    rows = report["results"]["rows"]
+    assert len(rows) == grid.count(",") + 1
+    assert all(r["bracket_ok"] for r in rows)
+
+
 def test_kg_mass_demo_obeys_the_cell_cap(tmp_path, capsys):
     # ball(1) has 3 cells; the default boxes give box(1), a single cell
     spec = write_spec(tmp_path, KSPACE)

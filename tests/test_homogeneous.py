@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from meandim.groups import FolnerDescriptor
+import meandim.homogeneous as homogeneous
+from meandim.groups import CapExceeded, FolnerDescriptor
 from meandim.subshifts import Alphabet, Rule, SubshiftSpec
 from meandim.homogeneous import (HomogeneousSpec, homogeneous_covering_probe,
                                  homogeneous_gxn_entropy,
@@ -11,7 +12,7 @@ from meandim.homogeneous import (HomogeneousSpec, homogeneous_covering_probe,
 from meandim.groups import GroupSpec, ball
 from meandim.metrics import WeightScheme
 from oracles import (ScaledOrbit, circle_cover_count, digit_cloud,
-                     separated_set)
+                     separated_set, stepped_digit_depth)
 
 LOG_PHI = math.log((1 + math.sqrt(5)) / 2)
 
@@ -63,6 +64,26 @@ def test_digit_cloud_exactness():
     cloud = digit_cloud(FULL2, ball(0, GroupSpec(1)), depth=3)
     vals = sorted(p[0] for p in cloud.points)
     assert vals == [Fraction(k, 8) for k in range(8)]
+
+
+def test_digit_depth_matches_the_stepped_loop():
+    for base in range(2, 6):
+        # eps from 1/2 to 1/10^6, with every b^-N and its two neighbours
+        dens = set(range(2, 41)) | {10**3, 10**6}
+        dens |= {base ** k + d for k in range(1, 20) for d in (-1, 0, 1)
+                 if 2 <= base ** k + d <= 10**6}
+        for eps in (Fraction(1, d) for d in sorted(dens)):
+            assert homogeneous._digit_depth(base, eps) \
+                == stepped_digit_depth(base, eps), (base, eps)
+
+
+def test_digit_depth_obeys_the_radius_cap():
+    # N - 1 is the searched index, so N = 10^6 + 1 is the deepest N
+    eps = Fraction(1, 2 ** (10**6 + 1))
+    assert homogeneous._digit_depth(2, eps) == 10**6 + 1
+    with pytest.raises(CapExceeded, match="^radius cap 1000000 exceeded: "
+                       "digit depth of base 2 needs radius >= 1000001$"):
+        homogeneous._digit_depth(2, eps / 2)
 
 
 def test_probe_inequality_small_windows():
@@ -153,29 +174,28 @@ PROBE_PINS = [
 PIN_IDS = ["full2", "full3-rho3", "full2-rho3", "vgold-rho3"]
 
 
-def _run_pin(spec, boxes, grid, extra):
+def _run_pin(monkeypatch, spec, boxes, grid, extra):
+    monkeypatch.setattr(homogeneous, "EXTRA_DEPTH", extra)
     rows = homogeneous_covering_probe(spec, FolnerDescriptor("boxes", boxes),
-                                      [Fraction(e) for e in grid],
-                                      extra_depth=extra)
+                                      [Fraction(e) for e in grid])
     return [tuple(r.__dict__.values()) for r in rows]
 
 
 @pytest.mark.parametrize("spec, boxes, grid, extra, expected", PROBE_PINS,
                          ids=PIN_IDS)
-def test_probe_rows_match_the_fraction_implementation(spec, boxes, grid,
-                                                      extra, expected):
-    assert _run_pin(spec, boxes, grid, extra) == expected
+def test_probe_rows_match_the_fraction_implementation(monkeypatch, spec, boxes,
+                                                      grid, extra, expected):
+    assert _run_pin(monkeypatch, spec, boxes, grid, extra) == expected
 
 
 @pytest.mark.parametrize("spec, boxes, grid, extra, expected", PROBE_PINS,
                          ids=PIN_IDS)
 def test_python_int_path_gives_the_same_rows(monkeypatch, spec, boxes, grid,
                                              extra, expected):
-    import meandim.homogeneous as homogeneous
     import meandim.metrics as metrics
     monkeypatch.setattr(metrics, "_INT64_LIMIT", 0)
     assert homogeneous.exact_int_dtype(2) is object
-    assert _run_pin(spec, boxes, grid, extra) == expected
+    assert _run_pin(monkeypatch, spec, boxes, grid, extra) == expected
 
 
 # (spec, n, eps, extra depth): clouds checked against the Fraction metrics
@@ -221,7 +241,8 @@ def test_pair_tables_match_fraction_metrics(spec, n, eps, extra):
 
 
 @pytest.mark.parametrize("spec, n, eps, extra", PAIR_TABLE_CLOUDS)
-def test_probe_lower_counts_match_fraction_separated_sets(spec, n, eps, extra):
+def test_probe_lower_counts_match_fraction_separated_sets(monkeypatch, spec, n,
+                                                          eps, extra):
     # the greedy walk with bound e - 1 keeps what separated_set keeps
     from itertools import islice
     from meandim.groups import Caps, box, minkowski_sum
@@ -234,8 +255,9 @@ def test_probe_lower_counts_match_fraction_separated_sets(spec, n, eps, extra):
     cloud = digit_cloud(spec, orbit, depth_n + extra, 4000)
     left_ref = ProductMetric(spec.weights, orbit, "torus",
                              shifts=fwin.elements)
+    monkeypatch.setattr(homogeneous, "EXTRA_DEPTH", extra)
     [row] = homogeneous_covering_probe(spec, FolnerDescriptor("boxes", (n,)),
-                                       [eps], extra_depth=extra)
+                                       [eps])
     assert row.cloud_size == len(cloud.points)
     assert row.left_lower == len(separated_set(cloud, left_ref, eps))
     # the Fraction right metric over a whole cloud takes minutes, so the
@@ -274,10 +296,10 @@ def test_probe_violation_names_the_reference_pair(monkeypatch):
     # with N forced to 1 the right metric sees only x itself, so the pair
     # (0, 1) of a depth-5 cloud at distance 1/32 breaks the implication at
     # eps = 1/32; the message matches the first pair the Fraction loop finds
-    import meandim.homogeneous as homogeneous
     from meandim.groups import box
     from meandim.metrics import ProbeViolation, ProductMetric
     monkeypatch.setattr(homogeneous, "_digit_depth", lambda base, eps: 1)
+    monkeypatch.setattr(homogeneous, "EXTRA_DEPTH", 4)
     eps = Fraction(1, 32)
     fwin = box(1, GroupSpec(1))
     cloud = digit_cloud(FULL2, fwin, 5)
@@ -303,7 +325,7 @@ def test_probe_violation_names_the_reference_pair(monkeypatch):
     assert expected is not None and expected.startswith("pair 0,1:")
     with pytest.raises(ProbeViolation) as info:
         homogeneous_covering_probe(FULL2, FolnerDescriptor("boxes", (1,)),
-                                   [eps], extra_depth=4)
+                                   [eps])
     assert str(info.value) == expected
 
 

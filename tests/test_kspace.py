@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import meandim.kspace as kspace
 from meandim.groups import FolnerDescriptor, GroupSpec
 from meandim.kspace import (KSpaceSpec, _k_size, _k_sweep_count,
                             _unit_steps, _unit_sweep_count, gamma_bracket,
@@ -213,11 +214,11 @@ def test_mass_demo_repeats_for_a_seed():
         demo(-5)
 
 
-def test_mass_demo_all_zero_point_uses_zero_atom():
+def test_mass_demo_all_zero_point_uses_zero_atom(monkeypatch):
     # nu({0}) = 1/2 per coordinate carries the all-zero point
+    monkeypatch.setattr(kspace, "MASS_DEMO_SAMPLES", 0)
     report = kg_mass_distribution_demo(KSET, 4, FolnerDescriptor("boxes", (1,)),
-                                       1, Fraction(1, 12), seed=0,
-                                       sample_count=0)
+                                       1, Fraction(1, 12), seed=0)
     assert report.points_checked == 3
     assert report.worst_margin >= 0.0
 

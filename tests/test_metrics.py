@@ -5,6 +5,7 @@ import time
 import pytest
 from fractions import Fraction
 
+import meandim.metrics as metrics
 from meandim.groups import CapExceeded, GroupSpec, GroupWindow, ball, interval
 from meandim.metrics import (PointCloud, ProductMetric, WeightScheme,
                              kset_value, sphere_size, tail_support)
@@ -226,17 +227,20 @@ def test_circle_cover_rejects_zero_budget():
         circle_cover_count(vals, Fraction(-1, 8))
 
 
-def test_tail_support_radius_cap():
+def test_tail_support_radius_cap(monkeypatch):
     ws = WeightScheme(1, Fraction(999, 1000))  # slow decay, huge support
+    monkeypatch.setattr(metrics, "RADIUS_CAP", 100)
     with pytest.raises(CapExceeded, match="^radius cap 100 exceeded: tail "
                        "support of rho 999/1000 needs radius >= 101$"):
-        tail_support(ws, Fraction(1, 10**9), cap_radius=100)
+        tail_support(ws, Fraction(1, 10**9))
     # the least radius itself is allowed, one less is not
     ws, eps = WeightScheme(2, Fraction(1, 3)), Fraction(1, 10**6)
     r = stepped_tail_radius(ws, eps)
-    assert tail_support(ws, eps, cap_radius=r).index == r
+    monkeypatch.setattr(metrics, "RADIUS_CAP", r)
+    assert tail_support(ws, eps).index == r
+    monkeypatch.setattr(metrics, "RADIUS_CAP", r - 1)
     with pytest.raises(CapExceeded, match=f"needs radius >= {r}$"):
-        tail_support(ws, eps, cap_radius=r - 1)
+        tail_support(ws, eps)
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3])

@@ -1,5 +1,6 @@
 import math
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,8 @@ from meandim.selfsimilar import (NetTooCoarse, ProbeViolation,
                                  net_radius, selfsimilar_cover_probe,
                                  selfsimilar_spanning_cloud,
                                  selfsimilar_upper_bound)
-from oracles import separated_set, stepped_net_radius
+from oracles import (separated_set, stepped_composition_depth,
+                     stepped_embedding_depth, stepped_net_radius)
 
 LOG_PHI = math.log((1 + math.sqrt(5)) / 2)
 
@@ -178,6 +180,47 @@ def test_embedding_depth_examples():
     assert FULL.c ** k * d_up <= Fraction(1, 2) < FULL.c ** (k - 1) * d_up
     # eps beyond the diameter degenerates to one application
     assert embedding_depth(FULL, 2 * d_up) == 1
+
+
+def _contraction(c) -> SelfSimilarSpec:
+    return SelfSimilarSpec(omega=full_shift(2), values=(0, 1), c=Fraction(c))
+
+
+@pytest.mark.parametrize("c", ["1/2", "2/3", "99/100"])
+def test_depths_match_the_stepped_loops(c):
+    spec = _contraction(c)
+    d_up = spec.diameter_upper()
+    # 6 D and D are where the two depths reach 0 and 1
+    for eps in (6 * d_up, d_up, Fraction(1, 2), Fraction(1, 64),
+                Fraction(3, 1000), Fraction(1, 10**6)):
+        assert composition_depth(spec, eps) \
+            == stepped_composition_depth(spec, eps), eps
+        assert embedding_depth(spec, eps) \
+            == stepped_embedding_depth(spec, eps), eps
+
+
+def test_depths_of_a_slow_contraction_are_least_and_fast():
+    # at c = 999/1000 the stepped loops take 10 s for eps = 10^-6 (2 vCPU
+    # x86_64); the depths are checked against their definitions instead
+    spec = _contraction("999/1000")
+    d_up, c = spec.diameter_upper(), spec.c
+    start = time.perf_counter()
+    for eps in (Fraction(1, 2), Fraction(1, 10**6)):
+        m = composition_depth(spec, eps)
+        assert d_up * c ** m < eps / 6 <= d_up * c ** (m - 1)
+        k = embedding_depth(spec, eps)
+        assert c ** k * d_up <= eps < c ** (k - 1) * d_up
+    assert (m, k) == (23015, 21224)
+    assert time.perf_counter() - start < 1
+
+
+def test_depths_obey_the_radius_cap():
+    eps = Fraction(1, 2 ** (10**6 + 10))
+    for depth, name in ((composition_depth, "composition"),
+                        (embedding_depth, "embedding")):
+        with pytest.raises(CapExceeded, match=f"^radius cap 1000000 exceeded: "
+                           f"{name} depth of c 1/2 needs radius >= 1000001$"):
+            depth(FULL, eps)
 
 
 def test_contraction_embedding_exact_similarity():
