@@ -255,6 +255,11 @@ def _cmd_homog_entropy(system: HomogeneousSpec, args, caps: Caps) -> dict:
 def _cmd_homog_probe(system: HomogeneousSpec, args, caps: Caps) -> dict:
     grid = (_parse_eps_grid(args.eps_grid) if args.eps_grid
             else [Fraction(1, system.base ** 3)])
+    # the slope series covers with budget eps / total - tail(1)
+    floor = system.weights.total_upper() * system.weights.tail_upper(1)
+    if min(grid) <= floor:
+        raise SpecError(f"homog-probe eps must exceed {floor}, the weight "
+                        "total times its tail off the identity")
     folner = FolnerDescriptor(args.folner, (1,))
     rows = homogeneous_covering_probe(system, folner, grid, caps=caps)
     slopes = homogeneous_slope_series(system, grid, caps)

@@ -147,16 +147,12 @@ def box(n: int, spec: GroupSpec, cap: int = DEFAULT_CELL_CAP) -> GroupWindow:
                        kind="box", index=n)
 
 
-def interval(lo: int, hi: int, spec: GroupSpec | None = None,
-             cap: int = DEFAULT_CELL_CAP) -> GroupWindow:
-    """Explicit 1-d interval window {lo..hi}, canonical order."""
-    spec = spec or GroupSpec(1)
-    if spec.rank != 1:
-        raise ValueError("interval windows are rank 1")
+def interval(lo: int, hi: int, cap: int = DEFAULT_CELL_CAP) -> GroupWindow:
+    """Explicit window {lo..hi} of Z, canonical order."""
     _cell_cap(hi - lo + 1, cap, f"interval {lo}..{hi}")
     elems = tuple((x,) for x in range(lo, hi + 1))
-    return GroupWindow(spec=spec, elements=tuple(canonical_order(elems)),
-                       kind="explicit")
+    return GroupWindow(spec=GroupSpec(1),
+                       elements=tuple(canonical_order(elems)), kind="explicit")
 
 
 def product_window(window: GroupWindow, n: int,

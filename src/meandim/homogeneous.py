@@ -52,8 +52,10 @@ class HomogeneousSpec:
             raise ValueError("digit alphabet must be {0..b-1}")
         if self.weights is None:
             object.__setattr__(self, "weights",
-                               WeightScheme(self.digit_spec.rank - 1,
+                               WeightScheme(self.group_rank,
                                             Fraction(1, 2**20)))
+        elif self.weights.rank != self.group_rank:
+            raise ValueError("weights rank must match the group rank")
 
     @property
     def group_rank(self) -> int:
@@ -211,9 +213,8 @@ def homogeneous_covering_probe(spec: HomogeneousSpec,
         for eps in eps_list:
             eps = Fraction(eps)
             depth_n = _digit_depth(spec.base, eps)
-            orbit = minkowski_sum(
-                tail_support(spec.weights, eps, group, cap=caps.cells), fwin,
-                caps.cells)
+            orbit = minkowski_sum(tail_support(spec.weights, eps, caps.cells),
+                                  fwin, caps.cells)
             size, den, pair_rows = _pair_rows(
                 spec, fwin, orbit, depth_n + EXTRA_DEPTH, depth_n, points,
                 caps)

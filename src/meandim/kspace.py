@@ -49,6 +49,8 @@ class KSpaceSpec:
         if self.weights is None:
             object.__setattr__(self, "weights",
                                WeightScheme(self.rank, Fraction(1, 10**9)))
+        elif self.weights.rank != self.rank:
+            raise ValueError("weights rank must match the group rank")
 
 
 def gamma_bracket(eps: Fraction) -> int:
@@ -157,7 +159,7 @@ def kg_covering_experiment(spec: KSpaceSpec, folner: FolnerDescriptor,
             eps = Fraction(eps)
             # the support at 3 eps/4 leaves a tail < 3 eps/8 and so a budget
             # above the eps/(4c) that `zeta_bracket` assumes
-            support = tail_support(weights, 3 * eps / 4, group, cap=caps.cells)
+            support = tail_support(weights, 3 * eps / 4, caps.cells)
             swin = minkowski_sum(support, fwin, caps.cells)
             tail_allow = weights.tail_upper(support.index + 1)
             # product sets of per-coordinate span < budget have dynamical
@@ -301,7 +303,7 @@ def kg_mass_distribution_demo(spec: KSpaceSpec, k: int,
         raise ValueError("demo needs eps < 1/6")
     group = GroupSpec(spec.rank)
     fwin = folner.window(n_index, group, caps.cells)
-    support = tail_support(spec.weights, eps, group, cap=caps.cells)
+    support = tail_support(spec.weights, eps, caps.cells)
     swin = minkowski_sum(support, fwin, caps.cells)
     c_total = float(spec.weights.total_upper())
     a = NU_SQUARE_COEFF

@@ -20,7 +20,7 @@ from .groups import (DEFAULT_CELL_CAP, CapExceeded, GroupSpec, GroupWindow,
 
 # int64 holds an exact integer numerator below this magnitude
 _INT64_LIMIT = 2 ** 63
-# the radius guard of every least-index search (see `least_radius`)
+# the radius guard of every least-index search, read when `least_radius` runs
 RADIUS_CAP = 10**6
 
 COORD_DIAMETERS = {"unit": Fraction(1), "torus": Fraction(1, 2),
@@ -52,16 +52,6 @@ def seeded_random(seed: int) -> random.Random:
 # ---------------------------------------------------------------------------
 # weights
 
-def sphere_size(rank: int, n: int) -> int:
-    """Number of elements of Z^rank at l1 word length exactly n."""
-    if n == 0:
-        return 1
-    total = 0
-    for k in range(1, min(rank, n) + 1):
-        total += 2 ** k * math.comb(rank, k) * math.comb(n - 1, k - 1)
-    return total
-
-
 @dataclass(frozen=True)
 class WeightScheme:
     """Geometric weights alpha_g = rho^{l1(g)} with alpha_identity = 1.
@@ -83,24 +73,25 @@ class WeightScheme:
         return self.rho ** word_length(g)
 
     def tail_upper(self, r: int) -> Fraction:
-        """The exact sum of alpha_g over word length >= r."""
-        rho = self.rho
-        if r >= 1 and self.rank == 1:
-            return 2 * rho ** r / (1 - rho)
-        if r >= 1 and self.rank == 2:
-            # 4 * sum_{n>=r} n rho^n, arithmetico-geometric closed form
-            return 4 * rho ** r * (r - (r - 1) * rho) / (1 - rho) ** 2
-        return (((1 + rho) / (1 - rho)) ** self.rank
-                - sum(sphere_size(self.rank, n) * rho ** n for n in range(r)))
+        """The exact sum of alpha_g over word length >= r, in O(d^2) terms at
+        rank d: the sphere of length n >= 1 holds 2^k C(d,k) C(n-1,k-1) cells
+        with k nonzero coordinates, and Vandermonde sums each series in n."""
+        rho, d = self.rho, self.rank
+        if r == 0:
+            return ((1 + rho) / (1 - rho)) ** d
+        q = rho / (1 - rho)
+        return rho ** r / (1 - rho) * sum(
+            2 ** k * math.comb(d, k) * math.comb(r - 1, k - 1 - i) * q ** i
+            for k in range(1, d + 1) for i in range(k))
 
     def total_upper(self) -> Fraction:
         return self.tail_upper(0)
 
 
-def least_radius(reaches, subject: str, cap: int = RADIUS_CAP) -> int:
+def least_radius(reaches, subject: str) -> int:
     """The least r >= 0 with reaches(r), for a test that stays true once
     true (a tail below a bound), by doubling r = 0, 1, 3, 7, ... and then
-    bisection; a least radius past `cap` raises the radius cap.
+    bisection; a least radius past `RADIUS_CAP` raises the radius cap.
 
     It is the one least-index search of the library: the tail supports and
     the self-similar net radii, the digit depth of homogeneous sets, the
@@ -108,26 +99,26 @@ def least_radius(reaches, subject: str, cap: int = RADIUS_CAP) -> int:
     floor(l log_a b) are each one call with an exact test."""
     lo, hi = -1, 0  # reaches(lo) is false; -1 stands below radius 0
     while not reaches(hi):
-        if hi >= cap:
-            raise CapExceeded("radius", cap, subject, f"radius >= {cap + 1}")
-        lo, hi = hi, min(2 * hi + 1, cap)
+        if hi >= RADIUS_CAP:
+            raise CapExceeded("radius", RADIUS_CAP, subject,
+                              f"radius >= {RADIUS_CAP + 1}")
+        lo, hi = hi, min(2 * hi + 1, RADIUS_CAP)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         lo, hi = (lo, mid) if reaches(mid) else (mid, hi)
     return hi
 
 
-def tail_support(scheme: WeightScheme, eps, spec: GroupSpec | None = None,
+def tail_support(scheme: WeightScheme, eps,
                  cap: int = DEFAULT_CELL_CAP) -> GroupWindow:
-    """Smallest ball S with certified tail sum over the complement < eps/2;
-    `RADIUS_CAP`, read at call time, bounds its radius and `cap` its
-    cells."""
+    """Smallest ball S of Z^d, d the scheme's rank, with certified tail sum
+    over the complement < eps/2; `cap` bounds its cells."""
     if eps <= 0:
         raise ValueError("eps must be positive")
     half = Fraction(eps) / 2
     r = least_radius(lambda r: scheme.tail_upper(r + 1) < half,
-                     f"tail support of rho {scheme.rho}", RADIUS_CAP)
-    return ball(r, spec or GroupSpec(scheme.rank), cap)
+                     f"tail support of rho {scheme.rho}")
+    return ball(r, GroupSpec(scheme.rank), cap)
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,8 @@ class SelfSimilarSpec:
         if self.weights is None:
             object.__setattr__(self, "weights",
                                WeightScheme(1, Fraction(1, 4)))
+        elif self.weights.rank != 1:
+            raise ValueError("weights rank must match the group rank")
 
     @property
     def value_range(self) -> Fraction:

@@ -183,6 +183,24 @@ def hausdorff_dim_upper(covers: Sequence[Sequence], eps,
     return lo
 
 
+def sphere_size(rank: int, n: int) -> int:
+    """Number of elements of Z^rank at l1 word length exactly n."""
+    if n == 0:
+        return 1
+    total = 0
+    for k in range(1, min(rank, n) + 1):
+        total += 2 ** k * math.comb(rank, k) * math.comb(n - 1, k - 1)
+    return total
+
+
+def partial_sum_tail(scheme: WeightScheme, r: int) -> Fraction:
+    """The weight tail beyond the ball of radius r - 1 as the lattice total
+    ((1 + rho) / (1 - rho))^rank less r exact sphere terms."""
+    rho = scheme.rho
+    return (((1 + rho) / (1 - rho)) ** scheme.rank
+            - sum(sphere_size(scheme.rank, n) * rho ** n for n in range(r)))
+
+
 # ---------------------------------------------------------------------------
 # radii: one step at a time
 

@@ -6,6 +6,8 @@ from itertools import islice, product
 import numpy as np
 import pytest
 
+import meandim.metrics as metrics
+
 from meandim.groups import CapExceeded, GroupSpec, ball
 from meandim.subshifts import (Alphabet, Rule, SubshiftSpec,
                                cellwise_pair_shift, full_shift, golden_mean,
@@ -58,6 +60,13 @@ def test_floor_wl_obeys_the_radius_cap():
     with pytest.raises(CapExceeded, match=r"^radius cap 1000000 exceeded: "
                        r"floor\(1000001 log_2 2\) needs radius >= 1000001$"):
         floor_wl(2, 2, 10**6 + 1)
+
+
+def test_floor_wl_reads_the_radius_cap_when_called(monkeypatch):
+    monkeypatch.setattr(metrics, "RADIUS_CAP", 10)
+    with pytest.raises(CapExceeded, match=r"^radius cap 10 exceeded: "
+                       r"floor\(40 log_2 3\) needs radius >= 11$"):
+        floor_wl(2, 3, 40)  # = 63
 
 
 def test_mdim_m_closed_forms():

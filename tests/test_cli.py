@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -263,6 +264,20 @@ def test_homog_entropy_obeys_the_cell_cap(tmp_path, capsys):
         "cap_abort": "cells cap 2 exceeded: ball(1) needs 3 cells"}
 
 
+def test_homog_probe_with_slowly_decaying_weights_is_a_spec_error(tmp_path,
+                                                                   capsys):
+    # the slope series needs eps > total * tail(1), here 11/9 * 2/9 = 22/81
+    spec = write_spec(tmp_path, {**HOMOG, "weights": {"rho": "1/10"}})
+    code = main(["homog-probe", "--spec", spec, "--eps-grid", "1/4",
+                 "--folner", "boxes"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == ("spec error: homog-probe eps must exceed 22/81, "
+                            "the weight total times its tail off the "
+                            "identity\n")
+
+
 def test_homog_probe_cap_abort_is_loud(tmp_path, capsys):
     # ball(1) windows push the exact pairwise cloud past the cap
     spec = write_spec(tmp_path, HOMOG)
@@ -371,6 +386,21 @@ def test_kg_experiment_brackets_slow_weights(tmp_path, capsys, rho, grid):
     rows = report["results"]["rows"]
     assert len(rows) == grid.count(",") + 1
     assert all(r["bracket_ok"] for r in rows)
+
+
+def test_kg_experiment_on_slow_rank3_weights_meets_the_cell_cap(tmp_path,
+                                                                capsys):
+    # the rank-3 tail support of eps 1/1000 is ball(2486); summing sphere
+    # terms one radius at a time took about 10 s to find it on 2 vCPU x86_64
+    spec = write_spec(tmp_path, {**KSPACE, "rank": 3,
+                                 "weights": {"rho": "99/100"}})
+    start = time.perf_counter()
+    code, report = run(capsys, ["kg-experiment", "--spec", spec,
+                                "--m-max", "1", "--eps-grid", "1/10,1/1000"])
+    assert time.perf_counter() - start < 2
+    assert code == 1 and report["results"] == {
+        "cap_abort": "cells cap 1000000 exceeded: ball(2486) needs "
+                     "20497656697 cells"}
 
 
 def test_kg_mass_demo_obeys_the_cell_cap(tmp_path, capsys):

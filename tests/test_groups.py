@@ -165,7 +165,7 @@ def test_minkowski_sum_matches_triangle():
 
 def test_minkowski_sum_checks_its_cap_while_it_grows():
     spec = GroupSpec(1)
-    a, b = interval(0, 99999, spec), ball(6, spec)
+    a, b = interval(0, 99999), ball(6, spec)
     with pytest.raises(CapExceeded, match=r"^cells cap 10 exceeded: sum of "
                        r"explicit window of 100000 cells and ball\(6\) needs "
                        r">= \d+ cells$") as info:

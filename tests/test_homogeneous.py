@@ -39,6 +39,13 @@ def test_spec_validation():
         HomogeneousSpec(base=3, digit_spec=FULL2.digit_spec)
 
 
+def test_spec_rejects_weights_of_another_rank():
+    # the digits live on Z^1 x N, so the weights must be on Z^1
+    with pytest.raises(ValueError, match="weights rank must match"):
+        HomogeneousSpec(base=2, digit_spec=FULL2.digit_spec,
+                        weights=WeightScheme(2, Fraction(1, 4)))
+
+
 def test_full_digit_prediction_is_one():
     out = homogeneous_gxn_entropy(FULL2, FolnerDescriptor("boxes", (1, 2)),
                                   depths=(2, 4, 8))
@@ -217,7 +224,7 @@ def test_pair_tables_match_fraction_metrics(spec, n, eps, extra):
     group = GroupSpec(1)
     fwin = box(n, group)
     depth_n = _digit_depth(spec.base, eps)
-    orbit = minkowski_sum(tail_support(spec.weights, eps, group), fwin)
+    orbit = minkowski_sum(tail_support(spec.weights, eps), fwin)
     streamed, den, rows = _pair_rows(spec, fwin, orbit, depth_n + extra,
                                      depth_n, 4000, Caps())
     left, right = (np.array(side) for side in zip(*rows))
@@ -251,7 +258,7 @@ def test_probe_lower_counts_match_fraction_separated_sets(monkeypatch, spec, n,
     group = GroupSpec(1)
     fwin = box(n, group)
     depth_n = _digit_depth(spec.base, eps)
-    orbit = minkowski_sum(tail_support(spec.weights, eps, group), fwin)
+    orbit = minkowski_sum(tail_support(spec.weights, eps), fwin)
     cloud = digit_cloud(spec, orbit, depth_n + extra, 4000)
     left_ref = ProductMetric(spec.weights, orbit, "torus",
                              shifts=fwin.elements)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 import meandim.kspace as kspace
-from meandim.groups import FolnerDescriptor, GroupSpec
+from meandim.groups import FolnerDescriptor
 from meandim.kspace import (KSpaceSpec, _k_size, _k_sweep_count,
                             _unit_steps, _unit_sweep_count, gamma_bracket,
                             kg_covering_experiment, kg_mass_distribution_demo,
@@ -19,6 +19,13 @@ CUBE = KSpaceSpec(rank=1, kind="unit")
 BOXES = FolnerDescriptor("boxes", (1, 2))
 EPS_GRID = [Fraction(1, 10), Fraction(1, 100), Fraction(1, 1000),
             Fraction(1, 10000)]
+
+
+def test_spec_rejects_weights_of_another_rank():
+    with pytest.raises(ValueError, match="weights rank must match"):
+        KSpaceSpec(rank=1, weights=WeightScheme(2, Fraction(1, 4)))
+    with pytest.raises(ValueError, match="weights rank must match"):
+        KSpaceSpec(rank=3, weights=WeightScheme(2, Fraction(1, 4)))
 
 
 def test_gamma_bracket_defining_inequalities():
@@ -68,10 +75,9 @@ def test_brackets_match_their_defining_loops():
 
 def _real_budgets(spec, eps_grid):
     """(eps, budget) pairs as kg_covering_experiment forms them."""
-    group = GroupSpec(spec.rank)
     weights = spec.weights
     for eps in eps_grid:
-        support = tail_support(weights, eps, group)
+        support = tail_support(weights, eps)
         tail = weights.tail_upper(support.index + 1)
         yield eps, (eps - 2 * tail) / weights.total_upper()
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import time
 
 import pytest
@@ -8,9 +9,10 @@ from fractions import Fraction
 import meandim.metrics as metrics
 from meandim.groups import CapExceeded, GroupSpec, GroupWindow, ball, interval
 from meandim.metrics import (PointCloud, ProductMetric, WeightScheme,
-                             kset_value, sphere_size, tail_support)
+                             kset_value, tail_support)
 from oracles import (circle_cover_count, hausdorff_dim_upper, hausdorff_sum,
-                     line_cover_count, line_separated_count, separated_set,
+                     line_cover_count, line_separated_count,
+                     partial_sum_tail, separated_set, sphere_size,
                      stepped_tail_radius)
 
 SPEC1 = GroupSpec(1)
@@ -32,18 +34,28 @@ def test_tail_upper_brackets_true_tail():
             up = ws.tail_upper(r)
             assert partial <= up
             assert float(up) <= float(partial) * 1.25 + 1e-12
-    # ranks 3 and 4 are exact: the whole-lattice sum ((1 + rho)/(1 - rho))^d
+    # every rank is exact: the whole-lattice sum ((1 + rho)/(1 - rho))^d
     # less the weights of the ball of radius r - 1, summed point by point
-    for rank in (3, 4):
+    for rank in (1, 2, 3, 4):
         for rho in (Fraction(1, 4), Fraction(2, 3)):
             ws = WeightScheme(rank, rho)
-            for r in (0, 1, 2, 4):
+            for r in range(7):
                 inner = sum(rho ** sum(map(abs, g))
                             for g in itertools.product(range(1 - r, r),
                                                        repeat=rank)
                             if sum(map(abs, g)) < r)
                 assert ws.tail_upper(r) == ((1 + rho) / (1 - rho)) ** rank \
                     - inner
+
+
+def test_tail_upper_matches_the_sphere_partial_sums():
+    for rank in range(1, 6):
+        for rho in (Fraction(1, 4), Fraction(1, 2), Fraction(9, 10),
+                    Fraction(1, 10**9)):
+            ws = WeightScheme(rank, rho)
+            for r in range(25):
+                assert ws.tail_upper(r) == partial_sum_tail(ws, r), \
+                    (rank, rho, r)
 
 
 def test_tail_support_examples():
@@ -251,6 +263,20 @@ def test_tail_support_radius_matches_the_stepped_loop(rank):
                     2 * ws.total_upper(), 4 * ws.total_upper()):
             assert tail_support(ws, eps).index \
                 == stepped_tail_radius(ws, eps), (rho, eps)
+
+
+@pytest.mark.parametrize("rho", [Fraction(99, 100), Fraction(999, 1000)])
+def test_rank3_tail_support_of_slow_decay_is_fast(rho):
+    # the sphere partial sums took 14 s to find radius 3022 at rho 99/100
+    # on 2 vCPU x86_64; the ball itself is past the cells cap
+    ws, eps = WeightScheme(3, rho), Fraction(1, 2000)
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded, match=r"^cells cap 1000000 exceeded: "
+                       r"ball\((\d+)\) needs \d+ cells$") as info:
+        tail_support(ws, eps)
+    assert time.perf_counter() - start < 1
+    r = int(re.search(r"ball\((\d+)\)", str(info.value))[1])
+    assert ws.tail_upper(r + 1) < eps / 2 <= ws.tail_upper(r)
 
 
 def test_tail_support_of_slow_decay_is_fast():

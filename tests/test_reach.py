@@ -87,7 +87,6 @@ UNREACHED = {
     "metrics.coordinate_distance": "ProductMetric's coordinate distance",
     "metrics.kset_value": "ProductMetric's coordinate distance",
     "subshifts.FiberTable.total": PERFBENCH_PIN,
-    "metrics.sphere_size": "tail sums in rank >= 3",
     "groups.CapExceeded.__init__": "raised only when a cap is hit",
     "groups.GroupWindow.name": "names a window in a cap message",
     "carpet.PsiCell.key": "names the cell of a failed sandwich check",

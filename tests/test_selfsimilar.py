@@ -32,6 +32,12 @@ def test_spec_validation():
         SelfSimilarSpec(omega=full_shift(2), values=(0,), c=Fraction(1, 2))
 
 
+def test_spec_rejects_weights_of_another_rank():
+    with pytest.raises(ValueError, match="weights rank must match"):
+        SelfSimilarSpec(omega=full_shift(2), values=(0, 1), c=Fraction(1, 2),
+                        weights=WeightScheme(2, Fraction(1, 4)))
+
+
 def test_upper_bound_values():
     assert selfsimilar_upper_bound(FULL)["bound"] == pytest.approx(1.0)
     got = selfsimilar_upper_bound(GOLDEN3)["bound"]
