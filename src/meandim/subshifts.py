@@ -14,7 +14,11 @@ enumerator matches them as they are, the DP step as `(mask, value)` pairs
 over the frontier slots.  The step walks a dict of frontier states while
 fewer than `_ARRAY_STATES` (64) are live and runs on arrays from then on:
 int64 keys while the frontier fits in 63 bits, object keys past that, and
-object counts of Python ints, so every count stays exact.  A rank-1
+object counts of Python ints, so every count stays exact.  An array step
+is a plan that depends on the keys and the clauses alone (`_step_plan`)
+and one gather and one `np.add.reduceat` of the counts; a sweep row
+repeats the keys of the row before, so a count keeps the plans of its last
+row, keyed on the bytes of the int64 keys, and reuses them.  A rank-1
 nearest-neighbour window holds at most one state per symbol, so with fewer
 than 64 symbols it never leaves the dict step.
 
@@ -412,9 +416,16 @@ def _frontier_count(spec: SubshiftSpec, window: GroupWindow,
     frontier fits in 63 bits, promoted to object on the step it stops
     fitting) and counts as an object array of Python ints, so they stay
     exact.  Each move keeps the states whose masks pass, the targets are
-    sorted and equal keys merge with `np.add.reduceat`.  A step that
-    leaves more than `cap` states raises the patterns cap, naming the
-    window.
+    sorted and equal keys merge with `np.add.reduceat`.  All of that but
+    the sum is the step's plan (`_step_plan`), a pure function of the keys,
+    `keep` and the moves.  In a row-by-row sweep each column keeps its slot
+    in every row, so from the second or third row on a step repeats the
+    plan of its column in the row before.  A memo local to this call,
+    keyed on `keep`, the moves and the bytes of the keys, reuses those
+    plans while the keys are int64 (the bytes of object keys are
+    pointers); it holds one sweep row, `top // width + 1` plans, and drops
+    the oldest past that.  A step that leaves more than `cap` states
+    raises the patterns cap, naming the window.
     """
     clauses = _cell_bans(spec, window)
     n = len(window)
@@ -425,12 +436,17 @@ def _frontier_count(spec: SubshiftSpec, window: GroupWindow,
         for _, clause in cell:
             for p, _ in clause:
                 last[p] = i
+    leaving = [[] for _ in range(n)]  # the seated cells that leave at step i
+    for p, i in enumerate(last):
+        if i > p:
+            leaving[i].append(p)
     symbols = spec.rule.symbols
     width = max(1, (spec.rule.size - 1).bit_length())
     full = (1 << width) - 1
     slot, free, top, live = {}, [], 0, 0
     states = {0: 1}
     keys = counts = None  # the states once the step runs on arrays
+    plans = {}  # (keep, moves, key bytes) -> _step_plan, int64 keys only
     for i in range(n):
         # bans[s]: (mask, value) pairs; s is illegal when key & mask == value
         bans = {s: [] for s in symbols}
@@ -440,7 +456,7 @@ def _frontier_count(spec: SubshiftSpec, window: GroupWindow,
                 mask |= full << slot[p]
                 value |= t << slot[p]
             bans[s].append((mask, value))
-        for j in [j for j in slot if last[j] == i]:
+        for j in leaving[i]:
             live &= ~(full << slot[j])
             free.append(slot.pop(j))
         keep = live
@@ -450,16 +466,26 @@ def _frontier_count(spec: SubshiftSpec, window: GroupWindow,
                 top += width
             slot[i] = free.pop()
             live |= full << slot[i]
-        moves = [(s << slot[i] if i in slot else 0, bans[s]) for s in symbols]
+        moves = tuple((s << slot[i] if i in slot else 0, tuple(bans[s]))
+                      for s in symbols)
         if keys is None and len(states) >= _ARRAY_STATES:
             keys = np.array(list(states), dtype=exact_int_dtype(1 << top))
             counts = np.array(list(states.values()), dtype=object)
         if keys is None:
             states = _dict_step(states, keep, moves)
         else:
-            keys, counts = _array_step(
-                keys.astype(exact_int_dtype(1 << top), copy=False), counts,
-                keep, moves)
+            keys = keys.astype(exact_int_dtype(1 << top), copy=False)
+            if keys.dtype == object:  # the bytes of object keys are pointers
+                plan = _step_plan(keys, keep, moves)
+            else:
+                memo = (keep, moves, keys.tobytes())
+                plan = plans.get(memo)
+                if plan is None:
+                    plan = plans[memo] = _step_plan(keys, keep, moves)
+                    if len(plans) > top // width + 1:
+                        del plans[next(iter(plans))]
+            keys, src, starts = plan
+            counts = np.add.reduceat(counts[src], starts)
         size = len(states) if keys is None else len(keys)
         if size > cap:
             raise CapExceeded("patterns", cap, window.name,
@@ -484,26 +510,30 @@ def _dict_step(states: dict, keep: int, moves) -> dict:
     return nxt
 
 
-def _array_step(keys, counts, keep: int, moves):
+def _step_plan(keys, keep: int, moves):
+    """The merge of one array step as `(merged_keys, src, starts)`: the
+    step's counts are `np.add.reduceat(counts[src], starts)`.  It depends
+    on the keys, `keep` and `moves` alone, never on the counts."""
     base = keys & keep
-    targets, weights = [], []
+    index = np.arange(len(keys))
+    targets, sources = [], []
     for add, ban in moves:
-        kept, weight = base, counts
+        kept, src = base, index
         if ban:
             ok = np.logical_and.reduce([(keys & mask) != value
                                         for mask, value in ban])
-            kept, weight = base[ok], counts[ok]
+            kept, src = base[ok], index[ok]
         targets.append(kept | add)
-        weights.append(weight)
+        sources.append(src)
     keys = np.concatenate(targets)
     # the stable sort loads less of numpy than the default kind: about
     # 0.25 MB less peak RSS in a fresh process
     order = np.argsort(keys, kind="stable")
-    keys, counts = keys[order], np.concatenate(weights)[order]
+    keys = keys[order]
     first = np.ones(len(keys), dtype=bool)
     first[1:] = keys[1:] != keys[:-1]
     starts = np.flatnonzero(first)
-    return keys[starts], np.add.reduceat(counts, starts)
+    return keys[starts], np.concatenate(sources)[order], starts
 
 
 def count_patterns(spec: SubshiftSpec, window: GroupWindow,

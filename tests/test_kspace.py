@@ -74,12 +74,14 @@ def test_brackets_match_their_defining_loops():
 
 
 def _real_budgets(spec, eps_grid):
-    """(eps, budget) pairs as kg_covering_experiment forms them."""
+    """(eps, budget) pairs: the budgets kg_covering_experiment forms, with
+    the tail support at 3 eps/4, and those with the support at eps."""
     weights = spec.weights
     for eps in eps_grid:
-        support = tail_support(weights, eps)
-        tail = weights.tail_upper(support.index + 1)
-        yield eps, (eps - 2 * tail) / weights.total_upper()
+        for at in (3 * eps / 4, eps):
+            support = tail_support(weights, at)
+            tail = weights.tail_upper(support.index + 1)
+            yield eps, (eps - 2 * tail) / weights.total_upper()
 
 
 def test_integer_sweeps_match_line_sweeps():

@@ -443,6 +443,79 @@ def test_array_step_promotes_wide_frontiers_to_object_keys(array_step,
     assert dtypes[0] == np.int64 and dtypes[-1] == object
 
 
+def _rectangle(width, height):
+    return GroupWindow(spec=GroupSpec(2), elements=tuple(
+        (x, y) for x in range(width) for y in range(height)))
+
+
+def _hard_square_rectangle(width, height):
+    """Independent sets of the width x height grid graph, by a transfer
+    matrix over the rows of `width` bits with no two adjacent ones."""
+    rows = [r for r in range(1 << width) if not r & (r >> 1)]
+    ways = dict.fromkeys(rows, 1)
+    for _ in range(height - 1):
+        ways = {r: sum(c for s, c in ways.items() if not r & s) for r in rows}
+    return sum(ways.values())
+
+
+def test_array_step_hard_square_boxes_match_oeis(array_step):
+    hs = hard_square()
+    got = [count_patterns(hs, box(n, GroupSpec(2))) for n in range(1, 13)]
+    assert tuple(got) == A006506[:12]
+
+
+def test_array_step_hard_square_rectangles(array_step):
+    hs = hard_square()
+    assert count_patterns(hs, _rectangle(5, 9)) == \
+        count_patterns(hs, _rectangle(9, 5)) == _hard_square_rectangle(5, 9)
+    for width, height in itertools.product(range(1, 5), range(1, 7)):
+        for w in (_rectangle(width, height), _rectangle(height, width)):
+            assert count_patterns(hs, w) == enumerate_patterns(hs, w).count
+
+
+def test_array_step_three_symbol_rule_matches_enumeration(array_step):
+    # three symbols take 2-bit frontier slots
+    rule = Rule.nearest_neighbor(3, {0: [(0, 1), (1, 1), (2, 2)],
+                                     1: [(0, 0), (1, 0), (2, 1)]})
+    spec = SubshiftSpec(2, Alphabet(3), rule, "three")
+    for n in range(1, 5):
+        w = box(n, GroupSpec(2))
+        assert count_patterns(spec, w) == enumerate_patterns(spec, w).count
+
+
+def test_array_step_plans_are_keyed_on_kept_slots_and_clauses(array_step):
+    # steps of one sweep row that meet equal keys but keep other slots or
+    # read other clauses; a plan keyed on the keys alone miscounts both
+    corner = SubshiftSpec(2, Alphabet(2), Rule.forbidden_patterns(
+        2, [(((0, 0), (1, 2), (1, 0)), (0, 1, 0))]), "corner")
+    for width, height in itertools.product(range(1, 5), range(1, 5)):
+        w = _rectangle(width, height)
+        assert count_patterns(corner, w) == \
+            enumerate_patterns(corner, w).count, (width, height)
+    # a 0 has no successor along axis 1: each column is all ones or ends
+    # in its only 0
+    column_end = SubshiftSpec(2, Alphabet(2), Rule.nearest_neighbor(
+        2, {0: [], 1: [(0, 0), (0, 1)]}), "column-end")
+    for n in range(1, 7):
+        assert count_patterns(column_end, box(n, GroupSpec(2))) == 2 ** n
+
+
+def test_array_step_reuses_the_plans_of_repeated_steps(array_step,
+                                                       monkeypatch):
+    built = []
+
+    def recorded(keys, keep, moves):
+        built.append(keep)
+        return plan(keys, keep, moves)
+
+    plan = subshifts._step_plan
+    monkeypatch.setattr(subshifts, "_step_plan", recorded)
+    w = box(12, GroupSpec(2))
+    assert count_patterns(hard_square(), w) == A006506[11]
+    # every one of the window's cells takes an array step
+    assert 0 < len(built) < len(w)
+
+
 FREE_NN = SubshiftSpec(1, Alphabet(2), Rule.nearest_neighbor(2, {0: []}),
                       "free-nn")
 FREE_NN_2D = SubshiftSpec(2, Alphabet(2),
