@@ -436,10 +436,12 @@ def _frontier_count(spec: SubshiftSpec, window: GroupWindow,
         for _, clause in cell:
             for p, _ in clause:
                 last[p] = i
-    leaving = [[] for _ in range(n)]  # the seated cells that leave at step i
+    # the seated cells that leave at step i; the empty tuple is shared, so
+    # a window of n cells adds n pointers and one tuple per leaving step
+    leaving = [()] * n
     for p, i in enumerate(last):
         if i > p:
-            leaving[i].append(p)
+            leaving[i] += (p,)
     symbols = spec.rule.symbols
     width = max(1, (spec.rule.size - 1).bit_length())
     full = (1 << width) - 1
