@@ -4,14 +4,17 @@ Elements are integer coordinate tuples.  The generating set is
 e_1 < e_1^{-1} < e_2 < e_2^{-1} < ... (a fixed total order on generators),
 so the word length is the l1 norm and balls are l1 balls.  Windows carry a
 deterministic element order: sort by word length, break ties by comparing the
-lexicographically least minimal generator word.
+lexicographically least minimal generator word.  The builders `ball`, `box`
+and `interval` emit their cells in that order directly, shell by shell, with
+no sort.
 """
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain, product
 from typing import Iterable
 
 GroupElement = tuple  # integer coordinate tuple of length rank
@@ -85,6 +88,13 @@ class GroupWindow:
     elements: tuple
     kind: str = "explicit"  # ball | box | explicit | product
     index: int | None = None
+    # Set by the builders alone, never by __init__: `_shape` is ("cube",
+    # corner, side) for the cells corner + [0, side)^rank or ("ball", m) for
+    # the ball of radius m, and `_swept` marks the lexicographic sweep of
+    # that shape, where the builders emit canonical order.
+    _shape: tuple | None = field(default=None, init=False, repr=False,
+                                 compare=False)
+    _swept: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(set(self.elements)) != len(self.elements):
@@ -108,6 +118,63 @@ class GroupWindow:
         return (f"{self.kind}({self.index})" if self.index is not None
                 else f"{self.kind} window of {len(self)} cells")
 
+    @property
+    def is_interval(self) -> bool:
+        """Whether a builder made the window as a run of consecutive cells
+        of Z: every rank-1 box, ball and interval."""
+        return self.spec.rank == 1 and self._shape is not None
+
+    def sweep(self) -> GroupWindow | None:
+        """The window in lexicographic order, axis 0 outermost, when a
+        builder made it as a cube or a ball: a cube's cells come from
+        `product`, a ball's from `_ball_coords`, with no sort.  None for
+        any other window."""
+        if self._swept:
+            return self
+        if self._shape is None:
+            return None
+        if self._shape[0] == "cube":
+            _, corner, side = self._shape
+            if self.spec.rank == 1 and corner[0] >= 0:
+                cells = self.elements  # canonical order is ascending here
+            else:
+                cells = tuple(product(*(range(c, c + side) for c in corner)))
+        else:
+            cells = tuple(_ball_coords(self.spec.rank, self._shape[1]))
+        return _built(self.spec, cells, self.kind, self.index, self._shape,
+                      swept=True)
+
+    def edges(self, axis: int):
+        """The pairs (i, j), i ascending, of the positions of a cell g and of
+        its right translate g·e_axis by the axis generator (g + e_axis in
+        Z^rank) when both lie in the window.  A swept cube reads j = i +
+        side^(rank-1-axis) off its strides, for every i off the last layer
+        of that axis; any other window looks each translate up in its
+        position map."""
+        if self._swept and self._shape[0] == "cube":
+            side = self._shape[2]
+            stride = side ** (self.spec.rank - 1 - axis)
+            block = stride * side
+            return chain.from_iterable(
+                zip(range(b, b + block - stride), range(b + stride, b + block))
+                for b in range(0, len(self), block))
+        e = tuple(int(a == axis) for a in range(self.spec.rank))
+        pos = self.position_map
+        ends = map(pos.get, (tuple(map(operator.add, g, e))
+                             for g in self.elements))
+        return ((i, j) for i, j in enumerate(ends) if j is not None)
+
+
+def _built(spec: GroupSpec, elements: tuple, kind: str,
+           index: int | None = None, shape: tuple | None = None,
+           swept: bool = False) -> GroupWindow:
+    """A window whose elements a builder made distinct by construction, so
+    it skips the distinctness check that __init__ runs."""
+    window = object.__new__(GroupWindow)
+    window.__dict__.update(spec=spec, elements=elements, kind=kind,
+                           index=index, _shape=shape, _swept=swept)
+    return window
+
 
 def _ball_coords(rank: int, m: int):
     if rank == 1:
@@ -117,6 +184,41 @@ def _ball_coords(rank: int, m: int):
         for x in range(-m, m + 1):
             for rest in _ball_coords(rank - 1, m - abs(x)):
                 yield (x,) + rest
+
+
+def _ball_shell(rank: int, s: int) -> list:
+    """The cells of l1 norm s in canonical order: the first coordinate runs
+    s, s - 1, ..., 1, -s, ..., -1, 0 (ascending in `canonical_key`'s pair
+    for it) and the rest of each cell is a shell of rank - 1 in that order."""
+    if rank == 1:
+        return [(s,), (-s,)] if s else [(0,)]
+    return [(x,) + rest for x in chain(range(s, 0, -1), range(-s, 0), (0,))
+            for rest in _ball_shell(rank - 1, s - abs(x))]
+
+
+def _box_shell(rank: int, s: int, n: int) -> list:
+    """The cells of [0, n)^rank, rank >= 2, of l1 norm s in descending
+    lexicographic order, which is canonical order on cells >= 0."""
+    top, low = min(s, n - 1), max(0, s - (rank - 1) * (n - 1))
+    if rank == 2:
+        return [(x, s - x) for x in range(top, low - 1, -1)]
+    return [(x,) + rest for x in range(top, low - 1, -1)
+            for rest in _box_shell(rank - 1, s - x, n)]
+
+
+def _interval_cells(lo: int, hi: int) -> tuple:
+    """The cells lo..hi of Z in canonical order: ascending |x|, +x before
+    -x, so 0, 1, -1, 2, -2, ... clipped to [lo, hi]."""
+    if lo >= 0:
+        xs = range(lo, hi + 1)
+    elif hi <= 0:
+        xs = range(hi, lo - 1, -1)
+    else:
+        k = min(hi, -lo)
+        xs = chain((0,), chain.from_iterable(zip(range(1, k + 1),
+                                                 range(-1, -k - 1, -1))),
+                   range(k + 1, hi + 1), range(-k - 1, lo - 1, -1))
+    return tuple(zip(xs))
 
 
 def _cell_cap(cells: int, cap: int, subject: str) -> None:
@@ -131,8 +233,12 @@ def ball(m: int, spec: GroupSpec, cap: int = DEFAULT_CELL_CAP) -> GroupWindow:
         raise ValueError("radius must be >= 0")
     _cell_cap(sum(2 ** k * math.comb(spec.rank, k) * math.comb(m, k)
                   for k in range(spec.rank + 1)), cap, f"ball({m})")
-    return GroupWindow(spec=spec, kind="ball", index=m, elements=tuple(
-        canonical_order(_ball_coords(spec.rank, m))))
+    if spec.rank == 1:
+        return _built(spec, _interval_cells(-m, m), "ball", m,
+                      ("cube", (-m,), 2 * m + 1))
+    cells = tuple(chain.from_iterable(_ball_shell(spec.rank, s)
+                                      for s in range(m + 1)))
+    return _built(spec, cells, "ball", m, ("ball", m))
 
 
 def box(n: int, spec: GroupSpec, cap: int = DEFAULT_CELL_CAP) -> GroupWindow:
@@ -140,19 +246,20 @@ def box(n: int, spec: GroupSpec, cap: int = DEFAULT_CELL_CAP) -> GroupWindow:
     if n < 1:
         raise ValueError("box side must be >= 1")
     _cell_cap(n ** spec.rank, cap, f"box({n})")
-    coords = [()]
-    for _ in range(spec.rank):
-        coords = [c + (x,) for c in coords for x in range(n)]
-    return GroupWindow(spec=spec, elements=tuple(canonical_order(coords)),
-                       kind="box", index=n)
+    if spec.rank == 1:
+        cells = tuple(zip(range(n)))
+    else:
+        cells = tuple(chain.from_iterable(
+            _box_shell(spec.rank, s, n)
+            for s in range(spec.rank * (n - 1) + 1)))
+    return _built(spec, cells, "box", n, ("cube", (0,) * spec.rank, n))
 
 
 def interval(lo: int, hi: int, cap: int = DEFAULT_CELL_CAP) -> GroupWindow:
     """Explicit window {lo..hi} of Z, canonical order."""
     _cell_cap(hi - lo + 1, cap, f"interval {lo}..{hi}")
-    elems = tuple((x,) for x in range(lo, hi + 1))
-    return GroupWindow(spec=GroupSpec(1),
-                       elements=tuple(canonical_order(elems)), kind="explicit")
+    return _built(GroupSpec(1), _interval_cells(lo, hi), "explicit",
+                  shape=("cube", (lo,), max(0, hi - lo + 1)))
 
 
 def product_window(window: GroupWindow, n: int,
@@ -162,8 +269,7 @@ def product_window(window: GroupWindow, n: int,
         raise ValueError("depth must be >= 1")
     _cell_cap(len(window) * n, cap, f"product({n})")
     elems = tuple(f + (k,) for f in window.elements for k in range(n))
-    return GroupWindow(spec=GroupSpec(window.spec.rank + 1), elements=elems,
-                       kind="product", index=n)
+    return _built(GroupSpec(window.spec.rank + 1), elems, "product", n)
 
 
 def minkowski_sum(a: GroupWindow, b: GroupWindow,
@@ -181,8 +287,7 @@ def minkowski_sum(a: GroupWindow, b: GroupWindow,
         if len(elems) > cap:
             raise CapExceeded("cells", cap, f"sum of {a.name} and {b.name}",
                               f">= {len(elems)} cells")
-    return GroupWindow(spec=a.spec, elements=tuple(canonical_order(elems)),
-                       kind="explicit")
+    return _built(a.spec, tuple(canonical_order(elems)), "explicit")
 
 
 @dataclass(frozen=True)

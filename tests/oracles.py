@@ -13,7 +13,7 @@ sees the same points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -55,6 +55,54 @@ def generators(spec: GroupSpec) -> list:
 def windows(folner: FolnerDescriptor, spec: GroupSpec,
             cap: int = DEFAULT_CELL_CAP) -> list[GroupWindow]:
     return [folner.window(m, spec, cap) for m in folner.indices]
+
+
+# ---------------------------------------------------------------------------
+# subshifts: the sweep by sorting and the neighbours by the position map
+
+def sorted_sweep(window: GroupWindow) -> GroupWindow:
+    """The window's cells sorted lexicographically, longest extent
+    outermost (equal extents keep axis 0 outermost):
+    `subshifts._sweep_window`."""
+    cells = window.elements
+    dims = range(len(cells[0]))
+    extent = [max(c[a] for c in cells) - min(c[a] for c in cells) for a in dims]
+    axes = sorted(dims, key=lambda a: -extent[a])
+    return replace(window, elements=tuple(
+        sorted(cells, key=lambda c: [c[a] for a in axes])))
+
+
+def position_map_cell_bans(spec: SubshiftSpec, window: GroupWindow) -> list:
+    """The clauses of `subshifts._cell_bans`, every neighbour c + e_axis and
+    every pattern cell looked up in the window's position map."""
+    rule = spec.rule
+    symbols = rule.symbols
+    pos = window.position_map
+    bans = [[] for _ in range(len(window))]
+    for axis, mat in rule.axis_allowed:
+        forward = [(s, t) for s in symbols for t in symbols if not mat[t][s]]
+        backward = [(s, t) for s in symbols for t in symbols if not mat[s][t]]
+        e = tuple(int(a == axis) for a in range(spec.rank))
+        for i, c in enumerate(window.elements):
+            j = pos.get(add(c, e))
+            if j is None:
+                continue
+            if j < i:
+                bans[i] += [(s, ((j, t),)) for s, t in backward]
+            else:
+                bans[j] += [(s, ((i, t),)) for s, t in forward]
+    for offs, syms in rule.forbidden:
+        shifts = [tuple(a - b for a, b in zip(off, offs[0])) for off in offs]
+        for c in window.elements:
+            inst = [pos.get(add(c, d)) for d in shifts]
+            need = {}
+            if None in inst or any(need.setdefault(p, t) != t
+                                   for p, t in zip(inst, syms)):
+                continue
+            s = need.pop(max(inst))
+            if s in set(symbols):
+                bans[max(inst)].append((s, tuple(need.items())))
+    return bans
 
 
 # ---------------------------------------------------------------------------

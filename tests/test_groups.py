@@ -4,9 +4,10 @@ import random
 import pytest
 from fractions import Fraction
 
-from meandim.groups import (CapExceeded, FolnerDescriptor, GroupSpec, ball,
-                            box, canonical_key, canonical_order, interval,
-                            minkowski_sum, product_window, word_length)
+from meandim.groups import (CapExceeded, FolnerDescriptor, GroupSpec,
+                            GroupWindow, ball, box, canonical_key,
+                            canonical_order, interval, minkowski_sum,
+                            product_window, word_length)
 from oracles import add, generators, identity, windows
 
 
@@ -109,6 +110,42 @@ def test_canonical_key_orders_like_the_least_minimal_word(rank):
     for window in (ball(4, GroupSpec(rank)), box(5, GroupSpec(rank))):
         assert list(window.elements) == sorted(window.elements,
                                                key=minimal_word_key)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_builders_emit_their_cells_in_canonical_order(rank):
+    spec = GroupSpec(rank)
+    for k in range(7):
+        cube = set(itertools.product(range(-k, k + 1), repeat=rank))
+        windows = [(ball(k, spec), {g for g in cube if word_length(g) <= k})]
+        if k:
+            windows.append((box(k, spec),
+                            set(itertools.product(range(k), repeat=rank))))
+        for window, cells in windows:
+            assert set(window.elements) == cells
+            assert len(window) == len(cells)
+            assert list(window.elements) == canonical_order(window.elements)
+    if rank == 1:
+        for lo in range(-6, 7):
+            for hi in range(lo - 1, 7):
+                elements = interval(lo, hi).elements
+                assert sorted(elements) == [(x,) for x in range(lo, hi + 1)]
+                assert list(elements) == canonical_order(elements)
+
+
+def test_builders_name_the_interval_windows():
+    g1, g2 = GroupSpec(1), GroupSpec(2)
+    assert all(w.is_interval for w in (box(3, g1), ball(2, g1),
+                                       interval(-4, 9), interval(2, 1)))
+    assert not any(w.is_interval for w in (
+        box(3, g2), ball(2, g2), product_window(box(3, g1), 1),
+        minkowski_sum(ball(1, g1), ball(1, g1)),
+        GroupWindow(spec=g1, elements=((0,), (1,)))))
+
+
+def test_a_window_built_directly_checks_its_cells_are_distinct():
+    with pytest.raises(ValueError, match="^window elements must be distinct$"):
+        GroupWindow(spec=GroupSpec(1), elements=((0,), (1,), (0,)))
 
 
 def test_folner_defect_examples():

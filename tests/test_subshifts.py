@@ -5,11 +5,12 @@ import random
 import numpy as np
 import pytest
 
-from meandim import metrics, subshifts
+from meandim import groups, metrics, subshifts
 from meandim.groups import (CapExceeded, GroupSpec, GroupWindow, ball, box,
-                            interval, product_window)
+                            interval, minkowski_sum, product_window)
 from meandim.subshifts import (Alphabet, Rule,
-                               SubshiftSpec, _frontier_count, _sweep_window,
+                               SubshiftSpec, _cell_bans, _frontier_count,
+                               _sweep_window,
                                cellwise_pair_shift, count_patterns,
                                count_windows,
                                enumerate_patterns, extensible_symbols,
@@ -17,6 +18,7 @@ from meandim.subshifts import (Alphabet, Rule,
                                hard_square, json_int, mcmullen_shift,
                                pair_shift_with_b_rule, projected_spec,
                                projection_count_interval, spec_from_json)
+from oracles import position_map_cell_bans, sorted_sweep
 
 
 def fib(n):
@@ -567,6 +569,78 @@ def test_count_windows_sweeps_rank_1_series_once(monkeypatch):
     boxes = [box(n, g2) for n in (1, 2, 3)]
     count_windows(hard_square(), boxes)
     assert alone == boxes[1:2]  # box(1) is one cell, box(3) the sweep
+
+
+def _built_windows(rank):
+    """Every ball of radius 0..6 and box of side 1..6 of Z^rank, and in
+    rank 1 every interval inside -6..6."""
+    spec = GroupSpec(rank)
+    windows = [ball(k, spec) for k in range(7)]
+    windows += [box(k, spec) for k in range(1, 7)]
+    if rank == 1:
+        windows += [interval(lo, hi) for lo in range(-6, 7)
+                    for hi in range(lo, 7)]
+    return windows
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_sweeps_of_built_windows_match_the_sorted_sweep(rank):
+    g1 = GroupSpec(1)
+    others = [product_window(ball(2, g1), 3), product_window(box(3, g1), 2),
+              minkowski_sum(ball(1, g1), interval(3, 5))] if rank == 1 else []
+    for w in _built_windows(rank) + others:
+        swept, want = _sweep_window(w), sorted_sweep(w)
+        assert swept.elements == want.elements
+        assert (swept.spec, swept.kind, swept.index) == (w.spec, w.kind,
+                                                         w.index)
+        assert _sweep_window(swept).elements == want.elements
+
+
+SHIPPED_RULES = {
+    1: (full_shift(3), golden_mean(), mcmullen_shift(),
+        cellwise_pair_shift(2, 2, [(0, 0), (1, 1)]),
+        pair_shift_with_b_rule(2, golden_mean()), GOLDEN_DOMINO, NO_01,
+        MIXED),
+    2: (hard_square(), full_shift(2, rank=2), FORBIDDEN_2D,
+        pair_shift_with_b_rule(2, hard_square()), ASYMMETRIC_2D),
+    3: (golden_mean(3), full_shift(2, rank=3)),
+}
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_stride_cell_bans_match_the_position_map(rank):
+    for w in _built_windows(rank):
+        swept = _sweep_window(w)
+        for spec in SHIPPED_RULES[rank]:
+            for window in (w, swept):
+                assert _cell_bans(spec, window) == \
+                    position_map_cell_bans(spec, window), (spec.name, w.name)
+        if w.kind == "box":  # the strides alone, no position map
+            fresh = _sweep_window(w)
+            _cell_bans(golden_mean(rank), fresh)
+            assert "position_map" not in fresh.__dict__
+
+
+def test_counting_path_neither_sorts_nor_looks_up_cells(monkeypatch):
+    def no_key(g):
+        raise AssertionError("canonical_key was called")
+
+    monkeypatch.setattr(groups, "canonical_key", no_key)
+    for rank in (1, 2, 3):
+        for w in _built_windows(rank):
+            _sweep_window(w)
+    sweeps = []
+
+    def frontier_count(spec, window, *args, **kwargs):
+        sweeps.append(window)
+        return _frontier_count(spec, window, *args, **kwargs)
+
+    monkeypatch.setattr(subshifts, "_frontier_count", frontier_count)
+    windows = [box(n, GroupSpec(1)) for n in range(1, 65)]
+    got = count_windows(golden_mean(), windows)
+    assert [c for _, c in got] == [fib(n + 2) for n in range(1, 65)]
+    assert len(sweeps) == 1
+    assert all("position_map" not in w.__dict__ for w in windows + sweeps)
 
 
 def test_frontier_count_records_the_running_total_at_each_stop():
