@@ -15,6 +15,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import accumulate
 from typing import Sequence
 
@@ -266,7 +267,16 @@ class MassDemoReport:
     worst_margin: float
 
 
-def _sample_k_codes(rng, size: int, cumulative: list[float],
+@cache
+def _sampling_table() -> tuple[tuple, float]:
+    """The running sums of the truncated weights a/n^2, n = 1.._MAX_CODE,
+    and their sum (not the last running sum: `sum` may round differently),
+    built once per process on first use."""
+    weights = [NU_SQUARE_COEFF / n ** 2 for n in range(1, _MAX_CODE + 1)]
+    return tuple(accumulate(weights)), sum(weights)
+
+
+def _sample_k_codes(rng, size: int, cumulative: tuple,
                     total: float) -> list[int]:
     """nu-distributed K codes: 0 with mass 1/2, 1/n with a/n^2 (renormalized
     truncation for sampling only; masses in checks are the true nu).
@@ -313,9 +323,7 @@ def kg_mass_distribution_demo(spec: KSpaceSpec, k: int,
     log_delta = math.log(delta)
 
     rng = seeded_random(seed)
-    weights = [NU_SQUARE_COEFF / n ** 2 for n in range(1, _MAX_CODE + 1)]
-    cumulative = list(accumulate(weights))
-    total = sum(weights)  # not cumulative[-1]: sum() may round differently
+    cumulative, total = _sampling_table()
     size = len(swin)
     # all coordinates at 0, all at 1, a 1, 2, 3 cycle, then the samples
     pts = [[0] * size, [1] * size, [(i % 3) + 1 for i in range(size)]]

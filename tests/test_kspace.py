@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
@@ -229,6 +233,23 @@ def test_mass_demo_all_zero_point_uses_zero_atom(monkeypatch):
                                        1, Fraction(1, 12), seed=0)
     assert report.points_checked == 3
     assert report.worst_margin >= 0.0
+
+
+def test_mass_demo_builds_its_sampling_table_once_and_not_at_import():
+    # a fresh interpreter: importing the package builds no table
+    code = ("import meandim.kspace as k; "
+            "assert k._sampling_table.cache_info().currsize == 0")
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    kspace._sampling_table.cache_clear()
+    for k in (2, 4):
+        kg_mass_distribution_demo(KSET, k, FolnerDescriptor("boxes", (1,)), 1,
+                                  Fraction(1, 10), seed=1)
+    assert kspace._sampling_table.cache_info().misses == 1
+    weights = [kspace.NU_SQUARE_COEFF / n ** 2
+               for n in range(1, kspace._MAX_CODE + 1)]
+    assert kspace._sampling_table() == (tuple(accumulate(weights)),
+                                        sum(weights))
 
 
 def test_mass_demo_input_validation():

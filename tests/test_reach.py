@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 import meandim
-from meandim import cli
+from meandim import cli, kspace
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = Path(meandim.__file__).resolve().parent
@@ -149,7 +149,9 @@ def test_every_library_function_is_reached(tmp_path):
             entered.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
 
     # as in a fresh process, whose first command line builds the parser
+    # and whose first mass demo builds its sampling table
     cli.build_parser.cache_clear()
+    kspace._sampling_table.cache_clear()
     sys.setprofile(profile)
     try:
         _run_everything(tmp_path)
