@@ -17,6 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import metrics
 from .groups import (CapExceeded, Caps, FolnerDescriptor, GroupWindow, ball,
                      minkowski_sum)
 from .metrics import PointCloud, ProbeViolation, WeightScheme, least_radius
@@ -91,10 +92,36 @@ def net_radius(spec: SelfSimilarSpec, eps: Fraction) -> int:
                         < target, f"net of rho {spec.weights.rho}")
 
 
+def _log(q: Fraction) -> float:
+    """log q for a rational q > 0, also where its float would under- or
+    overflow."""
+    return math.log(q.numerator) - math.log(q.denominator)
+
+
+def _least_power(c: Fraction, offset: int, holds, guess: int | None,
+                 subject: str) -> int:
+    """The least r >= 0 with holds(c ** (r + offset)), for a test that stays
+    true once true, started from a float guess at r.  A guess that the
+    exact test confirms at r and r - 1 is the answer after one power, where
+    `least_radius` takes about 2 log2 r of them, each of up to a million
+    digits for c near 1.  Any other guess falls back to that search, so a
+    float error costs time, never the answer, and a guess past the radius
+    cap lets the search raise it."""
+    if guess is not None and guess <= metrics.RADIUS_CAP:
+        below = c ** (guess + offset - 1)
+        if holds(below * c) and (guess == 0 or not holds(below)):
+            return guess
+    return least_radius(lambda r: holds(c ** (r + offset)), subject)
+
+
 def composition_depth(spec: SelfSimilarSpec, eps: Fraction) -> int:
     """Smallest m with D c^m < eps/6, by exact rational comparison."""
     d_up, target = spec.diameter_upper(), Fraction(eps) / 6
-    return least_radius(lambda m: d_up * spec.c ** m < target,
+    guess = None  # the least m > log(target / D) / log c
+    if d_up > 0 and target > 0:
+        guess = max(0, math.floor((_log(target) - _log(d_up))
+                                  / _log(spec.c)) + 1)
+    return _least_power(spec.c, 0, lambda p: d_up * p < target, guess,
                         f"composition depth of c {spec.c}")
 
 
@@ -195,7 +222,10 @@ def selfsimilar_cover_probe(spec: SelfSimilarSpec, eps_grid: Sequence,
 def embedding_depth(spec: SelfSimilarSpec, eps: Fraction) -> int:
     """k >= 1 minimal with c^k D <= eps; eps >= D degenerates to k = 1."""
     d_up, eps = spec.diameter_upper(), Fraction(eps)
-    return 1 + least_radius(lambda r: spec.c ** (r + 1) * d_up <= eps,
+    guess = None  # the least r with r + 1 >= log(eps / D) / log c
+    if d_up > 0 and eps > 0:
+        guess = max(0, math.ceil((_log(eps) - _log(d_up)) / _log(spec.c)) - 1)
+    return 1 + _least_power(spec.c, 1, lambda p: p * d_up <= eps, guess,
                             f"embedding depth of c {spec.c}")
 
 

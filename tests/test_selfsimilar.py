@@ -11,7 +11,8 @@ from meandim.metrics import ProductMetric, WeightScheme
 from meandim.subshifts import (Alphabet, Rule, SubshiftSpec, count_patterns,
                                enumerate_patterns, full_shift, golden_mean)
 from meandim.selfsimilar import (NetTooCoarse, ProbeViolation,
-                                 SelfSimilarSpec, composition_depth,
+                                 SelfSimilarSpec, _least_power,
+                                 composition_depth,
                                  contraction_embedding_check, embedding_depth,
                                  net_radius, selfsimilar_cover_probe,
                                  selfsimilar_spanning_cloud,
@@ -218,6 +219,31 @@ def test_depths_of_a_slow_contraction_are_least_and_fast():
         assert c ** k * d_up <= eps < c ** (k - 1) * d_up
     assert (m, k) == (23015, 21224)
     assert time.perf_counter() - start < 1
+
+
+def test_depths_of_a_near_one_contraction_are_least_and_fast():
+    # at c = 9999/10000 and eps = 1/4 the doubling search alone took 3.0 s
+    # and 2.4 s for the two depths (2 vCPU x86_64), about 35 powers of up to
+    # a million digits each; the float guess needs one power per depth
+    spec = _contraction("9999/10000")
+    d_up, c, eps = spec.diameter_upper(), spec.c, Fraction(1, 4)
+    start = time.perf_counter()
+    m = composition_depth(spec, eps)
+    k = embedding_depth(spec, eps)
+    assert time.perf_counter() - start < 1
+    assert d_up * c ** m < eps / 6 <= d_up * c ** (m - 1)
+    assert c ** k * d_up <= eps < c ** (k - 1) * d_up
+    assert (m, k) == (128986, 111070)
+
+
+@pytest.mark.parametrize("guess", [None, 0, 3, 6, 7, 8, 10**7])
+def test_a_wrong_depth_guess_falls_back_to_the_search(guess):
+    # 2^-7 = 1/128 is the first power of 1/2 below 1/100
+    half = Fraction(1, 2)
+    assert _least_power(half, 0, lambda p: p < Fraction(1, 100), guess,
+                        "test") == 7
+    assert _least_power(half, 1, lambda p: p < Fraction(1, 100), guess,
+                        "test") == 6
 
 
 def test_depths_obey_the_radius_cap():
