@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, product
 from typing import Iterable
@@ -88,13 +88,13 @@ class GroupWindow:
     elements: tuple
     kind: str = "explicit"  # ball | box | explicit | product
     index: int | None = None
-    # Set by the builders alone, never by __init__: `_shape` is ("cube",
-    # corner, side) for the cells corner + [0, side)^rank or ("ball", m) for
-    # the ball of radius m, and `_swept` marks the lexicographic sweep of
-    # that shape, where the builders emit canonical order.
-    _shape: tuple | None = field(default=None, init=False, repr=False,
-                                 compare=False)
-    _swept: bool = field(default=False, init=False, repr=False, compare=False)
+    # Set by the builders alone (`_built`), never by __init__, so they are
+    # plain class attributes, not fields: `_shape` is ("cube", corner, side)
+    # for the cells corner + [0, side)^rank or ("ball", m) for the ball of
+    # radius m, and `_swept` marks the lexicographic sweep of that shape,
+    # where the builders emit canonical order.
+    _shape = None
+    _swept = False
 
     def __post_init__(self):
         if len(set(self.elements)) != len(self.elements):

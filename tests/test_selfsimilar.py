@@ -237,7 +237,7 @@ def test_depths_of_a_near_one_contraction_are_least_and_fast():
 
 
 @pytest.mark.parametrize("guess", [None, 0, 3, 6, 7, 8, 10**7])
-def test_a_wrong_depth_guess_falls_back_to_the_search(guess):
+def test_any_depth_guess_gives_the_least_index(guess):
     # 2^-7 = 1/128 is the first power of 1/2 below 1/100
     half = Fraction(1, 2)
     assert _least_power(half, 0, lambda p: p < Fraction(1, 100), guess,
