@@ -105,8 +105,9 @@ def _least_power(c: Fraction, offset: int, holds, guess: int | None,
     exact test confirms at r and r - 1 is the answer after one power, where
     `least_radius` takes about 2 log2 r of them, each of up to a million
     digits for c near 1.  Any other guess falls back to that search, so a
-    float error costs time, never the answer, and a guess past the radius
-    cap lets the search raise it."""
+    float error costs time, never the answer.  No guess (None), as for a c
+    so near 1 that its float log rounds to 0, or a guess past the radius
+    cap lets the search decide, and raise the cap."""
     if guess is not None and guess <= metrics.RADIUS_CAP:
         below = c ** (guess + offset - 1)
         if holds(below * c) and (guess == 0 or not holds(below)):
@@ -117,10 +118,10 @@ def _least_power(c: Fraction, offset: int, holds, guess: int | None,
 def composition_depth(spec: SelfSimilarSpec, eps: Fraction) -> int:
     """Smallest m with D c^m < eps/6, by exact rational comparison."""
     d_up, target = spec.diameter_upper(), Fraction(eps) / 6
-    guess = None  # the least m > log(target / D) / log c
-    if d_up > 0 and target > 0:
-        guess = max(0, math.floor((_log(target) - _log(d_up))
-                                  / _log(spec.c)) + 1)
+    # the least m > log(target / D) / log c, where log c rounds below 0
+    guess, log_c = None, _log(spec.c)
+    if d_up > 0 and target > 0 and log_c < 0:
+        guess = max(0, math.floor((_log(target) - _log(d_up)) / log_c) + 1)
     return _least_power(spec.c, 0, lambda p: d_up * p < target, guess,
                         f"composition depth of c {spec.c}")
 
@@ -222,9 +223,11 @@ def selfsimilar_cover_probe(spec: SelfSimilarSpec, eps_grid: Sequence,
 def embedding_depth(spec: SelfSimilarSpec, eps: Fraction) -> int:
     """k >= 1 minimal with c^k D <= eps; eps >= D degenerates to k = 1."""
     d_up, eps = spec.diameter_upper(), Fraction(eps)
-    guess = None  # the least r with r + 1 >= log(eps / D) / log c
-    if d_up > 0 and eps > 0:
-        guess = max(0, math.ceil((_log(eps) - _log(d_up)) / _log(spec.c)) - 1)
+    # the least r with r + 1 >= log(eps / D) / log c, where log c rounds
+    # below 0
+    guess, log_c = None, _log(spec.c)
+    if d_up > 0 and eps > 0 and log_c < 0:
+        guess = max(0, math.ceil((_log(eps) - _log(d_up)) / log_c) - 1)
     return 1 + _least_power(spec.c, 1, lambda p: p * d_up <= eps, guess,
                             f"embedding depth of c {spec.c}")
 

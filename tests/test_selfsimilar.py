@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from meandim import metrics
 from meandim.groups import (CapExceeded, Caps, GroupSpec, ball, box, interval,
                             minkowski_sum)
 from meandim.metrics import ProductMetric, WeightScheme
@@ -234,6 +235,22 @@ def test_depths_of_a_near_one_contraction_are_least_and_fast():
     assert d_up * c ** m < eps / 6 <= d_up * c ** (m - 1)
     assert c ** k * d_up <= eps < c ** (k - 1) * d_up
     assert (m, k) == (128986, 111070)
+
+
+@pytest.mark.parametrize("c", [Fraction(10**17 - 1, 10**17),
+                               Fraction(2**53 - 1, 2**53)])
+def test_depths_of_a_c_whose_float_log_is_zero_raise_the_radius_cap(
+        monkeypatch, c):
+    # log(numerator) and log(denominator) round to one float, so there is
+    # no float guess and the search meets the radius cap
+    assert math.log(c.numerator) == math.log(c.denominator)
+    monkeypatch.setattr(metrics, "RADIUS_CAP", 40)
+    spec = _contraction(c)
+    for depth, name in ((composition_depth, "composition"),
+                        (embedding_depth, "embedding")):
+        with pytest.raises(CapExceeded, match=f"^radius cap 40 exceeded: "
+                           f"{name} depth of c {c} needs radius >= 41$"):
+            depth(spec, Fraction(1, 4))
 
 
 @pytest.mark.parametrize("guess", [None, 0, 3, 6, 7, 8, 10**7])
