@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, product
 from typing import Iterable
@@ -88,13 +88,14 @@ class GroupWindow:
     elements: tuple
     kind: str = "explicit"  # ball | box | explicit | product
     index: int | None = None
-    # Set by the builders alone (`_built`), never by __init__, so they are
-    # plain class attributes, not fields: `_shape` is ("cube", corner, side)
-    # for the cells corner + [0, side)^rank or ("ball", m) for the ball of
-    # radius m, and `_swept` marks the lexicographic sweep of that shape,
-    # where the builders emit canonical order.
-    _shape = None
-    _swept = False
+    # Set by the builders alone (`_built`), never by __init__: `_shape` is
+    # ("cube", corner, side) for the cells corner + [0, side)^rank or
+    # ("ball", m) for the ball of radius m, and `_swept` marks the
+    # lexicographic sweep of that shape, where the builders emit canonical
+    # order.
+    _shape: tuple | None = field(default=None, init=False, repr=False,
+                                 compare=False)
+    _swept: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(set(self.elements)) != len(self.elements):
@@ -117,12 +118,6 @@ class GroupWindow:
     def name(self) -> str:  # box(3), ball(2), product(4) in cap messages
         return (f"{self.kind}({self.index})" if self.index is not None
                 else f"{self.kind} window of {len(self)} cells")
-
-    @property
-    def is_interval(self) -> bool:
-        """Whether a builder made the window as a run of consecutive cells
-        of Z: every rank-1 box, ball and interval."""
-        return self.spec.rank == 1 and self._shape is not None
 
     def sweep(self) -> GroupWindow | None:
         """The window in lexicographic order, axis 0 outermost, when a
@@ -169,10 +164,13 @@ def _built(spec: GroupSpec, elements: tuple, kind: str,
            index: int | None = None, shape: tuple | None = None,
            swept: bool = False) -> GroupWindow:
     """A window whose elements a builder made distinct by construction, so
-    it skips the distinctness check that __init__ runs."""
+    it skips the distinctness check that __init__ runs; the fields are set
+    as a frozen dataclass's own __init__ sets them."""
     window = object.__new__(GroupWindow)
-    window.__dict__.update(spec=spec, elements=elements, kind=kind,
-                           index=index, _shape=shape, _swept=swept)
+    for name, value in (("spec", spec), ("elements", elements),
+                        ("kind", kind), ("index", index), ("_shape", shape),
+                        ("_swept", swept)):
+        object.__setattr__(window, name, value)
     return window
 
 
@@ -247,7 +245,7 @@ def box(n: int, spec: GroupSpec, cap: int = DEFAULT_CELL_CAP) -> GroupWindow:
         raise ValueError("box side must be >= 1")
     _cell_cap(n ** spec.rank, cap, f"box({n})")
     if spec.rank == 1:
-        cells = tuple(zip(range(n)))
+        cells = _interval_cells(0, n - 1)
     else:
         cells = tuple(chain.from_iterable(
             _box_shell(spec.rank, s, n)

@@ -580,7 +580,8 @@ def _is_translated_prefix(window: GroupWindow, swept: GroupWindow) -> bool:
     k = len(window)
     if k == 0:
         return False  # no stop records the empty prefix
-    if window.is_interval and swept.is_interval:
+    if all(w.spec.rank == 1 and w._shape is not None
+           for w in (window, swept)):  # two intervals `groups` built
         return k <= len(swept)
     shift = [a - b for a, b in zip(map(min, zip(*swept.elements[:k])),
                                    map(min, zip(*window.elements)))]

@@ -133,16 +133,6 @@ def test_builders_emit_their_cells_in_canonical_order(rank):
                 assert list(elements) == canonical_order(elements)
 
 
-def test_builders_name_the_interval_windows():
-    g1, g2 = GroupSpec(1), GroupSpec(2)
-    assert all(w.is_interval for w in (box(3, g1), ball(2, g1),
-                                       interval(-4, 9), interval(2, 1)))
-    assert not any(w.is_interval for w in (
-        box(3, g2), ball(2, g2), product_window(box(3, g1), 1),
-        minkowski_sum(ball(1, g1), ball(1, g1)),
-        GroupWindow(spec=g1, elements=((0,), (1,)))))
-
-
 def test_a_window_built_directly_checks_its_cells_are_distinct():
     with pytest.raises(ValueError, match="^window elements must be distinct$"):
         GroupWindow(spec=GroupSpec(1), elements=((0,), (1,), (0,)))

@@ -10,7 +10,7 @@ from meandim.groups import (CapExceeded, GroupSpec, GroupWindow, ball, box,
                             interval, minkowski_sum, product_window)
 from meandim.subshifts import (Alphabet, Rule,
                                SubshiftSpec, _cell_bans, _frontier_count,
-                               _sweep_window,
+                               _is_translated_prefix, _sweep_window,
                                cellwise_pair_shift, count_patterns,
                                count_windows,
                                enumerate_patterns, extensible_symbols,
@@ -641,6 +641,30 @@ def test_counting_path_neither_sorts_nor_looks_up_cells(monkeypatch):
     assert [c for _, c in got] == [fib(n + 2) for n in range(1, 65)]
     assert len(sweeps) == 1
     assert all("position_map" not in w.__dict__ for w in windows + sweeps)
+
+
+def test_built_intervals_are_prefixes_by_their_lengths():
+    g1, g2 = GroupSpec(1), GroupSpec(2)
+    built = [box(3, g1), ball(2, g1), interval(-4, 9), interval(2, 1),
+             interval(-9, -7), box(20, g1)]
+    others = [GroupWindow(spec=g1, elements=((0,), (1,))),
+              GroupWindow(spec=g1, elements=((0,), (2,))),
+              minkowski_sum(ball(1, g1), ball(1, g1))]
+    for i, window in enumerate(built + others):
+        for j, of in enumerate(built + others):
+            swept = _sweep_window(of)
+            prefix, k = swept.elements[:len(window)], len(window)
+            want = 0 < k <= len(swept) and {
+                (x + prefix[0][0] - min(window.elements)[0],)
+                for x, in window.elements} == set(prefix)
+            assert _is_translated_prefix(window, swept) == want, (i, j)
+            if i < len(built) and j < len(built):  # lengths alone
+                assert "position_map" not in swept.__dict__
+    # other windows look their cells up
+    swept = _sweep_window(box(3, g2))
+    assert _is_translated_prefix(box(1, g2), swept)
+    assert not _is_translated_prefix(box(2, g2), swept)
+    assert "position_map" in swept.__dict__
 
 
 def test_frontier_count_records_the_running_total_at_each_stop():
