@@ -247,6 +247,9 @@ def _cmd_homog_entropy(system: HomogeneousSpec, args, caps: Caps) -> dict:
     folner = FolnerDescriptor(args.folner, _folner_indices(args, 1))
     depths = _at_least_one("--depths", args.depths or [4, 8, 12])
     out = homogeneous_gxn_entropy(system, folner, depths, caps)
+    if out["series"].empty_system:  # a series of -inf logs is no JSON
+        return {"empty_system": True, "entropy": _num(0.0, "exact"),
+                "prediction": _num(0.0, "exact")}
     return {"series": out["series"].table(),
             "entropy": _num(out["entropy"], "estimate"),
             "prediction": _num(out["prediction"], "estimate")}

@@ -90,9 +90,10 @@ class GroupWindow:
     index: int | None = None
     # Set by the builders alone (`_built`), never by __init__: `_shape` is
     # ("cube", corner, side) for the cells corner + [0, side)^rank or
-    # ("ball", m) for the ball of radius m, and `_swept` marks the
-    # lexicographic sweep of that shape, where the builders emit canonical
-    # order.
+    # ("ball", m) for the ball of radius m, and `_swept` marks a window in
+    # its own sweep order (the lexicographic sweep of that shape, where the
+    # builders emit canonical order, or a window that
+    # `subshifts._sweep_window` sorted).
     _shape: tuple | None = field(default=None, init=False, repr=False,
                                  compare=False)
     _swept: bool = field(default=False, init=False, repr=False, compare=False)
@@ -146,7 +147,8 @@ class GroupWindow:
         side^(rank-1-axis) off its strides, for every i off the last layer
         of that axis; any other window looks each translate up in its
         position map."""
-        if self._swept and self._shape[0] == "cube":
+        if self._swept and self._shape is not None \
+                and self._shape[0] == "cube":
             side = self._shape[2]
             stride = side ** (self.spec.rank - 1 - axis)
             block = stride * side
@@ -219,6 +221,20 @@ def _interval_cells(lo: int, hi: int) -> tuple:
     return tuple(zip(xs))
 
 
+def _cube_cells(corner: tuple, side: int) -> tuple:
+    """The cells corner + [0, side)^rank, side >= 1, in canonical order:
+    an interval or a box shell by shell, with no sort; any other cube by
+    `canonical_order`."""
+    if len(corner) == 1:
+        return _interval_cells(corner[0], corner[0] + side - 1)
+    if any(corner):
+        return tuple(canonical_order(product(*(range(c, c + side)
+                                               for c in corner))))
+    return tuple(chain.from_iterable(
+        _box_shell(len(corner), s, side)
+        for s in range(len(corner) * (side - 1) + 1)))
+
+
 def _cell_cap(cells: int, cap: int, subject: str) -> None:
     if cells > cap:
         raise CapExceeded("cells", cap, subject, f"{cells} cells")
@@ -244,13 +260,8 @@ def box(n: int, spec: GroupSpec, cap: int = DEFAULT_CELL_CAP) -> GroupWindow:
     if n < 1:
         raise ValueError("box side must be >= 1")
     _cell_cap(n ** spec.rank, cap, f"box({n})")
-    if spec.rank == 1:
-        cells = _interval_cells(0, n - 1)
-    else:
-        cells = tuple(chain.from_iterable(
-            _box_shell(spec.rank, s, n)
-            for s in range(spec.rank * (n - 1) + 1)))
-    return _built(spec, cells, "box", n, ("cube", (0,) * spec.rank, n))
+    corner = (0,) * spec.rank
+    return _built(spec, _cube_cells(corner, n), "box", n, ("cube", corner, n))
 
 
 def interval(lo: int, hi: int, cap: int = DEFAULT_CELL_CAP) -> GroupWindow:
@@ -272,10 +283,19 @@ def product_window(window: GroupWindow, n: int,
 
 def minkowski_sum(a: GroupWindow, b: GroupWindow,
                   cap: int = DEFAULT_CELL_CAP) -> GroupWindow:
-    """The set {g + h : g in a, h in b}, canonical order.  The set grows by
-    the sums of one element of the smaller window at a time, and the cap is
+    """The set {g + h : g in a, h in b}, canonical order.  The sum of two
+    nonempty cubes that a builder made is the cube at the sum of their
+    corners, of side s + t - 1, built as such.  Any other set grows by the
+    sums of one element of the smaller window at a time, and the cap is
     checked after each, so a sum past the cap stops within max(|a|, |b|)
     cells of it."""
+    shapes = (a._shape, b._shape)
+    if all(s is not None and s[0] == "cube" and s[2] for s in shapes):
+        corner = tuple(map(operator.add, a._shape[1], b._shape[1]))
+        side = a._shape[2] + b._shape[2] - 1
+        if side ** len(corner) <= cap:
+            return _built(a.spec, _cube_cells(corner, side), "explicit",
+                          shape=("cube", corner, side))
     outer, inner = sorted((a.elements, b.elements), key=len)
     elems = set()
     for h in outer:

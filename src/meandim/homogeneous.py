@@ -64,9 +64,11 @@ class HomogeneousSpec:
 
 def homogeneous_gxn_entropy(spec: HomogeneousSpec, folner: FolnerDescriptor,
                             depths: Sequence[int], caps: Caps = Caps()) -> dict:
-    """Digit-window entropy series; the dimension prediction divides by log b."""
+    """Digit-window entropy series; the dimension prediction divides by log b.
+    An empty digit system has entropy and prediction 0.0, as the
+    self-similar bound of an empty driving system does."""
     series = gxn_entropy_series(spec.digit_spec, folner, depths, caps)
-    value = series.value
+    value = 0.0 if series.empty_system else series.value
     return {"series": series, "entropy": value,
             "prediction": value / math.log(spec.base)}
 
@@ -299,7 +301,10 @@ def homogeneous_slope_series(spec: HomogeneousSpec, eps_list: Sequence,
         for g in range(len(fwin)):
             count *= _circle_cover_codes([p[g] for p in codes],
                                          spec.base ** (depth_n + 1), budget)
-        slope = math.log(count) / (len(fwin) * math.log(1 / float(eps)))
+        # an empty digit system covers with no arcs: slope 0.0, as its
+        # entropy
+        slope = (math.log(count) / (len(fwin) * math.log(1 / float(eps)))
+                 if count else 0.0)
         rows.append({"eps": float(eps), "depth": depth_n, "count": count,
                      "slope": slope})
     return rows

@@ -53,6 +53,9 @@ class SelfSimilarSpec:
             raise ValueError("one value per symbol")
         if not (0 < self.c < 1):
             raise ValueError("contraction ratio needs 0 < c < 1")
+        if not _log_inverse(self.c):
+            raise ValueError(f"contraction ratio {self.c} is so near 1 that "
+                             "log(1/c) rounds to 0")
         if self.weights is None:
             object.__setattr__(self, "weights",
                                WeightScheme(1, Fraction(1, 4)))
@@ -76,7 +79,7 @@ def selfsimilar_upper_bound(spec: SelfSimilarSpec,
     est = entropy_estimate(entropy_series(spec.omega, BOUND_FOLNER, caps))
     if est.empty_system:
         return {"bound": 0.0, "entropy": 0.0, "entropy_provenance": "exact"}
-    return {"bound": est.best / math.log(1 / float(spec.c)),
+    return {"bound": est.best / _log_inverse(spec.c),
             "entropy": est.best, "entropy_provenance": est.provenance}
 
 
@@ -98,6 +101,18 @@ def _log(q: Fraction) -> float:
     return math.log(q.numerator) - math.log(q.denominator)
 
 
+def _log_inverse(c: Fraction) -> float:
+    """log(1/c) for 0 < c < 1, as the log of 1 / float(c) where float(c)
+    is neither 0 nor 1.  Where it is 0, -log c from c's numerator and
+    denominator; where it is 1, log1p((1 - c)/c), since there the logs of
+    the numerator and the denominator agree in floating point too.  That
+    rounds to 0 only within about 5e-324 of 1."""
+    x = float(c)
+    if x == 0:
+        return -_log(c)
+    return math.log1p(float((1 - c) / c)) if x == 1 else math.log(1 / x)
+
+
 def _least_power(c: Fraction, offset: int, holds, guess: int | None,
                  subject: str) -> int:
     """The least r >= 0 with holds(c ** (r + offset)), for a test that stays
@@ -107,8 +122,16 @@ def _least_power(c: Fraction, offset: int, holds, guess: int | None,
     digits for c near 1.  Any other guess falls back to that search, so a
     float error costs time, never the answer.  No guess (None), as for a c
     so near 1 that its float log rounds to 0, or a guess past the radius
-    cap lets the search decide, and raise the cap."""
-    if guess is not None and guess <= metrics.RADIUS_CAP:
+    cap lets the search decide, and raise the cap.  But where Bernoulli's
+    1 - k (1 - c) <= c^k, at k = RADIUS_CAP + offset, already fails the
+    test, so does every power up to the cap, and the cap is raised at once:
+    for c within about 1e-6 of 1 the search would take powers of millions
+    of digits to find that out."""
+    cap = metrics.RADIUS_CAP
+    low = 1 - (cap + offset) * (1 - c)
+    if low > 0 and not holds(low):
+        raise CapExceeded("radius", cap, subject, f"radius >= {cap + 1}")
+    if guess is not None and guess <= cap:
         below = c ** (guess + offset - 1)
         if holds(below * c) and (guess == 0 or not holds(below)):
             return guess

@@ -8,19 +8,30 @@ its running total at a list of stops, and each window that is a translate
 of a prefix of the largest window's sweep reads its count off its stop
 (`count_windows`).
 
-Both engines read the rule as compiled on a window by `_cell_bans`: per
-cell, clauses that ban a symbol there given symbols at earlier cells.  The
-enumerator matches them as they are, the DP step as `(mask, value)` pairs
-over the frontier slots.  The step walks a dict of frontier states while
-fewer than `_ARRAY_STATES` (64) are live and runs on arrays from then on:
-int64 keys while the frontier fits in 63 bits, object keys past that, and
-object counts of Python ints, so every count stays exact.  An array step
-is a plan that depends on the keys and the clauses alone (`_step_plan`)
-and one gather and one `np.add.reduceat` of the counts; a sweep row
-repeats the keys of the row before, so a count keeps the plans of its last
-row, keyed on the bytes of the int64 keys, and reuses them.  A rank-1
-nearest-neighbour window holds at most one state per symbol, so with fewer
-than 64 symbols it never leaves the dict step.
+Both engines read a window's step program (`_Program`): its distinct
+steps, and one step index per cell.  A step holds, per symbol, the
+`(mask, value)` pairs over the packed frontier slots that ban the symbol at
+the cell, the slot it is seated in, and the slots that leave there.
+`_cell_bans` states the constraint semantics: per cell, clauses that ban a
+symbol there given symbols at earlier cells, from which `_compile` builds
+the program of any window, interning equal steps.  A cube that `groups`
+built (a box, a rank-1 ball, an interval, a sum of two such) yields the
+program of its sweep from its shape (`_cube_program`): it compiles the
+first sweep rows, one steady row and the last rows, a few times the side
+of the cube's cells, and repeats the steady row in between, with no cell
+tuples and no clause lists.
+
+The enumerator tests the bans on the packed frontier of its assignment.
+The DP walks a dict of frontier states while fewer than `_ARRAY_STATES`
+(64) are live and runs on arrays from then on: int64 keys while the
+frontier fits in 63 bits, object keys past that, and object counts of
+Python ints, so every count stays exact.  An array step is a plan that
+depends on the step and the keys alone (`_step_plan`) and one gather and
+one `np.add.reduceat` of the counts.  Once a sweep row meets the keys of
+the row before, every later steady row replays the plans of the row before
+with no plan built and no lookup.  A rank-1 nearest-neighbour window holds
+at most one state per symbol, so with fewer than 64 symbols it never
+leaves the dict step.
 
 Pattern legality on a window checks the rules that fit entirely inside the
 window (free boundary).  For the shipped rule classes this either matches the
@@ -31,8 +42,10 @@ projection count for 1-d nearest-neighbor rules so the gap can be reported.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from operator import add, sub
-from typing import Iterable, Mapping, Sequence
+from functools import reduce
+from itertools import chain, product
+from operator import add, and_, getitem, mul, sub
+from typing import Iterable, Mapping, NamedTuple, Sequence
 import json
 
 import numpy as np
@@ -323,54 +336,302 @@ def _cell_bans(spec: SubshiftSpec, window: GroupWindow) -> list:
     return bans
 
 
+class _Program(NamedTuple):
+    """A window compiled in its cell order: its distinct steps, in order of
+    first use, the step index of each cell, and the cells per sweep row
+    (those whose first coordinate is that of the first cell).
+
+    A state of the DP is a key that packs the symbols of the frontier (the
+    seated cells that a later clause still reads), `width` bits per slot.
+    A step is a triple `(keep, moves, top)`.  It clears the slots of the
+    cells that leave there, keeping `keep`.  Per symbol s of
+    `rule.symbols`, `moves` holds `(add, bans)`: `add` is s in the slot of
+    the cell seated there (0 when no later clause reads the cell), and s is
+    illegal when `key & mask == value` for a `(mask, value)` pair of
+    `bans`, sorted and distinct.  `top` is the bits in use, the bound of
+    the array keys."""
+
+    steps: tuple
+    cells: tuple
+    row: int
+
+
+class _Seating:
+    """The frontier slots while a program is compiled, cell by cell.
+
+    `step` turns a cell's `(s, clause)` pairs of `_cell_bans` into
+    `(mask, value)` pairs over the slots of the cells they read, frees the
+    slots of the cells that leave there (their last reader), then seats the
+    cell in the slot freed last, or a new one, if a later clause reads it.
+    Equal steps share one index."""
+
+    def __init__(self, spec: SubshiftSpec):
+        self.symbols = spec.rule.symbols
+        self.width = max(1, (spec.rule.size - 1).bit_length())
+        self.full = (1 << self.width) - 1
+        self.slot, self.free, self.top, self.live = {}, [], 0, 0
+        self.steps = {}  # step -> its index
+        self.adds = {None: (0,) * len(self.symbols)}  # seat -> the adds
+
+    def step(self, i: int, clauses, leaving, seated: bool,
+             base: int = 0) -> int:
+        """The index of cell i's step; its `(s, clause)` pairs read the
+        cells `base + p`."""
+        slot, full, free = self.slot, self.full, self.free
+        bans = {}
+        for s, clause in clauses:
+            mask = value = 0
+            for p, t in clause:
+                q = slot[base + p]
+                mask |= full << q
+                value |= t << q
+            bans[s] = bans.get(s, ()) + ((mask, value),)
+        live = self.live
+        for j in leaving:
+            q = slot.pop(j)
+            live &= ~(full << q)
+            free.append(q)
+        keep, seat = live, None
+        if seated:
+            if not free:
+                free.append(self.top)
+                self.top += self.width
+            seat = slot[i] = free.pop()
+            live |= full << seat
+        self.live = live
+        adds = self.adds.get(seat)
+        if adds is None:
+            adds = self.adds[seat] = tuple(s << seat for s in self.symbols)
+        step = (keep, tuple([(a, tuple(sorted(set(bans[s]))) if s in bans
+                              else ()) for s, a in zip(self.symbols, adds)]),
+                self.top)
+        return self.steps.setdefault(step, len(self.steps))
+
+
+def _compile(spec: SubshiftSpec, window: GroupWindow) -> _Program:
+    """The step program of the window's cells in their order, from the
+    clauses of `_cell_bans`: a cell leaves after the last step whose
+    clauses read it."""
+    clauses = _cell_bans(spec, window)
+    n = len(window)
+    last = list(range(n))  # the step after which each cell leaves
+    for i, cell in enumerate(clauses):
+        for _, clause in cell:
+            for p, _ in clause:
+                last[p] = i
+    # the seated cells that leave at step i; the empty tuple is shared, so
+    # a window of n cells adds n pointers and one tuple per leaving step
+    leaving = [()] * n
+    for p, i in enumerate(last):
+        if i > p:
+            leaving[i] += (p,)
+    seating = _Seating(spec)
+    cells = tuple(seating.step(i, clauses[i], leaving[i], last[i] > i)
+                  for i in range(n))
+    first = window.elements[0][0] if n else None
+    row = next((j for j, c in enumerate(window.elements) if c[0] != first), n)
+    return _Program(tuple(seating.steps), cells, row)
+
+
+def _cube_templates(spec: SubshiftSpec, rank: int) -> list:
+    """The clauses of `_cell_bans` on a cube in sweep order, by geometry:
+    `(reads, lo, hi, bans)`, where a cell x inside the cube with lo[a] <=
+    x[a] < side - hi[a] on every axis a has, for each `(s, symbols)` of
+    `bans`, the clause that bans s at x given symbols[k] at x + reads[k].
+
+    An adjacency edge always runs forward in the sweep, so its clauses read
+    x - e_axis.  A forbidden-pattern instance fires at its last cell, the
+    lexicographically largest offset; cells inside a cube are distinct
+    exactly where their offsets are, so whether an instance forces a cell
+    to two symbols does not depend on where it sits."""
+    symbols = spec.rule.symbols
+    templates = []
+    for axis, mat in spec.rule.axis_allowed:
+        forward = [(s, (t,)) for s in symbols for t in symbols
+                   if not mat[t][s]]
+        if forward:
+            e = tuple(int(a == axis) for a in range(rank))
+            templates.append(((tuple(-c for c in e),), e, (0,) * rank,
+                              forward))
+    allowed = set(symbols)
+    for offs, syms in spec.rule.forbidden:
+        shifts = [tuple(map(sub, off, offs[0])) for off in offs]
+        need = {}
+        if any(need.setdefault(d, t) != t for d, t in zip(shifts, syms)):
+            continue  # the instance never matches
+        end = max(shifts)
+        s = need.pop(end)
+        if s not in allowed:
+            continue
+        reads = tuple(tuple(map(sub, d, end)) for d in need)
+        lo = tuple(max(-d[a] for d in reads + ((0,) * rank,))
+                   for a in range(rank))
+        hi = tuple(max(d[a] for d in reads + ((0,) * rank,))
+                   for a in range(rank))
+        templates.append((reads, lo, hi, [(s, tuple(need.values()))]))
+    return templates
+
+
+def _cube_program(spec: SubshiftSpec, rank: int, side: int) -> _Program:
+    """The step program of the sweep of a cube of the given side, read off
+    its shape, with no cell tuples and no clause lists: equal to
+    `_compile` on the swept cube.
+
+    The cube is compiled layer by layer along axis 0 (a sweep row: side^
+    (rank-1) cells), from the clause templates of `_cube_templates`; a
+    cell's last reader is the furthest cell whose template reads it.  Which
+    templates hold at a cell depends on each coordinate alone, so a bit set
+    per axis and coordinate gives them, and the clauses and the last reader
+    are worked out once per distinct set.  A layer at least `reach` layers
+    from both faces of axis 0 (`reach`, the furthest any clause reads back
+    along axis 0) sees every template that its clauses and its readers
+    need; so once such a layer starts from the slots that the layer before
+    it started from, shifted by one layer, it repeats that layer's steps
+    and ends as that layer ended, and by induction so does every layer up
+    to the last `reach` ones, which are compiled as they come."""
+    if side == 0:
+        return _Program((), (), 1)
+    seating = _Seating(spec)
+    strides = [side ** (rank - 1 - a) for a in range(rank)]
+    row = strides[0]
+    geometry, bounds, readers = [], [], set()
+    for reads, lo, hi, bans in _cube_templates(spec, rank):
+        top = tuple(side - 1 - h for h in hi)
+        offsets = [sum(map(mul, d, strides)) for d in reads]
+        geometry.append([(s, tuple(zip(offsets, ts))) for s, ts in bans])
+        bounds.append((lo, top))
+        for d, o in zip(reads, offsets):
+            # the clause at x - d reads x where lo <= x - d <= top
+            readers.add((-o, tuple(map(add, lo, d)), tuple(map(add, top, d))))
+    readers = sorted(readers, reverse=True)
+    bounds += [(lo, top) for _, lo, top in readers]
+    reach = max((lo[0] for lo, _ in bounds[:len(geometry)]), default=0)
+
+    def hold(a: int, v: int) -> int:
+        return sum(1 << k for k, (lo, top) in enumerate(bounds)
+                   if lo[a] <= v <= top[a])
+
+    # per axis and coordinate, the bit set of the templates and the readers
+    # that hold there, templates first (away from the faces, all of them);
+    # then that of each cell of a layer but for axis 0
+    every, holds = (1 << len(bounds)) - 1, []
+    for a in range(rank):
+        low = max((lo[a] for lo, _ in bounds), default=0)
+        high = min((top[a] for _, top in bounds), default=side - 1)
+        holds.append([every if low <= v <= high else hold(a, v)
+                      for v in range(side)])
+    inner = [reduce(and_, map(getitem, holds[1:], rest), -1)
+             for rest in product(range(side), repeat=rank - 1)]
+    local = {}  # bit set -> (the clauses, the offset of the last reader)
+
+    def cell(bits: int) -> tuple:
+        clauses = [c for k, cs in enumerate(geometry) if bits >> k & 1
+                   for c in cs]
+        for k, (o, _, _) in enumerate(readers, len(geometry)):
+            if bits >> k & 1:
+                return clauses, o
+        return clauses, 0
+
+    leaving = {}  # step -> the seated cells that leave after it
+
+    def layer(x0: int) -> tuple:
+        out, step, i, first = [], seating.step, x0 * row, holds[0][x0]
+        for bits in inner:
+            bits &= first
+            got = local.get(bits)
+            if got is None:
+                got = local[bits] = cell(bits)
+            clauses, last = got
+            if last:
+                leaving.setdefault(i + last, []).append(i)
+            out.append(step(i, clauses, leaving.pop(i, ()), last > 0, i))
+            i += 1
+        return tuple(out)
+
+    def start(x0: int) -> tuple:
+        """The slots, the free list, the bits in use and the pending
+        departures, with cells counted from the start of layer x0."""
+        base = x0 * row
+        return (sorted((p - base, q) for p, q in seating.slot.items()),
+                tuple(seating.free), seating.top,
+                sorted((q - base, [p - base for p in cells])
+                       for q, cells in leaving.items()))
+
+    parts, prev, x0 = [], None, 0
+    while x0 < side:
+        # the start of a layer that may repeat, or be repeated by, the next
+        now = start(x0) if reach <= x0 <= side - 1 - reach else None
+        if now is not None and now == prev:
+            # layers x0 .. side-1-reach repeat layer x0 - 1
+            skip = side - reach - x0
+            parts.append(parts[-1] * skip)
+            delta = skip * row
+            seating.slot = {p + delta: q for p, q in seating.slot.items()}
+            leaving = {q + delta: [p + delta for p in cells]
+                       for q, cells in leaving.items()}
+            x0, prev = x0 + skip, None
+            continue
+        prev = now
+        parts.append(layer(x0))
+        x0 += 1
+    return _Program(tuple(seating.steps), tuple(chain.from_iterable(parts)),
+                    row)
+
+
+def _program(spec: SubshiftSpec, window: GroupWindow) -> _Program:
+    """The step program of the window's sweep (`_sweep_window`): read off
+    the shape of a cube that `groups` built (a box, a rank-1 ball, an
+    interval, a sum of two such), compiled from `_cell_bans` for any other
+    window."""
+    shape = window._shape
+    if shape is not None and shape[0] == "cube":
+        return _cube_program(spec, window.spec.rank, shape[2])
+    return _compile(spec, _sweep_window(window))
+
+
 def _iter_patterns(spec: SubshiftSpec, window: GroupWindow, cap: int):
     """Depth-first over cells in window order; deterministic symbol order.
-    An explicit stack of per-depth symbol indices replaces recursion, so the
-    depth is bounded by the cell cap rather than by the interpreter.
-    Finding pattern number cap + 1 raises the patterns cap."""
+    A cell's symbols are tested against the bans of its step, as the DP
+    tests them, on the packed frontier of the assignment so far.  An
+    explicit stack of per-depth iterators over the symbols replaces
+    recursion, so the depth is bounded by the cell cap rather than by the
+    interpreter.  Finding pattern number cap + 1 raises the patterns cap."""
     n = len(window)
     if n == 0:
         if cap < 1:
             raise CapExceeded("patterns", cap, window.name, ">= 1 patterns")
         yield b""
         return
-    clauses = []  # per cell: symbol -> the clauses that ban it there
-    for cell in _cell_bans(spec, window):
-        by_symbol = {}
-        for s, clause in cell:
-            by_symbol.setdefault(s, []).append(clause)
-        clauses.append(by_symbol)
-    symbols = spec.rule.symbols
+    steps, cells, _ = (_program(spec, window) if window._swept
+                       else _compile(spec, window))
+    # per step: (symbol, add, bans) per symbol, in symbol order
+    choices = [tuple(zip(spec.rule.symbols, *zip(*moves)))
+               for _, moves, _ in steps]
+    keeps = [steps[k][0] for k in cells]
     assign = bytearray(n)
-
-    def ok(i: int, s: int) -> bool:
-        for clause in clauses[i].get(s, ()):
-            for p, t in clause:
-                if assign[p] != t:
-                    break
-            else:
-                return False
-        return True
-
-    tried = [0] * n  # per depth: index of the next symbol to try
+    keys = [0] * n  # per depth: the frontier before that cell
+    trying = [iter(choices[cells[0]])] + [None] * (n - 1)
     i = found = 0
     while i >= 0:
-        if tried[i] == len(symbols):
-            tried[i] = 0
-            i -= 1
-            continue
-        s = symbols[tried[i]]
-        tried[i] += 1
-        if ok(i, s):
-            assign[i] = s
-            if i == n - 1:
+        key = keys[i]
+        for s, add, bans in trying[i]:
+            for mask, value in bans:
+                if key & mask == value:
+                    break
+            else:
+                assign[i] = s
+                if i < n - 1:
+                    keys[i + 1] = key & keeps[i] | add
+                    i += 1
+                    trying[i] = iter(choices[cells[i]])
+                    break
                 found += 1
                 if found > cap:
                     raise CapExceeded("patterns", cap, window.name,
                                       f">= {found} patterns")
                 yield bytes(assign)
-            else:
-                i += 1
+        else:
+            i -= 1
 
 
 def enumerate_patterns(spec: SubshiftSpec, window: GroupWindow,
@@ -385,7 +646,8 @@ def _sweep_window(window: GroupWindow) -> GroupWindow:
     `groups` built has equal extents, and `GroupWindow.sweep` emits its
     sweep, axis 0 outermost, with no sort: a box as
     `itertools.product(range(n), repeat=rank)`, a ball in `_ball_coords`
-    order.  Only other windows are sorted here."""
+    order.  Only other windows are sorted here, once: the sorted window is
+    marked as its own sweep."""
     swept = window.sweep()
     if swept is not None:
         return swept
@@ -393,8 +655,10 @@ def _sweep_window(window: GroupWindow) -> GroupWindow:
     dims = range(len(cells[0]))
     extent = [max(c[a] for c in cells) - min(c[a] for c in cells) for a in dims]
     axes = sorted(dims, key=lambda a: -extent[a])
-    return replace(window, elements=tuple(
+    swept = replace(window, elements=tuple(
         sorted(cells, key=lambda c: [c[a] for a in axes])))
+    object.__setattr__(swept, "_swept", True)  # as `groups._built` marks it
+    return swept
 
 
 # Live frontier states from which the DP step runs on arrays; below it the
@@ -407,7 +671,8 @@ _ARRAY_STATES = 64
 def _frontier_count(spec: SubshiftSpec, window: GroupWindow,
                     stops: Sequence[int] | None = None,
                     cap: int = DEFAULT_PATTERN_CAP) -> list[int]:
-    """Broken-profile transfer DP over the window's cells in their order.
+    """Broken-profile transfer DP over the step program of the window's
+    sweep (`_program`).
 
     Returns the running total, the sum of the state counts, after each of
     the increasing cell counts in `stops` (default: the whole window).
@@ -415,88 +680,55 @@ def _frontier_count(spec: SubshiftSpec, window: GroupWindow,
     every clause among the first k cells has fired and no other has: the
     total is the exact free-boundary count of those k cells.
 
-    A state packs the symbols of the frontier (assigned cells that a later
-    clause still reads) into an int, `width` bits per slot, and maps to an
-    exact count; a cell's slot is cleared after the last clause reading it,
-    so states that agree on the remaining frontier merge.
-
-    Each cell's clauses become `(mask, value)` pairs over the slots, which
-    both forms of the step read.  While fewer than `_ARRAY_STATES` states
+    A state is a frontier key (`_Program`) mapped to an exact count.  Each
+    cell's step keeps the states that pass its bans, clears the slots that
+    leave and adds the symbol in the cell's slot, so states that agree on
+    the remaining frontier merge.  While fewer than `_ARRAY_STATES` states
     are live the step walks a dict of states.  From then on it runs on
     arrays: keys of dtype `exact_int_dtype(1 << top)` (int64 while the
     frontier fits in 63 bits, promoted to object on the step it stops
     fitting) and counts as an object array of Python ints, so they stay
     exact.  Each move keeps the states whose masks pass, the targets are
     sorted and equal keys merge with `np.add.reduceat`.  All of that but
-    the sum is the step's plan (`_step_plan`), a pure function of the keys,
-    `keep` and the moves.  In a row-by-row sweep each column keeps its slot
-    in every row, so from the second or third row on a step repeats the
-    plan of its column in the row before.  A memo local to this call,
-    keyed on `keep`, the moves and the bytes of the keys, reuses those
-    plans while the keys are int64 (the bytes of object keys are
-    pointers); it holds one sweep row, `top // width + 1` plans, and drops
-    the oldest past that.  A step that leaves more than `cap` states
-    raises the patterns cap, naming the window.
+    the sum is the step's plan (`_step_plan`), a pure function of the step
+    and the keys.
+
+    So a cell whose step is that of the cell one sweep row back, and whose
+    keys equal the keys that cell met, takes that cell's plan, and ends
+    with the keys that cell ended with.  The next cell whose step repeats
+    the one a row back then meets equal keys too, by induction, so once a
+    row's keys repeat those of the row before, every later cell of a
+    steady row replays the plan one row back with no plan built and no
+    comparison: one gather and one `reduceat` per cell.  The keys are
+    compared (`np.array_equal`) only where the steps repeat and the
+    induction does not yet hold.  The count holds one row of plans.  A
+    step that leaves more than `cap` states raises the patterns cap,
+    naming the window.
     """
-    clauses = _cell_bans(spec, window)
-    n = len(window)
-    marks = set([n] if stops is None else stops)
+    steps, cells, row = _program(spec, window)
+    marks = set([len(cells)] if stops is None else stops)
     totals = []
-    last = list(range(n))  # the step after which each cell leaves
-    for i, cell in enumerate(clauses):
-        for _, clause in cell:
-            for p, _ in clause:
-                last[p] = i
-    # the seated cells that leave at step i; the empty tuple is shared, so
-    # a window of n cells adds n pointers and one tuple per leaving step
-    leaving = [()] * n
-    for p, i in enumerate(last):
-        if i > p:
-            leaving[i] += (p,)
-    symbols = spec.rule.symbols
-    width = max(1, (spec.rule.size - 1).bit_length())
-    full = (1 << width) - 1
-    slot, free, top, live = {}, [], 0, 0
     states = {0: 1}
     keys = counts = None  # the states once the step runs on arrays
-    plans = {}  # (keep, moves, key bytes) -> _step_plan, int64 keys only
-    for i in range(n):
-        # bans[s]: (mask, value) pairs; s is illegal when key & mask == value
-        bans = {s: [] for s in symbols}
-        for s, clause in clauses[i]:
-            mask = value = 0
-            for p, t in clause:
-                mask |= full << slot[p]
-                value |= t << slot[p]
-            bans[s].append((mask, value))
-        for j in leaving[i]:
-            live &= ~(full << slot[j])
-            free.append(slot.pop(j))
-        keep = live
-        if last[i] > i:  # seat cell i for the constraints still to come
-            if not free:
-                free.append(top)
-                top += width
-            slot[i] = free.pop()
-            live |= full << slot[i]
-        moves = tuple((s << slot[i] if i in slot else 0, tuple(bans[s]))
-                      for s in symbols)
+    back = [None] * row  # per column: the keys one row back and their plan
+    same = False  # whether the keys equal those one row back
+    for i, k in enumerate(cells):
+        keep, moves, top = steps[k]
         if keys is None and len(states) >= _ARRAY_STATES:
             keys = np.array(list(states), dtype=exact_int_dtype(1 << top))
             counts = np.array(list(states.values()), dtype=object)
         if keys is None:
             states = _dict_step(states, keep, moves)
         else:
-            keys = keys.astype(exact_int_dtype(1 << top), copy=False)
-            if keys.dtype == object:  # the bytes of object keys are pointers
-                plan = _step_plan(keys, keep, moves)
+            col = i % row
+            prev = back[col]
+            if prev is not None and k == cells[i - row] and (
+                    same or np.array_equal(keys, prev[0])):
+                plan, same = prev[1], True
             else:
-                memo = (keep, moves, keys.tobytes())
-                plan = plans.get(memo)
-                if plan is None:
-                    plan = plans[memo] = _step_plan(keys, keep, moves)
-                    if len(plans) > top // width + 1:
-                        del plans[next(iter(plans))]
+                keys = keys.astype(exact_int_dtype(1 << top), copy=False)
+                plan, same = _step_plan(keys, keep, moves), False
+            back[col] = keys, plan
             keys, src, starts = plan
             counts = np.add.reduceat(counts[src], starts)
         size = len(states) if keys is None else len(keys)
@@ -510,16 +742,30 @@ def _frontier_count(spec: SubshiftSpec, window: GroupWindow,
 
 
 def _dict_step(states: dict, keep: int, moves) -> dict:
+    """The dict form of a step: each move, a symbol, over every state."""
     nxt: dict = {}
-    for key, cnt in states.items():
-        base = key & keep
-        for add, ban in moves:
+    get = nxt.get
+    items = states.items()
+    for add, ban in moves:
+        if not ban:
+            for key, cnt in items:
+                k = key & keep | add
+                nxt[k] = get(k, 0) + cnt
+            continue
+        if len(ban) == 1:
+            (mask, value), = ban
+            for key, cnt in items:
+                if key & mask != value:
+                    k = key & keep | add
+                    nxt[k] = get(k, 0) + cnt
+            continue
+        for key, cnt in items:
             for mask, value in ban:
-                if (key & mask) == value:
+                if key & mask == value:
                     break
             else:
-                k = base | add
-                nxt[k] = nxt.get(k, 0) + cnt
+                k = key & keep | add
+                nxt[k] = get(k, 0) + cnt
     return nxt
 
 
@@ -568,7 +814,7 @@ def count_patterns(spec: SubshiftSpec, window: GroupWindow,
         return len(rule.symbols) ** len(window)
     if len(window) == 0:
         return 1
-    return _frontier_count(spec, _sweep_window(window), cap=cap)[0]
+    return _frontier_count(spec, window, cap=cap)[0]
 
 
 def _is_translated_prefix(window: GroupWindow, swept: GroupWindow) -> bool:

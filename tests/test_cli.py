@@ -852,3 +852,57 @@ def test_config_records_every_option_that_changes_results(tmp_path, capsys):
     assert [c["k_list"] for c in configs] == ["2", "4"]
     assert all(c["eps"] == "1/20" and c["caps"] == "cells=500"
                for c in configs)
+
+
+NEAR_ONE = f"{10 ** 17 - 1}/{10 ** 17}"  # its float is 1.0
+
+
+def test_selfsimilar_commands_at_a_ratio_whose_float_is_one(tmp_path,
+                                                            capsys):
+    spec = write_spec(tmp_path, {**SELFSIM, "c": NEAR_ONE})
+    code, report = run(capsys, ["selfsimilar-bound", "--spec", spec])
+    assert code == 0
+    # log(1/c) = log1p(1/(10^17 - 1)), about 1e-17
+    assert report["results"]["bound"]["value"] == pytest.approx(
+        report["results"]["entropy"]["value"] * 1e17)
+    code, report = run(capsys, ["selfsimilar-probe", "--spec", spec,
+                                "--window-sizes", "8"])
+    assert code == 1
+    assert report["results"]["cap_abort"].startswith("radius cap ")
+    # a ratio whose float is 0 takes log(1/c) from its numerator and
+    # denominator
+    spec = write_spec(tmp_path, {**SELFSIM, "c": f"1/{10 ** 400}"},
+                      "tiny.json")
+    code, report = run(capsys, ["selfsimilar-bound", "--spec", spec])
+    assert code == 0
+    assert report["results"]["bound"]["value"] == pytest.approx(
+        report["results"]["entropy"]["value"] / (400 * math.log(10)))
+    # a ratio whose log(1/c) rounds to 0 even so is a spec error
+    spec = write_spec(tmp_path, {**SELFSIM, "c": f"{10 ** 400 - 1}/"
+                                 f"{10 ** 400}"}, "hair.json")
+    for command in ("selfsimilar-bound", "selfsimilar-probe"):
+        assert main([command, "--spec", spec]) == 2
+        assert "log(1/c) rounds to 0" in capsys.readouterr().err
+
+
+def test_homog_commands_on_an_empty_digit_system_write_strict_json(
+        tmp_path, capsys):
+    def no_constant(name):
+        raise ValueError(f"{name} is not JSON")
+
+    spec = write_spec(tmp_path, {**HOMOG, "digits": {
+        **HOMOG["digits"], "rule": {"type": "cellwise", "allowed": []}}})
+    for argv in (["homog-entropy", "--m-max", "2", "--depths", "2", "3"],
+                 ["homog-probe", "--eps-grid", "1/8,1/16"]):
+        assert main([argv[0], "--spec", spec] + argv[1:]) == 0
+        report = json.loads(capsys.readouterr().out,
+                            parse_constant=no_constant)
+        assert report["status"] == "ok"
+    assert report["results"]["slopes"] == [
+        {"count": 0, "depth": 3, "eps": 0.125, "slope": 0.0},
+        {"count": 0, "depth": 4, "eps": 0.0625, "slope": 0.0}]
+    assert main(["homog-entropy", "--spec", spec, "--m-max", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"] == {
+        "empty_system": True,
+        "entropy": {"provenance": "exact", "value": 0.0},
+        "prediction": {"provenance": "exact", "value": 0.0}}

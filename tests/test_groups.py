@@ -8,7 +8,7 @@ from meandim.groups import (CapExceeded, FolnerDescriptor, GroupSpec,
                             GroupWindow, ball, box, canonical_key,
                             canonical_order, interval, minkowski_sum,
                             product_window, word_length)
-from oracles import add, generators, identity, windows
+from oracles import add, generators, identity, sorted_sweep, windows
 
 
 def minimal_word_key(g):
@@ -206,6 +206,24 @@ def test_minkowski_sum_checks_its_cap_while_it_grows():
         assert len(minkowski_sum(a, b, cap=size)) == size
         with pytest.raises(CapExceeded, match="^cells cap"):
             minkowski_sum(a, b, cap=size - 1)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_sums_of_built_cubes_are_built_cubes(rank):
+    spec = GroupSpec(rank)
+    cubes = [box(n, spec) for n in (1, 2, 3)]
+    if rank == 1:
+        cubes += [ball(0, spec), ball(2, spec), interval(-4, 2),
+                  interval(-7, -5), interval(3, 6)]
+    for a, b in itertools.product(cubes, repeat=2):
+        s = minkowski_sum(a, b)
+        old = tuple(canonical_order({add(g, h) for g in a.elements
+                                     for h in b.elements}))
+        assert s.elements == old
+        assert (s.kind, s.index, s.name) == (
+            "explicit", None, f"explicit window of {len(old)} cells")
+        assert s._shape is not None
+        assert s.sweep().elements == sorted_sweep(s).elements
 
 
 def test_window_cap():

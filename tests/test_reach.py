@@ -52,6 +52,7 @@ SPECS = {
               "digits": {"rank": 2, "alphabet": {"k": 2},
                          "rule": {"type": "full"}}},
     "kset": {"system": "kspace", "rank": 1, "kind": "kset"},
+    "kset2": {"system": "kspace", "rank": 2, "kind": "kset"},
     "unit": {"system": "kspace", "rank": 1, "kind": "unit"},
 }
 
@@ -73,6 +74,8 @@ COMMAND_LINES = [
     ("homog", ["homog-entropy", "--m-max", "2", "--depths", "2", "3"]),
     ("homog", ["homog-probe", "--eps-grid", "1/8", "--folner", "boxes"]),
     ("kset", ["kg-experiment", "--m-max", "1", "--eps-grid", "1/10,1/100"]),
+    # a rank-2 tail support is a ball, so its sum with a box is sorted
+    ("kset2", ["kg-experiment", "--m-max", "1", "--eps-grid", "1/10,1/100"]),
     ("unit", ["kg-experiment", "--m-max", "1", "--eps-grid", "1/10,1/100"]),
     ("kset", ["kg-mass-demo", "--k-list", "2,4", "--seed", "1"]),
     ("golden", ["validate"]),

@@ -253,6 +253,20 @@ def test_depths_of_a_c_whose_float_log_is_zero_raise_the_radius_cap(
             depth(spec, Fraction(1, 4))
 
 
+def test_depths_past_the_radius_cap_by_bernoulli_raise_at_once():
+    # 1 - 10^6 (1 - c) <= c^(10^6) already fails both tests, where the
+    # probe searched for 93 s, powers of up to 1.7e7 digits (2 vCPU x86_64)
+    spec = _contraction(Fraction(10**17 - 1, 10**17))
+    start = time.perf_counter()
+    for depth, name in ((composition_depth, "composition"),
+                        (embedding_depth, "embedding")):
+        with pytest.raises(CapExceeded, match=f"^radius cap 1000000 "
+                           f"exceeded: {name} depth of c {spec.c} needs "
+                           "radius >= 1000001$"):
+            depth(spec, Fraction(1, 4))
+    assert time.perf_counter() - start < 1
+
+
 @pytest.mark.parametrize("guess", [None, 0, 3, 6, 7, 8, 10**7])
 def test_any_depth_guess_gives_the_least_index(guess):
     # 2^-7 = 1/128 is the first power of 1/2 below 1/100

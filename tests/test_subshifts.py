@@ -9,8 +9,9 @@ from meandim import groups, metrics, subshifts
 from meandim.groups import (CapExceeded, GroupSpec, GroupWindow, ball, box,
                             interval, minkowski_sum, product_window)
 from meandim.subshifts import (Alphabet, Rule,
-                               SubshiftSpec, _cell_bans, _frontier_count,
-                               _is_translated_prefix, _sweep_window,
+                               SubshiftSpec, _cell_bans, _compile,
+                               _frontier_count, _is_translated_prefix,
+                               _program, _sweep_window,
                                cellwise_pair_shift, count_patterns,
                                count_windows,
                                enumerate_patterns, extensible_symbols,
@@ -619,6 +620,86 @@ def test_stride_cell_bans_match_the_position_map(rank):
             fresh = _sweep_window(w)
             _cell_bans(golden_mean(rank), fresh)
             assert "position_map" not in fresh.__dict__
+
+
+# rules whose instances reach two layers back along axis 0, and forward
+# along the inner axes; the rank-3 one also has a pattern that never
+# matches
+REACH_TWO = {
+    1: SubshiftSpec(1, Alphabet(2), Rule.forbidden_patterns(
+        2, [(((0,), (2,)), (1, 1))]), "ones-two-apart"),
+    2: SubshiftSpec(2, Alphabet(2), Rule.forbidden_patterns(
+        2, [(((0, 0), (2, 1)), (1, 1)), (((0, 0), (1, -2)), (1, 1))]),
+        "knight"),
+    3: SubshiftSpec(3, Alphabet(3), Rule.forbidden_patterns(3, [
+        (((0, 0, 0), (1, -1, 1), (0, 1, -1)), (1, 2, 0)),
+        (((0, 0, 0), (2, 1, -1), (0, 0, 1)), (2, 1, 2)),
+        (((0, 0, 0), (0, 0, 0)), (1, 2))]), "forbidden-3d"),
+}
+
+
+def _no_cell_bans(spec, window):
+    raise AssertionError("_cell_bans was called")
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_shape_programs_equal_the_programs_of_cell_bans(rank, monkeypatch):
+    g = GroupSpec(rank)
+    sums = [minkowski_sum(box(2, g), box(3, g))]
+    if rank == 1:
+        sums += [minkowski_sum(ball(2, g), interval(-3, 1)),
+                 minkowski_sum(interval(-5, -2), box(4, g))]
+    rules = SHIPPED_RULES[rank] + (REACH_TWO[rank],)
+    for w in _built_windows(rank) + sums:
+        cube = w._shape[0] == "cube"  # built as a cube: no clause is read
+        for spec in rules:
+            with monkeypatch.context() as patch:
+                if cube:
+                    patch.setattr(subshifts, "_cell_bans", _no_cell_bans)
+                got = _program(spec, w)
+            assert got == _compile(spec, sorted_sweep(w)), (spec.name,
+                                                            w.name)
+
+
+@pytest.mark.parametrize("states", [64, 0], ids=["dict", "array"])
+def test_counting_built_cubes_reads_no_clauses(monkeypatch, states):
+    monkeypatch.setattr(subshifts, "_ARRAY_STATES", states)
+    monkeypatch.setattr(subshifts, "_cell_bans", _no_cell_bans)
+    g1, g2 = GroupSpec(1), GroupSpec(2)
+    assert count_patterns(hard_square(), box(12, g2)) == A006506[11]
+    got = count_windows(golden_mean(), [ball(m, g1) for m in range(40)])
+    assert [c for _, c in got] == [fib(2 * m + 3) for m in range(40)]
+    swept = box(3, g2).sweep()  # enumerated in its own, sweep, order
+    assert enumerate_patterns(hard_square(), swept).count == A006506[2]
+
+
+def test_a_long_built_interval_counts_from_its_shape(monkeypatch):
+    monkeypatch.setattr(subshifts, "_cell_bans", _no_cell_bans)
+    n = 10 ** 5
+    program = _program(golden_mean(), interval(0, n - 1))
+    # the first cell, every later one but the last, the last
+    assert len(program.steps) == 3 and len(program.cells) == n
+    assert count_patterns(golden_mean(), interval(0, n - 1)) == fib(n + 2)
+
+
+def test_array_steps_build_one_plan_per_distinct_step(array_step,
+                                                      monkeypatch):
+    built = []
+
+    def recorded(keys, keep, moves):
+        built.append(keep)
+        return plan(keys, keep, moves)
+
+    plan = subshifts._step_plan
+    monkeypatch.setattr(subshifts, "_step_plan", recorded)
+    for n in range(3, 13):
+        built.clear()
+        w = box(n, GroupSpec(2))
+        assert count_patterns(hard_square(), w) == A006506[n - 1]
+        # row 0, the steady row and the last row, whose first cell steps as
+        # a steady one: every later steady row replays the row before
+        assert len(built) == len(_program(hard_square(), w).steps) == \
+            3 * n - 1
 
 
 def test_counting_path_neither_sorts_nor_looks_up_cells(monkeypatch):
