@@ -15,11 +15,11 @@ the cell, the slot it is seated in, and the slots that leave there.
 `_cell_bans` states the constraint semantics: per cell, clauses that ban a
 symbol there given symbols at earlier cells, from which `_compile` builds
 the program of any window, interning equal steps.  A cube that `groups`
-built (a box, a rank-1 ball, an interval, a sum of two such) yields the
-program of its sweep from its shape (`_cube_program`): it compiles the
-first sweep rows, one steady row and the last rows, a few times the side
-of the cube's cells, and repeats the steady row in between, with no cell
-tuples and no clause lists.
+built (a box, a rank-1 ball, an interval, a sum of two such) of side
+`_SHAPE_SIDE` (6) or more yields the program of its sweep from its shape
+(`_cube_program`): it compiles the first sweep rows, one steady row and the
+last rows, a few times the side of the cube's cells, and repeats the
+steady row in between, with no cell tuples and no clause lists.
 
 The enumerator tests the bans on the packed frontier of its assignment.
 The DP walks a dict of frontier states while fewer than `_ARRAY_STATES`
@@ -339,7 +339,7 @@ def _cell_bans(spec: SubshiftSpec, window: GroupWindow) -> list:
 class _Program(NamedTuple):
     """A window compiled in its cell order: its distinct steps, in order of
     first use, the step index of each cell, and the cells per sweep row
-    (those whose first coordinate is that of the first cell).
+    (`_sweep_row`).
 
     A state of the DP is a key that packs the symbols of the frontier (the
     seated cells that a later clause still reads), `width` bits per slot.
@@ -428,9 +428,21 @@ def _compile(spec: SubshiftSpec, window: GroupWindow) -> _Program:
     seating = _Seating(spec)
     cells = tuple(seating.step(i, clauses[i], leaving[i], last[i] > i)
                   for i in range(n))
-    first = window.elements[0][0] if n else None
-    row = next((j for j, c in enumerate(window.elements) if c[0] != first), n)
-    return _Program(tuple(seating.steps), cells, row)
+    return _Program(tuple(seating.steps), cells, _sweep_row(window.elements))
+
+
+def _sweep_row(cells: Sequence) -> int:
+    """The cells of the first sweep row of cells in lexicographic order:
+    the longest run of leading cells that agree with the first cell on an
+    axis on which some cell does not (the outermost axis that varies).  In
+    the sweep of a box, or of any other product of intervals, every row has
+    that many cells.  The rows of a ball differ in length, and its steps do
+    not repeat: every step of a hard-square ball of radius 4, 6 or 10 is
+    distinct."""
+    n = len(cells)
+    runs = [next((j for j, c in enumerate(cells) if c[a] != x), n)
+            for a, x in enumerate(cells[0])] if n else []
+    return max([run for run in runs if run < n], default=max(n, 1))
 
 
 def _cube_templates(spec: SubshiftSpec, rank: int) -> list:
@@ -489,8 +501,6 @@ def _cube_program(spec: SubshiftSpec, rank: int, side: int) -> _Program:
     it started from, shifted by one layer, it repeats that layer's steps
     and ends as that layer ended, and by induction so does every layer up
     to the last `reach` ones, which are compiled as they come."""
-    if side == 0:
-        return _Program((), (), 1)
     seating = _Seating(spec)
     strides = [side ** (rank - 1 - a) for a in range(rank)]
     row = strides[0]
@@ -578,13 +588,23 @@ def _cube_program(spec: SubshiftSpec, rank: int, side: int) -> _Program:
                     row)
 
 
+# The side from which a cube that `groups` built compiles from its shape;
+# below it the set-up of `_cube_program` costs more than the cells it skips.
+# Min of 150 counts from the shape and from the clauses, 2 vCPU x86_64:
+# hard-square boxes of side 4 took 219 and 186 us, of side 5 258 and 249 us,
+# of side 6 384 and 414 us; golden-mean intervals of 6 cells 84 and 50 us,
+# of 12 cells 97 and 105 us; rank-3 golden-mean boxes of side 4 3.80 and
+# 3.77 ms.
+_SHAPE_SIDE = 6
+
+
 def _program(spec: SubshiftSpec, window: GroupWindow) -> _Program:
     """The step program of the window's sweep (`_sweep_window`): read off
-    the shape of a cube that `groups` built (a box, a rank-1 ball, an
-    interval, a sum of two such), compiled from `_cell_bans` for any other
-    window."""
+    the shape of a cube of side `_SHAPE_SIDE` or more that `groups` built
+    (a box, a rank-1 ball, an interval, a sum of two such), compiled from
+    `_cell_bans` for any other window."""
     shape = window._shape
-    if shape is not None and shape[0] == "cube":
+    if shape is not None and shape[0] == "cube" and shape[2] >= _SHAPE_SIDE:
         return _cube_program(spec, window.spec.rank, shape[2])
     return _compile(spec, _sweep_window(window))
 
@@ -747,18 +767,6 @@ def _dict_step(states: dict, keep: int, moves) -> dict:
     get = nxt.get
     items = states.items()
     for add, ban in moves:
-        if not ban:
-            for key, cnt in items:
-                k = key & keep | add
-                nxt[k] = get(k, 0) + cnt
-            continue
-        if len(ban) == 1:
-            (mask, value), = ban
-            for key, cnt in items:
-                if key & mask != value:
-                    k = key & keep | add
-                    nxt[k] = get(k, 0) + cnt
-            continue
         for key, cnt in items:
             for mask, value in ban:
                 if key & mask == value:

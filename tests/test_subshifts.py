@@ -10,8 +10,8 @@ from meandim.groups import (CapExceeded, GroupSpec, GroupWindow, ball, box,
                             interval, minkowski_sum, product_window)
 from meandim.subshifts import (Alphabet, Rule,
                                SubshiftSpec, _cell_bans, _compile,
-                               _frontier_count, _is_translated_prefix,
-                               _program, _sweep_window,
+                               _cube_program, _frontier_count,
+                               _is_translated_prefix, _program, _sweep_window,
                                cellwise_pair_shift, count_patterns,
                                count_windows,
                                enumerate_patterns, extensible_symbols,
@@ -651,14 +651,14 @@ def test_shape_programs_equal_the_programs_of_cell_bans(rank, monkeypatch):
                  minkowski_sum(interval(-5, -2), box(4, g))]
     rules = SHIPPED_RULES[rank] + (REACH_TWO[rank],)
     for w in _built_windows(rank) + sums:
-        cube = w._shape[0] == "cube"  # built as a cube: no clause is read
         for spec in rules:
-            with monkeypatch.context() as patch:
-                if cube:
+            want = _compile(spec, sorted_sweep(w))
+            assert _program(spec, w) == want, (spec.name, w.name)
+            if w._shape[0] == "cube":  # built as a cube: no clause is read
+                with monkeypatch.context() as patch:
                     patch.setattr(subshifts, "_cell_bans", _no_cell_bans)
-                got = _program(spec, w)
-            assert got == _compile(spec, sorted_sweep(w)), (spec.name,
-                                                            w.name)
+                    got = _cube_program(spec, rank, w._shape[2])
+                assert got == want, (spec.name, w.name)
 
 
 @pytest.mark.parametrize("states", [64, 0], ids=["dict", "array"])
@@ -669,8 +669,8 @@ def test_counting_built_cubes_reads_no_clauses(monkeypatch, states):
     assert count_patterns(hard_square(), box(12, g2)) == A006506[11]
     got = count_windows(golden_mean(), [ball(m, g1) for m in range(40)])
     assert [c for _, c in got] == [fib(2 * m + 3) for m in range(40)]
-    swept = box(3, g2).sweep()  # enumerated in its own, sweep, order
-    assert enumerate_patterns(hard_square(), swept).count == A006506[2]
+    swept = interval(-4, 5).sweep()  # enumerated in its own, sweep, order
+    assert enumerate_patterns(golden_mean(), swept).count == fib(12)
 
 
 def test_a_long_built_interval_counts_from_its_shape(monkeypatch):
@@ -700,6 +700,28 @@ def test_array_steps_build_one_plan_per_distinct_step(array_step,
         # a steady one: every later steady row replays the row before
         assert len(built) == len(_program(hard_square(), w).steps) == \
             3 * n - 1
+
+
+def test_explicit_rectangles_replay_the_rows_of_their_sweep(array_step,
+                                                          monkeypatch):
+    built = []
+
+    def recorded(keys, keep, moves):
+        built.append(keep)
+        return plan(keys, keep, moves)
+
+    plan = subshifts._step_plan
+    monkeypatch.setattr(subshifts, "_step_plan", recorded)
+    g = GroupSpec(2)
+    counts = []
+    for a, b in ((8, 20), (20, 8)):  # the longer axis is swept outermost
+        built.clear()
+        w = GroupWindow(g, tuple(itertools.product(range(a), range(b))))
+        counts.append(count_patterns(hard_square(), w))
+        # rows of 8 cells: row 0, the steady row, the last row
+        assert _program(hard_square(), w).row == 8
+        assert len(built) == len(_program(hard_square(), w).steps) == 23
+    assert counts[0] == counts[1]
 
 
 def test_counting_path_neither_sorts_nor_looks_up_cells(monkeypatch):
