@@ -1,0 +1,82 @@
+"""The command-line reports stay byte-identical across refactors.
+
+Each command line of `test_reach.COMMAND_LINES` runs in process.  Its
+report, without `timing` and `versions`, is hashed and compared with the
+digest that the report had when the list below was recorded.  A change
+that alters a report on purpose records the new digest here and names the
+report in CHANGES.md.
+"""
+import contextlib
+import hashlib
+import io
+import json
+
+from meandim import cli
+from test_reach import COMMAND_LINES, SPECS
+
+# " ".join([spec] + argv) -> sha256 of the report without timing and versions
+DIGESTS = {
+    "golden entropy --m-max 6 --folner boxes":
+        "34a6b83e8d0c6231a1039e9da1e88cbfeddd329beffab49dd418f59e2014089a",
+    "golden_patterns entropy --m-max 3 --out {out}":
+        "ed74440082c16e31a268292eef42bb02224bf805de9a3eb5743f026677033deb",
+    "hard_square entropy --m-max 2":
+        "e40c8b8ea21ef98ef7ff22d2b9843f3465c544f323653ef389cf9afc863ece27",
+    "hard_square entropy --m-max 9 --folner boxes":
+        "a375ad42e91b6ebbff974406323c7914f30a3073755934dd05b28435a889d5c1",
+    "golden_b_shift entropy --m-max 2 --w 0.5":
+        "bbbacaebefff715ed590cb5dd8589a2e110235b5ef7a953ed2f4593ce7eda65c",
+    "mcmullen_shift entropy --m-max 1 --w 1 --folner boxes":
+        "6d1100a0e2442d9b0306dbe01bbbea39db39242d0e6e9a18d7a1bc57d3e3147d",
+    "mcmullen carpet-dims --m-max 1 --l-max 2":
+        "3644ce4ad2a86532d45ffe517ab1f2d8ca2bf05a4e2c4f8ba62dd50a4d66c875",
+    "golden_b carpet-dims --m-max 2 --l-max 2 --folner boxes --w auto":
+        "be34c51be9605d0a99bf50169054c377006aef071f6f86181200473c7b54e46e",
+    "selfsim selfsimilar-bound":
+        "5753a175b6aa387ce9414f08581ba886b052139d937c1df8655ca999faef2f03",
+    "selfsim selfsimilar-probe --window-sizes 512":
+        "ae4ff7e55b9480b5ecf4b0d2805adefce5187d6e45dc2aa24c64240483e0d04f",
+    "homog homog-entropy --m-max 2 --depths 2 3":
+        "e07ddebdd5781e158563d84084ca35acd9344779b59046e54a94c01d37ecfa64",
+    "homog homog-probe --eps-grid 1/8 --folner boxes":
+        "2d552c08bbfe88fdc93566e357c0e561e3b54fa2e6e5125fed336458327c847b",
+    "kset kg-experiment --m-max 1 --eps-grid 1/10,1/100":
+        "f26f10f0e7af3cb3bc0eede94bc9bd67d06f0e70d7064b4bb82bd837241698e7",
+    "kset2 kg-experiment --m-max 1 --eps-grid 1/10,1/100":
+        "a5dd7745636d12f939f9aafa48c11c73dd8e3731ac9bcf9796eb1ad6a7e1be4c",
+    "unit kg-experiment --m-max 1 --eps-grid 1/10,1/100":
+        "30efd341f66d0022c441f0e56c1c1c7f4ace03d3c2f1023df1b09a0e2fd75fbb",
+    "kset kg-mass-demo --k-list 2,4 --seed 1":
+        "a993f1e01806a66c8cdeb96f864b47e8760c6b899ec9d92698e53642c775f3dd",
+    "golden validate":
+        "8d3b64ef7a59339f8e7d4b3f7a809f0054cb90a095c7a1912ad6cd3e64e75efe",
+}
+
+
+def _label(spec, argv):
+    return " ".join([spec] + argv)
+
+
+def report_texts(tmp_path):
+    """(label, report text without `timing` and `versions`) per command
+    line, in order."""
+    for name, doc in SPECS.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    for spec, argv in COMMAND_LINES:
+        args = [argv[0], "--spec", str(tmp_path / f"{spec}.json")] + [
+            a.replace("{out}", str(tmp_path / "out")) for a in argv[1:]]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli.main(args)
+        report = json.loads(out.getvalue())
+        for key in ("timing", "versions"):  # `validate` writes neither
+            report.pop(key, None)
+        yield _label(spec, argv), cli._report_text(report)
+
+
+def test_reports_match_their_recorded_digests(tmp_path):
+    labels = [_label(spec, argv) for spec, argv in COMMAND_LINES]
+    assert sorted(DIGESTS) == sorted(labels)
+    for label, text in report_texts(tmp_path):
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == DIGESTS[label], f"{label}:\n{text}"
