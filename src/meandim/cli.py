@@ -189,6 +189,8 @@ def _cmd_entropy(system, args, caps: Caps) -> dict:
         out = {"per_site": _num(est.value, "estimate")}
         if est.certified_upper is not None:
             out["certified_upper"] = _num(est.certified_upper, est.provenance)
+    if series.empty_system:  # a series of -inf logs is no JSON
+        return {**out, "empty_system": True, "per_site": _num(0.0, "exact")}
     out["series"] = series.table()
     out["csv"] = series.to_csv("log_count" if w is None else "log_z")
     return out
@@ -236,7 +238,8 @@ def _cmd_selfsimilar_probe(system: SelfSimilarSpec, args, caps: Caps) -> dict:
     windows = [box(n, GroupSpec(1), caps.cells) for n in
                _at_least_one("--window-sizes", args.window_sizes or [512])]
     report = selfsimilar_cover_probe(system, grid, windows, caps)
-    report["slopes"] = {str(k): _num(v, "certified-bound")
+    provenance = "exact" if report.get("empty_system") else "certified-bound"
+    report["slopes"] = {str(k): _num(v, provenance)
                         for k, v in report["slopes"].items()}
     for row in report["rows"]:
         row["net_count"] = str(row["net_count"])

@@ -90,10 +90,8 @@ class GroupWindow:
     index: int | None = None
     # Set by the builders alone (`_built`), never by __init__: `_shape` is
     # ("cube", corner, side) for the cells corner + [0, side)^rank or
-    # ("ball", m) for the ball of radius m, and `_swept` marks a window in
-    # its own sweep order (the lexicographic sweep of that shape, where the
-    # builders emit canonical order, or a window that
-    # `subshifts._sweep_window` sorted).
+    # ("ball", m) for the ball of radius m, and `_swept` marks a window
+    # that `sweep` made, in its own sweep order.
     _shape: tuple | None = field(default=None, init=False, repr=False,
                                  compare=False)
     _swept: bool = field(default=False, init=False, repr=False, compare=False)
@@ -120,46 +118,31 @@ class GroupWindow:
         return (f"{self.kind}({self.index})" if self.index is not None
                 else f"{self.kind} window of {len(self)} cells")
 
-    def sweep(self) -> GroupWindow | None:
-        """The window in lexicographic order, axis 0 outermost, when a
-        builder made it as a cube or a ball: a cube's cells come from
-        `product`, a ball's from `_ball_coords`, with no sort.  None for
-        any other window."""
+    def sweep(self) -> GroupWindow:
+        """The window in lexicographic order, longest extent outermost, so
+        that a frontier swept along it spans the shortest extents.  A cube
+        or a ball that a builder made has equal extents and comes out axis
+        0 outermost with no sort: a cube's cells from `product`, a ball's
+        from `_ball_coords`.  Any other window is sorted, once: the sweep
+        is marked as its own sweep."""
         if self._swept:
             return self
-        if self._shape is None:
-            return None
-        if self._shape[0] == "cube":
-            _, corner, side = self._shape
+        shape = self._shape
+        if shape is None:
+            extent = [max(xs) - min(xs) for xs in zip(*self.elements)]
+            axes = sorted(range(len(extent)), key=lambda a: -extent[a])
+            cells = tuple(sorted(self.elements,
+                                 key=lambda c: [c[a] for a in axes]))
+        elif shape[0] == "cube":
+            _, corner, side = shape
             if self.spec.rank == 1 and corner[0] >= 0:
                 cells = self.elements  # canonical order is ascending here
             else:
                 cells = tuple(product(*(range(c, c + side) for c in corner)))
         else:
-            cells = tuple(_ball_coords(self.spec.rank, self._shape[1]))
-        return _built(self.spec, cells, self.kind, self.index, self._shape,
+            cells = tuple(_ball_coords(self.spec.rank, shape[1]))
+        return _built(self.spec, cells, self.kind, self.index, shape,
                       swept=True)
-
-    def edges(self, axis: int):
-        """The pairs (i, j), i ascending, of the positions of a cell g and of
-        its right translate g·e_axis by the axis generator (g + e_axis in
-        Z^rank) when both lie in the window.  A swept cube reads j = i +
-        side^(rank-1-axis) off its strides, for every i off the last layer
-        of that axis; any other window looks each translate up in its
-        position map."""
-        if self._swept and self._shape is not None \
-                and self._shape[0] == "cube":
-            side = self._shape[2]
-            stride = side ** (self.spec.rank - 1 - axis)
-            block = stride * side
-            return chain.from_iterable(
-                zip(range(b, b + block - stride), range(b + stride, b + block))
-                for b in range(0, len(self), block))
-        e = tuple(int(a == axis) for a in range(self.spec.rank))
-        pos = self.position_map
-        ends = map(pos.get, (tuple(map(operator.add, g, e))
-                             for g in self.elements))
-        return ((i, j) for i, j in enumerate(ends) if j is not None)
 
 
 def _built(spec: GroupSpec, elements: tuple, kind: str,

@@ -216,16 +216,21 @@ def selfsimilar_cover_probe(spec: SelfSimilarSpec, eps_grid: Sequence,
     for orbit in orbit_windows:
         net = minkowski_sum(orbit, ball(r, orbit.spec, caps.cells), caps.cells)
         net_count = count_patterns(spec.omega, net, caps.patterns)
+        if not net_count:
+            # an empty driving system is covered by no set at all: every
+            # slope is 0.0, as its bound, and no row has a finite log
+            return {"empty_system": True, "bound": 0.0, "slack": PROBE_SLACK,
+                    "rows": [], "slopes": {len(o): 0.0 for o in orbit_windows}}
+        xs = [_log_inverse(eps) for eps in eps_grid]
         rows = []
-        for eps in eps_grid:
+        for eps, x in zip(eps_grid, xs):
             m = composition_depth(spec, eps)
-            log_upper = m * math.log(net_count) if net_count else float("-inf")
+            log_upper = m * math.log(net_count)
             per_site = log_upper / len(orbit)
             rows.append({"window": len(orbit), "eps": float(eps),
                          "net_radius": r, "depth": m, "net_count": net_count,
                          "log_upper": log_upper, "per_site_upper": per_site,
-                         "normalized": per_site / math.log(1 / float(eps))})
-        xs = [math.log(1 / float(eps)) for eps in eps_grid]
+                         "normalized": per_site / x})
         ys = [row["log_upper"] for row in rows]
         slope = float(np.polyfit(xs, ys, 1)[0]) / len(orbit)
         slopes[len(orbit)] = slope

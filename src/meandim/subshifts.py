@@ -12,14 +12,17 @@ Both engines read a window's step program (`_Program`): its distinct
 steps, and one step index per cell.  A step holds, per symbol, the
 `(mask, value)` pairs over the packed frontier slots that ban the symbol at
 the cell, the slot it is seated in, and the slots that leave there.
-`_cell_bans` states the constraint semantics: per cell, clauses that ban a
-symbol there given symbols at earlier cells, from which `_compile` builds
-the program of any window, interning equal steps.  A cube that `groups`
-built (a box, a rank-1 ball, an interval, a sum of two such) of side
-`_SHAPE_SIDE` (6) or more yields the program of its sweep from its shape
-(`_cube_program`): it compiles the first sweep rows, one steady row and the
-last rows, a few times the side of the cube's cells, and repeats the
-steady row in between, with no cell tuples and no clause lists.
+`_templates` states the rule once, as clause templates: the offsets of an
+adjacency edge or of a forbidden pattern, and per offset that fires (the
+last cell of an instance) the symbols it bans there given symbols at the
+other offsets.  `_cell_bans` places them at every cell of any window
+through its position map, and `_compile` builds the program from those
+clauses, interning equal steps.  A cube that `groups` built (a box, a
+rank-1 ball, an interval, a sum of two such) of side `_SHAPE_SIDE` (6) or
+more reads them by its geometry (`_cube_templates`, `_cube_program`): it
+compiles the first sweep rows, one steady row and the last rows, a few
+times the side of the cube's cells, and repeats the steady row in
+between, with no cell tuples and no clause lists.
 
 The enumerator tests the bans on the packed frontier of its assignment.
 The DP walks a dict of frontier states while fewer than `_ARRAY_STATES`
@@ -41,8 +44,8 @@ projection count for 1-d nearest-neighbor rules so the gap can be reported.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import reduce
+from dataclasses import dataclass
+from functools import cache, reduce
 from itertools import chain, product
 from operator import add, and_, getitem, mul, sub
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -293,46 +296,65 @@ def projected_spec(spec: SubshiftSpec) -> SubshiftSpec | None:
 # ---------------------------------------------------------------------------
 # constraints, backtracking enumeration, frontier counting
 
+@cache  # one table per rule, which every compile of a window reads
+def _templates(spec: SubshiftSpec) -> tuple:
+    """The rule, stated once, as clause templates `(offsets, fires)`.  An
+    adjacency axis gives the offsets `(0, e_axis)` and a forbidden pattern
+    its distinct offsets, shifted so that the first is 0, in order of first
+    use; a pattern that forces an offset to two symbols never matches and
+    gives none.
+    Placed at a cell c, a template covers the cells c + offsets, and the
+    last of them in the window's order fires: `fires[k]`, for the offset k
+    that fires, holds the `(s, others)` pairs that ban a symbol s of the
+    rule there given `others[j]` at the other offsets in order, sorted."""
+    rule = spec.rule
+    symbols = rule.symbols
+    allowed = set(symbols)
+    zero = (0,) * spec.rank
+    banned = []  # (offsets, the symbol tuples they ban)
+    for axis, mat in rule.axis_allowed:
+        e = tuple(int(a == axis) for a in range(spec.rank))
+        banned.append(((zero, e), [(s, t) for s in symbols for t in symbols
+                                   if not mat[s][t]]))
+    for offs, syms in rule.forbidden:
+        need = {}
+        if not any(need.setdefault(tuple(map(sub, off, offs[0])), t) != t
+                   for off, t in zip(offs, syms)):
+            banned.append((tuple(need), [tuple(need.values())]))
+    templates = []
+    for offsets, tuples in banned:
+        fires = tuple(tuple(sorted((ts[k], ts[:k] + ts[k + 1:])
+                                   for ts in tuples if ts[k] in allowed))
+                      for k in range(len(offsets)))
+        if any(fires):
+            templates.append((offsets, fires))
+    return tuple(templates)
+
+
 def _cell_bans(spec: SubshiftSpec, window: GroupWindow) -> list:
     """Per cell i, the `(s, clause)` pairs that ban symbol s at i: s is
     illegal when every `(p, t)` in `clause` has symbol t at an earlier
-    cell p.  An adjacency edge gives one clause per banned pair, at its
-    later cell, and a forbidden-pattern instance one, at its last cell; an
-    instance that forces a cell to two symbols gives none.  The edges come
-    from `GroupWindow.edges`, by strides on a swept box and by the position
-    map elsewhere, in the same order either way; the forbidden patterns look
-    their cells up in the position map."""
-    rule = spec.rule
-    symbols = rule.symbols
+    cell p.  Every template of `_templates` is placed at every cell, in
+    window order, through the position map, and an instance inside the
+    window gives its clauses at its last cell."""
     bans = [[] for _ in range(len(window))]
-    for axis, mat in rule.axis_allowed:
-        # (s, t) with s on the later cell and t on the earlier one, for an
-        # edge c -> c + e_axis that runs forward (c earlier) or backward
-        forward = [(s, t) for s in symbols for t in symbols if not mat[t][s]]
-        backward = [(s, t) for s in symbols for t in symbols if not mat[s][t]]
-        for i, j in window.edges(axis):
-            # plain loops: a comprehension per edge cost 15% more at 1e6
-            if j < i:
-                cell = bans[i]
-                for s, t in backward:
-                    cell.append((s, ((j, t),)))
-            else:
-                cell = bans[j]
-                for s, t in forward:
-                    cell.append((s, ((i, t),)))
-    allowed = set(symbols)
-    pos = window.position_map if rule.forbidden else None
-    for offs, syms in rule.forbidden:
-        shifts = [tuple(map(sub, off, offs[0])) for off in offs]
-        for c in window.elements:
-            inst = [pos.get(tuple(map(add, c, d))) for d in shifts]
-            need = {}
-            if None in inst or any(need.setdefault(p, t) != t
-                                   for p, t in zip(inst, syms)):
-                continue  # not inside the window, or it never matches
-            s = need.pop(max(inst))
-            if s in allowed:
-                bans[max(inst)].append((s, tuple(need.items())))
+    templates = _templates(spec)
+    # per axis, the coordinates of the cells, when a template reads them
+    axes = list(zip(*window.elements)) if templates else ()
+    for offsets, fires in templates:
+        # per offset but the first, the positions of the translates
+        ends = [map(window.position_map.get,
+                    zip(*[[x + a for x in xs] if a else xs
+                          for xs, a in zip(axes, d)]))
+                for d in offsets[1:]]
+        inside = [inst for inst in zip(range(len(bans)), *ends)
+                  if None not in inst]
+        for inst, last in zip(inside, map(max, inside)):
+            k = inst.index(last)
+            others = inst[:k] + inst[k + 1:]
+            cell = bans[last]
+            for s, ts in fires[k]:
+                cell.append((s, tuple(zip(others, ts))))
     return bans
 
 
@@ -446,41 +468,26 @@ def _sweep_row(cells: Sequence) -> int:
 
 
 def _cube_templates(spec: SubshiftSpec, rank: int) -> list:
-    """The clauses of `_cell_bans` on a cube in sweep order, by geometry:
+    """The templates of `_templates` on a cube in sweep order, by geometry:
     `(reads, lo, hi, bans)`, where a cell x inside the cube with lo[a] <=
     x[a] < side - hi[a] on every axis a has, for each `(s, symbols)` of
     `bans`, the clause that bans s at x given symbols[k] at x + reads[k].
 
-    An adjacency edge always runs forward in the sweep, so its clauses read
-    x - e_axis.  A forbidden-pattern instance fires at its last cell, the
-    lexicographically largest offset; cells inside a cube are distinct
-    exactly where their offsets are, so whether an instance forces a cell
-    to two symbols does not depend on where it sits."""
-    symbols = spec.rule.symbols
+    An instance fires at its lexicographically last offset, and reads the
+    others relative to it; cells inside a cube are distinct exactly where
+    their offsets are."""
+    zero = (0,) * rank
     templates = []
-    for axis, mat in spec.rule.axis_allowed:
-        forward = [(s, (t,)) for s in symbols for t in symbols
-                   if not mat[t][s]]
-        if forward:
-            e = tuple(int(a == axis) for a in range(rank))
-            templates.append(((tuple(-c for c in e),), e, (0,) * rank,
-                              forward))
-    allowed = set(symbols)
-    for offs, syms in spec.rule.forbidden:
-        shifts = [tuple(map(sub, off, offs[0])) for off in offs]
-        need = {}
-        if any(need.setdefault(d, t) != t for d, t in zip(shifts, syms)):
-            continue  # the instance never matches
-        end = max(shifts)
-        s = need.pop(end)
-        if s not in allowed:
-            continue
-        reads = tuple(tuple(map(sub, d, end)) for d in need)
-        lo = tuple(max(-d[a] for d in reads + ((0,) * rank,))
-                   for a in range(rank))
-        hi = tuple(max(d[a] for d in reads + ((0,) * rank,))
-                   for a in range(rank))
-        templates.append((reads, lo, hi, [(s, tuple(need.values()))]))
+    for offsets, fires in _templates(spec):
+        end = max(offsets)
+        k = offsets.index(end)
+        if fires[k]:
+            reads = tuple(tuple(map(sub, d, end)) for d in offsets
+                          if d != end)
+            axes = list(zip(zero, *reads))
+            lo = tuple(-min(xs) for xs in axes)
+            hi = tuple(map(max, axes))
+            templates.append((reads, lo, hi, fires[k]))
     return templates
 
 
@@ -599,14 +606,14 @@ _SHAPE_SIDE = 6
 
 
 def _program(spec: SubshiftSpec, window: GroupWindow) -> _Program:
-    """The step program of the window's sweep (`_sweep_window`): read off
-    the shape of a cube of side `_SHAPE_SIDE` or more that `groups` built
-    (a box, a rank-1 ball, an interval, a sum of two such), compiled from
-    `_cell_bans` for any other window."""
+    """The step program of the window's sweep (`GroupWindow.sweep`): read
+    off the shape of a cube of side `_SHAPE_SIDE` or more that `groups`
+    built (a box, a rank-1 ball, an interval, a sum of two such), compiled
+    from `_cell_bans` for any other window."""
     shape = window._shape
     if shape is not None and shape[0] == "cube" and shape[2] >= _SHAPE_SIDE:
         return _cube_program(spec, window.spec.rank, shape[2])
-    return _compile(spec, _sweep_window(window))
+    return _compile(spec, window.sweep())
 
 
 def _iter_patterns(spec: SubshiftSpec, window: GroupWindow, cap: int):
@@ -658,27 +665,6 @@ def enumerate_patterns(spec: SubshiftSpec, window: GroupWindow,
                        cap: int = DEFAULT_PATTERN_CAP) -> PatternSet:
     return PatternSet(spec=spec, window=window,
                       patterns=tuple(_iter_patterns(spec, window, cap)))
-
-
-def _sweep_window(window: GroupWindow) -> GroupWindow:
-    """The window's cells in lexicographic order, longest extent outermost,
-    so that the frontier spans the shortest extents.  A box or a ball that
-    `groups` built has equal extents, and `GroupWindow.sweep` emits its
-    sweep, axis 0 outermost, with no sort: a box as
-    `itertools.product(range(n), repeat=rank)`, a ball in `_ball_coords`
-    order.  Only other windows are sorted here, once: the sorted window is
-    marked as its own sweep."""
-    swept = window.sweep()
-    if swept is not None:
-        return swept
-    cells = window.elements
-    dims = range(len(cells[0]))
-    extent = [max(c[a] for c in cells) - min(c[a] for c in cells) for a in dims]
-    axes = sorted(dims, key=lambda a: -extent[a])
-    swept = replace(window, elements=tuple(
-        sorted(cells, key=lambda c: [c[a] for a in axes])))
-    object.__setattr__(swept, "_swept", True)  # as `groups._built` marks it
-    return swept
 
 
 # Live frontier states from which the DP step runs on arrays; below it the
@@ -876,7 +862,7 @@ def count_windows(spec: SubshiftSpec, windows: Iterable[GroupWindow],
     big = max(built, key=len, default=None)
     prefix = [False] * len(built)
     if len(built) > 1 and len(big) and not spec.rule.factors_over_cells:
-        swept = _sweep_window(big)
+        swept = big.sweep()
         prefix = [w is big or _is_translated_prefix(w, swept) for w in built]
         sizes = sorted({len(w) for w, p in zip(built, prefix) if p})
         try:

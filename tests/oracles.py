@@ -63,7 +63,7 @@ def windows(folner: FolnerDescriptor, spec: GroupSpec,
 def sorted_sweep(window: GroupWindow) -> GroupWindow:
     """The window's cells sorted lexicographically, longest extent
     outermost (equal extents keep axis 0 outermost):
-    `subshifts._sweep_window`."""
+    `GroupWindow.sweep`."""
     cells = window.elements
     dims = range(len(cells[0]))
     extent = [max(c[a] for c in cells) - min(c[a] for c in cells) for a in dims]

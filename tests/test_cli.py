@@ -885,20 +885,49 @@ def test_selfsimilar_commands_at_a_ratio_whose_float_is_one(tmp_path,
         assert "log(1/c) rounds to 0" in capsys.readouterr().err
 
 
+def test_selfsimilar_probe_at_an_eps_whose_float_is_zero(tmp_path, capsys):
+    # log(1/eps) comes from eps's numerator and denominator, so the probe
+    # reaches its slope check, which a net this fine fails
+    spec = write_spec(tmp_path, SELFSIM)
+    code, report = run(capsys, ["selfsimilar-probe", "--spec", spec,
+                                "--eps-grid", f"1/2,1/{10 ** 400}"])
+    assert code == 1
+    assert list(report["results"]) == ["assertion_failed"]
+
+
 def test_homog_commands_on_an_empty_digit_system_write_strict_json(
         tmp_path, capsys):
     def no_constant(name):
         raise ValueError(f"{name} is not JSON")
 
+    empty = {"type": "cellwise", "allowed": []}
     spec = write_spec(tmp_path, {**HOMOG, "digits": {
-        **HOMOG["digits"], "rule": {"type": "cellwise", "allowed": []}}})
-    for argv in (["homog-entropy", "--m-max", "2", "--depths", "2", "3"],
-                 ["homog-probe", "--eps-grid", "1/8,1/16"]):
-        assert main([argv[0], "--spec", spec] + argv[1:]) == 0
+        **HOMOG["digits"], "rule": empty}})
+    subshift = write_spec(tmp_path, {**GOLDEN, "rule": empty}, "shift.json")
+    selfsim = write_spec(tmp_path, {**SELFSIM, "omega": {**GOLDEN,
+                                                        "rule": empty}},
+                         "selfsim.json")
+    reports = {}
+    for argv in (["entropy", "--spec", subshift, "--m-max", "3",
+                  "--out", str(tmp_path / "out")],
+                 ["selfsimilar-probe", "--spec", selfsim,
+                  "--window-sizes", "8"],
+                 ["homog-entropy", "--spec", spec, "--m-max", "2",
+                  "--depths", "2", "3"],
+                 ["homog-probe", "--spec", spec, "--eps-grid", "1/8,1/16"]):
+        assert main(argv) == 0
         report = json.loads(capsys.readouterr().out,
                             parse_constant=no_constant)
         assert report["status"] == "ok"
-    assert report["results"]["slopes"] == [
+        reports[argv[0]] = report["results"]
+    assert reports["entropy"] == {
+        "empty_system": True,
+        "per_site": {"provenance": "exact", "value": 0.0}}
+    assert not (tmp_path / "out" / "series.csv").exists()  # no -inf rows
+    assert reports["selfsimilar-probe"] == {
+        "empty_system": True, "bound": 0.0, "rows": [], "slack": 0.05,
+        "slopes": {"8": {"provenance": "exact", "value": 0.0}}}
+    assert reports["homog-probe"]["slopes"] == [
         {"count": 0, "depth": 3, "eps": 0.125, "slope": 0.0},
         {"count": 0, "depth": 4, "eps": 0.0625, "slope": 0.0}]
     assert main(["homog-entropy", "--spec", spec, "--m-max", "2"]) == 0

@@ -92,6 +92,8 @@ UNREACHED = {
     "subshifts.FiberTable.total": PERFBENCH_PIN,
     "groups.CapExceeded.__init__": "raised only when a cap is hit",
     "groups.GroupWindow.name": "names a window in a cap message",
+    "groups.GroupWindow.__post_init__":
+        "checks a window that a caller builds; the builders skip it",
     "carpet.PsiCell.key": "names the cell of a failed sandwich check",
     "subshifts.hard_square": "public spec builder; specs come from JSON",
     "subshifts.pair_shift_with_b_rule":

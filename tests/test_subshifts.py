@@ -11,7 +11,7 @@ from meandim.groups import (CapExceeded, GroupSpec, GroupWindow, ball, box,
 from meandim.subshifts import (Alphabet, Rule,
                                SubshiftSpec, _cell_bans, _compile,
                                _cube_program, _frontier_count,
-                               _is_translated_prefix, _program, _sweep_window,
+                               _is_translated_prefix, _program,
                                cellwise_pair_shift, count_patterns,
                                count_windows,
                                enumerate_patterns, extensible_symbols,
@@ -590,11 +590,11 @@ def test_sweeps_of_built_windows_match_the_sorted_sweep(rank):
     others = [product_window(ball(2, g1), 3), product_window(box(3, g1), 2),
               minkowski_sum(ball(1, g1), interval(3, 5))] if rank == 1 else []
     for w in _built_windows(rank) + others:
-        swept, want = _sweep_window(w), sorted_sweep(w)
+        swept, want = w.sweep(), sorted_sweep(w)
         assert swept.elements == want.elements
         assert (swept.spec, swept.kind, swept.index) == (w.spec, w.kind,
                                                          w.index)
-        assert _sweep_window(swept).elements == want.elements
+        assert swept.sweep().elements == want.elements
 
 
 SHIPPED_RULES = {
@@ -606,20 +606,6 @@ SHIPPED_RULES = {
         pair_shift_with_b_rule(2, hard_square()), ASYMMETRIC_2D),
     3: (golden_mean(3), full_shift(2, rank=3)),
 }
-
-
-@pytest.mark.parametrize("rank", [1, 2, 3])
-def test_stride_cell_bans_match_the_position_map(rank):
-    for w in _built_windows(rank):
-        swept = _sweep_window(w)
-        for spec in SHIPPED_RULES[rank]:
-            for window in (w, swept):
-                assert _cell_bans(spec, window) == \
-                    position_map_cell_bans(spec, window), (spec.name, w.name)
-        if w.kind == "box":  # the strides alone, no position map
-            fresh = _sweep_window(w)
-            _cell_bans(golden_mean(rank), fresh)
-            assert "position_map" not in fresh.__dict__
 
 
 # rules whose instances reach two layers back along axis 0, and forward
@@ -636,6 +622,15 @@ REACH_TWO = {
         (((0, 0, 0), (2, 1, -1), (0, 0, 1)), (2, 1, 2)),
         (((0, 0, 0), (0, 0, 0)), (1, 2))]), "forbidden-3d"),
 }
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_cell_bans_match_the_position_map(rank):
+    for w in _built_windows(rank):
+        for spec in SHIPPED_RULES[rank] + (REACH_TWO[rank],):
+            for window in (w, w.sweep()):
+                assert _cell_bans(spec, window) == \
+                    position_map_cell_bans(spec, window), (spec.name, w.name)
 
 
 def _no_cell_bans(spec, window):
@@ -731,7 +726,7 @@ def test_counting_path_neither_sorts_nor_looks_up_cells(monkeypatch):
     monkeypatch.setattr(groups, "canonical_key", no_key)
     for rank in (1, 2, 3):
         for w in _built_windows(rank):
-            _sweep_window(w)
+            w.sweep()
     sweeps = []
 
     def frontier_count(spec, window, *args, **kwargs):
@@ -755,7 +750,7 @@ def test_built_intervals_are_prefixes_by_their_lengths():
               minkowski_sum(ball(1, g1), ball(1, g1))]
     for i, window in enumerate(built + others):
         for j, of in enumerate(built + others):
-            swept = _sweep_window(of)
+            swept = of.sweep()
             prefix, k = swept.elements[:len(window)], len(window)
             want = 0 < k <= len(swept) and {
                 (x + prefix[0][0] - min(window.elements)[0],)
@@ -764,14 +759,14 @@ def test_built_intervals_are_prefixes_by_their_lengths():
             if i < len(built) and j < len(built):  # lengths alone
                 assert "position_map" not in swept.__dict__
     # other windows look their cells up
-    swept = _sweep_window(box(3, g2))
+    swept = box(3, g2).sweep()
     assert _is_translated_prefix(box(1, g2), swept)
     assert not _is_translated_prefix(box(2, g2), swept)
     assert "position_map" in swept.__dict__
 
 
 def test_frontier_count_records_the_running_total_at_each_stop():
-    swept = _sweep_window(interval(0, 29))
+    swept = interval(0, 29).sweep()
     stops = [1, 2, 7, 8, 29, 30]
     assert _frontier_count(golden_mean(), swept, stops) == [
         fib(k + 2) for k in stops]
