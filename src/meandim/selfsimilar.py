@@ -213,6 +213,7 @@ def selfsimilar_cover_probe(spec: SelfSimilarSpec, eps_grid: Sequence,
     # spans at every coarser scale, and a fixed net keeps the slope free of
     # boundary growth
     r = net_radius(spec, min(eps_grid))
+    xs = [_log_inverse(eps) for eps in eps_grid]
     for orbit in orbit_windows:
         net = minkowski_sum(orbit, ball(r, orbit.spec, caps.cells), caps.cells)
         net_count = count_patterns(spec.omega, net, caps.patterns)
@@ -221,7 +222,6 @@ def selfsimilar_cover_probe(spec: SelfSimilarSpec, eps_grid: Sequence,
             # slope is 0.0, as its bound, and no row has a finite log
             return {"empty_system": True, "bound": 0.0, "slack": PROBE_SLACK,
                     "rows": [], "slopes": {len(o): 0.0 for o in orbit_windows}}
-        xs = [_log_inverse(eps) for eps in eps_grid]
         rows = []
         for eps, x in zip(eps_grid, xs):
             m = composition_depth(spec, eps)
