@@ -32,7 +32,7 @@ from .subshifts import (FiberTable, SubshiftSpec, count_patterns,
 
 DEFAULT_CELL_SAMPLES = 48
 _CELL_LIMIT = 512  # cells of the sandwich's within-cell check
-_PAIR_BLOCK = 1 << 16  # code differences per broadcast of the pair check
+_PAIR_BLOCK = 1 << 16  # differences of one coordinate per pair-check block
 PROBE_SAMPLES = 2000  # Shannon-McMillan samples of the dimension report
 PROBE_DELTA = 0.05  # the band |deviation| <= delta of `within_delta`
 PROBE_QUANTILES = (0.05, 0.25, 0.5, 0.75, 0.95)
@@ -246,14 +246,20 @@ def _pair_blocks(codes):
     """(i0, dist, later) per block of rows of the pairwise windowed sup
     distances of an integer code array, as integer numerators: dist[r, c] is
     the distance from point i0 + r to point i0 + c, and later[r, c] marks the
-    pairs c > r.  Each block is one broadcast of about _PAIR_BLOCK elements."""
+    pairs c > r.  A block's rows span about _PAIR_BLOCK code differences of
+    one column; the sup runs column by column, one `np.maximum` each."""
     n = len(codes)
     if n < 2:
         return
-    rows = max(1, _PAIR_BLOCK // (n * codes.shape[1]))
+    first, *rest = codes.T.copy()  # one contiguous row per coordinate
+    rows = max(1, _PAIR_BLOCK // n)
     for i0 in range(0, n - 1, rows):
         i1 = min(i0 + rows, n - 1)
-        dist = np.abs(codes[i0:i1, None, :] - codes[None, i0:, :]).max(axis=2)
+        dist = np.abs(first[i0:i1, None] - first[None, i0:])
+        step = np.empty_like(dist)
+        for col in rest:
+            np.subtract(col[i0:i1, None], col[None, i0:], out=step)
+            np.maximum(dist, np.abs(step, out=step), out=dist)
         later = np.arange(n - i0) > np.arange(i1 - i0)[:, None]
         yield i0, dist, later
 
@@ -353,9 +359,11 @@ def sandwich_check(spec: CarpetSpec, m: int, l: int,
     patterns|^(l-k), raised to |ball(m)| in product mode, where the check
     does not depend on m (`_product_row`).  Zero tolerance: both scales and
     all distances are integer numerators over one denominator.
-    Every pair i < j of a cloud is checked, a block of rows per numpy
-    broadcast (`_pair_blocks`), and a violation names the first failing pair
-    in row-major order with its exact distance.
+    Every pair i < j of a cloud is checked a block of rows at a time
+    (`_pair_blocks`): a block holds about _PAIR_BLOCK differences of one
+    coordinate, and the sup over coordinates is an elementwise maximum taken
+    column by column.  A violation names the first failing pair in
+    row-major order with its exact distance.
 
     Both clouds are outer sums of per-depth digit codes (`_digit_codes`).
     A cell's samples take the sections over its free projected digits

@@ -208,8 +208,9 @@ def _cmd_carpet_dims(system: CarpetSpec, args, caps: Caps) -> dict:
                                      folner_family=args.folner,
                                      w_override=w, seed=args.seed,
                                      caps=caps)
-    report["mdim_M"] = _num(report["mdim_M"], "estimate")
-    report["mdim_H"] = _num(report["mdim_H"], "estimate")
+    provenance = "exact" if report.get("empty_system") else "estimate"
+    report["mdim_M"] = _num(report["mdim_M"], provenance)
+    report["mdim_H"] = _num(report["mdim_H"], provenance)
     return report
 
 

@@ -10,8 +10,9 @@ distances are exact integer numerators over B Q: the plain one with the
 shifts F_n, the product-action one with the shifts SF_n over each point's
 scaled copies x b^j mod 1, j < N (codes c b^j mod B).  Torus distances are
 min(d mod B, B - d mod B); eps, the threshold and the cover radii are
-integer bounds.  Each pair row is computed once, checks the implication and
-advances the greedy walks that count both sides' separated sets and covers.
+integer bounds.  Each block of pair rows is computed once, checks the
+implication and advances the greedy walks that count both sides' separated
+sets and covers.
 The Fraction references of both distances are in `tests/oracles.py`.
 """
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .subshifts import SubshiftSpec, enumerate_patterns
 
 PAIR_CLOUD_CAP = 4000  # points of a pairwise probe cloud; caps only lower it
 EXTRA_DEPTH = 1  # digits the probe cloud carries past the depth N
+_PAIR_BLOCK = 1 << 16  # torus differences per broadcast of the pair rows
 
 
 @dataclass(frozen=True)
@@ -112,70 +114,90 @@ def _shift_weights(scheme: WeightScheme, window: GroupWindow,
 
 def _pair_rows(spec: HomogeneousSpec, fwin: GroupWindow, orbit: GroupWindow,
                depth: int, depth_n: int, points: int, caps: Caps) -> tuple:
-    """(size, den, rows): rows yields [left[i], right[i]] for i = 0, 1, ...,
-    the distances from point i of the depth-`depth` digit cloud on `orbit` as
-    integer numerators over den = B Q, for codes over B = b^depth and weights
-    over their common denominator Q.  Left is the plain metric with the
-    shifts F_n; right is the product-action metric with the shifts `orbit`,
-    maximized over each point's N = depth_n scaled copies x b^j mod 1."""
+    """(size, den, blocks): blocks yields (i0, left, right) per block of rows
+    of the depth-`depth` digit cloud on `orbit`, where left[r, c] and
+    right[r, c] are the distances from point i0 + r to point i0 + c as
+    integer numerators over den = B Q, for codes over B = b^depth and
+    weights over their common denominator Q.  Left is the plain metric with
+    the shifts F_n; right is the product-action metric with the shifts
+    `orbit`, maximized over each point's N = depth_n scaled copies
+    x b^j mod 1.  A block holds about _PAIR_BLOCK torus differences, one
+    broadcast over its rows, copies and window cells; the weighted sums of a
+    copy are one matrix product with a row per shift and a column per pair,
+    so the maxima over shifts and copies run over a leading axis, one
+    elementwise maximum per shift and copy."""
     modulus = spec.base ** depth
     codes = _digit_codes(spec, orbit, depth, points, caps)
     left_w = _shift_weights(spec.weights, orbit, fwin.elements)
     right_w = _shift_weights(spec.weights, orbit, orbit.elements)
     q = math.lcm(*(w.denominator for row in left_w + right_w for w in row))
     dtype = exact_int_dtype(len(orbit) * modulus * q)
-    # copy j of a point: its codes times b^j mod B; copy 0 is the point
-    scaled = np.array([[[c * spec.base ** j % modulus for c in p]
-                        for j in range(depth_n)] for p in codes], dtype=dtype)
-    left_t, right_t = (np.array([[int(w * q) for w in row] for row in ws],
-                                dtype=dtype).T for ws in (left_w, right_w))
+    # copy j of a point: its codes times b^j mod B; copy 0 is the point.
+    # One contiguous row of the n points per copy and window cell.
+    cols = np.array([[[p[g] * spec.base ** j % modulus for p in codes]
+                      for g in range(len(orbit))] for j in range(depth_n)],
+                    dtype=dtype)
+    left_w, right_w = (np.array([[int(w * q) for w in row] for row in ws],
+                                dtype=dtype) for ws in (left_w, right_w))
+    n = len(codes)
+    rows = max(1, _PAIR_BLOCK // max(1, n * depth_n * len(orbit)))
 
-    def rows():
-        # buffers reused row by row: temporaries freed every row page-fault
-        d, e = np.empty_like(scaled), np.empty_like(scaled)
-        for i in range(len(codes)):
-            np.remainder(np.subtract(scaled, scaled[i], out=d), modulus, out=d)
-            np.minimum(d, np.subtract(modulus, d, out=e), out=d)
-            yield [(d[:, :1] @ left_t).max(axis=(1, 2)),
-                   (d @ right_t).max(axis=(1, 2))]
+    def blocks():
+        for i0 in range(0, n, rows):
+            i1 = min(i0 + rows, n)
+            d = np.remainder(cols[:, :, i0:i1, None] - cols[:, :, None, i0:],
+                             modulus)
+            np.minimum(d, modulus - d, out=d)
+            d = d.reshape(depth_n, len(orbit), -1)
+            shape = (i1 - i0, n - i0)
+            yield (i0, (left_w @ d[0]).max(axis=0).reshape(shape),
+                   (right_w @ d).reshape(-1, d.shape[2]).max(axis=0)
+                   .reshape(shape))
 
-    return len(codes), modulus * q, rows()
+    return n, modulus * q, blocks()
 
 
-def _greedy_counts(rows, size: int, walks) -> list:
-    """One count per walk (side, bound) over rows that arrive in index order:
-    pick the least remaining index, drop every point within distance <= bound
-    of it on that side.  Walks only drop indices, so a walk that still holds
-    i when row i arrives picks it, as a walk on the whole table would.  With
-    bound a cover's radius this counts the min-index greedy cover; with bound
-    e - 1 the greedy e-separated set in index order (d >= e iff d > e - 1)."""
+def _greedy_counts(blocks, size: int, walks) -> list:
+    """One count per walk (side, bound) over blocks (i0, *sides) of rows
+    that arrive in index order, sides[side][r, c] the distance from point
+    i0 + r to point i0 + c: pick the least remaining index, drop every point
+    within distance <= bound of it on that side.  Walks only drop indices,
+    so a walk that still holds i when row i arrives picks it, as a walk on
+    the whole table would, and indices below i0 are settled before block
+    i0 arrives.  With bound a cover's radius this counts the min-index
+    greedy cover; with bound e - 1 the greedy e-separated set in index
+    order (d >= e iff d > e - 1)."""
     remaining = np.ones((len(walks), size), dtype=bool)
     counts = [0] * len(walks)
-    for i, row in enumerate(rows):
-        for w, (side, bound) in enumerate(walks):
-            if remaining[w, i]:
-                counts[w] += 1
-                remaining[w] &= row[side] > bound
+    for i0, *sides in blocks:
+        far = [sides[side] > bound for side, bound in walks]
+        for r in range(len(sides[0])):
+            for w, kept in enumerate(remaining):
+                if kept[i0 + r]:
+                    counts[w] += 1
+                    kept[i0:] &= far[w][r]
     return counts
 
 
-def _implication_checked(rows, eps: Fraction, threshold: Fraction, den):
-    """The (left, right) rows passed on, each checked first: every pair
-    i < j at right distance < threshold must sit at left distance < eps.
-    The first violating pair in row-major order aborts with a witness."""
+def _implication_checked(blocks, eps: Fraction, threshold: Fraction, den):
+    """The blocks (i0, left, right) passed on, each checked first with one
+    masked test: every pair i < j at right distance < threshold must sit at
+    left distance < eps.  The first violating pair in row-major order
+    aborts with a witness."""
     eps_num = math.ceil(eps * den)  # d < eps iff num < eps_num
     threshold_num = math.ceil(threshold * den)
-    for i, (left, right) in enumerate(rows):
-        bad = (right[i + 1:] < threshold_num) & (left[i + 1:] >= eps_num)
+    for i0, left, right in blocks:
+        later = np.arange(left.shape[1]) > np.arange(len(left))[:, None]
+        bad = (right < threshold_num) & (left >= eps_num) & later
         if bad.any():
-            j = i + 1 + int(np.argmax(bad))
-            d_left, d_right = (Fraction(int(side[j]), den)
+            r, c = (int(v) for v in np.argwhere(bad)[0])
+            d_left, d_right = (Fraction(int(side[r, c]), den)
                                for side in (left, right))
             raise ProbeViolation(
-                f"pair {i},{j}: right distance {float(d_right):.6g} "
-                f"< {float(threshold):.6g} but left distance "
-                f"{float(d_left):.6g} >= eps {float(eps):.6g}")
-        yield left, right
+                f"pair {i0 + r},{i0 + c}: right distance "
+                f"{float(d_right):.6g} < {float(threshold):.6g} but left "
+                f"distance {float(d_left):.6g} >= eps {float(eps):.6g}")
+        yield i0, left, right
 
 
 @dataclass(frozen=True)

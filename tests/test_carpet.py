@@ -646,6 +646,38 @@ def test_pair_blocks_of_any_size_give_the_same_reports(monkeypatch, block):
                           "representatives 9,10 at distance 0 < 1/8")
 
 
+@pytest.mark.parametrize("dtype", [np.int64, object], ids=["int64", "object"])
+@pytest.mark.parametrize("width", [2, 6])
+@pytest.mark.parametrize("block", [1, 60, 10 ** 6])
+def test_pair_blocks_match_a_per_pair_max(monkeypatch, dtype, width, block):
+    # on a random integer cloud every pair's numerator is the Python max of
+    # |x - y| over the columns; rows 13 and 11 sit next to rows 9 and 10,
+    # so with blocks of one and three rows the first close pair in
+    # row-major order, (9, 13), opens a later block, and `_first_pair`
+    # names it before (10, 11)
+    import meandim.carpet as carpet
+    monkeypatch.setattr(carpet, "_PAIR_BLOCK", block)
+    rng = random.Random(width)
+    top = 2 ** 70 if dtype is object else 2 ** 40
+    rows = [[rng.randrange(-top, top) for _ in range(width)]
+            for _ in range(20)]
+    rows[13] = [x + 1 for x in rows[9]]
+    rows[11] = [x - 1 for x in rows[10]]
+    codes = np.array(rows, dtype=dtype)
+    want = {(i, j): max(abs(x - y) for x, y in zip(rows[i], rows[j]))
+            for i in range(20) for j in range(i + 1, 20)}
+    got = {}
+    for i0, dist, later in carpet._pair_blocks(codes):
+        assert dist.dtype == codes.dtype
+        for r, c in np.argwhere(later):
+            got[int(i0 + r), int(i0 + c)] = int(dist[r, c])
+    assert got == want
+    assert sorted(pair for pair, d in want.items() if d < 2) == [(9, 13),
+                                                                 (10, 11)]
+    assert carpet._first_pair(codes, lambda d: d < 2) == (9, 13, 1)
+    assert carpet._first_pair(codes, lambda d: d < 0) is None
+
+
 def _reference_cell_samples(spec, patterns, fibers, cell, per_cell):
     """A cell's samples as `_reference_point` Fractions, listed one by one:
     sections over the free digits (first depth outermost, cut to per_cell

@@ -935,3 +935,18 @@ def test_homog_commands_on_an_empty_digit_system_write_strict_json(
         "empty_system": True,
         "entropy": {"provenance": "exact", "value": 0.0},
         "prediction": {"provenance": "exact", "value": 0.0}}
+
+
+def test_carpet_dims_on_an_empty_system_tags_its_zeros_exact(tmp_path,
+                                                            capsys):
+    # an empty carpet has mean dimensions 0.0 exactly, as the empty systems
+    # of `entropy`, `homog-entropy` and `selfsimilar-probe` have
+    empty = {"type": "cellwise", "allowed": []}
+    spec = write_spec(tmp_path, {**GOLDEN_B, "omega": {**GOLDEN_B["omega"],
+                                                       "rule": empty}})
+    code, report = run(capsys, ["carpet-dims", "--spec", spec,
+                                "--m-max", "1", "--l-max", "2"])
+    assert code == 0
+    zero = {"provenance": "exact", "value": 0.0}
+    assert report["results"] == {"empty_system": True, "mdim_H": zero,
+                                 "mdim_M": zero}

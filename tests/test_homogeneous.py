@@ -216,7 +216,7 @@ PAIR_TABLE_CLOUDS = [
 @pytest.mark.parametrize("spec, n, eps, extra", PAIR_TABLE_CLOUDS)
 def test_pair_tables_match_fraction_metrics(spec, n, eps, extra):
     # numerators / den equal ProductMetric (left) and ScaledOrbit (right);
-    # the streamed rows are stacked into the tables they stand for
+    # the blocks, pairs i <= j, are stacked into the tables they stand for
     import numpy as np
     from meandim.groups import Caps, box, minkowski_sum
     from meandim.homogeneous import _digit_depth, _pair_rows
@@ -225,9 +225,14 @@ def test_pair_tables_match_fraction_metrics(spec, n, eps, extra):
     fwin = box(n, group)
     depth_n = _digit_depth(spec.base, eps)
     orbit = minkowski_sum(tail_support(spec.weights, eps), fwin)
-    streamed, den, rows = _pair_rows(spec, fwin, orbit, depth_n + extra,
-                                     depth_n, 4000, Caps())
-    left, right = (np.array(side) for side in zip(*rows))
+    streamed, den, blocks = _pair_rows(spec, fwin, orbit, depth_n + extra,
+                                       depth_n, 4000, Caps())
+    left, right = (np.zeros((streamed, streamed), dtype=object)
+                   for _ in range(2))
+    for i0, *sides in blocks:
+        for table, side in zip((left, right), sides):
+            table[i0:i0 + len(side), i0:] = side
+    left, right = (np.maximum(t, t.T) for t in (left, right))
     cloud = digit_cloud(spec, orbit, depth_n + extra, 4000)
     left_ref = ProductMetric(spec.weights, orbit, "torus",
                              shifts=fwin.elements)
@@ -251,7 +256,6 @@ def test_pair_tables_match_fraction_metrics(spec, n, eps, extra):
 def test_probe_lower_counts_match_fraction_separated_sets(monkeypatch, spec, n,
                                                           eps, extra):
     # the greedy walk with bound e - 1 keeps what separated_set keeps
-    from itertools import islice
     from meandim.groups import Caps, box, minkowski_sum
     from meandim.homogeneous import _digit_depth, _greedy_counts, _pair_rows
     from meandim.metrics import ProductMetric, tail_support
@@ -275,10 +279,11 @@ def test_probe_lower_counts_match_fraction_separated_sets(monkeypatch, spec, n,
         ProductMetric(spec.weights, orbit, "torus", shifts=orbit.elements),
         cloud, depth_n)
     threshold = Fraction(1, 2 * spec.weights.total_upper() * spec.base)
-    _, den, rows = _pair_rows(spec, fwin, orbit, depth_n + extra, depth_n,
-                              4000, Caps())
+    _, den, blocks = _pair_rows(spec, fwin, orbit, depth_n + extra, depth_n,
+                                4000, Caps())
     k = 64
-    prefix = ((right[:k],) for _, right in islice(rows, k))
+    prefix = ((i0, right[:k - i0, :k - i0]) for i0, _, right in blocks
+              if i0 < k)
     assert _greedy_counts(prefix, k, [(0, math.ceil(threshold * den) - 1)]) \
         == [len(separated_set(right_ref, right_ref, threshold,
                               indices=range(k)))]
@@ -299,12 +304,13 @@ def test_probe_builds_no_pair_table():
     assert peak < 1024 * 1024 * 8
 
 
-def test_probe_violation_names_the_reference_pair(monkeypatch):
-    # with N forced to 1 the right metric sees only x itself, so the pair
-    # (0, 1) of a depth-5 cloud at distance 1/32 breaks the implication at
-    # eps = 1/32; the message matches the first pair the Fraction loop finds
+def _forced_violation(monkeypatch):
+    """With N forced to 1 the right metric sees only x itself, so the pair
+    (0, 1) of a depth-5 cloud at distance 1/32 breaks the implication at
+    eps = 1/32: (eps, the message of the first pair the Fraction loop
+    finds)."""
     from meandim.groups import box
-    from meandim.metrics import ProbeViolation, ProductMetric
+    from meandim.metrics import ProductMetric
     monkeypatch.setattr(homogeneous, "_digit_depth", lambda base, eps: 1)
     monkeypatch.setattr(homogeneous, "EXTRA_DEPTH", 4)
     eps = Fraction(1, 32)
@@ -315,25 +321,90 @@ def test_probe_violation_names_the_reference_pair(monkeypatch):
     right = ScaledOrbit.build(
         ProductMetric(FULL2.weights, fwin, "torus", shifts=fwin.elements),
         cloud, 1)
-    expected = None
     pts = cloud.points
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
             d_right = right.interval(right.points[i], right.points[j])[0]
             d_left = left.interval(pts[i], pts[j])[0]
             if d_right < threshold and not d_left < eps:
-                expected = (f"pair {i},{j}: right distance "
-                            f"{float(d_right):.6g} < {float(threshold):.6g} "
-                            f"but left distance {float(d_left):.6g} >= eps "
-                            f"{float(eps):.6g}")
-                break
-        if expected:
-            break
+                return eps, (f"pair {i},{j}: right distance "
+                             f"{float(d_right):.6g} < {float(threshold):.6g} "
+                             f"but left distance {float(d_left):.6g} >= eps "
+                             f"{float(eps):.6g}")
+    return eps, None
+
+
+def test_probe_violation_names_the_reference_pair(monkeypatch):
+    # the message matches the first pair the Fraction loop finds
+    from meandim.metrics import ProbeViolation
+    eps, expected = _forced_violation(monkeypatch)
     assert expected is not None and expected.startswith("pair 0,1:")
     with pytest.raises(ProbeViolation) as info:
         homogeneous_covering_probe(FULL2, FolnerDescriptor("boxes", (1,)),
                                    [eps])
     assert str(info.value) == expected
+
+
+# element budgets of one row per block, a few rows (13 to 16 on the
+# largest pinned clouds) and the whole cloud
+@pytest.mark.parametrize("budget", [1, 20000, 1 << 40],
+                         ids=["one-row", "few-rows", "whole-cloud"])
+def test_pair_blocks_of_any_size_give_the_same_probe(monkeypatch, budget):
+    from meandim.metrics import ProbeViolation
+    monkeypatch.setattr(homogeneous, "_PAIR_BLOCK", budget)
+    for spec, boxes, grid, extra, expected in PROBE_PINS:
+        assert _run_pin(monkeypatch, spec, boxes, grid, extra) == expected
+    eps, message = _forced_violation(monkeypatch)
+    with pytest.raises(ProbeViolation) as info:
+        homogeneous_covering_probe(FULL2, FolnerDescriptor("boxes", (1,)),
+                                   [eps])
+    assert str(info.value) == message
+
+
+def _split_rows(tables, rows):
+    """The upper-right parts (columns from i0 on) of square tables, cut
+    into blocks of `rows` rows as `_pair_rows` yields them."""
+    size = len(tables[0])
+    for i0 in range(0, size, rows):
+        yield (i0, *(t[i0:i0 + rows, i0:] for t in tables))
+
+
+@pytest.mark.parametrize("rows", [1, 3, 7, 40])
+def test_block_consumers_match_a_pair_loop(rows):
+    # random symmetric tables: the implication check names the first bad
+    # pair i < j in row-major order, past the first block of up to 7 rows,
+    # and the greedy walks count what a per-pair loop counts
+    import numpy as np
+    from meandim.metrics import ProbeViolation
+    rng = np.random.default_rng(5)
+    size, den = 40, 100
+    left, right = (np.triu(rng.integers(0, den, (size, size)), 1)
+                   for _ in range(2))
+    right[:8] = den - 1  # no bad pair in the first 8 rows
+    left, right = left + left.T, right + right.T
+    eps, threshold = Fraction(3, 4), Fraction(1, 10)
+    ok = (right >= threshold * den) | (left < eps * den)
+    first = min((i, j) for i in range(size) for j in range(i + 1, size)
+                if not ok[i, j])
+    assert first[0] >= 8
+    message = (f"pair {first[0]},{first[1]}: right distance "
+               f"{float(Fraction(int(right[first]), den)):.6g} < 0.1 but "
+               f"left distance {float(Fraction(int(left[first]), den)):.6g}"
+               f" >= eps 0.75")
+    with pytest.raises(ProbeViolation) as info:
+        list(homogeneous._implication_checked(
+            _split_rows((left, right), rows), eps, threshold, den))
+    assert str(info.value) == message
+    walks = [(side, bound) for side in (0, 1) for bound in (9, 30, 70)]
+    expected = []
+    for side, bound in walks:
+        table, kept = (left, right)[side], []
+        for i in range(size):
+            if all(table[i, j] > bound for j in kept):
+                kept.append(i)
+        expected.append(len(kept))
+    assert homogeneous._greedy_counts(_split_rows((left, right), rows), size,
+                                      walks) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """The command-line reports stay byte-identical across refactors.
 
-Each command line of `test_reach.COMMAND_LINES` runs in process.  Its
-report, without `timing` and `versions`, is hashed and compared with the
-digest that the report had when the list below was recorded.  A change
+Each command line of `test_reach.COMMAND_LINES` and each `clouds` op of
+`perfbench/workloads.py` (on `perfbench/specs`, seed 1) runs in process.
+Its report, without `timing` and `versions`, is hashed and compared with
+the digest that the report had when the list below was recorded.  A change
 that alters a report on purpose records the new digest here and names the
 report in CHANGES.md.
 """
@@ -10,11 +11,16 @@ import contextlib
 import hashlib
 import io
 import json
+import runpy
 
 from meandim import cli
-from test_reach import COMMAND_LINES, SPECS
+from test_reach import COMMAND_LINES, ROOT, SPECS
 
-# " ".join([spec] + argv) -> sha256 of the report without timing and versions
+BENCH_SEED = 1
+CLOUDS_OPS = runpy.run_path(str(ROOT / "perfbench" / "workloads.py"))[
+    "WORKLOADS"]["clouds"].ops
+
+# label -> sha256 of the report without timing and versions
 DIGESTS = {
     "golden entropy --m-max 6 --folner boxes":
         "34a6b83e8d0c6231a1039e9da1e88cbfeddd329beffab49dd418f59e2014089a",
@@ -50,6 +56,14 @@ DIGESTS = {
         "a993f1e01806a66c8cdeb96f864b47e8760c6b899ec9d92698e53642c775f3dd",
     "golden validate":
         "8d3b64ef7a59339f8e7d4b3f7a809f0054cb90a095c7a1912ad6cd3e64e75efe",
+    "clouds golden-b-carpet":
+        "c7e3d592614b49e1f53142a32ca96f2ff4d33f27b745b95a39cd74b7aed562df",
+    "clouds mcmullen-carpet":
+        "6bcc970a4356110597f6ffbaef17414f57b6356097afa4bd0dfd0da9c8eaf850",
+    "clouds homogeneous-probe":
+        "814a5380077fc7982b9d5bd1657c3cf13e65592901fd523e82e84a1f51663be9",
+    "clouds selfsimilar-probe":
+        "6ef91924552f5ff1338f0f475a69d92922272d4c3c1908eeb922fc4c7d797290",
 }
 
 
@@ -57,26 +71,37 @@ def _label(spec, argv):
     return " ".join([spec] + argv)
 
 
-def report_texts(tmp_path):
-    """(label, report text without `timing` and `versions`) per command
-    line, in order."""
+def command_lines(tmp_path):
+    """(label, argv) per command line, in order: the `test_reach` lines on
+    specs written to `tmp_path`, then the `clouds` ops, labelled
+    `clouds <op>`, on the benchmark's own spec files."""
     for name, doc in SPECS.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(doc))
     for spec, argv in COMMAND_LINES:
-        args = [argv[0], "--spec", str(tmp_path / f"{spec}.json")] + [
-            a.replace("{out}", str(tmp_path / "out")) for a in argv[1:]]
+        yield _label(spec, argv), (
+            [argv[0], "--spec", str(tmp_path / f"{spec}.json")]
+            + [a.replace("{out}", str(tmp_path / "out")) for a in argv[1:]])
+    for op in CLOUDS_OPS:
+        yield f"clouds {op.name}", op.command(
+            str(ROOT / "perfbench" / "specs"), BENCH_SEED)
+
+
+def report_texts(tmp_path):
+    """(label, report text without `timing` and `versions`) per command
+    line, in order."""
+    for label, args in command_lines(tmp_path):
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             cli.main(args)
         report = json.loads(out.getvalue())
         for key in ("timing", "versions"):  # `validate` writes neither
             report.pop(key, None)
-        yield _label(spec, argv), cli._report_text(report)
+        yield label, cli._report_text(report)
 
 
 def test_reports_match_their_recorded_digests(tmp_path):
-    labels = [_label(spec, argv) for spec, argv in COMMAND_LINES]
-    assert sorted(DIGESTS) == sorted(labels)
-    for label, text in report_texts(tmp_path):
+    texts = dict(report_texts(tmp_path))
+    assert sorted(DIGESTS) == sorted(texts)
+    for label, text in texts.items():
         digest = hashlib.sha256(text.encode()).hexdigest()
         assert digest == DIGESTS[label], f"{label}:\n{text}"
