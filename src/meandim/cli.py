@@ -8,26 +8,28 @@ below), with a message that names the field.  `validate` runs
 `parse_system` and nothing else, so it reports the first spec error that
 any command would report for the spec.
 
-Exit status: 0 on success; 1 with a full report whose results hold
-`assertion_failed`, `cap_abort` or `internal_error`; 2 with a `spec error:`
-line on stderr and nothing on stdout when the spec or an option value is
-unreadable or out of range, a negative `--seed` included.  A `cap_abort`
+Exit status: 0 on success, and after printing the `--help` text; 1 with a
+full report whose results hold `assertion_failed`, `cap_abort` or
+`internal_error`; 2 with a `spec error:` line on stderr and nothing on
+stdout when the command line is malformed (see `parse_args`) or the spec or
+an option value is unreadable or out of range, a negative `--seed`
+included.  A `cap_abort`
 holds the message of a `CapExceeded` or a `NetTooCoarse`.  Outputs are
 written atomically; identical config and seed give byte-identical reports
 apart from the timing block.
 """
 from __future__ import annotations
 
-import argparse
 import dataclasses
-import functools
 import json
 import os
 import platform
+import re
 import sys
 import tempfile
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -326,28 +328,102 @@ COMMANDS = {
 }
 
 
-@functools.cache  # one parser per process
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="meandim",
-        description="entropy and mean-dimension experiments over Z^d")
-    parser.add_argument("command", choices=list(COMMANDS) + ["validate"])
-    parser.add_argument("--spec", required=True, help="JSON system spec path")
-    parser.add_argument("--m-max", type=int, default=4)
-    parser.add_argument("--l-max", type=int, default=4)
-    parser.add_argument("--depths", type=int, nargs="*")
-    parser.add_argument("--eps-grid", help="comma separated, decreasing")
-    parser.add_argument("--folner", choices=("balls", "boxes"),
-                        default="balls")
-    parser.add_argument("--w", help="weighted-entropy exponent or 'auto'")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--window-sizes", type=int, nargs="*")
-    parser.add_argument("--k-list", help="comma separated sharpness values")
-    parser.add_argument("--eps", help="single scale for the mass demo")
-    parser.add_argument("--out", help="output directory")
-    parser.add_argument("--caps", help="cells=N,patterns=N,cloud=N",
-                        default="")
-    return parser
+# option -> (converter, default, help).  A converter is `int`, `str`, a
+# tuple of the accepted values, or `[int]`: a list of ints that takes every
+# token up to the next option.
+OPTIONS = {
+    "--spec": (str, None, "JSON system spec path (required)"),
+    "--m-max": (int, 4, "largest Folner index"),
+    "--l-max": (int, 4, "largest carpet scale index"),
+    "--depths": ([int], None, "digit depths of homog-entropy"),
+    "--eps-grid": (str, None, "comma separated, decreasing"),
+    "--folner": (("balls", "boxes"), "balls", "Folner family"),
+    "--w": (str, None, "weighted-entropy exponent or 'auto'"),
+    "--seed": (int, 0, "sampling seed, non-negative"),
+    "--window-sizes": ([int], None, "orbit windows of selfsimilar-probe"),
+    "--k-list": (str, None, "comma separated sharpness values"),
+    "--eps": (str, None, "single scale for the mass demo"),
+    "--out": (str, None, "output directory"),
+    "--caps": (str, "", "cells=N,patterns=N,cloud=N"),
+}
+
+# a token that starts with '-' but reads as a negative number is a value
+_NEGATIVE_NUMBER = re.compile(r"-\d+$|-\d*\.\d+$")
+
+
+def _is_option(token: str) -> bool:
+    return token.startswith("-") and not _NEGATIVE_NUMBER.match(token)
+
+
+def _read_option(convert, name: str, text: str):
+    if isinstance(convert, tuple):
+        if text not in convert:
+            raise SpecError(f"{name}: {text!r} is not one of "
+                            f"{', '.join(convert)}")
+        return text
+    return _parse_value(convert, text, name)
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """The command and the value of every option, defaults included, with
+    `--m-max` read as `m_max`.  The one bare token is the command; an option
+    is `--name value` or `--name=value`, named exactly, and the last one
+    given wins.  A malformed command line is a SpecError naming the command
+    or option."""
+    values = {name: default for name, (_, default, _) in OPTIONS.items()}
+    command = None
+    i = 0
+    while i < len(argv):
+        token = argv[i]
+        i += 1
+        if not _is_option(token):
+            if command is not None:
+                raise SpecError(f"two commands given: {command!r} and "
+                                f"{token!r}")
+            if token not in COMMANDS and token != "validate":
+                raise SpecError(f"unknown command {token!r}; see --help")
+            command = token
+            continue
+        name, eq, text = token.partition("=")
+        if name not in OPTIONS:
+            raise SpecError(f"unknown option {name!r}; see --help")
+        convert = OPTIONS[name][0]
+        if isinstance(convert, list):
+            texts = [text] if eq else []
+            while not eq and i < len(argv) and not _is_option(argv[i]):
+                texts.append(argv[i])
+                i += 1
+            values[name] = [_read_option(convert[0], name, t) for t in texts]
+            continue
+        if not eq:
+            if i == len(argv) or _is_option(argv[i]):
+                raise SpecError(f"{name} needs a value")
+            text = argv[i]
+            i += 1
+        values[name] = _read_option(convert, name, text)
+    if command is None:
+        raise SpecError("no command given; see --help")
+    if values["--spec"] is None:
+        raise SpecError("--spec is required")
+    return SimpleNamespace(command=command, **{
+        name[2:].replace("-", "_"): value for name, value in values.items()})
+
+
+def usage() -> str:
+    """The --help text: every command and option, with its default."""
+    lines = ["usage: meandim COMMAND --spec PATH [--option VALUE ...]", "",
+             "commands:", f"  {'validate':<22}checks any spec"]
+    lines += [f"  {command:<22}runs on a {system} spec"
+              for command, (_, system) in COMMANDS.items()]
+    lines += ["", "options (--name value or --name=value):"]
+    for name, (convert, default, text) in OPTIONS.items():
+        metavar = ("N ..." if isinstance(convert, list)
+                   else "|".join(convert) if isinstance(convert, tuple)
+                   else {int: "N", str: "TEXT"}[convert])
+        if default not in (None, ""):
+            text += f" (default {default})"
+        lines.append(f"  {name + ' ' + metavar:<22}{text}")
+    return "\n".join(lines) + "\n"
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -370,7 +446,15 @@ def main(argv=None) -> int:
     # exact counts print in full, past the 4300 digits of Python >= 3.10.7
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        print(usage(), end="")
+        return 0
+    try:
+        args = parse_args(argv)
+    except SpecError as exc:
+        print(f"spec error: {exc}", file=sys.stderr)
+        return 2
     started = time.monotonic()
     try:
         with open(args.spec) as handle:

@@ -333,7 +333,8 @@ def test_every_command_reads_caps(tmp_path, capsys, command):
 
 
 # numpy.random and numpy.ma are not loaded by `import meandim`, and each
-# costs a fresh process 15-20 ms to import
+# costs a fresh process 15-20 ms to import; argparse, with the gettext and
+# locale it loads, costs about 3 ms
 GUARD_ARGS = {"homog-probe": ["--eps-grid", "1/8", "--folner", "boxes"]}
 GUARD_SCRIPT = """\
 import contextlib, io, json, sys
@@ -342,7 +343,8 @@ with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(json.loads(sys.argv[1]))
 print(json.dumps([code, sorted(m for m in sys.modules
                                if m.split(".")[:2] in (["numpy", "random"],
-                                                       ["numpy", "ma"]))]))
+                                                       ["numpy", "ma"])
+                               or m in ("argparse", "gettext", "locale"))]))
 """
 
 
@@ -477,15 +479,6 @@ def test_negative_seeds_are_spec_errors(tmp_path, capsys, command):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err == "spec error: --seed must be non-negative, got -1\n"
-
-
-def test_main_builds_its_parser_once(tmp_path, capsys):
-    spec = write_spec(tmp_path, GOLDEN)
-    cli.build_parser.cache_clear()
-    for _ in range(2):
-        assert main(["entropy", "--spec", spec, "--m-max", "1"]) == 0
-    capsys.readouterr()
-    assert cli.build_parser.cache_info().misses == 1
 
 
 def test_validate_rejects_bad_specs(tmp_path, capsys):
