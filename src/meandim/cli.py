@@ -11,12 +11,11 @@ any command would report for the spec.
 Exit status: 0 on success, and after printing the `--help` text; 1 with a
 full report whose results hold `assertion_failed`, `cap_abort` or
 `internal_error`; 2 with a `spec error:` line on stderr and nothing on
-stdout when the command line is malformed (see `parse_args`) or the spec or
+stdout when the command line is malformed (see `cmdline`) or the spec or
 an option value is unreadable or out of range, a negative `--seed`
-included.  A `cap_abort`
-holds the message of a `CapExceeded` or a `NetTooCoarse`.  Outputs are
-written atomically; identical config and seed give byte-identical reports
-apart from the timing block.
+included.  A `cap_abort` holds the message of a `CapExceeded` or a
+`NetTooCoarse`.  Outputs are written atomically; identical config and seed
+give byte-identical reports apart from the timing block.
 """
 from __future__ import annotations
 
@@ -24,16 +23,15 @@ import dataclasses
 import json
 import os
 import platform
-import re
 import sys
 import tempfile
 import time
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 
 from . import __version__
+from .cmdline import SpecError, parse_args, parse_value, usage
 from .groups import CapExceeded, Caps, FolnerDescriptor, GroupSpec, box
 from .metrics import WeightScheme
 from .subshifts import json_int, json_object, projected_spec, spec_from_json
@@ -45,10 +43,6 @@ from .homogeneous import (HomogeneousSpec, homogeneous_covering_probe,
                           homogeneous_gxn_entropy, homogeneous_slope_series)
 from .kspace import (KSpaceSpec, kg_covering_experiment,
                      kg_mass_distribution_demo, trend_slopes)
-
-
-class SpecError(ValueError):
-    pass
 
 
 # the failures reported as `cap_abort`: a cap or a too coarse net stopped
@@ -63,7 +57,7 @@ def _fraction(value, field: str) -> Fraction:
     if type(value) is not int and not isinstance(value, str):
         raise SpecError(f"{field} must be a JSON integer or a rational "
                         f"string, got {value!r}")
-    return _parse_value(Fraction, value, field)
+    return parse_value(Fraction, value, field)
 
 
 def _weights(doc, rank: int) -> WeightScheme | None:
@@ -73,14 +67,6 @@ def _weights(doc, rank: int) -> WeightScheme | None:
     if "rho" not in doc:
         return None
     return WeightScheme(rank, _fraction(doc["rho"], "weights.rho"))
-
-
-def _parse_value(convert, text: str, name: str):
-    """convert(text), with a value it cannot read reported as a SpecError."""
-    try:
-        return convert(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise SpecError(f"{name}: cannot read {text!r} ({exc})") from None
 
 
 def parse_system(doc: dict):
@@ -140,7 +126,7 @@ def _parse_w(text):
     """The weighted-entropy exponent, or None when absent or 'auto'."""
     if text in (None, "auto"):
         return None
-    w = _parse_value(float, text, "--w")
+    w = parse_value(float, text, "--w")
     if not 0 <= w <= 1:
         raise SpecError(f"--w: {text!r} is not in [0, 1]")
     return w
@@ -223,7 +209,7 @@ def _cmd_selfsimilar_bound(system: SelfSimilarSpec, args, caps: Caps) -> dict:
 
 
 def _parse_eps_grid(text: str):
-    grid = [_parse_value(Fraction, part, "--eps-grid")
+    grid = [parse_value(Fraction, part, "--eps-grid")
             for part in text.split(",")]
     if any(not 0 < e < 1 for e in grid):
         raise SpecError("eps grid values must lie in (0, 1)")
@@ -298,11 +284,11 @@ def _cmd_kg_experiment(system: KSpaceSpec, args, caps: Caps) -> dict:
 
 def _cmd_kg_mass_demo(system: KSpaceSpec, args, caps: Caps) -> dict:
     folner = FolnerDescriptor(args.folner, (1,))
-    ks = [_parse_value(int, k, "--k-list")
+    ks = [parse_value(int, k, "--k-list")
           for k in (args.k_list or "2,4,6").split(",")]
     if any(k < 1 for k in ks):
         raise SpecError("k-list values must be >= 1")
-    eps = (_parse_value(Fraction, args.eps, "--eps") if args.eps
+    eps = (parse_value(Fraction, args.eps, "--eps") if args.eps
            else Fraction(1, 10))
     if not 0 < eps < Fraction(1, 6):
         raise SpecError("mass demo eps must lie in (0, 1/6)")
@@ -328,104 +314,6 @@ COMMANDS = {
 }
 
 
-# option -> (converter, default, help).  A converter is `int`, `str`, a
-# tuple of the accepted values, or `[int]`: a list of ints that takes every
-# token up to the next option.
-OPTIONS = {
-    "--spec": (str, None, "JSON system spec path (required)"),
-    "--m-max": (int, 4, "largest Folner index"),
-    "--l-max": (int, 4, "largest carpet scale index"),
-    "--depths": ([int], None, "digit depths of homog-entropy"),
-    "--eps-grid": (str, None, "comma separated, decreasing"),
-    "--folner": (("balls", "boxes"), "balls", "Folner family"),
-    "--w": (str, None, "weighted-entropy exponent or 'auto'"),
-    "--seed": (int, 0, "sampling seed, non-negative"),
-    "--window-sizes": ([int], None, "orbit windows of selfsimilar-probe"),
-    "--k-list": (str, None, "comma separated sharpness values"),
-    "--eps": (str, None, "single scale for the mass demo"),
-    "--out": (str, None, "output directory"),
-    "--caps": (str, "", "cells=N,patterns=N,cloud=N"),
-}
-
-# a token that starts with '-' but reads as a negative number is a value
-_NEGATIVE_NUMBER = re.compile(r"-\d+$|-\d*\.\d+$")
-
-
-def _is_option(token: str) -> bool:
-    return token.startswith("-") and not _NEGATIVE_NUMBER.match(token)
-
-
-def _read_option(convert, name: str, text: str):
-    if isinstance(convert, tuple):
-        if text not in convert:
-            raise SpecError(f"{name}: {text!r} is not one of "
-                            f"{', '.join(convert)}")
-        return text
-    return _parse_value(convert, text, name)
-
-
-def parse_args(argv: list[str]) -> SimpleNamespace:
-    """The command and the value of every option, defaults included, with
-    `--m-max` read as `m_max`.  The one bare token is the command; an option
-    is `--name value` or `--name=value`, named exactly, and the last one
-    given wins.  A malformed command line is a SpecError naming the command
-    or option."""
-    values = {name: default for name, (_, default, _) in OPTIONS.items()}
-    command = None
-    i = 0
-    while i < len(argv):
-        token = argv[i]
-        i += 1
-        if not _is_option(token):
-            if command is not None:
-                raise SpecError(f"two commands given: {command!r} and "
-                                f"{token!r}")
-            if token not in COMMANDS and token != "validate":
-                raise SpecError(f"unknown command {token!r}; see --help")
-            command = token
-            continue
-        name, eq, text = token.partition("=")
-        if name not in OPTIONS:
-            raise SpecError(f"unknown option {name!r}; see --help")
-        convert = OPTIONS[name][0]
-        if isinstance(convert, list):
-            texts = [text] if eq else []
-            while not eq and i < len(argv) and not _is_option(argv[i]):
-                texts.append(argv[i])
-                i += 1
-            values[name] = [_read_option(convert[0], name, t) for t in texts]
-            continue
-        if not eq:
-            if i == len(argv) or _is_option(argv[i]):
-                raise SpecError(f"{name} needs a value")
-            text = argv[i]
-            i += 1
-        values[name] = _read_option(convert, name, text)
-    if command is None:
-        raise SpecError("no command given; see --help")
-    if values["--spec"] is None:
-        raise SpecError("--spec is required")
-    return SimpleNamespace(command=command, **{
-        name[2:].replace("-", "_"): value for name, value in values.items()})
-
-
-def usage() -> str:
-    """The --help text: every command and option, with its default."""
-    lines = ["usage: meandim COMMAND --spec PATH [--option VALUE ...]", "",
-             "commands:", f"  {'validate':<22}checks any spec"]
-    lines += [f"  {command:<22}runs on a {system} spec"
-              for command, (_, system) in COMMANDS.items()]
-    lines += ["", "options (--name value or --name=value):"]
-    for name, (convert, default, text) in OPTIONS.items():
-        metavar = ("N ..." if isinstance(convert, list)
-                   else "|".join(convert) if isinstance(convert, tuple)
-                   else {int: "N", str: "TEXT"}[convert])
-        if default not in (None, ""):
-            text += f" (default {default})"
-        lines.append(f"  {name + ' ' + metavar:<22}{text}")
-    return "\n".join(lines) + "\n"
-
-
 def _atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".meandim-")
@@ -447,11 +335,12 @@ def main(argv=None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
     argv = sys.argv[1:] if argv is None else argv
+    commands = ["validate", *COMMANDS]
     if "-h" in argv or "--help" in argv:
-        print(usage(), end="")
+        print(usage(commands), end="")
         return 0
     try:
-        args = parse_args(argv)
+        args = parse_args(argv, commands)
     except SpecError as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return 2

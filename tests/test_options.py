@@ -2,15 +2,15 @@
 errors of the malformed ones, and the `--help` text.
 
 `RECORDED` holds, for each command line, the values that the argparse
-parser this module's parser replaced gave: `DEFAULTS`, with the values the
-line sets.  It covers every line of `test_reach.COMMAND_LINES` (on
+parser replaced by `cmdline.parse_args` gave: `DEFAULTS`, with the values
+the line sets.  It covers every line of `test_reach.COMMAND_LINES` (on
 `<spec>.json`, `{out}` read as `out`), the ten ops of
 `perfbench/workloads.py` (on `specs`, seed 1), the README examples and each
 accepted form.
 """
 import pytest
 
-from meandim import cli
+from meandim import cli, cmdline
 from meandim.cli import main
 
 DEFAULTS = {"m_max": 4, "l_max": 4, "depths": None, "eps_grid": None,
@@ -189,7 +189,8 @@ def _typed(value):
 @pytest.mark.parametrize("line, values", RECORDED,
                          ids=[line for line, _ in RECORDED])
 def test_parse_args_gives_the_recorded_namespace(line, values):
-    got = vars(cli.parse_args(line.split()))
+    got = vars(cmdline.parse_args(line.split(),
+                                  ["validate", *cli.COMMANDS]))
     want = {**DEFAULTS, **values}
     assert got == want
     assert {k: _typed(v) for k, v in got.items()} == {
@@ -230,5 +231,5 @@ def test_help_lists_every_command_and_option(capsys, argv):
     assert main(argv) == 0
     captured = capsys.readouterr()
     assert captured.err == ""
-    for name in ["validate", *cli.COMMANDS, *cli.OPTIONS]:
+    for name in ["validate", *cli.COMMANDS, *cmdline.OPTIONS]:
         assert name in captured.out

@@ -91,7 +91,7 @@ UNREACHED = {
     "metrics.kset_value": "ProductMetric's coordinate distance",
     "subshifts.FiberTable.total": PERFBENCH_PIN,
     "groups.CapExceeded.__init__": "raised only when a cap is hit",
-    "cli.usage": "prints the --help text, which no report holds",
+    "cmdline.usage": "prints the --help text, which no report holds",
     "groups.GroupWindow.name": "names a window in a cap message",
     "groups.GroupWindow.__post_init__":
         "checks a window that a caller builds; the builders skip it",
