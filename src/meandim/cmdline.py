@@ -14,7 +14,7 @@ from types import SimpleNamespace
 
 
 class SpecError(ValueError):
-    pass
+    """A command line, option value or spec that cannot be read."""
 
 
 def parse_value(convert, text: str, name: str):
