@@ -44,7 +44,11 @@ class SandwichViolation(AssertionError):
 
 @dataclass(frozen=True)
 class CarpetSpec:
-    """Bases a >= b >= 2, the driving paired subshift, the ambient weights."""
+    """Bases a >= b >= 2, the driving paired subshift, the ambient weights.
+
+    The weights are checked against the subshift's rank and kept with the
+    spec, but the carpet report does not read them: its dimensions and
+    sandwich rows depend on a, b and the subshift alone."""
 
     a: int
     b: int
@@ -60,6 +64,8 @@ class CarpetSpec:
         if self.weights is None:
             object.__setattr__(self, "weights",
                                WeightScheme(self.omega.rank, Fraction(1, 4)))
+        elif self.weights.rank != self.omega.rank:
+            raise ValueError("weights rank must match the group rank")
 
     @property
     def w(self) -> float:

@@ -20,6 +20,7 @@ give byte-identical reports apart from the timing block.
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import json
 import os
 import platform
@@ -32,22 +33,21 @@ import numpy as np
 
 from . import __version__
 from .cmdline import SpecError, parse_args, parse_value, usage
-from .groups import CapExceeded, Caps, FolnerDescriptor, GroupSpec, box
+from .groups import (CapExceeded, Caps, FolnerDescriptor, GroupSpec,
+                     NetTooCoarse, box, json_int, json_object)
 from .metrics import WeightScheme
-from .subshifts import json_int, json_object, projected_spec, spec_from_json
-from .entropy import entropy_series, entropy_estimate, weighted_entropy_series
-from .carpet import CarpetSpec, carpet_dimension_report
-from .selfsimilar import (NetTooCoarse, SelfSimilarSpec,
-                          selfsimilar_cover_probe, selfsimilar_upper_bound)
-from .homogeneous import (HomogeneousSpec, homogeneous_covering_probe,
-                          homogeneous_gxn_entropy, homogeneous_slope_series)
-from .kspace import (KSpaceSpec, kg_covering_experiment,
-                     kg_mass_distribution_demo, trend_slopes)
 
 
 # the failures reported as `cap_abort`: a cap or a too coarse net stopped
 # the computation; any other exception is an `internal_error`
 CAP_ABORTS = (CapExceeded, NetTooCoarse)
+
+# system kind -> the module its commands run.  `parse_system` loads it, and
+# with it the modules it imports, before it builds the spec; no other module
+# of the package is loaded, and a command loads nothing once its spec is read
+KINDS = {"subshift": "entropy", "carpet": "carpet",
+         "selfsimilar": "selfsimilar", "homogeneous": "homogeneous",
+         "kspace": "kspace"}
 
 
 def _fraction(value, field: str) -> Fraction:
@@ -70,44 +70,48 @@ def _weights(doc, rank: int) -> WeightScheme | None:
 
 
 def parse_system(doc: dict):
-    """Build the concrete system object named by the spec document; any
-    input it cannot read or that breaks an invariant is a SpecError."""
+    """Build the concrete system object named by the spec document, after
+    loading its kind's module (`KINDS`); any input it cannot read or that
+    breaks an invariant is a SpecError."""
     if not isinstance(doc, dict):
         raise SpecError("spec document must be a JSON object")
     system = doc.get("system", "subshift")
+    if not isinstance(system, str) or system not in KINDS:
+        raise SpecError(f"unknown system type {system!r}")
+    module = importlib.import_module(f".{KINDS[system]}", __package__)
     try:
+        if system == "kspace":
+            rank = json_int(doc.get("rank", 1), "rank")
+            weights = _weights(doc.get("weights"), rank)
+            return module.KSpaceSpec(rank=rank, kind=doc.get("kind", "kset"),
+                                     weights=weights)
+        # every other kind's module has loaded subshifts
+        from .subshifts import spec_from_json
         if system == "subshift":
             return spec_from_json(doc)
         if system == "carpet":
             omega = spec_from_json(json_object(doc["omega"], "omega"))
             weights = _weights(doc.get("weights"), omega.rank)
-            return CarpetSpec(a=json_int(doc["a"], "a"),
-                              b=json_int(doc["b"], "b"), omega=omega,
-                              weights=weights)
+            return module.CarpetSpec(a=json_int(doc["a"], "a"),
+                                     b=json_int(doc["b"], "b"), omega=omega,
+                                     weights=weights)
         if system == "selfsimilar":
             omega = spec_from_json(json_object(doc["omega"], "omega"))
             weights = _weights(doc.get("weights"), 1)
             if not isinstance(doc["values"], list):
                 raise SpecError("values must be a JSON list")
-            return SelfSimilarSpec(omega=omega,
-                                   values=tuple(_fraction(v, "values")
-                                                for v in doc["values"]),
-                                   c=_fraction(doc["c"], "c"), weights=weights)
-        if system == "homogeneous":
-            digits = spec_from_json(json_object(doc["digits"], "digits"))
-            weights = _weights(doc.get("weights"), digits.rank - 1)
-            return HomogeneousSpec(base=json_int(doc["base"], "base"),
-                                   digit_spec=digits, weights=weights)
-        if system == "kspace":
-            rank = json_int(doc.get("rank", 1), "rank")
-            weights = _weights(doc.get("weights"), rank)
-            return KSpaceSpec(rank=rank, kind=doc.get("kind", "kset"),
-                              weights=weights)
+            return module.SelfSimilarSpec(
+                omega=omega, values=tuple(_fraction(v, "values")
+                                          for v in doc["values"]),
+                c=_fraction(doc["c"], "c"), weights=weights)
+        digits = spec_from_json(json_object(doc["digits"], "digits"))
+        weights = _weights(doc.get("weights"), digits.rank - 1)
+        return module.HomogeneousSpec(base=json_int(doc["base"], "base"),
+                                      digit_spec=digits, weights=weights)
     except KeyError as exc:
         raise SpecError(f"missing spec field {exc}") from exc
     except (AttributeError, TypeError, ValueError, ArithmeticError) as exc:
         raise SpecError(str(exc)) from exc
-    raise SpecError(f"unknown system type {system!r}")
 
 
 def validate(doc: dict) -> list[str]:
@@ -155,25 +159,30 @@ def parse_caps(text: str) -> Caps:
     caps = dataclasses.asdict(Caps())
     if text:
         for part in text.split(","):
-            key, _, val = part.partition("=")
-            if key.strip() not in caps or not val.isdigit() or int(val) <= 0:
+            key, eq, val = part.partition("=")
+            key = key.strip()
+            if key not in caps or not eq:
                 raise SpecError(f"bad caps entry {part!r}")
-            caps[key.strip()] = int(val)
+            caps[key] = parse_value(int, val, f"--caps {key}")
+            if caps[key] < 1:
+                raise SpecError(f"--caps {key} must be at least 1, got "
+                                f"{val!r}")
     return Caps(**caps)
 
 
 def _cmd_entropy(system, args, caps: Caps) -> dict:
+    from . import entropy
     folner = FolnerDescriptor(args.folner, _folner_indices(
         args, 1 if args.folner == "boxes" else 0))
     w = _parse_w(args.w)
     if w is not None:
         if not system.alphabet.is_paired:
             raise SpecError("--w: weighted entropy needs a paired alphabet")
-        series = weighted_entropy_series(system, folner, w, caps)
+        series = entropy.weighted_entropy_series(system, folner, w, caps)
         out = {"per_site": _num(series.value, "estimate"), "w": w}
     else:
-        series = entropy_series(system, folner, caps)
-        est = entropy_estimate(series)
+        series = entropy.entropy_series(system, folner, caps)
+        est = entropy.entropy_estimate(series)
         out = {"per_site": _num(est.value, "estimate")}
         if est.certified_upper is not None:
             out["certified_upper"] = _num(est.certified_upper, est.provenance)
@@ -184,26 +193,28 @@ def _cmd_entropy(system, args, caps: Caps) -> dict:
     return out
 
 
-def _cmd_carpet_dims(system: CarpetSpec, args, caps: Caps) -> dict:
-    if projected_spec(system.omega) is None:
+def _cmd_carpet_dims(system, args, caps: Caps) -> dict:
+    from . import carpet, subshifts
+    if subshifts.projected_spec(system.omega) is None:
         raise SpecError("carpet-dims needs a rule whose projection to the "
                         "base-b digits is a derivable subshift")
     w = _parse_w(args.w)
     _folner_indices(args, 1 if args.folner == "boxes" else 0)
     _at_least_one("--l-max", [args.l_max])
-    report = carpet_dimension_report(system, m_max=args.m_max,
-                                     l_max=args.l_max,
-                                     folner_family=args.folner,
-                                     w_override=w, seed=args.seed,
-                                     caps=caps)
+    report = carpet.carpet_dimension_report(system, m_max=args.m_max,
+                                            l_max=args.l_max,
+                                            folner_family=args.folner,
+                                            w_override=w, seed=args.seed,
+                                            caps=caps)
     provenance = "exact" if report.get("empty_system") else "estimate"
     report["mdim_M"] = _num(report["mdim_M"], provenance)
     report["mdim_H"] = _num(report["mdim_H"], provenance)
     return report
 
 
-def _cmd_selfsimilar_bound(system: SelfSimilarSpec, args, caps: Caps) -> dict:
-    out = selfsimilar_upper_bound(system, caps)
+def _cmd_selfsimilar_bound(system, args, caps: Caps) -> dict:
+    from . import selfsimilar
+    out = selfsimilar.selfsimilar_upper_bound(system, caps)
     return {"bound": _num(out["bound"], out["entropy_provenance"]),
             "entropy": _num(out["entropy"], out["entropy_provenance"])}
 
@@ -218,7 +229,8 @@ def _parse_eps_grid(text: str):
     return grid
 
 
-def _cmd_selfsimilar_probe(system: SelfSimilarSpec, args, caps: Caps) -> dict:
+def _cmd_selfsimilar_probe(system, args, caps: Caps) -> dict:
+    from . import selfsimilar
     grid = (_parse_eps_grid(args.eps_grid) if args.eps_grid
             else [system.c ** j for j in range(2, 9)])
     if len(grid) < 2:
@@ -226,7 +238,7 @@ def _cmd_selfsimilar_probe(system: SelfSimilarSpec, args, caps: Caps) -> dict:
                         "fit a slope")
     windows = [box(n, GroupSpec(1), caps.cells) for n in
                _at_least_one("--window-sizes", args.window_sizes or [512])]
-    report = selfsimilar_cover_probe(system, grid, windows, caps)
+    report = selfsimilar.selfsimilar_cover_probe(system, grid, windows, caps)
     provenance = "exact" if report.get("empty_system") else "certified-bound"
     report["slopes"] = {str(k): _num(v, provenance)
                         for k, v in report["slopes"].items()}
@@ -235,10 +247,11 @@ def _cmd_selfsimilar_probe(system: SelfSimilarSpec, args, caps: Caps) -> dict:
     return report
 
 
-def _cmd_homog_entropy(system: HomogeneousSpec, args, caps: Caps) -> dict:
+def _cmd_homog_entropy(system, args, caps: Caps) -> dict:
+    from . import homogeneous
     folner = FolnerDescriptor(args.folner, _folner_indices(args, 1))
     depths = _at_least_one("--depths", args.depths or [4, 8, 12])
-    out = homogeneous_gxn_entropy(system, folner, depths, caps)
+    out = homogeneous.homogeneous_gxn_entropy(system, folner, depths, caps)
     if out["series"].empty_system:  # a series of -inf logs is no JSON
         return {"empty_system": True, "entropy": _num(0.0, "exact"),
                 "prediction": _num(0.0, "exact")}
@@ -247,7 +260,8 @@ def _cmd_homog_entropy(system: HomogeneousSpec, args, caps: Caps) -> dict:
             "prediction": _num(out["prediction"], "estimate")}
 
 
-def _cmd_homog_probe(system: HomogeneousSpec, args, caps: Caps) -> dict:
+def _cmd_homog_probe(system, args, caps: Caps) -> dict:
+    from . import homogeneous
     grid = (_parse_eps_grid(args.eps_grid) if args.eps_grid
             else [Fraction(1, system.base ** 3)])
     # the slope series covers with budget eps / total - tail(1)
@@ -256,21 +270,23 @@ def _cmd_homog_probe(system: HomogeneousSpec, args, caps: Caps) -> dict:
         raise SpecError(f"homog-probe eps must exceed {floor}, the weight "
                         "total times its tail off the identity")
     folner = FolnerDescriptor(args.folner, (1,))
-    rows = homogeneous_covering_probe(system, folner, grid, caps=caps)
-    slopes = homogeneous_slope_series(system, grid, caps)
+    rows = homogeneous.homogeneous_covering_probe(system, folner, grid,
+                                                  caps=caps)
+    slopes = homogeneous.homogeneous_slope_series(system, grid, caps)
     return {"rows": [row.__dict__ for row in rows],
             "slopes": slopes,
             "implication": _num(all(r.implication_ok for r in rows), "exact")}
 
 
-def _cmd_kg_experiment(system: KSpaceSpec, args, caps: Caps) -> dict:
+def _cmd_kg_experiment(system, args, caps: Caps) -> dict:
+    from . import kspace
     grid = (_parse_eps_grid(args.eps_grid) if args.eps_grid
             else [Fraction(1, 10), Fraction(1, 100), Fraction(1, 1000),
                   Fraction(1, 10000)])
     if system.kind == "kset" and any(e >= Fraction(1, 4) for e in grid):
         raise SpecError("kset eps grid values must lie in (0, 1/4)")
     folner = FolnerDescriptor(args.folner, _folner_indices(args, 1))
-    rows = kg_covering_experiment(system, folner, grid, caps)
+    rows = kspace.kg_covering_experiment(system, folner, grid, caps)
     return {"rows": [{"n": r.n_index, "eps": r.eps, "window": r.window,
                       "gamma": r.gamma, "zeta": r.zeta,
                       "lower": str(r.lower), "upper": str(r.upper),
@@ -279,10 +295,11 @@ def _cmd_kg_experiment(system: KSpaceSpec, args, caps: Caps) -> dict:
                       "slope_lower": r.slope_lower,
                       "slope_upper": r.slope_upper,
                       "bracket_ok": r.bracket_ok} for r in rows],
-            "trend_slopes": trend_slopes(rows[:len(grid)])}
+            "trend_slopes": kspace.trend_slopes(rows[:len(grid)])}
 
 
-def _cmd_kg_mass_demo(system: KSpaceSpec, args, caps: Caps) -> dict:
+def _cmd_kg_mass_demo(system, args, caps: Caps) -> dict:
+    from . import kspace
     folner = FolnerDescriptor(args.folner, (1,))
     ks = [parse_value(int, k, "--k-list")
           for k in (args.k_list or "2,4,6").split(",")]
@@ -292,8 +309,8 @@ def _cmd_kg_mass_demo(system: KSpaceSpec, args, caps: Caps) -> dict:
            else Fraction(1, 10))
     if not 0 < eps < Fraction(1, 6):
         raise SpecError("mass demo eps must lie in (0, 1/6)")
-    reports = [kg_mass_distribution_demo(system, k, folner, 1, eps,
-                                         seed=args.seed, caps=caps)
+    reports = [kspace.kg_mass_distribution_demo(system, k, folner, 1, eps,
+                                                seed=args.seed, caps=caps)
                for k in ks]
     return {"reports": [{"k": r.k, "bound": _num(r.bound, "certified-bound"),
                          "points_checked": r.points_checked,

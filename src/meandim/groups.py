@@ -7,6 +7,11 @@ deterministic element order: sort by word length, break ties by comparing the
 lexicographically least minimal generator word.  The builders `ball`, `box`
 and `interval` emit their cells in that order directly, shell by shell, with
 no sort.
+
+Every other module imports this one, so it also holds what they all share:
+the run limits (`Caps`), the two failures reported as a cap abort
+(`CapExceeded`, `NetTooCoarse`) and the strict JSON readers of a spec
+(`json_int`, `json_object`).
 """
 from __future__ import annotations
 
@@ -43,6 +48,25 @@ class CapExceeded(RuntimeError):
     def __init__(self, limit: str, cap: int, subject: str, needs: str):
         super().__init__(f"{limit} cap {cap} exceeded: {subject} needs {needs}")
         self.limit = limit
+
+
+class NetTooCoarse(RuntimeError):
+    """No address word over the net reaches the requested ball."""
+
+
+def json_int(value, what: str) -> int:
+    """A JSON integer as is; bools, floats and strings raise ValueError."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be a JSON integer, got {value!r}")
+    return value
+
+
+def json_object(value, what: str) -> dict:
+    """A JSON object as is; anything else raises ValueError."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, got "
+                         f"{type(value).__name__}")
+    return value
 
 
 @dataclass(frozen=True)

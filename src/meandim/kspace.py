@@ -12,7 +12,7 @@ digit boxes and verifies the collapse hypothesis point by point.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -294,6 +294,20 @@ def _sample_k_codes(rng, size: int, cumulative: tuple,
     return codes
 
 
+def _band_bounds(k: int, log_delta: float) -> list[float]:
+    """-(k^m) log delta for m = 0..k, increasing in m: a K coordinate x
+    with -log x below bound m has x > delta^(k^m)."""
+    return [-(k ** m) * log_delta for m in range(k + 1)]
+
+
+def _mass_band(code: int, bounds: list[float]) -> int:
+    """The magnitude band of the K coordinate x = 1/code (x = 0 at code 0)
+    under `_band_bounds(k, log delta)`: the least m <= k with
+    x > delta^(k^m), else k + 1.  Band 0 holds the x > delta, and the point
+    0 lies in band k + 1."""
+    return bisect_right(bounds, -math.log(1.0 / code) if code else math.inf)
+
+
 def kg_mass_distribution_demo(spec: KSpaceSpec, k: int,
                               folner: FolnerDescriptor, n_index: int,
                               eps: Fraction, seed: int = 0,
@@ -331,20 +345,14 @@ def kg_mass_distribution_demo(spec: KSpaceSpec, k: int,
             for _ in range(MASS_DEMO_SAMPLES)]
 
     exponent = (6.0 / k) * size
+    bounds = _band_bounds(k, log_delta)
     worst = math.inf
     for codes in pts:
-        logs = [math.log(1.0 / c) if c else -math.inf for c in codes]
-        bands = []
-        for lx in logs:
-            if -lx > log_delta:          # x > delta
-                bands.append(0)
-                continue
-            m = 1
-            while m <= k and not (-lx > (k ** m) * log_delta):
-                m += 1
-            bands.append(m if m <= k else k + 1)
-        sizes = [sum(1 for b in bands if b == m) for m in range(k + 1)]
-        k0 = min(range(k + 1), key=lambda m: (sizes[m], m))
+        sizes = [0] * (k + 2)
+        for c in codes:
+            sizes[_mass_band(c, bounds)] += 1
+        # the least thinnest band of 0..k
+        k0 = sizes.index(min(sizes[:k + 1]))
         if sizes[k0] * (k + 1) > size:
             raise AssertionError("pigeonhole bound |I_k0| <= |SF|/(k+1) failed")
         log_r = (k ** k0) * log_delta

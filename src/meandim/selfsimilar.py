@@ -18,8 +18,8 @@ from typing import Sequence
 import numpy as np
 
 from . import metrics
-from .groups import (CapExceeded, Caps, FolnerDescriptor, GroupWindow, ball,
-                     minkowski_sum)
+from .groups import (CapExceeded, Caps, FolnerDescriptor, GroupWindow,
+                     NetTooCoarse, ball, minkowski_sum)
 from .metrics import PointCloud, ProbeViolation, WeightScheme, least_radius
 from .entropy import entropy_estimate, entropy_series
 from .subshifts import SubshiftSpec, count_patterns
@@ -28,10 +28,6 @@ from .subshifts import SubshiftSpec, count_patterns
 # the windows of the entropy bound and the probe's allowance over it
 BOUND_FOLNER = FolnerDescriptor("boxes", (4, 8, 16))
 PROBE_SLACK = 0.05
-
-
-class NetTooCoarse(RuntimeError):
-    """No address word over the net reaches the requested ball."""
 
 
 @dataclass(frozen=True)

@@ -53,7 +53,8 @@ import json
 
 import numpy as np
 
-from .groups import CapExceeded, DEFAULT_PATTERN_CAP, GroupSpec, GroupWindow
+from .groups import (CapExceeded, DEFAULT_PATTERN_CAP, GroupSpec, GroupWindow,
+                     json_int, json_object)
 from .metrics import exact_int_dtype
 
 
@@ -935,21 +936,6 @@ def fiber_table(spec: SubshiftSpec, window: GroupWindow,
 
 # ---------------------------------------------------------------------------
 # JSON interface
-
-def json_int(value, what: str) -> int:
-    """A JSON integer as is; bools, floats and strings raise ValueError."""
-    if type(value) is not int:
-        raise ValueError(f"{what} must be a JSON integer, got {value!r}")
-    return value
-
-
-def json_object(value, what: str) -> dict:
-    """A JSON object as is; anything else raises ValueError."""
-    if not isinstance(value, dict):
-        raise ValueError(f"{what} must be a JSON object, got "
-                         f"{type(value).__name__}")
-    return value
-
 
 def spec_from_json(doc) -> SubshiftSpec:
     """Parse {"rank", "alphabet": {"k"}|{"a","b"}, "rule": {"type", ...}}."""

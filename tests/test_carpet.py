@@ -39,6 +39,16 @@ def test_spec_validation():
         CarpetSpec(a=3, b=2, omega=full_shift(6))
 
 
+def test_spec_rejects_weights_of_another_rank():
+    # the weights live on the subshift's group, Z here
+    with pytest.raises(ValueError, match="weights rank must match"):
+        CarpetSpec(a=4, b=2, omega=mcmullen_shift(),
+                   weights=metrics.WeightScheme(2, Fraction(1, 4)))
+    spec = CarpetSpec(a=4, b=2, omega=mcmullen_shift(),
+                      weights=metrics.WeightScheme(1, Fraction(1, 3)))
+    assert spec.weights == metrics.WeightScheme(1, Fraction(1, 3))
+
+
 def test_floor_wl_exact():
     assert floor_wl(4, 2, 4) == 2
     assert floor_wl(2, 2, 7) == 7

@@ -362,6 +362,50 @@ def test_no_command_loads_numpy_random_or_ma(tmp_path, command):
     assert json.loads(done.stdout) == [0, []]
 
 
+# system kind -> the meandim modules a command of that kind loads
+KIND_MODULES = {
+    "kspace": {"kspace"},
+    "subshift": {"subshifts", "entropy"},
+    "carpet": {"subshifts", "entropy", "carpet"},
+    "selfsimilar": {"subshifts", "entropy", "selfsimilar"},
+    "homogeneous": {"subshifts", "entropy", "homogeneous"},
+}
+LOAD_SCRIPT = """\
+import contextlib, io, json, sys
+from meandim import cli
+argv = json.loads(sys.argv[1])
+with open(argv[2]) as handle:
+    cli.parse_system(json.load(handle))
+parsed = set(sys.modules)
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(argv)
+print(json.dumps([code, sorted(m for m in parsed if m.startswith("meandim")),
+                  sorted(set(sys.modules) - parsed)]))
+"""
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_a_command_loads_only_its_kinds_modules(tmp_path, command):
+    # parse_system loads every module of the kind; a module first loaded
+    # inside the command would compile inside its timed run
+    kind = cli.COMMANDS[command][1]
+    spec = write_spec(tmp_path, SPEC_OF_SYSTEM[kind])
+    argv = [command, "--spec", spec] + GUARD_ARGS.get(command, [])
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-c", LOAD_SCRIPT,
+                           json.dumps(argv)], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    code, loaded, added = json.loads(done.stdout)
+    assert code == 0
+    assert loaded == sorted(["meandim"] + [
+        f"meandim.{m}" for m in {"cli", "cmdline", "groups", "metrics"}
+        | KIND_MODULES[kind]])
+    assert added == []
+
+
 def test_kg_commands(tmp_path, capsys):
     spec = write_spec(tmp_path, KSPACE)
     code, report = run(capsys, ["kg-experiment", "--spec", spec,
@@ -566,6 +610,23 @@ def test_parse_caps():
     assert caps.cells == 500 and caps.patterns == 1000
     with pytest.raises(Exception):
         parse_caps("cells=-3")
+
+
+@pytest.mark.parametrize("caps, message", [
+    ("cells=\u00b2", "--caps cells: cannot read '\u00b2'"),
+    ("cells=0", "--caps cells must be at least 1, got '0'"),
+    ("patterns=-3", "--caps patterns must be at least 1, got '-3'"),
+    ("cells", "bad caps entry 'cells'"),
+    ("cells=", "--caps cells: cannot read ''")])
+def test_bad_caps_values_are_spec_errors(tmp_path, capsys, caps, message):
+    # a superscript two passes str.isdigit but is no int
+    spec = write_spec(tmp_path, KSPACE)
+    code = main(["kg-experiment", "--spec", spec, "--m-max", "1",
+                 "--eps-grid", "1/10", "--caps", caps])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(f"spec error: {message}")
+    assert captured.err.count("\n") == 1
 
 
 def test_parse_system_unknown():

@@ -216,14 +216,41 @@ def test_mass_demo_bounds_and_monotonicity():
         assert r.worst_margin >= 0.0
 
 
-def test_mass_demo_repeats_for_a_seed():
+def test_mass_demo_repeats_for_a_seed(monkeypatch):
+    # the all-zero point sets the worst margin at every seed, so the seed
+    # shows in the points the demo draws
+    draws = []
+    sample = kspace._sample_k_codes
+
+    def recorded(*args):
+        draws[-1].append(sample(*args))
+        return draws[-1][-1]
+
+    monkeypatch.setattr(kspace, "_sample_k_codes", recorded)
+
     def demo(seed):
+        draws.append([])
         return kg_mass_distribution_demo(KSET, 4, FolnerDescriptor("boxes", (1,)),
                                          1, Fraction(1, 10), seed=seed)
     assert demo(5) == demo(5)
-    assert demo(6).worst_margin != demo(5).worst_margin
+    assert draws[0] == draws[1]
+    demo(6)
+    assert draws[2] != draws[0]
     with pytest.raises(ValueError, match="expected non-negative integer"):
         demo(-5)
+
+
+def test_mass_band_places_the_point_zero_last():
+    # delta = 1/1000, k = 4: band m holds the x > delta^(4^m) not in a
+    # lower band
+    k = 4
+    bounds = kspace._band_bounds(k, math.log(1e-3))
+    assert kspace._mass_band(0, bounds) == k + 1
+    assert [kspace._mass_band(c, bounds) for c in (1, 2, 999)] == [0, 0, 0]
+    # codes past 1/delta: 1/1001 > delta^4, 1e-13 lies between delta^16
+    # and delta^4, 1e-300 between delta^256 and delta^64
+    assert [kspace._mass_band(c, bounds)
+            for c in (1001, 10 ** 13, 10 ** 300)] == [1, 2, 4]
 
 
 def test_mass_demo_all_zero_point_uses_zero_atom(monkeypatch):

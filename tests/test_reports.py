@@ -53,7 +53,7 @@ DIGESTS = {
     "unit kg-experiment --m-max 1 --eps-grid 1/10,1/100":
         "30efd341f66d0022c441f0e56c1c1c7f4ace03d3c2f1023df1b09a0e2fd75fbb",
     "kset kg-mass-demo --k-list 2,4 --seed 1":
-        "a993f1e01806a66c8cdeb96f864b47e8760c6b899ec9d92698e53642c775f3dd",
+        "fa3bbbb06dc1563be397212c62cb2d2fbf65031f2c974f833f2dc46ce8d07a6d",
     "golden validate":
         "8d3b64ef7a59339f8e7d4b3f7a809f0054cb90a095c7a1912ad6cd3e64e75efe",
     "clouds golden-b-carpet":
