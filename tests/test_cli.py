@@ -348,18 +348,24 @@ print(json.dumps([code, sorted(m for m in sys.modules
 """
 
 
-@pytest.mark.parametrize("command", list(cli.COMMANDS))
-def test_no_command_loads_numpy_random_or_ma(tmp_path, command):
+def run_fresh(tmp_path, script, command):
+    """The JSON that `script` prints when run in a fresh interpreter on
+    the command line of `command` over its kind's test spec."""
     spec = write_spec(tmp_path, SPEC_OF_SYSTEM[cli.COMMANDS[command][1]])
     argv = [command, "--spec", spec] + GUARD_ARGS.get(command, [])
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    done = subprocess.run([sys.executable, "-c", GUARD_SCRIPT,
-                           json.dumps(argv)], capture_output=True, text=True,
-                          env=env, timeout=120)
+    done = subprocess.run([sys.executable, "-c", script, json.dumps(argv)],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout) == [0, []]
+    return json.loads(done.stdout)
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_no_command_loads_numpy_random_or_ma(tmp_path, command):
+    assert run_fresh(tmp_path, GUARD_SCRIPT, command) == [0, []]
 
 
 # system kind -> the meandim modules a command of that kind loads
@@ -388,21 +394,11 @@ print(json.dumps([code, sorted(m for m in parsed if m.startswith("meandim")),
 def test_a_command_loads_only_its_kinds_modules(tmp_path, command):
     # parse_system loads every module of the kind; a module first loaded
     # inside the command would compile inside its timed run
-    kind = cli.COMMANDS[command][1]
-    spec = write_spec(tmp_path, SPEC_OF_SYSTEM[kind])
-    argv = [command, "--spec", spec] + GUARD_ARGS.get(command, [])
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    done = subprocess.run([sys.executable, "-c", LOAD_SCRIPT,
-                           json.dumps(argv)], capture_output=True, text=True,
-                          env=env, timeout=120)
-    assert done.returncode == 0, done.stderr
-    code, loaded, added = json.loads(done.stdout)
+    code, loaded, added = run_fresh(tmp_path, LOAD_SCRIPT, command)
     assert code == 0
     assert loaded == sorted(["meandim"] + [
         f"meandim.{m}" for m in {"cli", "cmdline", "groups", "metrics"}
-        | KIND_MODULES[kind]])
+        | KIND_MODULES[cli.COMMANDS[command][1]]])
     assert added == []
 
 

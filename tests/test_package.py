@@ -69,3 +69,10 @@ def test_an_unknown_name_is_an_attribute_error():
         meandim.entropy_serie
     with pytest.raises(ImportError):
         exec("from meandim import entropy_serie", {})
+
+
+def test_moved_names_stay_importable_from_their_old_modules():
+    from meandim import groups, selfsimilar, subshifts
+    assert subshifts.json_int is groups.json_int
+    assert subshifts.json_object is groups.json_object
+    assert selfsimilar.NetTooCoarse is groups.NetTooCoarse
