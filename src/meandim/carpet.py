@@ -1,5 +1,5 @@
 """Carpet systems: dimension formulas, the covering sandwich, cylinder cells,
-the fiber-weighted measure and its finite-scale concentration checks.
+the fiber-weighted measure and the exact moments of its concentration probe.
 
 A carpet couples base-a and base-b digit arrays through a paired subshift.
 Geometry here is exact: every coordinate of a depth-L point is a multiple of
@@ -11,7 +11,8 @@ every cloud as an outer sum of per-depth digit codes; a cell's pairwise
 distances depend only on its free projected digits, so the within-cell check
 runs once per distinct set of them.  The Fraction references of the points,
 the cells and the distances are in `tests/oracles.py`.  Floats appear only
-in logarithmic reports.
+in logarithmic reports, and nothing here draws a random number: the probe's
+mean and spread are finite sums over the fiber table.
 """
 from __future__ import annotations
 
@@ -23,8 +24,7 @@ from itertools import islice, product
 import numpy as np
 
 from .groups import CapExceeded, Caps, FolnerDescriptor, GroupWindow, ball
-from .metrics import (WeightScheme, exact_int_dtype, least_radius,
-                      seeded_random)
+from .metrics import WeightScheme, exact_int_dtype, least_radius
 from .entropy import (entropy_estimate, entropy_series, log_big,
                       log_z_from_fibers, weighted_entropy_series)
 from .subshifts import (FiberTable, SubshiftSpec, count_patterns,
@@ -33,9 +33,6 @@ from .subshifts import (FiberTable, SubshiftSpec, count_patterns,
 DEFAULT_CELL_SAMPLES = 48
 _CELL_LIMIT = 512  # cells of the sandwich's within-cell check
 _PAIR_BLOCK = 1 << 16  # differences of one coordinate per pair-check block
-PROBE_SAMPLES = 2000  # Shannon-McMillan samples of the dimension report
-PROBE_DELTA = 0.05  # the band |deviation| <= delta of `within_delta`
-PROBE_QUANTILES = (0.05, 0.25, 0.5, 0.75, 0.95)
 
 
 class SandwichViolation(AssertionError):
@@ -419,82 +416,48 @@ class CarpetMeasure:
 
     def normalization_error(self) -> tuple:
         """(|sum f - 1|, |sum f' - 1|) evaluated independently in floats."""
-        sum_f = math.fsum(t * math.exp((self.w - 1.0) * log_big(t) - self.log_z)
-                          for t in self.table.entries.values())
-        sum_fp = math.fsum(math.exp(self.w * log_big(t) - self.log_z)
-                           for t in self.table.entries.values())
+        entries = self.table.entries
+        sum_f = math.fsum(t * math.exp(self.log_f_pair(v))
+                          for v, t in entries.items())
+        sum_fp = math.fsum(math.exp(self.log_f_marginal(v)) for v in entries)
         return abs(sum_f - 1.0), abs(sum_fp - 1.0)
 
 
 @dataclass(frozen=True)
 class ProbeReport:
-    samples: int
     l: int
     mean: float
-    quantiles: tuple
-    within_delta: float
-    delta: float
+    std: float
     log_z_per_site: float
 
 
-def _uniforms(rng, n: int) -> np.ndarray:
-    """n uniform floats j 2^-53 in [0, 1), j the top 53 bits of 8 bytes
-    from one `randbytes` call."""
-    bits = np.frombuffer(rng.randbytes(8 * n), dtype="<u8")
-    return (bits >> 11) * 2.0 ** -53
+def shannon_mcmillan_probe(measure: CarpetMeasure, l: int) -> ProbeReport:
+    """The exact mean and standard deviation of the deviation
+    (1/(l |B|)) log mu(Psi) + log Z / |B| of a depth-l cylinder Psi whose
+    depth factors are i.i.d. under the fiber measure: how it concentrates
+    at -log Z / |B|.
 
-
-def _linear_quantiles(values: np.ndarray, qs) -> np.ndarray:
-    """`np.quantile(values, qs)` (its default "linear" method) from one sort:
-    the value at (n - 1) q, interpolated between its neighbours as numpy
-    does, from the upper neighbour when the fraction is >= 1/2."""
-    ordered = np.sort(values)
-    at = (len(ordered) - 1) * np.asarray(qs, dtype=float)
-    lo = np.floor(at).astype(np.intp)
-    hi = np.minimum(lo + 1, len(ordered) - 1)
-    t = at - lo
-    a, b = ordered[lo], ordered[hi]
-    diff = b - a
-    return np.where(t >= 0.5, b - diff * (1 - t), a + diff * t)
-
-
-def shannon_mcmillan_probe(measure: CarpetMeasure, l: int, sample_count: int,
-                           seed: int) -> ProbeReport:
-    """Sample depth factors i.i.d. from the fiber measure and report how
-    (1/(l |B|)) log mu(Psi) concentrates at -log Z / |B|, within
-    PROBE_DELTA.
-
-    Factor logs depend only on the projected pattern, so each depth draws a
-    v from the marginal; pair depths contribute (w-1) log t(v) - log Z and
-    marginal depths w log t(v) - log Z.  A draw is the inverse CDF of the
-    marginal at a uniform from `random.Random(seed)`; the quantiles come
-    from one sort.
+    Factor logs depend only on the projected pattern, drawn at each depth
+    from p(v) = t(v)^w / Z.  With L = log t(v) and k = floor(w l), pair
+    depths 1..k contribute (w-1) L - log Z and marginal depths w L - log Z,
+    so the deviation is ((w-1) sum_{i<=k} L_i + w sum_{i>k} L_i) / (l |B|):
+    of mean (w - k/l) E[L] / |B| and variance
+    (k (w-1)^2 + (l-k) w^2) Var[L] / (l |B|)^2.  E[L] and Var[L] are two
+    `fsum` passes over the fiber table.
     """
-    if sample_count == 0:
-        return ProbeReport(samples=0, l=l, mean=float("nan"), quantiles=(),
-                           within_delta=float("nan"), delta=PROBE_DELTA,
-                           log_z_per_site=measure.log_z / len(measure.window))
     if l < 1:
         raise ValueError("depth must be >= 1")
-    spec = measure.spec
-    k = floor_wl(spec.a, spec.b, l)
-    vs = sorted(measure.table.entries)
-    pair_logs = np.array([measure.log_f_pair(v) for v in vs])
-    marg_logs = np.array([measure.log_f_marginal(v) for v in vs])
-    cdf = np.cumsum(np.exp(marg_logs))
-    cdf /= cdf[-1]
-    draws = cdf.searchsorted(_uniforms(seeded_random(seed), sample_count * l),
-                             side="right").reshape(sample_count, l)
-    log_mu = pair_logs[draws[:, :k]].sum(axis=1)
-    if l > k:
-        log_mu = log_mu + marg_logs[draws[:, k:]].sum(axis=1)
-    site = len(measure.window)
-    dev = log_mu / (l * site) + measure.log_z / site
-    qs = tuple(float(q) for q in _linear_quantiles(dev, PROBE_QUANTILES))
-    return ProbeReport(samples=sample_count, l=l, mean=float(dev.mean()),
-                       quantiles=qs,
-                       within_delta=float(np.mean(np.abs(dev) <= PROBE_DELTA)),
-                       delta=PROBE_DELTA,
+    w, site = measure.w, len(measure.window)
+    k = floor_wl(measure.spec.a, measure.spec.b, l)
+    entries = measure.table.entries
+    logs = [log_big(t) for t in entries.values()]
+    probs = [math.exp(measure.log_f_marginal(v)) for v in entries]
+    mean_log = math.fsum(p * log_t for p, log_t in zip(probs, logs))
+    var_log = math.fsum(p * (log_t - mean_log) ** 2
+                        for p, log_t in zip(probs, logs))
+    spread = (k * (w - 1.0) ** 2 + (l - k) * w ** 2) * var_log
+    return ProbeReport(l=l, mean=(w - k / l) * mean_log / site,
+                       std=math.sqrt(spread) / (l * site),
                        log_z_per_site=measure.log_z / site)
 
 
@@ -503,7 +466,7 @@ def shannon_mcmillan_probe(measure: CarpetMeasure, l: int, sample_count: int,
 
 def carpet_dimension_report(spec: CarpetSpec, m_max: int, l_max: int,
                             folner_family: str = "balls",
-                            w_override: float | None = None, seed: int = 1,
+                            w_override: float | None = None,
                             caps: Caps = Caps()) -> dict:
     """Entropy series, weighted series, both dimension formulas and the
     sandwich checks, with provenance notes on every headline number.  In
@@ -554,7 +517,7 @@ def carpet_dimension_report(spec: CarpetSpec, m_max: int, l_max: int,
             sandwich.append(sandwich_check(spec, m, l, caps))
 
     measure = CarpetMeasure.build(spec, 0, caps)
-    probe = shannon_mcmillan_probe(measure, max(16, l_max * 4), PROBE_SAMPLES, seed)
+    probe = shannon_mcmillan_probe(measure, max(16, l_max * 4))
 
     mdim_m = mdim_m_carpet(h, h_prime, spec.a, spec.b)
     mdim_h = mdim_h_carpet(hw, spec.b)

@@ -204,8 +204,7 @@ def _cmd_carpet_dims(system, args, caps: Caps) -> dict:
     report = carpet.carpet_dimension_report(system, m_max=args.m_max,
                                             l_max=args.l_max,
                                             folner_family=args.folner,
-                                            w_override=w, seed=args.seed,
-                                            caps=caps)
+                                            w_override=w, caps=caps)
     provenance = "exact" if report.get("empty_system") else "estimate"
     report["mdim_M"] = _num(report["mdim_M"], provenance)
     report["mdim_H"] = _num(report["mdim_H"], provenance)
@@ -300,6 +299,9 @@ def _cmd_kg_experiment(system, args, caps: Caps) -> dict:
 
 def _cmd_kg_mass_demo(system, args, caps: Caps) -> dict:
     from . import kspace
+    if system.kind != "kset":
+        raise SpecError("kg-mass-demo needs a 'kset' spec: the collapse bound "
+                        "does not hold on the cube power")
     folner = FolnerDescriptor(args.folner, (1,))
     ks = [parse_value(int, k, "--k-list")
           for k in (args.k_list or "2,4,6").split(",")]

@@ -320,6 +320,9 @@ def kg_mass_distribution_demo(spec: KSpaceSpec, k: int,
     mu(box) >= diam^{(6/k) |SF_n|} must hold with diam <= (1+c) r.  The
     returned dimension bound is (12/k) |SF_n|, shrinking to zero in k.
     """
+    if spec.kind != "kset":
+        raise ValueError("the mass demo needs a 'kset' spec: the collapse "
+                         "bound does not hold on the cube power")
     if k < 1:
         raise ValueError("sharpness parameter k must be >= 1")
     eps = Fraction(eps)

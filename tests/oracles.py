@@ -6,15 +6,17 @@ the carpet and homogeneous probes compare integer numerators, the K-space
 and circle covers walk integer codes, and window order is checked against
 breadth-first word search.  The acceptance-only checks (pigeonhole
 separation, the weighted degenerations, the scale Hausdorff bound) live
-here too.  The carpet references reach the cloud builder through the
-module attribute `meandim.carpet._digit_codes`, so a test that patches it
-sees the same points.
+here too, and so do the brute-force moments of the carpet's
+concentration probe.  The carpet references reach the cloud builder
+through the module attribute `meandim.carpet._digit_codes`, so a test that
+patches it sees the same points.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import product
 from typing import Sequence
 
 import meandim.carpet as carpet
@@ -476,6 +478,29 @@ def separation_pigeonhole_check(spec: carpet.CarpetSpec, m: int, l: int,
         f"no pair of {len(cells)} cells is {threshold} separated; "
         f"this would falsify the pigeonhole separation guarantee. "
         f"distances: {dump}")
+
+
+def probe_moments(measure: carpet.CarpetMeasure, l: int) -> tuple:
+    """(mean, std) of the deviation (1/(l |B|)) log mu(Psi) + log Z / |B|
+    over every depth sequence in V^l: each sequence weighted by the product
+    of its marginals t(v)^w / Z, normalised as the sampler's inverse CDF
+    did, with pair logs at depths 1..floor(wl) and marginal logs after.
+    `carpet.shannon_mcmillan_probe` gives the same two moments in closed
+    form."""
+    weights = {v: math.exp(measure.log_f_marginal(v))
+               for v in measure.table.entries}
+    total = math.fsum(weights.values())
+    k = stepped_floor_wl(measure.spec.a, measure.spec.b, l)
+    site = len(measure.window)
+    probs, devs = [], []
+    for seq in product(sorted(weights), repeat=l):
+        probs.append(math.prod(weights[v] / total for v in seq))
+        log_mu = math.fsum([measure.log_f_pair(v) for v in seq[:k]]
+                           + [measure.log_f_marginal(v) for v in seq[k:]])
+        devs.append(log_mu / (l * site) + measure.log_z / site)
+    mean = math.fsum(p * d for p, d in zip(probs, devs))
+    var = math.fsum(p * (d - mean) ** 2 for p, d in zip(probs, devs))
+    return mean, math.sqrt(var)
 
 
 # ---------------------------------------------------------------------------

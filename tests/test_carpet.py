@@ -12,14 +12,13 @@ from meandim.groups import CapExceeded, GroupSpec, ball
 from meandim.subshifts import (Alphabet, Rule, SubshiftSpec,
                                cellwise_pair_shift, full_shift, golden_mean,
                                mcmullen_shift, pair_shift_with_b_rule)
-from meandim.carpet import (PROBE_QUANTILES, CarpetMeasure, CarpetSpec,
-                            _linear_quantiles, _uniforms,
+from meandim.carpet import (CarpetMeasure, CarpetSpec,
                             carpet_dimension_report, floor_wl, mdim_h_carpet,
                             mdim_m_carpet, sandwich_check,
                             shannon_mcmillan_probe)
 from oracles import (box_gap, carpet_representatives, cell_boxes,
-                     enumerate_psi_cells, linf_pair_distance, psi_cells,
-                     separation_pigeonhole_check, stepped_floor_wl)
+                     enumerate_psi_cells, linf_pair_distance, probe_moments,
+                     psi_cells, separation_pigeonhole_check, stepped_floor_wl)
 
 MCMULLEN = CarpetSpec(a=4, b=2, omega=mcmullen_shift())
 FULL22 = CarpetSpec(a=2, b=2, omega=full_shift((2, 2)))
@@ -219,55 +218,46 @@ def test_mu_psi_uniform_at_w_one():
 
 def test_shannon_mcmillan_uniform_case_is_exact():
     measure = CarpetMeasure.build(FULL22, 0)
-    rep = shannon_mcmillan_probe(measure, l=32, sample_count=200, seed=5)
-    assert rep.mean == pytest.approx(0.0, abs=1e-12)
-    assert rep.within_delta == 1.0
+    rep = shannon_mcmillan_probe(measure, l=32)
+    assert rep.mean == 0.0 and rep.std == 0.0
 
 
 def test_shannon_mcmillan_mcmullen_concentrates():
+    # Chebyshev: P(|deviation| <= 0.05) >= 1 - std^2 / (0.05 - |mean|)^2
     measure = CarpetMeasure.build(MCMULLEN, 0)
-    rep = shannon_mcmillan_probe(measure, l=256, sample_count=10_000, seed=11)
-    assert abs(rep.mean) < 0.05
-    assert rep.within_delta > 0.9
+    rep = shannon_mcmillan_probe(measure, l=256)
+    assert abs(rep.mean) <= 0.05
+    assert 1 - rep.std ** 2 / (0.05 - abs(rep.mean)) ** 2 > 0.9
 
 
-def test_shannon_mcmillan_probe_repeats_for_a_seed():
+# fibers of sizes 3, 2 and 1 over the projected digits 0, 1 and 2
+STAIRS = [(u, v) for v in range(3) for u in range(3 - v)]
+
+
+@pytest.mark.parametrize("spec, m, depths", [
+    (MCMULLEN, 0, range(1, 7)), (GOLDEN_B, 0, range(1, 7)),
+    (FULL32, 0, range(1, 7)),
+    (CarpetSpec(a=3, b=3, omega=cellwise_pair_shift(3, 3, STAIRS)), 0,
+     range(1, 7)),
+    (CarpetSpec(a=4, b=3, omega=cellwise_pair_shift(4, 3, STAIRS)), 0,
+     range(1, 7)),
+    (MCMULLEN, 1, range(1, 5)),
+], ids=["mcmullen", "golden-b", "full32", "stairs33", "stairs43",
+        "mcmullen-ball1"])
+def test_shannon_mcmillan_moments_equal_brute_force(spec, m, depths):
+    measure = CarpetMeasure.build(spec, m)
+    for l in depths:
+        rep = shannon_mcmillan_probe(measure, l)
+        mean, std = probe_moments(measure, l)
+        assert rep.l == l
+        assert rep.mean == pytest.approx(mean, abs=1e-12)
+        assert rep.std == pytest.approx(std, abs=1e-12)
+
+
+def test_shannon_mcmillan_probe_rejects_depth_zero():
     measure = CarpetMeasure.build(MCMULLEN, 0)
-    first, second, other = (
-        shannon_mcmillan_probe(measure, l=16, sample_count=500, seed=seed)
-        for seed in (3, 3, 4))
-    assert first == second
-    assert other.mean != first.mean
-
-
-def test_shannon_mcmillan_probe_rejects_negative_seeds():
-    measure = CarpetMeasure.build(MCMULLEN, 0)
-    with pytest.raises(ValueError, match="expected non-negative integer"):
-        shannon_mcmillan_probe(measure, l=4, sample_count=10, seed=-1)
-
-
-def test_probe_uniforms_are_53_bit_floats_in_the_unit_interval():
-    u = _uniforms(random.Random(3), 20_000)
-    assert u.dtype == np.float64 and len(u) == 20_000
-    assert 0.0 <= u.min() and u.max() < 1.0
-    assert np.all(u * 2.0 ** 53 == np.floor(u * 2.0 ** 53))
-    assert abs(u.mean() - 0.5) < 0.01
-
-
-@pytest.mark.parametrize("n", [1, 2, 7, 2000])
-def test_linear_quantiles_equal_numpy_quantile(n):
-    # ties and unsorted input, at the probe's quantiles and at the ends
-    rng = random.Random(n)
-    values = np.array([rng.choice((rng.gauss(0, 1), 0.25)) for _ in range(n)])
-    qs = (0.0,) + PROBE_QUANTILES + (1.0,)
-    got = _linear_quantiles(values, qs)
-    assert got.tolist() == np.quantile(values, qs).tolist()
-
-
-def test_shannon_mcmillan_empty_report():
-    measure = CarpetMeasure.build(MCMULLEN, 0)
-    rep = shannon_mcmillan_probe(measure, l=4, sample_count=0, seed=1)
-    assert rep.samples == 0
+    with pytest.raises(ValueError, match="depth must be >= 1"):
+        shannon_mcmillan_probe(measure, l=0)
 
 
 def test_pigeonhole_witness_small():

@@ -669,6 +669,17 @@ def test_kspace_input_errors_are_spec_errors(tmp_path, capsys, args):
     assert captured.err.startswith("spec error:")
 
 
+def test_kg_mass_demo_on_a_unit_spec_is_a_spec_error(tmp_path, capsys):
+    # the demo's collapse bound would be certified on the cube power
+    spec = write_spec(tmp_path, {**KSPACE, "kind": "unit"})
+    code = main(["kg-mass-demo", "--spec", spec, "--k-list", "2"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == ("spec error: kg-mass-demo needs a 'kset' spec: "
+                            "the collapse bound does not hold on the cube "
+                            "power\n")
+
+
 @pytest.mark.parametrize("doc, args", [
     (KSPACE, ["kg-mass-demo", "--eps", "abc"]),
     (KSPACE, ["kg-mass-demo", "--eps", "1/0"]),

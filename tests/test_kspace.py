@@ -216,6 +216,14 @@ def test_mass_demo_bounds_and_monotonicity():
         assert r.worst_margin >= 0.0
 
 
+def test_mass_demo_rejects_unit_specs():
+    # the collapse bound is one of K^{Z^d}; the cube power does not collapse
+    with pytest.raises(ValueError, match="needs a 'kset' spec"):
+        kg_mass_distribution_demo(KSpaceSpec(rank=1, kind="unit"), 2,
+                                  FolnerDescriptor("boxes", (1,)), 1,
+                                  Fraction(1, 10))
+
+
 def test_mass_demo_repeats_for_a_seed(monkeypatch):
     # the all-zero point sets the worst margin at every seed, so the seed
     # shows in the points the demo draws

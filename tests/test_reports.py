@@ -35,7 +35,7 @@ DIGESTS = {
     "mcmullen_shift entropy --m-max 1 --w 1 --folner boxes":
         "6d1100a0e2442d9b0306dbe01bbbea39db39242d0e6e9a18d7a1bc57d3e3147d",
     "mcmullen carpet-dims --m-max 1 --l-max 2":
-        "3644ce4ad2a86532d45ffe517ab1f2d8ca2bf05a4e2c4f8ba62dd50a4d66c875",
+        "3e778494bbe0817f81939116875017e580e157be56d2cc22aa50736ac1baa797",
     "golden_b carpet-dims --m-max 2 --l-max 2 --folner boxes --w auto":
         "be34c51be9605d0a99bf50169054c377006aef071f6f86181200473c7b54e46e",
     "selfsim selfsimilar-bound":
@@ -59,7 +59,7 @@ DIGESTS = {
     "clouds golden-b-carpet":
         "c7e3d592614b49e1f53142a32ca96f2ff4d33f27b745b95a39cd74b7aed562df",
     "clouds mcmullen-carpet":
-        "6bcc970a4356110597f6ffbaef17414f57b6356097afa4bd0dfd0da9c8eaf850",
+        "6f70c8be9b7ee75b83a72e359fb85b8c7b3256c964108d5f30703057a96b80d2",
     "clouds homogeneous-probe":
         "814a5380077fc7982b9d5bd1657c3cf13e65592901fd523e82e84a1f51663be9",
     "clouds selfsimilar-probe":
@@ -105,3 +105,21 @@ def test_reports_match_their_recorded_digests(tmp_path):
     for label, text in texts.items():
         digest = hashlib.sha256(text.encode()).hexdigest()
         assert digest == DIGESTS[label], f"{label}:\n{text}"
+
+
+def test_carpet_dims_results_do_not_depend_on_the_seed():
+    # the fiber-measure probe reports exact moments: no command draws for
+    # carpet-dims, so its results are the same text at every --seed
+    for name, extra in (("mcmullen", []), ("golden_b", ["--folner", "boxes"])):
+        texts = set()
+        for seed in ("0", "1", "7"):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli.main(["carpet-dims", "--spec",
+                                 str(ROOT / "perfbench" / "specs"
+                                     / f"{name}.json"),
+                                 "--m-max", "1", "--l-max", "2", "--seed",
+                                 seed] + extra)
+            assert code == 0
+            texts.add(cli._report_text(json.loads(out.getvalue())["results"]))
+        assert len(texts) == 1, name
