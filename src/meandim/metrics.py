@@ -35,7 +35,11 @@ class ProbeViolation(AssertionError):
 def exact_int_dtype(bound: int):
     """numpy dtype for exact integer numerators whose values and
     intermediates stay below `bound` in magnitude: int64 when it fits,
-    object (Python ints) otherwise.  Both run the same array code."""
+    object (Python ints) otherwise.  Both run the same array code.  Values
+    that grow, as the frontier DP's counts (`subshifts._frontier_count`),
+    take the dtype of their first bound, test each later bound against
+    `_INT64_LIMIT` and turn to object with `astype(object)` at the first
+    that fails, never back."""
     return np.int64 if bound < _INT64_LIMIT else object
 
 

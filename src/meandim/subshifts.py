@@ -26,14 +26,15 @@ between, with no cell tuples and no clause lists.
 
 The enumerator tests the bans on the packed frontier of its assignment.
 The DP walks a dict of frontier states while fewer than `_ARRAY_STATES`
-(64) are live and runs on arrays from then on: int64 keys while the
-frontier fits in 63 bits, object keys past that, and object counts of
-Python ints, so every count stays exact.  An array step is a plan that
-depends on the step and the keys alone (`_step_plan`) and one gather and
-one `np.add.reduceat` of the counts.  Once a sweep row meets the keys of
-the row before, every later steady row replays the plans of the row before
+(32) are live and runs on arrays from then on: int64 keys while the
+frontier fits in 63 bits, object keys past that, and int64 counts while a
+bound on their total stays below 2^63, object counts of Python ints past
+that, so every count stays exact.  An array step is a plan that depends on
+the step and the keys alone (`_step_plan`) and one gather and one
+`np.add.reduceat` of the counts.  Once a sweep row meets the keys of the
+row before, every later steady row replays the plans of the row before
 with no plan built and no lookup.  A rank-1 nearest-neighbour window holds
-at most one state per symbol, so with fewer than 64 symbols it never
+at most one state per symbol, so with fewer than 32 symbols it never
 leaves the dict step.
 
 Pattern legality on a window checks the rules that fit entirely inside the
@@ -55,7 +56,7 @@ import numpy as np
 
 from .groups import (CapExceeded, DEFAULT_PATTERN_CAP, GroupSpec, GroupWindow,
                      json_int, json_object)
-from .metrics import exact_int_dtype
+from .metrics import _INT64_LIMIT, exact_int_dtype
 
 
 @dataclass(frozen=True)
@@ -669,10 +670,28 @@ def enumerate_patterns(spec: SubshiftSpec, window: GroupWindow,
 
 
 # Live frontier states from which the DP step runs on arrays; below it the
-# per-call overhead of numpy outweighs the vector step.  Hard-square boxes
-# 1..12, box 16 and balls 0..3 ran equally fast at 32, 64 and 128; balls ran
-# slower at 16 and 8.
-_ARRAY_STATES = 64
+# per-call overhead of numpy outweighs the vector step.  Milliseconds per
+# count at each value (2 vCPU x86_64, min of 6-30 runs per window, values
+# interleaved): hard-square boxes and balls, and rank-3 hard-core boxes.
+#
+#   window          16      32      64     128
+#   box(5)        0.31    0.20    0.19    0.20
+#   box(7)        0.39    0.38    0.45    0.49
+#   box(8)        0.47    0.46    0.49    0.86
+#   box(9)        0.58    0.58    0.56    1.84
+#   box(12)       1.38    1.47    1.23    1.39
+#   box(16)      12.60   12.11   12.17   11.18
+#   ball(3)       0.39    0.18    0.19    0.18
+#   ball(4)       0.68    0.58    0.57    0.37
+#   ball(8)       4.68    4.44    4.58    4.68
+#   rank-3 box(3) 0.51    0.44    0.48    0.48
+#   rank-3 box(4) 2.20    2.05    2.04    2.10
+#
+# Boxes 10..16 and balls 5..8 stay within the 10% run-to-run spread at any
+# value.  At 16 the windows of a few cells slow down, at 128 boxes 8 and 9
+# (a row of dict steps on about 100 states); box 7, whose rows reach 32 to
+# 63 states, is 15% faster at 32 than at 64 in each of four runs.
+_ARRAY_STATES = 32
 
 
 def _frontier_count(spec: SubshiftSpec, window: GroupWindow,
@@ -694,8 +713,15 @@ def _frontier_count(spec: SubshiftSpec, window: GroupWindow,
     are live the step walks a dict of states.  From then on it runs on
     arrays: keys of dtype `exact_int_dtype(1 << top)` (int64 while the
     frontier fits in 63 bits, promoted to object on the step it stops
-    fitting) and counts as an object array of Python ints, so they stay
-    exact.  Each move keeps the states whose masks pass, the targets are
+    fitting) and counts of dtype `exact_int_dtype(bound)`.  `bound` starts
+    as the exact total of the dict states and is multiplied by the number
+    of moves before each step, since each state feeds each move at most
+    once.  Where it reaches `_INT64_LIMIT` (2^63, the limit that
+    `exact_int_dtype` tests) it is tightened to the exact int64 total
+    times the moves, and where that reaches the limit too the counts turn to
+    object arrays of Python ints before the step runs; they never turn
+    back.  So no int64 sum can wrap, and every total is an exact Python
+    int.  Each move keeps the states whose masks pass, the targets are
     sorted and equal keys merge with `np.add.reduceat`.  All of that but
     the sum is the step's plan (`_step_plan`), a pure function of the step
     and the keys.
@@ -717,16 +743,26 @@ def _frontier_count(spec: SubshiftSpec, window: GroupWindow,
     totals = []
     states = {0: 1}
     keys = counts = None  # the states once the step runs on arrays
+    bound = None  # above the counts' total while they are int64
     back = [None] * row  # per column: the keys one row back and their plan
     same = False  # whether the keys equal those one row back
     for i, k in enumerate(cells):
         keep, moves, top = steps[k]
         if keys is None and len(states) >= _ARRAY_STATES:
             keys = np.array(list(states), dtype=exact_int_dtype(1 << top))
-            counts = np.array(list(states.values()), dtype=object)
+            bound = sum(states.values())
+            counts = np.array(list(states.values()),
+                              dtype=exact_int_dtype(bound))
         if keys is None:
             states = _dict_step(states, keep, moves)
         else:
+            if bound is not None:
+                # each state feeds each move at most once
+                bound *= len(moves)
+                if bound >= _INT64_LIMIT:
+                    bound = int(counts.sum()) * len(moves)
+                    if bound >= _INT64_LIMIT:
+                        counts, bound = counts.astype(object), None
             col = i % row
             prev = back[col]
             if prev is not None and k == cells[i - row] and (
@@ -744,7 +780,7 @@ def _frontier_count(spec: SubshiftSpec, window: GroupWindow,
                               f"{size} live frontier states")
         if i + 1 in marks:
             totals.append(sum(states.values()) if keys is None
-                          else sum(counts))
+                          else int(counts.sum()))
     return totals
 
 
@@ -774,9 +810,12 @@ def _step_plan(keys, keep: int, moves):
     for add, ban in moves:
         kept, src = base, index
         if ban:
-            ok = np.logical_and.reduce([(keys & mask) != value
-                                        for mask, value in ban])
-            kept, src = base[ok], index[ok]
+            (mask, value), *rest = ban
+            ok = (keys & mask) != value
+            for mask, value in rest:
+                ok &= (keys & mask) != value
+            src = np.flatnonzero(ok)
+            kept = base[src]
         targets.append(kept | add)
         sources.append(src)
     keys = np.concatenate(targets)
@@ -784,8 +823,9 @@ def _step_plan(keys, keep: int, moves):
     # 0.25 MB less peak RSS in a fresh process
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
-    first = np.ones(len(keys), dtype=bool)
-    first[1:] = keys[1:] != keys[:-1]
+    first = np.empty(len(keys), dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
     starts = np.flatnonzero(first)
     return keys[starts], np.concatenate(sources)[order], starts
 

@@ -61,7 +61,8 @@ COMMAND_LINES = [
     ("golden", ["entropy", "--m-max", "6", "--folner", "boxes"]),
     ("golden_patterns", ["entropy", "--m-max", "3", "--out", "{out}"]),
     ("hard_square", ["entropy", "--m-max", "2"]),
-    # box 9 passes 64 live frontier states, where the array step takes over
+    # boxes 7 to 9 pass 32 live frontier states, where the array step takes
+    # over
     ("hard_square", ["entropy", "--m-max", "9", "--folner", "boxes"]),
     ("golden_b_shift", ["entropy", "--m-max", "2", "--w", "0.5"]),
     ("mcmullen_shift", ["entropy", "--m-max", "1", "--w", "1",

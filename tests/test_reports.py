@@ -13,6 +13,8 @@ import io
 import json
 import runpy
 
+import numpy as np
+
 from meandim import cli
 from test_reach import COMMAND_LINES, ROOT, SPECS
 
@@ -105,6 +107,40 @@ def test_reports_match_their_recorded_digests(tmp_path):
     for label, text in texts.items():
         digest = hashlib.sha256(text.encode()).hexdigest()
         assert digest == DIGESTS[label], f"{label}:\n{text}"
+
+
+def _numpy_scalars(value, path="report"):
+    """The paths of the numpy scalars in a report, keys included."""
+    if isinstance(value, np.generic):
+        yield path
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            if isinstance(key, np.generic):
+                yield f"{path} key {key!r}"
+            yield from _numpy_scalars(item, f"{path}[{key!r}]")
+    elif isinstance(value, (list, tuple)):
+        for i, item in enumerate(value):
+            yield from _numpy_scalars(item, f"{path}[{i}]")
+
+
+def test_no_report_carries_a_numpy_scalar(tmp_path, monkeypatch):
+    # `_report_text` encodes with `default=str`, so an np.int64 count would
+    # be written as a quoted string; every report is walked before that
+    found, encoded = [], []
+
+    def checked(report):
+        encoded.append(report)
+        found.extend(_numpy_scalars(report))
+        return text(report)
+
+    text = cli._report_text
+    monkeypatch.setattr(cli, "_report_text", checked)
+    for label, args in command_lines(tmp_path):
+        before = len(encoded)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(args) == 0, label
+        assert len(encoded) > before, label
+        assert found == [], label
 
 
 def test_carpet_dims_results_do_not_depend_on_the_seed():

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from meandim import groups, metrics, subshifts
+from meandim import groups, subshifts
 from meandim.groups import (CapExceeded, GroupSpec, GroupWindow, ball, box,
                             interval, minkowski_sum, product_window)
 from meandim.subshifts import (Alphabet, Rule,
@@ -428,22 +428,90 @@ def test_array_step_frontier_state_cap(array_step):
         _frontier_count(hard_square(), box(10, GroupSpec(2)), cap=50)
 
 
-def test_array_step_promotes_wide_frontiers_to_object_keys(array_step,
-                                                           monkeypatch):
+class _RecordingNumpy:
+    """numpy as `subshifts` sees it, but `np.add.reduceat` records the dtype
+    of what it sums: the counts of every array step, in order."""
+
+    def __init__(self, dtypes):
+        self.add = self
+        self.dtypes = dtypes
+
+    def reduceat(self, counts, starts):
+        self.dtypes.append(counts.dtype)
+        return np.add.reduceat(counts, starts)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+@pytest.fixture
+def count_dtypes(monkeypatch):
+    """The dtype of the counts at each array step of every count made."""
+    dtypes = []
+    monkeypatch.setattr(subshifts, "np", _RecordingNumpy(dtypes))
+    return dtypes
+
+
+@pytest.fixture
+def key_dtypes(monkeypatch):
+    """The dtype of the keys of each array step that builds a plan."""
     dtypes = []
 
-    def recorded(bound):
-        dtypes.append(np.dtype(metrics.exact_int_dtype(bound)))
-        return dtypes[-1]
+    def recorded(keys, keep, moves):
+        dtypes.append(keys.dtype)
+        return plan(keys, keep, moves)
 
-    monkeypatch.setattr(subshifts, "exact_int_dtype", recorded)
+    plan = subshifts._step_plan
+    monkeypatch.setattr(subshifts, "_step_plan", recorded)
+    return dtypes
+
+
+def test_array_step_promotes_wide_frontiers_to_object_keys(array_step,
+                                                           key_dtypes,
+                                                           count_dtypes):
     equal = Rule.nearest_neighbor(4, {axis: [(s, t) for s in range(4)
                                              for t in range(4) if s != t]
                                       for axis in (0, 1)})
     spec = SubshiftSpec(2, Alphabet(4), equal, "equal-neighbours")
     # 33 frontier cells of 2 bits: 66 bits, past int64
     assert count_patterns(spec, box(33, GroupSpec(2))) == 4
-    assert dtypes[0] == np.int64 and dtypes[-1] == object
+    assert key_dtypes[0] == np.int64 and key_dtypes[-1] == object
+    # four patterns: the counts never leave int64
+    assert set(count_dtypes) == {np.dtype(np.int64)}
+
+
+def test_array_step_promotes_counts_where_their_bound_reaches_int64(
+        array_step, count_dtypes):
+    # one frontier state whose count doubles at every cell: the bound is
+    # the count itself, 2^k after k cells, so the counts turn to object on
+    # the 63rd step, the first whose result may not fit, and stay there
+    for n in range(60, 67):
+        count_dtypes.clear()
+        totals = _frontier_count(FREE_NN_2D, _rectangle(1, n),
+                                 range(1, n + 1))
+        assert totals == [2 ** k for k in range(1, n + 1)]
+        assert all(type(t) is int for t in totals)
+        assert len(count_dtypes) == n
+        fit = min(n, 62)
+        assert set(count_dtypes[:fit]) == {np.dtype(np.int64)}
+        assert count_dtypes[fit:] == [np.dtype(object)] * (n - fit)
+
+
+def test_hard_square_counts_stay_int64_while_their_bound_fits(count_dtypes):
+    hs = hard_square()
+    for n in range(1, 17):
+        count_dtypes.clear()
+        w = box(n, GroupSpec(2))
+        totals = _frontier_count(hs, w, range(1, len(w) + 1))
+        assert totals[-1] == A006506[n - 1]
+        assert all(type(t) is int for t in totals)
+        # promoted once, never demoted
+        kinds = [d == object for d in count_dtypes]
+        assert kinds == sorted(kinds), n
+        if n == 10:  # 2030049051145980050 < 2^63
+            assert count_dtypes and set(kinds) == {False}
+        if n in (11, 12):
+            assert not kinds[0] and kinds[-1], n
 
 
 def _rectangle(width, height):
