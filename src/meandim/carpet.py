@@ -17,12 +17,12 @@ mean and spread are finite sums over the fiber table.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import islice, product
 
 import numpy as np
 
+from ._record import Record
 from .groups import CapExceeded, Caps, FolnerDescriptor, GroupWindow, ball
 from .metrics import WeightScheme, exact_int_dtype, least_radius
 from .entropy import (entropy_estimate, entropy_series, log_big,
@@ -39,8 +39,7 @@ class SandwichViolation(AssertionError):
     """An exact sandwich inequality failed; carries the witnessing pair."""
 
 
-@dataclass(frozen=True)
-class CarpetSpec:
+class CarpetSpec(Record):
     """Bases a >= b >= 2, the driving paired subshift, the ambient weights.
 
     The weights are checked against the subshift's rank and kept with the
@@ -94,8 +93,7 @@ def mdim_h_carpet(hw: float, b: int) -> float:
 # ---------------------------------------------------------------------------
 # cylinder cells
 
-@dataclass(frozen=True)
-class PsiCell:
+class PsiCell(Record):
     """Depth-l cylinder: x prefixes to depth floor(w l), y prefixes to depth l.
 
     x_prefix entries are A-valued patterns, y_prefix entries B-valued, all on
@@ -208,8 +206,7 @@ def _representative_levels(spec: CarpetSpec, patterns, fibers, l: int,
     return list(enumerate(choices, 1))
 
 
-@dataclass(frozen=True)
-class SandwichReport:
+class SandwichReport(Record):
     m: int
     l: int
     floor_wl: int
@@ -340,8 +337,8 @@ def _product_row(spec: CarpetSpec, checked: SandwichReport, m: int,
     """The product-mode row at m from the check of ball(0): the same check,
     its count raised to |ball(m)|."""
     count = checked.lower_product ** len(ball(m, spec.omega.group, caps.cells))
-    return replace(checked, m=m, lower_product=count, upper_product=count,
-                   separated_count=count, cover_count=count)
+    return checked.replace(m=m, lower_product=count, upper_product=count,
+                           separated_count=count, cover_count=count)
 
 
 def sandwich_check(spec: CarpetSpec, m: int, l: int,
@@ -385,8 +382,7 @@ def sandwich_check(spec: CarpetSpec, m: int, l: int,
 # ---------------------------------------------------------------------------
 # the fiber measure
 
-@dataclass(frozen=True)
-class CarpetMeasure:
+class CarpetMeasure(Record):
     """Per-cylinder measure: f(u,v) = t(v)^{w-1}/Z on pairs, marginal
     f'(v) = t(v)^w / Z, products over independent depths."""
 
@@ -423,8 +419,7 @@ class CarpetMeasure:
         return abs(sum_f - 1.0), abs(sum_fp - 1.0)
 
 
-@dataclass(frozen=True)
-class ProbeReport:
+class ProbeReport(Record):
     l: int
     mean: float
     std: float

@@ -19,7 +19,6 @@ give byte-identical reports apart from the timing block.
 """
 from __future__ import annotations
 
-import dataclasses
 import importlib
 import json
 import os
@@ -156,7 +155,7 @@ def _num(value, provenance: str) -> dict:
 
 def parse_caps(text: str) -> Caps:
     """The `--caps` entries name=N, N >= 1, over the default caps."""
-    caps = dataclasses.asdict(Caps())
+    caps = dict(vars(Caps()))
     if text:
         for part in text.split(","):
             key, eq, val = part.partition("=")
@@ -346,7 +345,18 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def _report_text(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2, default=str) + "\n"
+    """The report as strict JSON: a NaN or an infinity in it raises
+    ValueError, naming the value, instead of being written as a bare
+    token that strict parsers reject."""
+    return json.dumps(report, sort_keys=True, indent=2, default=str,
+                      allow_nan=False) + "\n"
+
+
+def _no_constant(name: str):
+    """`json.load`'s reader of NaN, Infinity and -Infinity: a spec holding
+    one is a spec error, since its report, which echoes the spec, could not
+    be strict JSON."""
+    raise ValueError(f"{name} is not JSON")
 
 
 def main(argv=None) -> int:
@@ -366,8 +376,8 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         with open(args.spec) as handle:
-            doc = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+            doc = json.load(handle, parse_constant=_no_constant)
+    except (OSError, ValueError) as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return 2
 
@@ -409,7 +419,14 @@ def main(argv=None) -> int:
                      "numpy": np.__version__},
         "timing": {"seconds": round(time.monotonic() - started, 6)},
     }
-    text = _report_text(report)
+    try:
+        text = _report_text(report)
+    except ValueError as exc:  # a NaN or an infinity in the results
+        status = 1
+        results = report["results"] = {"internal_error":
+                                       f"ValueError: {exc}"}
+        report["status"] = "failed"
+        text = _report_text(report)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         _atomic_write(os.path.join(args.out, "report.json"), text)

@@ -8,9 +8,9 @@ reporting time only, natural base throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
+from ._record import Record
 from .groups import Caps, FolnerDescriptor, GroupSpec, product_window
 from .subshifts import FiberTable, SubshiftSpec, count_windows, fiber_table
 # still reachable as entropy.count_patterns, the import site that the
@@ -29,8 +29,7 @@ def log_big(n: int) -> float:
     return math.log(n)
 
 
-@dataclass(frozen=True)
-class EntropyRow:
+class EntropyRow(Record):
     """One window: Folner index (n of a G x N row, which sets `depth`), size
     in cells, log count (log Z if weighted) and that log per cell."""
 
@@ -47,8 +46,7 @@ def _row(index: int, size: int, log_count: float,
                       per_site=log_count / size, depth=depth)
 
 
-@dataclass(frozen=True)
-class EntropySeries:
+class EntropySeries(Record):
     family: str
     rows: tuple
 
@@ -92,8 +90,7 @@ def entropy_series(spec: SubshiftSpec, folner: FolnerDescriptor,
     return EntropySeries(family=folner.family, rows=tuple(rows))
 
 
-@dataclass(frozen=True)
-class EntropyEstimate:
+class EntropyEstimate(Record):
     value: float
     certified_upper: float | None
     empty_system: bool = False

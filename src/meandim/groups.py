@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, product
 from typing import Iterable
+
+from ._record import Record
 
 GroupElement = tuple  # integer coordinate tuple of length rank
 
@@ -29,8 +30,7 @@ DEFAULT_PATTERN_CAP = 10**6
 DEFAULT_CLOUD_CAP = 200_000
 
 
-@dataclass(frozen=True)
-class Caps:
+class Caps(Record):
     """The three run limits.  `cells` bounds the cells of a window,
     `patterns` the patterns an enumeration finds and the live frontier
     states of a count, `cloud` the points of a cloud.  Each raises
@@ -69,8 +69,7 @@ def json_object(value, what: str) -> dict:
     return value
 
 
-@dataclass(frozen=True)
-class GroupSpec:
+class GroupSpec(Record):
     """Z^rank with the 2*rank standard generators in their fixed order."""
 
     rank: int
@@ -104,21 +103,20 @@ def canonical_order(elements: Iterable[GroupElement]) -> list[GroupElement]:
     return sorted(elements, key=canonical_key)
 
 
-@dataclass(frozen=True)
-class GroupWindow:
+class GroupWindow(Record):
     """Finite ordered subset of Z^rank (or of Z^rank x N for product windows)."""
 
     spec: GroupSpec
     elements: tuple
     kind: str = "explicit"  # ball | box | explicit | product
     index: int | None = None
-    # Set by the builders alone (`_built`), never by __init__: `_shape` is
-    # ("cube", corner, side) for the cells corner + [0, side)^rank or
-    # ("ball", m) for the ball of radius m, and `_swept` marks a window
-    # that `sweep` made, in its own sweep order.
-    _shape: tuple | None = field(default=None, init=False, repr=False,
-                                 compare=False)
-    _swept: bool = field(default=False, init=False, repr=False, compare=False)
+    # Private state, which __init__ leaves at these defaults and only the
+    # builders (`_built`) set: `_shape` is ("cube", corner, side) for the
+    # cells corner + [0, side)^rank or ("ball", m) for the ball of radius
+    # m, and `_swept` marks a window that `sweep` made, in its own sweep
+    # order.
+    _shape: tuple | None = None
+    _swept: bool = False
 
     def __post_init__(self):
         if len(set(self.elements)) != len(self.elements):
@@ -174,7 +172,7 @@ def _built(spec: GroupSpec, elements: tuple, kind: str,
            swept: bool = False) -> GroupWindow:
     """A window whose elements a builder made distinct by construction, so
     it skips the distinctness check that __init__ runs; the fields are set
-    as a frozen dataclass's own __init__ sets them."""
+    as `Record.__init__` sets them, in field order, private state last."""
     window = object.__new__(GroupWindow)
     for name, value in (("spec", spec), ("elements", elements),
                         ("kind", kind), ("index", index), ("_shape", shape),
@@ -315,8 +313,7 @@ def minkowski_sum(a: GroupWindow, b: GroupWindow,
     return _built(a.spec, tuple(canonical_order(elems)), "explicit")
 
 
-@dataclass(frozen=True)
-class FolnerDescriptor:
+class FolnerDescriptor(Record):
     """A ball- or box-shaped window family with the indices to be computed."""
 
     family: str  # balls | boxes

@@ -18,13 +18,13 @@ The Fraction references of both distances are in `tests/oracles.py`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
 import numpy as np
 
+from ._record import Record
 from .groups import (CapExceeded, Caps, FolnerDescriptor, GroupSpec,
                      GroupWindow, box, minkowski_sum, product_window)
 from .metrics import (ProbeViolation, WeightScheme, exact_int_dtype,
@@ -37,8 +37,7 @@ EXTRA_DEPTH = 1  # digits the probe cloud carries past the depth N
 _PAIR_BLOCK = 1 << 16  # torus differences per broadcast of the pair rows
 
 
-@dataclass(frozen=True)
-class HomogeneousSpec:
+class HomogeneousSpec(Record):
     """Base b >= 2, the digit subshift on Z^d x N, ambient weights on Z^d."""
 
     base: int
@@ -200,8 +199,7 @@ def _implication_checked(blocks, eps: Fraction, threshold: Fraction, den):
         yield i0, left, right
 
 
-@dataclass(frozen=True)
-class HomogeneousProbeRow:
+class HomogeneousProbeRow(Record):
     n_index: int
     eps: float
     depth_n: int

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate
 from typing import Sequence
 
+from ._record import Record
 from .groups import Caps, FolnerDescriptor, GroupSpec, minkowski_sum
 from .metrics import WeightScheme, seeded_random, tail_support
 
@@ -34,8 +34,7 @@ class DemoHypothesisFailure(AssertionError):
     """A sampled point violates the mass-distribution hypothesis."""
 
 
-@dataclass(frozen=True)
-class KSpaceSpec:
+class KSpaceSpec(Record):
     """Full shift on K^{Z^d} (kind 'kset') or on [0,1]^{Z^d} (kind 'unit')."""
 
     rank: int
@@ -115,8 +114,7 @@ def _unit_sweep_count(steps: int, bound: Fraction) -> int:
     return steps // stride + 1
 
 
-@dataclass(frozen=True)
-class KExperimentRow:
+class KExperimentRow(Record):
     n_index: int
     eps: float
     window: int
@@ -255,8 +253,7 @@ def nu_interval_mass_log(x_code: int, log_r: float) -> float:
     return math.log(mass)
 
 
-@dataclass(frozen=True)
-class MassDemoReport:
+class MassDemoReport(Record):
     k: int
     eps: float
     delta: float

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
+from ._record import Record
 from .groups import (DEFAULT_CELL_CAP, CapExceeded, GroupSpec, GroupWindow,
                      ball, word_length)
 
@@ -56,8 +56,7 @@ def seeded_random(seed: int) -> random.Random:
 # ---------------------------------------------------------------------------
 # weights
 
-@dataclass(frozen=True)
-class WeightScheme:
+class WeightScheme(Record):
     """Geometric weights alpha_g = rho^{l1(g)} with alpha_identity = 1.
 
     Tail sums are exact for every rank: the sum over all of Z^rank is
@@ -144,8 +143,7 @@ def coordinate_distance(kind: str, x, y):
     return abs(x - y)
 
 
-@dataclass(frozen=True)
-class PointCloud:
+class PointCloud(Record):
     """Finite configurations sharing one window and one coordinate kind."""
 
     window: GroupWindow
@@ -165,8 +163,7 @@ class PointCloud:
 
 
 # no CLI path uses it; kept while perfbench/layers.py traces its interval
-@dataclass(frozen=True)
-class ProductMetric:
+class ProductMetric(Record):
     """d(x,y) = max over shifts g of sum_c alpha_{c-g} delta(x_c, y_c) plus tail.
 
     With shifts = (identity,) this is the plain weighted product metric; with

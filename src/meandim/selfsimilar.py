@@ -10,7 +10,6 @@ checks the contraction embedding exactly in rational arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iterproduct
 from typing import Sequence
@@ -18,6 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from . import metrics
+from ._record import Record
 from .groups import (CapExceeded, Caps, FolnerDescriptor, GroupWindow,
                      NetTooCoarse, ball, minkowski_sum)
 from .metrics import PointCloud, ProbeViolation, WeightScheme, least_radius
@@ -30,8 +30,7 @@ BOUND_FOLNER = FolnerDescriptor("boxes", (4, 8, 16))
 PROBE_SLACK = 0.05
 
 
-@dataclass(frozen=True)
-class SelfSimilarSpec:
+class SelfSimilarSpec(Record):
     """Driving subshift over Z, symbol values, contraction ratio, weights."""
 
     omega: SubshiftSpec
@@ -145,8 +144,7 @@ def composition_depth(spec: SelfSimilarSpec, eps: Fraction) -> int:
                         f"composition depth of c {spec.c}")
 
 
-@dataclass(frozen=True)
-class AddressedCloud:
+class AddressedCloud(Record):
     """Spanning cloud with the address word of every point retained."""
 
     cloud: PointCloud

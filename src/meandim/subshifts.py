@@ -45,22 +45,21 @@ projection count for 1-d nearest-neighbor rules so the gap can be reported.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, reduce
 from itertools import chain, product
 from operator import add, and_, getitem, mul, sub
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence
 import json
 
 import numpy as np
 
+from ._record import Record
 from .groups import (CapExceeded, DEFAULT_PATTERN_CAP, GroupSpec, GroupWindow,
                      json_int, json_object)
 from .metrics import _INT64_LIMIT, exact_int_dtype
 
 
-@dataclass(frozen=True)
-class Alphabet:
+class Alphabet(Record):
     """Symbols 0..size-1, optionally structured as pairs A x B with size = a*b."""
 
     size: int
@@ -94,8 +93,7 @@ class Alphabet:
         return u * self.b + v
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(Record):
     """Composite local rule: cellwise symbol set, per-axis adjacency, forbidden patterns.
 
     axis_allowed maps an axis to a k x k boolean matrix M with M[s][t] true
@@ -152,8 +150,7 @@ class Rule:
         return not self.axis_allowed and not self.forbidden
 
 
-@dataclass(frozen=True)
-class SubshiftSpec:
+class SubshiftSpec(Record):
     rank: int
     alphabet: Alphabet
     rule: Rule
@@ -185,8 +182,7 @@ class SubshiftSpec:
         return GroupSpec(self.rank)
 
 
-@dataclass(frozen=True)
-class PatternSet:
+class PatternSet(Record):
     """Enumerated legal assignments window -> alphabet, in deterministic order."""
 
     spec: SubshiftSpec
@@ -198,8 +194,7 @@ class PatternSet:
         return len(self.patterns)
 
 
-@dataclass(frozen=True)
-class FiberTable:
+class FiberTable(Record):
     """Map from projected B-pattern v to the fiber count t(v)."""
 
     spec: SubshiftSpec
@@ -360,7 +355,7 @@ def _cell_bans(spec: SubshiftSpec, window: GroupWindow) -> list:
     return bans
 
 
-class _Program(NamedTuple):
+class _Program(Record):
     """A window compiled in its cell order: its distinct steps, in order of
     first use, the step index of each cell, and the cells per sweep row
     (`_sweep_row`).
@@ -631,8 +626,9 @@ def _iter_patterns(spec: SubshiftSpec, window: GroupWindow, cap: int):
             raise CapExceeded("patterns", cap, window.name, ">= 1 patterns")
         yield b""
         return
-    steps, cells, _ = (_program(spec, window) if window._swept
-                       else _compile(spec, window))
+    program = (_program(spec, window) if window._swept
+               else _compile(spec, window))
+    steps, cells = program.steps, program.cells
     # per step: (symbol, add, bans) per symbol, in symbol order
     choices = [tuple(zip(spec.rule.symbols, *zip(*moves)))
                for _, moves, _ in steps]
@@ -738,7 +734,8 @@ def _frontier_count(spec: SubshiftSpec, window: GroupWindow,
     step that leaves more than `cap` states raises the patterns cap,
     naming the window.
     """
-    steps, cells, row = _program(spec, window)
+    program = _program(spec, window)
+    steps, cells, row = program.steps, program.cells, program.row
     marks = set([len(cells)] if stops is None else stops)
     totals = []
     states = {0: 1}

@@ -14,7 +14,7 @@ patches it sees the same points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Sequence
@@ -70,7 +70,7 @@ def sorted_sweep(window: GroupWindow) -> GroupWindow:
     dims = range(len(cells[0]))
     extent = [max(c[a] for c in cells) - min(c[a] for c in cells) for a in dims]
     axes = sorted(dims, key=lambda a: -extent[a])
-    return replace(window, elements=tuple(
+    return window.replace(elements=tuple(
         sorted(cells, key=lambda c: [c[a] for a in axes])))
 
 

@@ -344,7 +344,8 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(json.dumps([code, sorted(m for m in sys.modules
                                if m.split(".")[:2] in (["numpy", "random"],
                                                        ["numpy", "ma"])
-                               or m in ("argparse", "gettext", "locale"))]))
+                               or m in ("argparse", "dataclasses", "gettext",
+                                        "locale"))]))
 """
 
 
@@ -365,6 +366,8 @@ def run_fresh(tmp_path, script, command):
 
 @pytest.mark.parametrize("command", list(cli.COMMANDS))
 def test_no_command_loads_numpy_random_or_ma(tmp_path, command):
+    # nor argparse and its gettext and locale, nor dataclasses: the value
+    # classes are `_record.Record`s, and numpy does not import dataclasses
     assert run_fresh(tmp_path, GUARD_SCRIPT, command) == [0, []]
 
 
@@ -397,7 +400,8 @@ def test_a_command_loads_only_its_kinds_modules(tmp_path, command):
     code, loaded, added = run_fresh(tmp_path, LOAD_SCRIPT, command)
     assert code == 0
     assert loaded == sorted(["meandim"] + [
-        f"meandim.{m}" for m in {"cli", "cmdline", "groups", "metrics"}
+        f"meandim.{m}" for m in {"_record", "cli", "cmdline", "groups",
+                                 "metrics"}
         | KIND_MODULES[cli.COMMANDS[command][1]]])
     assert added == []
 
@@ -996,6 +1000,51 @@ def test_homog_commands_on_an_empty_digit_system_write_strict_json(
         "empty_system": True,
         "entropy": {"provenance": "exact", "value": 0.0},
         "prediction": {"provenance": "exact", "value": 0.0}}
+
+
+def _strict(text):
+    def no_constant(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=no_constant)
+
+
+@pytest.mark.parametrize("value, token", [(float("nan"), "nan"),
+                                          (float("inf"), "inf"),
+                                          (float("-inf"), "-inf")])
+def test_a_non_finite_result_is_an_internal_error(tmp_path, capsys,
+                                                  monkeypatch, value, token):
+    # strict JSON cannot hold the value, so the report names it in place
+    # of the results rather than writing a bare NaN or Infinity token
+    handler, kind = cli.COMMANDS["entropy"]
+
+    def patched(system, args, caps):
+        return {**handler(system, args, caps), "per_site": value}
+
+    monkeypatch.setitem(cli.COMMANDS, "entropy", (patched, kind))
+    out = tmp_path / "out"
+    code = main(["entropy", "--spec", write_spec(tmp_path, GOLDEN),
+                 "--m-max", "3", "--out", str(out)])
+    text = capsys.readouterr().out
+    report = _strict(text)
+    assert code == 1 and report["status"] == "failed"
+    assert report["results"] == {"internal_error": (
+        "ValueError: Out of range float values are not JSON compliant: "
+        + token)}
+    assert (out / "report.json").read_text() == text
+    assert sorted(p.name for p in out.iterdir()) == ["report.json"]
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_a_spec_holding_a_non_finite_constant_is_a_spec_error(tmp_path,
+                                                              capsys, token):
+    # the report echoes the spec, so it could not be strict JSON either
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(GOLDEN)[:-1] + f', "note": {token}}}')
+    assert main(["entropy", "--spec", str(path), "--m-max", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"spec error: {token} is not JSON\n"
 
 
 def test_carpet_dims_on_an_empty_system_tags_its_zeros_exact(tmp_path,

@@ -8,6 +8,7 @@ belongs in `tests/oracles.py`.
 """
 import ast
 import contextlib
+import importlib
 import io
 import json
 import os
@@ -20,6 +21,12 @@ from meandim import cli, kspace
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = Path(meandim.__file__).resolve().parent
+
+# every module is loaded before the profile starts, whatever ran before
+# this file, so each class is made outside it
+for _module in sorted(PACKAGE.glob("*.py")):
+    if _module.stem != "__init__":
+        importlib.import_module(f"meandim.{_module.stem}")
 
 MCMULLEN = {"rank": 1, "alphabet": {"a": 4, "b": 2},
             "rule": {"type": "cellwise", "allowed": [[0, 0], [1, 0], [0, 1]]},
@@ -83,6 +90,7 @@ COMMAND_LINES = [
 ]
 
 PERFBENCH_PIN = "perfbench/layers.py traces it by name"
+MISUSE = "raises only on misuse"
 
 # function -> why no command line, demo or the quick start enters it
 UNREACHED = {
@@ -104,6 +112,14 @@ UNREACHED = {
     "groups.GroupWindow.__contains__": "container protocol of a public class",
     "metrics.PointCloud.__len__": "container protocol of a public class",
     "subshifts.PatternSet.count": "public size of a pattern set",
+    "_record.Record.__init_subclass__":
+        "makes a class, at import, before the profile starts",
+    "_record.Record.__repr__": "shows a record; no report holds one",
+    "_record.Record.__setattr__": MISUSE,
+    "_record.Record.__delattr__": MISUSE,
+    "_record._call_error": MISUSE,
+    "_record._names": "lists the missing arguments of a misused call",
+    "cli._no_constant": "rejects a spec that holds NaN or an infinity",
 }
 
 

@@ -88,14 +88,19 @@ def command_lines(tmp_path):
             str(ROOT / "perfbench" / "specs"), BENCH_SEED)
 
 
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 def report_texts(tmp_path):
     """(label, report text without `timing` and `versions`) per command
-    line, in order."""
+    line, in order.  Each report is read as strict JSON: a bare NaN or
+    Infinity token raises."""
     for label, args in command_lines(tmp_path):
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             cli.main(args)
-        report = json.loads(out.getvalue())
+        report = json.loads(out.getvalue(), parse_constant=_no_constant)
         for key in ("timing", "versions"):  # `validate` writes neither
             report.pop(key, None)
         yield label, cli._report_text(report)
