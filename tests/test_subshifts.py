@@ -6,12 +6,15 @@ import numpy as np
 import pytest
 
 from meandim import groups, subshifts
-from meandim.groups import (CapExceeded, GroupSpec, GroupWindow, ball, box,
-                            interval, minkowski_sum, product_window)
+from meandim.entropy import entropy_series, log_big
+from meandim.groups import (CapExceeded, FolnerDescriptor, GroupSpec,
+                            GroupWindow, ball, box, interval, minkowski_sum,
+                            product_window)
 from meandim.subshifts import (Alphabet, Rule,
                                SubshiftSpec, _cell_bans, _compile,
                                _cube_program, _frontier_count,
-                               _is_translated_prefix, _program,
+                               _is_translated_prefix, _layer_power, _layers,
+                               _program,
                                cellwise_pair_shift, count_patterns,
                                count_windows,
                                enumerate_patterns, extensible_symbols,
@@ -736,13 +739,17 @@ def test_counting_built_cubes_reads_no_clauses(monkeypatch, states):
     assert enumerate_patterns(golden_mean(), swept).count == fib(12)
 
 
-def test_a_long_built_interval_counts_from_its_shape(monkeypatch):
+def test_a_long_built_interval_counts_from_its_shape(monkeypatch,
+                                                     layer_calls):
     monkeypatch.setattr(subshifts, "_cell_bans", _no_cell_bans)
     n = 10 ** 5
     program = _program(golden_mean(), interval(0, n - 1))
     # the first cell, every later one but the last, the last
     assert len(program.steps) == 3 and len(program.cells) == n
     assert count_patterns(golden_mean(), interval(0, n - 1)) == fib(n + 2)
+    # the head is the first cell and the tail the last: the n - 2 cells
+    # between are one layer, raised to the power n - 2 over two keys
+    assert layer_calls == [(2, 1, n - 2)]
 
 
 def test_array_steps_build_one_plan_per_distinct_step(array_step,
@@ -917,3 +924,182 @@ def test_spec_integers_are_json_integers(value):
         json_int(value, "k")
     with pytest.raises(ValueError, match="k must be a JSON integer"):
         spec_from_json({"alphabet": {"k": value}, "rule": {"type": "full"}})
+
+
+# ---------------------------------------------------------------------------
+# the layer operator against the step DP
+
+@pytest.fixture
+def layer_calls(monkeypatch):
+    """`(states, cells per layer, repeats)` of every call of the layer
+    operator that returned states, in order: the number of states it was
+    given, the length of the layer and the layers it jumped."""
+    calls = []
+
+    def recorded(states, steps, layer, repeats, cap, window):
+        got = power(states, steps, layer, repeats, cap, window)
+        if got is not None:
+            calls.append((len(states), len(layer), repeats))
+        return got
+
+    power = subshifts._layer_power
+    monkeypatch.setattr(subshifts, "_layer_power", recorded)
+    return calls
+
+
+@pytest.fixture(params=["layers", "steps"])
+def forced_path(request, monkeypatch):
+    """Every count of a window whose program repeats a layer takes the
+    layer operator, or none does."""
+    taken = request.param == "layers"
+    monkeypatch.setattr(subshifts, "_takes_layers", lambda m, n: taken)
+    return request.param
+
+
+ALTERNATING = SubshiftSpec(
+    1, Alphabet(2), Rule.nearest_neighbor(2, {0: [(0, 0), (1, 1)]}),
+    "alternating")
+THREE_SYMBOLS = SubshiftSpec(
+    1, Alphabet(3), Rule.nearest_neighbor(3, {0: [(0, 1), (1, 1), (2, 2)]}),
+    "three")
+GOLDEN_B = pair_shift_with_b_rule(2, golden_mean())
+# per rank-1 rule, the count of n cells in closed form, or None
+LAYER_RULES = ((golden_mean(), lambda n: fib(n + 2)),
+               (ALTERNATING, lambda n: 2),
+               (FREE_NN, lambda n: 2 ** n),
+               (GOLDEN_B, lambda n: 2 ** n * fib(n + 2)),
+               (THREE_SYMBOLS, None), (REACH_TWO[1], None))
+# about the boundary of the selection rule (32 layers for every rule here,
+# whose operators have 2 to 4 keys) and past it, up to 2000 cells
+LAYER_LENGTHS = (1, 2, 3, 4, 5, 7, 12, 20, 33, 34, 35, 64, 65, 66, 67, 68,
+                 129, 700, 1999, 2000)
+
+
+def test_layer_operator_matches_the_step_dp(forced_path, layer_calls):
+    g1 = GroupSpec(1)
+    for spec, closed in LAYER_RULES:
+        for n in LAYER_LENGTHS:
+            windows = [interval(0, n - 1), box(n, g1)]
+            if n % 2:
+                windows.append(ball(n // 2, g1))
+            # one sweep with a stop per window, on the step DP
+            want = count_windows(spec, windows)[0][1]
+            if closed is not None:
+                assert want == closed(n), (spec.name, n)
+            for w in windows:
+                before = len(layer_calls)
+                assert count_patterns(spec, w) == want, (spec.name, n)
+                program = _program(spec, w)
+                repeats = _layers(program.cells, program.row) is not None
+                # every window of 8 cells or more repeats a layer
+                assert repeats or n < 8, (spec.name, n)
+                taken = len(layer_calls) > before
+                assert taken == (forced_path == "layers" and repeats), \
+                    (spec.name, n)
+    if forced_path == "layers":
+        # the rule that reads two cells back repeats every two cells
+        assert (4, 2, 998) in layer_calls
+
+
+def test_layer_operator_matches_enumeration(monkeypatch, layer_calls):
+    monkeypatch.setattr(subshifts, "_takes_layers", lambda m, n: True)
+    for spec, w in _core_cases():
+        assert count_patterns(spec, w) == enumerate_patterns(spec, w).count, \
+            (spec.name, w.kind, w.index)
+    for width, height in itertools.product(range(1, 4), range(4, 8)):
+        w = _rectangle(width, height)
+        assert count_patterns(hard_square(), w) == \
+            enumerate_patterns(hard_square(), w).count
+    # the rank-1 windows of 5 and 7 cells of the five rules that are not
+    # counted in closed form, and the rectangles of 3 or more layers
+    assert len(layer_calls) == 5 * 2 + 9
+
+
+@pytest.mark.parametrize("states", [32, 0], ids=["dict", "array"])
+def test_layer_operator_counts_hard_square_strips(forced_path, layer_calls,
+                                                  monkeypatch, states):
+    # with array steps from the first cell, the head's states come off
+    # arrays and the tail goes back onto them
+    monkeypatch.setattr(subshifts, "_ARRAY_STATES", states)
+    hs = hard_square()
+    for width in (2, 3, 4):
+        want = _hard_square_rectangle(width, 200)
+        for w in (_rectangle(width, 200), _rectangle(200, width)):
+            assert count_patterns(hs, w) == want
+    if forced_path == "layers":
+        # the head is the first column, the tail the last one; the keys
+        # are the columns with no two adjacent ones
+        assert layer_calls == [(k, w, 198) for w, k in ((2, 3), (2, 3),
+                                                        (3, 5), (3, 5),
+                                                        (4, 8), (4, 8))]
+    else:
+        assert layer_calls == []
+
+
+def test_layers_are_whole_periods_of_sweep_rows():
+    hs = hard_square()
+    # rows of 8 cells: the first row is the head, rows 1-6 repeat, and the
+    # last row and the one steady cell before it are the tail
+    assert _layers(_program(hs, box(8, GroupSpec(2))).cells, 8) == (8, 8, 6)
+    assert _layers(_program(REACH_TWO[1], interval(0, 99)).cells, 1) == (
+        2, 2, 48)
+    # a ball's rows differ in length, and a few cells repeat nothing
+    assert _layers(_program(hs, ball(6, GroupSpec(2))).cells, 1) is None
+    assert _layers(_program(golden_mean(), interval(0, 2)).cells, 1) is None
+
+
+def test_the_selection_rule_picks_the_layers_of_long_windows(layer_calls):
+    gm, g1 = golden_mean(), GroupSpec(1)
+    # the first and the last cell are the head and the tail: n cells repeat
+    # a layer n - 2 times, from 32 of which the operator pays
+    for n in (33, 34):
+        assert count_patterns(gm, interval(0, n - 1)) == fib(n + 2)
+    assert layer_calls == [(2, 1, 32)]
+    layer_calls.clear()
+    # count_windows' stops keep the step DP
+    got = count_windows(gm, [box(n, g1) for n in (10, 100, 1000)])
+    assert [c for _, c in got] == [fib(n + 2) for n in (10, 100, 1000)]
+    assert layer_calls == []
+    # a hard-square box's operator would hold a whole row of keys
+    assert count_patterns(hard_square(), box(12, GroupSpec(2))) == \
+        A006506[11]
+    assert layer_calls == []
+
+
+def test_layer_operator_states_are_checked_against_the_cap(monkeypatch):
+    monkeypatch.setattr(subshifts, "_takes_layers", lambda m, n: True)
+    hs = hard_square()
+    w = _rectangle(4, 200)
+    program = _program(hs, w)
+    start, period, repeats = _layers(program.cells, program.row)
+    # from the all-zero column, one layer reaches the 8 columns with no two
+    # adjacent ones, once each
+    layer = program.cells[start:start + period]
+    got = _layer_power({0: 1}, program.steps, layer, 1, 8, w)
+    assert len(got) == 8 and set(got.values()) == {1}
+    with pytest.raises(CapExceeded, match=r"^patterns cap 7 exceeded: "
+                       r"explicit window of 800 cells needs 8 live frontier "
+                       r"states$"):
+        _layer_power({0: 1}, program.steps, layer, repeats, 7, w)
+
+
+def test_the_counting_workload_never_takes_the_layer_operator(monkeypatch):
+    def no_layers(*args):
+        raise AssertionError("the layer operator was called")
+
+    monkeypatch.setattr(subshifts, "_layer_power", no_layers)
+    for spec, family, indices, want in (
+            (hard_square(), "boxes", range(1, 13), A006506[:12]),
+            (hard_square(), "balls", range(4), (2, 17, 689, 139344)),
+            (golden_mean(), "boxes", range(1, 65),
+             [fib(n + 2) for n in range(1, 65)])):
+        series = entropy_series(spec, FolnerDescriptor(family,
+                                                       tuple(indices)))
+        assert [r.log_count for r in series.rows] == list(map(log_big, want))
+
+
+def test_a_spec_reads_one_group_per_rank():
+    spec = hard_square()
+    assert spec.group is spec.group is golden_mean(2).group
+    assert spec.group == GroupSpec(2)
+    assert golden_mean().group is full_shift(2).group == GroupSpec(1)
