@@ -16,13 +16,15 @@ the cell, the slot it is seated in, and the slots that leave there.
 adjacency edge or of a forbidden pattern, and per offset that fires (the
 last cell of an instance) the symbols it bans there given symbols at the
 other offsets.  `_cell_bans` places them at every cell of any window
-through its position map, and `_compile` builds the program from those
-clauses, interning equal steps.  A cube that `groups` built (a box, a
-rank-1 ball, an interval, a sum of two such) of side `_SHAPE_SIDE` (6) or
-more reads them by its geometry (`_cube_templates`, `_cube_program`): it
-compiles the first sweep rows, one steady row and the last rows, a few
-times the side of the cube's cells, and repeats the steady row in
-between, with no cell tuples and no clause lists.
+through its position map, the one place where a template meets a cell,
+and `_compile` builds the program from those clauses, interning equal
+steps.  A cube that `groups` built (a box, a rank-1 ball, an interval, a
+sum of two such) places them on a slab of 2 reach + 1 of its layers
+along axis 0 alone (`_cube_program`, `reach` the furthest a template
+reaches back along that axis): its layers take the clauses and the last
+readers of the slab layer as far from the nearer face, shifted by whole
+layers, and a steady layer repeats, with no cell tuples and no clause
+lists past the slab.
 
 The enumerator tests the bans on the packed frontier of its assignment.
 The DP walks a dict of frontier states while fewer than `_ARRAY_STATES`
@@ -56,9 +58,9 @@ projection count for 1-d nearest-neighbor rules so the gap can be reported.
 """
 from __future__ import annotations
 
-from functools import cache, reduce
+from functools import cache
 from itertools import chain, product
-from operator import add, and_, getitem, mul, sub
+from operator import add, mul, sub
 from typing import Iterable, Mapping, Sequence
 import json
 
@@ -66,7 +68,7 @@ import numpy as np
 
 from ._record import Record
 from .groups import (CapExceeded, DEFAULT_PATTERN_CAP, GroupSpec, GroupWindow,
-                     json_int, json_object)
+                     _built, json_int, json_object)
 from .metrics import _INT64_LIMIT, exact_int_dtype
 
 
@@ -445,17 +447,25 @@ class _Seating:
         return self.steps.setdefault(step, len(self.steps))
 
 
+def _last_readers(clauses: Sequence) -> list:
+    """Per cell of `_cell_bans`' clauses, the step after which it leaves:
+    the last cell whose clauses read it, or the cell itself when none
+    does."""
+    last = list(range(len(clauses)))
+    for i, cell in enumerate(clauses):
+        for _, clause in cell:
+            for p, _ in clause:
+                last[p] = i
+    return last
+
+
 def _compile(spec: SubshiftSpec, window: GroupWindow) -> _Program:
     """The step program of the window's cells in their order, from the
     clauses of `_cell_bans`: a cell leaves after the last step whose
     clauses read it."""
     clauses = _cell_bans(spec, window)
     n = len(window)
-    last = list(range(n))  # the step after which each cell leaves
-    for i, cell in enumerate(clauses):
-        for _, clause in cell:
-            for p, _ in clause:
-                last[p] = i
+    last = _last_readers(clauses)
     # the seated cells that leave at step i; the empty tuple is shared, so
     # a window of n cells adds n pointers and one tuple per leaving step
     leaving = [()] * n
@@ -482,101 +492,45 @@ def _sweep_row(cells: Sequence) -> int:
     return max([run for run in runs if run < n], default=max(n, 1))
 
 
-def _cube_templates(spec: SubshiftSpec, rank: int) -> list:
-    """The templates of `_templates` on a cube in sweep order, by geometry:
-    `(reads, lo, hi, bans)`, where a cell x inside the cube with lo[a] <=
-    x[a] < side - hi[a] on every axis a has, for each `(s, symbols)` of
-    `bans`, the clause that bans s at x given symbols[k] at x + reads[k].
-
-    An instance fires at its lexicographically last offset, and reads the
-    others relative to it; cells inside a cube are distinct exactly where
-    their offsets are."""
-    zero = (0,) * rank
-    templates = []
-    for offsets, fires in _templates(spec):
-        end = max(offsets)
-        k = offsets.index(end)
-        if fires[k]:
-            reads = tuple(tuple(map(sub, d, end)) for d in offsets
-                          if d != end)
-            axes = list(zip(zero, *reads))
-            lo = tuple(-min(xs) for xs in axes)
-            hi = tuple(map(max, axes))
-            templates.append((reads, lo, hi, fires[k]))
-    return templates
-
-
 def _cube_program(spec: SubshiftSpec, rank: int, side: int) -> _Program:
-    """The step program of the sweep of a cube of the given side, read off
-    its shape, with no cell tuples and no clause lists: equal to
-    `_compile` on the swept cube.
+    """The step program of the sweep of a cube of the given side, equal to
+    `_compile` on the swept cube, from the clauses of `_cell_bans` on a slab
+    of the cube: its first min(side, 2 reach + 1) layers along axis 0 (a
+    sweep row, side^(rank-1) cells), where `reach` is the furthest a
+    template reaches along axis 0.
 
-    The cube is compiled layer by layer along axis 0 (a sweep row: side^
-    (rank-1) cells), from the clause templates of `_cube_templates`; a
-    cell's last reader is the furthest cell whose template reads it.  Which
-    templates hold at a cell depends on each coordinate alone, so a bit set
-    per axis and coordinate gives them, and the clauses and the last reader
-    are worked out once per distinct set.  A layer at least `reach` layers
-    from both faces of axis 0 (`reach`, the furthest any clause reads back
-    along axis 0) sees every template that its clauses and its readers
-    need; so once such a layer starts from the slots that the layer before
-    it started from, shifted by one layer, it repeats that layer's steps
-    and ends as that layer ended, and by induction so does every layer up
-    to the last `reach` ones, which are compiled as they come."""
+    Clauses read only backwards, at most `reach` layers, so a layer's
+    clauses depend only on its distance from the lower face, and a cell's
+    last reader only on its distance from the upper face.  Cube layer x
+    thus takes the clauses and the readers of slab layer x below `reach`,
+    of slab layer `reach` up to side - 1 - reach, and of the slab layer as
+    far from the upper face above that, shifted by whole layers.  Once a
+    middle layer starts from the slots that the layer before it started
+    from, shifted by one layer, it repeats that layer's steps and ends as
+    that layer ended, and by induction so does every layer up to the last
+    `reach` ones, which are compiled as they come."""
+    firsts = [[d[0] for d in offsets] for offsets, _ in _templates(spec)]
+    reach = max((max(xs) - min(xs) for xs in firsts), default=0)
+    layers = min(side, 2 * reach + 1)
+    slab = _built(spec.group, tuple(product(range(layers),
+                                            *[range(side)] * (rank - 1))),
+                  "box")
+    if layers == side:
+        return _compile(spec, slab)
+    clauses = _cell_bans(spec, slab)
+    last = _last_readers(clauses)
     seating = _Seating(spec)
-    strides = [side ** (rank - 1 - a) for a in range(rank)]
-    row = strides[0]
-    geometry, bounds, readers = [], [], set()
-    for reads, lo, hi, bans in _cube_templates(spec, rank):
-        top = tuple(side - 1 - h for h in hi)
-        offsets = [sum(map(mul, d, strides)) for d in reads]
-        geometry.append([(s, tuple(zip(offsets, ts))) for s, ts in bans])
-        bounds.append((lo, top))
-        for d, o in zip(reads, offsets):
-            # the clause at x - d reads x where lo <= x - d <= top
-            readers.add((-o, tuple(map(add, lo, d)), tuple(map(add, top, d))))
-    readers = sorted(readers, reverse=True)
-    bounds += [(lo, top) for _, lo, top in readers]
-    reach = max((lo[0] for lo, _ in bounds[:len(geometry)]), default=0)
-
-    def hold(a: int, v: int) -> int:
-        return sum(1 << k for k, (lo, top) in enumerate(bounds)
-                   if lo[a] <= v <= top[a])
-
-    # per axis and coordinate, the bit set of the templates and the readers
-    # that hold there, templates first (away from the faces, all of them);
-    # then that of each cell of a layer but for axis 0
-    every, holds = (1 << len(bounds)) - 1, []
-    for a in range(rank):
-        low = max((lo[a] for lo, _ in bounds), default=0)
-        high = min((top[a] for _, top in bounds), default=side - 1)
-        holds.append([every if low <= v <= high else hold(a, v)
-                      for v in range(side)])
-    inner = [reduce(and_, map(getitem, holds[1:], rest), -1)
-             for rest in product(range(side), repeat=rank - 1)]
-    local = {}  # bit set -> (the clauses, the offset of the last reader)
-
-    def cell(bits: int) -> tuple:
-        clauses = [c for k, cs in enumerate(geometry) if bits >> k & 1
-                   for c in cs]
-        for k, (o, _, _) in enumerate(readers, len(geometry)):
-            if bits >> k & 1:
-                return clauses, o
-        return clauses, 0
-
+    row = side ** (rank - 1)
     leaving = {}  # step -> the seated cells that leave after it
 
     def layer(x0: int) -> tuple:
-        out, step, i, first = [], seating.step, x0 * row, holds[0][x0]
-        for bits in inner:
-            bits &= first
-            got = local.get(bits)
-            if got is None:
-                got = local[bits] = cell(bits)
-            clauses, last = got
-            if last:
-                leaving.setdefault(i + last, []).append(i)
-            out.append(step(i, clauses, leaving.pop(i, ()), last > 0, i))
+        at = x0 if x0 < reach else max(reach, x0 - side + layers)
+        out, step, i, base = [], seating.step, x0 * row, (x0 - at) * row
+        for j in range(at * row, (at + 1) * row):
+            seated = last[j] > j
+            if seated:
+                leaving.setdefault(last[j] + base, []).append(i)
+            out.append(step(i, clauses[j], leaving.pop(i, ()), seated, base))
             i += 1
         return tuple(out)
 
@@ -610,23 +564,13 @@ def _cube_program(spec: SubshiftSpec, rank: int, side: int) -> _Program:
                     row)
 
 
-# The side from which a cube that `groups` built compiles from its shape;
-# below it the set-up of `_cube_program` costs more than the cells it skips.
-# Min of 150 counts from the shape and from the clauses, 2 vCPU x86_64:
-# hard-square boxes of side 4 took 219 and 186 us, of side 5 258 and 249 us,
-# of side 6 384 and 414 us; golden-mean intervals of 6 cells 84 and 50 us,
-# of 12 cells 97 and 105 us; rank-3 golden-mean boxes of side 4 3.80 and
-# 3.77 ms.
-_SHAPE_SIDE = 6
-
-
 def _program(spec: SubshiftSpec, window: GroupWindow) -> _Program:
-    """The step program of the window's sweep (`GroupWindow.sweep`): read
-    off the shape of a cube of side `_SHAPE_SIDE` or more that `groups`
-    built (a box, a rank-1 ball, an interval, a sum of two such), compiled
-    from `_cell_bans` for any other window."""
+    """The step program of the window's sweep (`GroupWindow.sweep`): of a
+    nonempty cube that `groups` built (a box, a rank-1 ball, an interval, a
+    sum of two such) from a slab of it (`_cube_program`), of any other
+    window from all its cells; either way compiled from `_cell_bans`."""
     shape = window._shape
-    if shape is not None and shape[0] == "cube" and shape[2] >= _SHAPE_SIDE:
+    if shape is not None and shape[0] == "cube" and shape[2]:
         return _cube_program(spec, window.spec.rank, shape[2])
     return _compile(spec, window.sweep())
 

@@ -12,7 +12,7 @@ from meandim.groups import (CapExceeded, FolnerDescriptor, GroupSpec,
                             product_window)
 from meandim.subshifts import (Alphabet, Rule,
                                SubshiftSpec, _cell_bans, _compile,
-                               _cube_program, _frontier_count,
+                               _frontier_count,
                                _is_translated_prefix, _layer_power, _layers,
                                _program,
                                cellwise_pair_shift, count_patterns,
@@ -704,44 +704,96 @@ def test_cell_bans_match_the_position_map(rank):
                     position_map_cell_bans(spec, window), (spec.name, w.name)
 
 
-def _no_cell_bans(spec, window):
-    raise AssertionError("_cell_bans was called")
+@pytest.fixture
+def placed(monkeypatch):
+    """The number of cells of every window that `_cell_bans` places the
+    rule on, in order."""
+    sizes = []
+
+    def recorded(spec, window):
+        sizes.append(len(window))
+        return cell_bans(spec, window)
+
+    cell_bans = subshifts._cell_bans
+    monkeypatch.setattr(subshifts, "_cell_bans", recorded)
+    return sizes
+
+
+def _reach(spec):
+    """The furthest a clause of the rule reaches along axis 0."""
+    rule = spec.rule
+    return max([1 for axis, _ in rule.axis_allowed if axis == 0] +
+               [max(o[0] for o in offs) - min(o[0] for o in offs)
+                for offs, _ in rule.forbidden], default=0)
+
+
+def _slab(spec, w):
+    """The cells of the slab of a built cube that its program is compiled
+    from: at most 2 reach + 1 of its layers along axis 0."""
+    side, rank = w._shape[2], w.spec.rank
+    return min(side, 2 * _reach(spec) + 1) * side ** (rank - 1)
+
+
+def _assert_cube_programs(rules, windows, placed):
+    """Every window's program equals the program of its sorted sweep, and
+    a built cube's reads the clauses of its slab and of no larger window."""
+    for w in windows:
+        for spec in rules:
+            want = _compile(spec, sorted_sweep(w))
+            placed.clear()
+            assert _program(spec, w) == want, (spec.name, w.name)
+            if w._shape[0] == "cube":
+                assert max(placed) <= _slab(spec, w), (spec.name, w.name)
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3])
-def test_shape_programs_equal_the_programs_of_cell_bans(rank, monkeypatch):
+def test_shape_programs_equal_the_programs_of_cell_bans(rank, placed):
     g = GroupSpec(rank)
     sums = [minkowski_sum(box(2, g), box(3, g))]
     if rank == 1:
         sums += [minkowski_sum(ball(2, g), interval(-3, 1)),
                  minkowski_sum(interval(-5, -2), box(4, g))]
-    rules = SHIPPED_RULES[rank] + (REACH_TWO[rank],)
-    for w in _built_windows(rank) + sums:
-        for spec in rules:
-            want = _compile(spec, sorted_sweep(w))
-            assert _program(spec, w) == want, (spec.name, w.name)
-            if w._shape[0] == "cube":  # built as a cube: no clause is read
-                with monkeypatch.context() as patch:
-                    patch.setattr(subshifts, "_cell_bans", _no_cell_bans)
-                    got = _cube_program(spec, rank, w._shape[2])
-                assert got == want, (spec.name, w.name)
+    _assert_cube_programs(SHIPPED_RULES[rank] + (REACH_TWO[rank],),
+                          _built_windows(rank) + sums, placed)
+
+
+# rules that reach three layers back along axis 0, so that a cube compiles
+# from all its cells up to side 7 and from a slab of 7 layers past that
+REACH_THREE = (
+    SubshiftSpec(1, Alphabet(2), Rule.forbidden_patterns(
+        2, [(((0,), (3,)), (1, 1))]), "ones-three-apart"),
+    SubshiftSpec(2, Alphabet(2), Rule.forbidden_patterns(
+        2, [(((0, 0), (3, -1)), (1, 1))]), "three-back"))
+
+
+@pytest.mark.parametrize("spec", REACH_THREE, ids=lambda spec: spec.name)
+def test_cube_programs_about_the_slab_boundary(spec, placed):
+    g = GroupSpec(spec.rank)
+    windows = [box(side, g) for side in range(1, 13)]
+    _assert_cube_programs([spec], windows, placed)
+    for w in windows:
+        if len(w) <= 12:
+            assert count_patterns(spec, w) == \
+                enumerate_patterns(spec, w).count, w.name
 
 
 @pytest.mark.parametrize("states", [64, 0], ids=["dict", "array"])
-def test_counting_built_cubes_reads_no_clauses(monkeypatch, states):
+def test_counting_built_cubes_places_only_a_slab(monkeypatch, placed,
+                                                 states):
     monkeypatch.setattr(subshifts, "_ARRAY_STATES", states)
-    monkeypatch.setattr(subshifts, "_cell_bans", _no_cell_bans)
     g1, g2 = GroupSpec(1), GroupSpec(2)
     assert count_patterns(hard_square(), box(12, g2)) == A006506[11]
+    # three rows of 12 cells
+    assert max(placed) == 36
+    placed.clear()
     got = count_windows(golden_mean(), [ball(m, g1) for m in range(40)])
     assert [c for _, c in got] == [fib(2 * m + 3) for m in range(40)]
     swept = interval(-4, 5).sweep()  # enumerated in its own, sweep, order
     assert enumerate_patterns(golden_mean(), swept).count == fib(12)
+    assert max(placed) == 3
 
 
-def test_a_long_built_interval_counts_from_its_shape(monkeypatch,
-                                                     layer_calls):
-    monkeypatch.setattr(subshifts, "_cell_bans", _no_cell_bans)
+def test_a_long_built_interval_counts_from_its_shape(placed, layer_calls):
     n = 10 ** 5
     program = _program(golden_mean(), interval(0, n - 1))
     # the first cell, every later one but the last, the last
@@ -750,6 +802,8 @@ def test_a_long_built_interval_counts_from_its_shape(monkeypatch,
     # the head is the first cell and the tail the last: the n - 2 cells
     # between are one layer, raised to the power n - 2 over two keys
     assert layer_calls == [(2, 1, n - 2)]
+    # both compiles place the rule on a slab of three cells alone
+    assert placed == [3, 3]
 
 
 def test_array_steps_build_one_plan_per_distinct_step(array_step,
@@ -968,7 +1022,10 @@ LAYER_RULES = ((golden_mean(), lambda n: fib(n + 2)),
                (ALTERNATING, lambda n: 2),
                (FREE_NN, lambda n: 2 ** n),
                (GOLDEN_B, lambda n: 2 ** n * fib(n + 2)),
-               (THREE_SYMBOLS, None), (REACH_TWO[1], None))
+               (THREE_SYMBOLS, None),
+               # the even and the odd cells are two golden-mean words
+               (REACH_TWO[1], lambda n: fib((n + 1) // 2 + 2) *
+                fib(n // 2 + 2)))
 # about the boundary of the selection rule (32 layers for every rule here,
 # whose operators have 2 to 4 keys) and past it, up to 2000 cells
 LAYER_LENGTHS = (1, 2, 3, 4, 5, 7, 12, 20, 33, 34, 35, 64, 65, 66, 67, 68,
