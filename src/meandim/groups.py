@@ -111,10 +111,10 @@ class GroupWindow(Record):
     kind: str = "explicit"  # ball | box | explicit | product
     index: int | None = None
     # Private state, which __init__ leaves at these defaults and only the
-    # builders (`_built`) set: `_shape` is ("cube", corner, side) for the
-    # cells corner + [0, side)^rank or ("ball", m) for the ball of radius
-    # m, and `_swept` marks a window that `sweep` made, in its own sweep
-    # order.
+    # builders (`_built`) set: `_shape` is ("cube", corner, sides) for the
+    # cells corner + [0, sides[0]) x ... x [0, sides[-1]) or ("ball", m)
+    # for the ball of radius m, and `_swept` marks a window that `sweep`
+    # made, in its own sweep order.
     _shape: tuple | None = None
     _swept: bool = False
 
@@ -141,30 +141,46 @@ class GroupWindow(Record):
                 else f"{self.kind} window of {len(self)} cells")
 
     def sweep(self) -> GroupWindow:
-        """The window in lexicographic order, longest extent outermost, so
-        that a frontier swept along it spans the shortest extents.  A cube
-        or a ball that a builder made has equal extents and comes out axis
-        0 outermost with no sort: a cube's cells from `product`, a ball's
-        from `_ball_coords`.  Any other window is sorted, once: the sweep
-        is marked as its own sweep."""
+        """The window in lexicographic order, longest extent outermost
+        (`_sweep_axes`), so that a frontier swept along it spans the
+        shortest extents.  A cube or a ball that a builder made comes out
+        with no sort: a cube's cells from `_cube_sweep`, a ball's, of equal
+        extents, from `_ball_coords`.  Any other window is sorted, once:
+        the sweep is marked as its own sweep."""
         if self._swept:
             return self
         shape = self._shape
         if shape is None:
-            extent = [max(xs) - min(xs) for xs in zip(*self.elements)]
-            axes = sorted(range(len(extent)), key=lambda a: -extent[a])
+            axes = _sweep_axes([max(xs) - min(xs)
+                                for xs in zip(*self.elements)])
             cells = tuple(sorted(self.elements,
                                  key=lambda c: [c[a] for a in axes]))
         elif shape[0] == "cube":
-            _, corner, side = shape
+            _, corner, sides = shape
             if self.spec.rank == 1 and corner[0] >= 0:
                 cells = self.elements  # canonical order is ascending here
             else:
-                cells = tuple(product(*(range(c, c + side) for c in corner)))
+                cells = _cube_sweep(corner, sides, _sweep_axes(sides))
         else:
             cells = tuple(_ball_coords(self.spec.rank, shape[1]))
         return _built(self.spec, cells, self.kind, self.index, shape,
                       swept=True)
+
+
+def _sweep_axes(extents) -> list:
+    """The axes of a sweep, outermost first: the longest extent first,
+    equal extents in axis order."""
+    return sorted(range(len(extents)), key=lambda a: -extents[a])
+
+
+def _cube_sweep(corner: tuple, sides: tuple, axes: list) -> tuple:
+    """The cells corner + [0, sides) in lexicographic order of their
+    coordinates on `axes`, outermost first."""
+    cells = product(*(range(corner[a], corner[a] + sides[a]) for a in axes))
+    if axes == sorted(axes):
+        return tuple(cells)
+    back = operator.itemgetter(*map(axes.index, range(len(axes))))
+    return tuple(map(back, cells))
 
 
 def _built(spec: GroupSpec, elements: tuple, kind: str,
@@ -201,14 +217,15 @@ def _ball_shell(rank: int, s: int) -> list:
             for rest in _ball_shell(rank - 1, s - abs(x))]
 
 
-def _box_shell(rank: int, s: int, n: int) -> list:
-    """The cells of [0, n)^rank, rank >= 2, of l1 norm s in descending
-    lexicographic order, which is canonical order on cells >= 0."""
-    top, low = min(s, n - 1), max(0, s - (rank - 1) * (n - 1))
-    if rank == 2:
+def _box_shell(sides: tuple, s: int) -> list:
+    """The cells of [0, sides[0]) x ... x [0, sides[-1]), two or more
+    sides, of l1 norm s in descending lexicographic order, which is
+    canonical order on cells >= 0."""
+    top, low = min(s, sides[0] - 1), max(0, s - sum(n - 1 for n in sides[1:]))
+    if len(sides) == 2:
         return [(x, s - x) for x in range(top, low - 1, -1)]
     return [(x,) + rest for x in range(top, low - 1, -1)
-            for rest in _box_shell(rank - 1, s - x, n)]
+            for rest in _box_shell(sides[1:], s - x)]
 
 
 def _interval_cells(lo: int, hi: int) -> tuple:
@@ -226,18 +243,17 @@ def _interval_cells(lo: int, hi: int) -> tuple:
     return tuple(zip(xs))
 
 
-def _cube_cells(corner: tuple, side: int) -> tuple:
-    """The cells corner + [0, side)^rank, side >= 1, in canonical order:
+def _cube_cells(corner: tuple, sides: tuple) -> tuple:
+    """The cells corner + [0, sides), every side >= 1, in canonical order:
     an interval or a box shell by shell, with no sort; any other cube by
     `canonical_order`."""
     if len(corner) == 1:
-        return _interval_cells(corner[0], corner[0] + side - 1)
+        return _interval_cells(corner[0], corner[0] + sides[0] - 1)
     if any(corner):
-        return tuple(canonical_order(product(*(range(c, c + side)
-                                               for c in corner))))
+        return tuple(canonical_order(_cube_sweep(corner, sides,
+                                                 _sweep_axes(sides))))
     return tuple(chain.from_iterable(
-        _box_shell(len(corner), s, side)
-        for s in range(len(corner) * (side - 1) + 1)))
+        _box_shell(sides, s) for s in range(sum(sides) - len(sides) + 1)))
 
 
 def _cell_cap(cells: int, cap: int, subject: str) -> None:
@@ -254,7 +270,7 @@ def ball(m: int, spec: GroupSpec, cap: int = DEFAULT_CELL_CAP) -> GroupWindow:
                   for k in range(spec.rank + 1)), cap, f"ball({m})")
     if spec.rank == 1:
         return _built(spec, _interval_cells(-m, m), "ball", m,
-                      ("cube", (-m,), 2 * m + 1))
+                      ("cube", (-m,), (2 * m + 1,)))
     cells = tuple(chain.from_iterable(_ball_shell(spec.rank, s)
                                       for s in range(m + 1)))
     return _built(spec, cells, "ball", m, ("ball", m))
@@ -265,42 +281,50 @@ def box(n: int, spec: GroupSpec, cap: int = DEFAULT_CELL_CAP) -> GroupWindow:
     if n < 1:
         raise ValueError("box side must be >= 1")
     _cell_cap(n ** spec.rank, cap, f"box({n})")
-    corner = (0,) * spec.rank
-    return _built(spec, _cube_cells(corner, n), "box", n, ("cube", corner, n))
+    corner, sides = (0,) * spec.rank, (n,) * spec.rank
+    return _built(spec, _cube_cells(corner, sides), "box", n,
+                  ("cube", corner, sides))
 
 
 def interval(lo: int, hi: int, cap: int = DEFAULT_CELL_CAP) -> GroupWindow:
     """Explicit window {lo..hi} of Z, canonical order."""
     _cell_cap(hi - lo + 1, cap, f"interval {lo}..{hi}")
     return _built(GroupSpec(1), _interval_cells(lo, hi), "explicit",
-                  shape=("cube", (lo,), max(0, hi - lo + 1)))
+                  shape=("cube", (lo,), (max(0, hi - lo + 1),)))
 
 
 def product_window(window: GroupWindow, n: int,
                    cap: int = DEFAULT_CELL_CAP) -> GroupWindow:
-    """F x {0..n-1} over Z^rank x N, ordered window-major."""
+    """F x {0..n-1} over Z^rank x N, ordered window-major.  The product of
+    a cube that a builder made (a box, an interval, a rank-1 ball) is the
+    cube of one more axis, of side n along it, built as such."""
     if n < 1:
         raise ValueError("depth must be >= 1")
     _cell_cap(len(window) * n, cap, f"product({n})")
     elems = tuple(f + (k,) for f in window.elements for k in range(n))
-    return _built(GroupSpec(window.spec.rank + 1), elems, "product", n)
+    shape = window._shape
+    if shape is not None and shape[0] == "cube":
+        shape = ("cube", shape[1] + (0,), shape[2] + (n,))
+    else:
+        shape = None
+    return _built(GroupSpec(window.spec.rank + 1), elems, "product", n, shape)
 
 
 def minkowski_sum(a: GroupWindow, b: GroupWindow,
                   cap: int = DEFAULT_CELL_CAP) -> GroupWindow:
     """The set {g + h : g in a, h in b}, canonical order.  The sum of two
     nonempty cubes that a builder made is the cube at the sum of their
-    corners, of side s + t - 1, built as such.  Any other set grows by the
-    sums of one element of the smaller window at a time, and the cap is
-    checked after each, so a sum past the cap stops within max(|a|, |b|)
-    cells of it."""
+    corners, of side s + t - 1 along each axis, built as such.  Any other
+    set grows by the sums of one element of the smaller window at a time,
+    and the cap is checked after each, so a sum past the cap stops within
+    max(|a|, |b|) cells of it."""
     shapes = (a._shape, b._shape)
-    if all(s is not None and s[0] == "cube" and s[2] for s in shapes):
+    if all(s is not None and s[0] == "cube" and all(s[2]) for s in shapes):
         corner = tuple(map(operator.add, a._shape[1], b._shape[1]))
-        side = a._shape[2] + b._shape[2] - 1
-        if side ** len(corner) <= cap:
-            return _built(a.spec, _cube_cells(corner, side), "explicit",
-                          shape=("cube", corner, side))
+        sides = tuple(s + t - 1 for s, t in zip(a._shape[2], b._shape[2]))
+        if math.prod(sides) <= cap:
+            return _built(a.spec, _cube_cells(corner, sides), "explicit",
+                          shape=("cube", corner, sides))
     outer, inner = sorted((a.elements, b.elements), key=len)
     elems = set()
     for h in outer:

@@ -19,12 +19,13 @@ other offsets.  `_cell_bans` places them at every cell of any window
 through its position map, the one place where a template meets a cell,
 and `_compile` builds the program from those clauses, interning equal
 steps.  A cube that `groups` built (a box, a rank-1 ball, an interval, a
-sum of two such) places them on a slab of 2 reach + 1 of its layers
-along axis 0 alone (`_cube_program`, `reach` the furthest a template
-reaches back along that axis): its layers take the clauses and the last
-readers of the slab layer as far from the nearer face, shifted by whole
-layers, and a steady layer repeats, with no cell tuples and no clause
-lists past the slab.
+product or a sum of such, of one side per axis) places them on a slab of
+2 reach + 1 of its layers along the sweep's outermost axis alone
+(`_cube_program`, `reach` the furthest a template reaches back along that
+axis): its layers take the clauses and the last readers of the slab layer
+as far from the nearer face, shifted by whole layers, with no cell tuples
+and no clause lists past the slab.  Once its middle layers repeat, the
+program states the run (`_Program.repeat`) and compiles no more of it.
 
 The enumerator tests the bans on the packed frontier of its assignment.
 The DP walks a dict of frontier states while fewer than `_ARRAY_STATES`
@@ -39,16 +40,17 @@ with no plan built and no lookup.  A rank-1 nearest-neighbour window holds
 at most one state per symbol, so with fewer than 32 symbols its steps stay
 on dicts.
 
-A count of one window (`count_patterns`) whose program repeats one period
-of steps many times (`_layers`: one cell of an interval or of a rank-1
-ball or box, k cells of a k-wide strip) steps only the head and the tail.
-In between it applies the layer's transfer operator T, where T[s][t] is
-the number of ways one layer goes from frontier key s to key t, raised to
-the number of repeats by squaring in exact ints (`_layer_power`), so a long
-interval costs a few big products instead of a sum per cell.
+A count of one window (`count_patterns`) whose program states a repeat
+(one or two cells of an interval or of a rank-1 ball or box, k cells of
+a built k-wide strip) steps only the cells before it and after it.  In
+between it applies the period's transfer operator T, where T[s][t] is
+the number of ways one period goes from frontier key s to key t, raised
+to the number of repeats by squaring in exact ints (`_layer_power`), so a
+long interval costs a few big products instead of a sum per cell.
 `_takes_layers` picks that path from the repeats and T's state count; the
-stop sweeps of `count_windows` and square boxes keep the step DP, and the
-enumerator steps every cell.
+stop sweeps of `count_windows` and square boxes keep the step DP,
+explicit windows and rank-2+ balls state no repeat, and the enumerator
+steps every cell.
 
 Pattern legality on a window checks the rules that fit entirely inside the
 window (free boundary).  For the shipped rule classes this either matches the
@@ -58,8 +60,9 @@ projection count for 1-d nearest-neighbor rules so the gap can be reported.
 """
 from __future__ import annotations
 
+from collections import deque
 from functools import cache
-from itertools import chain, product
+from itertools import chain
 from operator import add, mul, sub
 from typing import Iterable, Mapping, Sequence
 import json
@@ -68,7 +71,7 @@ import numpy as np
 
 from ._record import Record
 from .groups import (CapExceeded, DEFAULT_PATTERN_CAP, GroupSpec, GroupWindow,
-                     _built, json_int, json_object)
+                     _built, _cube_sweep, _sweep_axes, json_int, json_object)
 from .metrics import _INT64_LIMIT, exact_int_dtype
 
 
@@ -377,8 +380,11 @@ def _cell_bans(spec: SubshiftSpec, window: GroupWindow) -> list:
 
 class _Program(Record):
     """A window compiled in its cell order: its distinct steps, in order of
-    first use, the step index of each cell, and the cells per sweep row
-    (`_sweep_row`).
+    first use, the step index of each cell, the cells per sweep row
+    (`_sweep_row`) and `repeat`: `(start, period, repeats)` where the cells
+    from `start` on are their first `period` cells `repeats` >= 2 times,
+    whole layers of a built cube (`_cube_program`), with a cell after them;
+    None for any other program.
 
     A state of the DP is a key that packs the symbols of the frontier (the
     seated cells that a later clause still reads), `width` bits per slot.
@@ -393,6 +399,7 @@ class _Program(Record):
     steps: tuple
     cells: tuple
     row: int
+    repeat: tuple | None = None
 
 
 class _Seating:
@@ -492,12 +499,12 @@ def _sweep_row(cells: Sequence) -> int:
     return max([run for run in runs if run < n], default=max(n, 1))
 
 
-def _cube_program(spec: SubshiftSpec, rank: int, side: int) -> _Program:
-    """The step program of the sweep of a cube of the given side, equal to
-    `_compile` on the swept cube, from the clauses of `_cell_bans` on a slab
-    of the cube: its first min(side, 2 reach + 1) layers along axis 0 (a
-    sweep row, side^(rank-1) cells), where `reach` is the furthest a
-    template reaches along axis 0.
+def _cube_program(spec: SubshiftSpec, sides: tuple) -> _Program:
+    """The step program of the sweep of a cube of the given sides, equal
+    to `_compile` on the swept cube, from the clauses of `_cell_bans` on a
+    slab of the cube: its first min(side, 2 reach + 1) layers along the
+    sweep's outermost axis (`_sweep_axes`), a sweep row each, where `reach`
+    is the furthest a template reaches along that axis.
 
     Clauses read only backwards, at most `reach` layers, so a layer's
     clauses depend only on its distance from the lower face, and a cell's
@@ -505,22 +512,25 @@ def _cube_program(spec: SubshiftSpec, rank: int, side: int) -> _Program:
     thus takes the clauses and the readers of slab layer x below `reach`,
     of slab layer `reach` up to side - 1 - reach, and of the slab layer as
     far from the upper face above that, shifted by whole layers.  Once a
-    middle layer starts from the slots that the layer before it started
-    from, shifted by one layer, it repeats that layer's steps and ends as
-    that layer ended, and by induction so does every layer up to the last
-    `reach` ones, which are compiled as they come."""
-    firsts = [[d[0] for d in offsets] for offsets, _ in _templates(spec)]
+    middle layer starts from the slots that the middle layer p <= 2 reach
+    + 1 layers back started from, shifted by p layers, it repeats that
+    layer's steps and ends as it ended, and by induction so does every
+    later middle layer: the whole periods that follow are stated as the
+    program's `repeat`, not compiled."""
+    axes = _sweep_axes(sides)
+    outer, side = axes[0], sides[axes[0]]
+    firsts = [[d[outer] for d in offsets] for offsets, _ in _templates(spec)]
     reach = max((max(xs) - min(xs) for xs in firsts), default=0)
     layers = min(side, 2 * reach + 1)
-    slab = _built(spec.group, tuple(product(range(layers),
-                                            *[range(side)] * (rank - 1))),
-                  "box")
+    slab = _built(spec.group, _cube_sweep(
+        (0,) * len(sides), sides[:outer] + (layers,) + sides[outer + 1:],
+        axes), "box")
     if layers == side:
         return _compile(spec, slab)
     clauses = _cell_bans(spec, slab)
     last = _last_readers(clauses)
     seating = _Seating(spec)
-    row = side ** (rank - 1)
+    row = len(clauses) // layers
     leaving = {}  # step -> the seated cells that leave after it
 
     def layer(x0: int) -> tuple:
@@ -543,35 +553,44 @@ def _cube_program(spec: SubshiftSpec, rank: int, side: int) -> _Program:
                 sorted((q - base, [p - base for p in cells])
                        for q, cells in leaving.items()))
 
-    parts, prev, x0 = [], None, 0
+    # the starts of the middle layers before x0, the latest first
+    back = deque(maxlen=2 * reach + 1)
+    parts, repeat, x0 = [], None, 0
     while x0 < side:
-        # the start of a layer that may repeat, or be repeated by, the next
-        now = start(x0) if reach <= x0 <= side - 1 - reach else None
-        if now is not None and now == prev:
-            # layers x0 .. side-1-reach repeat layer x0 - 1
-            skip = side - reach - x0
-            parts.append(parts[-1] * skip)
-            delta = skip * row
-            seating.slot = {p + delta: q for p, q in seating.slot.items()}
-            leaving = {q + delta: [p + delta for p in cells]
-                       for q, cells in leaving.items()}
-            x0, prev = x0 + skip, None
-            continue
-        prev = now
+        if repeat is None and reach <= x0 <= side - 1 - reach:
+            now = start(x0)
+            period = next((p for p, was in enumerate(back, 1) if was == now),
+                          0)
+            # layers x0 - period .. side - 1 - reach repeat with that period:
+            # the whole periods from x0 on are not compiled, but for a layer
+            # after them with reach 0, where the DP records its total
+            whole = period and (side - reach - x0 - (reach == 0)) // period
+            if whole:
+                parts.append(tuple(chain.from_iterable(parts[-period:]))
+                             * whole)
+                delta = whole * period * row
+                seating.slot = {p + delta: q for p, q in seating.slot.items()}
+                leaving = {q + delta: [p + delta for p in cells]
+                           for q, cells in leaving.items()}
+                repeat = ((x0 - period) * row, period * row, whole + 1)
+                x0 += whole * period
+                continue
+            back.appendleft(now)
         parts.append(layer(x0))
         x0 += 1
     return _Program(tuple(seating.steps), tuple(chain.from_iterable(parts)),
-                    row)
+                    row, repeat)
 
 
 def _program(spec: SubshiftSpec, window: GroupWindow) -> _Program:
     """The step program of the window's sweep (`GroupWindow.sweep`): of a
     nonempty cube that `groups` built (a box, a rank-1 ball, an interval, a
-    sum of two such) from a slab of it (`_cube_program`), of any other
-    window from all its cells; either way compiled from `_cell_bans`."""
+    product or a sum of such) from a slab of it (`_cube_program`), of any
+    other window from all its cells; either way compiled from
+    `_cell_bans`."""
     shape = window._shape
-    if shape is not None and shape[0] == "cube" and shape[2]:
-        return _cube_program(spec, window.spec.rank, shape[2])
+    if shape is not None and shape[0] == "cube" and all(shape[2]):
+        return _cube_program(spec, shape[2])
     return _compile(spec, window.sweep())
 
 
@@ -660,9 +679,10 @@ def _frontier_count(spec: SubshiftSpec, window: GroupWindow,
 
     Returns the running total, the sum of the state counts, after each of
     the increasing cell counts in `stops` (default: the whole window).  With
-    the default, a run of repeated layers that pays (`_layers`,
-    `_takes_layers`) is jumped by the layer operator (`_layer_power`) once
-    the DP has run the cells before it, and the DP runs the cells after.
+    the default, the program's run of repeated layers (`_Program.repeat`)
+    is jumped by the layer operator (`_layer_power`) where it pays
+    (`_takes_layers`), once the DP has run the cells before it, and the DP
+    runs the cells after.
     Every clause of `_cell_bans` fires at its last cell, so after k steps
     every clause among the first k cells has fired and no other has: the
     total is the exact free-boundary count of those k cells.
@@ -703,13 +723,10 @@ def _frontier_count(spec: SubshiftSpec, window: GroupWindow,
     steps, cells, row = program.steps, program.cells, program.row
     n = len(cells)
     marks = set([n] if stops is None else stops)
-    # with a single stop, the repeated layers of the program, if any: the
-    # DP runs the head, cells[:head], and may then jump them.  They are
-    # looked for only where an operator of one key would pay, as the rule
-    # asks more layers of more keys
-    layers = (_layers(cells, row) if stops is None
-              and _takes_layers(1, (n - 1) // row) else None)
-    head = n if layers is None else layers[0]
+    # with a single stop, the program's repeated layers, if any: the DP runs
+    # the head, cells[:head], and may then jump them
+    repeat = program.repeat if stops is None else None
+    head = n if repeat is None else repeat[0]
     totals = []
     states = {0: 1}
     keys = counts = None  # the states once the step runs on arrays
@@ -756,7 +773,7 @@ def _frontier_count(spec: SubshiftSpec, window: GroupWindow,
                               else int(counts.sum()))
         lo = hi
         if hi < n:  # the end of the head: jump the layers, if they pay
-            start, period, repeats = layers
+            start, period, repeats = repeat
             size = len(states) if keys is None else len(keys)
             if _takes_layers(size, repeats):
                 if keys is not None:
@@ -815,47 +832,6 @@ def _step_plan(keys, keep: int, moves):
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
     starts = np.flatnonzero(first)
     return keys[starts], np.concatenate(sources)[order], starts
-
-
-def _periodic_run(cells: Sequence, i: int, period: int) -> int:
-    """The largest e >= i with cells[j] == cells[j + period] for every j
-    in [i, e), by slices that double while they match and halve where they
-    do not."""
-    n, size = len(cells) - period, period
-    while size:
-        e = min(i + size, n)
-        if i < e and cells[i:e] == cells[i + period:e + period]:
-            i, size = e, size * 2
-        else:
-            size //= 2
-    return i
-
-
-# The most sweep rows that one period of repeated steps may span: a rule
-# that reads back r rows along the sweep may seat each cell in the slot of
-# the cell r rows back, so that its steps repeat only every r rows (two
-# cells for a rank-1 rule that reads two cells back).
-_PERIODS = 4
-
-
-def _layers(cells: tuple, row: int) -> tuple | None:
-    """`(start, period, repeats)`: from `start` on, the `period` cells there
-    repeat `repeats` >= 2 times, with at least the last cell after them; or
-    None.  The period is the least of one to `_PERIODS` sweep rows that
-    repeats at the middle row; the run is followed from there both ways
-    and cut to whole periods from a row boundary."""
-    n = len(cells)
-    mid = n // row // 2 * row
-    for period in range(row, min(_PERIODS * row, (n - mid) // 2) + 1, row):
-        if cells[mid:mid + period] == cells[mid + period:mid + 2 * period]:
-            break
-    else:
-        return None
-    end = min(_periodic_run(cells, mid, period) + period, n - 1)
-    start = n - period - _periodic_run(cells[::-1], n - mid - period, period)
-    start += -start % row
-    repeats = (end - start) // period
-    return (start, period, repeats) if repeats > 1 else None
 
 
 # Whether n repeated layers from m frontier keys are counted by the layer
@@ -942,13 +918,13 @@ def count_patterns(spec: SubshiftSpec, window: GroupWindow,
     window's sweep order, with a single stop at the last cell.  Its frontier
     holds only the cells that a clause of `_cell_bans` still reads, so a
     matrix that bans nothing adds no state.  Where the window's program
-    repeats a layer often enough for `_takes_layers` (an interval, a rank-1
-    ball or box, a long strip of a few rows), the repeated layers are
-    counted by the layer's transfer operator raised by squaring
-    (`_layer_power`): a golden-mean interval of 1e6 cells in about 0.3 s
-    against 33 s by the DP.  More than `cap` live frontier states, or
-    states of that operator, raises the patterns cap.  A series of windows
-    is counted by
+    states a repeat (`_Program.repeat`) long enough for `_takes_layers` (an
+    interval, a rank-1 ball, a built strip of a few rows such as
+    `product_window(interval(0, k - 1), n)`), the repeated layers are
+    counted by their transfer operator raised by squaring (`_layer_power`):
+    a golden-mean interval of 1e6 cells in about 0.3 s against 33 s by the
+    DP.  More than `cap` live frontier states, or states of that operator,
+    raises the patterns cap.  A series of windows is counted by
     `count_windows`, which reads every window that is a translated prefix
     of the largest one's sweep off a stop of that one sweep.
     """

@@ -215,6 +215,9 @@ def test_sums_of_built_cubes_are_built_cubes(rank):
     if rank == 1:
         cubes += [ball(0, spec), ball(2, spec), interval(-4, 2),
                   interval(-7, -5), interval(3, 6)]
+    if rank == 2:  # boxes of unequal sides
+        cubes += [product_window(interval(-2, 0), 2),
+                  product_window(box(2, GroupSpec(1)), 4)]
     for a, b in itertools.product(cubes, repeat=2):
         s = minkowski_sum(a, b)
         old = tuple(canonical_order({add(g, h) for g in a.elements

@@ -253,9 +253,9 @@ def test_group_window_private_state():
     spec = GroupSpec(2)
     made = GroupWindow(spec, ((0, 0), (1, 0)), "box", 1)
     assert _private(made) == (None, False)
-    built = _built(spec, ((0, 0), (1, 0)), "box", 1, ("cube", (0, 0), 2),
-                   swept=True)
-    assert _private(built) == (("cube", (0, 0), 2), True)
+    built = _built(spec, ((0, 0), (1, 0)), "box", 1,
+                   ("cube", (0, 0), (2, 2)), swept=True)
+    assert _private(built) == (("cube", (0, 0), (2, 2)), True)
     # private state is not compared, hashed or shown
     assert built == made and hash(built) == hash(made)
     assert repr(built) == repr(made) == (

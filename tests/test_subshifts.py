@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import random
 
 import numpy as np
@@ -13,7 +14,7 @@ from meandim.groups import (CapExceeded, FolnerDescriptor, GroupSpec,
 from meandim.subshifts import (Alphabet, Rule,
                                SubshiftSpec, _cell_bans, _compile,
                                _frontier_count,
-                               _is_translated_prefix, _layer_power, _layers,
+                               _is_translated_prefix, _layer_power,
                                _program,
                                cellwise_pair_shift, count_patterns,
                                count_windows,
@@ -655,12 +656,27 @@ def _built_windows(rank):
     return windows
 
 
+def _built_products(rank):
+    """The products of built windows of Z^(rank-1): of intervals, rank-1
+    balls and boxes at depths 1-8 in rank 2, of rank-2 boxes at depths 1-4
+    in rank 3.  The depth axis is the longest, one of the longest or
+    shorter than the others."""
+    g1, g2 = GroupSpec(1), GroupSpec(2)
+    if rank == 2:
+        return [product_window(w, d) for w in (
+            interval(-2, 1), interval(3, 3), ball(0, g1), ball(2, g1),
+            box(1, g1), box(5, g1)) for d in range(1, 9)]
+    if rank == 3:
+        return [product_window(box(k, g2), d) for k in (1, 2, 3)
+                for d in range(1, 5)]
+    return []
+
+
 @pytest.mark.parametrize("rank", [1, 2, 3])
 def test_sweeps_of_built_windows_match_the_sorted_sweep(rank):
     g1 = GroupSpec(1)
-    others = [product_window(ball(2, g1), 3), product_window(box(3, g1), 2),
-              minkowski_sum(ball(1, g1), interval(3, 5))] if rank == 1 else []
-    for w in _built_windows(rank) + others:
+    others = [minkowski_sum(ball(1, g1), interval(3, 5))] if rank == 1 else []
+    for w in _built_windows(rank) + _built_products(rank) + others:
         swept, want = w.sweep(), sorted_sweep(w)
         assert swept.elements == want.elements
         assert (swept.spec, swept.kind, swept.index) == (w.spec, w.kind,
@@ -719,29 +735,41 @@ def placed(monkeypatch):
     return sizes
 
 
-def _reach(spec):
-    """The furthest a clause of the rule reaches along axis 0."""
+def _reach(spec, axis):
+    """The furthest a clause of the rule reaches along the axis."""
     rule = spec.rule
-    return max([1 for axis, _ in rule.axis_allowed if axis == 0] +
-               [max(o[0] for o in offs) - min(o[0] for o in offs)
+    return max([1 for a, _ in rule.axis_allowed if a == axis] +
+               [max(o[axis] for o in offs) - min(o[axis] for o in offs)
                 for offs, _ in rule.forbidden], default=0)
 
 
 def _slab(spec, w):
     """The cells of the slab of a built cube that its program is compiled
-    from: at most 2 reach + 1 of its layers along axis 0."""
-    side, rank = w._shape[2], w.spec.rank
-    return min(side, 2 * _reach(spec) + 1) * side ** (rank - 1)
+    from: at most 2 reach + 1 of its layers along the sweep's outermost
+    axis, the first of the longest sides."""
+    sides = w._shape[2]
+    outer = sides.index(max(sides))
+    return min(sides[outer], 2 * _reach(spec, outer) + 1) * \
+        math.prod(sides) // sides[outer]
 
 
 def _assert_cube_programs(rules, windows, placed):
-    """Every window's program equals the program of its sorted sweep, and
-    a built cube's reads the clauses of its slab and of no larger window."""
+    """Every window's program, its repeat aside, equals the program of its
+    sorted sweep.  A built cube's reads the clauses of its slab and of no
+    larger window, and the repeat it states is whole periods of its cells
+    with at least one cell after them."""
     for w in windows:
         for spec in rules:
             want = _compile(spec, sorted_sweep(w))
             placed.clear()
-            assert _program(spec, w) == want, (spec.name, w.name)
+            program = _program(spec, w)
+            assert program.replace(repeat=None) == want, (spec.name, w.name)
+            if program.repeat is not None:
+                start, period, repeats = program.repeat
+                cells = program.cells
+                assert repeats >= 2 and start + period * repeats < len(cells)
+                assert cells[start:start + period * repeats] == \
+                    cells[start:start + period] * repeats, (spec.name, w.name)
             if w._shape[0] == "cube":
                 assert max(placed) <= _slab(spec, w), (spec.name, w.name)
 
@@ -750,11 +778,15 @@ def _assert_cube_programs(rules, windows, placed):
 def test_shape_programs_equal_the_programs_of_cell_bans(rank, placed):
     g = GroupSpec(rank)
     sums = [minkowski_sum(box(2, g), box(3, g))]
+    if rank == 2:  # sides 3 and 4
+        sums.append(minkowski_sum(product_window(interval(0, 1), 4),
+                                  box(2, g)))
     if rank == 1:
         sums += [minkowski_sum(ball(2, g), interval(-3, 1)),
                  minkowski_sum(interval(-5, -2), box(4, g))]
     _assert_cube_programs(SHIPPED_RULES[rank] + (REACH_TWO[rank],),
-                          _built_windows(rank) + sums, placed)
+                          _built_windows(rank) + _built_products(rank) + sums,
+                          placed)
 
 
 # rules that reach three layers back along axis 0, so that a cube compiles
@@ -827,7 +859,11 @@ def test_array_steps_build_one_plan_per_distinct_step(array_step,
 
 
 def test_explicit_rectangles_replay_the_rows_of_their_sweep(array_step,
-                                                          monkeypatch):
+                                                          monkeypatch,
+                                                          layer_calls):
+    # an explicit window states no repeat, so it takes no layer operator
+    # even where every repeat would
+    monkeypatch.setattr(subshifts, "_takes_layers", lambda m, n: True)
     built = []
 
     def recorded(keys, keep, moves):
@@ -846,6 +882,7 @@ def test_explicit_rectangles_replay_the_rows_of_their_sweep(array_step,
         assert _program(hard_square(), w).row == 8
         assert len(built) == len(_program(hard_square(), w).steps) == 23
     assert counts[0] == counts[1]
+    assert layer_calls == []
 
 
 def test_counting_path_neither_sorts_nor_looks_up_cells(monkeypatch):
@@ -1046,8 +1083,7 @@ def test_layer_operator_matches_the_step_dp(forced_path, layer_calls):
             for w in windows:
                 before = len(layer_calls)
                 assert count_patterns(spec, w) == want, (spec.name, n)
-                program = _program(spec, w)
-                repeats = _layers(program.cells, program.row) is not None
+                repeats = _program(spec, w).repeat is not None
                 # every window of 8 cells or more repeats a layer
                 assert repeats or n < 8, (spec.name, n)
                 taken = len(layer_calls) > before
@@ -1064,12 +1100,16 @@ def test_layer_operator_matches_enumeration(monkeypatch, layer_calls):
         assert count_patterns(spec, w) == enumerate_patterns(spec, w).count, \
             (spec.name, w.kind, w.index)
     for width, height in itertools.product(range(1, 4), range(4, 8)):
-        w = _rectangle(width, height)
-        assert count_patterns(hard_square(), w) == \
-            enumerate_patterns(hard_square(), w).count
+        for w in (product_window(interval(0, width - 1), height),
+                  product_window(interval(0, height - 1), width)):
+            assert count_patterns(hard_square(), w) == \
+                enumerate_patterns(hard_square(), w).count
     # the rank-1 windows of 5 and 7 cells of the five rules that are not
-    # counted in closed form, and the rectangles of 3 or more layers
-    assert len(layer_calls) == 5 * 2 + 9
+    # counted in closed form, and each of the 12 rectangles in both
+    # orientations: a built rectangle of 4 or more layers along its longest
+    # side states a repeat of 2 or more layers, where a search of the cells
+    # of an explicit one found 9
+    assert len(layer_calls) == 5 * 2 + 12 * 2
 
 
 @pytest.mark.parametrize("states", [32, 0], ids=["dict", "array"])
@@ -1081,7 +1121,8 @@ def test_layer_operator_counts_hard_square_strips(forced_path, layer_calls,
     hs = hard_square()
     for width in (2, 3, 4):
         want = _hard_square_rectangle(width, 200)
-        for w in (_rectangle(width, 200), _rectangle(200, width)):
+        for w in (product_window(interval(0, width - 1), 200),
+                  product_window(interval(0, 199), width)):
             assert count_patterns(hs, w) == want
     if forced_path == "layers":
         # the head is the first column, the tail the last one; the keys
@@ -1096,13 +1137,26 @@ def test_layer_operator_counts_hard_square_strips(forced_path, layer_calls,
 def test_layers_are_whole_periods_of_sweep_rows():
     hs = hard_square()
     # rows of 8 cells: the first row is the head, rows 1-6 repeat, and the
-    # last row and the one steady cell before it are the tail
-    assert _layers(_program(hs, box(8, GroupSpec(2))).cells, 8) == (8, 8, 6)
-    assert _layers(_program(REACH_TWO[1], interval(0, 99)).cells, 1) == (
-        2, 2, 48)
+    # last row is the tail
+    assert _program(hs, box(8, GroupSpec(2))).repeat == (8, 8, 6)
+    # the rule reads two cells back, and its steps repeat every two cells
+    assert _program(REACH_TWO[1], interval(0, 99)).repeat == (2, 2, 48)
     # a ball's rows differ in length, and a few cells repeat nothing
-    assert _layers(_program(hs, ball(6, GroupSpec(2))).cells, 1) is None
-    assert _layers(_program(golden_mean(), interval(0, 2)).cells, 1) is None
+    assert _program(hs, ball(6, GroupSpec(2))).repeat is None
+    assert _program(golden_mean(), interval(0, 2)).repeat is None
+
+
+def test_a_long_interval_that_repeats_every_two_cells(placed, layer_calls):
+    n = 10 ** 5
+    spec = REACH_TWO[1]
+    assert count_patterns(spec, interval(0, n - 1)) == \
+        fib((n + 1) // 2 + 2) * fib(n // 2 + 2)
+    # the first two cells are the head and the last two the tail: the
+    # cells between are (n - 4) / 2 two-cell layers over the four keys of
+    # two cells
+    assert layer_calls == [(4, 2, 49998)]
+    # the rule is placed on a slab of five cells alone
+    assert max(placed) <= 5
 
 
 def test_the_selection_rule_picks_the_layers_of_long_windows(layer_calls):
@@ -1126,17 +1180,17 @@ def test_the_selection_rule_picks_the_layers_of_long_windows(layer_calls):
 def test_layer_operator_states_are_checked_against_the_cap(monkeypatch):
     monkeypatch.setattr(subshifts, "_takes_layers", lambda m, n: True)
     hs = hard_square()
-    w = _rectangle(4, 200)
+    w = product_window(interval(0, 3), 200)
     program = _program(hs, w)
-    start, period, repeats = _layers(program.cells, program.row)
+    start, period, repeats = program.repeat
     # from the all-zero column, one layer reaches the 8 columns with no two
     # adjacent ones, once each
     layer = program.cells[start:start + period]
     got = _layer_power({0: 1}, program.steps, layer, 1, 8, w)
     assert len(got) == 8 and set(got.values()) == {1}
+    # the strip is named as `product_window` names it
     with pytest.raises(CapExceeded, match=r"^patterns cap 7 exceeded: "
-                       r"explicit window of 800 cells needs 8 live frontier "
-                       r"states$"):
+                       r"product\(200\) needs 8 live frontier states$"):
         _layer_power({0: 1}, program.steps, layer, repeats, 7, w)
 
 
