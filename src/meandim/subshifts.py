@@ -22,10 +22,11 @@ steps.  A cube that `groups` built (a box, a rank-1 ball, an interval, a
 product or a sum of such, of one side per axis) places them on a slab of
 2 reach + 1 of its layers along the sweep's outermost axis alone
 (`_cube_program`, `reach` the furthest a template reaches back along that
-axis): its layers take the clauses and the last readers of the slab layer
-as far from the nearer face, shifted by whole layers, with no cell tuples
-and no clause lists past the slab.  Once its middle layers repeat, the
-program states the run (`_Program.repeat`) and compiles no more of it.
+axis), as the first layers of a longer cube: a layer takes the clauses and
+last readers of the slab layer as far from the lower face, up to `reach`,
+shifted by whole layers, with no upper face and no cell tuples past the
+slab.  Once its middle layers repeat, the program states the run
+(`_Program.repeat`) and compiles no more of it.
 
 The enumerator tests the bans on the packed frontier of its assignment.
 The DP walks a dict of frontier states while fewer than `_ARRAY_STATES`
@@ -41,16 +42,15 @@ at most one state per symbol, so with fewer than 32 symbols its steps stay
 on dicts.
 
 A count of one window (`count_patterns`) whose program states a repeat
-(one or two cells of an interval or of a rank-1 ball or box, k cells of
-a built k-wide strip) steps only the cells before it and after it.  In
-between it applies the period's transfer operator T, where T[s][t] is
-the number of ways one period goes from frontier key s to key t, raised
-to the number of repeats by squaring in exact ints (`_layer_power`), so a
-long interval costs a few big products instead of a sum per cell.
-`_takes_layers` picks that path from the repeats and T's state count; the
-stop sweeps of `count_windows` and square boxes keep the step DP,
-explicit windows and rank-2+ balls state no repeat, and the enumerator
-steps every cell.
+(one or two cells of an interval or of a rank-1 ball or box, k cells of a
+built k-wide strip) steps only the cells outside it.  In between it
+applies the period's transfer operator T, where T[s][t] is the number of
+ways one period goes from frontier key s to key t, raised to the number
+of repeats by squaring in exact ints (`_layer_power`), so a long interval
+costs a few big products instead of a sum per cell.  `_takes_layers`
+picks that path from the repeats and T's state count; the stop sweeps of
+`count_windows` and square boxes keep the step DP, explicit windows and
+rank-2+ balls state no repeat, and the enumerator steps every cell.
 
 Pattern legality on a window checks the rules that fit entirely inside the
 window (free boundary).  For the shipped rule classes this either matches the
@@ -383,8 +383,8 @@ class _Program(Record):
     first use, the step index of each cell, the cells per sweep row
     (`_sweep_row`) and `repeat`: `(start, period, repeats)` where the cells
     from `start` on are their first `period` cells `repeats` >= 2 times,
-    whole layers of a built cube (`_cube_program`), with a cell after them;
-    None for any other program.
+    whole layers of a built cube (`_cube_program`), with fewer than
+    `period` cells after them; None for any other program.
 
     A state of the DP is a key that packs the symbols of the frontier (the
     seated cells that a later clause still reads), `width` bits per slot.
@@ -500,23 +500,23 @@ def _sweep_row(cells: Sequence) -> int:
 
 
 def _cube_program(spec: SubshiftSpec, sides: tuple) -> _Program:
-    """The step program of the sweep of a cube of the given sides, equal
-    to `_compile` on the swept cube, from the clauses of `_cell_bans` on a
-    slab of the cube: its first min(side, 2 reach + 1) layers along the
-    sweep's outermost axis (`_sweep_axes`), a sweep row each, where `reach`
-    is the furthest a template reaches along that axis.
+    """The step program of the sweep of a cube of the given sides, from
+    the clauses of `_cell_bans` on a slab of it: its first min(side, 2
+    reach + 1) layers along the sweep's outermost axis (`_sweep_axes`), a
+    sweep row each, `reach` the furthest a template reaches along that
+    axis.  A cube no longer than that is its slab (`_compile`).
 
-    Clauses read only backwards, at most `reach` layers, so a layer's
-    clauses depend only on its distance from the lower face, and a cell's
-    last reader only on its distance from the upper face.  Cube layer x
-    thus takes the clauses and the readers of slab layer x below `reach`,
-    of slab layer `reach` up to side - 1 - reach, and of the slab layer as
-    far from the upper face above that, shifted by whole layers.  Once a
-    middle layer starts from the slots that the middle layer p <= 2 reach
+    Clauses read only backwards, at most `reach` layers, so in a cube that
+    goes on past its last layer, a layer's clauses and last readers depend
+    only on its distance from the lower face, up to `reach`.  Layer x takes
+    those of slab layer min(x, reach), shifted by whole layers: the program
+    is the first cells of `_compile` on the cube lengthened by `reach`
+    layers, and the DP's total at its last cell is the cube's count.  Once
+    a middle layer starts from the slots that the middle layer p <= 2 reach
     + 1 layers back started from, shifted by p layers, it repeats that
     layer's steps and ends as it ended, and by induction so does every
-    later middle layer: the whole periods that follow are stated as the
-    program's `repeat`, not compiled."""
+    later layer: the whole periods that follow are stated as the program's
+    `repeat`, not compiled."""
     axes = _sweep_axes(sides)
     outer, side = axes[0], sides[axes[0]]
     firsts = [[d[outer] for d in offsets] for offsets, _ in _templates(spec)]
@@ -534,7 +534,7 @@ def _cube_program(spec: SubshiftSpec, sides: tuple) -> _Program:
     leaving = {}  # step -> the seated cells that leave after it
 
     def layer(x0: int) -> tuple:
-        at = x0 if x0 < reach else max(reach, x0 - side + layers)
+        at = min(x0, reach)
         out, step, i, base = [], seating.step, x0 * row, (x0 - at) * row
         for j in range(at * row, (at + 1) * row):
             seated = last[j] > j
@@ -557,14 +557,12 @@ def _cube_program(spec: SubshiftSpec, sides: tuple) -> _Program:
     back = deque(maxlen=2 * reach + 1)
     parts, repeat, x0 = [], None, 0
     while x0 < side:
-        if repeat is None and reach <= x0 <= side - 1 - reach:
+        if repeat is None and reach <= x0:
             now = start(x0)
             period = next((p for p, was in enumerate(back, 1) if was == now),
                           0)
-            # layers x0 - period .. side - 1 - reach repeat with that period:
-            # the whole periods from x0 on are not compiled, but for a layer
-            # after them with reach 0, where the DP records its total
-            whole = period and (side - reach - x0 - (reach == 0)) // period
+            # from layer x0 - period on, whole periods repeat uncompiled
+            whole = period and (side - x0) // period
             if whole:
                 parts.append(tuple(chain.from_iterable(parts[-period:]))
                              * whole)
@@ -682,7 +680,7 @@ def _frontier_count(spec: SubshiftSpec, window: GroupWindow,
     the default, the program's run of repeated layers (`_Program.repeat`)
     is jumped by the layer operator (`_layer_power`) where it pays
     (`_takes_layers`), once the DP has run the cells before it, and the DP
-    runs the cells after.
+    runs the cells after, if any.
     Every clause of `_cell_bans` fires at its last cell, so after k steps
     every clause among the first k cells has fired and no other has: the
     total is the exact free-boundary count of those k cells.
@@ -785,6 +783,8 @@ def _frontier_count(spec: SubshiftSpec, window: GroupWindow,
                     states, lo = jumped, start + period * repeats
                     keys = counts = bound = None
                     back, same = [None] * row, False
+                    if lo == n:  # the run ends at the last cell
+                        totals.append(sum(states.values()))
     return totals
 
 
@@ -916,17 +916,17 @@ def count_patterns(spec: SubshiftSpec, window: GroupWindow,
     |symbols|^n.  Every other rule, on every window of any rank, is counted
     by the frontier DP `_frontier_count` in exact integers over the
     window's sweep order, with a single stop at the last cell.  Its frontier
-    holds only the cells that a clause of `_cell_bans` still reads, so a
-    matrix that bans nothing adds no state.  Where the window's program
-    states a repeat (`_Program.repeat`) long enough for `_takes_layers` (an
-    interval, a rank-1 ball, a built strip of a few rows such as
-    `product_window(interval(0, k - 1), n)`), the repeated layers are
-    counted by their transfer operator raised by squaring (`_layer_power`):
-    a golden-mean interval of 1e6 cells in about 0.3 s against 33 s by the
-    DP.  More than `cap` live frontier states, or states of that operator,
-    raises the patterns cap.  A series of windows is counted by
-    `count_windows`, which reads every window that is a translated prefix
-    of the largest one's sweep off a stop of that one sweep.
+    holds only the cells that a later clause reads (in a built cube, of a
+    longer cube), so a matrix that bans nothing adds no state.  Where
+    the program states a repeat (`_Program.repeat`) long enough for
+    `_takes_layers` (an interval, a rank-1 ball, a built strip of a few rows
+    such as `product_window(interval(0, k - 1), n)`), the repeated layers
+    are counted by their transfer operator raised by squaring
+    (`_layer_power`): a golden-mean interval of 1e6 cells in about 0.3 s
+    against 33 s by the DP.  More than `cap` live frontier states, or
+    states of that operator, raises the patterns cap.  A series of windows
+    is counted by `count_windows`, which reads every window that is a
+    translated prefix of the largest one's sweep off a stop of that sweep.
     """
     rule = spec.rule
     if rule.factors_over_cells:

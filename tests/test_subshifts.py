@@ -753,21 +753,44 @@ def _slab(spec, w):
         math.prod(sides) // sides[outer]
 
 
+def _longer_program(spec, w):
+    """The program of a built cube of more than 2 reach + 1 layers along
+    its outermost axis, stated as the first cells and steps of `_compile`
+    on the cube lengthened by `reach` layers along that axis; None for any
+    other window."""
+    if w._shape[0] != "cube":
+        return None
+    corner, sides = w._shape[1:]
+    outer = sides.index(max(sides))
+    reach = _reach(spec, outer)
+    if sides[outer] <= 2 * reach + 1:
+        return None
+    sides = sides[:outer] + (sides[outer] + reach,) + sides[outer + 1:]
+    longer = GroupWindow(w.spec, tuple(itertools.product(
+        *(range(c, c + side) for c, side in zip(corner, sides)))))
+    want = _compile(spec, sorted_sweep(longer))
+    cells = want.cells[:len(w)]
+    return want.replace(steps=want.steps[:max(cells) + 1], cells=cells)
+
+
 def _assert_cube_programs(rules, windows, placed):
     """Every window's program, its repeat aside, equals the program of its
-    sorted sweep.  A built cube's reads the clauses of its slab and of no
-    larger window, and the repeat it states is whole periods of its cells
-    with at least one cell after them."""
+    sorted sweep, or, for a built cube longer than its slab, the first
+    cells of the program of the cube lengthened by `reach` layers
+    (`_longer_program`).  A built cube's reads the clauses of its slab and
+    of no larger window, and the repeat it states is whole periods of its
+    cells with fewer than one period after them."""
     for w in windows:
         for spec in rules:
-            want = _compile(spec, sorted_sweep(w))
+            want = _longer_program(spec, w) or _compile(spec, sorted_sweep(w))
             placed.clear()
             program = _program(spec, w)
             assert program.replace(repeat=None) == want, (spec.name, w.name)
             if program.repeat is not None:
                 start, period, repeats = program.repeat
                 cells = program.cells
-                assert repeats >= 2 and start + period * repeats < len(cells)
+                assert repeats >= 2 and \
+                    0 <= len(cells) - (start + period * repeats) < period
                 assert cells[start:start + period * repeats] == \
                     cells[start:start + period] * repeats, (spec.name, w.name)
             if w._shape[0] == "cube":
@@ -809,6 +832,43 @@ def test_cube_programs_about_the_slab_boundary(spec, placed):
                 enumerate_patterns(spec, w).count, w.name
 
 
+def _least_cap(spec, w):
+    """The least patterns cap under which the window counts, by bisection
+    below 2^16, or 2^16 when none below it does."""
+    lo, hi = 0, 2 ** 16
+    while lo < hi:
+        mid = (lo + hi) // 2
+        try:
+            count_patterns(spec, w, mid)
+            hi = mid
+        except CapExceeded:
+            lo = mid + 1
+    return lo
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_built_cubes_count_and_cap_as_their_explicit_copies(rank,
+                                                            monkeypatch):
+    # a built cube's last layers seat cells that no clause of the cube
+    # reads, and its count is the DP's running total at its last cell
+    g = GroupSpec(rank)
+    rules = SHIPPED_RULES[rank] + (REACH_TWO[rank],) + tuple(
+        spec for spec in REACH_THREE if spec.rank == rank)
+    top = {1: 40, 2: 8, 3: 4}[rank]
+    cases = [(spec, box(side, g), subshifts._ARRAY_STATES)
+             for side in range(1, top + 1) for spec in rules]
+    if rank == 2:  # and with array steps from the first cell
+        cases += [(hard_square(), box(side, g), 0) for side in range(1, 13)]
+    for spec, w, states in cases:
+        monkeypatch.setattr(subshifts, "_ARRAY_STATES", states)
+        copy = GroupWindow(g, w.elements)
+        cap = _least_cap(spec, w)
+        assert _least_cap(spec, copy) == cap, (spec.name, w.name)
+        if cap < 2 ** 16:  # larger ones are compared by their caps alone
+            assert count_patterns(spec, w, cap) == \
+                count_patterns(spec, copy, cap), (spec.name, w.name)
+
+
 @pytest.mark.parametrize("states", [64, 0], ids=["dict", "array"])
 def test_counting_built_cubes_places_only_a_slab(monkeypatch, placed,
                                                  states):
@@ -828,12 +888,12 @@ def test_counting_built_cubes_places_only_a_slab(monkeypatch, placed,
 def test_a_long_built_interval_counts_from_its_shape(placed, layer_calls):
     n = 10 ** 5
     program = _program(golden_mean(), interval(0, n - 1))
-    # the first cell, every later one but the last, the last
-    assert len(program.steps) == 3 and len(program.cells) == n
+    # the first cell and every later one: the last has no face of its own
+    assert len(program.steps) == 2 and len(program.cells) == n
     assert count_patterns(golden_mean(), interval(0, n - 1)) == fib(n + 2)
-    # the head is the first cell and the tail the last: the n - 2 cells
-    # between are one layer, raised to the power n - 2 over two keys
-    assert layer_calls == [(2, 1, n - 2)]
+    # the head is the first cell: the n - 1 cells after it are one layer,
+    # raised to the power n - 1 over two keys, up to the last cell
+    assert layer_calls == [(2, 1, n - 1)]
     # both compiles place the rule on a slab of three cells alone
     assert placed == [3, 3]
 
@@ -852,10 +912,11 @@ def test_array_steps_build_one_plan_per_distinct_step(array_step,
         built.clear()
         w = box(n, GroupSpec(2))
         assert count_patterns(hard_square(), w) == A006506[n - 1]
-        # row 0, the steady row and the last row, whose first cell steps as
-        # a steady one: every later steady row replays the row before
+        # row 0 and the steady row, which the last row repeats as it has
+        # no upper face; box 3 is its slab and keeps its last row, whose
+        # first cell steps as a steady one
         assert len(built) == len(_program(hard_square(), w).steps) == \
-            3 * n - 1
+            (2 * n if n >= 4 else 8)
 
 
 def test_explicit_rectangles_replay_the_rows_of_their_sweep(array_step,
@@ -1125,9 +1186,9 @@ def test_layer_operator_counts_hard_square_strips(forced_path, layer_calls,
                   product_window(interval(0, 199), width)):
             assert count_patterns(hs, w) == want
     if forced_path == "layers":
-        # the head is the first column, the tail the last one; the keys
-        # are the columns with no two adjacent ones
-        assert layer_calls == [(k, w, 198) for w, k in ((2, 3), (2, 3),
+        # the head is the first column, and the 199 after it repeat up to
+        # the last cell; the keys are the columns with no two adjacent ones
+        assert layer_calls == [(k, w, 199) for w, k in ((2, 3), (2, 3),
                                                         (3, 5), (3, 5),
                                                         (4, 8), (4, 8))]
     else:
@@ -1136,11 +1197,12 @@ def test_layer_operator_counts_hard_square_strips(forced_path, layer_calls,
 
 def test_layers_are_whole_periods_of_sweep_rows():
     hs = hard_square()
-    # rows of 8 cells: the first row is the head, rows 1-6 repeat, and the
-    # last row is the tail
-    assert _program(hs, box(8, GroupSpec(2))).repeat == (8, 8, 6)
+    # rows of 8 cells: the first row is the head, and rows 1-7 repeat up
+    # to the last cell, since the last row has no upper face
+    assert _program(hs, box(8, GroupSpec(2))).repeat == (8, 8, 7)
     # the rule reads two cells back, and its steps repeat every two cells
-    assert _program(REACH_TWO[1], interval(0, 99)).repeat == (2, 2, 48)
+    # from the third to the last
+    assert _program(REACH_TWO[1], interval(0, 99)).repeat == (2, 2, 49)
     # a ball's rows differ in length, and a few cells repeat nothing
     assert _program(hs, ball(6, GroupSpec(2))).repeat is None
     assert _program(golden_mean(), interval(0, 2)).repeat is None
@@ -1151,19 +1213,19 @@ def test_a_long_interval_that_repeats_every_two_cells(placed, layer_calls):
     spec = REACH_TWO[1]
     assert count_patterns(spec, interval(0, n - 1)) == \
         fib((n + 1) // 2 + 2) * fib(n // 2 + 2)
-    # the first two cells are the head and the last two the tail: the
-    # cells between are (n - 4) / 2 two-cell layers over the four keys of
-    # two cells
-    assert layer_calls == [(4, 2, 49998)]
+    # the first two cells are the head: the cells after them are
+    # (n - 2) / 2 two-cell layers, up to the last cell, over the four keys
+    # of two cells
+    assert layer_calls == [(4, 2, 49999)]
     # the rule is placed on a slab of five cells alone
     assert max(placed) <= 5
 
 
 def test_the_selection_rule_picks_the_layers_of_long_windows(layer_calls):
     gm, g1 = golden_mean(), GroupSpec(1)
-    # the first and the last cell are the head and the tail: n cells repeat
-    # a layer n - 2 times, from 32 of which the operator pays
-    for n in (33, 34):
+    # the first cell is the head: n cells repeat a layer n - 1 times, up to
+    # the last cell, from 32 of which the operator pays
+    for n in (32, 33):
         assert count_patterns(gm, interval(0, n - 1)) == fib(n + 2)
     assert layer_calls == [(2, 1, 32)]
     layer_calls.clear()
